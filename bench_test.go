@@ -236,8 +236,22 @@ func BenchmarkSingleDispatchPipelined(b *testing.B) {
 	b.ReportMetric(pts[1].PerSec, "ops_4workers")
 }
 
+// tcpPair opens a client and a server endpoint on loopback TCP.
+func tcpPair(tb testing.TB) (cli, srv nexus.Endpoint) {
+	tb.Helper()
+	cli, err := nexus.NewTCPEndpoint("")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err = nexus.NewTCPEndpoint("")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cli, srv
+}
+
 // orbPair wires a single-object echo server and a client over a fabric.
-func orbPair(b *testing.B, clientEP, serverEP nexus.Endpoint) (*core.Binding, func()) {
+func orbPair(b testing.TB, clientEP, serverEP nexus.Endpoint) (*core.Binding, func()) {
 	b.Helper()
 	iface := &core.InterfaceDef{
 		Name: "echo",
@@ -311,14 +325,7 @@ func BenchmarkORBRoundTripInproc(b *testing.B) {
 func BenchmarkORBRoundTripTCP(b *testing.B) {
 	for _, payload := range []int{64, 65536} {
 		b.Run(fmt.Sprintf("payload%d", payload), func(b *testing.B) {
-			cep, err := nexus.NewTCPEndpoint("")
-			if err != nil {
-				b.Fatal(err)
-			}
-			sep, err := nexus.NewTCPEndpoint("")
-			if err != nil {
-				b.Fatal(err)
-			}
+			cep, sep := tcpPair(b)
 			bind, stop := orbPair(b, cep, sep)
 			defer stop()
 			benchRoundTrip(b, bind, payload)

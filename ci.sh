@@ -8,6 +8,12 @@ go vet ./...
 go test ./...
 go test -race ./...
 
+# The repo benchmark is a module of its own, so nothing above builds it.
+# This lane is what notices a runtime change that breaks its build or its
+# endpoint decorator, or that moves idlgen output away from the committed
+# benchmark/zz_generated.go (TestGeneratedUpToDate).
+(cd benchmark && go vet . && go test .)
+
 # Smoke-run the paper-figure harness and keep its JSON summary as a CI
 # artifact for regression diffing. The default figure set includes the
 # transfer-engine experiments (schedule cache, segment fan-out, pipelined

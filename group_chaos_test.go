@@ -154,6 +154,24 @@ func TestGroupChaosFailoverSoak(t *testing.T) {
 			iors[i], hb, registry.AdapterDigest(adapters[i]))
 	}
 
+	// Heartbeat loops register their member asynchronously; the clients
+	// below resolve the group on their first call and must not race the
+	// first registrations.
+	{
+		regc, err := registry.Open(newGroupClient(fab, "gr-ready"), repoAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if members, err := regc.ResolveGroup(group); err == nil && len(members) == replicas {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("group %s never reached %d registered members", group, replicas)
+			}
+		}
+	}
+
 	// Every client runs two phases of idempotent invocations with the kill
 	// in between; each get must complete, failing over when its bound member
 	// is the corpse.

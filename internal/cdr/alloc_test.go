@@ -1,6 +1,9 @@
 package cdr
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The bulk primitives and the encoder pool exist to keep the
 // distributed-sequence hot path allocation-free; these tests pin that down
@@ -89,5 +92,39 @@ func TestDecoderReset(t *testing.T) {
 	d.Reset(e.Bytes())
 	if got := d.GetLong(); got != 41 || d.Err() != nil {
 		t.Fatalf("reset decoder: got %d, err %v", got, d.Err())
+	}
+}
+
+// TestInternTableRecoversFromFlood: a burst of more distinct names than the
+// intern table holds must not end interning for the rest of the process —
+// the table stays bounded, and a name still in use afterwards decodes
+// without allocating again.
+func TestInternTableRecoversFromFlood(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	decode := func(wire []byte) string {
+		d := GetDecoder(wire)
+		defer d.Release()
+		return d.GetStringInterned()
+	}
+	encode := func(s string) []byte {
+		e := NewEncoder(len(s) + 8)
+		e.PutString(s)
+		return e.Bytes()
+	}
+	for i := 0; i < maxInternedStrings+100; i++ {
+		decode(encode(fmt.Sprintf("one-off-binding#%d", i)))
+	}
+	internMu.RLock()
+	n := len(interned)
+	internMu.RUnlock()
+	if n > maxInternedStrings {
+		t.Fatalf("intern table holds %d strings, bound %d", n, maxInternedStrings)
+	}
+	hot := encode("hot-object-key")
+	decode(hot) // re-enters the table
+	if allocs := testing.AllocsPerRun(100, func() { decode(hot) }); allocs != 0 {
+		t.Fatalf("a name in steady use decodes at %v allocs/run after a flood, want 0", allocs)
 	}
 }

@@ -252,8 +252,8 @@ func (d *Decoder) Release() {
 }
 
 // maxInternedLen bounds which strings enter the intern table, and
-// maxInternedStrings bounds the table itself, so adversarial or
-// high-cardinality traffic cannot pin unbounded memory.
+// maxInternedStrings bounds the table itself (it restarts empty when full),
+// so adversarial or high-cardinality traffic cannot pin unbounded memory.
 const (
 	maxInternedLen     = 128
 	maxInternedStrings = 4096
@@ -289,9 +289,15 @@ func (d *Decoder) GetStringInterned() string {
 	}
 	s = string(b)
 	internMu.Lock()
-	if len(interned) < maxInternedStrings {
-		interned[s] = s
+	if len(interned) >= maxInternedStrings {
+		// Full: start over rather than stop interning. A flood of one-off
+		// names (ten thousand short-lived client bindings) would otherwise
+		// leave every later binding's identity fields uninterned — four
+		// allocations per request — for the life of the process; after a
+		// restart the names still in use re-enter at one allocation each.
+		interned = map[string]string{}
 	}
+	interned[s] = s
 	internMu.Unlock()
 	return s
 }

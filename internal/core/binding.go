@@ -5,6 +5,7 @@ import (
 
 	"pardis/internal/dist"
 	"pardis/internal/nexus"
+	"pardis/internal/obs"
 	"pardis/internal/pgiop"
 	"pardis/internal/rts"
 )
@@ -23,6 +24,10 @@ type Binding struct {
 	localObj *localObject
 
 	outDists map[string]map[int]dist.Template
+
+	// slos caches each operation's orb_slo entry by index into iface.Ops,
+	// filled on first invocation so uninvoked operations get no SLO row.
+	slos []*obs.SLOOp
 
 	deadline float64 // per-invocation deadline, seconds; 0 = unbounded
 	retry    RetryPolicy
@@ -49,6 +54,7 @@ func (o *ORB) Bind(ior IOR, iface *InterfaceDef) (*Binding, error) {
 		iface:    def,
 		id:       fmt.Sprintf("%s#%d", o.r.Addr(), o.nextBind),
 		outDists: map[string]map[int]dist.Template{},
+		slos:     make([]*obs.SLOOp, len(def.Ops)),
 	}
 	if o.local != nil && !ior.SPMD {
 		b.localObj = o.local.lookup(ior.Key)
@@ -73,6 +79,15 @@ func (o *ORB) SPMDBind(ior IOR, iface *InterfaceDef) (*Binding, error) {
 	// A collective binding may use distributed arguments even from a
 	// one-thread client program; a plain Bind may not.
 	return b, nil
+}
+
+// opSLO returns the orb_slo entry of the operation at index k of the
+// binding's table, resolving it on first use.
+func (b *Binding) opSLO(k int) *obs.SLOOp {
+	if b.slos[k] == nil {
+		b.slos[k] = orbSLO.Op(b.iface.Ops[k].Name)
+	}
+	return b.slos[k]
 }
 
 // IOR returns the bound object's reference.

@@ -134,12 +134,21 @@ type InterfaceDef struct {
 
 // Op looks up an operation by name.
 func (i *InterfaceDef) Op(name string) (*Operation, bool) {
-	for k := range i.Ops {
-		if i.Ops[k].Name == name {
-			return &i.Ops[k], true
-		}
+	if k := i.OpIndex(name); k >= 0 {
+		return &i.Ops[k], true
 	}
 	return nil, false
+}
+
+// OpIndex returns the named operation's position in Ops, or -1 — the key
+// for per-operation state kept beside the table (see Binding.opSLO).
+func (i *InterfaceDef) OpIndex(name string) int {
+	for k := range i.Ops {
+		if i.Ops[k].Name == name {
+			return k
+		}
+	}
+	return -1
 }
 
 // Clone deep-copies the definition so per-binding distribution overrides

@@ -42,6 +42,10 @@ type ORB struct {
 	// what deadline sweeps, cancels and transport failures decrement so
 	// depth never drifts from reality.
 	inflight map[string]int
+	// timed counts pending requests with a deadline armed (deadlineAt > 0),
+	// kept by the same track/untrack calls as inflight so the pump's "is
+	// anything timed?" check is O(1) however deep the pipeline.
+	timed    int
 	nextReq  uint32
 	nextBind int
 
@@ -110,11 +114,19 @@ func (o *ORB) size() int {
 	return o.comm.Size()
 }
 
-// pendingReq tracks one in-flight invocation issued by this thread.
+// pendingReq is the client side's one record per invocation: the tracking
+// state, the future cell handed to the caller and the result slots the cell
+// resolves to share a single allocation. The caller's *future.Cell points
+// into it, so the record lives exactly as long as the application keeps the
+// cell (or its results) — it is never recycled.
 type pendingReq struct {
-	cell    *future.Cell
-	op      *Operation
-	reply   *pgiop.Reply
+	cell future.Cell
+	op   *Operation
+	slo  *obs.SLOOp // op's orb_slo entry, resolved once per binding
+	// reply is the reply message once it has arrived (reply.Reply is the
+	// decoded header). It is the ORB's to recycle: maybeComplete releases it
+	// after winning the claim, at which point nothing else can reach it.
+	reply   *Msg
 	binding string
 	seqNo   uint32
 	server0 string // thread-0 address, for cancellation and resends
@@ -146,7 +158,14 @@ type pendingReq struct {
 	trace    uint64
 	span     uint64
 	issuedNS int64
+
+	// results is the inline storage for the invocation's result values;
+	// operations yielding more fall back to a fresh slice.
+	results [resultSlots]any
 }
+
+// resultSlots is the number of result values a pendingReq holds inline.
+const resultSlots = 3
 
 // retryable reports whether this request may be re-issued (see RetryPolicy).
 func (p *pendingReq) retryable() bool { return p.req != nil }
@@ -161,7 +180,7 @@ func (o *ORB) resolve(p *pendingReq, vals []any, err error) {
 	end := obs.NowNS()
 	sec := float64(end-p.issuedNS) / 1e9
 	orbLatency.Observe(sec)
-	orbSLO.Observe(p.op.Name, sec, err != nil)
+	p.slo.Observe(end, sec, err != nil)
 	if p.trace != 0 {
 		// Mark before recording the root: the root span completes the trace,
 		// and the retention decision must already see the error.
@@ -198,11 +217,17 @@ func (o *ORB) claim(id uint32) *pendingReq {
 // ledger; callers hold o.mu and have just added/removed p in o.pending.
 // trackLocked returns the new depth for the histogram.
 func (o *ORB) trackLocked(p *pendingReq) int {
+	if p.deadlineAt > 0 {
+		o.timed++
+	}
 	o.inflight[p.server0]++
 	return o.inflight[p.server0]
 }
 
 func (o *ORB) untrackLocked(p *pendingReq) {
+	if p.deadlineAt > 0 {
+		o.timed--
+	}
 	if n := o.inflight[p.server0]; n > 1 {
 		o.inflight[p.server0] = n - 1
 	} else {
@@ -274,10 +299,11 @@ func CellResults(cell *future.Cell) ([]any, error) { return cell.Values() }
 // invoke with its own portion of each distributed argument.
 func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 	o := b.orb
-	opDef, ok := b.iface.Op(op)
-	if !ok {
+	opIdx := b.iface.OpIndex(op)
+	if opIdx < 0 {
 		return nil, fmt.Errorf("core: interface %s has no operation %s", b.iface.Name, op)
 	}
+	opDef := &b.iface.Ops[opIdx]
 	if len(args) != len(opDef.Params) {
 		return nil, fmt.Errorf("core: %s.%s takes %d arguments, got %d", b.iface.Name, op, len(opDef.Params), len(args))
 	}
@@ -290,10 +316,9 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 		return b.localObj.call(opDef, args)
 	}
 
-	cell := future.NewCell()
 	p := &pendingReq{
-		cell:       cell,
 		op:         opDef,
+		slo:        b.opSLO(opIdx),
 		binding:    b.id,
 		seqNo:      b.seq,
 		server0:    b.ior.Addrs[0],
@@ -301,6 +326,8 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 		policy:     b.retry,
 		serverSize: b.ior.ServerSize,
 	}
+	cell := &p.cell
+	cell.Init()
 
 	req := &pgiop.Request{
 		BindingID:  b.id,
@@ -396,6 +423,10 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 		p.rng = rand.New(rand.NewSource(int64(b.retry.JitterSeed) + int64(b.seq)))
 	}
 
+	p.attempt = 1
+	if p.deadline > 0 && !opDef.Oneway {
+		p.deadlineAt = o.now() + p.deadline
+	}
 	o.mu.Lock()
 	o.nextReq++
 	req.ReqID = o.nextReq
@@ -407,10 +438,6 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 	o.mu.Unlock()
 	if depth > 0 {
 		orbPipelineDepth.Observe(float64(depth))
-	}
-	p.attempt = 1
-	if p.deadline > 0 && !opDef.Oneway {
-		p.deadlineAt = o.now() + p.deadline
 	}
 
 	// Header goes to server thread 0 (the collectivity point). The request
@@ -534,7 +561,7 @@ func (o *ORB) Cancel(cell *future.Cell) bool {
 	var id uint32
 	var p *pendingReq
 	for reqID, pr := range o.pending {
-		if pr.cell == cell {
+		if &pr.cell == cell {
 			id, p = reqID, pr
 			break
 		}
@@ -546,7 +573,7 @@ func (o *ORB) Cancel(cell *future.Cell) bool {
 		// The invocation may be parked awaiting a retry rather than in
 		// flight; withdrawing it then is purely local.
 		for i, pr := range o.backoff {
-			if pr.cell == cell {
+			if &pr.cell == cell {
 				p = pr
 				o.backoff = append(o.backoff[:i], o.backoff[i+1:]...)
 				break
@@ -658,15 +685,7 @@ func (o *ORB) pump(block bool) {
 func (o *ORB) hasTimed() bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if len(o.backoff) > 0 {
-		return true
-	}
-	for _, p := range o.pending {
-		if p.deadlineAt > 0 {
-			return true
-		}
-	}
-	return false
+	return o.timed > 0 || len(o.backoff) > 0
 }
 
 // sweep fires expired deadlines and due resends, reporting whether it made
@@ -726,6 +745,8 @@ func (o *ORB) resend(p *pendingReq) {
 	for k := range p.gotBy {
 		delete(p.gotBy, k)
 	}
+	p.attempt++
+	p.deadlineAt = o.now() + p.deadline
 	o.mu.Lock()
 	o.nextReq++
 	p.req.ReqID = o.nextReq
@@ -733,8 +754,6 @@ func (o *ORB) resend(p *pendingReq) {
 	depth := o.trackLocked(p)
 	o.mu.Unlock()
 	orbPipelineDepth.Observe(float64(depth))
-	p.attempt++
-	p.deadlineAt = o.now() + p.deadline
 	orbRetries.Inc()
 	if p.trace != 0 {
 		// Same TraceID, fresh per-attempt SpanID: a straggler span from the
@@ -777,7 +796,7 @@ func (o *ORB) deadlineError(p *pendingReq) error {
 	expect := map[int]int{}
 	me := o.rank()
 	for param := range p.need {
-		n, ok := replyOutLen(p.reply, param)
+		n, ok := replyOutLen(p.reply.Reply, param)
 		if !ok {
 			continue
 		}
@@ -819,6 +838,7 @@ func (o *ORB) failAll(err error) {
 	ps := o.pending
 	o.pending = map[uint32]*pendingReq{}
 	o.inflight = map[string]int{}
+	o.timed = 0
 	parked := o.backoff
 	o.backoff = nil
 	o.mu.Unlock()
@@ -835,13 +855,14 @@ func (o *ORB) failAll(err error) {
 func (o *ORB) handleMsg(m *Msg) {
 	switch m.Type {
 	case pgiop.MsgReply:
-		o.handleReply(m.Reply)
+		o.handleReply(m)
 	case pgiop.MsgArgStream:
 		o.handleSegment(m.Arg)
 	}
 }
 
-func (o *ORB) handleReply(r *pgiop.Reply) {
+func (o *ORB) handleReply(m *Msg) {
+	r := m.Reply
 	o.mu.Lock()
 	p := o.pending[r.ReqID]
 	o.mu.Unlock()
@@ -880,7 +901,7 @@ func (o *ORB) handleReply(r *pgiop.Reply) {
 		o.resolve(p, nil, fmt.Errorf("core: server exception: %s", r.Error))
 		return
 	}
-	p.reply = r
+	p.reply = m
 	// The reply announces each distributed out argument's length; shape
 	// the holders and account for the elements this thread expects.
 	for _, ol := range r.OutLens {
@@ -992,10 +1013,13 @@ func (o *ORB) maybeComplete(reqID uint32, p *pendingReq) {
 	// Decode the inline results: return value then non-distributed
 	// out/inout parameters, in declaration order. The reply frame belongs
 	// to this invocation, so decoded values may alias it (zero-copy).
-	dec := cdr.GetDecoder(p.reply.Body)
+	dec := cdr.GetDecoder(p.reply.Reply.Body)
 	dec.SetBorrow(true)
 	defer dec.Release()
-	vals := make([]any, 0, resultCount(p.op))
+	vals := p.results[:0]
+	if n := resultCount(p.op); n > len(p.results) {
+		vals = make([]any, 0, n)
+	}
 	if p.op.Result != nil {
 		v, err := typecode.Unmarshal(dec, p.op.Result)
 		if err != nil {
@@ -1023,7 +1047,13 @@ func (o *ORB) maybeComplete(reqID uint32, p *pendingReq) {
 	if o.claim(reqID) == nil {
 		return // a racing cancel or timeout won; discard the late result
 	}
+	// The claim is won, so no sweep, cancel or resend will look at p.reply
+	// again, and the decoded values alias the frame, not the message:
+	// detach the record and hand it back.
+	m := p.reply
+	p.reply = nil
 	o.resolve(p, vals, nil)
+	m.Release()
 }
 
 // Comm exposes the ORB's run-time-system communicator (nil for single

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,13 +30,17 @@ type echoReq struct {
 
 // collect receives exactly n requests without replying to any of them —
 // every one of the client's sends must therefore have been pipelined onto
-// the wire with no reply in between.
+// the wire with no reply in between. Other traffic (cancel notices) is
+// skipped.
 func (s *echoServer) collect(n int) ([]echoReq, error) {
 	reqs := make([]echoReq, 0, n)
 	for len(reqs) < n {
 		fr, err := s.ep.Recv()
 		if err != nil {
 			return nil, err
+		}
+		if t, err := pgiop.PeekType(fr.Data); err == nil && t != pgiop.MsgRequest {
+			continue
 		}
 		req, err := pgiop.DecodeRequest(fr.Data)
 		if err != nil {
@@ -52,13 +57,21 @@ func (s *echoServer) collect(n int) ([]echoReq, error) {
 }
 
 func (s *echoServer) reply(r echoReq) error {
+	frame, err := replyFrame(r)
+	if err != nil {
+		return err
+	}
+	return s.ep.Send(r.to, frame)
+}
+
+// replyFrame encodes the successful reply to r.
+func replyFrame(r echoReq) ([]byte, error) {
 	enc := cdr.NewEncoder(8)
 	defer enc.Release()
 	if err := typecode.Marshal(enc, typecode.TCLong, r.val); err != nil {
-		return err
+		return nil, err
 	}
-	frame := pgiop.EncodeReply(&pgiop.Reply{ReqID: r.reqID, Status: pgiop.StatusOK, Body: enc.Bytes()})
-	return s.ep.Send(r.to, frame)
+	return pgiop.EncodeReply(&pgiop.Reply{ReqID: r.reqID, Status: pgiop.StatusOK, Body: enc.Bytes()}), nil
 }
 
 type connCounter interface{ Transport() *nexus.TCPTransport }
@@ -78,9 +91,10 @@ func echoOrb(t *testing.T) (*ORB, *Binding, *echoServer) {
 
 	orb := NewORB(NewRouter(cliEP), nil, nil)
 	iface := &InterfaceDef{Name: "echo", Ops: []Operation{{
-		Name:   "echo",
-		Params: []Param{NewParam("x", In, typecode.TCLong)},
-		Result: typecode.TCLong,
+		Name:       "echo",
+		Idempotent: true, // retried only by tests that also set a RetryPolicy
+		Params:     []Param{NewParam("x", In, typecode.TCLong)},
+		Result:     typecode.TCLong,
 	}}}
 	ior := IOR{Interface: "echo", Key: "k", ServerSize: 1, Addrs: []string{string(srvEP.Addr())}}
 	b, err := orb.Bind(ior, iface)
@@ -212,5 +226,273 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 	}
 	if got := vals[0].(int32); got != 42 {
 		t.Fatalf("fresh invocation resolved to %d (stale reply leaked through), want 42", got)
+	}
+}
+
+// TestReplyRecordReleasedOncePerCompletion drives the reply record's two
+// lifetime rules through every way an invocation can end — completed,
+// completed with a duplicate reply behind it, expired with the reply
+// arriving late, cancelled while replies stream in: a record goes back to
+// the pool at most once, and never while its pendingReq still points at it.
+func TestReplyRecordReleasedOncePerCompletion(t *testing.T) {
+	const n = 96
+	orb, b, srv := echoOrb(t)
+
+	collected := make(chan []echoReq, 1)
+	go func() {
+		reqs, _ := srv.collect(n)
+		collected <- reqs
+	}()
+	b.SetDeadline(0.25)
+	cells := make([]*future.Cell, n)
+	for i := range cells {
+		c, err := b.InvokeNB("echo", []any{int32(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[i] = c
+	}
+	orb.mu.Lock()
+	recs := make([]*pendingReq, 0, n)
+	for _, p := range orb.pending {
+		recs = append(recs, p)
+	}
+	orb.mu.Unlock()
+	reqs := <-collected
+	if len(reqs) != n {
+		t.Fatalf("server collected %d requests, want %d", len(reqs), n)
+	}
+
+	// Thirds by argument value: 0 is answered (twice — the duplicate must
+	// find nothing to complete), 1 is cancelled from another goroutine while
+	// those answers stream in and is answered too, 2 is answered only after
+	// its deadline has fired.
+	var late []echoReq
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i < n; i += 3 {
+			orb.Cancel(cells[i])
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, r := range reqs {
+			switch r.val % 3 {
+			case 0:
+				srv.reply(r)
+				srv.reply(r)
+			case 1:
+				srv.reply(r)
+			}
+		}
+	}()
+	for _, r := range reqs {
+		if r.val%3 == 2 {
+			late = append(late, r)
+		}
+	}
+	for i, c := range cells {
+		vals, err := c.Values()
+		switch {
+		case i%3 == 0 && (err != nil || vals[0] != int32(i)):
+			t.Fatalf("cell %d: (%v, %v), want its own value", i, vals, err)
+		case i%3 == 1 && err == nil && vals[0] != int32(i):
+			t.Fatalf("cell %d: cancel lost the race but the value is %v", i, vals[0])
+		case i%3 == 1 && err != nil && !errors.Is(err, ErrCancelled):
+			t.Fatalf("cell %d: %v, want ErrCancelled or its value", i, err)
+		case i%3 == 2 && !errors.Is(err, ErrDeadline):
+			t.Fatalf("cell %d: err = %v, want ErrDeadline", i, err)
+		}
+	}
+	wg.Wait()
+	for _, r := range late {
+		srv.reply(r)
+	}
+	// A fresh call pumps the duplicates and stragglers through the ORB.
+	go func() {
+		if reqs, err := srv.collect(1); err == nil {
+			srv.reply(reqs[0])
+		}
+	}()
+	b.SetDeadline(5)
+	if vals, err := b.Invoke("echo", []any{int32(7777)}); err != nil || vals[0] != int32(7777) {
+		t.Fatalf("fresh invocation: (%v, %v)", vals, err)
+	}
+
+	// Everything the pool holds must be distinct (a record released twice
+	// would be handed out twice) and detached from every invocation.
+	attached := map[*Msg]bool{}
+	for _, p := range recs {
+		if p.reply != nil {
+			attached[p.reply] = true
+		}
+	}
+	pooled := map[*Msg]bool{}
+	for i := 0; i < 4*n; i++ {
+		m := msgPool.Get().(*Msg)
+		if pooled[m] {
+			t.Fatalf("record %p is in the pool twice", m)
+		}
+		if attached[m] {
+			t.Fatalf("record %p was released while an invocation still holds it as its reply", m)
+		}
+		if m.Reply != nil || m.Req != nil || m.From != "" {
+			t.Fatalf("pooled record was not zeroed: %+v", m)
+		}
+		pooled[m] = true
+	}
+}
+
+// TestLostClaimKeepsReplyRecord pins the narrow interleaving the stress test
+// above only sometimes hits: the reply has arrived and is attached to its
+// invocation, and a cancel wins the claim before completion does. Completion
+// must then leave the record alone — the invocation still points at it.
+func TestLostClaimKeepsReplyRecord(t *testing.T) {
+	orb, b, srv := echoOrb(t)
+	collected := make(chan []echoReq, 1)
+	go func() {
+		reqs, _ := srv.collect(1)
+		collected <- reqs
+	}()
+	cell, err := b.InvokeNB("echo", []any{int32(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := <-collected
+	if len(reqs) != 1 {
+		t.Fatal("server saw no request")
+	}
+	frame, err := replyFrame(reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := DecodeMsg(nexus.Frame{Data: frame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orb.mu.Lock()
+	p := orb.pending[reqs[0].reqID]
+	orb.mu.Unlock()
+	p.reply = m
+	if !orb.Cancel(cell) {
+		t.Fatal("Cancel did not find the pending invocation")
+	}
+	orb.maybeComplete(reqs[0].reqID, p)
+	if p.reply != m || m.Reply == nil || m.Reply.ReqID != reqs[0].reqID {
+		t.Fatal("completion released a reply record its invocation still holds")
+	}
+	if err := cell.Wait(); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+}
+
+// TestTimedLedgerTracksDeadlines walks the count behind hasTimed through
+// every transition of a deadlined request — issue, completion, cancel,
+// expiry into backoff, resend, transport failure — checking it against a
+// scan of the pending table each time.
+func TestTimedLedgerTracksDeadlines(t *testing.T) {
+	orb, b, srv := echoOrb(t)
+	check := func(stage string, want int) {
+		t.Helper()
+		orb.mu.Lock()
+		defer orb.mu.Unlock()
+		scan := 0
+		for _, p := range orb.pending {
+			if p.deadlineAt > 0 {
+				scan++
+			}
+		}
+		if orb.timed != scan || scan != want {
+			t.Fatalf("%s: timed = %d, pending table holds %d deadlined requests, want %d", stage, orb.timed, scan, want)
+		}
+	}
+	issue := func(n int) []*future.Cell {
+		t.Helper()
+		cells := make([]*future.Cell, n)
+		for i := range cells {
+			c, err := b.InvokeNB("echo", []any{int32(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells[i] = c
+		}
+		return cells
+	}
+	serve := func(n int, answer func(i int, r echoReq)) chan struct{} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			reqs, err := srv.collect(n)
+			if err != nil {
+				return
+			}
+			for i, r := range reqs {
+				answer(i, r)
+			}
+		}()
+		return done
+	}
+
+	// No deadline: nothing is timed, and a blocking pump may park.
+	served := serve(2, func(_ int, r echoReq) { srv.reply(r) })
+	plain := issue(2)
+	check("undeadlined in flight", 0)
+	if orb.hasTimed() {
+		t.Fatal("hasTimed with no deadline armed")
+	}
+	for _, c := range plain {
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-served
+
+	// Long deadline: four in flight, one cancelled, one completed.
+	b.SetDeadline(30)
+	served = serve(4, func(i int, r echoReq) {
+		if i == 1 {
+			srv.reply(r)
+		}
+	})
+	held := issue(4)
+	check("deadlined in flight", 4)
+	<-served
+	orb.Cancel(held[0])
+	check("after cancel", 3)
+	if err := held[1].Wait(); err != nil {
+		t.Fatal(err)
+	}
+	check("after completion", 2)
+
+	// Short deadline with one retry: the first attempt is dropped, expires
+	// into backoff (untimed while parked, but hasTimed stays true), and the
+	// resend re-arms it; the second attempt is answered.
+	b.SetDeadline(0.02)
+	b.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: 0.005})
+	served = serve(2, func(i int, r echoReq) {
+		if i == 1 {
+			srv.reply(r)
+		}
+	})
+	retried := issue(1)
+	check("retryable in flight", 3)
+	if err := retried[0].Wait(); err != nil {
+		t.Fatalf("retried invocation: %v", err)
+	}
+	<-served
+	check("after retry completed", 2)
+
+	// Transport failure resolves whatever is left and zeroes the ledger.
+	orb.Router().Close()
+	for _, c := range held[2:] {
+		if err := c.Wait(); err == nil {
+			t.Fatal("invocation survived a closed transport")
+		}
+	}
+	check("after transport failure", 0)
+	if orb.hasTimed() {
+		t.Fatal("hasTimed after every request resolved")
 	}
 }

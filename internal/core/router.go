@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"pardis/internal/nexus"
 	"pardis/internal/pgiop"
@@ -28,6 +29,39 @@ type Msg struct {
 	// keep the whole Msg alive, which is fine — they share a lifetime.
 	reqVal   pgiop.Request
 	replyVal pgiop.Reply
+
+	// args is the inline storage behind Args: a request carries its
+	// servant's argument slots, so dispatch allocates none.
+	args [msgArgSlots]any
+}
+
+// msgArgSlots is the number of servant argument slots a Msg carries inline;
+// operations with more parameters fall back to a fresh slice.
+const msgArgSlots = 4
+
+// msgPool recycles Msg records between Release and DecodeMsg. A Msg is the
+// runtime's, never the application's: decoded *values* alias the frame
+// (DESIGN.md §7), so returning the record takes nothing from them.
+var msgPool = sync.Pool{New: func() any { return new(Msg) }}
+
+// Args returns n servant argument slots, all nil, valid until Release.
+func (m *Msg) Args(n int) []any {
+	if n > len(m.args) {
+		return make([]any, n)
+	}
+	return m.args[:n:n]
+}
+
+// Release hands the record back to the runtime for reuse. Only the two
+// consumers that can prove nothing else still sees it call this — the ORB
+// once a reply has resolved its invocation, the POA once a single-object
+// request has been served or shed; every other message is left to the GC.
+// The record is zeroed first, so a pooled record pins no frame and a stale
+// pointer into it (a servant that wrongly kept its argument slice) reads
+// nil. m must not be used afterwards.
+func (m *Msg) Release() {
+	*m = Msg{}
+	msgPool.Put(m)
 }
 
 // DecodeMsg parses any protocol frame.
@@ -36,7 +70,8 @@ func DecodeMsg(fr nexus.Frame) (*Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Msg{From: fr.From, Type: t}
+	m := msgPool.Get().(*Msg)
+	m.From, m.Type = fr.From, t
 	switch t {
 	case pgiop.MsgRequest:
 		if err = pgiop.DecodeRequestInto(&m.reqVal, fr.Data); err == nil {
@@ -62,6 +97,7 @@ func DecodeMsg(fr nexus.Frame) (*Msg, error) {
 		err = fmt.Errorf("%w: unroutable type %d", pgiop.ErrBadMessage, t)
 	}
 	if err != nil {
+		m.Release()
 		return nil, err
 	}
 	return m, nil

@@ -35,10 +35,18 @@ type Cell struct {
 
 // NewCell returns an unresolved cell.
 func NewCell() *Cell {
-	futCells.Inc()
 	c := &Cell{}
-	c.cond.L = &c.mu
+	c.Init()
 	return c
+}
+
+// Init readies a zero Cell in place, for a cell embedded in a larger
+// per-invocation record (the ORB's) so the two share one allocation. The
+// cell must not be copied or re-initialized afterwards: futures hold its
+// address.
+func (c *Cell) Init() {
+	futCells.Inc()
+	c.cond.L = &c.mu
 }
 
 // SetPump installs the progress function (see Cell.pump). Must be called

@@ -1,6 +1,7 @@
 package nexus
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -185,8 +186,9 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 		c.SetReadDeadline(time.Now().Add(TCPHelloTimeout))
 	}
 	var hdr [4]byte // reused across frames; escapes once per connection
+	br := newFrameReader(c)
 	for {
-		data, err := readFrame(c, &hdr)
+		data, err := readFrame(br, &hdr)
 		if err != nil || len(data) < muxHdrLen {
 			t.mu.Lock()
 			delete(t.anon, c)
@@ -718,8 +720,22 @@ func (tc *tcpConn) drainLocked() error {
 	return tc.err
 }
 
-func readFrame(c net.Conn, hdr *[4]byte) ([]byte, error) {
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+// tcpReadBuf is the per-connection read buffer: the size of the largest
+// frame the peer's write combiner coalesces (TCPCoalesceLimit's default), so
+// a batch of small frames arrives in one read instead of two per frame.
+// Kept that small on purpose — it is resident per connection.
+const tcpReadBuf = 4 << 10
+
+// newFrameReader wraps a connection for readFrame. bufio reads a frame
+// body larger than the buffer straight into its destination once the
+// buffered prefix is consumed, so large frames are still not copied twice.
+func newFrameReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, tcpReadBuf) }
+
+// readFrame reads one length-prefixed frame into a freshly allocated buffer
+// the caller owns (DESIGN.md §7: the receive path hands frames on without
+// copying, so they must never alias the read buffer).
+func readFrame(r io.Reader, hdr *[4]byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
@@ -727,7 +743,7 @@ func readFrame(c net.Conn, hdr *[4]byte) ([]byte, error) {
 		return nil, fmt.Errorf("nexus: frame of %d bytes exceeds limit", n)
 	}
 	data := make([]byte, n)
-	if _, err := io.ReadFull(c, data); err != nil {
+	if _, err := io.ReadFull(r, data); err != nil {
 		return nil, err
 	}
 	return data, nil

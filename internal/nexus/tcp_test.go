@@ -2,7 +2,9 @@ package nexus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -376,5 +378,73 @@ func TestTCPRecvNotify(t *testing.T) {
 	}
 	if fr, ok, err := inbox.Poll(); err != nil || !ok || string(fr.Data) != "ping" {
 		t.Fatalf("poll after notify: %q ok=%v err=%v", fr.Data, ok, err)
+	}
+}
+
+// splitConn is a net.Conn whose reads deliver a fixed byte stream in two
+// pieces cut at a chosen offset — the worst a socket can do to a frame
+// boundary. Only Read is implemented; the embedded nil Conn panics on
+// anything else.
+type splitConn struct {
+	net.Conn
+	stream []byte
+	cut    int // first read ends here
+}
+
+func (c *splitConn) Read(p []byte) (int, error) {
+	if len(c.stream) == 0 {
+		return 0, io.EOF
+	}
+	n := len(c.stream)
+	if c.cut > 0 {
+		n = c.cut
+	}
+	if n > len(p) {
+		n = len(p)
+	}
+	copy(p, c.stream[:n])
+	c.stream = c.stream[n:]
+	if c.cut -= n; c.cut < 0 {
+		c.cut = 0
+	}
+	return n, nil
+}
+
+// TestReadFrameSplitAtEveryOffset: the buffered reader must yield the same
+// frames wherever the byte stream is cut — inside a length prefix, inside a
+// small frame sharing the buffer with its neighbours, inside a frame larger
+// than the buffer (read straight into its own storage) — and every frame
+// must own its bytes rather than alias the read buffer.
+func TestReadFrameSplitAtEveryOffset(t *testing.T) {
+	var want [][]byte
+	for i, n := range []int{11, 0, tcpReadBuf + 905, 64, 1, tcpReadBuf, 300} {
+		want = append(want, bytes.Repeat([]byte{byte('a' + i)}, n))
+	}
+	var stream []byte
+	for _, f := range want {
+		stream = binary.BigEndian.AppendUint32(stream, uint32(len(f)))
+		stream = append(stream, f...)
+	}
+	for cut := 0; cut <= len(stream); cut++ {
+		br := newFrameReader(&splitConn{stream: append([]byte(nil), stream...), cut: cut})
+		var hdr [4]byte
+		var got [][]byte
+		for range want {
+			f, err := readFrame(br, &hdr)
+			if err != nil {
+				t.Fatalf("cut %d: frame %d: %v", cut, len(got), err)
+			}
+			got = append(got, f)
+		}
+		// Compare only after every frame is read: a frame aliasing the read
+		// buffer would have been overwritten by its successors.
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("cut %d: frame %d differs (%d bytes, want %d)", cut, i, len(got[i]), len(want[i]))
+			}
+		}
+		if _, err := readFrame(br, &hdr); err != io.EOF {
+			t.Fatalf("cut %d: read past the stream: err = %v, want io.EOF", cut, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -311,11 +312,12 @@ func TestSLOAccounting(t *testing.T) {
 
 	// 98 good, 1 slow-bad, 1 failed-bad → bad fraction 2%, objective 1%:
 	// burn rate 2, budget exhausted.
+	get, at := s.Op("get"), int64(now*1e9)
 	for i := 0; i < 98; i++ {
-		s.Observe("get", 0.001, false)
+		get.Observe(at, 0.001, false)
 	}
-	s.Observe("get", 0.050, false) // over latency target
-	s.Observe("get", 0.001, true)  // failed
+	get.Observe(at, 0.050, false) // over latency target
+	get.Observe(at, 0.001, true)  // failed
 	snaps := s.Snapshot()
 	if len(snaps) != 1 {
 		t.Fatalf("%d ops, want 1", len(snaps))
@@ -359,8 +361,8 @@ func TestSLOPrometheusExposition(t *testing.T) {
 	if !strings.Contains(empty.String(), "layer_slo") {
 		t.Fatalf("empty SLO set dropped from exposition:\n%s", empty.String())
 	}
-	s.Observe("get", 0.001, false)
-	s.Observe("put", 0.001, true)
+	s.Op("get").Observe(obs.NowNS(), 0.001, false)
+	s.Op("put").Observe(obs.NowNS(), 0.001, true)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -374,6 +376,42 @@ func TestSLOPrometheusExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestSLOOpHandles: a handle resolved once keeps accounting into the same
+// row across Define (reset in place, not replaced), and names past the
+// 256-op bound all resolve to the one "_other" row.
+func TestSLOOpHandles(t *testing.T) {
+	s := obs.NewSLOSet(obs.SLOConfig{})
+	get := s.Op("get")
+	if s.Op("get") != get {
+		t.Fatal("Op returned a second entry for the same name")
+	}
+	get.Observe(obs.NowNS(), 0.001, false)
+	s.Define("get", obs.SLOConfig{LatencyTarget: 0.0005})
+	get.Observe(obs.NowNS(), 0.001, false) // over the tightened target
+	sn := s.Snapshot()[0]
+	if sn.GoodTotal != 0 || sn.BadTotal != 1 || sn.LatencyTarget != 0.0005 {
+		t.Fatalf("after Define: good/bad = %d/%d target %g, want 0/1 at 0.0005",
+			sn.GoodTotal, sn.BadTotal, sn.LatencyTarget)
+	}
+
+	for i := 0; i < 300; i++ {
+		s.Op(fmt.Sprintf("op%03d", i))
+	}
+	if s.Op("late-a") != s.Op("late-b") {
+		t.Error("names past the bound did not share the overflow entry")
+	}
+	s.Op("late-a").Observe(obs.NowNS(), 0.001, false)
+	snaps := s.Snapshot()
+	if len(snaps) != 257 {
+		t.Fatalf("%d rows, want 256 ops + _other", len(snaps))
+	}
+	for _, sn := range snaps {
+		if sn.Op == "_other" && sn.GoodTotal != 1 {
+			t.Errorf("_other good total = %d, want 1", sn.GoodTotal)
 		}
 	}
 }

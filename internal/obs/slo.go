@@ -50,8 +50,11 @@ type sloSlot struct {
 	good, bad uint64
 }
 
-// opSLO is one operation's budget state.
-type opSLO struct {
+// SLOOp is one operation's budget state within a set: the handle Op
+// resolves once, so the per-invocation Observe is a slot update under the
+// operation's own lock — no map lookup, no set-wide mutex, no clock read.
+type SLOOp struct {
+	mu    sync.Mutex
 	cfg   SLOConfig
 	width float64 // slot width, seconds
 	slots []sloSlot
@@ -72,8 +75,8 @@ const sloOverflowOp = "_other"
 type SLOSet struct {
 	mu    sync.Mutex
 	def   SLOConfig
-	ops   map[string]*opSLO
-	clock func() float64 // seconds; swappable for tests
+	ops   map[string]*SLOOp
+	clock func() float64 // seconds; ages the window in Snapshot, swappable for tests
 }
 
 // NewSLOSet creates a set whose operations default to def (zero fields of
@@ -81,15 +84,23 @@ type SLOSet struct {
 func NewSLOSet(def SLOConfig) *SLOSet {
 	return &SLOSet{
 		def:   def.withDefaults(),
-		ops:   map[string]*opSLO{},
+		ops:   map[string]*SLOOp{},
 		clock: func() float64 { return float64(NowNS()) / 1e9 },
 	}
 }
 
 // Define sets (or replaces) one operation's objective; its window restarts.
+// An existing entry is reset in place, so handles from Op stay valid.
 func (s *SLOSet) Define(op string, cfg SLOConfig) {
+	cfg = cfg.withDefaults()
 	s.mu.Lock()
-	s.ops[op] = newOpSLO(cfg.withDefaults())
+	if o := s.ops[op]; o != nil {
+		o.mu.Lock()
+		o.reset(cfg)
+		o.mu.Unlock()
+	} else {
+		s.ops[op] = newSLOOp(cfg)
+	}
 	s.mu.Unlock()
 }
 
@@ -100,36 +111,49 @@ func (s *SLOSet) SetClock(clock func() float64) {
 	s.mu.Unlock()
 }
 
-func newOpSLO(cfg SLOConfig) *opSLO {
-	o := &opSLO{
-		cfg:   cfg,
-		width: cfg.Window / float64(cfg.Slots),
-		slots: make([]sloSlot, cfg.Slots),
-	}
-	for i := range o.slots {
-		o.slots[i].idx = -1
-	}
+func newSLOOp(cfg SLOConfig) *SLOOp {
+	o := &SLOOp{}
+	o.reset(cfg)
 	return o
 }
 
-// Observe accounts one invocation: good iff it did not fail and met the
-// operation's latency target.
-func (s *SLOSet) Observe(op string, seconds float64, failed bool) {
+func (o *SLOOp) reset(cfg SLOConfig) {
+	o.cfg = cfg
+	o.width = cfg.Window / float64(cfg.Slots)
+	o.slots = make([]sloSlot, cfg.Slots)
+	for i := range o.slots {
+		o.slots[i].idx = -1
+	}
+	o.goodTotal, o.badTotal = 0, 0
+}
+
+// Op returns the named operation's entry, creating it with the set's
+// defaults on first use; once the table is full, new names share the
+// "_other" entry. Callers on a hot path resolve the handle once and keep
+// it — the entry lives as long as the set.
+func (s *SLOSet) Op(op string) *SLOOp {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	o := s.ops[op]
 	if o == nil {
 		if len(s.ops) >= maxSLOOps {
 			op = sloOverflowOp
-			if o = s.ops[op]; o == nil {
-				o = newOpSLO(s.def)
-				s.ops[op] = o
+			if o = s.ops[op]; o != nil {
+				return o
 			}
-		} else {
-			o = newOpSLO(s.def)
-			s.ops[op] = o
 		}
+		o = newSLOOp(s.def)
+		s.ops[op] = o
 	}
-	idx := int64(s.clock() / o.width)
+	return o
+}
+
+// Observe accounts one invocation that completed at endNS (an obs.NowNS
+// reading the caller already holds): good iff it did not fail and met the
+// operation's latency target.
+func (o *SLOOp) Observe(endNS int64, seconds float64, failed bool) {
+	o.mu.Lock()
+	idx := int64(float64(endNS) / 1e9 / o.width)
 	pos := int(idx % int64(len(o.slots)))
 	if pos < 0 {
 		pos += len(o.slots)
@@ -137,15 +161,14 @@ func (s *SLOSet) Observe(op string, seconds float64, failed bool) {
 	if o.slots[pos].idx != idx {
 		o.slots[pos] = sloSlot{idx: idx}
 	}
-	bad := failed || seconds > o.cfg.LatencyTarget
-	if bad {
+	if failed || seconds > o.cfg.LatencyTarget {
 		o.slots[pos].bad++
 		o.badTotal++
 	} else {
 		o.slots[pos].good++
 		o.goodTotal++
 	}
-	s.mu.Unlock()
+	o.mu.Unlock()
 }
 
 // SLOSnapshot is one operation's current budget position.
@@ -170,8 +193,10 @@ func (s *SLOSet) Snapshot() []SLOSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]SLOSnapshot, 0, len(s.ops))
+	nowSec := s.clock()
 	for op, o := range s.ops {
-		now := int64(s.clock() / o.width)
+		o.mu.Lock()
+		now := int64(nowSec / o.width)
 		var good, bad uint64
 		for _, sl := range o.slots {
 			if sl.idx >= 0 && now-sl.idx < int64(len(o.slots)) {
@@ -185,6 +210,7 @@ func (s *SLOSet) Snapshot() []SLOSnapshot {
 			Good: good, Bad: bad,
 			GoodTotal: o.goodTotal, BadTotal: o.badTotal,
 		}
+		o.mu.Unlock()
 		if total := good + bad; total > 0 {
 			badFrac := float64(bad) / float64(total)
 			snap.BurnRate = badFrac / (1 - o.cfg.Objective)

@@ -61,7 +61,7 @@ func benchAgreement(b *testing.B, threads, k int) {
 	b.ResetTimer()
 	g.Run(func(th rts.Thread) {
 		p := New(th, nil, nil)
-		p.objects["agree-1"] = &entry{iface: iface, servant: nop, spmd: true}
+		p.objects["agree-1"] = newEntry(iface, nop, true)
 		for i := 0; i < b.N; i++ {
 			if th.Rank() == 0 {
 				seedReady(p, k)

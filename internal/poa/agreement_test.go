@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"pardis/internal/cdr"
+	"pardis/internal/core"
+	"pardis/internal/nexus"
 	"pardis/internal/rts"
+	"pardis/internal/typecode"
 )
 
 // countingThread wraps a Thread and counts RTS sends in the reserved tag
@@ -37,10 +40,10 @@ func TestAgreementSingleBroadcastRound(t *testing.T) {
 	g.Run(func(th rts.Thread) {
 		cth := &countingThread{Thread: th, sends: &sends}
 		p := New(cth, nil, nil)
-		p.objects["agree-1"] = &entry{iface: agreementIface(), servant: ServantFunc(func(ctx *Context, op string, in []any) (any, []any, error) {
+		p.objects["agree-1"] = newEntry(agreementIface(), ServantFunc(func(ctx *Context, op string, in []any) (any, []any, error) {
 			dispatched[th.Rank()]++
 			return nil, nil, nil
-		}), spmd: true}
+		}), true)
 		if th.Rank() == 0 {
 			seedReady(p, k)
 		}
@@ -90,9 +93,9 @@ func TestCorruptDecisionFaults(t *testing.T) {
 					return
 				}
 				p := New(th, nil, nil)
-				p.objects["agree-1"] = &entry{iface: agreementIface(), servant: ServantFunc(func(ctx *Context, op string, in []any) (any, []any, error) {
+				p.objects["agree-1"] = newEntry(agreementIface(), ServantFunc(func(ctx *Context, op string, in []any) (any, []any, error) {
 					return nil, nil, nil
-				}), spmd: true}
+				}), true)
 				if n := p.collectivePhase(); n != 0 {
 					t.Errorf("dispatched %d decisions from a corrupt frame", n)
 				}
@@ -106,5 +109,84 @@ func TestCorruptDecisionFaults(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestOneThreadAdapterSkipsEmptyPhases: a one-thread adapter has no sibling
+// to agree with, so serving single objects runs no agreement phase at all —
+// but an SPMD request and a shutdown on the same adapter still go through
+// the full phase, one each.
+func TestOneThreadAdapterSkipsEmptyPhases(t *testing.T) {
+	singleIface := &core.InterfaceDef{Name: "one", Ops: []core.Operation{{
+		Name: "inc", Params: []core.Param{core.NewParam("n", core.In, typecode.TCLong)}, Result: typecode.TCLong,
+	}}}
+	inc := ServantFunc(func(_ *Context, _ string, in []any) (any, []any, error) {
+		return in[0].(int32) + 1, nil, nil
+	})
+	fab := nexus.NewInproc()
+	type refs struct{ single, spmd core.IOR }
+	refCh := make(chan refs, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p := New(rts.NewChanGroup("one-thread", 1).Thread(0), core.NewRouter(fab.NewEndpoint("server")), nil)
+		p.PollInterval = 50e-6
+		single, err := p.RegisterSingle("single-1", singleIface, inc)
+		if err != nil {
+			t.Error(err)
+			close(refCh)
+			return
+		}
+		spmd, err := p.RegisterSPMD("spmd-1", singleIface, inc)
+		if err != nil {
+			t.Error(err)
+			close(refCh)
+			return
+		}
+		refCh <- refs{single, spmd}
+		p.ImplIsReady()
+	}()
+	r, ok := <-refCh
+	if !ok {
+		t.FailNow()
+	}
+	orb := core.NewORB(core.NewRouter(fab.NewEndpoint("client")), nil, nil)
+	single, err := orb.Bind(r.single, singleIface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spmd, err := orb.SPMDBind(r.spmd, singleIface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func(b *core.Binding, n int32) {
+		t.Helper()
+		vals, err := b.Invoke("inc", []any{n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vals[0] != n+1 {
+			t.Fatalf("inc(%d) = %v", n, vals[0])
+		}
+	}
+
+	base := poaAgreementPhases.Load()
+	for n := int32(0); n < 200; n++ {
+		call(single, n)
+	}
+	if got := poaAgreementPhases.Load() - base; got != 0 {
+		t.Errorf("200 single-object requests ran %d agreement phases, want 0", got)
+	}
+	call(spmd, 1000)
+	if got := poaAgreementPhases.Load() - base; got != 1 {
+		t.Errorf("agreement phases after one SPMD request = %d, want 1", got)
+	}
+	call(single, 2000)
+	if err := single.Shutdown("done"); err != nil {
+		t.Fatal(err)
+	}
+	<-done // ImplIsReady returned: the shutdown took the agreed path
+	if got := poaAgreementPhases.Load() - base; got != 2 {
+		t.Errorf("agreement phases after SPMD request + shutdown = %d, want 2", got)
 	}
 }

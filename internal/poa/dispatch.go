@@ -28,7 +28,16 @@ const (
 // the frame and dispatches identically. One frame instead of 2+K
 // sequential broadcast rounds means agreement latency is one tree depth
 // regardless of how many invocations completed in the phase.
+//
+// A one-thread adapter with nothing to announce skips the phase outright:
+// there is no sibling to agree with, so building, "broadcasting" and
+// decoding an empty frame would be pure overhead on every single-object
+// request. An SPMD request or a shutdown on that same adapter still takes
+// the full path below, so their ordering and spans are those of any P.
 func (p *POA) collectivePhase() int {
+	if p.th.Size() == 1 && len(p.ready) == 0 && !p.pendingShutdown {
+		return 0
+	}
 	poaAgreementPhases.Inc()
 	// The agreement collective runs before its requests are decoded, so a
 	// non-root thread learns which invocations (and TraceIDs) the phase
@@ -222,19 +231,27 @@ func decodeDecision(pay []byte) (*pgiop.Request, []clientInfo, byte, error) {
 // the round-trip hot path, and a capturing defer would cost an allocation
 // per request that the CI overhead gate (≤5% allocs/op with tracing off)
 // does not grant.
-func (p *POA) serveSingle(e *entry, req *pgiop.Request, iov *[2][]byte, pooled bool) {
+//
+// m is the request message, the server side's one record per call: it
+// holds the decoded header (m.Req) and the servant's argument slots, and it
+// is released here, once the reply is sent — by whichever goroutine served
+// the request. Argument *values* alias the request frame, not the record,
+// and are the servant's to keep.
+func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, pooled bool) {
+	req := m.Req
 	start := obs.NowNS()
 	poaDispatches.Inc()
 	var decodeSpan uint64
 	if req.TraceID != 0 && obs.DefaultTracer.Enabled() {
 		decodeSpan = obs.NewID()
 	}
-	failed := p.singleDispatch(e, req, iov, pooled, decodeSpan)
+	opIdx := e.iface.OpIndex(req.Operation)
+	failed := p.singleDispatch(e, opIdx, m, iov, pooled, decodeSpan)
 	end := obs.NowNS()
 	sec := float64(end-start) / 1e9
 	poaDispatchLatency.Observe(sec)
 	p.loadLat.Observe(sec)
-	poaSLO.Observe(req.Operation, sec, failed)
+	e.slo(opIdx, req.Operation).Observe(end, sec, failed)
 	if decodeSpan != 0 {
 		obs.DefaultTracer.Record(obs.Span{
 			Trace: req.TraceID, ID: obs.NewID(), Parent: decodeSpan,
@@ -242,6 +259,7 @@ func (p *POA) serveSingle(e *entry, req *pgiop.Request, iov *[2][]byte, pooled b
 			Rank: int32(p.th.Rank()), Start: start, End: end,
 		})
 	}
+	m.Release()
 }
 
 // singleDispatch is serveSingle's body; decodeSpan (0 when untraced) is the
@@ -249,19 +267,21 @@ func (p *POA) serveSingle(e *entry, req *pgiop.Request, iov *[2][]byte, pooled b
 // the wrapper can parent the dispatch span beneath it. The return reports
 // whether the dispatch failed (exception sent or undeliverable result) —
 // the wrapper's SLO observation.
-func (p *POA) singleDispatch(e *entry, req *pgiop.Request, iov *[2][]byte, pooled bool, decodeSpan uint64) bool {
-	op, ok := e.iface.Op(req.Operation)
-	if !ok {
+func (p *POA) singleDispatch(e *entry, opIdx int, m *core.Msg, iov *[2][]byte, pooled bool, decodeSpan uint64) bool {
+	req := m.Req
+	if opIdx < 0 {
 		if !req.Oneway {
 			p.sendException(req.ReplyAddr, req.ReqID, fmt.Sprintf("no operation %s on %s", req.Operation, e.iface.Name))
 		}
 		return true
 	}
+	op := &e.iface.Ops[opIdx]
 	var decStart int64
 	if decodeSpan != 0 {
 		decStart = obs.NowNS()
 	}
-	inVals, err := p.decodeInline(op, req.Body)
+	inVals := m.Args(len(op.Params))
+	err := decodeInline(op, req.Body, inVals)
 	if decodeSpan != 0 {
 		obs.DefaultTracer.Record(obs.Span{
 			Trace: req.TraceID, ID: decodeSpan, Parent: req.SpanID,
@@ -320,9 +340,9 @@ func (p *POA) singleDispatch(e *entry, req *pgiop.Request, iov *[2][]byte, poole
 }
 
 // decodeInline unmarshals the non-distributed in/inout arguments of a
-// request body into the servant argument slots.
-func (p *POA) decodeInline(op *core.Operation, body []byte) ([]any, error) {
-	inVals := make([]any, len(op.Params))
+// request body into inVals, the servant argument slots (one per parameter,
+// all nil on entry).
+func decodeInline(op *core.Operation, body []byte, inVals []any) error {
 	// The request frame belongs to this dispatch, so decoded arguments may
 	// alias it (zero-copy) — the servant sees stable storage for the whole
 	// invocation.
@@ -336,11 +356,11 @@ func (p *POA) decodeInline(op *core.Operation, body []byte) ([]any, error) {
 		}
 		v, err := typecode.Unmarshal(dec, prm.Type)
 		if err != nil {
-			return nil, fmt.Errorf("argument %s: %v", prm.Name, err)
+			return fmt.Errorf("argument %s: %v", prm.Name, err)
 		}
 		inVals[i] = v
 	}
-	return inVals, nil
+	return nil
 }
 
 // dispatchSPMD runs one collective invocation on this thread. parentSpan is
@@ -356,11 +376,16 @@ func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan 
 		dispSpan = obs.NewID()
 	}
 	failed := false
+	e := p.objects[req.ObjectKey]
+	opIdx := -1
+	if e != nil {
+		opIdx = e.iface.OpIndex(req.Operation)
+	}
 	defer func() {
 		end := obs.NowNS()
 		sec := float64(end-start) / 1e9
 		poaDispatchLatency.Observe(sec)
-		poaSLO.Observe(req.Operation, sec, failed)
+		e.slo(opIdx, req.Operation).Observe(end, sec, failed)
 		if traced {
 			obs.DefaultTracer.Record(obs.Span{
 				Trace: req.TraceID, ID: dispSpan, Parent: parentSpan,
@@ -370,7 +395,6 @@ func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan 
 		}
 	}()
 	rank, size := p.th.Rank(), p.th.Size()
-	e := p.objects[req.ObjectKey]
 	fail := func(msg string) {
 		failed = true
 		if rank == 0 && !req.Oneway {
@@ -383,13 +407,13 @@ func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan 
 		fail(fmt.Sprintf("no object %q", req.ObjectKey))
 		return
 	}
-	op, ok := e.iface.Op(req.Operation)
-	if !ok {
+	if opIdx < 0 {
 		fail(fmt.Sprintf("no operation %s on %s", req.Operation, e.iface.Name))
 		return
 	}
-	inVals, err := p.decodeInline(op, req.Body)
-	if err != nil {
+	op := &e.iface.Ops[opIdx]
+	inVals := make([]any, len(op.Params))
+	if err := decodeInline(op, req.Body, inVals); err != nil {
 		fail(err.Error())
 		return
 	}

@@ -54,6 +54,12 @@ func (f *faultyServant) Invoke(ctx *poa.Context, op string, in []any) (any, []an
 	case "slow":
 		return nil, nil, nil
 	case "seq":
+		// The instance is shared by every server thread; only rank 0's
+		// return value reaches the client, so only rank 0 counts — siblings
+		// racing through the same decisions must not advance its sequence.
+		if ctx.Thread.Rank() != 0 {
+			return int32(0), nil, nil
+		}
 		f.mu.Lock()
 		f.counter++
 		v := f.counter

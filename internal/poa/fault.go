@@ -95,8 +95,8 @@ func (p *POA) flushFaultExceptions() {
 	}
 	p.ready = p.ready[:0]
 	for _, lr := range p.localQ {
-		if !lr.req.Oneway {
-			p.sendException(lr.req.ReplyAddr, lr.req.ReqID, msg)
+		if req := lr.m.Req; !req.Oneway {
+			p.sendException(req.ReplyAddr, req.ReqID, msg)
 		}
 	}
 	p.localQ = p.localQ[:0]

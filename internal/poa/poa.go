@@ -20,7 +20,9 @@
 //
 // Single objects are dispatched locally by their owning thread with no
 // collective machinery, which is what allows the distributed list-server
-// placement of the paper's Figure 4 to parallelize client queries.
+// placement of the paper's Figure 4 to parallelize client queries. On a
+// one-thread server that is literal: a polling round with no SPMD invocation
+// to announce and no shutdown pending runs no agreement phase at all.
 package poa
 
 import (
@@ -42,6 +44,11 @@ import (
 // already holding the thread's local portion, and distributed out values
 // must be returned as dseq.Distributed with their server-side layout.
 // outs has one entry per out/inout parameter, in declaration order.
+//
+// The in slice, like ctx, belongs to the adapter and is valid only during
+// Invoke: its slots are recycled with the request's record once the reply
+// has been sent. The values in it are the servant's to keep — they alias
+// the request frame, which lives as long as any of them does.
 type Servant interface {
 	Invoke(ctx *Context, op string, in []any) (ret any, outs []any, err error)
 }
@@ -69,6 +76,30 @@ type entry struct {
 	iface   *core.InterfaceDef
 	servant Servant
 	spmd    bool
+	// slos caches each operation's poa_slo entry by index into iface.Ops,
+	// filled on first dispatch so unserved operations get no SLO row.
+	// Atomic because dispatch-pool workers fill and read it concurrently;
+	// racing fills store the same entry.
+	slos []atomic.Pointer[obs.SLOOp]
+}
+
+func newEntry(iface *core.InterfaceDef, s Servant, spmd bool) *entry {
+	return &entry{iface: iface, servant: s, spmd: spmd, slos: make([]atomic.Pointer[obs.SLOOp], len(iface.Ops))}
+}
+
+// slo returns the poa_slo entry for the operation at index k of e's table.
+// A dispatch that never resolved an entry or operation (e == nil or k < 0)
+// is accounted under the name the request carried.
+func (e *entry) slo(k int, name string) *obs.SLOOp {
+	if e == nil || k < 0 {
+		return poaSLO.Op(name)
+	}
+	o := e.slos[k].Load()
+	if o == nil {
+		o = poaSLO.Op(name)
+		e.slos[k].Store(o)
+	}
+	return o
 }
 
 type invKey struct {
@@ -270,7 +301,7 @@ func (p *POA) RegisterSPMD(key string, iface *core.InterfaceDef, s Servant) (cor
 	if _, dup := p.objects[key]; dup {
 		return core.IOR{}, fmt.Errorf("poa: object key %q already registered", key)
 	}
-	p.objects[key] = &entry{iface: iface, servant: s, spmd: true}
+	p.objects[key] = newEntry(iface, s, true)
 	addrs := rts.AllGather(p.th, []byte(p.r.Addr()))
 	ior := core.IOR{
 		Interface:  iface.Name,
@@ -314,7 +345,7 @@ func (p *POA) RegisterSingle(key string, iface *core.InterfaceDef, s Servant) (c
 	if _, dup := p.objects[key]; dup {
 		return core.IOR{}, fmt.Errorf("poa: object key %q already registered", key)
 	}
-	e := &entry{iface: iface, servant: s, spmd: false}
+	e := newEntry(iface, s, false)
 	p.objects[key] = e
 	if p.local != nil {
 		p.local.Register(key, func(op *core.Operation, args []any) ([]any, error) {
@@ -408,7 +439,7 @@ func (p *POA) ProcessRequests() int {
 			poaPoolDepth.Add(1)
 			p.pool.reqs <- lr
 		} else {
-			p.serveSingle(lr.e, lr.req, &p.sendIov, false)
+			p.serveSingle(lr.e, lr.m, &p.sendIov, false)
 			p.admitted.Add(-1)
 		}
 		count++
@@ -451,7 +482,7 @@ func (p *POA) drainBlocking() bool {
 func (p *POA) route(m *core.Msg) {
 	switch m.Type {
 	case pgiop.MsgRequest:
-		p.routeRequest(m.Req)
+		p.routeRequest(m)
 	case pgiop.MsgArgStream:
 		a := m.Arg
 		k := segKey{a.BindingID, a.SeqNo, a.Param}
@@ -469,7 +500,8 @@ func (p *POA) route(m *core.Msg) {
 	}
 }
 
-func (p *POA) routeRequest(req *pgiop.Request) {
+func (p *POA) routeRequest(m *core.Msg) {
+	req := m.Req
 	e := p.objects[req.ObjectKey]
 	if e == nil {
 		if !req.Oneway {
@@ -482,12 +514,13 @@ func (p *POA) routeRequest(req *pgiop.Request) {
 		// so an overloaded adapter answers in transport time.
 		if p.overAdmission() {
 			p.shed(req)
+			m.Release()
 			return
 		}
 		p.admitted.Add(1)
 		// Capture the entry now so pool workers never read the object
 		// table concurrently with the owning thread.
-		p.localQ = append(p.localQ, localReq{e: e, req: req})
+		p.localQ = append(p.localQ, localReq{e: e, m: m})
 		return
 	}
 	// SPMD headers arrive only at thread 0.

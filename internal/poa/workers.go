@@ -4,17 +4,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"pardis/internal/pgiop"
+	"pardis/internal/core"
 )
 
 // localReq is one single-object request queued for dispatch, with the
 // servant entry resolved at routing time so pool workers never touch the
-// POA's object table concurrently with the owning thread. A zero entry
-// (e == nil) is the retirement pill of the adaptive controller: the worker
-// that dequeues it exits.
+// POA's object table concurrently with the owning thread. m is the decoded
+// request message (m.Req the header): whoever serves the request — the
+// owning thread or a pool worker — releases it when serveSingle returns. A
+// zero entry (e == nil) is the retirement pill of the adaptive controller:
+// the worker that dequeues it exits.
 type localReq struct {
-	e   *entry
-	req *pgiop.Request
+	e *entry
+	m *core.Msg
 }
 
 // dispatchPool pipelines single-object dispatch: ProcessRequests hands
@@ -76,7 +78,7 @@ func (pl *dispatchPool) run(p *POA) {
 		if lr.e == nil {
 			return // retirement pill
 		}
-		p.serveSingle(lr.e, lr.req, &iov, true)
+		p.serveSingle(lr.e, lr.m, &iov, true)
 		p.admitted.Add(-1)
 		pl.depth.Add(-1)
 		poaPoolDepth.Add(-1)

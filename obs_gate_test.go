@@ -18,14 +18,7 @@ import (
 // state.
 func measureRoundTrip() testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) {
-		cep, err := nexus.NewTCPEndpoint("")
-		if err != nil {
-			b.Fatal(err)
-		}
-		sep, err := nexus.NewTCPEndpoint("")
-		if err != nil {
-			b.Fatal(err)
-		}
+		cep, sep := tcpPair(b)
 		bind, stop := orbPair(b, cep, sep)
 		defer stop()
 		benchRoundTrip(b, bind, 64)
@@ -103,6 +96,72 @@ func TestTracingOverheadGate(t *testing.T) {
 		if float64(rec.NsPerOp()) > limit {
 			t.Errorf("flight recorder latency overhead: %d -> %d ns/op (> 5%% + 3µs)", off.NsPerOp(), rec.NsPerOp())
 		}
+	}
+}
+
+// roundTripAllocBudget is the 64 B echo's whole-process allocation ceiling
+// on the hand-written orbPair servant: argument boxing and result slice in
+// the test's own code (2), the client's per-call record, the two frames, and
+// the boxed argument and result values (5) — DESIGN.md §7 has the table. Two
+// above that sum so a size-class or pool-refill wobble is not a failure, and
+// well under the 13–14 the round trip cost before records were shared.
+const roundTripAllocBudget = 9
+
+// TestRoundTripAllocBudget holds the small-message allocation budget on
+// both fabrics, and holds observability to adding nothing to it: the span
+// ring and the flight recorder's boring path are amortized-allocation-free.
+func TestRoundTripAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	fabrics := []struct {
+		name string
+		pair func(tb testing.TB) (cli, srv nexus.Endpoint)
+	}{
+		{"inproc", func(testing.TB) (nexus.Endpoint, nexus.Endpoint) {
+			fab := nexus.NewInproc()
+			return fab.NewEndpoint("cli"), fab.NewEndpoint("srv")
+		}},
+		{"tcp", tcpPair},
+	}
+	for _, f := range fabrics {
+		t.Run(f.name, func(t *testing.T) {
+			cli, srv := f.pair(t)
+			bind, stop := orbPair(t, cli, srv)
+			defer stop()
+			x := make([]byte, 64)
+			echo := func() {
+				if _, err := bind.Invoke("echo", []any{x, nil}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			measure := func() float64 {
+				for i := 0; i < 500; i++ { // fill pools, the span ring, lazy dials
+					echo()
+				}
+				return testing.AllocsPerRun(2000, echo)
+			}
+			defer obs.DefaultTracer.Reset()
+			obs.DefaultTracer.Reset()
+			off := measure()
+			obs.DefaultTracer.SetEnabled(true)
+			ring := measure()
+			obs.DefaultTracer.SetEnabled(false)
+			obs.DefaultTracer.EnableRecorder(obs.RecorderConfig{})
+			rec := measure()
+			obs.DefaultTracer.DisableRecorder()
+			obs.DefaultTracer.SetEnabled(false)
+			t.Logf("allocs/op: tracing off %.0f, ring %.0f, recorder %.0f", off, ring, rec)
+			if off > roundTripAllocBudget {
+				t.Errorf("64 B round trip costs %.0f allocs/op, budget %d", off, roundTripAllocBudget)
+			}
+			if ring > off {
+				t.Errorf("span ring adds allocations: %.0f -> %.0f allocs/op", off, ring)
+			}
+			if rec > off {
+				t.Errorf("flight recorder adds allocations: %.0f -> %.0f allocs/op", off, rec)
+			}
+		})
 	}
 }
 
