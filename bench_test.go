@@ -9,6 +9,7 @@
 package pardis_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"pardis/internal/dseq"
 	"pardis/internal/future"
 	"pardis/internal/nexus"
+	"pardis/internal/obs"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
 	"pardis/internal/typecode"
@@ -251,7 +253,9 @@ func tcpPair(tb testing.TB) (cli, srv nexus.Endpoint) {
 }
 
 // orbPair wires a single-object echo server and a client over a fabric.
-func orbPair(b testing.TB, clientEP, serverEP nexus.Endpoint) (*core.Binding, func()) {
+// configure, if given, runs on the server thread before the object is
+// registered (a dispatch pool, say).
+func orbPair(b testing.TB, clientEP, serverEP nexus.Endpoint, configure ...func(*poa.POA)) (*core.Binding, func()) {
 	b.Helper()
 	iface := &core.InterfaceDef{
 		Name: "echo",
@@ -271,6 +275,9 @@ func orbPair(b testing.TB, clientEP, serverEP nexus.Endpoint) (*core.Binding, fu
 		th := rts.NewChanGroup("srv", 1).Thread(0)
 		adapter := poa.New(th, core.NewRouter(serverEP), nil)
 		adapter.PollInterval = 20e-6
+		for _, fn := range configure {
+			fn(adapter)
+		}
 		ior, err := adapter.RegisterSingle("echo-1", iface, poa.ServantFunc(
 			func(_ *poa.Context, _ string, in []any) (any, []any, error) {
 				return nil, []any{in[0]}, nil
@@ -330,6 +337,105 @@ func BenchmarkORBRoundTripTCP(b *testing.B) {
 			defer stop()
 			benchRoundTrip(b, bind, payload)
 		})
+	}
+}
+
+// pipelinedEchoes completes n echo invocations through bind with up to depth
+// of them in flight, checking every reply against the request it answers:
+// each payload carries its call's index, so a lost, duplicated or reordered
+// frame cannot pass.
+func pipelinedEchoes(tb testing.TB, bind *core.Binding, n, depth int) {
+	const payload = 64
+	cells := make([]*future.Cell, depth)
+	x := make([]byte, payload) // marshaled before InvokeNB returns, so reused
+	for i := 0; i < n+depth; i++ {
+		slot := i % depth
+		if i >= depth {
+			vals, err := cells[slot].Values()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			y, _ := vals[0].([]byte)
+			if len(y) != payload || binary.BigEndian.Uint64(y) != uint64(i-depth) {
+				tb.Fatalf("call %d: bad echo % x", i-depth, y)
+			}
+		}
+		if i < n {
+			binary.BigEndian.PutUint64(x, uint64(i))
+			c, err := bind.InvokeNB("echo", []any{x, nil})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cells[slot] = c
+		}
+	}
+}
+
+// tcpWriteCounts reads the TCP combiner's counters: small-frame socket
+// writes, and frames whose sender left them for a later write.
+func tcpWriteCounts(tb testing.TB) (flushes, deferred uint64) {
+	obs.Default.Each(func(name string, m any) {
+		switch c, _ := m.(*obs.Counter); name {
+		case "nexus_tcp_flushes_total":
+			flushes = c.Load()
+		case "nexus_tcp_deferred_frames_total":
+			deferred = c.Load()
+		}
+	})
+	return flushes, deferred
+}
+
+// pooledTCPPair is orbPair over loopback TCP with a 4-worker dispatch pool:
+// the shape of the repo benchmark's serve_pipelined_tcp.
+func pooledTCPPair(tb testing.TB) (*core.Binding, func()) {
+	cep, sep := tcpPair(tb)
+	bind, stop := orbPair(tb, cep, sep, func(a *poa.POA) { a.SetDispatchWorkers(4) })
+	return bind, func() {
+		stop()
+		cep.Close()
+		sep.Close()
+	}
+}
+
+// BenchmarkORBPipelinedTCP is the throughput counterpart of
+// BenchmarkORBRoundTripTCP: 32 outstanding InvokeNB on a pooled server over
+// loopback TCP, every echo verified. frames/write is requests plus replies
+// over the small-frame socket writes that carried them — 1 means every
+// frame cost its own write(2); the deferred-flush policy (DESIGN.md §12)
+// is what raises it.
+func BenchmarkORBPipelinedTCP(b *testing.B) {
+	bind, stop := pooledTCPPair(b)
+	defer stop()
+	pipelinedEchoes(b, bind, 256, 32) // warm: dials, scratch buffers, pool
+	flushes0, _ := tcpWriteCounts(b)
+	b.ResetTimer()
+	pipelinedEchoes(b, bind, b.N, 32)
+	b.StopTimer()
+	flushes, _ := tcpWriteCounts(b)
+	b.ReportMetric(float64(2*b.N)/float64(flushes-flushes0), "frames/write")
+}
+
+// TestPipelinedCallsShareWrites is the deferred-flush policy end to end:
+// with 32 calls in flight on a pooled server, requests and replies share
+// their write(2)s and every one of 10 000 echoes is verified. The bound is
+// what holds on any scheduler: the caller works through each batch of
+// replies one call at a time, so its requests always batch (observation
+// (a)); the pool's replies batch only when workers overlap, which one
+// processor never lets them (observation (b) cannot bootstrap — DESIGN.md
+// §12, known limits). That is 1.9 frames per write at -cpu 1 and 3–10 at
+// -cpu 2, against 1.0 before; BenchmarkORBPipelinedTCP reports the figure.
+func TestPipelinedCallsShareWrites(t *testing.T) {
+	bind, stop := pooledTCPPair(t)
+	defer stop()
+	const calls = 10000
+	pipelinedEchoes(t, bind, 256, 32)
+	flushes0, deferred0 := tcpWriteCounts(t)
+	pipelinedEchoes(t, bind, calls, 32)
+	flushes, deferred := tcpWriteCounts(t)
+	flushes, deferred = flushes-flushes0, deferred-deferred0
+	t.Logf("%d frames in %d writes (%.1f frames/write), %d deferred", 2*calls, flushes, float64(2*calls)/float64(flushes), deferred)
+	if flushes > 2*calls*3/5 {
+		t.Errorf("%d socket writes for %d frames, want at most three fifths as many", flushes, 2*calls)
 	}
 }
 

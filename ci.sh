@@ -5,6 +5,7 @@ set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test ./...
 go test -race ./...
 
@@ -20,9 +21,10 @@ go test -race ./...
 # dispatch throughput), so their points land in the same summary.
 go run ./cmd/pardis-bench -quick -json > bench-summary.json
 
-# One-shot pass over the transfer-engine micro-benchmarks so a broken
-# concurrent path fails CI even when the unit tests are green.
-go test -run NONE -bench 'ScheduleCache|SegmentFanout|SingleDispatchPipelined' -benchtime 1x .
+# One-shot pass over the transfer-engine micro-benchmarks and the pipelined
+# TCP round trip (every echo verified, through the deferred-flush path) so a
+# broken concurrent path fails CI even when the unit tests are green.
+go test -run NONE -bench 'ScheduleCache|SegmentFanout|SingleDispatchPipelined|ORBPipelinedTCP' -benchtime 1x .
 
 # Same for the tree collectives and the single-frame dispatch agreement.
 go test -run NONE -bench 'Bcast|AllGather|Barrier' -benchtime 1x ./internal/rts
@@ -32,6 +34,10 @@ go test -run NONE -bench 'DispatchAgreement' -benchtime 1x ./internal/poa
 # race detector (their whole point is timing races between sweeps, retries,
 # late replies, and peer death).
 go test -race -run Fault -count=1 ./internal/nexus ./internal/rts ./internal/poa
+# The TCP fabric's deferred flush (DESIGN.md §12): delivery without a second
+# call, order, flush-on-Close, flusher lifecycle — repeated, on one and two
+# processors, because who writes a frame is a scheduling outcome.
+go test -race -count=10 -cpu 1,2 -run 'Defer|Flusher|CloseFlush' ./internal/nexus
 
 # Seeded chaos soak: the dead-rank and lossy-network scenarios repeated
 # under fixed injection seeds. Deterministic schedules, so a failure here

@@ -181,6 +181,18 @@ func faninRun(mode string, n int) FaninPoint {
 			}
 		}
 	})
+	// A send returns once the client's kernel has the bytes; the server
+	// counts a connection only when its reader goroutine has processed the
+	// hello. Wait (bounded) until every client transport's connection is
+	// registered, so neither the count nor the resident bytes sampled below
+	// depend on how far the readers have been scheduled.
+	wantConns := n
+	if mode == "mux" {
+		wantConns = workers
+	}
+	for deadline := time.Now().Add(10 * time.Second); srvT.ConnCount() < wantConns && time.Now().Before(deadline); {
+		time.Sleep(200 * time.Microsecond)
+	}
 	var m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m1)

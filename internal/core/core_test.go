@@ -205,6 +205,41 @@ func TestRouterClassification(t *testing.T) {
 	}
 }
 
+// TestRouterQueuesWholeBatch: a batch of server-bound messages set aside by
+// one client receive comes back in arrival order, and the drained queue's
+// storage is reused by the next batch rather than regrown.
+func TestRouterQueuesWholeBatch(t *testing.T) {
+	fab := nexus.NewInproc()
+	a := fab.NewEndpoint("a")
+	b := fab.NewEndpoint("b")
+	r := NewRouter(b)
+	const batch = 64
+	capAfterFirst := 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < batch; i++ {
+			a.Send(b.Addr(), pgiop.EncodeRequest(&pgiop.Request{BindingID: "x", Operation: "op", ObjectKey: "k", SeqNo: uint32(i)}))
+		}
+		a.Send(b.Addr(), pgiop.EncodeReply(&pgiop.Reply{ReqID: uint32(round)}))
+		if m, ok, err := r.RecvClient(true); err != nil || !ok || m.Reply.ReqID != uint32(round) {
+			t.Fatalf("round %d: client got %+v, %v, %v", round, m, ok, err)
+		}
+		for i := 0; i < batch; i++ {
+			m, ok, err := r.RecvServer(false)
+			if err != nil || !ok || m.Req.SeqNo != uint32(i) {
+				t.Fatalf("round %d: request %d came back as %+v, %v, %v", round, i, m, ok, err)
+			}
+		}
+		if _, ok, _ := r.RecvServer(false); ok {
+			t.Fatalf("round %d: phantom server frame", round)
+		}
+		if c := cap(r.serverQ.q); round == 0 {
+			capAfterFirst = c
+		} else if c != capAfterFirst {
+			t.Fatalf("round %d: queue storage regrown to %d, was %d", round, c, capAfterFirst)
+		}
+	}
+}
+
 func TestLocalTable(t *testing.T) {
 	table := NewLocalTable()
 	op := &Operation{Name: "f", Result: typecode.TCLong,

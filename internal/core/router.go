@@ -125,8 +125,32 @@ func (m *Msg) clientBound() bool {
 // discipline is the same as NexusLite's.
 type Router struct {
 	ep      nexus.Endpoint
-	clientQ []*Msg
-	serverQ []*Msg
+	clientQ msgQueue
+	serverQ msgQueue
+}
+
+// msgQueue holds the messages one role set aside while the other was
+// receiving — a whole batch of them when the transport delivers one.
+// Consumed from head and rewound when empty, so a pop is O(1) and the
+// backing array is reused (the pattern of nexus' inbox queues).
+type msgQueue struct {
+	q    []*Msg
+	head int
+}
+
+func (q *msgQueue) push(m *Msg) { q.q = append(q.q, m) }
+
+// pop removes the oldest message; ok is false when the queue is empty.
+func (q *msgQueue) pop() (m *Msg, ok bool) {
+	if q.head == len(q.q) {
+		return nil, false
+	}
+	m = q.q[q.head]
+	q.q[q.head] = nil
+	if q.head++; q.head == len(q.q) {
+		q.q, q.head = q.q[:0], 0
+	}
+	return m, true
 }
 
 // NewRouter wraps an endpoint.
@@ -183,13 +207,7 @@ func (r *Router) recv(block, wantClient bool) (*Msg, bool, error) {
 		if wantClient {
 			q = &r.clientQ
 		}
-		if n := len(*q); n > 0 {
-			// Shift rather than reslice so the backing array keeps its
-			// capacity for reuse (queues here are at most a few entries).
-			m := (*q)[0]
-			copy(*q, (*q)[1:])
-			(*q)[n-1] = nil
-			*q = (*q)[:n-1]
+		if m, ok := q.pop(); ok {
 			return m, true, nil
 		}
 		var fr nexus.Frame
@@ -218,9 +236,9 @@ func (r *Router) recv(block, wantClient bool) (*Msg, bool, error) {
 			return m, true, nil
 		}
 		if m.clientBound() {
-			r.clientQ = append(r.clientQ, m)
+			r.clientQ.push(m)
 		} else {
-			r.serverQ = append(r.serverQ, m)
+			r.serverQ.push(m)
 		}
 	}
 }

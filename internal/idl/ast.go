@@ -26,10 +26,10 @@ type OpDecl struct {
 	Oneway bool
 	// Idempotent marks the operation safe for automatic client retry.
 	Idempotent bool
-	Ret    Type // BasicType{"void"} for void
-	Name   string
-	Params []ParamDecl
-	Raises []string
+	Ret        Type // BasicType{"void"} for void
+	Name       string
+	Params     []ParamDecl
+	Raises     []string
 }
 
 // ParamDecl is one operation parameter.

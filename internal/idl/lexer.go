@@ -59,7 +59,7 @@ var keywords = map[string]bool{
 	"module": true, "interface": true, "typedef": true, "struct": true,
 	"enum": true, "const": true, "exception": true, "oneway": true,
 	"idempotent": true,
-	"in": true, "out": true, "inout": true, "raises": true,
+	"in":         true, "out": true, "inout": true, "raises": true,
 	"sequence": true, "dsequence": true, "string": true,
 	"void": true, "boolean": true, "char": true, "octet": true,
 	"short": true, "long": true, "unsigned": true, "float": true,

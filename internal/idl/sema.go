@@ -51,9 +51,9 @@ type OpInfo struct {
 	Name       string
 	Oneway     bool
 	Idempotent bool
-	Ret    *typecode.TypeCode // nil = void
-	Params []ParamInfo
-	Raises []string
+	Ret        *typecode.TypeCode // nil = void
+	Params     []ParamInfo
+	Raises     []string
 }
 
 // ParamInfo is a resolved parameter. TypeName records the typedef through

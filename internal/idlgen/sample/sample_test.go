@@ -24,6 +24,7 @@ import (
 // geometryImpl implements the generated GeometryServant interface with
 // fully typed signatures.
 type geometryImpl struct {
+	mu    sync.Mutex // one impl serves both SPMD ranks
 	hints []string
 }
 
@@ -55,7 +56,9 @@ func (g *geometryImpl) Probe(_ *poa.Context, n int32) (float64, error) {
 }
 
 func (g *geometryImpl) Hint(_ *poa.Context, text string) error {
+	g.mu.Lock()
 	g.hints = append(g.hints, text)
+	g.mu.Unlock()
 	return nil
 }
 

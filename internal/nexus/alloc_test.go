@@ -6,34 +6,41 @@ import (
 	"testing"
 )
 
-// TestSendFrameAllocFree pins the send-side framing cost on both combiner
-// paths: once the per-connection scratch is warm, a frame reaches the
-// socket without allocating — the large path through the reusable iovec,
-// and the small path through the pending-batch buffer.
+// TestSendFrameAllocFree pins the send-side framing cost on every combiner
+// path: once the per-connection scratch is warm, a frame reaches the socket
+// without allocating — the large path through the reusable iovec, the small
+// path through the pending-batch buffer, whether its sender writes it or
+// defers it to the flusher (whose own allocations would count here too).
 func TestSendFrameAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	c1, c2 := net.Pipe()
-	defer c1.Close()
 	go io.Copy(io.Discard, c2) //nolint:errcheck // drained until pipe closes
-	tc := newTCPConn(c1, "alloc-test")
+	tc := newTCPConn(nil, c1, "alloc-test")
+	defer tc.fail(io.ErrClosedPipe) // closes the pipe and ends the flusher
 	hdr := make([]byte, 16)
 	large := make([]byte, TCPCoalesceLimit+1) // strictly above the copy limit
 	small := make([]byte, 48)
 	for _, tt := range []struct {
 		name    string
 		payload []byte
+		busy    bool
 	}{
-		{"large-vectored", large},
-		{"small-coalesced", small},
+		{"large-vectored", large, false},
+		{"small-coalesced", small, false},
+		{"small-deferred", small, true},
 	} {
-		// Warm-up grows the scratch; steady state reuses it.
-		if err := tc.sendFrame(1, 2, [][]byte{hdr, tt.payload}); err != nil {
-			t.Fatal(err)
+		// Warm-up grows the scratch (for the deferred case: starts the
+		// flusher and sizes both halves of the ping-ponged batch buffer for
+		// a run's worth of frames); steady state reuses it.
+		for i := 0; i < 64; i++ {
+			if err := tc.sendFrame(1, 2, [][]byte{hdr, tt.payload}, tt.busy); err != nil {
+				t.Fatal(err)
+			}
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if err := tc.sendFrame(1, 2, [][]byte{hdr, tt.payload}); err != nil {
+			if err := tc.sendFrame(1, 2, [][]byte{hdr, tt.payload}, tt.busy); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -151,8 +151,8 @@ type faultEP struct {
 	held []heldFrame
 }
 
-func (e *faultEP) Addr() Addr                { return e.inner.Addr() }
-func (e *faultEP) Recv() (Frame, error)      { return e.inner.Recv() }
+func (e *faultEP) Addr() Addr                 { return e.inner.Addr() }
+func (e *faultEP) Recv() (Frame, error)       { return e.inner.Recv() }
 func (e *faultEP) Poll() (Frame, bool, error) { return e.inner.Poll() }
 
 // ConcurrentSendSafe forwards the wrapped fabric's capability: the wrapper

@@ -12,4 +12,12 @@ var (
 	tcpBytesOut         = obs.Default.MustCounter("nexus_tcp_bytes_out_total")
 	tcpCoalescedFlushes = obs.Default.MustCounter("nexus_tcp_coalesced_flushes_total")
 	tcpCoalescedFrames  = obs.Default.MustCounter("nexus_tcp_coalesced_frames_total")
+	// Every small-frame socket write, lone or batched, by a sender, the
+	// flusher or Close. The coalesced pair counts only multi-frame writes,
+	// so small frames sent = coalesced_frames + (flushes - coalesced_flushes)
+	// and frames per write over all writes is that over flushes.
+	tcpFlushes = obs.Default.MustCounter("nexus_tcp_flushes_total")
+	// Frames their sender left in the pending batch for a later flush
+	// (SendV returned before they reached the socket).
+	tcpDeferredFrames = obs.Default.MustCounter("nexus_tcp_deferred_frames_total")
 )

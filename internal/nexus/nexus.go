@@ -56,6 +56,13 @@ type Endpoint interface {
 	// (zero-copy) path for header+payload framing. The fabric does not
 	// retain bufs after SendV returns, so callers may reuse pooled buffers
 	// immediately; receivers see a single contiguous frame.
+	//
+	// A nil error means the fabric has accepted the frame, not that it has
+	// left: the TCP fabric may hold a small frame back to share a write
+	// with its successors (DESIGN.md §12). An accepted frame is written
+	// without any further call by the sender and before Close returns; if
+	// the connection fails first it is lost with it, as bytes already in
+	// the kernel's send buffer would be, and later sends re-dial.
 	SendV(to Addr, bufs ...[]byte) error
 	// Recv blocks until a frame arrives.
 	Recv() (Frame, error)

@@ -53,11 +53,16 @@ var TCPHelloTimeout = 10 * time.Second
 // a const, so tests can pin either path.
 var TCPCoalesceLimit = 4 << 10
 
-// tcpPendCap is the backpressure bound on a connection's pending batch:
-// a sender finding this many bytes already coalesced while a flush is in
-// progress waits for the writer to drain before appending (the
-// "buffer-full" flush trigger of DESIGN.md §12).
+// tcpPendCap bounds a connection's pending batch, deferred frames included:
+// a sender finding this many bytes already pending waits for the active
+// writer to drain before appending, or — no writer being active — appends
+// and writes the batch itself (the "buffer-full" flush trigger of DESIGN.md
+// §12).
 const tcpPendCap = 128 << 10
+
+// tcpCloseFlushTimeout bounds the write of still-pending frames in
+// TCPTransport.Close, so a peer that stopped reading cannot hang it.
+const tcpCloseFlushTimeout = 5 * time.Second
 
 // NewTCPTransport creates a multiplexing TCP transport listening on the
 // given address (""/":0" picks a free loopback port). Endpoints are created
@@ -79,6 +84,8 @@ func NewTCPTransport(listen string) (*TCPTransport, error) {
 		dialing:  map[string]*tcpDial{},
 		anon:     map[net.Conn]bool{},
 		chans:    map[uint32]*tcpChan{},
+
+		closeFlushTimeout: tcpCloseFlushTimeout,
 	}
 	go t.acceptLoop()
 	return t, nil
@@ -102,6 +109,9 @@ type TCPTransport struct {
 	ln       net.Listener
 	hostport string
 	addr     Addr
+	// closeFlushTimeout is tcpCloseFlushTimeout; a field so a test can
+	// shorten it without touching the other transports of its process.
+	closeFlushTimeout time.Duration
 
 	mu    sync.Mutex
 	conns map[string]*tcpConn // peer transport hostport -> shared connection
@@ -190,15 +200,19 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 	for {
 		data, err := readFrame(br, &hdr)
 		if err != nil || len(data) < muxHdrLen {
-			t.mu.Lock()
-			delete(t.anon, c)
 			if tc != nil {
-				if cur, ok := t.conns[tc.peer]; ok && cur == tc {
-					delete(t.conns, tc.peer)
-					tcpConnsLive.Add(-1)
+				// The deferred c.Close takes the write side down with the
+				// read side, so the connection is failed as a whole: senders
+				// re-dial, the flusher exits.
+				if err == nil {
+					err = fmt.Errorf("nexus: short frame from %s", tc.peer)
 				}
+				t.dropConn(tc.peer, tc, err)
+			} else {
+				t.mu.Lock()
+				delete(t.anon, c)
+				t.mu.Unlock()
 			}
-			t.mu.Unlock()
 			return
 		}
 		tcpBytesIn.Add(uint64(len(hdr) + len(data)))
@@ -214,7 +228,7 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 				t.mu.Unlock()
 				return
 			}
-			tc = newTCPConn(c, hp)
+			tc = newTCPConn(t, c, hp)
 			c.SetReadDeadline(time.Time{})
 			t.mu.Lock()
 			delete(t.anon, c)
@@ -291,25 +305,26 @@ func (t *TCPTransport) dial(hostport string) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: tcp://%s: %v", ErrNoRoute, hostport, err)
 	}
-	tc := newTCPConn(c, hostport)
+	tc := newTCPConn(t, c, hostport)
 	// Hello: announce our transport address so the peer can route frames
 	// for any of our channels over this connection.
-	if err := tc.sendFrame(0, 0, [][]byte{[]byte(t.addr)}); err != nil {
+	if err := tc.sendFrame(0, 0, [][]byte{[]byte(t.addr)}, false); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("nexus: hello to %s: %w", hostport, err)
 	}
 	return tc, nil
 }
 
-// dropConn removes a connection that failed mid-send so a retry re-dials.
-func (t *TCPTransport) dropConn(hostport string, tc *tcpConn) {
+// dropConn removes a failed connection — a write by a sender or the flusher
+// failed, or its reader saw the peer go — so the next send re-dials.
+func (t *TCPTransport) dropConn(hostport string, tc *tcpConn, cause error) {
 	t.mu.Lock()
 	if cur, ok := t.conns[hostport]; ok && cur == tc {
 		delete(t.conns, hostport)
 		tcpConnsLive.Add(-1)
 	}
 	t.mu.Unlock()
-	tc.c.Close() // unblocks the reader and any writer parked on the socket
+	tc.fail(cause)
 }
 
 func (t *TCPTransport) dropChan(id uint32, ch *tcpChan) {
@@ -321,6 +336,9 @@ func (t *TCPTransport) dropChan(id uint32, ch *tcpChan) {
 }
 
 // Close shuts the listener, every connection, and every remaining channel.
+// Frames that deferred sends accepted are written first — a program that
+// sends and then closes has sent — with the whole drain bounded by
+// closeFlushTimeout, so a peer that stopped reading cannot hang Close.
 func (t *TCPTransport) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -337,8 +355,12 @@ func (t *TCPTransport) Close() error {
 	tcpConnsLive.Add(-int64(len(conns)))
 	t.mu.Unlock()
 	t.ln.Close()
+	deadline := time.Now().Add(t.closeFlushTimeout)
 	for _, tc := range conns {
-		tc.c.Close()
+		tc.c.SetWriteDeadline(deadline)
+	}
+	for _, tc := range conns {
+		tc.flushAndFail(ErrClosed)
 	}
 	for c := range anon {
 		c.Close()
@@ -451,6 +473,9 @@ func (e *tcpChan) Send(to Addr, data []byte) error {
 func (e *tcpChan) SendV(to Addr, bufs ...[]byte) error {
 	e.mu.Lock()
 	closed := e.closed
+	// A non-empty inbox means the owner has input to process and will send
+	// again before it can block: observation (a) of the flush policy.
+	busy := e.qhead != len(e.queue)
 	e.mu.Unlock()
 	if closed {
 		return ErrClosed
@@ -463,9 +488,9 @@ func (e *tcpChan) SendV(to Addr, bufs ...[]byte) error {
 	if err != nil {
 		return err
 	}
-	if err := tc.sendFrame(dst, e.id, bufs); err != nil {
+	if err := tc.sendFrame(dst, e.id, bufs, busy); err != nil {
 		// Connection died; drop it so a retry re-dials.
-		e.t.dropConn(hostport, tc)
+		e.t.dropConn(hostport, tc, err)
 		return fmt.Errorf("nexus: send to %s: %w", to, err)
 	}
 	return nil
@@ -530,28 +555,49 @@ func (e *tcpChan) Close() error {
 // --- Shared connection and its write combiner --------------------------------
 
 // tcpConn is one physical connection with its write combiner. Small frames
-// from any number of channels are coalesced into pend and flushed by a
-// single writer in as few syscalls as the socket allows; large frames
-// bypass the copy with a vectored write. A sender never waits on a timer —
-// a lone frame finding the writer idle is flushed immediately (the
-// no-added-latency rule), and batches only form out of frames that arrived
-// while a flush was already on the wire ("smart batching").
+// from any number of channels are copied into pend and reach the socket in
+// as few writes as the traffic allows; large frames bypass the copy with a
+// vectored write. Exactly one goroutine at a time holds the writer role
+// (writing == true) and it alone touches the socket's write side.
+//
+// Who writes a small frame (DESIGN.md §12):
+//
+//   - its sender, before sendFrame returns, when the writer role is free
+//     and nothing says more frames are on their way — the lone-frame path,
+//     which never waits for a timer or for another goroutine;
+//   - the active writer, when there is one: it drains pend until it is
+//     empty before it gives the role up;
+//   - whoever flushes next, when the frame is deferred: the sender leaves
+//     it in pend and returns. Two observations defer a frame — (a) the
+//     sending channel's inbox is non-empty, so its owner will send again
+//     before it can block; (b) the previous flush carried more than one
+//     frame, so senders are already outrunning one write per frame. Either
+//     may be wrong; that costs one goroutine hand-off, never delivery:
+//     every deferral with the role free wakes the connection's flusher
+//     goroutine, so no deferred frame depends on anyone calling the
+//     transport again.
 type tcpConn struct {
+	t    *TCPTransport // owner, for the flusher's dropConn; nil on a bare test connection
 	c    net.Conn
 	peer string // peer transport hostport
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// pend accumulates framed small sends awaiting the writer; spare is the
+	// pend accumulates framed small sends awaiting a writer; spare is the
 	// drained buffer from the previous flush, ping-ponged back to avoid
 	// reallocating.
 	pend    []byte
 	spare   []byte
 	pendN   int    // frames currently in pend
+	lastN   int    // frames the previous small-frame flush carried: observation (b)
 	writing bool   // a flush (batched or large-frame) is on the wire
 	enq     uint64 // cumulative bytes appended to pend
 	wr      uint64 // cumulative pend bytes flushed to the socket
-	err     error  // sticky: first write error fails all senders
+	err     error  // sticky: first failure fails all senders and ends the flusher
+
+	// kick wakes the flusher goroutine; nil until the first deferred frame
+	// starts it, so a connection that never defers has no flusher.
+	kick chan struct{}
 
 	// Large-frame scratch, owned by the active writer: the header buffer,
 	// the assembled buffer list, and the net.Buffers handed to writev.
@@ -567,8 +613,8 @@ type tcpConn struct {
 	fromCache map[uint32]Addr
 }
 
-func newTCPConn(c net.Conn, peer string) *tcpConn {
-	tc := &tcpConn{c: c, peer: peer}
+func newTCPConn(t *TCPTransport, c net.Conn, peer string) *tcpConn {
+	tc := &tcpConn{t: t, c: c, peer: peer}
 	tc.cond = sync.NewCond(&tc.mu)
 	return tc
 }
@@ -587,10 +633,13 @@ func (tc *tcpConn) fromAddr(src uint32) Addr {
 	return a
 }
 
-// sendFrame writes one frame addressed dst<-src. It returns only after the
-// frame's bytes have been handed to the socket (or the connection failed),
-// preserving synchronous Send error semantics through the combiner.
-func (tc *tcpConn) sendFrame(dst, src uint32, bufs [][]byte) error {
+// sendFrame sends one frame addressed dst<-src; busy is observation (a),
+// the sending channel's inbox being non-empty. A nil return means the
+// frame's bytes have been handed to the socket — or, for a deferred small
+// frame, copied into pend for the next flush; a later write failure then
+// loses it with the connection, as it would lose bytes already in the
+// kernel's send buffer. Either way bufs are not retained.
+func (tc *tcpConn) sendFrame(dst, src uint32, bufs [][]byte, busy bool) error {
 	n := 0
 	for _, b := range bufs {
 		n += len(b)
@@ -624,17 +673,32 @@ func (tc *tcpConn) sendFrame(dst, src uint32, bufs [][]byte) error {
 		tc.pendN++
 		tc.enq += uint64(wire)
 		mark := tc.enq
+		// Defer when more frames are expected, unless pend is at its cap
+		// with nobody writing — then this sender takes the batch out.
+		if (busy || tc.lastN > 1) && (tc.writing || len(tc.pend) < tcpPendCap) {
+			if !tc.writing {
+				tc.wakeFlusher()
+			}
+			tc.mu.Unlock()
+			tcpDeferredFrames.Inc()
+			return nil
+		}
 		if tc.writing {
 			// The active writer will flush these bytes; wait until it has
-			// so errors surface synchronously.
+			// so errors surface synchronously. Once they are written the
+			// send has succeeded, whatever fails the connection next.
 			for tc.wr < mark && tc.err == nil {
 				tc.cond.Wait()
 			}
-			err := tc.err
+			var err error
+			if tc.wr < mark {
+				err = tc.err
+			}
 			tc.mu.Unlock()
 			return err
 		}
-		// Writer is idle: flush now — a lone frame never waits.
+		// Writer is idle: flush now — a lone frame never waits. Deferred
+		// frames still in pend leave with it, ahead of it.
 		tc.writing = true
 		err := tc.drainLocked()
 		tc.mu.Unlock()
@@ -642,9 +706,8 @@ func (tc *tcpConn) sendFrame(dst, src uint32, bufs [][]byte) error {
 	}
 
 	// Large frame: take the writer role and hand the caller's buffers to
-	// writev without copying. When writing flips to false the pending
-	// batch is empty (every drain path empties it before clearing the
-	// flag), so ordering with coalesced frames is preserved.
+	// writev without copying. Deferred frames may be sitting in pend with
+	// the role free; they were enqueued first, so they leave first.
 	for tc.writing {
 		tc.cond.Wait()
 		if tc.err != nil {
@@ -654,6 +717,12 @@ func (tc *tcpConn) sendFrame(dst, src uint32, bufs [][]byte) error {
 		}
 	}
 	tc.writing = true
+	if err := tc.flushLocked(); err != nil {
+		tc.writing = false
+		tc.cond.Broadcast()
+		tc.mu.Unlock()
+		return err
+	}
 	binary.BigEndian.PutUint32(tc.hdr[0:4], uint32(muxHdrLen+n))
 	binary.BigEndian.PutUint32(tc.hdr[4:8], dst)
 	binary.BigEndian.PutUint32(tc.hdr[8:12], src)
@@ -676,13 +745,7 @@ func (tc *tcpConn) sendFrame(dst, src uint32, bufs [][]byte) error {
 	}
 	// Drain whatever coalesced behind this write before releasing the
 	// writer role, so small frames never starve behind a large sender.
-	if tc.err == nil && len(tc.pend) > 0 {
-		tc.drainLocked()
-	} else {
-		tc.writing = false
-		tc.cond.Broadcast()
-	}
-	err := tc.err
+	err := tc.drainLocked()
 	tc.mu.Unlock()
 	if werr != nil {
 		return werr
@@ -690,11 +753,14 @@ func (tc *tcpConn) sendFrame(dst, src uint32, bufs [][]byte) error {
 	return err
 }
 
-// drainLocked flushes the pending batch until it is empty, then releases
-// the writer role. Caller holds tc.mu with tc.writing == true; the lock is
-// dropped around each socket write so senders keep coalescing into the
-// next batch while the current one is on the wire.
-func (tc *tcpConn) drainLocked() error {
+// flushLocked writes the pending batch until it is empty or the connection
+// has failed. Caller holds tc.mu and the writer role; the lock is dropped
+// around each socket write so senders keep coalescing into the next batch
+// while the current one is on the wire. The error is nil when everything
+// pending was handed to the socket — even if the connection has been failed
+// since (a peer may close the moment it has read our last frame, and its
+// reader-side EOF must not turn a completed send into an error).
+func (tc *tcpConn) flushLocked() error {
 	for tc.err == nil && len(tc.pend) > 0 {
 		batch := tc.pend
 		batchN := tc.pendN
@@ -704,20 +770,107 @@ func (tc *tcpConn) drainLocked() error {
 		_, werr := tc.c.Write(batch)
 		tc.mu.Lock()
 		tc.spare = batch[:0] // ping-pong the drained buffer back
-		tc.wr += uint64(len(batch))
+		tc.lastN = batchN
 		tcpBytesOut.Add(uint64(len(batch)))
+		tcpFlushes.Inc()
 		if batchN > 1 {
 			tcpCoalescedFlushes.Inc()
 			tcpCoalescedFrames.Add(uint64(batchN))
 		}
-		if werr != nil && tc.err == nil {
-			tc.err = werr
+		if werr != nil {
+			// wr stays put: senders waiting on these bytes see the error.
+			if tc.err == nil {
+				tc.err = werr
+			}
+			tc.cond.Broadcast()
+			return werr
 		}
+		tc.wr += uint64(len(batch))
 		tc.cond.Broadcast()
 	}
+	if len(tc.pend) > 0 {
+		return tc.err // failed by someone else with frames still unwritten
+	}
+	return nil
+}
+
+// drainLocked is flushLocked followed by release of the writer role.
+func (tc *tcpConn) drainLocked() error {
+	err := tc.flushLocked()
 	tc.writing = false
 	tc.cond.Broadcast()
-	return tc.err
+	return err
+}
+
+// wakeFlusher hands the pending batch to the connection's flusher
+// goroutine, starting it on first use. Caller holds tc.mu. The 1-slot
+// channel makes the wake-up sticky: a kick sent while the flusher is busy
+// is seen on its next turn, and further kicks before then are dropped.
+func (tc *tcpConn) wakeFlusher() {
+	if tc.kick == nil {
+		tc.kick = make(chan struct{}, 1)
+		go tc.flushLoop()
+	}
+	select {
+	case tc.kick <- struct{}{}:
+	default:
+	}
+}
+
+// flushLoop is the flusher goroutine: on each kick it writes whatever is
+// pending unless a writer is active (which will). It ends when the
+// connection has failed — by its own write, a sender's, the reader's, or
+// Close — and, like a failing sender, drops the connection so that the next
+// send re-dials.
+func (tc *tcpConn) flushLoop() {
+	for range tc.kick {
+		tc.mu.Lock()
+		if !tc.writing {
+			tc.writing = true
+			tc.drainLocked()
+		}
+		err := tc.err
+		tc.mu.Unlock()
+		if err != nil {
+			if tc.t != nil {
+				tc.t.dropConn(tc.peer, tc, err)
+			}
+			return
+		}
+	}
+}
+
+// fail marks the connection dead: the sticky error stops further sends and
+// wakes everyone parked on the connection — the flusher, which exits, and,
+// by closing the socket, the reader and any writer blocked in it.
+func (tc *tcpConn) fail(cause error) {
+	tc.mu.Lock()
+	if tc.err == nil {
+		tc.err = cause
+	}
+	if tc.kick != nil {
+		tc.wakeFlusher()
+	}
+	tc.cond.Broadcast()
+	tc.mu.Unlock()
+	tc.c.Close()
+}
+
+// flushAndFail is fail for an orderly Close: what deferred sends accepted
+// is written first, by taking the writer role or waiting out the active
+// writer. The caller has bounded the writes with a deadline.
+func (tc *tcpConn) flushAndFail(cause error) {
+	tc.mu.Lock()
+	for tc.err == nil && (tc.writing || len(tc.pend) > 0) {
+		if tc.writing {
+			tc.cond.Wait()
+			continue
+		}
+		tc.writing = true
+		tc.drainLocked()
+	}
+	tc.mu.Unlock()
+	tc.fail(cause)
 }
 
 // tcpReadBuf is the per-connection read buffer: the size of the largest

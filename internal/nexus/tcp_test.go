@@ -177,13 +177,13 @@ func TestTCPChannelCloseKeepsSiblings(t *testing.T) {
 func TestWriteCombinerCoalesces(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
-	tc := newTCPConn(c1, "combiner-test")
+	tc := newTCPConn(nil, c1, "combiner-test")
 	flushesBefore := tcpCoalescedFlushes.Load()
 
 	var wg sync.WaitGroup
 	send := func(s uint32) {
 		defer wg.Done()
-		if err := tc.sendFrame(1, s, [][]byte{[]byte("coalesce-me")}); err != nil {
+		if err := tc.sendFrame(1, s, [][]byte{[]byte("coalesce-me")}, false); err != nil {
 			t.Error(err)
 		}
 	}

@@ -94,12 +94,12 @@ func (p *POA) flushFaultExceptions() {
 		}
 	}
 	p.ready = p.ready[:0]
-	for _, lr := range p.localQ {
+	for _, lr := range p.localQ[p.localQHead:] {
 		if req := lr.m.Req; !req.Oneway {
 			p.sendException(req.ReplyAddr, req.ReqID, msg)
 		}
 	}
-	p.localQ = p.localQ[:0]
+	p.localQ, p.localQHead = p.localQ[:0], 0
 }
 
 // effDeadline is the deadline (seconds) bounding this request's server-side

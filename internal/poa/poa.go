@@ -139,6 +139,7 @@ type POA struct {
 	ready   []invKey
 
 	localQ          []localReq // single-object requests for this thread
+	localQHead      int        // next localQ entry to serve; rewound with the queue when it empties
 	segs            map[segKey][]*pgiop.ArgStream
 	shutdown        bool
 	pendingShutdown bool
@@ -426,14 +427,14 @@ func (p *POA) ProcessRequests() int {
 	// inline, or handed to the dispatch pool so independent requests
 	// pipeline while this thread keeps polling the transport.
 	for len(p.localQ) > 0 {
-		// Shift rather than reslice so the backing array keeps its capacity
-		// for reuse across dispatch rounds (the queue is at most a few
-		// entries deep).
-		lr := p.localQ[0]
-		n := len(p.localQ)
-		copy(p.localQ, p.localQ[1:])
-		p.localQ[n-1] = localReq{}
-		p.localQ = p.localQ[:n-1]
+		// Pop by head index and rewind when empty: O(1) however many
+		// requests one read delivered, and the backing array keeps its
+		// capacity across dispatch rounds (see nexus' inbox queues).
+		lr := p.localQ[p.localQHead]
+		p.localQ[p.localQHead] = localReq{}
+		if p.localQHead++; p.localQHead == len(p.localQ) {
+			p.localQ, p.localQHead = p.localQ[:0], 0
+		}
 		if p.pool != nil {
 			p.pool.depth.Add(1)
 			poaPoolDepth.Add(1)

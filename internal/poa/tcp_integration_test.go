@@ -9,6 +9,7 @@ import (
 	"pardis/internal/core"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
+	"pardis/internal/future"
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
@@ -114,4 +115,70 @@ func TestFullyDistributedTCPStack(t *testing.T) {
 	}
 	cwg.Wait()
 	wg.Wait()
+}
+
+// TestTCPServerClosesRightAfterImplIsReady holds ImplIsReady to its promise —
+// every accepted request is answered before control returns — over a
+// transport that may leave a reply in its pending batch when SendV returns
+// (nexus' deferred flush, DESIGN.md §12): the server program closes its
+// endpoint the moment ImplIsReady returns, and Close must put those replies
+// on the wire first. 64 pipelined calls, then Shutdown on the same
+// connection; all 64 futures resolve with their own answers.
+func TestTCPServerClosesRightAfterImplIsReady(t *testing.T) {
+	const calls = 64
+	sep, err := nexus.NewTCPEndpoint("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iorCh := make(chan core.IOR, 1)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		defer sep.Close()
+		adapter := poa.New(rts.NewChanGroup("srv", 1).Thread(0), core.NewRouter(sep), nil)
+		adapter.SetDispatchWorkers(4)
+		ior, err := adapter.RegisterSingle("gauge-1", gaugeIface(), poa.ServantFunc(
+			func(_ *poa.Context, _ string, in []any) (any, []any, error) {
+				return int32(len(in[0].(string))), []any{in[0]}, nil
+			}))
+		if err != nil {
+			t.Error(err)
+			close(iorCh)
+			return
+		}
+		iorCh <- ior
+		adapter.ImplIsReady()
+	}()
+	ior, ok := <-iorCh
+	if !ok {
+		return
+	}
+	cep, err := nexus.NewTCPEndpoint("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cep.Close()
+	b, err := core.NewORB(core.NewRouter(cep), nil, nil).Bind(ior, gaugeIface())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make([]*future.Cell, calls)
+	for i := range cells {
+		if cells[i], err = b.InvokeNB("hold", []any{fmt.Sprint("call-", i), nil}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Shutdown("close right behind the replies"); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if !c.WaitTimeout(10) {
+			t.Fatalf("call %d of %d never answered: its reply was lost when the server closed", i, calls)
+		}
+		vals, err := c.Values()
+		if want := fmt.Sprint("call-", i); err != nil || vals[1] != want {
+			t.Fatalf("call %d: got %v, %v", i, vals, err)
+		}
+	}
+	<-served
 }

@@ -203,6 +203,8 @@ func TestMetricNameHygiene(t *testing.T) {
 		"nexus_tcp_bytes_out_total",
 		"nexus_tcp_coalesced_flushes_total",
 		"nexus_tcp_coalesced_frames_total",
+		"nexus_tcp_flushes_total",
+		"nexus_tcp_deferred_frames_total",
 		"orb_pipeline_depth",
 		"rts_bcast_payload_bytes",
 		"rts_gather_payload_bytes",
