@@ -216,28 +216,6 @@ func BenchmarkScheduleCache(b *testing.B) {
 	})
 }
 
-// BenchmarkSegmentFanout measures the wall-clock invocation time of the
-// 1-client/8-server transfer shape, serial versus the 4-worker fan-out.
-func BenchmarkSegmentFanout(b *testing.B) {
-	var pts []bench.TransferPoint
-	for i := 0; i < b.N; i++ {
-		pts = bench.TransferFanout(250_000, 5)
-	}
-	b.ReportMetric(pts[0].Seconds, "sec_serial")
-	b.ReportMetric(pts[1].Seconds, "sec_4workers")
-}
-
-// BenchmarkSingleDispatchPipelined measures many-client throughput on one
-// single object with and without the POA dispatch pool.
-func BenchmarkSingleDispatchPipelined(b *testing.B) {
-	var pts []bench.TransferPoint
-	for i := 0; i < b.N; i++ {
-		pts = bench.TransferSingleDispatch(8, 50)
-	}
-	b.ReportMetric(pts[0].PerSec, "ops_serial")
-	b.ReportMetric(pts[1].PerSec, "ops_4workers")
-}
-
 // tcpPair opens a client and a server endpoint on loopback TCP.
 func tcpPair(tb testing.TB) (cli, srv nexus.Endpoint) {
 	tb.Helper()
@@ -389,7 +367,7 @@ func tcpWriteCounts(tb testing.TB) (flushes, deferred uint64) {
 // the shape of the repo benchmark's serve_pipelined_tcp.
 func pooledTCPPair(tb testing.TB) (*core.Binding, func()) {
 	cep, sep := tcpPair(tb)
-	bind, stop := orbPair(tb, cep, sep, func(a *poa.POA) { a.SetDispatchWorkers(4) })
+	bind, stop := orbPair(tb, cep, sep, func(a *poa.POA) { a.SetDispatchAuto(4, 4) })
 	return bind, func() {
 		stop()
 		cep.Close()

@@ -1,11 +1,12 @@
 // Command pardis-bench regenerates the measurements of the paper's
-// evaluation section (Figures 2, 4 and 5) and the ablation studies on the
-// simulated testbed, printing one table per experiment.
+// evaluation section (Figures 2, 4 and 5), the ablation studies and the
+// other modeled figures on the simulated testbed, printing one table per
+// experiment.
 //
 // Usage:
 //
-//	pardis-bench [-fig 2|4|5|ablations|stream|all] [-quick] [-json]
-//	             [-trace FILE] [-debug ADDR]
+//	pardis-bench [-fig 2|4|5|ablations|collectives|fanin|tuner|serve|obs|all]
+//	             [-quick] [-json] [-trace FILE] [-debug ADDR]
 //
 // -quick trims the sweeps for a fast smoke run. -json replaces the tables
 // with one JSON document summarizing every experiment point, for CI
@@ -13,9 +14,10 @@
 // whole run and writes a Chrome trace-event JSON (chrome://tracing,
 // Perfetto) to FILE on exit. -debug serves the live introspection endpoint
 // (/metrics, /debug/vars, /debug/trace — see DESIGN.md §11) on ADDR for
-// the duration of the run. Results are deterministic: the experiments run
-// the full PARDIS stack on a virtual clock over the modeled 1997 machines
-// (see DESIGN.md §4 for the substitutions).
+// the duration of the run. Every figure but fanin and obs is deterministic:
+// it runs the full PARDIS stack on a virtual clock over the modeled 1997
+// machines (see DESIGN.md §4 for the substitutions). Wall-clock performance
+// is measured by the repo benchmark in benchmark/, not here.
 package main
 
 import (
@@ -34,18 +36,11 @@ type summary struct {
 	Figure4     []bench.Fig4Point       `json:"figure4,omitempty"`
 	Figure5     []bench.Fig5Point       `json:"figure5,omitempty"`
 	Ablations   []ablationSection       `json:"ablations,omitempty"`
-	Transfer    []transferSection       `json:"transfer,omitempty"`
 	Collectives []bench.CollectivePoint `json:"collectives,omitempty"`
 	Fanin       []bench.FaninPoint      `json:"fanin,omitempty"`
 	Tuner       []bench.TunerPoint      `json:"tuner,omitempty"`
-	Stream      []bench.StreamPoint     `json:"stream,omitempty"`
 	Serve       []bench.ServePoint      `json:"serve,omitempty"`
 	Obs         []bench.ObsPoint        `json:"obs,omitempty"`
-}
-
-type transferSection struct {
-	Name   string                `json:"name"`
-	Points []bench.TransferPoint `json:"points"`
 }
 
 type ablationSection struct {
@@ -54,7 +49,7 @@ type ablationSection struct {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "which experiment: 2, 4, 5, ablations, transfer, collectives, fanin, tuner, stream, serve, obs, all")
+	fig := flag.String("fig", "all", "which experiment: 2, 4, 5, ablations, collectives, fanin, tuner, serve, obs, all")
 	quick := flag.Bool("quick", false, "trimmed sweeps")
 	asJSON := flag.Bool("json", false, "emit a JSON summary instead of tables")
 	traceFile := flag.String("trace", "", "record spans and write a Chrome trace-event JSON to this file")
@@ -85,16 +80,12 @@ func main() {
 		out.Figure5 = figure5(*quick, *asJSON)
 	case "ablations":
 		out.Ablations = ablations(*quick, *asJSON)
-	case "transfer":
-		out.Transfer = transfer(*quick, *asJSON)
 	case "collectives":
 		out.Collectives = collectives(*quick, *asJSON)
 	case "fanin":
 		out.Fanin = fanin(*quick, *asJSON)
 	case "tuner":
 		out.Tuner = tuner(*quick, *asJSON)
-	case "stream":
-		out.Stream = stream(*quick, *asJSON)
 	case "serve":
 		out.Serve = serve(*quick, *asJSON)
 	case "obs":
@@ -104,11 +95,9 @@ func main() {
 		out.Figure4 = figure4(*quick, *asJSON)
 		out.Figure5 = figure5(*quick, *asJSON)
 		out.Ablations = ablations(*quick, *asJSON)
-		out.Transfer = transfer(*quick, *asJSON)
 		out.Collectives = collectives(*quick, *asJSON)
 		out.Fanin = fanin(*quick, *asJSON)
 		out.Tuner = tuner(*quick, *asJSON)
-		out.Stream = stream(*quick, *asJSON)
 		out.Serve = serve(*quick, *asJSON)
 		out.Obs = obsPlane(*quick, *asJSON)
 	default:
@@ -201,43 +190,6 @@ func figure5(quick, silent bool) []bench.Fig5Point {
 	return pts
 }
 
-// transfer runs the parallel-segment-transfer-engine experiments. Unlike
-// the figures these measure wall-clock time on real goroutines (the
-// concurrency being measured does not exist on the virtual-time testbed),
-// so numbers vary with host load; compare configurations within one run.
-func transfer(quick, silent bool) []transferSection {
-	n, redisIters, fanIters, clients, calls := 1_000_000, 10, 20, 8, 200
-	if quick {
-		n, redisIters, fanIters, clients, calls = 200_000, 3, 5, 4, 50
-	}
-	sections := []transferSection{
-		{fmt.Sprintf("full-stack SPMD invocation (%d doubles, 4 server ranks)", n),
-			bench.TransferSPMD(n, fanIters)},
-		{fmt.Sprintf("schedule cache (block<->cyclic, %d doubles, 8 threads)", n),
-			bench.TransferScheduleCache(n, 8, redisIters)},
-		{fmt.Sprintf("segment fan-out (%d doubles, 1 client x 8 server threads)", n),
-			bench.TransferFanout(n, fanIters)},
-		{fmt.Sprintf("single-object dispatch (%d clients x %d calls)", clients, calls),
-			bench.TransferSingleDispatch(clients, calls)},
-	}
-	if silent {
-		return sections
-	}
-	fmt.Println("== Transfer engine (wall clock) ==")
-	for _, s := range sections {
-		fmt.Println(s.Name + ":")
-		for _, p := range s.Points {
-			if p.PerSec != 0 {
-				fmt.Printf("  %-22s %12.6f s  %14.1f /s\n", p.Label, p.Seconds, p.PerSec)
-			} else {
-				fmt.Printf("  %-22s %12.6f s\n", p.Label, p.Seconds)
-			}
-		}
-	}
-	fmt.Println()
-	return sections
-}
-
 // collectives measures the modeled per-operation latency of the RTS
 // collectives across thread counts on the simulated fabric: deterministic,
 // so the log-depth scaling gate can assert on the numbers directly.
@@ -306,30 +258,6 @@ func tuner(quick, silent bool) []bench.TunerPoint {
 	return pts
 }
 
-// stream compares the staged segment sender against the chunked streaming
-// pipeline across payload sizes: wall-clock throughput plus the peak
-// payload-encoder residency each mode reached (the bounded-memory claim).
-// Real goroutines and wall clocks; compare modes within one run.
-func stream(quick, silent bool) []bench.StreamPoint {
-	payloads, iters := bench.StreamPayloads, 5
-	if quick {
-		payloads, iters = bench.StreamQuickPayloads, 3
-	}
-	pts := bench.Stream(payloads, iters)
-	if silent {
-		return pts
-	}
-	fmt.Println("== Stream: staged vs chunked segment transfer (wall clock) ==")
-	fmt.Println("mode      payload_MiB  chunk_KiB     seconds    MiB_per_s   peak_buffer_KiB  frames")
-	for _, p := range pts {
-		fmt.Printf("%-8s  %11d  %9d  %10.4f  %11.1f  %16d  %6d\n",
-			p.Mode, p.PayloadBytes>>20, p.ChunkBytes>>10, p.Seconds,
-			p.MBPerSec, p.PeakBuffer>>10, p.ChunkFrames)
-	}
-	fmt.Println()
-	return pts
-}
-
 // serve runs the replicated-group serving cells on the simulated testbed:
 // a 4-replica group behind the registry's load-balancing resolve, healthy
 // and with a replica killed mid-run, plus an overload cell with and without
@@ -350,10 +278,8 @@ func serve(quick, silent bool) []bench.ServePoint {
 	return pts
 }
 
-// obsPlane prices the observability plane itself: recorder overhead on the
-// round trip across interesting fractions, tail-retention recall on a mixed
-// load, and the federation page's render cost. Wall clock; compare modes
-// within one run.
+// obsPlane checks the observability plane itself: tail-retention recall on
+// a mixed load and the federation page's render cost. Wall clock.
 func obsPlane(quick, silent bool) []bench.ObsPoint {
 	pts := bench.FigureObs(quick)
 	if silent {
@@ -362,9 +288,6 @@ func obsPlane(quick, silent bool) []bench.ObsPoint {
 	fmt.Println("== Obs: flight recorder and metrics federation (wall clock) ==")
 	for _, p := range pts {
 		switch p.Cell {
-		case "overhead":
-			fmt.Printf("overhead   mode=%-8s interesting=%5.1f%%  %8.0f ns/op  (n=%d)\n",
-				p.Mode, p.InterestingFrac*100, p.NsPerOp, p.Invocations)
 		case "retention":
 			fmt.Printf("retention  interesting=%d/%d recall=%.3f boring_retained=%d retained=%d/%d recycled=%d\n",
 				p.Interesting, p.Invocations, p.Recall, p.BoringRetained,

@@ -150,7 +150,7 @@ func TestGroupChaosFailoverSoak(t *testing.T) {
 		}
 		// Heartbeats carry the full metrics digest — the soak doubles as the
 		// federation path's integration exercise.
-		beats[i] = registry.StartHeartbeatDigest(hbClient, group, fmt.Sprintf("r%d", i),
+		beats[i] = registry.StartHeartbeat(hbClient, group, fmt.Sprintf("r%d", i),
 			iors[i], hb, registry.AdapterDigest(adapters[i]))
 	}
 

@@ -17,13 +17,9 @@ import (
 	"pardis/internal/typecode"
 )
 
-// The obs experiment prices the observability plane itself. Three cells:
+// The obs experiment checks the observability plane itself. Two cells (what
+// recording costs on the round trip is benchmark/'s obs.recorder_overhead_us):
 //
-//   - overhead: the in-process ORB round trip with tracing off, with the
-//     retain-all ring, and with the flight recorder on at 0%, 1% and 100%
-//     interesting invocations — the recorder's promise is that the boring
-//     path recycles pooled buffers, so its cost must not scale with the
-//     interesting fraction of a healthy (mostly boring) workload.
 //   - retention: a mixed load with a known ≤5% interesting subset (designated
 //     errors and designated-slow invocations); the recorder must keep ≥95%
 //     of the interesting traces while the boring bulk recycles and the
@@ -33,21 +29,14 @@ import (
 //     multi-group repository — what a cluster-level Prometheus pays per
 //     scrape instead of visiting every replica.
 //
-// Unlike the paper figures this one measures wall-clock time on real
-// goroutines, so overhead numbers vary with host load; compare modes within
-// one run.
+// Unlike the paper figures this one runs on real goroutines and wall clocks.
 
 // ObsPoint is one cell of the obs experiment.
 type ObsPoint struct {
-	Cell string `json:"cell"` // overhead | retention | scrape
-
-	// Overhead rows.
-	Mode            string  `json:"mode,omitempty"` // off | ring | recorder
-	InterestingFrac float64 `json:"interesting_frac"`
-	Invocations     int     `json:"invocations,omitempty"`
-	NsPerOp         float64 `json:"ns_per_op,omitempty"`
+	Cell string `json:"cell"` // retention | scrape
 
 	// Retention row.
+	Invocations         int     `json:"invocations,omitempty"`
 	Interesting         int     `json:"interesting,omitempty"`
 	RetainedInteresting int     `json:"retained_interesting,omitempty"`
 	Recall              float64 `json:"recall,omitempty"`
@@ -139,54 +128,6 @@ func obsTracerOff() {
 	obs.DefaultTracer.SetEnabled(false)
 }
 
-// runObsOverhead times invocations invocations of the fast round trip under
-// the given tracer mode; every 1/frac-th invocation is error-flavored
-// interesting (errors, not sleeps, so the timing compares like with like).
-func runObsOverhead(b *core.Binding, mode string, frac float64, invocations int) ObsPoint {
-	obs.DefaultTracer.Reset()
-	switch mode {
-	case "ring":
-		obs.DefaultTracer.SetEnabled(true)
-	case "recorder":
-		// A fixed huge slow threshold keeps "interesting" exactly the
-		// designated errors, so the 0% row really is 100% boring.
-		obs.DefaultTracer.EnableRecorder(obs.RecorderConfig{FixedSlowNS: 1 << 60})
-	}
-	defer obsTracerOff()
-
-	every := 0
-	if frac > 0 {
-		every = int(1 / frac)
-	}
-	kindFor := func(i int) int32 {
-		if every > 0 && i%every == 0 {
-			return obsWorkError
-		}
-		return obsWorkFast
-	}
-	for i := 0; i < 100; i++ { // warmup
-		b.Invoke("work", []any{kindFor(i)})
-	}
-	// Best of three timed passes: the round trip is microseconds, so a
-	// single wall-clock pass is at the mercy of scheduler and GC noise;
-	// the per-mode minimum is the standard micro-benchmark de-noiser.
-	var best time.Duration
-	for pass := 0; pass < 3; pass++ {
-		start := time.Now()
-		for i := 0; i < invocations; i++ {
-			b.Invoke("work", []any{kindFor(i)})
-		}
-		if elapsed := time.Since(start); pass == 0 || elapsed < best {
-			best = elapsed
-		}
-	}
-	return ObsPoint{
-		Cell: "overhead", Mode: mode, InterestingFrac: frac,
-		Invocations: invocations,
-		NsPerOp:     float64(best.Nanoseconds()) / float64(invocations),
-	}
-}
-
 // runObsRetention drives the mixed load with a seeded ≤5% interesting subset
 // through the recorder and scores the retention decision.
 func runObsRetention(b *core.Binding, invocations int, slowThreshold time.Duration) ObsPoint {
@@ -259,7 +200,7 @@ func runObsScrape(groups, members, iters int) ObsPoint {
 				Dispatches: uint64(1000*g + m), Sheds: uint64(m), Depth: m,
 				P50: 0.001, P95: 0.002 * float64(m+1), P99: 0.005 * float64(m+1),
 			}
-			if _, _, err := repo.Invoke(nil, "report_load_v2",
+			if _, _, err := repo.Invoke(nil, "report_load",
 				[]any{name, id, d.P95, int32(d.Depth), d.Encode()}); err != nil {
 				panic(err)
 			}
@@ -284,10 +225,10 @@ func runObsScrape(groups, members, iters int) ObsPoint {
 // FigureObs runs every cell of the obs experiment. It owns the default
 // tracer for the duration and leaves it disabled.
 func FigureObs(quick bool) []ObsPoint {
-	overheadN, retentionN := 8000, 1500
+	retentionN := 1500
 	scrapeG, scrapeM, scrapeIters := 16, 8, 300
 	if quick {
-		overheadN, retentionN = 1500, 400
+		retentionN = 400
 		scrapeG, scrapeM, scrapeIters = 6, 4, 100
 	}
 	const slowSleep = 12 * time.Millisecond
@@ -302,14 +243,8 @@ func FigureObs(quick bool) []ObsPoint {
 		panic(err)
 	}
 
-	out := []ObsPoint{
-		runObsOverhead(b, "off", 0, overheadN),
-		runObsOverhead(b, "ring", 0, overheadN),
-		runObsOverhead(b, "recorder", 0, overheadN),
-		runObsOverhead(b, "recorder", 0.01, overheadN),
-		runObsOverhead(b, "recorder", 1.0, overheadN),
+	return []ObsPoint{
 		runObsRetention(b, retentionN, slowThreshold),
 		runObsScrape(scrapeG, scrapeM, scrapeIters),
 	}
-	return out
 }

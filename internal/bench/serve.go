@@ -249,7 +249,7 @@ func runServe(cfg serveConfig) ServePoint {
 					registered = true
 				}
 				p95, depth := info.adapter.LoadReport()
-				if known, err := regc.ReportLoad(serveGroupName, name, p95, depth); err == nil && !known {
+				if known, err := regc.ReportLoad(serveGroupName, name, p95, depth, ""); err == nil && !known {
 					registered = false
 				}
 			}

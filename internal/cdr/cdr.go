@@ -509,19 +509,6 @@ func (d *Decoder) GetLongsInto(dst []int32) bool {
 	return true
 }
 
-// GetFloats decodes a length-prefixed sequence of 32-bit floats.
-func (d *Decoder) GetFloats() []float32 {
-	n := d.GetSeqLen(4)
-	if n == 0 {
-		return nil
-	}
-	out := make([]float32, n)
-	if !d.GetFloatsInto(out) {
-		return nil
-	}
-	return out
-}
-
 // GetFloatsInto bulk-decodes len(dst) 32-bit floats (no count prefix).
 func (d *Decoder) GetFloatsInto(dst []float32) bool {
 	if len(dst) == 0 {

@@ -7,13 +7,12 @@ import (
 	"pardis/internal/tune"
 )
 
-// Self-tuned segment-transfer fan-out. PR 2's FanOutMoves took a fixed
-// worker count frozen at configuration time (TransferWorkers); the right
-// width actually depends on the destination count, the payload per
-// destination, and how much send latency the transport hides — all
-// observable. FanWidth closes that loop: an unpinned transfer is timed,
-// and a process-wide selector learns the best width per (destination
-// count, payload bucket) the same way the collectives learn algorithms.
+// Self-tuned segment-transfer fan-out. The right worker width depends on
+// the destination count, the payload per destination, and how much send
+// latency the transport hides — all observable. fanWidth closes that loop:
+// an unpinned transfer is timed, and a process-wide selector learns the best
+// width per (destination count, payload bucket) the same way the collectives
+// learn algorithms.
 
 // fanWidths is the candidate arm set: power-of-two widths, clamped to the
 // move count at use. Width 1 (the serial path) is arm 0 — the default the
@@ -33,27 +32,21 @@ func init() { tune.Register("fanout", fanSel) }
 // noFanDone is the completion hook of untimed transfers.
 var noFanDone = func() {}
 
-// FanWidth resolves the worker count for one segment transfer and returns
-// a completion hook to call when the transfer finishes (on success paths;
-// errored transfers teach the tuner nothing and skip the hook).
-//
-//	pin > 0  — explicit width (the TransferWorkers pin-override)
-//	pin == 0 — auto: tuned per (destinations, payload bucket) when the
-//	           fabric's sends are concurrency-safe; serial otherwise
-//	pin < 0  — force serial, opting out of tuning entirely
+// fanWidth resolves the worker count for one segment transfer — pin if
+// positive, tuned per (destinations, payload bucket) otherwise (see
+// TransferPolicy) — and returns a completion hook to call when the transfer
+// finishes (on success paths; errored transfers teach the tuner nothing and
+// skip the hook).
 //
 // safe is Router.ConcurrentSendSafe; widths above 1 are never used on an
 // unsafe fabric regardless of pin, which keeps the Sim fabric — whose
 // virtual-time discipline is single-threaded — byte-identical.
-func FanWidth(pin int, safe bool, moves []dist.Move) (int, func()) {
-	if pin > 0 {
-		if !safe {
-			return 1, noFanDone
-		}
-		return pin, noFanDone
-	}
-	if pin < 0 || !safe || len(moves) <= 1 {
+func fanWidth(pin int, safe bool, moves []dist.Move) (int, func()) {
+	if !safe || len(moves) <= 1 {
 		return 1, noFanDone
+	}
+	if pin > 0 {
+		return pin, noFanDone
 	}
 	elems := 0
 	for i := range moves {

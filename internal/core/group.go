@@ -76,15 +76,6 @@ func (g *GroupBinding) Failovers() int { return g.failovers }
 // — is one trace in the flight recorder.
 func (g *GroupBinding) LastTrace() uint64 { return g.trace }
 
-// MemberAddr returns the thread-0 address of the currently bound member
-// ("" before the first invocation).
-func (g *GroupBinding) MemberAddr() string {
-	if g.b == nil {
-		return ""
-	}
-	return g.b.ior.Addrs[0]
-}
-
 // rebind resolves the membership and binds the best member, skipping the
 // one that just failed when any alternative exists.
 func (g *GroupBinding) rebind() error {

@@ -31,13 +31,9 @@ var (
 	// orbSLO accounts each operation's latency/error budget as seen from
 	// the client side: an invocation is good iff it resolved without error
 	// within the per-op latency target. Defaults are package-wide
-	// (99.9% within 100ms over 60s); InvokeSLOs().Define tightens per op.
+	// (99.9% within 100ms over 60s).
 	orbSLO = obs.Default.MustSLOSet("orb_slo", obs.SLOConfig{})
 )
-
-// InvokeSLOs exposes the client-side SLO set so deployments can set
-// per-operation objectives (obs.SLOSet.Define).
-func InvokeSLOs() *obs.SLOSet { return orbSLO }
 
 // ServeDebug starts the opt-in introspection endpoint (Prometheus text at
 // /metrics, expvar-style JSON at /debug/vars, Chrome trace JSON at

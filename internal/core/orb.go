@@ -59,22 +59,9 @@ type ORB struct {
 	// out-argument segment); same owning-thread discipline as sendIov.
 	runScratch []dist.Run
 
-	// TransferWorkers is the fan-out width for distributed-argument
-	// segment sends: when > 0 it pins the width — up to that many
-	// goroutines encode and send the per-destination moves of one
-	// argument, when the fabric's sends are safe for concurrent use (see
-	// Router.ConcurrentSendSafe). 0 (the default) self-tunes the width per
-	// destination count and payload size from observed transfer times
-	// (core.FanWidth); negative forces the serial single-threaded path.
-	TransferWorkers int
-
-	// StreamChunkBytes bounds the payload bytes per ArgStream frame of one
-	// distributed-argument move: when > 0 it pins the chunk size, 0 (the
-	// default) self-tunes it per destination count and payload size on
-	// concurrency-safe fabrics (fixed default size elsewhere), and negative
-	// disables chunking — each move travels as a single staged frame, the
-	// pre-streaming behavior (core.StreamChunk).
-	StreamChunkBytes int
+	// TransferPolicy configures how distributed in-arguments are shipped
+	// (sendSegments).
+	TransferPolicy
 }
 
 // NewORB creates the ORB state for one computing thread. r is the thread's
@@ -601,43 +588,10 @@ func (o *ORB) dropPending(id uint32) {
 }
 
 // sendSegments ships one distributed in-argument's local elements to the
-// owning server threads. The exchange schedule comes from the process-wide
-// cache (repeated invocations with the same shapes skip construction); the
-// per-destination moves fan out across a worker width that is either
-// pinned by TransferWorkers or tuned online (core.FanWidth), and each move
-// streams as bounded chunks sized by StreamChunkBytes / core.StreamChunk —
-// encode of chunk k+1 overlapping the send of chunk k, so no move ever
-// stages its whole payload in one encoder.
+// owning server threads.
 func (o *ORB) sendSegments(b *Binding, req *pgiop.Request, param int, holder dseq.Distributed, server dist.Layout) error {
-	sched := dist.Cached(holder.DLayout(), server)
-	moves := sched.From(o.rank())
-	safe := o.r.ConcurrentSendSafe()
-	elemSize := holder.ElemSizeHint()
-	workers, done := FanWidth(o.TransferWorkers, safe, moves)
-	chunk, streamDone := StreamChunk(o.StreamChunkBytes, safe, len(moves), MoveBytes(moves, elemSize))
-	// Only scalar stream-key fields are captured, not req itself: the
-	// closure outlives the frame (worker goroutines), and capturing req
-	// would force every InvokeNB's request header to the heap — including
-	// invocations with no distributed arguments at all.
-	spec := StreamSpec{
-		BindingID: req.BindingID,
-		SeqNo:     req.SeqNo,
-		Param:     int32(param),
-		Dir:       pgiop.DirIn,
-		Sender:    int32(o.rank()),
-	}
-	err := FanOutMoves(workers, moves, func(m *dist.Move, iov *[2][]byte) error {
-		err := StreamMove(o.r, nexus.Addr(b.ior.Addrs[m.To]), holder, m, spec, chunk, elemSize, safe, iov)
-		if err != nil {
-			return fmt.Errorf("core: argument %d segment to thread %d: %w", param, m.To, err)
-		}
-		return nil
-	})
-	if err == nil {
-		done()
-		streamDone()
-	}
-	return err
+	return SendSegments(o.TransferPolicy, o.r, req, param, pgiop.DirIn, holder, o.rank(), server,
+		func(thread int) (nexus.Addr, uint32) { return nexus.Addr(b.ior.Addrs[thread]), 0 })
 }
 
 // pump processes incoming client-bound messages on the client thread — the

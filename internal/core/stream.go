@@ -12,29 +12,22 @@ import (
 	"pardis/internal/tune"
 )
 
-// Streamed segment transfer. PR 1's zero-copy path still staged a whole
-// move in one encoder before its first byte reached the wire; this file
-// streams each move as bounded chunks instead, double-buffering pooled
-// encoders so chunk k's vectored send overlaps chunk k+1's encode. Peak
-// per-move encoder residency is O(chunk) regardless of sequence size —
-// the ROADMAP's "a multi-GB sequence never materializes in one buffer".
-// Both segment senders (ORB in-arguments, POA out-results) funnel through
-// StreamMove; receivers already decode each ArgStream chunk positionally
-// into place, so no staging exists on that side either.
+// Streamed segment transfer. Each move travels as bounded chunks,
+// double-buffering pooled encoders so chunk k's vectored send overlaps chunk
+// k+1's encode. Peak per-move encoder residency is O(chunk) regardless of
+// sequence size — a multi-GB sequence never materializes in one buffer.
+// Receivers decode each ArgStream chunk positionally into place, so nothing
+// is buffered whole on that side either.
 
 // streamChunkBytes is the candidate chunk-size arm set. The smallest arm
 // doubles as the chunking threshold: payloads at or below it always take
-// the single-frame fast path, which keeps small-payload round trips
-// byte-identical in cost to the pre-streaming sender.
+// the single-frame fast path.
 var streamChunkBytes = [...]int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
 // defaultStreamArm indexes the chunk size used wherever online tuning is
 // unavailable (256 KiB: large enough to amortize per-frame cost, small
 // enough that double-buffered residency stays well under a megabyte).
 const defaultStreamArm = 1
-
-// DefaultStreamChunk is the fixed chunk size of untuned streamed transfers.
-var DefaultStreamChunk = streamChunkBytes[defaultStreamArm]
 
 // streamSel learns chunk sizes from observed wall-clock transfer times,
 // keyed per (destination count, total payload bucket) — the same
@@ -57,8 +50,8 @@ var (
 	streamPeakBuffer = obs.Default.MustGauge("stream_peak_buffer_bytes")
 )
 
-// ResetStreamPeak clears the peak-residency watermark (benchmarks and the
-// CI stream gate isolate one transfer's peak this way).
+// ResetStreamPeak clears the peak-residency watermark (tests isolate one
+// transfer's peak this way).
 func ResetStreamPeak() { streamPeakBuffer.Set(0) }
 
 // StreamPeakBytes reads the peak-residency watermark.
@@ -67,25 +60,19 @@ func StreamPeakBytes() int64 { return streamPeakBuffer.Load() }
 // StreamChunksTotal reads the cumulative chunk-frame count.
 func StreamChunksTotal() uint64 { return streamChunks.Load() }
 
-// StreamChunk resolves the chunk byte size for one segment transfer of
-// totalBytes spread over dests destinations, and returns a completion hook
-// for success paths (errored transfers teach the tuner nothing).
+// streamChunk resolves the chunk byte size for one segment transfer of
+// totalBytes spread over dests destinations — pin if positive, else tuned
+// per (destinations, payload bucket) on fabrics whose sends are
+// concurrency-safe (wall clocks are meaningful there) and the fixed default
+// size elsewhere (see TransferPolicy) — and returns a completion hook for
+// success paths (errored transfers teach the tuner nothing).
 //
-//	pin > 0  — explicit chunk size in bytes (the StreamChunkBytes override)
-//	pin == 0 — auto: tuned per (destinations, payload bucket) on fabrics
-//	           whose sends are concurrency-safe (wall clocks are
-//	           meaningful there); the fixed default size otherwise
-//	pin < 0  — disable chunking: whole-move frames, the staged path
-//
-// A zero return means "no chunking". Transfers at or below the smallest
-// arm cannot chunk whatever the decision, so they skip tuner state
-// entirely — small payloads stay off the selector's hot path.
-func StreamChunk(pin int, safe bool, dests, totalBytes int) (int, func()) {
+// Transfers at or below the smallest arm cannot chunk whatever the
+// decision, so they skip tuner state entirely — small payloads stay off the
+// selector's hot path.
+func streamChunk(pin int, safe bool, dests, totalBytes int) (int, func()) {
 	if pin > 0 {
 		return pin, noFanDone
-	}
-	if pin < 0 {
-		return 0, noFanDone
 	}
 	if totalBytes <= streamChunkBytes[0] {
 		return streamChunkBytes[0], noFanDone
@@ -106,11 +93,11 @@ func StreamChunk(pin int, safe bool, dests, totalBytes int) (int, func()) {
 	}
 }
 
-// StreamSpec carries the constant ArgStream header fields of one move's
+// streamSpec carries the constant ArgStream header fields of one move's
 // chunk stream. It holds only scalars (never the request itself), so
 // capturing it in fan-out closures does not drag a whole request header to
 // the heap.
-type StreamSpec struct {
+type streamSpec struct {
 	BindingID string
 	SeqNo     uint32
 	ReqID     uint32
@@ -119,23 +106,22 @@ type StreamSpec struct {
 	Sender    int32
 }
 
-// StreamMove ships one move's elements to addr as ArgStream chunks of at
-// most chunkBytes payload each (chunkBytes <= 0 streams the whole move as
-// one frame). Chunks decode positionally — each carries its own runs — so
-// the receiver needs no reassembly buffer; with overlap set (concurrency-
-// safe fabrics) the previous chunk's vectored send runs on a goroutine
-// while the next chunk encodes, bounding live payload encoders at two.
+// streamMove ships one move's elements to addr as ArgStream chunks of at
+// most chunkBytes payload each. Chunks decode positionally — each carries
+// its own runs — so the receiver needs no reassembly buffer; with overlap
+// set (concurrency-safe fabrics) the previous chunk's vectored send runs on
+// a goroutine while the next chunk encodes, bounding live payload encoders
+// at two.
 // Frames of one stream are still issued in order: each send is launched
 // only after the previous one returned, which the ≤2-chunk residency bound
 // depends on as much as the transport's per-connection FIFO does.
-func StreamMove(r *Router, addr nexus.Addr, holder dseq.Distributed, m *dist.Move,
-	spec StreamSpec, chunkBytes, elemSize int, overlap bool, iov *[2][]byte) error {
+func streamMove(r *Router, addr nexus.Addr, holder dseq.Distributed, m *dist.Move,
+	spec streamSpec, chunkBytes, elemSize int, overlap bool, iov *[2][]byte) error {
 
 	elems := m.Elements()
 	chunkElems := dist.ChunkElems(chunkBytes, elemSize)
-	if chunkElems <= 0 || elems <= chunkElems {
-		// Single-frame fast path: the pre-streaming sender, byte for byte
-		// (plus the constant v3 header fields).
+	if elems <= chunkElems {
+		// Single-frame fast path: no pipeline state, no goroutine.
 		enc := cdr.GetEncoder(elems * elemSize)
 		holder.EncodeRuns(enc, m.Runs)
 		streamChunks.Inc()
@@ -269,9 +255,9 @@ func wireRuns(runs []dist.Run) []pgiop.Run {
 	return out
 }
 
-// MoveBytes totals the payload bytes of a move set at the given element
+// moveBytes totals the payload bytes of a move set at the given element
 // size — the payload-bucket input of chunk-size tuning.
-func MoveBytes(moves []dist.Move, elemSize int) int {
+func moveBytes(moves []dist.Move, elemSize int) int {
 	elems := 0
 	for i := range moves {
 		elems += moves[i].Elements()

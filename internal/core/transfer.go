@@ -1,21 +1,90 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"pardis/internal/dist"
+	"pardis/internal/dseq"
+	"pardis/internal/nexus"
+	"pardis/internal/pgiop"
 )
+
+// TransferPolicy is how one side of a binding ships the segments of a
+// distributed argument. ORB (in-arguments) and POA (out-results) embed it,
+// so both sides are configured by the same two fields and run the same
+// sender, SendSegments. Each field has two states: zero, the default,
+// leaves the choice to a process-wide online tuner keyed by (destination
+// count, payload size); a positive value pins it, which tests use to make
+// frame counts and widths deterministic.
+type TransferPolicy struct {
+	// TransferWorkers is the fan-out width: how many goroutines encode and
+	// send the per-destination moves of one argument. Widths above 1 apply
+	// only when the fabric's sends are safe for concurrent use (see
+	// Router.ConcurrentSendSafe); elsewhere every move is sent from the
+	// calling goroutine whatever this says.
+	TransferWorkers int
+
+	// StreamChunkBytes bounds the payload bytes per ArgStream frame of one
+	// move. Unpinned, payloads up to 64 KiB always travel as one frame per
+	// move, and fabrics without concurrent sends (the virtual-time sim)
+	// use a fixed 256 KiB chunk so their schedules stay reproducible.
+	StreamChunkBytes int
+}
+
+// SendSegments ships rank's local elements of holder to the threads that
+// own them under the peer layout, as the ArgStream frames of (req's binding
+// and sequence number, param, dir). dest names each peer thread's address
+// and the request ID its frames carry (a client thread matches out-segments
+// by its own request ID; in-segments carry none). The exchange schedule
+// comes from the process-wide cache, so repeated invocations with the same
+// shapes skip construction; the per-destination moves fan out across
+// tp.TransferWorkers goroutines, and each move streams as chunks of at most
+// tp.StreamChunkBytes — encode of chunk k+1 overlapping the send of chunk k,
+// so no move ever holds more than two chunks of encoded payload.
+func SendSegments(tp TransferPolicy, r *Router, req *pgiop.Request, param int, dir byte,
+	holder dseq.Distributed, rank int, peer dist.Layout, dest func(thread int) (nexus.Addr, uint32)) error {
+
+	moves := dist.Cached(holder.DLayout(), peer).From(rank)
+	safe := r.ConcurrentSendSafe()
+	elemSize := holder.ElemSizeHint()
+	workers, fanDone := fanWidth(tp.TransferWorkers, safe, moves)
+	chunk, streamDone := streamChunk(tp.StreamChunkBytes, safe, len(moves), moveBytes(moves, elemSize))
+	// Only scalar stream-key fields are captured, not req itself: the
+	// closure outlives the frame (worker goroutines), and capturing req
+	// would force every InvokeNB's request header to the heap — including
+	// invocations with no distributed arguments at all.
+	spec := streamSpec{
+		BindingID: req.BindingID,
+		SeqNo:     req.SeqNo,
+		Param:     int32(param),
+		Dir:       dir,
+		Sender:    int32(rank),
+	}
+	err := fanOutMoves(workers, moves, func(m *dist.Move, iov *[2][]byte) error {
+		spec := spec
+		var addr nexus.Addr
+		addr, spec.ReqID = dest(m.To)
+		if err := streamMove(r, addr, holder, m, spec, chunk, elemSize, safe, iov); err != nil {
+			return fmt.Errorf("core: argument %d segment to thread %d: %w", param, m.To, err)
+		}
+		return nil
+	})
+	if err == nil {
+		fanDone()
+		streamDone()
+	}
+	return err
+}
 
 // iovPool recycles the two-buffer scratch lists used for vectored
 // header+payload sends, keeping both the serial and the parallel fan-out
 // paths allocation-free at steady state.
 var iovPool = sync.Pool{New: func() any { return new([2][]byte) }}
 
-// FanOutMoves is the parallel segment transfer engine's worker pool: it
-// runs send for every move from at most workers goroutines. The ORB's send
-// path and the POA's result path both funnel their per-destination moves
-// through it; distinct destinations are independent frame streams, so the
+// fanOutMoves is the segment sender's worker pool: it runs send for every
+// move from at most workers goroutines. Distinct destinations are independent frame streams, so the
 // per-(binding, seqno, param) ordering each receiver relies on is untouched
 // by reordering sends *across* destinations. Each send call receives a
 // private iov scratch for its vectored send, so pooled buffers never cross
@@ -24,8 +93,8 @@ var iovPool = sync.Pool{New: func() any { return new([2][]byte) }}
 //
 // With workers <= 1, or a single move, everything runs on the calling
 // goroutine — the single-threaded transport discipline fabrics like Sim
-// require. Callers gate workers on Router.ConcurrentSendSafe.
-func FanOutMoves(workers int, moves []dist.Move, send func(m *dist.Move, iov *[2][]byte) error) error {
+// require; fanWidth gates workers on Router.ConcurrentSendSafe.
+func fanOutMoves(workers int, moves []dist.Move, send func(m *dist.Move, iov *[2][]byte) error) error {
 	if len(moves) == 0 {
 		return nil
 	}

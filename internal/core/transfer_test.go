@@ -20,7 +20,7 @@ func testMoves(n int) []dist.Move {
 
 func TestFanOutMovesSerialOrder(t *testing.T) {
 	var order []int
-	err := FanOutMoves(1, testMoves(5), func(m *dist.Move, iov *[2][]byte) error {
+	err := fanOutMoves(1, testMoves(5), func(m *dist.Move, iov *[2][]byte) error {
 		order = append(order, m.To)
 		return nil
 	})
@@ -39,7 +39,7 @@ func TestFanOutMovesParallelCoversAll(t *testing.T) {
 	var hits [n]atomic.Int32
 	var mu sync.Mutex
 	goroutines := map[*[2][]byte]bool{}
-	err := FanOutMoves(8, testMoves(n), func(m *dist.Move, iov *[2][]byte) error {
+	err := fanOutMoves(8, testMoves(n), func(m *dist.Move, iov *[2][]byte) error {
 		hits[m.To].Add(1)
 		mu.Lock()
 		goroutines[iov] = true
@@ -63,7 +63,7 @@ func TestFanOutMovesParallelCoversAll(t *testing.T) {
 func TestFanOutMovesFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	var sent atomic.Int32
-	err := FanOutMoves(4, testMoves(100), func(m *dist.Move, iov *[2][]byte) error {
+	err := fanOutMoves(4, testMoves(100), func(m *dist.Move, iov *[2][]byte) error {
 		if m.To == 0 {
 			return boom
 		}
@@ -82,7 +82,7 @@ func TestFanOutMovesFirstErrorWins(t *testing.T) {
 func TestFanOutMovesSerialError(t *testing.T) {
 	boom := errors.New("boom")
 	n := 0
-	err := FanOutMoves(1, testMoves(10), func(m *dist.Move, iov *[2][]byte) error {
+	err := fanOutMoves(1, testMoves(10), func(m *dist.Move, iov *[2][]byte) error {
 		n++
 		if m.To == 2 {
 			return boom
@@ -95,12 +95,12 @@ func TestFanOutMovesSerialError(t *testing.T) {
 }
 
 func TestFanOutMovesEdgeCases(t *testing.T) {
-	if err := FanOutMoves(4, nil, nil); err != nil {
+	if err := fanOutMoves(4, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// More workers than moves clamps down rather than spawning idlers.
 	n := 0
-	err := FanOutMoves(16, testMoves(1), func(m *dist.Move, iov *[2][]byte) error {
+	err := fanOutMoves(16, testMoves(1), func(m *dist.Move, iov *[2][]byte) error {
 		n++
 		return nil
 	})

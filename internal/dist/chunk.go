@@ -50,12 +50,8 @@ func SplitRuns(runs []Run, off, n int, dst []Run) []Run {
 
 // ChunkElems converts a chunk byte budget into a per-chunk element count:
 // at least one element per chunk, with non-positive element sizes treated
-// as the 8-byte default estimate. A non-positive byte budget disables
-// chunking (returns 0, meaning "everything in one chunk").
+// as the 8-byte default estimate.
 func ChunkElems(chunkBytes, elemSize int) int {
-	if chunkBytes <= 0 {
-		return 0
-	}
 	if elemSize <= 0 {
 		elemSize = 8
 	}

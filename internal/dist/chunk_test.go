@@ -103,8 +103,8 @@ func TestSplitRunsRandomSchedules(t *testing.T) {
 
 func TestChunkElems(t *testing.T) {
 	cases := []struct{ bytes, size, want int }{
-		{0, 8, 0},    // disabled
-		{-1, 8, 0},   // disabled
+		{0, 8, 1}, // never below one element
+		{-1, 8, 1},
 		{64, 8, 8},   // exact
 		{100, 8, 12}, // floor
 		{4, 8, 1},    // never below one element

@@ -56,8 +56,8 @@ func TestExchangeAllocBound(t *testing.T) {
 	// Many small chunks make per-message codec state the dominant cost, so
 	// a regression from pooled to cold decoders (one allocation per
 	// received chunk) moves the count far past the bound.
-	defer func(old int) { ExchangeChunkBytes = old }(ExchangeChunkBytes)
-	ExchangeChunkBytes = 1 << 10
+	defer func(old int) { exchangeChunkBytes = old }(exchangeChunkBytes)
+	exchangeChunkBytes = 1 << 10
 	runSPMD(2, func(th rts.Thread) {
 		block := dist.BlockTemplate().Layout(8192, 2)
 		cyclic := dist.CyclicTemplate().Layout(8192, 2)

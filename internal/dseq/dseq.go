@@ -224,17 +224,16 @@ func Scatter[T any](comm rts.Comm, root int, full []T, n int, tmpl dist.Template
 	return &DSeq[T]{comm: comm, layout: dst, local: local, codec: codec}
 }
 
-// ExchangeChunkBytes bounds the payload of one redistribution message:
-// moves larger than this are streamed as several chunks instead of staged
-// in one full-move buffer, so peak encoder residency during a
-// redistribution is O(chunk) regardless of sequence size. <= 0 disables
-// chunking (the pre-streaming staged path). The size is a fixed constant
-// rather than the ORB's tuned one: redistribution runs on all three rts
-// backends including the virtual-time sim fabric, where wall-clock tuning
-// is meaningless, and a deterministic cut keeps sim schedules exactly
-// reproducible. Chunks are self-describing (each message carries its own
+// exchangeChunkBytes bounds the payload of one redistribution message:
+// moves larger than this are streamed as several chunks, so peak encoder
+// residency during a redistribution is O(chunk) regardless of sequence
+// size. The size is fixed (a variable only so in-package tests can force
+// many chunks) rather than the ORB's tuned one: redistribution runs on all
+// three rts backends including the virtual-time sim fabric, where
+// wall-clock tuning is meaningless, and a deterministic cut keeps sim
+// schedules exactly reproducible. Chunks are self-describing (each message carries its own
 // offset and count), so the value need not agree across ranks.
-var ExchangeChunkBytes = 256 << 10
+var exchangeChunkBytes = 256 << 10
 
 // chunkHdrBytes over-covers the off/count/more chunk header plus the
 // payload's alignment padding when sizing chunk encoders.
@@ -261,7 +260,7 @@ type exchMove struct {
 // exchange moves elements of one parallel program from layout src to layout
 // dst through the run-time system interface. Collective over comm.
 //
-// Large moves are streamed in chunks of at most ExchangeChunkBytes, and
+// Large moves are streamed in chunks of at most exchangeChunkBytes, and
 // the progress loop interleaves sends and receives across peers: each
 // round posts the next chunk of every outgoing move, then decodes one
 // arriving chunk of every incoming move straight into place, so outbound
@@ -304,7 +303,7 @@ func exchange[T any](comm rts.Comm, codec Codec[T], src, dst dist.Layout, in []T
 	if elemSize <= 0 {
 		elemSize = 8
 	}
-	chunkElems := dist.ChunkElems(ExchangeChunkBytes, elemSize)
+	chunkElems := dist.ChunkElems(exchangeChunkBytes, elemSize)
 	copies := sendCopies(comm)
 	var scratch []dist.Run
 	for {
@@ -316,7 +315,7 @@ func exchange[T any](comm rts.Comm, codec Codec[T], src, dst dist.Layout, in []T
 			}
 			pending = true
 			n := s.elems - s.done
-			if chunkElems > 0 && n > chunkElems {
+			if n > chunkElems {
 				n = chunkElems
 			}
 			scratch = dist.SplitRuns(s.m.Runs, s.done, n, scratch[:0])

@@ -31,25 +31,25 @@ func randTemplate(rng *rand.Rand, p int) dist.Template {
 }
 
 // TestChunkedExchangeMatchesUnchunked: a chunked redistribution delivers
-// exactly what the unchunked (disabled, whole-move frames) path delivers,
+// exactly what whole-move messages deliver,
 // for random layout pairs, random thread counts in 2..16, and chunk sizes
 // including one element per chunk and chunks larger than the whole payload.
 // Every element is its global index, so correctness is equality with the
 // ground truth both paths must reproduce bit for bit.
 func TestChunkedExchangeMatchesUnchunked(t *testing.T) {
-	defer func(old int) { ExchangeChunkBytes = old }(ExchangeChunkBytes)
+	defer func(old int) { exchangeChunkBytes = old }(exchangeChunkBytes)
 	rng := rand.New(rand.NewSource(0x5ee1))
-	// 0 disables chunking (the staged baseline); 8 is one float64 per
-	// chunk; 100 lands mid-run and unaligned to element size; 1<<20
-	// exceeds every payload here (the single-chunk fast path).
-	chunks := []int{0, 8, 100, 4 << 10, 1 << 20}
+	// 8 is one float64 per chunk; 100 lands mid-run and unaligned to
+	// element size; 1<<20 exceeds every payload here, so each move is one
+	// message (the unchunked baseline).
+	chunks := []int{8, 100, 4 << 10, 1 << 20}
 	for trial := 0; trial < 20; trial++ {
 		p := 2 + rng.Intn(15)
 		n := 1 + rng.Intn(2500)
 		srcT := randTemplate(rng, p)
 		dstT := randTemplate(rng, p)
 		for _, cb := range chunks {
-			ExchangeChunkBytes = cb
+			exchangeChunkBytes = cb
 			bad := make(chan string, p)
 			rts.NewChanGroup("stream", p).Run(func(th rts.Thread) {
 				s := New[float64](th, n, srcT, Float64Codec{})
@@ -77,9 +77,9 @@ func TestChunkedExchangeMatchesUnchunked(t *testing.T) {
 // virtual-time fabric: chunked messaging must stay correct under the sim's
 // deterministic single-threaded scheduling and by-reference delivery.
 func TestChunkedExchangeOnSimBackend(t *testing.T) {
-	defer func(old int) { ExchangeChunkBytes = old }(ExchangeChunkBytes)
-	for _, cb := range []int{0, 8, 4 << 10} {
-		ExchangeChunkBytes = cb
+	defer func(old int) { exchangeChunkBytes = old }(exchangeChunkBytes)
+	for _, cb := range []int{1 << 20, 8, 4 << 10} {
+		exchangeChunkBytes = cb
 		sim := vtime.NewSim()
 		host := simnet.NewHost("h", 1, 4, vtime.Microseconds(10), 1e8)
 		g := rts.NewSimGroup(sim, host, 4)

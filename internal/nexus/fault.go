@@ -55,8 +55,7 @@ type FaultInjector struct {
 	dead map[Addr]bool
 
 	// Per-kind tallies are obs counters so the injection hot path never
-	// takes fi.mu for counting, and so a test harness can expose them on a
-	// registry via RegisterMetrics. Stats remains a thin snapshot read.
+	// takes fi.mu for counting. Stats is a thin snapshot read.
 	sent, dropped, truncated, duplicated, delayed, blackholed obs.Counter
 }
 
@@ -95,29 +94,6 @@ func (fi *FaultInjector) Stats() FaultStats {
 		Delayed:    int(fi.delayed.Load()),
 		Blackholed: int(fi.blackholed.Load()),
 	}
-}
-
-// RegisterMetrics publishes the injector's counters on a registry under the
-// given prefix (e.g. "nexus_fault"). Opt-in, because injectors are per-test
-// fixtures and registry names must stay unique: only the harness that wants
-// its injector on a scrape endpoint registers it.
-func (fi *FaultInjector) RegisterMetrics(reg *obs.Registry, prefix string) error {
-	for _, c := range []struct {
-		suffix string
-		ctr    *obs.Counter
-	}{
-		{"sent_total", &fi.sent},
-		{"dropped_total", &fi.dropped},
-		{"truncated_total", &fi.truncated},
-		{"duplicated_total", &fi.duplicated},
-		{"delayed_total", &fi.delayed},
-		{"blackholed_total", &fi.blackholed},
-	} {
-		if err := reg.Register(prefix+"_"+c.suffix, c.ctr); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Wrap returns ep with the injector's fault schedule applied to its send

@@ -37,17 +37,11 @@ const (
 	MsgFault
 )
 
-// Version is the protocol version this build emits in every message.
-// Version 2 added the TraceID/SpanID pair to Request; version 3 added the
-// ChunkOff/More chunk-framing pair to ArgStream; version 4 added the
-// RetryAfterMS admission-control hint to Reply. Decoders accept any
-// version in [MinVersion, Version] and read version-gated fields only when
-// the frame's own version carries them, so v1 through v3 frames still
-// decode.
+// Version is the protocol version this build emits in every message and the
+// only one it accepts: PeekType, which every decoder runs first, rejects any
+// other version byte before a field is read. A change to the wire layout
+// bumps it.
 const Version byte = 4
-
-// MinVersion is the oldest protocol version decoders still accept.
-const MinVersion byte = 1
 
 var magic = [2]byte{'P', 'G'}
 
@@ -107,8 +101,8 @@ type Request struct {
 	// this invocation — most importantly segment collection — so a client
 	// that has given up never leaves the server wedged on its behalf.
 	DeadlineMS uint32
-	// TraceID/SpanID carry the invocation's trace context (version >= 2;
-	// both zero when tracing is off or the frame predates v2). TraceID is
+	// TraceID/SpanID carry the invocation's trace context (both zero when
+	// tracing is off). TraceID is
 	// allocated once at the stub and shared by every rank and layer the
 	// invocation touches; SpanID is the client's per-attempt send span, the
 	// parent under which the server nests its own spans — a retried attempt
@@ -134,8 +128,7 @@ type Reply struct {
 	Status byte
 	Error  string // exception reason when Status != StatusOK
 	// RetryAfterMS is the server's backoff hint in milliseconds when Status
-	// is StatusOverloaded (version >= 4; zero otherwise or when the frame
-	// predates v4).
+	// is StatusOverloaded (zero otherwise).
 	RetryAfterMS uint32
 	Body         []byte // return value + non-distributed out/inout arguments
 	OutLens      []OutLen
@@ -162,8 +155,7 @@ type ArgStream struct {
 	// arriving elements per sender, which is what lets a deadline failure
 	// name the rank whose share never arrived.
 	Sender int32
-	// ChunkOff/More are the streamed-transfer chunk framing (version >= 3;
-	// both zero on older frames). ChunkOff is this chunk's element offset
+	// ChunkOff/More are the streamed-transfer chunk framing. ChunkOff is this chunk's element offset
 	// within the sender's move and More reports whether further chunks of
 	// the same (param, sender) stream follow. Chunks are positionally
 	// self-describing — every one carries its own Runs — so receivers need
@@ -216,16 +208,12 @@ func putHeader(e *cdr.Encoder, t MsgType) {
 	e.PutOctet(byte(t))
 }
 
-// FrameVersion returns a valid frame's protocol version byte. Callers that
-// need it have already classified the frame with PeekType.
-func FrameVersion(frame []byte) byte { return frame[2] }
-
 // PeekType classifies a frame without fully decoding it.
 func PeekType(frame []byte) (MsgType, error) {
 	if len(frame) < 4 || frame[0] != magic[0] || frame[1] != magic[1] {
 		return 0, fmt.Errorf("%w: missing magic", ErrBadMessage)
 	}
-	if frame[2] < MinVersion || frame[2] > Version {
+	if frame[2] != Version {
 		return 0, fmt.Errorf("%w: version %d", ErrBadMessage, frame[2])
 	}
 	t := MsgType(frame[3])
@@ -274,7 +262,7 @@ func AppendRequest(e *cdr.Encoder, r *Request) {
 	e.PutString(r.Operation)
 	e.PutBool(r.Oneway)
 	e.PutULong(r.DeadlineMS)
-	// v2 trace context: always emitted (zero when tracing is off) so the
+	// Trace context: always emitted (zero when tracing is off) so the
 	// wire format is constant and the tracing-overhead comparison isolates
 	// span-recording cost, not frame-size differences.
 	e.PutULongLong(r.TraceID)
@@ -336,12 +324,8 @@ func DecodeRequestInto(r *Request, frame []byte) error {
 		Operation:  d.GetStringInterned(),
 		Oneway:     d.GetBool(),
 		DeadlineMS: d.GetULong(),
-	}
-	// Trace context exists only from protocol v2 on; a v1 frame's next
-	// field is the DistIns length, and TraceID/SpanID stay zero.
-	if FrameVersion(frame) >= 2 {
-		r.TraceID = d.GetULongLong()
-		r.SpanID = d.GetULongLong()
+		TraceID:    d.GetULongLong(),
+		SpanID:     d.GetULongLong(),
 	}
 	nIn := d.GetSeqLen(4)
 	for i := 0; i < nIn; i++ {
@@ -377,8 +361,8 @@ func AppendReply(e *cdr.Encoder, r *Reply) {
 	e.PutULong(r.ReqID)
 	e.PutOctet(r.Status)
 	e.PutString(r.Error)
-	// v4 admission hint: always emitted (zero for non-shed replies) so the
-	// wire format is constant per protocol version.
+	// Admission hint: always emitted (zero for non-shed replies) so the
+	// wire format is constant.
 	e.PutULong(r.RetryAfterMS)
 	e.PutSeqLen(len(r.OutLens))
 	for _, o := range r.OutLens {
@@ -415,14 +399,10 @@ func DecodeReplyInto(r *Reply, frame []byte) error {
 	}
 	defer d.Release()
 	*r = Reply{
-		ReqID:  d.GetULong(),
-		Status: d.GetOctet(),
-		Error:  d.GetString(),
-	}
-	// The admission hint exists only from protocol v4 on; a v3 frame's next
-	// field is the OutLens length, and RetryAfterMS stays zero.
-	if FrameVersion(frame) >= 4 {
-		r.RetryAfterMS = d.GetULong()
+		ReqID:        d.GetULong(),
+		Status:       d.GetOctet(),
+		Error:        d.GetString(),
+		RetryAfterMS: d.GetULong(),
 	}
 	n := d.GetSeqLen(4)
 	for i := 0; i < n; i++ {
@@ -453,8 +433,8 @@ func AppendArgStream(e *cdr.Encoder, a *ArgStream) {
 	e.PutLong(a.Param)
 	e.PutOctet(a.Dir)
 	e.PutLong(a.Sender)
-	// v3 chunk framing: always emitted (zero/false for unchunked sends) so
-	// the wire format is constant per protocol version.
+	// Chunk framing: always emitted (zero/false for single-frame moves) so
+	// the wire format is constant.
 	e.PutULong(a.ChunkOff)
 	e.PutBool(a.More)
 	e.PutSeqLen(len(a.Runs))
@@ -489,12 +469,8 @@ func DecodeArgStream(frame []byte) (*ArgStream, error) {
 		Param:     d.GetLong(),
 		Dir:       d.GetOctet(),
 		Sender:    d.GetLong(),
-	}
-	// Chunk framing exists only from protocol v3 on; a v2 frame's next
-	// field is the run count, and ChunkOff/More stay zero.
-	if FrameVersion(frame) >= 3 {
-		a.ChunkOff = d.GetULong()
-		a.More = d.GetBool()
+		ChunkOff:  d.GetULong(),
+		More:      d.GetBool(),
 	}
 	n := d.GetSeqLen(4)
 	if n > 0 {

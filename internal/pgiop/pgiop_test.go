@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"pardis/internal/cdr"
 	"pardis/internal/dist"
 )
 
@@ -117,180 +116,7 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeRequestV1 hand-builds a protocol-v1 Request frame — the pre-trace
-// layout, with no TraceID/SpanID between DeadlineMS and the DistIns count —
-// exactly as a v1 peer would emit it.
-func encodeRequestV1(r *Request) []byte {
-	e := cdr.NewEncoder(128 + len(r.Body))
-	e.PutOctet(magic[0])
-	e.PutOctet(magic[1])
-	e.PutOctet(1) // protocol version 1
-	e.PutOctet(byte(MsgRequest))
-	e.PutString(r.BindingID)
-	e.PutULong(r.SeqNo)
-	e.PutULong(r.ReqID)
-	e.PutLong(r.ClientRank)
-	e.PutLong(r.ClientSize)
-	e.PutString(r.ReplyAddr)
-	e.PutString(r.ObjectKey)
-	e.PutString(r.Operation)
-	e.PutBool(r.Oneway)
-	e.PutULong(r.DeadlineMS)
-	e.PutSeqLen(len(r.DistIns))
-	for _, s := range r.DistIns {
-		e.PutLong(s.Param)
-		e.PutLong(s.N)
-		dist.EncodeLayout(e, s.Layout)
-	}
-	e.PutSeqLen(len(r.DistOuts))
-	for _, s := range r.DistOuts {
-		e.PutLong(s.Param)
-		dist.EncodeTemplate(e, s.Tmpl)
-	}
-	e.PutSeqLen(len(r.Body))
-	e.PutRaw(r.Body)
-	return e.Bytes()
-}
-
-// TestV1FrameStillDecodes is the version-gating contract: a frame emitted
-// by a v1 peer (no trace fields) must decode on this build, with zero trace
-// context and every other field intact.
-func TestV1FrameStillDecodes(t *testing.T) {
-	in := &Request{
-		BindingID: "legacy", SeqNo: 9, ReqID: 41, ClientRank: 1, ClientSize: 2,
-		ReplyAddr: "inproc://c/1", ObjectKey: "obj:k", Operation: "solve",
-		DeadlineMS: 250, Body: []byte{7, 8},
-		DistIns:  []DistInSpec{{Param: 0, N: 16, Layout: dist.BlockTemplate().Layout(16, 2)}},
-		DistOuts: []DistOutSpec{{Param: 1, Tmpl: dist.BlockTemplate()}},
-	}
-	fr := encodeRequestV1(in)
-	if v := FrameVersion(fr); v != 1 {
-		t.Fatalf("test frame version = %d, want 1", v)
-	}
-	typ, err := PeekType(fr)
-	if err != nil || typ != MsgRequest {
-		t.Fatalf("PeekType(v1 frame) = %v, %v", typ, err)
-	}
-	out, err := DecodeRequest(fr)
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
-	}
-	if out.TraceID != 0 || out.SpanID != 0 {
-		t.Fatalf("v1 frame produced trace context %x/%x, want 0/0", out.TraceID, out.SpanID)
-	}
-	if out.BindingID != "legacy" || out.SeqNo != 9 || out.ReqID != 41 ||
-		out.Operation != "solve" || out.DeadlineMS != 250 ||
-		string(out.Body) != string(in.Body) ||
-		len(out.DistIns) != 1 || !out.DistIns[0].Layout.Equal(in.DistIns[0].Layout) ||
-		len(out.DistOuts) != 1 {
-		t.Fatalf("v1 frame fields corrupted: %+v", out)
-	}
-}
-
-// encodeArgStreamV2 hand-builds a protocol-v2 ArgStream frame — the
-// pre-chunking layout, with no ChunkOff/More between Sender and the run
-// count — exactly as a v2 peer would emit it.
-func encodeArgStreamV2(a *ArgStream) []byte {
-	e := cdr.NewEncoder(64 + len(a.Payload))
-	e.PutOctet(magic[0])
-	e.PutOctet(magic[1])
-	e.PutOctet(2) // protocol version 2
-	e.PutOctet(byte(MsgArgStream))
-	e.PutString(a.BindingID)
-	e.PutULong(a.SeqNo)
-	e.PutULong(a.ReqID)
-	e.PutLong(a.Param)
-	e.PutOctet(a.Dir)
-	e.PutLong(a.Sender)
-	e.PutSeqLen(len(a.Runs))
-	for _, r := range a.Runs {
-		e.PutLong(r.Global)
-		e.PutLong(r.Len)
-		e.PutLong(r.DstOff)
-	}
-	e.PutSeqLen(len(a.Payload))
-	e.PutRaw(a.Payload)
-	return e.Bytes()
-}
-
-// TestV2ArgStreamStillDecodes is the chunk-framing version-gating contract:
-// an ArgStream from a v2 peer (no ChunkOff/More) must decode on this build
-// with zero chunk framing and every other field intact.
-func TestV2ArgStreamStillDecodes(t *testing.T) {
-	in := &ArgStream{
-		BindingID: "legacy", SeqNo: 4, ReqID: 12, Param: 1, Dir: DirIn, Sender: 3,
-		Runs:    []Run{{Global: 8, Len: 4, DstOff: 0}},
-		Payload: []byte{1, 2, 3},
-	}
-	fr := encodeArgStreamV2(in)
-	if v := FrameVersion(fr); v != 2 {
-		t.Fatalf("test frame version = %d, want 2", v)
-	}
-	out, err := DecodeArgStream(fr)
-	if err != nil {
-		t.Fatalf("v2 frame rejected: %v", err)
-	}
-	if out.ChunkOff != 0 || out.More {
-		t.Fatalf("v2 frame produced chunk framing %d/%v, want 0/false", out.ChunkOff, out.More)
-	}
-	if out.BindingID != "legacy" || out.SeqNo != 4 || out.Sender != 3 ||
-		len(out.Runs) != 1 || out.Runs[0] != (Run{8, 4, 0}) ||
-		string(out.Payload) != string(in.Payload) {
-		t.Fatalf("v2 frame fields corrupted: %+v", out)
-	}
-}
-
-// encodeReplyV3 hand-builds a protocol-v3 Reply frame — the pre-admission
-// layout, with no RetryAfterMS between Error and the OutLens count —
-// exactly as a v3 peer would emit it.
-func encodeReplyV3(r *Reply) []byte {
-	e := cdr.NewEncoder(64 + len(r.Body))
-	e.PutOctet(magic[0])
-	e.PutOctet(magic[1])
-	e.PutOctet(3) // protocol version 3
-	e.PutOctet(byte(MsgReply))
-	e.PutULong(r.ReqID)
-	e.PutOctet(r.Status)
-	e.PutString(r.Error)
-	e.PutSeqLen(len(r.OutLens))
-	for _, o := range r.OutLens {
-		e.PutLong(o.Param)
-		e.PutLong(o.N)
-		dist.EncodeLayout(e, o.Layout)
-	}
-	e.PutSeqLen(len(r.Body))
-	e.PutRaw(r.Body)
-	return e.Bytes()
-}
-
-// TestV3ReplyStillDecodes is the admission-hint version-gating contract: a
-// Reply from a v3 peer (no RetryAfterMS) must decode on this build with a
-// zero hint and every other field intact.
-func TestV3ReplyStillDecodes(t *testing.T) {
-	in := &Reply{
-		ReqID: 31, Status: StatusException, Error: "boom",
-		Body:    []byte{4, 5},
-		OutLens: []OutLen{{Param: 0, N: 8, Layout: dist.BlockTemplate().Layout(8, 2)}},
-	}
-	fr := encodeReplyV3(in)
-	if v := FrameVersion(fr); v != 3 {
-		t.Fatalf("test frame version = %d, want 3", v)
-	}
-	out, err := DecodeReply(fr)
-	if err != nil {
-		t.Fatalf("v3 frame rejected: %v", err)
-	}
-	if out.RetryAfterMS != 0 {
-		t.Fatalf("v3 frame produced retry hint %d, want 0", out.RetryAfterMS)
-	}
-	if out.ReqID != 31 || out.Status != StatusException || out.Error != "boom" ||
-		string(out.Body) != string(in.Body) ||
-		len(out.OutLens) != 1 || !out.OutLens[0].Layout.Equal(in.OutLens[0].Layout) {
-		t.Fatalf("v3 frame fields corrupted: %+v", out)
-	}
-}
-
-// TestRetryHintRoundTrip: the v4 admission hint survives encode/decode.
+// TestRetryHintRoundTrip: the admission hint survives encode/decode.
 func TestRetryHintRoundTrip(t *testing.T) {
 	in := &Reply{ReqID: 2, Status: StatusOverloaded, Error: "overloaded", RetryAfterMS: 15}
 	out, err := DecodeReply(EncodeReply(in))
@@ -302,7 +128,7 @@ func TestRetryHintRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChunkFramingRoundTrip: the v3 chunk fields survive encode/decode.
+// TestChunkFramingRoundTrip: the chunk fields survive encode/decode.
 func TestChunkFramingRoundTrip(t *testing.T) {
 	in := &ArgStream{
 		BindingID: "b", SeqNo: 1, Param: 0, Dir: DirIn, Sender: 2,
@@ -319,16 +145,27 @@ func TestChunkFramingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFutureVersionRejected: frames newer than this build's Version are
-// refused outright rather than misparsed.
+// TestFutureVersionRejected: a frame whose version byte is anything but
+// this build's Version — newer or older — is refused outright rather than
+// misparsed, by PeekType and so by every decoder.
 func TestFutureVersionRejected(t *testing.T) {
 	fr := EncodeRequest(&Request{BindingID: "b", Operation: "op"})
-	fr[2] = Version + 1
-	if _, err := PeekType(fr); !errors.Is(err, ErrBadMessage) {
-		t.Fatal("future version accepted by PeekType")
-	}
-	if _, err := DecodeRequest(fr); !errors.Is(err, ErrBadMessage) {
-		t.Fatal("future version accepted by DecodeRequest")
+	for v := 0; v < 256; v++ {
+		fr[2] = byte(v)
+		_, perr := PeekType(fr)
+		_, derr := DecodeRequest(fr)
+		if byte(v) == Version {
+			if perr != nil || derr != nil {
+				t.Fatalf("own version %d rejected: %v, %v", v, perr, derr)
+			}
+			continue
+		}
+		if !errors.Is(perr, ErrBadMessage) {
+			t.Fatalf("version %d accepted by PeekType", v)
+		}
+		if !errors.Is(derr, ErrBadMessage) {
+			t.Fatalf("version %d accepted by DecodeRequest", v)
+		}
 	}
 }
 

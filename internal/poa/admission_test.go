@@ -68,7 +68,7 @@ func startAdmissionServer(t *testing.T, fab *nexus.Inproc, srv poa.Servant, limi
 			t.Error(err)
 			return
 		}
-		p.SetDispatchWorkers(1)
+		p.SetDispatchAuto(1, 1)
 		iorCh <- ior
 		poaCh <- p
 		p.ImplIsReady()
@@ -238,7 +238,7 @@ func TestOnewayShedIsDropped(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		p.SetDispatchWorkers(1)
+		p.SetDispatchAuto(1, 1)
 		iorCh <- ior
 		poaCh <- p
 		p.ImplIsReady()

@@ -8,18 +8,59 @@ import (
 
 	"pardis/internal/core"
 	"pardis/internal/nexus"
+	"pardis/internal/obs"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
 )
+
+// poolResizes reads poa_dispatch_pool_resizes_total.
+func poolResizes() (n uint64) {
+	obs.Default.Each(func(name string, m any) {
+		if name == "poa_dispatch_pool_resizes_total" {
+			n = m.(*obs.Counter).Load()
+		}
+	})
+	return n
+}
 
 // TestAutoDispatchPoolGrowsAndShrinks drives the self-sizing dispatch pool
 // through its whole regime: it starts at min, doubles under a sustained
 // backlog of slow single-object invocations, and decays back to min after
 // the idle window — all observed from the POA's owning thread, where every
 // pool operation lives. Run under -race this also exercises the
-// retirement-pill shutdown of surplus workers.
+// retirement-pill shutdown of surplus workers. The same burst/idle schedule
+// against min == max must never resize: that is the fixed-width pool.
 func TestAutoDispatchPoolGrowsAndShrinks(t *testing.T) {
-	const clients, calls, maxWorkers = 12, 4, 8
+	peak, final, resizes, conc := runPoolSchedule(t, 1, 8)
+	// Twelve 1ms-holding clients against one starting worker must back the
+	// queue up past the 2x growth threshold.
+	if peak < 2 {
+		t.Fatalf("pool peaked at %d workers; controller never grew", peak)
+	}
+	if final != 1 {
+		t.Fatalf("pool settled at %d workers after idling, want min=1", final)
+	}
+	if resizes < 2 {
+		t.Fatalf("%d resizes counted for a pool that grew and shrank", resizes)
+	}
+	if conc < 2 {
+		t.Fatalf("peak servant concurrency %d; grown pool did not pipeline", conc)
+	}
+
+	peak, final, resizes, _ = runPoolSchedule(t, 4, 4)
+	if peak != 4 || final != 4 || resizes != 0 {
+		t.Fatalf("fixed pool: peak %d, final %d workers, %d resizes; want 4, 4, 0", peak, final, resizes)
+	}
+}
+
+// runPoolSchedule serves a burst of slow invocations and then idles past
+// the controller's shrink window on a SetDispatchAuto(min, max) pool. It
+// returns the peak and final worker counts, the resize-counter delta, and
+// the servant's peak concurrency.
+func runPoolSchedule(t *testing.T, min, max int) (peakWorkers, finalWorkers int64, resizes uint64, conc int64) {
+	t.Helper()
+	const clients, calls = 12, 4
+	resizes0 := poolResizes()
 	fab := nexus.NewInproc()
 	g := rts.NewChanGroup("auto-host", 1)
 	iorCh := make(chan core.IOR, 1)
@@ -39,9 +80,9 @@ func TestAutoDispatchPoolGrowsAndShrinks(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		p.SetDispatchAuto(1, maxWorkers)
-		if got := p.DispatchWorkers(); got != 1 {
-			t.Errorf("auto pool started with %d workers, want min=1", got)
+		p.SetDispatchAuto(min, max)
+		if got := p.DispatchWorkers(); got != min {
+			t.Errorf("pool started with %d workers, want min=%d", got, min)
 		}
 		iorCh <- ior
 		idle := 0
@@ -63,7 +104,10 @@ func TestAutoDispatchPoolGrowsAndShrinks(t *testing.T) {
 			th.Sleep(p.PollInterval)
 		}
 		final.Store(int64(p.DispatchWorkers()))
-		p.SetDispatchWorkers(0)
+		p.SetDispatchAuto(0, 0)
+		if got := p.DispatchWorkers(); got != 0 {
+			t.Errorf("%d workers after SetDispatchAuto(0, 0), want serial dispatch", got)
+		}
 	}()
 	ior := <-iorCh
 
@@ -103,15 +147,5 @@ func TestAutoDispatchPoolGrowsAndShrinks(t *testing.T) {
 	if got := srv.served.Load(); got != clients*calls {
 		t.Fatalf("served %d of %d invocations", got, clients*calls)
 	}
-	// Twelve 1ms-holding clients against one starting worker must back the
-	// queue up past the 2x growth threshold.
-	if peak.Load() < 2 {
-		t.Fatalf("pool peaked at %d workers; controller never grew", peak.Load())
-	}
-	if final.Load() != 1 {
-		t.Fatalf("pool settled at %d workers after idling, want min=1", final.Load())
-	}
-	if srv.peak.Load() < 2 {
-		t.Fatalf("peak servant concurrency %d; grown pool did not pipeline", srv.peak.Load())
-	}
+	return peak.Load(), final.Load(), poolResizes() - resizes0, srv.peak.Load()
 }

@@ -75,7 +75,7 @@ func TestPooledDispatchManyClients(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		p.SetDispatchWorkers(workers)
+		p.SetDispatchAuto(workers, workers)
 		iorCh <- ior
 		p.ImplIsReady()
 	}()
@@ -255,10 +255,10 @@ func TestSetDispatchWorkersRestoresSerial(t *testing.T) {
 			select {
 			case n, ok := <-phase:
 				if !ok {
-					p.SetDispatchWorkers(0)
+					p.SetDispatchAuto(0, 0)
 					return
 				}
-				p.SetDispatchWorkers(n)
+				p.SetDispatchAuto(n, n)
 			default:
 			}
 			p.ProcessRequests()

@@ -638,41 +638,14 @@ func (p *POA) encodeResults(enc *cdr.Encoder, op *core.Operation, ret any, outs 
 			}
 		}
 		clientLayout := tmpl.Layout(holder.GlobalLen(), int(req.ClientSize))
-		// Same-shape replies reuse the cached transfer schedule, and the
-		// per-destination moves fan out from the worker pool: each client
-		// thread's segment stream is an independent (binding, seqno, param)
-		// key, so reordering sends across destinations is safe. Each move
-		// streams as bounded chunks (core.StreamMove), encode overlapping
-		// send, so a large result never stages whole in one encoder.
-		sched := dist.Cached(holder.DLayout(), clientLayout)
-		outMoves := sched.From(p.th.Rank())
-		safe := p.r.ConcurrentSendSafe()
-		elemSize := holder.ElemSizeHint()
-		workers, fanDone := core.FanWidth(p.TransferWorkers, safe, outMoves)
-		chunk, streamDone := core.StreamChunk(p.StreamChunkBytes, safe, len(outMoves), core.MoveBytes(outMoves, elemSize))
-		param := i
-		err := core.FanOutMoves(workers, outMoves, func(mv *dist.Move, iov *[2][]byte) error {
-			// The chunk-stream header is per destination here: each client
-			// thread matches out-segments by its own request ID.
-			spec := core.StreamSpec{
-				BindingID: req.BindingID,
-				SeqNo:     req.SeqNo,
-				ReqID:     clients[mv.To].ReqID,
-				Param:     int32(param),
-				Dir:       pgiop.DirOut,
-				Sender:    int32(p.th.Rank()),
-			}
-			serr := core.StreamMove(p.r, nexus.Addr(clients[mv.To].Addr), holder, mv, spec, chunk, elemSize, safe, iov)
-			if serr != nil {
-				return fmt.Errorf("out segment to client %d: %v", mv.To, serr)
-			}
-			return nil
-		})
+		// Each client thread matches out-segments by its own request ID.
+		err := core.SendSegments(p.TransferPolicy, p.r, req, i, pgiop.DirOut, holder, p.th.Rank(), clientLayout,
+			func(thread int) (nexus.Addr, uint32) {
+				return nexus.Addr(clients[thread].Addr), clients[thread].ReqID
+			})
 		if err != nil {
 			return nil, nil, err
 		}
-		fanDone()
-		streamDone()
 		outLens = append(outLens, pgiop.OutLen{Param: int32(i), N: int32(holder.GlobalLen()), Layout: holder.DLayout()})
 	}
 	return enc.Bytes(), outLens, nil

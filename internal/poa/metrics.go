@@ -16,12 +16,10 @@ var (
 	// poaPoolDepth is the number of single-object requests currently queued
 	// to or executing on the opt-in dispatch pool.
 	poaPoolDepth = obs.Default.MustGauge("poa_dispatch_pool_depth")
-	// poaPoolWorkers is the dispatch pool's current worker count — fixed
-	// under SetDispatchWorkers, floating in [min, max] under
-	// SetDispatchAuto. Last-writer-wins across POAs, like the depth gauge.
+	// poaPoolWorkers is the dispatch pool's current worker count, floating
+	// in the [min, max] of SetDispatchAuto. Last-writer-wins across POAs, like the depth gauge.
 	poaPoolWorkers = obs.Default.MustGauge("poa_dispatch_pool_workers")
-	// poaPoolResizes counts self-sizing grow/shrink events of the auto
-	// dispatch pool.
+	// poaPoolResizes counts grow/shrink events of the dispatch pool.
 	poaPoolResizes = obs.Default.MustCounter("poa_dispatch_pool_resizes_total")
 	// poaDispatchLatency observes routing-to-reply time of every dispatch,
 	// single and SPMD.
@@ -36,10 +34,6 @@ var (
 	// so they show up in the client-side orb_slo instead).
 	poaSLO = obs.Default.MustSLOSet("poa_slo", obs.SLOConfig{})
 )
-
-// DispatchSLOs exposes the server-side SLO set so deployments can set
-// per-operation objectives (obs.SLOSet.Define).
-func DispatchSLOs() *obs.SLOSet { return poaSLO }
 
 // ServeDebug starts the opt-in introspection endpoint (Prometheus text at
 // /metrics, expvar-style JSON at /debug/vars, Chrome trace JSON at

@@ -146,7 +146,7 @@ type POA struct {
 	fault           error // unrecoverable agreement failure (see faultCollective)
 
 	// pool, when non-nil, pipelines single-object dispatch across worker
-	// goroutines (see SetDispatchWorkers). SPMD dispatch never uses it.
+	// goroutines (see SetDispatchAuto). SPMD dispatch never uses it.
 	pool *dispatchPool
 
 	// Admission control (see SetAdmission): admitted counts single-object
@@ -209,21 +209,9 @@ type POA struct {
 	// RegisterSPMD all-gather), the notification fan-out for faults.
 	peers []string
 
-	// TransferWorkers is the fan-out width for shipping distributed
-	// out-argument segments to client threads: > 0 pins the width, 0 (the
-	// default) self-tunes it per destination count and payload size
-	// (core.FanWidth), negative forces the serial path. Widths above 1
-	// take effect only on fabrics whose sends are concurrency-safe
-	// (Router.ConcurrentSendSafe).
-	TransferWorkers int
-
-	// StreamChunkBytes bounds the payload bytes per ArgStream frame of one
-	// distributed out-argument move: > 0 pins the chunk size, 0 (the
-	// default) self-tunes it per destination count and payload size on
-	// concurrency-safe fabrics (fixed default size elsewhere), negative
-	// disables chunking and ships each move as one staged frame
-	// (core.StreamChunk).
-	StreamChunkBytes int
+	// TransferPolicy configures how distributed out-results are shipped to
+	// client threads (encodeResults).
+	core.TransferPolicy
 }
 
 // New creates the adapter for one computing thread. table (optional)
@@ -446,10 +434,10 @@ func (p *POA) ProcessRequests() int {
 		count++
 		p.drain()
 	}
-	// The self-sizing pool is steered here — the owning-thread safe point
+	// The dispatch pool is steered here — the owning-thread safe point
 	// every dispatch round passes through — so resizing never races the
 	// enqueue path above.
-	if p.pool != nil && p.pool.auto {
+	if p.pool != nil {
 		p.pool.tune(p)
 	}
 	// Collective phase: thread 0 announces the completed SPMD

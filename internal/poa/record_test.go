@@ -90,7 +90,7 @@ func serveObject(t *testing.T, ep nexus.Endpoint, iface *core.InterfaceDef, s po
 			close(iorCh)
 			return
 		}
-		p.SetDispatchWorkers(workers)
+		p.SetDispatchAuto(workers, workers)
 		iorCh <- ior
 		p.ImplIsReady()
 	}()

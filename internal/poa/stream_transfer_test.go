@@ -15,8 +15,8 @@ import (
 
 // runStreamedAxpy runs one SPMD axpy round trip with the given chunk pin on
 // both the ORB (in-argument) and POA (out-result) segment senders, and
-// verifies every element on every client thread. chunkBytes < 0 is the
-// staged whole-move path, tiny positive values force many chunks per move.
+// verifies every element on every client thread. Tiny values force many
+// chunks per move; one larger than the payload ships each move whole.
 func runStreamedAxpy(t *testing.T, n, servers, clients, chunkBytes int) {
 	t.Helper()
 	fab := nexus.NewInproc()
@@ -80,15 +80,15 @@ func runStreamedAxpy(t *testing.T, n, servers, clients, chunkBytes int) {
 	wg.Wait()
 }
 
-// TestStreamedTransferMatchesStaged pins the streamed segment pipeline
-// against the staged whole-move baseline across chunk sizes that slice the
-// same payload very differently: one element per chunk, a run-misaligned
-// size, one that chunks only the larger moves, and one larger than any
-// payload (the single-frame fast path). Every variant must deliver results
-// identical to the staged path on uneven server/client thread counts.
+// TestStreamedTransferMatchesStaged runs the streamed segment pipeline
+// across chunk sizes that slice the same payload very differently: one
+// element per chunk, a run-misaligned size, one that chunks only the larger
+// moves, and one larger than any payload (every move whole, in one frame).
+// Every variant must deliver identical, fully verified results on uneven
+// server/client thread counts.
 func TestStreamedTransferMatchesStaged(t *testing.T) {
 	const n = 3001
-	for _, chunk := range []int{-1, 8, 100, 4 << 10, 1 << 26} {
+	for _, chunk := range []int{8, 100, 4 << 10, 1 << 26} {
 		runStreamedAxpy(t, n, 4, 3, chunk)
 	}
 }
@@ -104,7 +104,7 @@ func TestStreamedTransferChunkMetrics(t *testing.T) {
 	runStreamedAxpy(t, n, 2, 2, chunk)
 	sent := core.StreamChunksTotal() - before
 	// Three distributed parameters cross 2x2 thread pairs in ~1 KiB chunks:
-	// far more frames than the 12 a staged transfer would use.
+	// far more frames than the 12 whole moves.
 	if sent < 100 {
 		t.Fatalf("chunk counter advanced by %d; expected a chunked transfer", sent)
 	}

@@ -24,8 +24,8 @@ func TestFullyDistributedTCPStack(t *testing.T) {
 		t.Skip("full TCP stack; skipped with -short")
 	}
 	const S, C, N = 3, 2, 5000
-	serverCoord := "127.0.0.1:39751"
-	clientCoord := "127.0.0.1:39761"
+	serverCoord := "127.0.0.1:29751"
+	clientCoord := "127.0.0.1:29761"
 	iorCh := make(chan core.IOR, 1)
 	var wg sync.WaitGroup
 
@@ -136,7 +136,7 @@ func TestTCPServerClosesRightAfterImplIsReady(t *testing.T) {
 		defer close(served)
 		defer sep.Close()
 		adapter := poa.New(rts.NewChanGroup("srv", 1).Thread(0), core.NewRouter(sep), nil)
-		adapter.SetDispatchWorkers(4)
+		adapter.SetDispatchAuto(4, 4)
 		ior, err := adapter.RegisterSingle("gauge-1", gaugeIface(), poa.ServantFunc(
 			func(_ *poa.Context, _ string, in []any) (any, []any, error) {
 				return int32(len(in[0].(string))), []any{in[0]}, nil

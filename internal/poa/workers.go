@@ -25,12 +25,12 @@ type localReq struct {
 // with the next request's receive. SPMD collective dispatch never enters
 // the pool — it stays on the agreement path of the POA thread.
 //
-// In auto mode (SetDispatchAuto) the worker count floats between min and
-// max, steered by the POA thread against the pool's own depth signal — the
-// same quantity the poa_dispatch_pool_depth gauge exports: sustained
-// backlog grows the pool, sustained idleness shrinks it back. All resizing
-// happens from the owning thread at the ProcessRequests safe point; growth
-// spawns workers, shrinkage enqueues retirement pills.
+// The worker count floats between min and max (SetDispatchAuto), steered
+// by the POA thread against the pool's own depth signal — the same quantity
+// the poa_dispatch_pool_depth gauge exports: sustained backlog grows the
+// pool, sustained idleness shrinks it back. All resizing happens from the
+// owning thread at the ProcessRequests safe point; growth spawns workers,
+// shrinkage enqueues retirement pills.
 type dispatchPool struct {
 	reqs chan localReq
 	wg   sync.WaitGroup
@@ -39,8 +39,7 @@ type dispatchPool struct {
 	// twin of the process-wide gauge; a process may host several POAs).
 	depth atomic.Int64
 
-	// Auto-mode state, owned by the POA thread.
-	auto     bool
+	// Controller state, owned by the POA thread.
 	workers  int // current live worker target (pills in flight already deducted)
 	min, max int
 	idleFor  int // consecutive controller rounds with an empty, idle pool
@@ -52,13 +51,13 @@ type dispatchPool struct {
 // tens of milliseconds — far above any dispatch burst period.
 const poolIdleRounds = 64
 
-func newDispatchPool(p *POA, n, min, max int, auto bool) *dispatchPool {
+func newDispatchPool(p *POA, min, max int) *dispatchPool {
 	pl := &dispatchPool{
-		reqs: make(chan localReq, 4*max),
-		auto: auto, workers: n, min: min, max: max,
+		reqs:    make(chan localReq, 4*max),
+		workers: min, min: min, max: max,
 	}
-	pl.spawn(p, n)
-	poaPoolWorkers.Set(int64(n))
+	pl.spawn(p, min)
+	poaPoolWorkers.Set(int64(min))
 	return pl
 }
 
@@ -85,7 +84,7 @@ func (pl *dispatchPool) run(p *POA) {
 	}
 }
 
-// tune is the auto-mode controller, called from ProcessRequests on the
+// tune is the pool-size controller, called from ProcessRequests on the
 // owning thread each round. Backlog beyond 2× the worker count means the
 // pool is the bottleneck: double up to max. A pool that has been both
 // empty and idle for poolIdleRounds consecutive rounds halves down to min,
@@ -123,38 +122,25 @@ func (pl *dispatchPool) tune(p *POA) {
 	}
 }
 
-// SetDispatchWorkers gives the POA an opt-in worker pool of n goroutines
-// for single-object dispatch, so independent requests from different
-// clients execute concurrently while SPMD collective ordering stays on the
-// agreement path (replies are matched by request ID, so out-of-order
-// completion is safe). n <= 0 restores serial dispatch. The call is a no-op
-// on fabrics whose sends are not safe for concurrent use (see
-// Router.ConcurrentSendSafe). The width is pinned — see SetDispatchAuto
-// for the self-sizing pool.
+// SetDispatchAuto gives the POA an opt-in worker pool for single-object
+// dispatch, so independent requests from different clients execute
+// concurrently while SPMD collective ordering stays on the agreement path
+// (replies are matched by request ID, so out-of-order completion is safe).
+// The worker count starts at min and floats in [min, max], growing when the
+// queue depth shows the pool is the bottleneck and shrinking after
+// sustained idleness (see dispatchPool.tune); min == max is a fixed width.
+// max <= 0 restores serial dispatch; otherwise min is clamped to at least 1
+// and max to at least min. The call leaves dispatch serial on fabrics whose
+// sends are not safe for concurrent use (see Router.ConcurrentSendSafe).
 //
 // Pooled dispatch imposes two rules the serial path does not: servants of
 // single objects must be safe for concurrent invocation, and they cannot
 // poll for further requests mid-computation (Context.POA is nil — the
 // ProcessRequests reentry of the paper's §4.2 is a POA-thread affordance).
 // Call from the POA's owning thread, outside ImplIsReady/ProcessRequests.
-func (p *POA) SetDispatchWorkers(n int) {
-	p.stopDispatchPool()
-	if n <= 0 || !p.r.ConcurrentSendSafe() {
-		return
-	}
-	p.pool = newDispatchPool(p, n, n, n, false)
-}
-
-// SetDispatchAuto gives the POA a self-sizing dispatch pool: the worker
-// count starts at min and floats in [min, max], growing when the queue
-// depth shows the pool is the bottleneck and shrinking after sustained
-// idleness (see dispatchPool.tune). Pooled-dispatch servant rules apply
-// exactly as for SetDispatchWorkers — which remains the pin-override for
-// a fixed width. min is clamped to at least 1; max to at least min. No-op
-// on fabrics without concurrency-safe sends.
 func (p *POA) SetDispatchAuto(min, max int) {
 	p.stopDispatchPool()
-	if !p.r.ConcurrentSendSafe() {
+	if max <= 0 || !p.r.ConcurrentSendSafe() {
 		return
 	}
 	if min < 1 {
@@ -163,7 +149,7 @@ func (p *POA) SetDispatchAuto(min, max int) {
 	if max < min {
 		max = min
 	}
-	p.pool = newDispatchPool(p, min, min, max, true)
+	p.pool = newDispatchPool(p, min, max)
 }
 
 // DispatchWorkers reports the pool's current worker count (0 = serial

@@ -3,12 +3,10 @@
 // pardis-reg serves them as /debug/cluster JSON and a Prometheus
 // federation page — one scrape sees the whole group.
 //
-// The digest travels as a self-versioned string ("1;k=v;...") inside the
-// report_load_v2 operation. The discipline mirrors the pgiop frame fields:
-// writers always write every field they know, readers gate on the version
-// they understand and ignore unknown keys — so the format can grow without
-// another wire operation, and a newer replica's digest still parses on an
-// older repository.
+// The digest travels as a self-versioned string ("1;k=v;...") in the
+// report_load operation. Writers always write every field they know;
+// readers check the version they understand and ignore unknown keys — so
+// the format can grow without touching the operation's signature.
 package registry
 
 import (
@@ -83,7 +81,7 @@ func ParseDigest(s string) (d Digest, ok bool) {
 }
 
 // AdapterDigest builds a digest source over a POA — the snapshot function
-// StartHeartbeatDigest polls each period.
+// StartHeartbeat polls each period.
 func AdapterDigest(p *poa.POA) func() Digest {
 	return func() Digest {
 		lat, depth, sheds := p.MetricsSnapshot()
@@ -97,8 +95,8 @@ func AdapterDigest(p *poa.POA) func() Digest {
 // ClusterMember is one member's parsed federation state.
 type ClusterMember struct {
 	MemberInfo
-	// Metrics is the parsed digest of the member's last report_load_v2
-	// heartbeat; nil for v1 reporters (digest-less heartbeats).
+	// Metrics is the parsed digest of the member's last heartbeat; nil for
+	// a member that has only ever reported load (an empty digest).
 	Metrics *Digest
 }
 

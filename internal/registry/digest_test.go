@@ -2,18 +2,14 @@ package registry_test
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"pardis/internal/core"
 	"pardis/internal/nexus"
-	"pardis/internal/poa"
 	"pardis/internal/registry"
-	"pardis/internal/rts"
 )
 
 func TestDigestRoundTrip(t *testing.T) {
@@ -53,19 +49,20 @@ func TestDigestForwardCompat(t *testing.T) {
 	}
 }
 
-// reportV2 pushes one digest heartbeat through the servant interface.
-func reportV2(t *testing.T, repo *registry.Repository, name, id string, d registry.Digest) {
+// report pushes one digest heartbeat through the servant interface.
+func report(t *testing.T, repo *registry.Repository, name, id string, d registry.Digest) {
 	t.Helper()
-	res, _, err := repo.Invoke(nil, "report_load_v2", []any{name, id, d.P95, int32(d.Depth), d.Encode()})
+	res, _, err := repo.Invoke(nil, "report_load", []any{name, id, d.P95, int32(d.Depth), d.Encode()})
 	if err != nil || res.(int32) != 1 {
-		t.Fatalf("report_load_v2 %s/%s: res=%v err=%v", name, id, res, err)
+		t.Fatalf("report_load %s/%s: res=%v err=%v", name, id, res, err)
 	}
 }
 
 // TestClusterAggregationAcrossJoinAndExpiry walks a group through the
 // member lifecycle on an injected clock and checks the rollups track it:
-// v2 reporters aggregate, a v1 reporter counts as a member but not a
-// reporter, expired members leave the rollup, and a rejoin comes back.
+// digest reporters aggregate, a load-only reporter (empty digest) updates
+// its load and counts as a member but not a reporter, expired members leave
+// the rollup, and a rejoin comes back.
 func TestClusterAggregationAcrossJoinAndExpiry(t *testing.T) {
 	now := 0.0
 	repo := registry.NewRepository()
@@ -80,10 +77,14 @@ func TestClusterAggregationAcrossJoinAndExpiry(t *testing.T) {
 	reg("m0")
 	reg("m1")
 	reg("m2")
-	reportV2(t, repo, "svc", "m0", registry.Digest{Dispatches: 100, Sheds: 5, Depth: 2, P50: 0.001, P95: 0.010, P99: 0.020})
-	reportV2(t, repo, "svc", "m1", registry.Digest{Dispatches: 50, Depth: 1, P95: 0.020, P99: 0.050})
-	// m2 is a v1 reporter: load only, no digest.
-	if _, _, err := repo.Invoke(nil, "report_load", []any{"svc", "m2", 0.03, int32(3)}); err != nil {
+	report(t, repo, "svc", "m0", registry.Digest{Dispatches: 100, Sheds: 5, Depth: 2, P50: 0.001, P95: 0.010, P99: 0.020})
+	report(t, repo, "svc", "m1", registry.Digest{Dispatches: 50, Depth: 1, P95: 0.020, P99: 0.050})
+	// m2 reports load only: an empty digest, which must not count it as
+	// reporting.
+	if got := repo.ClusterSnapshot()[0].Rollup.Reporting; got != 2 {
+		t.Fatalf("reporting = %d after two digest reports, want 2", got)
+	}
+	if _, _, err := repo.Invoke(nil, "report_load", []any{"svc", "m2", 0.03, int32(3), ""}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -101,22 +102,23 @@ func TestClusterAggregationAcrossJoinAndExpiry(t *testing.T) {
 	if math.Abs(r.MeanP95-0.015) > 1e-9 || math.Abs(r.WorstP99-0.050) > 1e-9 {
 		t.Fatalf("quantile rollup = mean p95 %g, worst p99 %g; want 0.015/0.050", r.MeanP95, r.WorstP99)
 	}
-	// The v1 reporter appears as a member with nil Metrics.
+	// The load-only reporter appears as a member with its load recorded
+	// and nil Metrics.
 	for _, m := range snap[0].Members {
-		if m.ID == "m2" && m.Metrics != nil {
-			t.Fatalf("v1 reporter m2 has Metrics %+v, want nil", m.Metrics)
+		if m.ID == "m2" && (m.Metrics != nil || m.P95 != 0.03 || m.Depth != 3) {
+			t.Fatalf("load-only reporter m2 = %+v (Metrics %+v), want p95 0.03, depth 3, nil Metrics", m.MemberInfo, m.Metrics)
 		}
 		if m.ID == "m0" && (m.Metrics == nil || m.Metrics.Dispatches != 100) {
-			t.Fatalf("v2 reporter m0 metrics = %+v", m.Metrics)
+			t.Fatalf("digest reporter m0 metrics = %+v", m.Metrics)
 		}
 	}
 
 	// m0 and m2 go silent; m1 keeps beating past the TTL. The sweep drops
 	// the silent two and the rollup follows.
 	now = 1.5
-	reportV2(t, repo, "svc", "m1", registry.Digest{Dispatches: 70, Depth: 1, P95: 0.020, P99: 0.050})
+	report(t, repo, "svc", "m1", registry.Digest{Dispatches: 70, Depth: 1, P95: 0.020, P99: 0.050})
 	now = 2.5
-	reportV2(t, repo, "svc", "m1", registry.Digest{Dispatches: 80, Depth: 1, P95: 0.020, P99: 0.050})
+	report(t, repo, "svc", "m1", registry.Digest{Dispatches: 80, Depth: 1, P95: 0.020, P99: 0.050})
 	repo.SweepExpired()
 	r = repo.ClusterSnapshot()[0].Rollup
 	if r.Members != 1 || r.Reporting != 1 || r.Dispatches != 80 {
@@ -125,7 +127,7 @@ func TestClusterAggregationAcrossJoinAndExpiry(t *testing.T) {
 
 	// The expired member re-registers and reports again: back in the rollup.
 	reg("m0")
-	reportV2(t, repo, "svc", "m0", registry.Digest{Dispatches: 110, Sheds: 6, Depth: 1, P95: 0.012, P99: 0.021})
+	report(t, repo, "svc", "m0", registry.Digest{Dispatches: 110, Sheds: 6, Depth: 1, P95: 0.012, P99: 0.021})
 	r = repo.ClusterSnapshot()[0].Rollup
 	if r.Members != 2 || r.Reporting != 2 || r.Dispatches != 190 {
 		t.Fatalf("after rejoin: members %d reporting %d n %d, want 2/2/190", r.Members, r.Reporting, r.Dispatches)
@@ -137,7 +139,7 @@ func TestWriteFederation(t *testing.T) {
 	if _, _, err := repo.Invoke(nil, "register_member", []any{"svc", "m0", memberIOR("m0", "").String()}); err != nil {
 		t.Fatal(err)
 	}
-	reportV2(t, repo, "svc", "m0", registry.Digest{Dispatches: 42, Sheds: 1, Depth: 2, P95: 0.010, P99: 0.030})
+	report(t, repo, "svc", "m0", registry.Digest{Dispatches: 42, Sheds: 1, Depth: 2, P95: 0.010, P99: 0.030})
 
 	var buf bytes.Buffer
 	if err := repo.WriteFederation(&buf); err != nil {
@@ -157,50 +159,6 @@ func TestWriteFederation(t *testing.T) {
 			t.Errorf("federation page missing %q:\n%s", want, text)
 		}
 	}
-}
-
-// oldRepository simulates a pre-federation repository: every operation of
-// the real one except report_load_v2, which it answers with the unknown-
-// operation exception the version gate keys on.
-type oldRepository struct {
-	*registry.Repository
-}
-
-func (o oldRepository) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
-	if op == "report_load_v2" {
-		return nil, nil, fmt.Errorf("repository: no operation %s", op)
-	}
-	return o.Repository.Invoke(ctx, op, in)
-}
-
-// startServantRepo is startRepoWith for an arbitrary repository servant.
-func startServantRepo(t *testing.T, fab *nexus.Inproc, servant poa.Servant) (string, func()) {
-	t.Helper()
-	g := rts.NewChanGroup("repohost", 1)
-	addrCh := make(chan string, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := g.Thread(0)
-		r := core.NewRouter(fab.NewEndpoint("repo"))
-		p := poa.New(th, r, nil)
-		p.PollInterval = 20e-6
-		if _, err := p.RegisterSingle(registry.RepositoryKey, registry.Iface(), servant); err != nil {
-			t.Error(err)
-			return
-		}
-		addrCh <- string(r.Addr())
-		p.ImplIsReady()
-	}()
-	addr := <-addrCh
-	stop := func() {
-		orb := core.NewORB(core.NewRouter(fab.NewEndpoint("stopper")), nil, nil)
-		b, _ := orb.Bind(registry.BootstrapIOR(addr), registry.Iface())
-		b.Shutdown("test done")
-		wg.Wait()
-	}
-	return addr, stop
 }
 
 // waitFor polls cond for up to two seconds of wall time — heartbeat loops
@@ -230,7 +188,7 @@ func TestHeartbeatDigestDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hb := registry.StartHeartbeatDigest(c, "svc", "m0", memberIOR("m0", ""), 0.005, func() registry.Digest {
+	hb := registry.StartHeartbeat(c, "svc", "m0", memberIOR("m0", ""), 0.005, func() registry.Digest {
 		return registry.Digest{Dispatches: 9, Depth: 1, P95: 0.002, P99: 0.004}
 	})
 	defer hb.Stop()
@@ -240,35 +198,4 @@ func TestHeartbeatDigestDelivery(t *testing.T) {
 		return len(snap) == 1 && snap[0].Rollup.Reporting == 1 &&
 			snap[0].Rollup.Dispatches == 9
 	})
-}
-
-// TestHeartbeatDigestFallback: against a pre-federation repository the
-// heartbeat downgrades to plain report_load after one refused v2 attempt —
-// load still flows, just digest-less.
-func TestHeartbeatDigestFallback(t *testing.T) {
-	repo := registry.NewRepository()
-	fab := nexus.NewInproc()
-	addr, stop := startServantRepo(t, fab, oldRepository{repo})
-	defer stop()
-	orb := core.NewORB(core.NewRouter(fab.NewEndpoint("hb")), nil, nil)
-	c, err := registry.Open(orb, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	hb := registry.StartHeartbeatDigest(c, "svc", "m0", memberIOR("m0", ""), 0.005, func() registry.Digest {
-		return registry.Digest{Dispatches: 9, Depth: 3, P95: 0.002}
-	})
-	defer hb.Stop()
-
-	// The load report arrives via the fallback path...
-	waitFor(t, "fallback load report", func() bool {
-		gs := repo.GroupsSnapshot()
-		return len(gs) == 1 && len(gs[0].Members) == 1 && gs[0].Members[0].Depth == 3
-	})
-	// ...and no digest ever lands.
-	snap := repo.ClusterSnapshot()
-	if snap[0].Rollup.Reporting != 0 {
-		t.Fatalf("old repository recorded a digest: %+v", snap[0])
-	}
 }

@@ -26,7 +26,7 @@ type member struct {
 	p95    float64
 	depth  int
 	at     float64 // repository-clock stamp of the last report
-	digest string  // raw metrics digest of the last report_load_v2 ("" = v1 reporter)
+	digest string  // raw metrics digest of the last report that carried one ("" = load-only reporter)
 }
 
 // group is one name's replica set.

@@ -85,7 +85,7 @@ func TestGroupExpiryWithinTwoHeartbeats(t *testing.T) {
 	for beat := 1; beat <= 2; beat++ {
 		now = float64(beat) * hb
 		for i := 1; i < 4; i++ {
-			known, err := c.ReportLoad("svc", fmt.Sprintf("m%d", i), 0.01*float64(i), i)
+			known, err := c.ReportLoad("svc", fmt.Sprintf("m%d", i), 0.01*float64(i), i, "")
 			if err != nil || !known {
 				t.Fatalf("beat %d m%d: known=%v err=%v", beat, i, known, err)
 			}
@@ -112,7 +112,7 @@ func TestGroupExpiryWithinTwoHeartbeats(t *testing.T) {
 
 	// The silent member's next report finds itself unknown and re-registers,
 	// after which it resolves again — the heartbeat recovery contract.
-	known, err := c.ReportLoad("svc", "m0", 0.001, 0)
+	known, err := c.ReportLoad("svc", "m0", 0.001, 0, "")
 	if err != nil || known {
 		t.Fatalf("report for expired member: known=%v err=%v, want false,nil", known, err)
 	}
@@ -226,7 +226,7 @@ func TestGroupResolveOrderFollowsLoad(t *testing.T) {
 	loads := map[string]float64{"m0": 0.3, "m1": 0.1, "m2": 0.2}
 	for id, l := range loads {
 		c.RegisterMember("svc", id, memberIOR(id, ""))
-		if _, err := c.ReportLoad("svc", id, l, 0); err != nil {
+		if _, err := c.ReportLoad("svc", id, l, 0, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,7 +278,7 @@ func TestConcurrentRegisterLookup(t *testing.T) {
 				case 2:
 					_, _, err = repo.Invoke(nil, "register_member", []any{name, id, ior})
 				case 3:
-					_, _, err = repo.Invoke(nil, "report_load", []any{name, id, rng.Float64(), int32(rng.Intn(8))})
+					_, _, err = repo.Invoke(nil, "report_load", []any{name, id, rng.Float64(), int32(rng.Intn(8)), ""})
 				case 4:
 					_, _, err = repo.Invoke(nil, "resolve_group", []any{name, nil})
 				case 5:

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"strings"
 	"time"
 
 	"pardis/internal/core"
@@ -16,14 +15,16 @@ type Heartbeat struct {
 	done chan struct{}
 }
 
-// StartHeartbeat registers the member and then reports load() every period
-// seconds until Stop. The Client must be dedicated to the heartbeat
+// StartHeartbeat registers the member and then, every period seconds until
+// Stop, snapshots snap() and reports it: the digest rides the report, and
+// its P95/Depth double as the load signal. Pair with AdapterDigest for the
+// usual one-POA replica. The Client must be dedicated to the heartbeat
 // goroutine — bindings are owned by one thread — and its deadline is set to
 // the period so a dead repository costs one beat, never a wedge. A report
 // answered with "unknown member" (the repository expired us during a
 // partition) re-registers on the next beat. Errors are absorbed: a replica
 // that cannot reach its repository keeps serving and keeps trying.
-func StartHeartbeat(c *Client, name, memberID string, ior core.IOR, period float64, load func() (p95 float64, depth int)) *Heartbeat {
+func StartHeartbeat(c *Client, name, memberID string, ior core.IOR, period float64, snap func() Digest) *Heartbeat {
 	c.SetDeadline(period)
 	h := &Heartbeat{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
@@ -32,47 +33,6 @@ func StartHeartbeat(c *Client, name, memberID string, ior core.IOR, period float
 		if err := c.RegisterMember(name, memberID, ior); err == nil {
 			registered = true
 		}
-		tick := time.NewTicker(time.Duration(period * float64(time.Second)))
-		defer tick.Stop()
-		for {
-			select {
-			case <-h.stop:
-				return
-			case <-tick.C:
-			}
-			if !registered {
-				if err := c.RegisterMember(name, memberID, ior); err != nil {
-					continue
-				}
-				registered = true
-			}
-			p95, depth := load()
-			known, err := c.ReportLoad(name, memberID, p95, depth)
-			if err == nil && !known {
-				registered = false
-			}
-		}
-	}()
-	return h
-}
-
-// StartHeartbeatDigest is StartHeartbeat carrying the metrics-federation
-// digest: each beat snapshots snap() and reports through report_load_v2
-// (the digest's P95/Depth double as the load signal). A repository that
-// predates federation answers the unknown operation with an exception; the
-// loop then falls back to plain report_load for its lifetime — the
-// mixed-version deployment story. Pair with AdapterDigest for the usual
-// one-POA replica.
-func StartHeartbeatDigest(c *Client, name, memberID string, ior core.IOR, period float64, snap func() Digest) *Heartbeat {
-	c.SetDeadline(period)
-	h := &Heartbeat{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		registered := false
-		if err := c.RegisterMember(name, memberID, ior); err == nil {
-			registered = true
-		}
-		digestOK := true
 		tick := time.NewTicker(time.Duration(period * float64(time.Second)))
 		defer tick.Stop()
 		for {
@@ -88,17 +48,7 @@ func StartHeartbeatDigest(c *Client, name, memberID string, ior core.IOR, period
 				registered = true
 			}
 			d := snap()
-			var known bool
-			var err error
-			if digestOK {
-				known, err = c.ReportLoadDigest(name, memberID, d.P95, d.Depth, d.Encode())
-				if err != nil && strings.Contains(err.Error(), "no operation") {
-					digestOK = false
-					known, err = c.ReportLoad(name, memberID, d.P95, d.Depth)
-				}
-			} else {
-				known, err = c.ReportLoad(name, memberID, d.P95, d.Depth)
-			}
+			known, err := c.ReportLoad(name, memberID, d.P95, d.Depth, d.Encode())
 			if err == nil && !known {
 				registered = false
 			}

@@ -46,8 +46,7 @@ const AgentKeyPrefix = "PARDIS:agent:"
 //	    long   lookup_impl(in string name, out string agent_ior);
 //	    void   register_member(in string name, in string member_id, in string ior);
 //	    void   unregister_member(in string name, in string member_id);
-//	    long   report_load(in string name, in string member_id, in double p95, in long depth);
-//	    long   report_load_v2(in string name, in string member_id, in double p95, in long depth, in string digest);
+//	    long   report_load(in string name, in string member_id, in double p95, in long depth, in string digest);
 //	    long   resolve_group(in string name, out sequence<string> iors);
 //	};
 //
@@ -55,12 +54,9 @@ const AgentKeyPrefix = "PARDIS:agent:"
 // re-reporting overwrites, and resolve_group is a read — so clients may arm
 // retries (and group heartbeats survive a lost reply).
 //
-// report_load_v2 is the federation extension: a *new* operation rather than
-// new parameters on report_load, because typed IDL decoding leaves no room
-// for optional trailing arguments across mixed versions — the version gate
-// lives at the operation layer (old repositories answer "no operation" and
-// the heartbeat falls back), while the digest string is self-versioned so
-// its own fields can grow without another operation (see Digest).
+// report_load's digest is the metrics-federation payload; an empty one is a
+// load-only report. The digest string is self-versioned, so its fields can
+// grow without touching the operation (see Digest).
 func Iface() *core.InterfaceDef {
 	str := typecode.TCString
 	return &core.InterfaceDef{
@@ -98,12 +94,6 @@ func Iface() *core.InterfaceDef {
 				core.NewParam("member_id", core.In, str),
 			}},
 			{Name: "report_load", Idempotent: true, Params: []core.Param{
-				core.NewParam("name", core.In, str),
-				core.NewParam("member_id", core.In, str),
-				core.NewParam("p95", core.In, typecode.TCDouble),
-				core.NewParam("depth", core.In, typecode.TCLong),
-			}, Result: typecode.TCLong},
-			{Name: "report_load_v2", Idempotent: true, Params: []core.Param{
 				core.NewParam("name", core.In, str),
 				core.NewParam("member_id", core.In, str),
 				core.NewParam("p95", core.In, typecode.TCDouble),
@@ -208,9 +198,6 @@ func (r *Repository) Invoke(_ *poa.Context, op string, in []any) (any, []any, er
 		r.unregisterMemberLocked(in[0].(string), in[1].(string))
 		return nil, nil, nil
 	case "report_load":
-		ok := r.reportLoadLocked(in[0].(string), in[1].(string), in[2].(float64), int(in[3].(int32)), "")
-		return boolLong(ok), nil, nil
-	case "report_load_v2":
 		ok := r.reportLoadLocked(in[0].(string), in[1].(string), in[2].(float64), int(in[3].(int32)), in[4].(string))
 		return boolLong(ok), nil, nil
 	case "resolve_group":
@@ -309,23 +296,12 @@ func (c *Client) UnregisterMember(name, memberID string) error {
 }
 
 // ReportLoad pushes one replica's load snapshot (p95 dispatch latency in
-// seconds, accepted-queue depth). The false return means the repository no
-// longer knows the member — it expired — and the replica should
-// re-register before the next report.
-func (c *Client) ReportLoad(name, memberID string, p95 float64, depth int) (bool, error) {
-	vals, err := c.b.Invoke("report_load", []any{name, memberID, p95, int32(depth)})
-	if err != nil {
-		return false, err
-	}
-	return vals[0].(int32) != 0, nil
-}
-
-// ReportLoadDigest is ReportLoad plus the encoded metrics digest — the
-// report_load_v2 federation path. A pre-federation repository answers the
-// unknown operation with an exception; callers that need to interoperate
-// fall back to ReportLoad (StartHeartbeatDigest does this automatically).
-func (c *Client) ReportLoadDigest(name, memberID string, p95 float64, depth int, digest string) (bool, error) {
-	vals, err := c.b.Invoke("report_load_v2", []any{name, memberID, p95, int32(depth), digest})
+// seconds, accepted-queue depth) and its encoded metrics digest (see
+// Digest.Encode; "" reports load only). The false return means the
+// repository no longer knows the member — it expired — and the replica
+// should re-register before the next report.
+func (c *Client) ReportLoad(name, memberID string, p95 float64, depth int, digest string) (bool, error) {
+	vals, err := c.b.Invoke("report_load", []any{name, memberID, p95, int32(depth), digest})
 	if err != nil {
 		return false, err
 	}

@@ -11,7 +11,7 @@ func TestTCPGroupBasics(t *testing.T) {
 	// A fixed localhost port for the coordinator (picked to avoid the
 	// ephemeral range); retried dials make startup order irrelevant.
 	const n = 4
-	coord := "127.0.0.1:39731"
+	coord := "127.0.0.1:29731"
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for r := 0; r < n; r++ {
@@ -73,7 +73,7 @@ func pick[T any](cond bool, a, b T) T {
 
 func TestTCPGroupProbe(t *testing.T) {
 	const n = 2
-	coord := "127.0.0.1:39741"
+	coord := "127.0.0.1:29741"
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for r := 0; r < n; r++ {

@@ -56,12 +56,6 @@ func (h *Host) Compute(p *vtime.Proc, refSeconds float64) {
 	p.Advance(vtime.Seconds(refSeconds / h.Speed))
 }
 
-// ComputeTime reports how long refSeconds of reference work takes on this
-// host without advancing any clock.
-func (h *Host) ComputeTime(refSeconds float64) vtime.Time {
-	return vtime.Seconds(refSeconds / h.Speed)
-}
-
 // InternalSend models an intra-host message of the given size sent by node
 // src: the sender is occupied for the wire occupancy on its NIC, and the
 // function returns the virtual time at which the message arrives at the

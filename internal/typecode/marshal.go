@@ -385,14 +385,3 @@ func checkBound(d *cdr.Decoder, tc *TypeCode, v any, n int) (any, error) {
 	}
 	return v, nil
 }
-
-// MarshalAny encodes an Any (typecode reference by value structure, then the
-// payload). Only the payload is written; both sides must agree on tc —
-// PARDIS requests carry typecodes in the stub code, not on the wire.
-func MarshalAny(e *cdr.Encoder, a Any) error { return Marshal(e, a.TC, a.V) }
-
-// UnmarshalAny decodes a payload of the given typecode into an Any.
-func UnmarshalAny(d *cdr.Decoder, tc *TypeCode) (Any, error) {
-	v, err := Unmarshal(d, tc)
-	return Any{TC: tc, V: v}, err
-}

@@ -207,15 +207,6 @@ func (tc *TypeCode) Equal(o *TypeCode) bool {
 	return true
 }
 
-// Any is a value paired with its typecode (CORBA's any).
-type Any struct {
-	TC *TypeCode
-	V  any
-}
-
-// NewAny pairs a value with its typecode.
-func NewAny(tc *TypeCode, v any) Any { return Any{TC: tc, V: v} }
-
 // StructVal is the runtime representation of an IDL struct value: field
 // values in declaration order.
 type StructVal struct {

@@ -212,9 +212,6 @@ func (r *Resource) Acquire(p *Proc, hold Time) (start Time) {
 	return start
 }
 
-// FreeAt reports when the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
 // Busy reports cumulative occupancy.
 func (r *Resource) Busy() Time { return r.busy }
 

@@ -233,10 +233,6 @@ func (p *Proc) AdvanceTo(t Time) {
 	p.Advance(t - p.now)
 }
 
-// Yield cedes control without consuming virtual time; processes with equal
-// wake times run in spawn order.
-func (p *Proc) Yield() { p.Advance(0) }
-
 func (p *Proc) yieldAndWait() {
 	p.sim.yield <- p
 	<-p.resume
