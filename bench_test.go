@@ -363,11 +363,12 @@ func tcpWriteCounts(tb testing.TB) (flushes, deferred uint64) {
 	return flushes, deferred
 }
 
-// pooledTCPPair is orbPair over loopback TCP with a 4-worker dispatch pool:
-// the shape of the repo benchmark's serve_pipelined_tcp.
-func pooledTCPPair(tb testing.TB) (*core.Binding, func()) {
+// pipelinedTCPPair is orbPair over loopback TCP. With workers > 0 the server
+// dispatches through a pool of that many — the shape of the repo benchmark's
+// serve_pipelined_tcp; with 0 its one thread serves every call itself.
+func pipelinedTCPPair(tb testing.TB, workers int) (*core.Binding, func()) {
 	cep, sep := tcpPair(tb)
-	bind, stop := orbPair(tb, cep, sep, func(a *poa.POA) { a.SetDispatchAuto(4, 4) })
+	bind, stop := orbPair(tb, cep, sep, func(a *poa.POA) { a.SetDispatchAuto(workers, workers) })
 	return bind, func() {
 		stop()
 		cep.Close()
@@ -375,45 +376,67 @@ func pooledTCPPair(tb testing.TB) (*core.Binding, func()) {
 	}
 }
 
+// pipelinedServers are the two servers a pipelined caller can face; both
+// must batch their replies (DESIGN.md §12).
+var pipelinedServers = []struct {
+	name    string
+	workers int
+}{{"pool", 4}, {"serial", 0}}
+
 // BenchmarkORBPipelinedTCP is the throughput counterpart of
-// BenchmarkORBRoundTripTCP: 32 outstanding InvokeNB on a pooled server over
-// loopback TCP, every echo verified. frames/write is requests plus replies
-// over the small-frame socket writes that carried them — 1 means every
-// frame cost its own write(2); the deferred-flush policy (DESIGN.md §12)
-// is what raises it.
+// BenchmarkORBRoundTripTCP: 32 outstanding InvokeNB over loopback TCP on a
+// pooled and on a serial server, every echo verified. frames/write is
+// requests plus replies over the small-frame socket writes that carried them
+// — 1 means every frame cost its own write(2); the deferred-flush policy
+// (DESIGN.md §12) is what raises it.
 func BenchmarkORBPipelinedTCP(b *testing.B) {
-	bind, stop := pooledTCPPair(b)
-	defer stop()
-	pipelinedEchoes(b, bind, 256, 32) // warm: dials, scratch buffers, pool
-	flushes0, _ := tcpWriteCounts(b)
-	b.ResetTimer()
-	pipelinedEchoes(b, bind, b.N, 32)
-	b.StopTimer()
-	flushes, _ := tcpWriteCounts(b)
-	b.ReportMetric(float64(2*b.N)/float64(flushes-flushes0), "frames/write")
+	for _, srv := range pipelinedServers {
+		b.Run(srv.name, func(b *testing.B) {
+			bind, stop := pipelinedTCPPair(b, srv.workers)
+			defer stop()
+			pipelinedEchoes(b, bind, 256, 32) // warm: dials, scratch buffers, pool
+			flushes0, _ := tcpWriteCounts(b)
+			b.ResetTimer()
+			pipelinedEchoes(b, bind, b.N, 32)
+			b.StopTimer()
+			flushes, _ := tcpWriteCounts(b)
+			b.ReportMetric(float64(2*b.N)/float64(flushes-flushes0), "frames/write")
+		})
+	}
 }
 
 // TestPipelinedCallsShareWrites is the deferred-flush policy end to end:
-// with 32 calls in flight on a pooled server, requests and replies share
-// their write(2)s and every one of 10 000 echoes is verified. The bound is
-// what holds on any scheduler: the caller works through each batch of
-// replies one call at a time, so its requests always batch (observation
-// (a)); the pool's replies batch only when workers overlap, which one
-// processor never lets them (observation (b) cannot bootstrap — DESIGN.md
-// §12, known limits). That is 1.9 frames per write at -cpu 1 and 3–10 at
-// -cpu 2, against 1.0 before; BenchmarkORBPipelinedTCP reports the figure.
+// with 32 calls in flight, requests and replies share their write(2)s and
+// every one of 10 000 echoes is verified — on a pooled server and on a
+// serial one, on one processor and on two (ci.sh runs it with -cpu 1,2).
+// The caller works through each batch of replies one call at a time, so its
+// inbox is non-empty while it sends; the adapter takes a request only when
+// it can dispatch it (poa's take), so the server's inbox is non-empty while
+// it replies: observation (a) holds in both directions on any scheduler.
+// Measured 14–32 frames per write, loaded box included; the bound is 8.
+// Under the race detector the caller is the slow side — a pool that keeps
+// up with its input has an empty inbox and rightly writes at once — so
+// there the bound is only that batching happens at all.
 func TestPipelinedCallsShareWrites(t *testing.T) {
-	bind, stop := pooledTCPPair(t)
-	defer stop()
 	const calls = 10000
-	pipelinedEchoes(t, bind, 256, 32)
-	flushes0, deferred0 := tcpWriteCounts(t)
-	pipelinedEchoes(t, bind, calls, 32)
-	flushes, deferred := tcpWriteCounts(t)
-	flushes, deferred = flushes-flushes0, deferred-deferred0
-	t.Logf("%d frames in %d writes (%.1f frames/write), %d deferred", 2*calls, flushes, float64(2*calls)/float64(flushes), deferred)
-	if flushes > 2*calls*3/5 {
-		t.Errorf("%d socket writes for %d frames, want at most three fifths as many", flushes, 2*calls)
+	maxWrites := uint64(2 * calls / 8)
+	if raceEnabled {
+		maxWrites = 2 * calls * 3 / 5
+	}
+	for _, srv := range pipelinedServers {
+		t.Run(srv.name, func(t *testing.T) {
+			bind, stop := pipelinedTCPPair(t, srv.workers)
+			defer stop()
+			pipelinedEchoes(t, bind, 256, 32)
+			flushes0, deferred0 := tcpWriteCounts(t)
+			pipelinedEchoes(t, bind, calls, 32)
+			flushes, deferred := tcpWriteCounts(t)
+			flushes, deferred = flushes-flushes0, deferred-deferred0
+			t.Logf("%d frames in %d writes (%.1f frames/write), %d deferred", 2*calls, flushes, float64(2*calls)/float64(flushes), deferred)
+			if flushes > maxWrites {
+				t.Errorf("%d socket writes for %d frames, want at most %d", flushes, 2*calls, maxWrites)
+			}
+		})
 	}
 }
 

@@ -17,6 +17,21 @@ go test -race ./...
 # fan-out, streamed transfers and the dispatch pool under real concurrency.
 (cd benchmark && go vet . && go test .)
 
+# Ledger lane: a short plain run of the benchmark (3 x 2 s per workload, no
+# traced pass, results written outside the tree) compared with the newest
+# committed BENCH_<pr>.json. "worse" on a listed workload fails the build;
+# "unresolved" and the provisional workloads' verdicts only print. 2 s is the
+# shortest repetition tried on the 2-vCPU development box, and gave no
+# "worse" (and no "unresolved") in five consecutive runs against
+# BENCH_22.json; a committed file from another machine is not a baseline —
+# regenerate it there first (cd benchmark && go run . -json ../BENCH_<pr>.json).
+ledger="$(mktemp -d)"
+newest="$(ls BENCH_*.json | sort -V | tail -1)"
+(cd benchmark &&
+	go run . -dur 2s -reps 3 -trace-dur 0 -out "$ledger" -json "$ledger/ledger.json" > /dev/null &&
+	go run . -compare "../$newest" "$ledger/ledger.json")
+rm -rf "$ledger"
+
 # Smoke-run the figure harness — every pardis-bench figure, once — and keep
 # its JSON summary as a CI artifact.
 go run ./cmd/pardis-bench -quick -json > bench-summary.json
@@ -37,10 +52,22 @@ go test -race -run Fault -count=1 ./internal/nexus ./internal/rts ./internal/poa
 # Every pgiop decoder a peer can reach, on arbitrary bytes: no panic, no
 # allocation sized by an unchecked length field.
 go test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/pgiop
+# The same for what sits under them: the TCP reader on an accepted, still
+# anonymous connection (no panic, no stranded reader, nothing allocated for a
+# first frame longer than a hello may be) and the address parser every hello
+# and every send goes through.
+go test -run NONE -fuzz FuzzFrameStream -fuzztime 10s ./internal/nexus
+go test -run NONE -fuzz FuzzSplitTCPAddr -fuzztime 10s ./internal/nexus
 # The TCP fabric's deferred flush (DESIGN.md §12): delivery without a second
 # call, order, flush-on-Close, flusher lifecycle — repeated, on one and two
 # processors, because who writes a frame is a scheduling outcome.
 go test -race -count=10 -cpu 1,2 -run 'Defer|Flusher|CloseFlush' ./internal/nexus
+# And the policy end to end, where the adapter's take loop is what keeps the
+# server's backlog in the inbox the policy looks at: at least 8 frames per
+# write(2) for a depth-32 caller, pooled server and serial, on one processor
+# and on two; and a reply deferred for a sibling never waits for it.
+go test -count=1 -cpu 1,2 -run TestPipelinedCallsShareWrites .
+go test -race -count=5 -run TestDeferredReplyDoesNotWaitForSibling ./internal/poa
 
 # Seeded chaos soak: the dead-rank and lossy-network scenarios repeated
 # under fixed injection seeds. Deterministic schedules, so a failure here

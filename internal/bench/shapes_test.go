@@ -152,4 +152,17 @@ func TestDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("simulated experiment not deterministic: %+v vs %+v", a, b)
 	}
+	// The serve figure closes a loop through the runtime's own measurements:
+	// replicas report their dispatch p95 to the registry and clients pick
+	// members by it. That signal has to be virtual time too (poa's loadLat),
+	// or the overload cells follow the host.
+	s1, s2 := FigureServe(true), FigureServe(true)
+	if len(s1) != len(s2) {
+		t.Fatalf("serve figure: %d points, then %d", len(s1), len(s2))
+	}
+	for i := range s1 {
+		if s1[i] != s2[i] {
+			t.Errorf("serve figure not deterministic:\n%+v\n%+v", s1[i], s2[i])
+		}
+	}
 }

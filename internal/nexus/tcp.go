@@ -32,6 +32,12 @@ import (
 // allocating unbounded memory.
 const maxFrame = 1 << 28 // 256 MiB
 
+// maxHello bounds the first frame of an accepted connection, which is still
+// anonymous: whoever connected may announce any length, and the frame is
+// allocated before a byte of it arrives. A hello carries a transport address
+// (under 300 bytes); a named connection's frames are bounded by maxFrame.
+const maxHello = 1 << 10
+
 // muxHdrLen is the per-frame channel-addressing overhead (dst + src words).
 const muxHdrLen = 8
 
@@ -198,7 +204,11 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 	var hdr [4]byte // reused across frames; escapes once per connection
 	br := newFrameReader(c)
 	for {
-		data, err := readFrame(br, &hdr)
+		limit := uint32(maxFrame)
+		if tc == nil {
+			limit = maxHello
+		}
+		data, err := readFrame(br, &hdr, limit)
 		if err != nil || len(data) < muxHdrLen {
 			if tc != nil {
 				// The deferred c.Close takes the write side down with the
@@ -884,15 +894,16 @@ const tcpReadBuf = 4 << 10
 // buffered prefix is consumed, so large frames are still not copied twice.
 func newFrameReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, tcpReadBuf) }
 
-// readFrame reads one length-prefixed frame into a freshly allocated buffer
-// the caller owns (DESIGN.md §7: the receive path hands frames on without
-// copying, so they must never alias the read buffer).
-func readFrame(r io.Reader, hdr *[4]byte) ([]byte, error) {
+// readFrame reads one length-prefixed frame of at most limit bytes into a
+// freshly allocated buffer the caller owns (DESIGN.md §7: the receive path
+// hands frames on without copying, so they must never alias the read
+// buffer). A longer frame is rejected before anything is allocated for it.
+func readFrame(r io.Reader, hdr *[4]byte, limit uint32) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
+	if n > limit {
 		return nil, fmt.Errorf("nexus: frame of %d bytes exceeds limit", n)
 	}
 	data := make([]byte, n)

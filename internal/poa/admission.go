@@ -21,8 +21,11 @@ const shedErrorMsg = "poa: admission queue full"
 // The shed happens at routing time, before any dispatch state is built, so
 // an overloaded adapter answers in transport time rather than queue time —
 // the graceful-degradation contract a replicated group's failover relies
-// on. limit <= 0 disables admission control (the default). Call from the
-// POA's owning thread, like every configuration method.
+// on. With a limit armed the dispatch loop takes every arrival from the
+// transport at once (see take), so each is judged when it arrives, not when
+// the adapter gets round to it. limit <= 0 disables admission control (the
+// default). Call from the POA's owning thread, like every configuration
+// method.
 func (p *POA) SetAdmission(limit int, retryAfter float64) {
 	p.admitLimit = limit
 	ms := retryAfter * 1000
@@ -65,10 +68,13 @@ func (p *POA) shed(req *pgiop.Request) {
 }
 
 // LoadReport snapshots this adapter's load signal for a registry heartbeat:
-// the p95 single-object dispatch latency (seconds) observed so far and the
-// number of accepted requests currently queued or executing. Safe to call
-// from any goroutine — both quantities are atomics — so a heartbeat loop
-// never synchronizes with the dispatch path.
+// the p95 single-object dispatch latency (seconds, on the adapter thread's
+// clock) observed so far and the number of requests the adapter has taken
+// from the transport and not finished — waiting in its queue, queued to the
+// pool or executing. What still waits in the endpoint's inbox is not in
+// depth: without an admission limit the adapter takes a request only when it
+// can dispatch it. Safe to call from any goroutine — both quantities are
+// atomics — so a heartbeat loop never synchronizes with the dispatch path.
 func (p *POA) LoadReport() (p95 float64, depth int) {
 	return p.loadLat.Snapshot().P95, int(p.admitted.Load())
 }
@@ -82,8 +88,9 @@ func (p *POA) ShedCount() uint64 {
 }
 
 // MetricsSnapshot is the raw material of a heartbeat metrics digest: the
-// single-object dispatch latency distribution, the accepted-queue depth,
-// and the shed count, all readable from any goroutine.
+// single-object dispatch latency distribution, the depth as LoadReport
+// defines it (taken and unfinished), and the shed count, all readable from
+// any goroutine.
 func (p *POA) MetricsSnapshot() (lat obs.HistogramSnapshot, depth int, sheds uint64) {
 	return p.loadLat.Snapshot(), int(p.admitted.Load()), p.shedCount.Load()
 }

@@ -8,20 +8,12 @@ import (
 
 	"pardis/internal/core"
 	"pardis/internal/nexus"
-	"pardis/internal/obs"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
 )
 
 // poolResizes reads poa_dispatch_pool_resizes_total.
-func poolResizes() (n uint64) {
-	obs.Default.Each(func(name string, m any) {
-		if name == "poa_dispatch_pool_resizes_total" {
-			n = m.(*obs.Counter).Load()
-		}
-	})
-	return n
-}
+func poolResizes() uint64 { return counterValue("poa_dispatch_pool_resizes_total") }
 
 // TestAutoDispatchPoolGrowsAndShrinks drives the self-sizing dispatch pool
 // through its whole regime: it starts at min, doubles under a sustained

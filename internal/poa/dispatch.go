@@ -240,6 +240,10 @@ func decodeDecision(pay []byte) (*pgiop.Request, []clientInfo, byte, error) {
 func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, pooled bool) {
 	req := m.Req
 	start := obs.NowNS()
+	var vstart float64
+	if p.modeled {
+		vstart = p.th.Elapsed()
+	}
 	poaDispatches.Inc()
 	var decodeSpan uint64
 	if req.TraceID != 0 && obs.DefaultTracer.Enabled() {
@@ -250,7 +254,14 @@ func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, pooled bool) {
 	end := obs.NowNS()
 	sec := float64(end-start) / 1e9
 	poaDispatchLatency.Observe(sec)
-	p.loadLat.Observe(sec)
+	// The load signal steers the registry's member choice, so on a simulated
+	// thread it must be simulated time; everything else here is wall-clock
+	// observability of this process.
+	if p.modeled {
+		p.loadLat.Observe(p.th.Elapsed() - vstart)
+	} else {
+		p.loadLat.Observe(sec)
+	}
 	e.slo(opIdx, req.Operation).Observe(end, sec, failed)
 	if decodeSpan != 0 {
 		obs.DefaultTracer.Record(obs.Span{
@@ -532,11 +543,15 @@ func (p *POA) collectSegments(req *pgiop.Request, spec pgiop.DistInSpec, holder 
 	for got < need {
 		if len(p.segs[k]) == 0 {
 			if deadline <= 0 {
-				if !p.drainBlocking() {
+				if !p.pull(true) {
 					return fmt.Errorf("transport closed while receiving argument %d", param)
 				}
 				continue
 			}
+			// Eager on purpose: the segments this wait is for may sit
+			// anywhere behind other traffic, so everything pending is
+			// routed; single-object requests it passes are set aside in
+			// localQ and served first by the next dispatch-loop turn.
 			p.drain()
 			if len(p.segs[k]) == 0 {
 				if p.th.Elapsed() >= until {

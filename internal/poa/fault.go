@@ -81,6 +81,10 @@ func (p *POA) notifyPeers(f *Fault) {
 // the fault struck are past their gather entries; their clients detect the
 // loss through their own invocation deadlines.
 func (p *POA) flushFaultExceptions() {
+	// Eager on purpose: the dispatch loop leaves what it has not taken in
+	// the transport (see take), and every request that had reached the
+	// adapter gets the exception, not only those it had already looked at.
+	p.drain()
 	if len(p.gathers) == 0 && len(p.localQ) == 0 {
 		return
 	}

@@ -150,8 +150,11 @@ type POA struct {
 	pool *dispatchPool
 
 	// Admission control (see SetAdmission): admitted counts single-object
-	// requests accepted but not yet finished — queued in localQ, queued to
-	// the pool, or executing. It is atomic (not owning-thread state) because
+	// requests taken from the transport and not yet finished — waiting in
+	// localQ, queued to the pool, or executing. Requests still in the
+	// endpoint's inbox are not counted (see take); with an admission limit
+	// armed every arrival is taken at once, so there are none. It is atomic
+	// (not owning-thread state) because
 	// pool workers decrement it and LoadReport reads it from heartbeat
 	// goroutines. shedScratch is the reusable shed reply header, touched
 	// only from the owning thread at routing time.
@@ -164,8 +167,14 @@ type POA struct {
 	// loadLat is the adapter's own single-object dispatch latency histogram
 	// — the per-replica load signal LoadReport exports, kept separate from
 	// the process-wide poa_dispatch_latency_seconds so co-hosted replicas
-	// report their own saturation, not each other's.
+	// report their own saturation, not each other's. It is observed on the
+	// owning thread's clock: modeled (decided once in New) says that clock is
+	// virtual, so serveSingle reads th.Elapsed() around the servant — the
+	// convention of ORB.now() — instead of reusing its wall-clock span
+	// timestamps, and what a simulated replica reports to the registry is a
+	// function of the simulation alone.
 	loadLat obs.Histogram
+	modeled bool
 
 	// ctx is the reusable invocation context handed to servants: it is
 	// valid only for the duration of one Invoke call (saved and restored
@@ -227,6 +236,7 @@ func New(th rts.Thread, r *core.Router, table *core.LocalTable) *POA {
 		segs:         map[segKey][]*pgiop.ArgStream{},
 		PollInterval: 200e-6,
 	}
+	_, p.modeled = th.(*rts.SimThread)
 	// Event-driven idle wakeup: on fabrics that can signal frame arrival,
 	// an idle poll loop parks on this channel instead of sleeping blind,
 	// so request latency under light load is arrival-bound rather than
@@ -410,33 +420,35 @@ func (p *POA) ImplIsReady() {
 // returns the number of requests this thread dispatched.
 func (p *POA) ProcessRequests() int {
 	count := 0
-	p.drain()
+	p.take()
 	// Single-object requests are served by their owning thread alone —
 	// inline, or handed to the dispatch pool so independent requests
 	// pipeline while this thread keeps polling the transport.
 	for len(p.localQ) > 0 {
 		// Pop by head index and rewind when empty: O(1) however many
-		// requests one read delivered, and the backing array keeps its
-		// capacity across dispatch rounds (see nexus' inbox queues).
+		// requests a nested wait or the admission arm set aside, and the
+		// backing array keeps its capacity across dispatch rounds.
 		lr := p.localQ[p.localQHead]
 		p.localQ[p.localQHead] = localReq{}
 		if p.localQHead++; p.localQHead == len(p.localQ) {
 			p.localQ, p.localQHead = p.localQ[:0], 0
 		}
 		if p.pool != nil {
-			p.pool.depth.Add(1)
-			poaPoolDepth.Add(1)
-			p.pool.reqs <- lr
+			p.pool.submit(p, lr)
 		} else {
 			p.serveSingle(lr.e, lr.m, &p.sendIov, false)
 			p.admitted.Add(-1)
 		}
 		count++
-		p.drain()
+		p.take()
 	}
-	// The dispatch pool is steered here — the owning-thread safe point
-	// every dispatch round passes through — so resizing never races the
-	// enqueue path above.
+	// take came back with nothing to serve, so the inbox is empty: every
+	// frame that had arrived — a Shutdown behind a burst included — has been
+	// routed before the collective phase looks at pendingShutdown.
+	//
+	// The dispatch pool's shrink arm is steered here, the owning-thread safe
+	// point every dispatch round passes through, so resizing never races the
+	// hand-off above (which runs the grow arm itself when it would block).
 	if p.pool != nil {
 		p.pool.tune(p)
 	}
@@ -446,21 +458,36 @@ func (p *POA) ProcessRequests() int {
 	return count
 }
 
-// drain moves every pending frame from the transport into the adapter's
-// queues without blocking.
-func (p *POA) drain() {
-	for {
-		m, ok, err := p.r.RecvServer(false)
-		if err != nil || !ok {
-			return
-		}
-		p.route(m)
+// take pulls frames from the transport until one single-object request is
+// waiting to be served (or handed to the pool), or nothing is pending. What
+// the adapter cannot dispatch yet stays in the endpoint's inbox — the one
+// backlog — where the TCP write combiner looks for "its owner will send
+// again" (DESIGN.md §12, observation (a)): a busy server's replies then
+// share their write(2)s the way a busy caller's requests do.
+//
+// With admission control armed take is drain: a shed must look at every
+// arrival when it arrives (SetAdmission: "refused immediately"), and a
+// serial adapter's admitted count only ever exceeds 1 because arrivals were
+// taken while one was being served.
+func (p *POA) take() {
+	for (p.admitLimit > 0 || len(p.localQ) == 0) && p.pull(false) {
 	}
 }
 
-// drainBlocking waits for one more server-bound message.
-func (p *POA) drainBlocking() bool {
-	m, ok, err := p.r.RecvServer(true)
+// drain moves every pending frame from the transport into the adapter's
+// queues without blocking. Only the callers that must be eager use it: the
+// nested segment wait (it is looking for its own segments, wherever in the
+// inbox they are) and the fault flush (every request that reached the
+// adapter gets the exception). The dispatch loop uses take.
+func (p *POA) drain() {
+	for p.pull(false) {
+	}
+}
+
+// pull routes the next server-bound frame into the adapter's queues and
+// reports whether there was one; with block it waits for it.
+func (p *POA) pull(block bool) bool {
+	m, ok, err := p.r.RecvServer(block)
 	if err != nil || !ok {
 		return false
 	}
@@ -468,6 +495,12 @@ func (p *POA) drainBlocking() bool {
 	return true
 }
 
+// route files one server-bound frame. Frames are routed in arrival order,
+// when the owning thread reaches them: a Locate, Cancel, Shutdown or Fault
+// that arrived behind single-object requests is handled after they have been
+// served, not ahead of them. ImplIsReady's promise does not depend on that —
+// ProcessRequests runs until the inbox is empty before its collective phase
+// looks at pendingShutdown.
 func (p *POA) route(m *core.Msg) {
 	switch m.Type {
 	case pgiop.MsgRequest:

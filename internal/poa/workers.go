@@ -28,9 +28,10 @@ type localReq struct {
 // The worker count floats between min and max (SetDispatchAuto), steered
 // by the POA thread against the pool's own depth signal — the same quantity
 // the poa_dispatch_pool_depth gauge exports: sustained backlog grows the
-// pool, sustained idleness shrinks it back. All resizing happens from the
-// owning thread at the ProcessRequests safe point; growth spawns workers,
-// shrinkage enqueues retirement pills.
+// pool, sustained idleness shrinks it back. All resizing happens on the
+// owning thread — at the ProcessRequests safe point, and growth also where
+// the hand-off would block (submit); growth spawns workers, shrinkage
+// enqueues retirement pills.
 type dispatchPool struct {
 	reqs chan localReq
 	wg   sync.WaitGroup
@@ -84,25 +85,50 @@ func (pl *dispatchPool) run(p *POA) {
 	}
 }
 
+// submit hands one request to the workers. A full queue means the POA
+// thread is about to block with a backlog behind it — exactly when more
+// workers are wanted, and the loop-exit safe point where tune runs may be a
+// whole flood away — so the controller's grow arm runs before the blocking
+// send. Owning thread only, like tune.
+func (pl *dispatchPool) submit(p *POA, lr localReq) {
+	pl.depth.Add(1)
+	poaPoolDepth.Add(1)
+	select {
+	case pl.reqs <- lr:
+	default:
+		pl.grow(p)
+		pl.reqs <- lr
+	}
+}
+
+// grow is the controller's grow arm: backlog beyond 2× the worker count
+// means the pool is the bottleneck, so double up to max. It reports whether
+// it resized.
+func (pl *dispatchPool) grow(p *POA) bool {
+	if int(pl.depth.Load()) <= 2*pl.workers || pl.workers >= pl.max {
+		return false
+	}
+	n := pl.workers
+	if pl.workers+n > pl.max {
+		n = pl.max - pl.workers
+	}
+	pl.spawn(p, n)
+	pl.workers += n
+	pl.idleFor = 0
+	poaPoolWorkers.Set(int64(pl.workers))
+	poaPoolResizes.Inc()
+	return true
+}
+
 // tune is the pool-size controller, called from ProcessRequests on the
-// owning thread each round. Backlog beyond 2× the worker count means the
-// pool is the bottleneck: double up to max. A pool that has been both
-// empty and idle for poolIdleRounds consecutive rounds halves down to min,
-// so a burst's worth of workers does not linger forever.
+// owning thread each round: the grow arm (which submit also runs when it
+// would block), else the shrink arm — a pool that has been both empty and
+// idle for poolIdleRounds consecutive rounds halves down to min, so a
+// burst's worth of workers does not linger forever.
 func (pl *dispatchPool) tune(p *POA) {
-	d := int(pl.depth.Load())
 	switch {
-	case d > 2*pl.workers && pl.workers < pl.max:
-		grow := pl.workers
-		if pl.workers+grow > pl.max {
-			grow = pl.max - pl.workers
-		}
-		pl.spawn(p, grow)
-		pl.workers += grow
-		pl.idleFor = 0
-		poaPoolWorkers.Set(int64(pl.workers))
-		poaPoolResizes.Inc()
-	case d == 0 && pl.workers > pl.min:
+	case pl.grow(p):
+	case pl.depth.Load() == 0 && pl.workers > pl.min:
 		pl.idleFor++
 		if pl.idleFor >= poolIdleRounds {
 			pl.idleFor = 0

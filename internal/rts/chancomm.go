@@ -17,7 +17,7 @@ type ChanGroup struct {
 
 	mu    sync.Mutex
 	cond  *sync.Cond
-	boxes [][]Message // mailbox per destination rank
+	boxes []mailbox // one per destination rank
 
 	winOnce sync.Once
 	wins    *winStore
@@ -33,7 +33,7 @@ type ChanGroup struct {
 // NewChanGroup creates the communication state for a parallel program of n
 // computing threads running on the named host.
 func NewChanGroup(host string, n int) *ChanGroup {
-	g := &ChanGroup{size: n, host: host, start: time.Now(), boxes: make([][]Message, n)}
+	g := &ChanGroup{size: n, host: host, start: time.Now(), boxes: make([]mailbox, n)}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -140,7 +140,8 @@ func (t *chanThread) Send(dst int, tag Tag, data []byte) {
 	CheckRank(t, dst)
 	g := t.g
 	g.mu.Lock()
-	g.boxes[dst] = append(g.boxes[dst], Message{Src: t.rank, Tag: tag, Data: data})
+	b := &g.boxes[dst]
+	b.q = append(b.q, Message{Src: t.rank, Tag: tag, Data: data})
 	g.mu.Unlock()
 	g.cond.Broadcast()
 }
@@ -149,17 +150,53 @@ func match(m Message, src int, tag Tag) bool {
 	return m.Tag == tag && (src == AnySource || m.Src == src)
 }
 
+// mailbox holds the messages waiting for one rank, oldest first, live from
+// head on. Guarded by the group's mu. Receiving costs no allocation and no
+// copy of the backlog when the match is the oldest message — the common
+// case, and the one a thread behind on its agreement phases is in.
+type mailbox struct {
+	q    []Message
+	head int
+}
+
+// take removes and returns the oldest message matching (src, tag).
+func (b *mailbox) take(src int, tag Tag) (Message, bool) {
+	for i := b.head; i < len(b.q); i++ {
+		m := b.q[i]
+		if !match(m, src, tag) {
+			continue
+		}
+		if i == b.head {
+			b.q[i] = Message{} // drop the payload reference promptly
+			b.head++
+		} else {
+			copy(b.q[i:], b.q[i+1:])
+			b.q[len(b.q)-1] = Message{}
+			b.q = b.q[:len(b.q)-1]
+		}
+		switch {
+		case b.head == len(b.q):
+			b.q, b.head = b.q[:0], 0 // rewind: the array is reused
+		case b.head >= 64 && 2*b.head >= len(b.q):
+			// A mailbox that never quite empties would otherwise grow by
+			// its dead prefix for ever; moving the live half down costs
+			// O(1) per message received.
+			n := copy(b.q, b.q[b.head:])
+			clear(b.q[n:])
+			b.q, b.head = b.q[:n], 0
+		}
+		return m, true
+	}
+	return Message{}, false
+}
+
 func (t *chanThread) Recv(src int, tag Tag) Message {
 	g := t.g
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for {
-		box := g.boxes[t.rank]
-		for i, m := range box {
-			if match(m, src, tag) {
-				g.boxes[t.rank] = append(box[:i:i], box[i+1:]...)
-				return m
-			}
+		if m, ok := g.boxes[t.rank].take(src, tag); ok {
+			return m
 		}
 		g.cond.Wait()
 	}
@@ -169,7 +206,8 @@ func (t *chanThread) Probe(src int, tag Tag) bool {
 	g := t.g
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, m := range g.boxes[t.rank] {
+	b := &g.boxes[t.rank]
+	for _, m := range b.q[b.head:] {
 		if match(m, src, tag) {
 			return true
 		}
