@@ -245,6 +245,14 @@ func orbPair(b testing.TB, clientEP, serverEP nexus.Endpoint, configure ...func(
 			},
 		}},
 	}
+	return servantPair(b, clientEP, serverEP, iface, func(_ *poa.Context, _ string, in []any) (any, []any, error) {
+		return nil, []any{in[0]}, nil
+	}, configure...)
+}
+
+// servantPair is orbPair for any single object: iface served by servant.
+func servantPair(b testing.TB, clientEP, serverEP nexus.Endpoint, iface *core.InterfaceDef, servant poa.ServantFunc, configure ...func(*poa.POA)) (*core.Binding, func()) {
+	b.Helper()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	iorCh := make(chan core.IOR, 1)
@@ -256,10 +264,7 @@ func orbPair(b testing.TB, clientEP, serverEP nexus.Endpoint, configure ...func(
 		for _, fn := range configure {
 			fn(adapter)
 		}
-		ior, err := adapter.RegisterSingle("echo-1", iface, poa.ServantFunc(
-			func(_ *poa.Context, _ string, in []any) (any, []any, error) {
-				return nil, []any{in[0]}, nil
-			}))
+		ior, err := adapter.RegisterSingle("echo-1", iface, servant)
 		if err != nil {
 			b.Error(err)
 			return

@@ -23,7 +23,8 @@ go test -race ./...
 # "unresolved" and the provisional workloads' verdicts only print. 2 s is the
 # shortest repetition tried on the 2-vCPU development box, and gave no
 # "worse" (and no "unresolved") in five consecutive runs against
-# BENCH_22.json; a committed file from another machine is not a baseline —
+# BENCH_22.json, and none in three against BENCH_23.json; a committed file
+# from another machine is not a baseline —
 # regenerate it there first (cd benchmark && go run . -json ../BENCH_<pr>.json).
 ledger="$(mktemp -d)"
 newest="$(ls BENCH_*.json | sort -V | tail -1)"
@@ -58,6 +59,15 @@ go test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/pgiop
 # and every send goes through.
 go test -run NONE -fuzz FuzzFrameStream -fuzztime 10s ./internal/nexus
 go test -run NONE -fuzz FuzzSplitTCPAddr -fuzztime 10s ./internal/nexus
+# And for what decodes the values inside them: typecode.Unmarshal in its two
+# modes (borrow from a frame the GC owns, copy out of a pooled one) must agree
+# on arbitrary bytes, and a copied value must owe nothing to its input.
+go test -run NONE -fuzz FuzzUnmarshalBorrowEqualsCopy -fuzztime 10s ./internal/typecode
+# Frame and record lifetime (DESIGN.md §7) under the race detector, where a
+# recycled frame is overwritten with 0xDB first: kept values survive thousands
+# of recycled frames, every released frame goes back to the pool exactly once
+# and no other does, large and unpooled frames are still borrowed.
+go test -race -count=5 -run 'Recycl|FrameRecycled|StillBorrows|ReplyRecord' ./internal/nexus ./internal/core ./internal/poa
 # The TCP fabric's deferred flush (DESIGN.md §12): delivery without a second
 # call, order, flush-on-Close, flusher lifecycle — repeated, on one and two
 # processors, because who writes a frame is a scheduling outcome.

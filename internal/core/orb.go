@@ -105,37 +105,24 @@ func (o *ORB) size() int {
 // state, the future cell handed to the caller and the result slots the cell
 // resolves to share a single allocation. The caller's *future.Cell points
 // into it, so the record lives exactly as long as the application keeps the
-// cell (or its results) — it is never recycled.
+// cell (or its results) — it is never recycled. It holds what every call
+// uses; what only some calls need hangs off outs and timed.
 type pendingReq struct {
 	cell future.Cell
 	op   *Operation
-	slo  *obs.SLOOp // op's orb_slo entry, resolved once per binding
+	// b is the binding the call was issued on: its id and sequence number
+	// name the call in a CancelRequest, its server's thread-0 address keys the
+	// in-flight ledger and takes cancellations and resends.
+	b *Binding
 	// reply is the reply message once it has arrived (reply.Reply is the
 	// decoded header). It is the ORB's to recycle: maybeComplete releases it
 	// after winning the claim, at which point nothing else can reach it.
-	reply   *Msg
-	binding string
-	seqNo   uint32
-	server0 string // thread-0 address, for cancellation and resends
-	// Distributed out-argument state, keyed by parameter index.
-	holders map[int]dseq.Distributed
-	tmpls   map[int]dist.Template
-	need    map[int]int
-	got     map[int]int
-	buf     []*pgiop.ArgStream // segments that arrived before the reply
+	reply *Msg
+	seqNo uint32
+	opIdx uint32 // op's index in b's operation table, for its orb_slo entry
 
-	// Deadline and retry state (zero when the binding sets no deadline).
-	deadline   float64 // per-attempt budget, seconds; 0 = unbounded
-	deadlineAt float64 // ORB-clock instant the current attempt expires
-	resendAt   float64 // when parked in o.backoff: instant to re-issue
-	attempt    int     // attempts issued so far (first send = 1)
-	policy     RetryPolicy
-	rng        *rand.Rand     // per-request jitter stream (nil unless retryable)
-	req        *pgiop.Request // retained for re-encoding resends (nil unless retryable)
-	serverSize int
-	// gotBy counts out-segment elements by sending server rank, for
-	// attributing a partial transfer to the ranks that went silent.
-	gotBy map[int]int
+	outs  *distOuts   // nil unless op has distributed out parameters
+	timed *timedState // nil unless the binding had a deadline set at issue time
 
 	// Trace state. trace/span are zero when tracing was off at issue time;
 	// trace is the invocation's TraceID (stable across retries) and span the
@@ -151,11 +138,47 @@ type pendingReq struct {
 	results [resultSlots]any
 }
 
+// distOuts is an invocation's distributed out-argument bookkeeping, keyed by
+// parameter index.
+type distOuts struct {
+	holders map[int]dseq.Distributed
+	tmpls   map[int]dist.Template
+	need    map[int]int
+	got     map[int]int
+	buf     []*pgiop.ArgStream // segments that arrived before the reply
+	// gotBy counts out-segment elements by sending server rank, for
+	// attributing a partial transfer to the ranks that went silent.
+	gotBy map[int]int
+}
+
+// timedState is the deadline and retry state of an invocation issued with a
+// deadline.
+type timedState struct {
+	deadline   float64 // per-attempt budget, seconds
+	deadlineAt float64 // ORB-clock instant the current attempt expires; 0 while parked
+	resendAt   float64 // when parked in o.backoff: instant to re-issue
+	attempt    int     // attempts issued so far (first send = 1)
+	policy     RetryPolicy
+	rng        *rand.Rand     // per-request jitter stream (nil unless retryable)
+	req        *pgiop.Request // retained for re-encoding resends (nil unless retryable)
+}
+
 // resultSlots is the number of result values a pendingReq holds inline.
 const resultSlots = 3
 
+// server0 is the thread-0 address of the call's server.
+func (p *pendingReq) server0() string { return p.b.ior.Addrs[0] }
+
+// armed reports whether a deadline is running for the current attempt.
+func (p *pendingReq) armed() bool { return p.timed != nil && p.timed.deadlineAt > 0 }
+
 // retryable reports whether this request may be re-issued (see RetryPolicy).
-func (p *pendingReq) retryable() bool { return p.req != nil }
+func (p *pendingReq) retryable() bool { return p.timed != nil && p.timed.req != nil }
+
+// canRetry reports whether the request is retryable and has attempts left.
+func (p *pendingReq) canRetry() bool {
+	return p.retryable() && p.timed.attempt < p.timed.policy.attempts()
+}
 
 // resolve finishes a claimed (or never-registered) request: observes the
 // latency histogram, records the stub.invoke root span when the invocation
@@ -167,7 +190,7 @@ func (o *ORB) resolve(p *pendingReq, vals []any, err error) {
 	end := obs.NowNS()
 	sec := float64(end-p.issuedNS) / 1e9
 	orbLatency.Observe(sec)
-	p.slo.Observe(end, sec, err != nil)
+	p.b.slos[p.opIdx].Observe(end, sec, err != nil)
 	if p.trace != 0 {
 		// Mark before recording the root: the root span completes the trace,
 		// and the retention decision must already see the error.
@@ -204,21 +227,23 @@ func (o *ORB) claim(id uint32) *pendingReq {
 // ledger; callers hold o.mu and have just added/removed p in o.pending.
 // trackLocked returns the new depth for the histogram.
 func (o *ORB) trackLocked(p *pendingReq) int {
-	if p.deadlineAt > 0 {
+	if p.armed() {
 		o.timed++
 	}
-	o.inflight[p.server0]++
-	return o.inflight[p.server0]
+	s0 := p.server0()
+	o.inflight[s0]++
+	return o.inflight[s0]
 }
 
 func (o *ORB) untrackLocked(p *pendingReq) {
-	if p.deadlineAt > 0 {
+	if p.armed() {
 		o.timed--
 	}
-	if n := o.inflight[p.server0]; n > 1 {
-		o.inflight[p.server0] = n - 1
+	s0 := p.server0()
+	if n := o.inflight[s0]; n > 1 {
+		o.inflight[s0] = n - 1
 	} else {
-		delete(o.inflight, p.server0)
+		delete(o.inflight, s0)
 	}
 }
 
@@ -303,15 +328,10 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 		return b.localObj.call(opDef, args)
 	}
 
-	p := &pendingReq{
-		op:         opDef,
-		slo:        b.opSLO(opIdx),
-		binding:    b.id,
-		seqNo:      b.seq,
-		server0:    b.ior.Addrs[0],
-		deadline:   b.deadline,
-		policy:     b.retry,
-		serverSize: b.ior.ServerSize,
+	b.opSLO(opIdx) // resolve reads the entry through p.b
+	p := &pendingReq{op: opDef, b: b, seqNo: b.seq, opIdx: uint32(opIdx)}
+	if b.deadline > 0 && !opDef.Oneway {
+		p.timed = &timedState{deadline: b.deadline, attempt: 1, policy: b.retry}
 	}
 	cell := &p.cell
 	cell.Init()
@@ -381,16 +401,16 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 			}
 			tmpl := b.outDist(op, i, prm)
 			req.DistOuts = append(req.DistOuts, pgiop.DistOutSpec{Param: int32(i), Tmpl: tmpl})
-			if p.holders == nil {
-				// Most invocations have no distributed out arguments;
-				// allocate the tracking maps only when one appears.
-				p.holders = map[int]dseq.Distributed{}
-				p.tmpls = map[int]dist.Template{}
-				p.need = map[int]int{}
-				p.got = map[int]int{}
+			if p.outs == nil {
+				p.outs = &distOuts{
+					holders: map[int]dseq.Distributed{},
+					tmpls:   map[int]dist.Template{},
+					need:    map[int]int{},
+					got:     map[int]int{},
+				}
 			}
-			p.holders[i] = holder
-			p.tmpls[i] = tmpl
+			p.outs.holders[i] = holder
+			p.outs.tmpls[i] = tmpl
 		case prm.Mode == In || prm.Mode == InOut:
 			if err := typecode.Marshal(enc, prm.Type, args[i]); err != nil {
 				return nil, fmt.Errorf("core: %s argument %d (%s): %w", op, i, prm.Name, err)
@@ -402,17 +422,14 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 	// Retry eligibility (see RetryPolicy): when armed, the request is
 	// retained for re-encoding — with the Body copied out of the pooled
 	// encoder, which is recycled when InvokeNB returns.
-	if b.retry.attempts() > 1 && opDef.Idempotent && !opDef.Oneway &&
-		len(req.DistIns) == 0 && !b.spmd && b.deadline > 0 {
-		kept := *req
-		kept.Body = append([]byte(nil), req.Body...)
-		p.req = &kept
-		p.rng = rand.New(rand.NewSource(int64(b.retry.JitterSeed) + int64(b.seq)))
-	}
-
-	p.attempt = 1
-	if p.deadline > 0 && !opDef.Oneway {
-		p.deadlineAt = o.now() + p.deadline
+	if t := p.timed; t != nil {
+		if b.retry.attempts() > 1 && opDef.Idempotent && len(req.DistIns) == 0 && !b.spmd {
+			kept := *req
+			kept.Body = append([]byte(nil), req.Body...)
+			t.req = &kept
+			t.rng = rand.New(rand.NewSource(int64(b.retry.JitterSeed) + int64(b.seq)))
+		}
+		t.deadlineAt = o.now() + t.deadline
 	}
 	o.mu.Lock()
 	o.nextReq++
@@ -522,15 +539,15 @@ func deadlineMS(seconds float64) uint32 {
 // park schedules a claimed retryable request for re-issue after the
 // policy's exponential backoff.
 func (o *ORB) park(p *pendingReq) {
-	o.parkAfter(p, p.policy.backoff(p.attempt, p.rng))
+	o.parkAfter(p, p.timed.policy.backoff(p.timed.attempt, p.timed.rng))
 }
 
 // parkAfter schedules a claimed retryable request for re-issue after an
 // explicit delay — the server's shed hint when one arrived, the policy
 // backoff otherwise.
 func (o *ORB) parkAfter(p *pendingReq, delay float64) {
-	p.resendAt = o.now() + delay
-	p.deadlineAt = 0
+	p.timed.resendAt = o.now() + delay
+	p.timed.deadlineAt = 0
 	o.mu.Lock()
 	o.backoff = append(o.backoff, p)
 	o.mu.Unlock()
@@ -571,8 +588,8 @@ func (o *ORB) Cancel(cell *future.Cell) bool {
 	if p == nil {
 		return false
 	}
-	msg := pgiop.EncodeCancelRequest(&pgiop.CancelRequest{BindingID: p.binding, SeqNo: p.seqNo})
-	_ = o.r.Send(nexus.Addr(p.server0), msg) // best effort
+	msg := pgiop.EncodeCancelRequest(&pgiop.CancelRequest{BindingID: p.b.id, SeqNo: p.seqNo})
+	_ = o.r.Send(nexus.Addr(p.server0()), msg) // best effort
 	orbCancels.Inc()
 	o.resolve(p, nil, ErrCancelled)
 	return true
@@ -651,7 +668,7 @@ func (o *ORB) sweep() bool {
 	var expired, due []*pendingReq
 	o.mu.Lock()
 	for id, p := range o.pending {
-		if p.deadlineAt > 0 && now >= p.deadlineAt {
+		if p.armed() && now >= p.timed.deadlineAt {
 			// Claim under this same lock hold: a late reply arriving after
 			// the sweep finds no entry and is discarded.
 			delete(o.pending, id)
@@ -662,7 +679,7 @@ func (o *ORB) sweep() bool {
 	if len(o.backoff) > 0 {
 		kept := o.backoff[:0]
 		for _, p := range o.backoff {
-			if now >= p.resendAt {
+			if now >= p.timed.resendAt {
 				due = append(due, p)
 			} else {
 				kept = append(kept, p)
@@ -674,7 +691,7 @@ func (o *ORB) sweep() bool {
 
 	for _, p := range expired {
 		orbTimeouts.Inc()
-		if p.retryable() && p.attempt < p.policy.attempts() {
+		if p.canRetry() {
 			o.park(p)
 		} else {
 			o.resolve(p, nil, o.deadlineError(p))
@@ -690,21 +707,24 @@ func (o *ORB) sweep() bool {
 // fresh request ID, so any straggler reply or segment addressed to the old
 // ID can never satisfy the new attempt.
 func (o *ORB) resend(p *pendingReq) {
+	t := p.timed
 	p.reply = nil
-	p.buf = nil
-	p.resendAt = 0
-	for k := range p.got {
-		delete(p.got, k)
+	if d := p.outs; d != nil {
+		d.buf = nil
+		for k := range d.got {
+			delete(d.got, k)
+		}
+		for k := range d.gotBy {
+			delete(d.gotBy, k)
+		}
 	}
-	for k := range p.gotBy {
-		delete(p.gotBy, k)
-	}
-	p.attempt++
-	p.deadlineAt = o.now() + p.deadline
+	t.resendAt = 0
+	t.attempt++
+	t.deadlineAt = o.now() + t.deadline
 	o.mu.Lock()
 	o.nextReq++
-	p.req.ReqID = o.nextReq
-	o.pending[p.req.ReqID] = p
+	t.req.ReqID = o.nextReq
+	o.pending[t.req.ReqID] = p
 	depth := o.trackLocked(p)
 	o.mu.Unlock()
 	orbPipelineDepth.Observe(float64(depth))
@@ -712,18 +732,18 @@ func (o *ORB) resend(p *pendingReq) {
 	if p.trace != 0 {
 		// Same TraceID, fresh per-attempt SpanID: a straggler span from the
 		// superseded attempt can never masquerade as this one's.
-		p.req.SpanID = obs.NewID()
+		t.req.SpanID = obs.NewID()
 		obs.DefaultTracer.MarkTrace(p.trace, obs.RetainRetry)
 	}
 
-	err := o.sendRequest(nexus.Addr(p.server0), p.req, p, true)
+	err := o.sendRequest(nexus.Addr(p.server0()), t.req, p, true)
 	if err != nil {
-		if q := o.claim(p.req.ReqID); q != nil {
-			if p.attempt < p.policy.attempts() {
+		if q := o.claim(t.req.ReqID); q != nil {
+			if p.canRetry() {
 				o.park(q)
 			} else {
 				o.resolve(q, nil, &InvokeError{
-					Op: p.op.Name, Attempts: p.attempt, Stage: "reply",
+					Op: p.op.Name, Attempts: t.attempt, Stage: "reply",
 					MissingRanks: []int{0}, Err: err,
 				})
 			}
@@ -731,32 +751,38 @@ func (o *ORB) resend(p *pendingReq) {
 	}
 }
 
-// deadlineError builds the rank-attributed failure for an expired request.
+// deadlineError builds the rank-attributed failure for an expired request
+// (which was armed, so p.timed is set).
 // Before the reply, server thread 0 (the collectivity point) is the silent
 // party; after it, the exchange schedule says which server ranks still owed
 // this thread out-argument elements.
 func (o *ORB) deadlineError(p *pendingReq) error {
-	ie := &InvokeError{Op: p.op.Name, Attempts: p.attempt, Err: ErrDeadline}
+	ie := &InvokeError{Op: p.op.Name, Attempts: p.timed.attempt, Err: ErrDeadline}
 	if p.reply == nil {
 		ie.Stage = "reply"
 		ie.MissingRanks = []int{0}
 		return ie
 	}
 	ie.Stage = "out-segments"
+	d := p.outs
+	if d == nil {
+		return ie // a reply with nothing left to wait for cannot have expired
+	}
+	serverSize := p.b.ior.ServerSize
 	// gotBy aggregates received elements by sending rank across all out
 	// parameters, so the expectation is aggregated the same way: the total
 	// each server rank owes this thread over every distributed out
 	// parameter of the reply.
 	expect := map[int]int{}
 	me := o.rank()
-	for param := range p.need {
+	for param := range d.need {
 		n, ok := replyOutLen(p.reply.Reply, param)
 		if !ok {
 			continue
 		}
 		prm := &p.op.Params[param]
-		sched := dist.Cached(prm.ServerDist.Layout(n, p.serverSize), p.tmpls[param].Layout(n, o.size()))
-		for s := 0; s < p.serverSize; s++ {
+		sched := dist.Cached(prm.ServerDist.Layout(n, serverSize), d.tmpls[param].Layout(n, o.size()))
+		for s := 0; s < serverSize; s++ {
 			for _, m := range sched.From(s) {
 				if m.To == me {
 					expect[s] += m.Elements()
@@ -766,7 +792,7 @@ func (o *ORB) deadlineError(p *pendingReq) error {
 	}
 	missing := map[int]bool{}
 	for s, want := range expect {
-		if want > p.gotBy[s] {
+		if want > d.gotBy[s] {
 			missing[s] = true
 		}
 	}
@@ -837,12 +863,12 @@ func (o *ORB) handleReply(m *Msg) {
 			obs.DefaultTracer.MarkTrace(p.trace, obs.RetainShed)
 		}
 		hint := float64(r.RetryAfterMS) / 1000
-		if p.retryable() && p.attempt < p.policy.attempts() {
-			delay := hint
-			if delay <= 0 {
-				delay = p.policy.backoff(p.attempt, p.rng)
+		if p.canRetry() {
+			if hint > 0 {
+				o.parkAfter(p, hint)
+			} else {
+				o.park(p)
 			}
-			o.parkAfter(p, delay)
 			return
 		}
 		o.resolve(p, nil, &ShedError{Op: p.op.Name, RetryAfter: hint})
@@ -860,7 +886,10 @@ func (o *ORB) handleReply(m *Msg) {
 	// the holders and account for the elements this thread expects.
 	for _, ol := range r.OutLens {
 		param := int(ol.Param)
-		holder := p.holders[param]
+		var holder dseq.Distributed
+		if p.outs != nil {
+			holder = p.outs.holders[param]
+		}
 		if holder == nil {
 			if o.claim(r.ReqID) == nil {
 				return
@@ -868,15 +897,17 @@ func (o *ORB) handleReply(m *Msg) {
 			o.resolve(p, nil, fmt.Errorf("core: reply announces unknown out parameter %d", param))
 			return
 		}
-		layout := p.tmpls[param].Layout(int(ol.N), o.size())
+		layout := p.outs.tmpls[param].Layout(int(ol.N), o.size())
 		holder.Reshape(layout)
-		p.need[param] = layout.Count(o.rank())
+		p.outs.need[param] = layout.Count(o.rank())
 	}
 	// Apply segments that raced ahead of the reply.
-	buf := p.buf
-	p.buf = nil
-	for _, a := range buf {
-		o.applySegment(p, a)
+	if d := p.outs; d != nil {
+		buf := d.buf
+		d.buf = nil
+		for _, a := range buf {
+			o.applySegment(p, a)
+		}
 	}
 	o.maybeComplete(r.ReqID, p)
 }
@@ -888,11 +919,11 @@ func (o *ORB) handleSegment(a *pgiop.ArgStream) {
 	o.mu.Lock()
 	p := o.pending[a.ReqID]
 	o.mu.Unlock()
-	if p == nil {
+	if p == nil || p.outs == nil {
 		return
 	}
 	if p.reply == nil {
-		p.buf = append(p.buf, a)
+		p.outs.buf = append(p.outs.buf, a)
 		return
 	}
 	o.applySegment(p, a)
@@ -901,7 +932,8 @@ func (o *ORB) handleSegment(a *pgiop.ArgStream) {
 
 func (o *ORB) applySegment(p *pendingReq, a *pgiop.ArgStream) {
 	param := int(a.Param)
-	holder := p.holders[param]
+	d := p.outs
+	holder := d.holders[param]
 	if holder == nil {
 		return
 	}
@@ -912,8 +944,8 @@ func (o *ORB) applySegment(p *pendingReq, a *pgiop.ArgStream) {
 	}
 	// Validate the run total against the remaining need before decoding,
 	// so an oversized segment never writes past-share elements.
-	if p.got[param]+n > p.need[param] {
-		p.fail(o, a.ReqID, fmt.Errorf("core: parameter %d received %d of %d elements", param, p.got[param]+n, p.need[param]))
+	if d.got[param]+n > d.need[param] {
+		p.fail(o, a.ReqID, fmt.Errorf("core: parameter %d received %d of %d elements", param, d.got[param]+n, d.need[param]))
 		return
 	}
 	dec := cdr.GetDecoder(a.Payload)
@@ -924,11 +956,11 @@ func (o *ORB) applySegment(p *pendingReq, a *pgiop.ArgStream) {
 		p.fail(o, a.ReqID, fmt.Errorf("core: corrupt out segment for parameter %d: %w", param, err))
 		return
 	}
-	p.got[param] += n
-	if p.gotBy == nil {
-		p.gotBy = map[int]int{}
+	d.got[param] += n
+	if d.gotBy == nil {
+		d.gotBy = map[int]int{}
 	}
-	p.gotBy[int(a.Sender)] += n
+	d.gotBy[int(a.Sender)] += n
 }
 
 // checkRuns validates wire runs against the holder's local storage size,
@@ -959,16 +991,19 @@ func (o *ORB) maybeComplete(reqID uint32, p *pendingReq) {
 	if p.reply == nil {
 		return
 	}
-	for param, need := range p.need {
-		if p.got[param] != need {
-			return
+	if d := p.outs; d != nil {
+		for param, need := range d.need {
+			if d.got[param] != need {
+				return
+			}
 		}
 	}
 	// Decode the inline results: return value then non-distributed
-	// out/inout parameters, in declaration order. The reply frame belongs
-	// to this invocation, so decoded values may alias it (zero-copy).
+	// out/inout parameters, in declaration order. Values may alias a reply
+	// frame the GC owns (zero-copy, the bulk case); they are copied out of a
+	// pooled one, which goes back to the transport below.
 	dec := cdr.GetDecoder(p.reply.Reply.Body)
-	dec.SetBorrow(true)
+	dec.SetBorrow(!p.reply.FramePooled())
 	defer dec.Release()
 	vals := p.results[:0]
 	if n := resultCount(p.op); n > len(p.results) {
@@ -988,7 +1023,7 @@ func (o *ORB) maybeComplete(reqID uint32, p *pendingReq) {
 			continue
 		}
 		if prm.Distributed() {
-			vals = append(vals, p.holders[i])
+			vals = append(vals, p.outs.holders[i])
 			continue
 		}
 		v, err := typecode.Unmarshal(dec, prm.Type)
@@ -1002,8 +1037,8 @@ func (o *ORB) maybeComplete(reqID uint32, p *pendingReq) {
 		return // a racing cancel or timeout won; discard the late result
 	}
 	// The claim is won, so no sweep, cancel or resend will look at p.reply
-	// again, and the decoded values alias the frame, not the message:
-	// detach the record and hand it back.
+	// again, and the decoded values alias neither the record nor a frame it
+	// gives back: detach the record and hand it back.
 	m := p.reply
 	p.reply = nil
 	o.resolve(p, vals, nil)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pardis/internal/cdr"
 	"pardis/internal/future"
@@ -348,7 +350,8 @@ func TestReplyRecordReleasedOncePerCompletion(t *testing.T) {
 // TestLostClaimKeepsReplyRecord pins the narrow interleaving the stress test
 // above only sometimes hits: the reply has arrived and is attached to its
 // invocation, and a cancel wins the claim before completion does. Completion
-// must then leave the record alone — the invocation still points at it.
+// must then leave the record alone — the invocation still points at it — and
+// with it the pooled frame the record was decoded from.
 func TestLostClaimKeepsReplyRecord(t *testing.T) {
 	orb, b, srv := echoOrb(t)
 	collected := make(chan []echoReq, 1)
@@ -368,9 +371,22 @@ func TestLostClaimKeepsReplyRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := DecodeMsg(nexus.Frame{Data: frame})
+	// Through a fabric, so that the frame is a pooled one.
+	fab := nexus.NewInproc()
+	from, to := fab.NewEndpoint("from"), fab.NewEndpoint("to")
+	if err := from.Send(to.Addr(), frame); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := to.Recv()
 	if err != nil {
 		t.Fatal(err)
+	}
+	m, err := DecodeMsg(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.FramePooled() {
+		t.Fatal("a small in-process frame is not pooled")
 	}
 	orb.mu.Lock()
 	p := orb.pending[reqs[0].reqID]
@@ -382,6 +398,9 @@ func TestLostClaimKeepsReplyRecord(t *testing.T) {
 	orb.maybeComplete(reqs[0].reqID, p)
 	if p.reply != m || m.Reply == nil || m.Reply.ReqID != reqs[0].reqID {
 		t.Fatal("completion released a reply record its invocation still holds")
+	}
+	if !m.FramePooled() || !bytes.Equal(fr.Data, frame) {
+		t.Fatal("completion returned the frame of a reply record its invocation still holds")
 	}
 	if err := cell.Wait(); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
@@ -400,7 +419,7 @@ func TestTimedLedgerTracksDeadlines(t *testing.T) {
 		defer orb.mu.Unlock()
 		scan := 0
 		for _, p := range orb.pending {
-			if p.deadlineAt > 0 {
+			if p.armed() {
 				scan++
 			}
 		}
@@ -494,5 +513,49 @@ func TestTimedLedgerTracksDeadlines(t *testing.T) {
 	check("after transport failure", 0)
 	if orb.hasTimed() {
 		t.Fatal("hasTimed after every request resolved")
+	}
+}
+
+// TestPendingReqStaysSmall guards the size of the client's per-call record:
+// every invocation allocates one, so state only some calls need — distributed
+// out bookkeeping, deadline and retry state — belongs behind outs and timed,
+// which a plain call leaves nil.
+func TestPendingReqStaysSmall(t *testing.T) {
+	// 240 is the allocator's size class; it was 416 with the cold state
+	// inline.
+	if size := unsafe.Sizeof(pendingReq{}); size > 240 {
+		t.Errorf("pendingReq is %d bytes, want <= 240", size)
+	}
+	orb, b, srv := echoOrb(t)
+	go func() {
+		if reqs, err := srv.collect(2); err == nil {
+			srv.reply(reqs[0])
+			srv.reply(reqs[1])
+		}
+	}()
+	plain, err := b.InvokeNB("echo", []any{int32(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetDeadline(5)
+	timed, err := b.InvokeNB("echo", []any{int32(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orb.mu.Lock()
+	for _, p := range orb.pending {
+		if p.outs != nil || (p.timed != nil) != (&p.cell == timed) {
+			t.Errorf("call %d: outs = %v, timed = %v", p.seqNo, p.outs, p.timed)
+		}
+	}
+	n := len(orb.pending)
+	orb.mu.Unlock()
+	if n != 2 {
+		t.Fatalf("%d calls pending, want 2", n)
+	}
+	for _, c := range []*future.Cell{plain, timed} {
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -33,6 +33,10 @@ type Msg struct {
 	// args is the inline storage behind Args: a request carries its
 	// servant's argument slots, so dispatch allocates none.
 	args [msgArgSlots]any
+
+	// frame is the frame the message was decoded from, kept for its buffer:
+	// Release hands a pooled one back to the transport (see FramePooled).
+	frame nexus.Frame
 }
 
 // msgArgSlots is the number of servant argument slots a Msg carries inline;
@@ -40,8 +44,9 @@ type Msg struct {
 const msgArgSlots = 4
 
 // msgPool recycles Msg records between Release and DecodeMsg. A Msg is the
-// runtime's, never the application's: decoded *values* alias the frame
-// (DESIGN.md §7), so returning the record takes nothing from them.
+// runtime's, never the application's: decoded *values* are copies, or alias
+// a frame the GC owns (DESIGN.md §7), so returning the record — and with it
+// a pooled frame — takes nothing from them.
 var msgPool = sync.Pool{New: func() any { return new(Msg) }}
 
 // Args returns n servant argument slots, all nil, valid until Release.
@@ -52,16 +57,27 @@ func (m *Msg) Args(n int) []any {
 	return m.args[:n:n]
 }
 
-// Release hands the record back to the runtime for reuse. Only the two
-// consumers that can prove nothing else still sees it call this — the ORB
-// once a reply has resolved its invocation, the POA once a single-object
-// request has been served or shed; every other message is left to the GC.
-// The record is zeroed first, so a pooled record pins no frame and a stale
+// FramePooled reports whether the message's frame is on loan from the
+// transport, so that Release will hand its bytes to the next frame read. It
+// is the one rule for whoever decodes values out of the message (m.Req.Body,
+// m.Reply.Body): borrow from a frame the GC owns, copy out of a frame the
+// transport wants back — cdr.Decoder.SetBorrow(!m.FramePooled()).
+func (m *Msg) FramePooled() bool { return m.frame.Pooled() }
+
+// Release hands the record, and the frame it was decoded from if that is a
+// pooled one, back to the runtime for reuse. Only the two consumers that can
+// prove nothing else still sees them call this — the ORB once a reply has
+// resolved its invocation, the POA once a single-object request has been
+// served or shed; every other message is left to the GC, frame and all. The
+// record is zeroed first, so a pooled record pins no frame and a stale
 // pointer into it (a servant that wrongly kept its argument slice) reads
-// nil. m must not be used afterwards.
+// nil. m, and every slice of the frame it gave out (the Body of its header),
+// must not be used afterwards.
 func (m *Msg) Release() {
+	fr := m.frame
 	*m = Msg{}
 	msgPool.Put(m)
+	fr.Release()
 }
 
 // DecodeMsg parses any protocol frame.
@@ -97,9 +113,12 @@ func DecodeMsg(fr nexus.Frame) (*Msg, error) {
 		err = fmt.Errorf("%w: unroutable type %d", pgiop.ErrBadMessage, t)
 	}
 	if err != nil {
+		// The record goes back; the frame, which was never attached, is left
+		// to the GC with whatever the failed decode made of it.
 		m.Release()
 		return nil, err
 	}
+	m.frame = fr
 	return m, nil
 }
 

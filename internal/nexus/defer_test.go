@@ -209,7 +209,7 @@ func TestDeferCountersPinned(t *testing.T) {
 	}
 	var hdr [4]byte
 	for i := 0; i <= 3; i++ {
-		data, err := readFrame(c2, &hdr, maxFrame)
+		data, _, err := readFrame(c2, &hdr, maxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +449,7 @@ func TestDeferBoundedByPendCap(t *testing.T) {
 	go func() {
 		var hdr [4]byte
 		for i := 0; i < n; i++ {
-			data, err := readFrame(c2, &hdr, maxFrame)
+			data, _, err := readFrame(c2, &hdr, maxFrame)
 			if err == nil && int(binary.BigEndian.Uint32(data[muxHdrLen:])) != i {
 				err = fmt.Errorf("frame %d arrived where %d was expected", binary.BigEndian.Uint32(data[muxHdrLen:]), i)
 			}
@@ -576,7 +576,7 @@ func TestCloseFlushWaitsForBlockedWriter(t *testing.T) {
 	})
 	var hdr [4]byte
 	for i := 0; i < n; i++ {
-		data, err := readFrame(pp.peer, &hdr, maxFrame)
+		data, _, err := readFrame(pp.peer, &hdr, maxFrame)
 		if err != nil {
 			t.Fatalf("frame %d of %d accepted before Close: %v", i, n, err)
 		}

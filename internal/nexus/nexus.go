@@ -30,9 +30,17 @@ import (
 type Addr string
 
 // Frame is one received message.
+//
+// A frame of at most smallFrame bytes from the Inproc or TCP fabric is the
+// transport's: Data lies in a pooled buffer (Pooled reports it) that Release
+// hands back, so nothing that must outlive the Release may alias Data. Every
+// other frame — larger, or from the Sim fabric — is the garbage collector's,
+// and so is a pooled frame that is never released.
 type Frame struct {
 	From Addr
 	Data []byte
+
+	buf *frameBuf // the pooled buffer Data lies in; nil when the GC owns Data
 }
 
 // ErrClosed is returned for operations on a closed endpoint or fabric.
@@ -153,7 +161,7 @@ func (f *Inproc) NewEndpoint(name string) Endpoint {
 		fabric: f,
 		addr:   Addr(fmt.Sprintf("inproc://%s/%d", name, f.next)),
 	}
-	ep.cond = sync.NewCond(&ep.mu)
+	ep.inbox.init()
 	f.eps[ep.addr] = ep
 	return ep
 }
@@ -174,18 +182,110 @@ func (f *Inproc) drop(a Addr) {
 	delete(f.eps, a)
 }
 
-type inprocEP struct {
-	fabric *Inproc
-	addr   Addr
-
+// inbox is an endpoint's receive queue, the part the Inproc and TCP fabrics
+// share: frames pushed by whoever delivers (a sending goroutine, a
+// connection's reader), popped by the owning thread. Embedding it gives an
+// endpoint Recv, Poll and SetRecvNotify.
+type inbox struct {
 	mu   sync.Mutex
-	cond *sync.Cond
-	// Consumed from qhead and rewound when empty so the backing array is
-	// reused across pushes (see the tcp endpoint's queue for rationale).
+	cond sync.Cond // on mu; see init
+	// Consumed from qhead and rewound when empty, so a pop is O(1) and the
+	// backing array is reused across pushes.
 	queue  []Frame
 	qhead  int
 	notify func()
 	closed bool
+}
+
+func (q *inbox) init() { q.cond.L = &q.mu }
+
+// SetRecvNotify implements RecvNotifier.
+func (q *inbox) SetRecvNotify(fn func()) bool {
+	q.mu.Lock()
+	q.notify = fn
+	q.mu.Unlock()
+	return true
+}
+
+// push delivers a frame, reporting false — the frame is dropped — when the
+// inbox is closed.
+func (q *inbox) push(fr Frame) bool {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return false
+	}
+	wasEmpty := q.qhead == len(q.queue)
+	q.queue = append(q.queue, fr)
+	q.cond.Broadcast()
+	notify := q.notify
+	q.mu.Unlock()
+	if wasEmpty && notify != nil {
+		notify()
+	}
+	return true
+}
+
+// pop removes the frame at qhead; caller must hold q.mu and have checked
+// the queue is non-empty.
+func (q *inbox) pop() Frame {
+	fr := q.queue[q.qhead]
+	q.queue[q.qhead] = Frame{} // drop the frame reference promptly
+	q.qhead++
+	if q.qhead == len(q.queue) {
+		q.queue = q.queue[:0]
+		q.qhead = 0
+	}
+	return fr
+}
+
+// Recv implements Endpoint.
+func (q *inbox) Recv() (Frame, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.qhead == len(q.queue) && !q.closed {
+		q.cond.Wait()
+	}
+	if q.qhead == len(q.queue) {
+		return Frame{}, ErrClosed
+	}
+	return q.pop(), nil
+}
+
+// Poll implements Endpoint.
+func (q *inbox) Poll() (Frame, bool, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.qhead == len(q.queue) {
+		if q.closed {
+			return Frame{}, false, ErrClosed
+		}
+		return Frame{}, false, nil
+	}
+	return q.pop(), true, nil
+}
+
+// state reports whether the inbox is closed and whether frames are waiting
+// in it.
+func (q *inbox) state() (closed, waiting bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed, q.qhead != len(q.queue)
+}
+
+// shut closes the inbox: pushes are dropped, and receives fail once what is
+// already queued has been taken.
+func (q *inbox) shut() {
+	q.mu.Lock()
+	q.closed = true
+	q.cond.Broadcast()
+	q.mu.Unlock()
+}
+
+type inprocEP struct {
+	inbox
+	fabric *Inproc
+	addr   Addr
 }
 
 func (e *inprocEP) Addr() Addr { return e.addr }
@@ -193,27 +293,6 @@ func (e *inprocEP) Addr() Addr { return e.addr }
 // ConcurrentSendSafe implements ConcurrentSender: the in-process fabric
 // serializes deliveries on the destination's mutex.
 func (e *inprocEP) ConcurrentSendSafe() bool { return true }
-
-// SetRecvNotify implements RecvNotifier.
-func (e *inprocEP) SetRecvNotify(fn func()) bool {
-	e.mu.Lock()
-	e.notify = fn
-	e.mu.Unlock()
-	return true
-}
-
-// pop removes the frame at qhead; caller must hold e.mu and have checked
-// the queue is non-empty.
-func (e *inprocEP) pop() Frame {
-	fr := e.queue[e.qhead]
-	e.queue[e.qhead] = Frame{}
-	e.qhead++
-	if e.qhead == len(e.queue) {
-		e.queue = e.queue[:0]
-		e.qhead = 0
-	}
-	return fr
-}
 
 func (e *inprocEP) Send(to Addr, data []byte) error {
 	return e.SendV(to, data)
@@ -224,68 +303,43 @@ func (e *inprocEP) SendV(to Addr, bufs ...[]byte) error {
 	if err != nil {
 		return err
 	}
-	cp := concat(bufs)
-	dst.mu.Lock()
-	if dst.closed {
-		dst.mu.Unlock()
+	// The fabric must copy (the receiver keeps the frame, the caller keeps
+	// bufs); a small copy goes into a pooled buffer the receiver can return.
+	fr := Frame{From: e.addr}
+	fr.Data, fr.buf = frameBytes(totalLen(bufs))
+	gather(fr.Data, bufs)
+	if !dst.push(fr) {
 		return fmt.Errorf("%w: %s", ErrClosed, to)
-	}
-	wasEmpty := dst.qhead == len(dst.queue)
-	dst.queue = append(dst.queue, Frame{From: e.addr, Data: cp})
-	dst.cond.Broadcast()
-	notify := dst.notify
-	dst.mu.Unlock()
-	if wasEmpty && notify != nil {
-		notify()
 	}
 	return nil
 }
 
-// concat joins buffers into one freshly-allocated frame — the slice-concat
-// SendV semantics of the in-process and simulated fabrics, which must copy
-// anyway because the receiver keeps the frame.
-func concat(bufs [][]byte) []byte {
+func totalLen(bufs [][]byte) int {
 	n := 0
 	for _, b := range bufs {
 		n += len(b)
 	}
-	cp := make([]byte, n)
+	return n
+}
+
+// gather copies bufs back to back into dst, which must be long enough.
+func gather(dst []byte, bufs [][]byte) {
 	off := 0
 	for _, b := range bufs {
-		off += copy(cp[off:], b)
+		off += copy(dst[off:], b)
 	}
+}
+
+// concat joins buffers into one freshly allocated frame the GC owns — what
+// the simulated fabrics deliver as is and the fault injector passes on.
+func concat(bufs [][]byte) []byte {
+	cp := make([]byte, totalLen(bufs))
+	gather(cp, bufs)
 	return cp
 }
 
-func (e *inprocEP) Recv() (Frame, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for e.qhead == len(e.queue) && !e.closed {
-		e.cond.Wait()
-	}
-	if e.qhead == len(e.queue) {
-		return Frame{}, ErrClosed
-	}
-	return e.pop(), nil
-}
-
-func (e *inprocEP) Poll() (Frame, bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed && e.qhead == len(e.queue) {
-		return Frame{}, false, ErrClosed
-	}
-	if e.qhead == len(e.queue) {
-		return Frame{}, false, nil
-	}
-	return e.pop(), true, nil
-}
-
 func (e *inprocEP) Close() error {
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
+	e.shut()
 	e.fabric.drop(e.addr)
 	return nil
 }

@@ -156,8 +156,9 @@ func (t *TCPTransport) newChan(def bool) *tcpChan {
 		t.nextID++
 		id = t.nextID
 	}
-	ch := &tcpChan{t: t, id: id, addr: tcpChanAddr(t.hostport, id), isDefault: def, closed: t.closed}
-	ch.cond = sync.NewCond(&ch.mu)
+	ch := &tcpChan{t: t, id: id, addr: tcpChanAddr(t.hostport, id), isDefault: def}
+	ch.inbox.init()
+	ch.closed = t.closed
 	if !t.closed {
 		t.chans[id] = ch
 	}
@@ -208,7 +209,7 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 		if tc == nil {
 			limit = maxHello
 		}
-		data, err := readFrame(br, &hdr, limit)
+		data, buf, err := readFrame(br, &hdr, limit)
 		if err != nil || len(data) < muxHdrLen {
 			if tc != nil {
 				// The deferred c.Close takes the write side down with the
@@ -259,7 +260,7 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 		if ch == nil {
 			continue // channel closed or never existed; drop the frame
 		}
-		ch.push(Frame{From: tc.fromAddr(src), Data: payload})
+		ch.push(Frame{From: tc.fromAddr(src), Data: payload, buf: buf})
 	}
 }
 
@@ -376,7 +377,7 @@ func (t *TCPTransport) Close() error {
 		c.Close()
 	}
 	for _, ch := range chans {
-		ch.closeLocal()
+		ch.shut()
 	}
 	return nil
 }
@@ -423,22 +424,15 @@ func splitTCPAddr(to Addr) (hostport string, id uint32, err error) {
 
 // --- Logical channel ---------------------------------------------------------
 
-// tcpChan is one logical endpoint: an inbox plus a channel id. All sends go
-// through the owning transport's shared connections.
+// tcpChan is one logical endpoint: an inbox (filled by the connections'
+// reader goroutines) plus a channel id. All sends go through the owning
+// transport's shared connections.
 type tcpChan struct {
+	inbox
 	t         *TCPTransport
 	id        uint32
 	addr      Addr
 	isDefault bool
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	// Consumed from qhead and rewound when empty so the backing array is
-	// reused across pushes (see inprocEP.queue for rationale).
-	queue  []Frame
-	qhead  int
-	notify func()
-	closed bool
 }
 
 func (e *tcpChan) Addr() Addr { return e.addr }
@@ -451,42 +445,14 @@ func (e *tcpChan) Transport() *TCPTransport { return e.t }
 // mutex-protected.
 func (e *tcpChan) ConcurrentSendSafe() bool { return true }
 
-// SetRecvNotify implements RecvNotifier.
-func (e *tcpChan) SetRecvNotify(fn func()) bool {
-	e.mu.Lock()
-	e.notify = fn
-	e.mu.Unlock()
-	return true
-}
-
-// push delivers an inbound frame to the channel's inbox (reader goroutine).
-func (e *tcpChan) push(fr Frame) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	wasEmpty := e.qhead == len(e.queue)
-	e.queue = append(e.queue, fr)
-	e.cond.Broadcast()
-	notify := e.notify
-	e.mu.Unlock()
-	if wasEmpty && notify != nil {
-		notify()
-	}
-}
-
 func (e *tcpChan) Send(to Addr, data []byte) error {
 	return e.SendV(to, data)
 }
 
 func (e *tcpChan) SendV(to Addr, bufs ...[]byte) error {
-	e.mu.Lock()
-	closed := e.closed
 	// A non-empty inbox means the owner has input to process and will send
 	// again before it can block: observation (a) of the flush policy.
-	busy := e.qhead != len(e.queue)
-	e.mu.Unlock()
+	closed, busy := e.state()
 	if closed {
 		return ErrClosed
 	}
@@ -506,55 +472,11 @@ func (e *tcpChan) SendV(to Addr, bufs ...[]byte) error {
 	return nil
 }
 
-// pop removes the frame at qhead; caller must hold e.mu and have checked
-// the queue is non-empty.
-func (e *tcpChan) pop() Frame {
-	fr := e.queue[e.qhead]
-	e.queue[e.qhead] = Frame{} // drop the frame reference promptly
-	e.qhead++
-	if e.qhead == len(e.queue) {
-		e.queue = e.queue[:0]
-		e.qhead = 0
-	}
-	return fr
-}
-
-func (e *tcpChan) Recv() (Frame, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for e.qhead == len(e.queue) && !e.closed {
-		e.cond.Wait()
-	}
-	if e.qhead == len(e.queue) {
-		return Frame{}, ErrClosed
-	}
-	return e.pop(), nil
-}
-
-func (e *tcpChan) Poll() (Frame, bool, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed && e.qhead == len(e.queue) {
-		return Frame{}, false, ErrClosed
-	}
-	if e.qhead == len(e.queue) {
-		return Frame{}, false, nil
-	}
-	return e.pop(), true, nil
-}
-
-func (e *tcpChan) closeLocal() {
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
 // Close releases the channel. Closing the default channel (a standalone
 // NewTCPEndpoint) closes the whole transport; closing a NewChannel endpoint
 // releases only its id — the shared connections stay up for its siblings.
 func (e *tcpChan) Close() error {
-	e.closeLocal()
+	e.shut()
 	e.t.dropChan(e.id, e)
 	if e.isDefault {
 		return e.t.Close()
@@ -895,20 +817,21 @@ const tcpReadBuf = 4 << 10
 func newFrameReader(c net.Conn) *bufio.Reader { return bufio.NewReaderSize(c, tcpReadBuf) }
 
 // readFrame reads one length-prefixed frame of at most limit bytes into a
-// freshly allocated buffer the caller owns (DESIGN.md §7: the receive path
-// hands frames on without copying, so they must never alias the read
-// buffer). A longer frame is rejected before anything is allocated for it.
-func readFrame(r io.Reader, hdr *[4]byte, limit uint32) ([]byte, error) {
+// buffer of its own, never one that aliases the read buffer: a pooled buffer
+// (returned as buf, for the Frame to carry) when the frame is small, a
+// freshly allocated one the receiver keeps for good otherwise (DESIGN.md
+// §7). A longer frame is rejected before anything is allocated for it.
+func readFrame(r io.Reader, hdr *[4]byte, limit uint32) (data []byte, buf *frameBuf, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > limit {
-		return nil, fmt.Errorf("nexus: frame of %d bytes exceeds limit", n)
+		return nil, nil, fmt.Errorf("nexus: frame of %d bytes exceeds limit", n)
 	}
-	data := make([]byte, n)
+	data, buf = frameBytes(int(n))
 	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return data, nil
+	return data, buf, nil
 }

@@ -218,7 +218,7 @@ func TestWriteCombinerCoalesces(t *testing.T) {
 	// followers must arrive as one multi-frame batch.
 	var hdr [4]byte
 	for i := 0; i < 1+followers; i++ {
-		data, err := readFrame(c2, &hdr, maxFrame)
+		data, _, err := readFrame(c2, &hdr, maxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func TestReadFrameSplitAtEveryOffset(t *testing.T) {
 		var hdr [4]byte
 		var got [][]byte
 		for range want {
-			f, err := readFrame(br, &hdr, maxFrame)
+			f, _, err := readFrame(br, &hdr, maxFrame)
 			if err != nil {
 				t.Fatalf("cut %d: frame %d: %v", cut, len(got), err)
 			}
@@ -443,7 +443,7 @@ func TestReadFrameSplitAtEveryOffset(t *testing.T) {
 				t.Fatalf("cut %d: frame %d differs (%d bytes, want %d)", cut, i, len(got[i]), len(want[i]))
 			}
 		}
-		if _, err := readFrame(br, &hdr, maxFrame); err != io.EOF {
+		if _, _, err := readFrame(br, &hdr, maxFrame); err != io.EOF {
 			t.Fatalf("cut %d: read past the stream: err = %v, want io.EOF", cut, err)
 		}
 	}

@@ -222,10 +222,12 @@ func decodeDecision(pay []byte) (*pgiop.Request, []clientInfo, byte, error) {
 // serveSingle services a request for a single object owned by this thread.
 // The entry was resolved at routing time; iov is the caller's vectored-send
 // scratch (the POA's own for inline dispatch, worker-private under the
-// dispatch pool). In pooled mode the servant gets a private context with
-// POA unset — single objects never touch the adapter's collective or
-// segment state (RegisterSingle rejects distributed arguments), so workers
-// share nothing with the owning thread but the concurrency-safe fabric.
+// dispatch pool). A pool worker also passes wctx, the one context it refills
+// for every request it serves, and its servants get that with POA unset —
+// single objects never touch the adapter's collective or segment state
+// (RegisterSingle rejects distributed arguments), so workers share nothing
+// with the owning thread but the concurrency-safe fabric. Inline dispatch
+// passes nil and uses the adapter's own context.
 //
 // Instrumentation wraps the body rather than deferring inside it: this is
 // the round-trip hot path, and a capturing defer would cost an allocation
@@ -235,9 +237,9 @@ func decodeDecision(pay []byte) (*pgiop.Request, []clientInfo, byte, error) {
 // m is the request message, the server side's one record per call: it
 // holds the decoded header (m.Req) and the servant's argument slots, and it
 // is released here, once the reply is sent — by whichever goroutine served
-// the request. Argument *values* alias the request frame, not the record,
-// and are the servant's to keep.
-func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, pooled bool) {
+// the request — and takes a pooled request frame with it. Argument *values*
+// are the servant's to keep: copies, unless the frame is the GC's.
+func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, wctx *Context) {
 	req := m.Req
 	start := obs.NowNS()
 	var vstart float64
@@ -250,7 +252,7 @@ func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, pooled bool) {
 		decodeSpan = obs.NewID()
 	}
 	opIdx := e.iface.OpIndex(req.Operation)
-	failed := p.singleDispatch(e, opIdx, m, iov, pooled, decodeSpan)
+	failed := p.singleDispatch(e, opIdx, m, iov, wctx, decodeSpan)
 	end := obs.NowNS()
 	sec := float64(end-start) / 1e9
 	poaDispatchLatency.Observe(sec)
@@ -278,7 +280,7 @@ func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, pooled bool) {
 // the wrapper can parent the dispatch span beneath it. The return reports
 // whether the dispatch failed (exception sent or undeliverable result) —
 // the wrapper's SLO observation.
-func (p *POA) singleDispatch(e *entry, opIdx int, m *core.Msg, iov *[2][]byte, pooled bool, decodeSpan uint64) bool {
+func (p *POA) singleDispatch(e *entry, opIdx int, m *core.Msg, iov *[2][]byte, wctx *Context, decodeSpan uint64) bool {
 	req := m.Req
 	if opIdx < 0 {
 		if !req.Oneway {
@@ -292,7 +294,7 @@ func (p *POA) singleDispatch(e *entry, opIdx int, m *core.Msg, iov *[2][]byte, p
 		decStart = obs.NowNS()
 	}
 	inVals := m.Args(len(op.Params))
-	err := decodeInline(op, req.Body, inVals)
+	err := decodeInline(op, req.Body, inVals, !m.FramePooled())
 	if decodeSpan != 0 {
 		obs.DefaultTracer.Record(obs.Span{
 			Trace: req.TraceID, ID: decodeSpan, Parent: req.SpanID,
@@ -311,9 +313,11 @@ func (p *POA) singleDispatch(e *entry, opIdx int, m *core.Msg, iov *[2][]byte, p
 		outs []any
 		serr error
 	)
-	if pooled {
-		ctx := Context{Thread: p.th, Oneway: req.Oneway}
-		ret, outs, serr = e.servant.Invoke(&ctx, op.Name, inVals)
+	if wctx != nil {
+		// Refilled, not rebuilt: a context escapes through the Servant
+		// interface, so one per request would be a heap allocation.
+		*wctx = Context{Thread: p.th, Oneway: req.Oneway}
+		ret, outs, serr = e.servant.Invoke(wctx, op.Name, inVals)
 	} else {
 		// The reusable context is saved/restored so nested dispatch (a
 		// servant calling ProcessRequests mid-computation) cannot corrupt
@@ -352,13 +356,13 @@ func (p *POA) singleDispatch(e *entry, opIdx int, m *core.Msg, iov *[2][]byte, p
 
 // decodeInline unmarshals the non-distributed in/inout arguments of a
 // request body into inVals, the servant argument slots (one per parameter,
-// all nil on entry).
-func decodeInline(op *core.Operation, body []byte, inVals []any) error {
-	// The request frame belongs to this dispatch, so decoded arguments may
-	// alias it (zero-copy) — the servant sees stable storage for the whole
-	// invocation.
+// all nil on entry). borrow says the buffer behind body is the GC's — a
+// frame the transport does not want back (core.Msg.FramePooled), the
+// agreement frame of an SPMD dispatch — so decoded arguments may alias it
+// (zero-copy) and stay valid for as long as the servant keeps them.
+func decodeInline(op *core.Operation, body []byte, inVals []any, borrow bool) error {
 	dec := cdr.GetDecoder(body)
-	dec.SetBorrow(true)
+	dec.SetBorrow(borrow)
 	defer dec.Release()
 	for i := range op.Params {
 		prm := &op.Params[i]
@@ -424,7 +428,7 @@ func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan 
 	}
 	op := &e.iface.Ops[opIdx]
 	inVals := make([]any, len(op.Params))
-	if err := decodeInline(op, req.Body, inVals); err != nil {
+	if err := decodeInline(op, req.Body, inVals, true); err != nil {
 		fail(err.Error())
 		return
 	}

@@ -47,8 +47,10 @@ import (
 //
 // The in slice, like ctx, belongs to the adapter and is valid only during
 // Invoke: its slots are recycled with the request's record once the reply
-// has been sent. The values in it are the servant's to keep — they alias
-// the request frame, which lives as long as any of them does.
+// has been sent. The values in it are the servant's to keep: they are copies
+// of what a small request frame carried (the frame goes back to the transport
+// with the record) or alias a large one, which then lives as long as any of
+// them does.
 type Servant interface {
 	Invoke(ctx *Context, op string, in []any) (ret any, outs []any, err error)
 }
@@ -436,7 +438,7 @@ func (p *POA) ProcessRequests() int {
 		if p.pool != nil {
 			p.pool.submit(p, lr)
 		} else {
-			p.serveSingle(lr.e, lr.m, &p.sendIov, false)
+			p.serveSingle(lr.e, lr.m, &p.sendIov, nil)
 			p.admitted.Add(-1)
 		}
 		count++

@@ -16,10 +16,14 @@ import (
 )
 
 // The runtime recycles its per-call records (the decoded request and reply
-// messages, with the servant's argument slots); the application's values —
-// every result a caller received, every argument a servant was handed — alias
-// the frames and stay valid for as long as they are kept. These tests keep
-// all of them across thousands of recycled records and compare at the end.
+// messages, with the servant's argument slots) and the small frames they were
+// decoded from; the application's values — every result a caller received,
+// every argument a servant was handed — are copies of what a small frame
+// carried or alias a large one, and stay valid for as long as they are kept.
+// These tests keep all of them across thousands of recycled records and
+// frames and compare at the end. Under the race detector a recycled frame is
+// overwritten with 0xDB first (nexus' poison), so a value that still aliased
+// one would not survive to the comparison.
 
 func octetEchoIface() *core.InterfaceDef {
 	return &core.InterfaceDef{
@@ -34,10 +38,27 @@ func octetEchoIface() *core.InterfaceDef {
 	}
 }
 
-// recordPayload is call i's 64-byte argument: its index, then bytes derived
-// from it, so a payload names the call it belongs to.
-func recordPayload(i int) []byte {
-	b := make([]byte, 64)
+// mixedEchoIface echoes an octet sequence, a string and a scalar: the value
+// kinds that alias a borrowed frame, that are always copied, and that are
+// boxed.
+func mixedEchoIface() *core.InterfaceDef {
+	return &core.InterfaceDef{
+		Name: "mixed",
+		Ops: []core.Operation{{
+			Name: "echo",
+			Params: []core.Param{
+				core.NewParam("x", core.InOut, typecode.SequenceOf(typecode.TCOctet, 0)),
+				core.NewParam("s", core.InOut, typecode.TCString),
+				core.NewParam("n", core.InOut, typecode.TCLong),
+			},
+		}},
+	}
+}
+
+// recordPayload is call i's n-byte octet argument: its index, then bytes
+// derived from it, so a payload names the call it belongs to.
+func recordPayload(i, n int) []byte {
+	b := make([]byte, n)
 	binary.BigEndian.PutUint32(b, uint32(i))
 	for k := 4; k < len(b); k++ {
 		b[k] = byte(i*31 + k)
@@ -45,7 +66,28 @@ func recordPayload(i int) []byte {
 	return b
 }
 
-// keepingServant echoes its argument and keeps every argument value it was
+// mixedValues is what call i sends and gets back, and what a servant keeps.
+type mixedValues struct {
+	x []byte
+	s string
+	n int32
+}
+
+func recordValues(i int) mixedValues {
+	return mixedValues{x: recordPayload(i, 64), s: fmt.Sprintf("call %d of the recycling test", i), n: int32(i * 7919)}
+}
+
+func (v mixedValues) args() []any { return []any{v.x, v.s, v.n} }
+
+func (v mixedValues) equal(w mixedValues) bool {
+	return bytes.Equal(v.x, w.x) && v.s == w.s && v.n == w.n
+}
+
+func mixedFrom(vals []any) mixedValues {
+	return mixedValues{x: vals[0].([]byte), s: vals[1].(string), n: vals[2].(int32)}
+}
+
+// keepingServant echoes its arguments and keeps every argument value it was
 // ever handed. With nested set it polls for further requests in the middle
 // of each invocation — the paper's process_requests() — and checks that the
 // dispatches it ran meanwhile did not disturb its own argument slots.
@@ -53,24 +95,24 @@ type keepingServant struct {
 	nested bool
 
 	mu       sync.Mutex
-	kept     [][]byte
+	kept     []mixedValues
 	disturbs int
 }
 
 func (s *keepingServant) Invoke(ctx *poa.Context, _ string, in []any) (any, []any, error) {
-	x := in[0].([]byte)
+	v := mixedFrom(in)
 	if s.nested && ctx.POA != nil {
 		ctx.POA.ProcessRequests()
-		if y, ok := in[0].([]byte); !ok || &y[0] != &x[0] {
+		if y, ok := in[0].([]byte); !ok || &y[0] != &v.x[0] || in[1] != v.s || in[2] != v.n {
 			s.mu.Lock()
 			s.disturbs++
 			s.mu.Unlock()
 		}
 	}
 	s.mu.Lock()
-	s.kept = append(s.kept, x)
+	s.kept = append(s.kept, v)
 	s.mu.Unlock()
-	return nil, []any{x}, nil
+	return nil, v.args(), nil
 }
 
 // serveObject runs a one-thread server with one single object on ep (workers
@@ -131,20 +173,20 @@ func TestRecordRecyclingKeepsValues(t *testing.T) {
 				cliEP, srvEP = fab.NewEndpoint("client"), fab.NewEndpoint("server")
 			}
 			srv := &keepingServant{nested: lane.nested}
-			ior, wait := serveObject(t, srvEP, octetEchoIface(), srv, lane.workers)
+			ior, wait := serveObject(t, srvEP, mixedEchoIface(), srv, lane.workers)
 			orb := core.NewORB(core.NewRouter(cliEP), nil, nil)
-			b, err := orb.Bind(ior, octetEchoIface())
+			b, err := orb.Bind(ior, mixedEchoIface())
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			results := make([][]byte, 0, blocking+nonBlocking)
+			results := make([]mixedValues, 0, blocking+nonBlocking)
 			for i := 0; i < blocking; i++ {
-				vals, err := b.Invoke("echo", []any{recordPayload(i), nil})
+				vals, err := b.Invoke("echo", recordValues(i).args())
 				if err != nil {
 					t.Fatalf("call %d: %v", i, err)
 				}
-				results = append(results, vals[0].([]byte))
+				results = append(results, mixedFrom(vals))
 			}
 			// Non-blocking calls go out a window at a time, so the nested lane
 			// finds requests queued behind the one it is serving and the pool
@@ -152,7 +194,7 @@ func TestRecordRecyclingKeepsValues(t *testing.T) {
 			cells := make([]*future.Cell, 0, nonBlocking)
 			for i := 0; i < nonBlocking; i += window {
 				for k := i; k < i+window && k < nonBlocking; k++ {
-					c, err := b.InvokeNB("echo", []any{recordPayload(blocking + k), nil})
+					c, err := b.InvokeNB("echo", recordValues(blocking+k).args())
 					if err != nil {
 						t.Fatalf("call %d: %v", blocking+k, err)
 					}
@@ -169,7 +211,7 @@ func TestRecordRecyclingKeepsValues(t *testing.T) {
 				if err != nil {
 					t.Fatalf("call %d: %v", blocking+k, err)
 				}
-				results = append(results, vals[0].([]byte))
+				results = append(results, mixedFrom(vals))
 			}
 			if err := b.Shutdown("done"); err != nil {
 				t.Fatal(err)
@@ -177,8 +219,8 @@ func TestRecordRecyclingKeepsValues(t *testing.T) {
 			wait()
 
 			for i, got := range results {
-				if !bytes.Equal(got, recordPayload(i)) {
-					t.Fatalf("result %d was overwritten after it was returned: % x", i, got[:8])
+				if !got.equal(recordValues(i)) {
+					t.Fatalf("result %d was overwritten after it was returned: % x %q %d", i, got.x[:8], got.s, got.n)
 				}
 			}
 			if len(srv.kept) != len(results) {
@@ -186,9 +228,9 @@ func TestRecordRecyclingKeepsValues(t *testing.T) {
 			}
 			seen := make([]bool, len(results))
 			for _, arg := range srv.kept {
-				i := int(binary.BigEndian.Uint32(arg))
-				if i >= len(seen) || seen[i] || !bytes.Equal(arg, recordPayload(i)) {
-					t.Fatalf("kept argument of call %d was overwritten after its dispatch: % x", i, arg[:8])
+				i := int(binary.BigEndian.Uint32(arg.x))
+				if i >= len(seen) || seen[i] || !arg.equal(recordValues(i)) {
+					t.Fatalf("kept arguments of call %d were overwritten after its dispatch: % x %q %d", i, arg.x[:8], arg.s, arg.n)
 				}
 				seen[i] = true
 			}
@@ -242,4 +284,53 @@ func TestServantArgSlotsBeyondInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait()
+}
+
+// TestPoolWorkerReusesContext: a pool worker hands every request it serves
+// the same Context, refilled — a context escapes through the Servant
+// interface, so one per request would be a heap allocation per call — and a
+// pooled servant sees no POA in it.
+func TestPoolWorkerReusesContext(t *testing.T) {
+	const workers, calls, window = 4, 400, 32
+	var mu sync.Mutex
+	seen := map[*poa.Context]int{}
+	withPOA := 0
+	fab := nexus.NewInproc()
+	ior, wait := serveObject(t, fab.NewEndpoint("server"), octetEchoIface(), poa.ServantFunc(
+		func(ctx *poa.Context, _ string, in []any) (any, []any, error) {
+			mu.Lock()
+			seen[ctx]++
+			if ctx.POA != nil || ctx.Thread == nil || ctx.Oneway {
+				withPOA++
+			}
+			mu.Unlock()
+			return nil, []any{in[0]}, nil
+		}), workers)
+	b, err := newClient(fab, nil).Bind(ior, octetEchoIface())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < calls; i += window {
+		cells := make([]*future.Cell, window)
+		for k := range cells {
+			if cells[k], err = b.InvokeNB("echo", []any{recordPayload(i+k, 64), nil}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, c := range cells {
+			if vals, err := c.Values(); err != nil || !bytes.Equal(vals[0].([]byte), recordPayload(i+k, 64)) {
+				t.Fatalf("call %d: %v", i+k, err)
+			}
+		}
+	}
+	if err := b.Shutdown("done"); err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	if len(seen) > workers {
+		t.Errorf("%d calls on %d workers were handed %d distinct contexts", calls, workers, len(seen))
+	}
+	if withPOA != 0 {
+		t.Errorf("%d pooled invocations saw a context that was not theirs (POA set, Thread unset or Oneway)", withPOA)
+	}
 }

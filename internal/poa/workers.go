@@ -71,14 +71,16 @@ func (pl *dispatchPool) spawn(p *POA, n int) {
 
 func (pl *dispatchPool) run(p *POA) {
 	defer pl.wg.Done()
-	// Worker-private send scratch: replies from different workers are
-	// independent vectored sends on a concurrency-safe fabric.
+	// Worker-private scratch: replies from different workers are independent
+	// vectored sends on a concurrency-safe fabric, and every request this
+	// worker serves is handed the same context, refilled.
 	var iov [2][]byte
+	var ctx Context
 	for lr := range pl.reqs {
 		if lr.e == nil {
 			return // retirement pill
 		}
-		p.serveSingle(lr.e, lr.m, &iov, true)
+		p.serveSingle(lr.e, lr.m, &iov, &ctx)
 		p.admitted.Add(-1)
 		pl.depth.Add(-1)
 		poaPoolDepth.Add(-1)

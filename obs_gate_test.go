@@ -9,8 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"pardis/internal/core"
+	"pardis/internal/future"
 	"pardis/internal/nexus"
 	"pardis/internal/obs"
+	"pardis/internal/poa"
+	"pardis/internal/typecode"
 )
 
 // measureRoundTrip benchmarks the 64-byte TCP echo round trip (the same
@@ -101,11 +105,19 @@ func TestTracingOverheadGate(t *testing.T) {
 
 // roundTripAllocBudget is the 64 B echo's whole-process allocation ceiling
 // on the hand-written orbPair servant: argument boxing and result slice in
-// the test's own code (2), the client's per-call record, the two frames, and
-// the boxed argument and result values (5) — DESIGN.md §7 has the table. Two
-// above that sum so a size-class or pool-refill wobble is not a failure, and
-// well under the 13–14 the round trip cost before records were shared.
-const roundTripAllocBudget = 9
+// the test's own code (2), the client's per-call record, and the argument and
+// result values, copied out of their pooled frames and boxed (4) — DESIGN.md
+// §7 has the table. One above that sum so a size-class or pool-refill wobble
+// is not a failure.
+const roundTripAllocBudget = 8
+
+// pipelinedWorkAllocBudget is the same ceiling for the shape of the repo
+// benchmark's serve_pipelined_tcp — Worker.work (a long in, a double out),
+// 32 calls in flight on a pooled server: the record, the boxed result, the
+// boxed argument, and the servant's result slice and boxed result (5; the
+// benchmark's generated stub adds its argument slice, which escapes there).
+// No frame and no per-request context; one to spare, as above.
+const pipelinedWorkAllocBudget = 6
 
 // TestRoundTripAllocBudget holds the small-message allocation budget on
 // both fabrics, and holds observability to adding nothing to it: the span
@@ -162,6 +174,55 @@ func TestRoundTripAllocBudget(t *testing.T) {
 				t.Errorf("flight recorder adds allocations: %.0f -> %.0f allocs/op", off, rec)
 			}
 		})
+	}
+}
+
+// TestPipelinedWorkAllocBudget holds the pipelined scalar call to its budget:
+// what it allocates is the record and boxed values, not frames or contexts.
+func TestPipelinedWorkAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const depth = 32
+	iface := &core.InterfaceDef{Name: "Worker", Ops: []core.Operation{{
+		Name: "work",
+		Params: []core.Param{
+			core.NewParam("n", core.In, typecode.TCLong),
+			core.NewParam("sum", core.Out, typecode.TCDouble),
+		},
+	}}}
+	cli, srv := tcpPair(t)
+	defer cli.Close()
+	defer srv.Close()
+	bind, stop := servantPair(t, cli, srv, iface,
+		func(_ *poa.Context, _ string, in []any) (any, []any, error) {
+			return nil, []any{float64(in[0].(int32)) / 2}, nil
+		},
+		func(a *poa.POA) { a.SetDispatchAuto(1, 4) })
+	defer stop()
+	var ring [depth]*future.Cell
+	next := 0
+	work := func() {
+		if c := ring[next%depth]; c != nil {
+			vals, err := c.Values()
+			if err != nil || vals[0] != float64(next-depth)/2 {
+				t.Fatalf("call %d: (%v, %v)", next-depth, vals, err)
+			}
+		}
+		c, err := bind.InvokeNB("work", []any{int32(next), nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ring[next%depth] = c
+		next++
+	}
+	for i := 0; i < 2000; i++ { // fill the ring, the pools, the worker pool
+		work()
+	}
+	if got := testing.AllocsPerRun(5000, work); got > pipelinedWorkAllocBudget {
+		t.Errorf("pipelined Worker.work costs %.1f allocs/op, budget %d", got, pipelinedWorkAllocBudget)
+	} else {
+		t.Logf("pipelined Worker.work: %.1f allocs/op", got)
 	}
 }
 
