@@ -8,6 +8,9 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go test ./...
 go test -race ./...
+# The three packages that hold no process-global selector any more, in random
+# order, three times: an order-dependent test there has nothing to hide behind.
+go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench
 
 # The repo benchmark is a module of its own, so nothing above builds it.
 # This lane is what notices a runtime change that breaks its build or its
@@ -63,6 +66,10 @@ go test -run NONE -fuzz FuzzSplitTCPAddr -fuzztime 10s ./internal/nexus
 # modes (borrow from a frame the GC owns, copy out of a pooled one) must agree
 # on arbitrary bytes, and a copied value must owe nothing to its input.
 go test -run NONE -fuzz FuzzUnmarshalBorrowEqualsCopy -fuzztime 10s ./internal/typecode
+# And for the reference a client is handed as a string: an accepted IOR names
+# at least one server thread and no more threads than addresses, so the
+# tables and schedules a client sizes by it can be built.
+go test -run NONE -fuzz FuzzParseIOR -fuzztime 10s ./internal/core
 # Frame and record lifetime (DESIGN.md §7) under the race detector, where a
 # recycled frame is overwritten with 0xDB first: kept values survive thousands
 # of recycled frames, every released frame goes back to the pool exactly once
@@ -90,12 +97,6 @@ go test -run FaultChaosSoak -count=20 ./internal/poa
 # asserting 10k clients ride few connections with a >= 10x per-connection
 # resident-memory advantage over the baseline.
 go test -run TestFaninGate -count=1 .
-
-# Tuner lane: the deterministic gate over the self-tuning grid (every fixed
-# collective algorithm vs the online selector, per payload x P cell),
-# asserting tuned-within-5%-of-best on every cell and strictly-beats-worst
-# on the crossover cells.
-go test -run TestTunerGate -count=1 .
 
 # Serve lane: the gate over the replicated-group serving figure (healthy /
 # replica-killed / overload with and without POA admission control),

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	pardis-bench [-fig 2|4|5|ablations|collectives|fanin|tuner|serve|obs|all]
+//	pardis-bench [-fig 2|4|5|ablations|collectives|fanin|serve|obs|all]
 //	             [-quick] [-json] [-trace FILE] [-debug ADDR]
 //
 // -quick trims the sweeps for a fast smoke run. -json replaces the tables
@@ -38,7 +38,6 @@ type summary struct {
 	Ablations   []ablationSection       `json:"ablations,omitempty"`
 	Collectives []bench.CollectivePoint `json:"collectives,omitempty"`
 	Fanin       []bench.FaninPoint      `json:"fanin,omitempty"`
-	Tuner       []bench.TunerPoint      `json:"tuner,omitempty"`
 	Serve       []bench.ServePoint      `json:"serve,omitempty"`
 	Obs         []bench.ObsPoint        `json:"obs,omitempty"`
 }
@@ -49,7 +48,7 @@ type ablationSection struct {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "which experiment: 2, 4, 5, ablations, collectives, fanin, tuner, serve, obs, all")
+	fig := flag.String("fig", "all", "which experiment: 2, 4, 5, ablations, collectives, fanin, serve, obs, all")
 	quick := flag.Bool("quick", false, "trimmed sweeps")
 	asJSON := flag.Bool("json", false, "emit a JSON summary instead of tables")
 	traceFile := flag.String("trace", "", "record spans and write a Chrome trace-event JSON to this file")
@@ -84,8 +83,6 @@ func main() {
 		out.Collectives = collectives(*quick, *asJSON)
 	case "fanin":
 		out.Fanin = fanin(*quick, *asJSON)
-	case "tuner":
-		out.Tuner = tuner(*quick, *asJSON)
 	case "serve":
 		out.Serve = serve(*quick, *asJSON)
 	case "obs":
@@ -97,7 +94,6 @@ func main() {
 		out.Ablations = ablations(*quick, *asJSON)
 		out.Collectives = collectives(*quick, *asJSON)
 		out.Fanin = fanin(*quick, *asJSON)
-		out.Tuner = tuner(*quick, *asJSON)
 		out.Serve = serve(*quick, *asJSON)
 		out.Obs = obsPlane(*quick, *asJSON)
 	default:
@@ -230,29 +226,6 @@ func fanin(quick, silent bool) []bench.FaninPoint {
 	for _, p := range pts {
 		fmt.Printf("%-8s  %8d  %13.0f  %17.0f  %12d\n",
 			p.Mode, p.Clients, p.ReqPerSec, p.BytesPerClient, p.Conns)
-	}
-	fmt.Println()
-	return pts
-}
-
-// tuner measures online algorithm selection against every fixed
-// algorithm across the (op, P, payload) grid on the simulated fabric:
-// deterministic, so the tuned-within-5%-of-best gate asserts on the same
-// numbers this table shows.
-func tuner(quick, silent bool) []bench.TunerPoint {
-	ps, sizes, warm, iters := bench.TunerProcs, bench.TunerSizes, 64, 128
-	if quick {
-		ps, sizes, warm, iters = bench.TunerQuickProcs, bench.TunerQuickSizes, 32, 64
-	}
-	pts := bench.TunerGrid(ps, sizes, warm, iters)
-	if silent {
-		return pts
-	}
-	fmt.Println("== Tuner: tuned vs fixed collective algorithms (seconds per round) ==")
-	fmt.Println("op          P   payload_B       tuned  chosen         best_fixed  worst_fixed")
-	for _, p := range pts {
-		fmt.Printf("%-9s %3d  %9d  %10.6f  %-13s %10.6f  %10.6f\n",
-			p.Op, p.P, p.Bytes, p.Tuned, p.Chosen, p.BestFixed(), p.WorstFixed())
 	}
 	fmt.Println()
 	return pts

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -47,12 +48,55 @@ func TestParseIORRejectsGarbage(t *testing.T) {
 		`PARDIS-IOR:1:{"key":"","addrs":["x"]}`, // empty key
 		`PARDIS-IOR:1:{"key":"k"}`,              // no addrs
 		`PARDIS-IOR:1:{"key":"k","spmd":true,"ssize":3,"addrs":["x"]}`, // size mismatch
+		iorZeroThreads, iorNegativeThreads, iorHugeThreads,
 	}
 	for _, s := range cases {
 		if _, err := ParseIOR(s); err == nil {
 			t.Errorf("ParseIOR(%.40q): want error", s)
 		}
 	}
+}
+
+// Single-object references whose thread count no minted reference has; an
+// invocation with a distributed in-argument sizes its schedule by it.
+const (
+	iorZeroThreads     = `PARDIS-IOR:1:{"key":"k","ssize":0,"addrs":["x"]}`
+	iorNegativeThreads = `PARDIS-IOR:1:{"key":"k","ssize":-1,"addrs":["x"]}`
+	iorHugeThreads     = `PARDIS-IOR:1:{"key":"k","ssize":1000000000,"addrs":["x"]}`
+)
+
+// FuzzParseIOR feeds arbitrary strings to the reference parser. Hostile
+// input yields an error or a reference a client can use: its thread count is
+// backed by its addresses, so a schedule over it can be built, and it
+// survives its own stringification.
+func FuzzParseIOR(f *testing.F) {
+	single := sampleIOR()
+	single.SPMD, single.ServerSize, single.Addrs = false, 1, single.Addrs[:1]
+	f.Add(sampleIOR().String())
+	f.Add(single.String())
+	f.Add(iorZeroThreads)
+	f.Add(iorNegativeThreads)
+	f.Add(iorHugeThreads)
+	f.Fuzz(func(t *testing.T, s string) {
+		ior, err := ParseIOR(s)
+		if err != nil {
+			return
+		}
+		if ior.ServerSize < 1 || ior.ServerSize > len(ior.Addrs) {
+			t.Fatalf("accepted %d server threads over %d addresses", ior.ServerSize, len(ior.Addrs))
+		}
+		dist.BlockTemplate().Layout(8, ior.ServerSize)
+		again, err := ParseIOR(ior.String())
+		if err != nil {
+			t.Fatalf("%q does not re-parse: %v", ior.String(), err)
+		}
+		if len(ior.InDists) == 0 {
+			ior.InDists = nil // "indists":[] is omitted on the way out
+		}
+		if !reflect.DeepEqual(again, ior) {
+			t.Fatalf("re-parsed %+v, want %+v", again, ior)
+		}
+	})
 }
 
 func TestApplyOverrides(t *testing.T) {

@@ -67,6 +67,12 @@ func (i IOR) check() error {
 	if len(i.Addrs) == 0 {
 		return fmt.Errorf("core: IOR %s has no endpoint addresses", i.Key)
 	}
+	// Per-thread tables and transfer schedules on the client are sized by
+	// ServerSize; every reference the runtime mints has one address per
+	// thread (SPMD) or one thread (single, replicated).
+	if i.ServerSize < 1 || i.ServerSize > len(i.Addrs) {
+		return fmt.Errorf("core: IOR %s names %d server threads with %d endpoint addresses", i.Key, i.ServerSize, len(i.Addrs))
+	}
 	if i.SPMD && len(i.Addrs) != i.ServerSize {
 		return fmt.Errorf("core: SPMD IOR %s has %d addresses for %d threads", i.Key, len(i.Addrs), i.ServerSize)
 	}

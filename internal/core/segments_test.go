@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"pardis/internal/dseq"
 	"pardis/internal/nexus"
 	"pardis/internal/pgiop"
+	"pardis/internal/rts"
 )
 
 // recordingEP is a send-only endpoint that keeps every frame it is handed,
@@ -74,19 +77,14 @@ func sendThreeMoves(t *testing.T, tp TransferPolicy, n int) [3][]*pgiop.ArgStrea
 	return got
 }
 
-// TestSendSegmentsSmallMovesOneFrameEach: a move set of at most 64 KiB in
-// total travels as exactly one frame per move, and the decision never
-// touches the chunk-size tuner — small payloads stay off its hot path.
+// TestSendSegmentsSmallMovesOneFrameEach: unpinned, a move no larger than
+// the chunk bound travels as exactly one frame.
 func TestSendSegmentsSmallMovesOneFrameEach(t *testing.T) {
-	keys := len(streamSel.Snapshot())
 	got := sendThreeMoves(t, TransferPolicy{}, 8192) // 64 KiB of doubles
 	for thread, frames := range got {
 		if len(frames) != 1 || frames[0].More || frames[0].ChunkOff != 0 {
 			t.Fatalf("thread %d received %d frames (%+v), want one whole move", thread, len(frames), frames)
 		}
-	}
-	if n := len(streamSel.Snapshot()); n != keys {
-		t.Fatalf("chunk-size tuner grew from %d to %d keys on a 64 KiB transfer", keys, n)
 	}
 }
 
@@ -122,5 +120,142 @@ func TestSendSegmentsChunkedContract(t *testing.T) {
 	}
 	if peak := StreamPeakBytes(); peak <= 0 || peak > 2*chunk {
 		t.Fatalf("peak encoder residency %d bytes, want in (0, %d]", peak, 2*chunk)
+	}
+}
+
+// TestTransferChoicesAreAFunctionOfTheTransfer: the sender shape of the
+// benchmark's bulk8m workload — rank 1 of a 1:3 client shipping its 6 MiB
+// to a 2-thread BLOCK server, nothing pinned — emits the same frames every
+// time: 2 MiB and 4 MiB moves cut at 256 KiB, never more than two chunks of
+// one move encoded at once.
+func TestTransferChoicesAreAFunctionOfTheTransfer(t *testing.T) {
+	const n = 1 << 20
+	src := dist.Proportions(1, 3).Layout(n, 2)
+	holder := dseq.Wrap(rts.NewChanGroup("client", 2).Thread(1), src,
+		make([]float64, src.Count(1)), dseq.Float64Codec{})
+	req := &pgiop.Request{BindingID: "b-1", SeqNo: 1}
+	type frame struct {
+		off, payload int
+		more         bool
+	}
+	var first [2][]frame
+	for run := 0; run < 20; run++ {
+		ep := &recordingEP{}
+		ResetStreamPeak()
+		err := SendSegments(TransferPolicy{}, NewRouter(ep), req, 0, pgiop.DirIn, holder, 1,
+			dist.BlockTemplate().Layout(n, 2),
+			func(thread int) (nexus.Addr, uint32) { return nexus.Addr(fmt.Sprintf("t%d", thread)), 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if peak := StreamPeakBytes(); peak <= 0 || peak > 2*defaultStreamChunk {
+			t.Fatalf("run %d: peak encoder residency %d bytes, want in (0, %d]", run, peak, 2*defaultStreamChunk)
+		}
+		var got [2][]frame
+		for i, b := range ep.frames {
+			a, err := pgiop.DecodeArgStream(b)
+			if err != nil {
+				t.Fatalf("run %d frame %d: %v", run, i, err)
+			}
+			thread := int(ep.to[i][1] - '0')
+			got[thread] = append(got[thread], frame{int(a.ChunkOff), len(a.Payload), a.More})
+		}
+		for thread, want := range [2]int{8, 16} {
+			frames := got[thread]
+			if len(frames) != want {
+				t.Fatalf("run %d: thread %d received %d frames, want %d", run, thread, len(frames), want)
+			}
+			off := 0
+			for i, f := range frames {
+				if f.off != off || f.more != (i < want-1) {
+					t.Fatalf("run %d: thread %d chunk %d: offset %d more=%v, want offset %d", run, thread, i, f.off, f.more, off)
+				}
+				off += f.payload / 8
+			}
+		}
+		if run == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d sent different frames than run 0:\n%v\n%v", run, got, first)
+		}
+	}
+}
+
+// gateEP is a send-only endpoint whose SendV announces itself on entered and
+// then blocks until released, recording how many senders were ever inside at
+// once.
+type gateEP struct {
+	recordingEP
+	safe             bool
+	entered, release chan struct{}
+	inside, most     int // under recordingEP.mu
+}
+
+func (e *gateEP) ConcurrentSendSafe() bool { return e.safe }
+
+func (e *gateEP) SendV(nexus.Addr, ...[]byte) error {
+	e.mu.Lock()
+	e.inside++
+	e.most = max(e.most, e.inside)
+	e.mu.Unlock()
+	e.entered <- struct{}{}
+	<-e.release
+	e.mu.Lock()
+	e.inside--
+	e.mu.Unlock()
+	return nil
+}
+
+// TestFanWidthFollowsProcessors: an unpinned transfer of 8 one-frame moves
+// has min(8, GOMAXPROCS) sends in flight at once, a pin overrides that, and
+// a fabric whose sends are not concurrency-safe gets one whatever is asked.
+func TestFanWidthFollowsProcessors(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const moves = 8
+	for _, c := range []struct {
+		procs, pin int
+		safe       bool
+		want       int
+	}{
+		{procs: 1, safe: true, want: 1},
+		{procs: 2, safe: true, want: 2},
+		{procs: 4, safe: true, want: 4},
+		{procs: 4, pin: 3, safe: true, want: 3},
+		{procs: 4, safe: false, want: 1},
+		{procs: 4, pin: 3, safe: false, want: 1},
+	} {
+		runtime.GOMAXPROCS(c.procs)
+		ep := &gateEP{safe: c.safe, entered: make(chan struct{}), release: make(chan struct{})}
+		holder := dseq.Sequential(make([]float64, 16*moves), dseq.Float64Codec{})
+		done := make(chan error, 1)
+		go func() {
+			done <- SendSegments(TransferPolicy{TransferWorkers: c.pin}, NewRouter(ep),
+				&pgiop.Request{BindingID: "b-1"}, 0, pgiop.DirIn, holder, 0,
+				dist.BlockTemplate().Layout(16*moves, moves),
+				func(thread int) (nexus.Addr, uint32) { return "peer", 0 })
+		}()
+		// Hold the gate until c.want senders stand inside it together, then
+		// let one through at a time; each frees a worker for the next move.
+		for i := 0; i < c.want; i++ {
+			<-ep.entered
+		}
+		// A sender wider than c.want has more workers runnable now; yield
+		// so they reach the gate and are counted before anything is released.
+		for i := 0; i < 4*moves; i++ {
+			runtime.Gosched()
+		}
+		for sent := 0; sent < moves; sent++ {
+			ep.release <- struct{}{}
+			if sent+c.want < moves {
+				<-ep.entered
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if ep.most != c.want {
+			t.Errorf("GOMAXPROCS %d, pin %d, safe %v: %d sends in flight at once, want %d",
+				c.procs, c.pin, c.safe, ep.most, c.want)
+		}
 	}
 }

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"time"
-
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/nexus"
 	"pardis/internal/obs"
 	"pardis/internal/pgiop"
-	"pardis/internal/tune"
 )
 
 // Streamed segment transfer. Each move travels as bounded chunks,
@@ -19,27 +16,12 @@ import (
 // Receivers decode each ArgStream chunk positionally into place, so nothing
 // is buffered whole on that side either.
 
-// streamChunkBytes is the candidate chunk-size arm set. The smallest arm
-// doubles as the chunking threshold: payloads at or below it always take
-// the single-frame fast path.
-var streamChunkBytes = [...]int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
-
-// defaultStreamArm indexes the chunk size used wherever online tuning is
-// unavailable (256 KiB: large enough to amortize per-frame cost, small
-// enough that double-buffered residency stays well under a megabyte).
-const defaultStreamArm = 1
-
-// streamSel learns chunk sizes from observed wall-clock transfer times,
-// keyed per (destination count, total payload bucket) — the same
-// process-wide pattern as the fan-out width selector.
-var streamSel = tune.New(0x57e4)
-
-// streamFixed answers chunk decisions on fabrics where wall-clock timing
-// is meaningless (the virtual-time sim): a fixed table pinning every key
-// to the default arm, so sim schedules stay byte-for-byte reproducible.
-var streamFixed = tune.NewFixed(func(tune.Key) int { return defaultStreamArm })
-
-func init() { tune.Register("stream", streamSel) }
+// defaultStreamChunk is the payload bound of one ArgStream frame where the
+// caller pins none: large enough to amortize per-frame cost, small enough
+// that a move's double-buffered residency is 512 KiB. A width × chunk sweep
+// over loopback TCP (EXPERIMENTS.md) has 256 KiB and 1 MiB level, 64 KiB
+// and 4 MiB slower.
+const defaultStreamChunk = 256 << 10
 
 var (
 	streamChunks = obs.Default.MustCounter("stream_chunks_total")
@@ -60,37 +42,13 @@ func StreamPeakBytes() int64 { return streamPeakBuffer.Load() }
 // StreamChunksTotal reads the cumulative chunk-frame count.
 func StreamChunksTotal() uint64 { return streamChunks.Load() }
 
-// streamChunk resolves the chunk byte size for one segment transfer of
-// totalBytes spread over dests destinations — pin if positive, else tuned
-// per (destinations, payload bucket) on fabrics whose sends are
-// concurrency-safe (wall clocks are meaningful there) and the fixed default
-// size elsewhere (see TransferPolicy) — and returns a completion hook for
-// success paths (errored transfers teach the tuner nothing).
-//
-// Transfers at or below the smallest arm cannot chunk whatever the
-// decision, so they skip tuner state entirely — small payloads stay off the
-// selector's hot path.
-func streamChunk(pin int, safe bool, dests, totalBytes int) (int, func()) {
+// streamChunk is the chunk byte size for one segment transfer: pin if
+// positive, else defaultStreamChunk (see TransferPolicy).
+func streamChunk(pin int) int {
 	if pin > 0 {
-		return pin, noFanDone
+		return pin
 	}
-	if totalBytes <= streamChunkBytes[0] {
-		return streamChunkBytes[0], noFanDone
-	}
-	sel := streamSel
-	if !safe {
-		sel = streamFixed
-	}
-	k := tune.Key{Op: "stream", P: dests, Bucket: tune.Bucket(totalBytes)}
-	arm, _ := sel.Pick(k, len(streamChunkBytes))
-	size := streamChunkBytes[arm]
-	if sel.Fixed() {
-		return size, noFanDone
-	}
-	start := time.Now()
-	return size, func() {
-		sel.Observe(k, arm, time.Since(start).Seconds())
-	}
+	return defaultStreamChunk
 }
 
 // streamSpec carries the constant ArgStream header fields of one move's
@@ -253,14 +211,4 @@ func wireRuns(runs []dist.Run) []pgiop.Run {
 		out[i] = pgiop.Run{Global: int32(r.Global), Len: int32(r.Len), DstOff: int32(r.DstOff)}
 	}
 	return out
-}
-
-// moveBytes totals the payload bytes of a move set at the given element
-// size — the payload-bucket input of chunk-size tuning.
-func moveBytes(moves []dist.Move, elemSize int) int {
-	elems := 0
-	for i := range moves {
-		elems += moves[i].Elements()
-	}
-	return elems * elemSize
 }

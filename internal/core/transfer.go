@@ -15,21 +15,21 @@ import (
 // distributed argument. ORB (in-arguments) and POA (out-results) embed it,
 // so both sides are configured by the same two fields and run the same
 // sender, SendSegments. Each field has two states: zero, the default,
-// leaves the choice to a process-wide online tuner keyed by (destination
-// count, payload size); a positive value pins it, which tests use to make
-// frame counts and widths deterministic.
+// leaves the choice to a rule over what the sender can see (fanWidth,
+// streamChunk); a positive value pins it, which tests use to exercise
+// chunking and fan-out on small data.
 type TransferPolicy struct {
 	// TransferWorkers is the fan-out width: how many goroutines encode and
-	// send the per-destination moves of one argument. Widths above 1 apply
-	// only when the fabric's sends are safe for concurrent use (see
-	// Router.ConcurrentSendSafe); elsewhere every move is sent from the
-	// calling goroutine whatever this says.
+	// send the per-destination moves of one argument; zero means one per
+	// move, up to GOMAXPROCS. Widths above 1 apply only when the fabric's
+	// sends are safe for concurrent use (see Router.ConcurrentSendSafe);
+	// elsewhere every move is sent from the calling goroutine whatever
+	// this says.
 	TransferWorkers int
 
 	// StreamChunkBytes bounds the payload bytes per ArgStream frame of one
-	// move. Unpinned, payloads up to 64 KiB always travel as one frame per
-	// move, and fabrics without concurrent sends (the virtual-time sim)
-	// use a fixed 256 KiB chunk so their schedules stay reproducible.
+	// move; zero means 256 KiB. A move no larger than the bound is one
+	// frame.
 	StreamChunkBytes int
 }
 
@@ -49,8 +49,8 @@ func SendSegments(tp TransferPolicy, r *Router, req *pgiop.Request, param int, d
 	moves := dist.Cached(holder.DLayout(), peer).From(rank)
 	safe := r.ConcurrentSendSafe()
 	elemSize := holder.ElemSizeHint()
-	workers, fanDone := fanWidth(tp.TransferWorkers, safe, moves)
-	chunk, streamDone := streamChunk(tp.StreamChunkBytes, safe, len(moves), moveBytes(moves, elemSize))
+	workers := fanWidth(tp.TransferWorkers, safe, len(moves))
+	chunk := streamChunk(tp.StreamChunkBytes)
 	// Only scalar stream-key fields are captured, not req itself: the
 	// closure outlives the frame (worker goroutines), and capturing req
 	// would force every InvokeNB's request header to the heap — including
@@ -62,7 +62,7 @@ func SendSegments(tp TransferPolicy, r *Router, req *pgiop.Request, param int, d
 		Dir:       dir,
 		Sender:    int32(rank),
 	}
-	err := fanOutMoves(workers, moves, func(m *dist.Move, iov *[2][]byte) error {
+	return fanOutMoves(workers, moves, func(m *dist.Move, iov *[2][]byte) error {
 		spec := spec
 		var addr nexus.Addr
 		addr, spec.ReqID = dest(m.To)
@@ -71,11 +71,6 @@ func SendSegments(tp TransferPolicy, r *Router, req *pgiop.Request, param int, d
 		}
 		return nil
 	})
-	if err == nil {
-		fanDone()
-		streamDone()
-	}
-	return err
 }
 
 // iovPool recycles the two-buffer scratch lists used for vectored

@@ -227,12 +227,10 @@ func Scatter[T any](comm rts.Comm, root int, full []T, n int, tmpl dist.Template
 // exchangeChunkBytes bounds the payload of one redistribution message:
 // moves larger than this are streamed as several chunks, so peak encoder
 // residency during a redistribution is O(chunk) regardless of sequence
-// size. The size is fixed (a variable only so in-package tests can force
-// many chunks) rather than the ORB's tuned one: redistribution runs on all
-// three rts backends including the virtual-time sim fabric, where
-// wall-clock tuning is meaningless, and a deterministic cut keeps sim
-// schedules exactly reproducible. Chunks are self-describing (each message carries its own
-// offset and count), so the value need not agree across ranks.
+// size. The size is fixed — the bound the ORB's transfers use — and a
+// variable only so in-package tests can force many chunks. Chunks are
+// self-describing (each message carries its own offset and count), so the
+// value need not agree across ranks.
 var exchangeChunkBytes = 256 << 10
 
 // chunkHdrBytes over-covers the off/count/more chunk header plus the

@@ -10,8 +10,8 @@ import (
 
 // Debug pages contributed by higher layers. obs sits at the bottom of the
 // import graph, so subsystems that want a page on the introspection
-// endpoint (e.g. the tuner's /debug/tuner) register it here from their own
-// package init rather than being imported by obs.
+// endpoint (e.g. pardis-reg's /debug/groups) register it here rather than
+// being imported by obs.
 var (
 	pagesMu sync.Mutex
 	pages   = map[string]http.HandlerFunc{}

@@ -3,8 +3,6 @@ package rts
 import (
 	"sync"
 	"time"
-
-	"pardis/internal/tune"
 )
 
 // ChanGroup is the real-time RTS backend: the computing threads of one
@@ -21,13 +19,6 @@ type ChanGroup struct {
 
 	winOnce sync.Once
 	wins    *winStore
-
-	// Collective algorithm tuning (nil = PR 3 defaults, zero overhead).
-	// The log lives in the group because Thread() mints a fresh value per
-	// call; its own lock keeps decision waits off the mailbox mutex.
-	tmu   sync.Mutex
-	tcond *sync.Cond
-	tlog  *collLog
 }
 
 // NewChanGroup creates the communication state for a parallel program of n
@@ -36,62 +27,6 @@ func NewChanGroup(host string, n int) *ChanGroup {
 	g := &ChanGroup{size: n, host: host, start: time.Now(), boxes: make([]mailbox, n)}
 	g.cond = sync.NewCond(&g.mu)
 	return g
-}
-
-// EnableTuning attaches an online (or fixed) tune.Selector: from now on
-// the plain collectives pick their algorithm per call through the group's
-// decision log (see algo.go for the agreement contract). Call before the
-// program starts — attaching mid-collective is not supported. A nil
-// selector detaches.
-func (g *ChanGroup) EnableTuning(sel *tune.Selector) {
-	g.tmu.Lock()
-	defer g.tmu.Unlock()
-	if sel == nil {
-		g.tlog = nil
-		return
-	}
-	if g.tcond == nil {
-		g.tcond = sync.NewCond(&g.tmu)
-	}
-	g.tlog = newCollLog(sel, g.size)
-}
-
-// decideColl implements collDecider: the first sized rank of a call picks
-// and publishes; everyone else reads, cond-waiting if the decision is not
-// in yet.
-func (t *chanThread) decideColl(kind CollKind, arms int, sized bool, bytes int) collDecision {
-	g := t.g
-	g.tmu.Lock()
-	defer g.tmu.Unlock()
-	l := g.tlog
-	if l == nil {
-		return collDecision{}
-	}
-	k := l.nextKey(kind, t.rank)
-	for {
-		if d, ok := l.dec[k]; ok {
-			l.read(k, g.size)
-			return collDecision{algo: d.algo, witness: d.witness}
-		}
-		if sized {
-			cd := l.pick(k, kind, g.size, arms, bytes)
-			l.read(k, g.size)
-			g.tcond.Broadcast()
-			return cd
-		}
-		g.tcond.Wait()
-	}
-}
-
-// observeColl implements collDecider.
-func (t *chanThread) observeColl(key tune.Key, algo int, seconds float64) {
-	g := t.g
-	g.tmu.Lock()
-	l := g.tlog
-	g.tmu.Unlock()
-	if l != nil {
-		l.sel.Observe(key, algo, seconds)
-	}
 }
 
 // Thread returns the Thread context for the given rank.

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// benchP is the thread-count sweep for the collective benchmarks; the flat
-// algorithms scale linearly in P, the tree algorithms logarithmically, so
-// the spread makes the crossover visible in ns/op.
+// benchP is the thread-count sweep for the collective benchmarks: the tree
+// algorithms scale logarithmically in P, which the spread makes visible in
+// ns/op.
 var benchP = []int{4, 16, 64}
 
 // runCollective spawns a persistent group and times b.N back-to-back

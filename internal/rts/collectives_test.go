@@ -173,6 +173,35 @@ func TestCollectiveBufferOwnership(t *testing.T) {
 	})
 }
 
+// TestAllGatherRingBufferOwnership extends the PR 3 retention contract to
+// the ring path: a thread's own block comes back as the very slice it
+// passed, and a retained result stays byte-stable while later ring rounds
+// reuse the single ring tag.
+func TestAllGatherRingBufferOwnership(t *testing.T) {
+	NewChanGroup("own", 4).Run(func(th Thread) {
+		mine := []byte{0xB0, byte(th.Rank()), 0x0B}
+		all := AllGatherRing(th, mine)
+		if &all[th.Rank()][0] != &mine[0] {
+			panic("own AllGatherRing block is not the caller's own slice")
+		}
+		snapshot := make([][]byte, len(all))
+		for r, b := range all {
+			snapshot[r] = append([]byte(nil), b...)
+		}
+		// Drive more rings (and tag-sharing neighbors) with fresh buffers:
+		// the retained blocks must not be recycled underneath the caller.
+		for i := 0; i < 5; i++ {
+			AllGatherRing(th, []byte{byte(i), byte(th.Rank())})
+			AllGather(th, []byte{byte(i)})
+		}
+		for r := range all {
+			if !bytes.Equal(all[r], snapshot[r]) {
+				panic(fmt.Sprintf("retained ring block of rank %d was clobbered", r))
+			}
+		}
+	})
+}
+
 // TestCollectiveRootValidated: an out-of-range root is a programming
 // error and must panic immediately (the flat versions deadlocked instead).
 func TestCollectiveRootValidated(t *testing.T) {

@@ -22,8 +22,7 @@ var (
 )
 
 // Per-collective payload-size histograms: the observed size distribution
-// is both the tuner's input domain (payload buckets) and a standalone
-// answer to "what does this workload actually send". Bcast sizes are
+// answers "what does this workload actually send". Bcast sizes are
 // recorded at the root (the only rank that knows them); the symmetric
 // collectives record each rank's local contribution.
 var (

@@ -159,20 +159,17 @@ func CheckRank(c Comm, dst int) {
 //     empty non-nil slice.
 
 // Bcast distributes root's data to every thread; each thread passes its
-// own (possibly nil for non-roots) data and receives root's. The default
-// algorithm is a binomial tree (⌈log₂P⌉ rounds, P-1 messages); a
-// communicator with a tuner or decision table attached may select the
-// flat or segmented-chain algorithm per call (see algo.go). Collective.
+// own (possibly nil for non-roots) data and receives root's, along a
+// binomial tree (⌈log₂P⌉ rounds, P-1 messages). Collective.
 func Bcast(c Comm, root int, data []byte) []byte {
 	CheckRank(c, root)
 	out, _ := bcastD(c, nil, root, data)
 	return out
 }
 
-// bcastD is Bcast's dispatcher; with a nil deadline context every receive
-// is the plain blocking Recv (byte-identical behavior and cost to the
-// original), with one it is the abort-aware recvD and the algorithm is
-// pinned to the binomial default.
+// bcastD is the body Bcast and BcastDeadline share; with a nil deadline
+// context every receive is the plain blocking Recv, with one it is the
+// abort-aware recvD.
 func bcastD(c Comm, d *dctx, root int, data []byte) ([]byte, error) {
 	size := c.Size()
 	rtsBcasts.Inc()
@@ -182,27 +179,9 @@ func bcastD(c Comm, d *dctx, root int, data []byte) ([]byte, error) {
 	if size == 1 {
 		return data, nil
 	}
-	// Only the root knows the payload; every other rank learns the agreed
-	// algorithm from the communicator's decision log.
-	algo, witness, done := chooseColl(c, d, CollBcast, len(bcastAlgos), c.Rank() == root, len(data))
-	out, err := bcastAlgos[algo].run(c, d, root, data)
-	if err == nil && witness {
-		// Completion witness (probe calls only, see algo.go): relative rank
-		// P-1 acks the root, so the tracked observation spans collective
-		// completion rather than the root's injection cost.
-		rel := (c.Rank() - root + size) % size
-		switch {
-		case rel == size-1:
-			c.Send(root, tagBcastAck, nil)
-		case c.Rank() == root:
-			c.Recv((root+size-1)%size, tagBcastAck)
-		}
-	}
-	done(err)
-	return out, err
+	return bcastBinomial(c, d, root, data)
 }
 
-// bcastBinomial is the default (algorithm 0) broadcast core.
 func bcastBinomial(c Comm, d *dctx, root int, data []byte) ([]byte, error) {
 	size := c.Size()
 	rtsRounds.Add(treeRounds(size))
@@ -252,13 +231,9 @@ func gatherD(c Comm, d *dctx, root int, data []byte) ([][]byte, error) {
 	if size == 1 {
 		return [][]byte{data}, nil
 	}
-	algo, _, done := chooseColl(c, d, CollGather, len(gatherAlgos), true, len(data))
-	out, err := gatherAlgos[algo].run(c, d, root, data)
-	done(err)
-	return out, err
+	return gatherBinomial(c, d, root, data)
 }
 
-// gatherBinomial is the default (algorithm 0) gather core.
 func gatherBinomial(c Comm, d *dctx, root int, data []byte) ([][]byte, error) {
 	size := c.Size()
 	rtsRounds.Add(treeRounds(size))
@@ -325,13 +300,9 @@ func allGatherD(c Comm, d *dctx, data []byte) ([][]byte, error) {
 	if size == 1 {
 		return [][]byte{data}, nil
 	}
-	algo, _, done := chooseColl(c, d, CollAllGather, len(allGatherAlgos), true, len(data))
-	out, err := allGatherAlgos[algo].run(c, d, data)
-	done(err)
-	return out, err
+	return allGatherBruck(c, d, data)
 }
 
-// allGatherBruck is the default (algorithm 0) all-gather core.
 func allGatherBruck(c Comm, d *dctx, data []byte) ([][]byte, error) {
 	size, rank := c.Size(), c.Rank()
 	rtsRounds.Add(treeRounds(size))
@@ -381,17 +352,15 @@ func allGatherBruck(c Comm, d *dctx, data []byte) ([][]byte, error) {
 // AllGatherRing is the bandwidth-optimal all-gather for large payloads:
 // P-1 rounds around a ring, each rank forwarding one raw block to its
 // successor, so no block is ever re-framed and per-rank traffic is exactly
-// the result size. Latency grows with P — prefer AllGather, which defaults
-// to log-depth Bruck and may select this ring per call when a tuner is
-// attached; this entry point is the explicit pin. Collective.
+// the result size. Latency grows with P — prefer AllGather (log-depth
+// Bruck) unless blocks are large. Collective.
 func AllGatherRing(c Comm, data []byte) [][]byte {
 	rtsAllGatherRing.Inc()
 	out, _ := allGatherRingD(c, nil, data)
 	return out
 }
 
-// allGatherRingD is the ring core — algorithm 1 of the AllGather registry
-// and the body of the explicit AllGatherRing pin.
+// allGatherRingD is the body AllGatherRing and AllGatherRingDeadline share.
 func allGatherRingD(c Comm, d *dctx, data []byte) ([][]byte, error) {
 	size, rank := c.Size(), c.Rank()
 	if size == 1 {
@@ -439,13 +408,9 @@ func reduceD(c Comm, d *dctx, root int, data []byte, op ReduceOp) ([]byte, error
 	if size == 1 {
 		return data, nil
 	}
-	algo, _, done := chooseColl(c, d, CollReduce, len(reduceAlgos), true, len(data))
-	out, err := reduceAlgos[algo].run(c, d, root, data, op)
-	done(err)
-	return out, err
+	return reduceBinomial(c, d, root, data, op)
 }
 
-// reduceBinomial is the default (algorithm 0) reduce core.
 func reduceBinomial(c Comm, d *dctx, root int, data []byte, op ReduceOp) ([]byte, error) {
 	size := c.Size()
 	rtsRounds.Add(treeRounds(size))
@@ -487,7 +452,7 @@ func allReduceD(c Comm, d *dctx, data []byte, op ReduceOp) ([]byte, error) {
 }
 
 // runBarrier is the barrier every backend's Barrier method delegates to.
-// The default algorithm is dissemination: in round k each rank signals the
+// The algorithm is dissemination: in round k each rank signals the
 // peer 2^k ahead and waits for the peer 2^k behind, so after ⌈log₂P⌉
 // rounds every rank has transitively heard from every other. Layering it
 // on Send/Recv keeps the three Comm backends' semantics identical and
@@ -501,13 +466,9 @@ func barrierD(c Comm, d *dctx) error {
 	if c.Size() == 1 {
 		return nil
 	}
-	algo, _, done := chooseColl(c, d, CollBarrier, len(barrierAlgos), true, 0)
-	err := barrierAlgos[algo].run(c, d)
-	done(err)
-	return err
+	return barrierDissemination(c, d)
 }
 
-// barrierDissemination is the default (algorithm 0) barrier core.
 func barrierDissemination(c Comm, d *dctx) error {
 	size, rank := c.Size(), c.Rank()
 	rtsRounds.Add(treeRounds(size))

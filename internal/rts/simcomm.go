@@ -1,10 +1,7 @@
 package rts
 
 import (
-	"sync"
-
 	"pardis/internal/simnet"
-	"pardis/internal/tune"
 	"pardis/internal/vtime"
 )
 
@@ -19,18 +16,6 @@ type SimGroup struct {
 	boxes []*vtime.Chan
 	epoch vtime.Time
 	wins  *winStore
-
-	// Collective algorithm selection. table is the deterministic mode: a
-	// pure function of (kind, P) that every rank computes locally — no
-	// shared state, no virtual-time cost, reproducible by construction.
-	// tlog is the online mode for tuner experiments: the same decision-log
-	// agreement as the chan backend, with waiters polling on the virtual
-	// clock so the schedule stays deterministic under the vtime scheduler.
-	// Both nil (the default) = algorithm 0 everywhere, byte-identical to
-	// the pre-selection runtime.
-	table func(CollKind, int) int
-	tmu   sync.Mutex
-	tlog  *collLog
 }
 
 // NewSimGroup creates the communication state for a parallel program of n
@@ -65,73 +50,6 @@ func (g *SimGroup) SimThread(p *vtime.Proc, rank int) *SimThread {
 
 // Host returns the simnet host the group runs on.
 func (g *SimGroup) Host() *simnet.Host { return g.host }
-
-// SetCollTable pins collective algorithms to a fixed decision table — the
-// deterministic tuner mode, and the harness hook for benchmarking each
-// fixed algorithm. The table must be a pure function (all ranks call it
-// independently); out-of-range answers fall back to algorithm 0. A nil
-// table restores the defaults. Overrides any EnableTuning selector.
-func (g *SimGroup) SetCollTable(table func(kind CollKind, p int) int) {
-	g.table = table
-}
-
-// EnableTuning attaches an online tune.Selector: collective algorithms
-// are picked per call through a shared decision log, with unsized ranks
-// polling for the decision on the virtual clock. Under the deterministic
-// vtime scheduler the whole probe/observe/switch sequence is reproducible
-// for a given selector seed. Call before spawning ranks.
-func (g *SimGroup) EnableTuning(sel *tune.Selector) {
-	if sel == nil {
-		g.tlog = nil
-		return
-	}
-	g.tlog = newCollLog(sel, g.size)
-}
-
-// decideQuantum is the virtual-time polling step of a rank waiting on a
-// not-yet-published decision: fine enough to cost less than one modeled
-// message latency, coarse enough not to flood the event queue.
-var decideQuantum = vtime.Seconds(0.5e-6)
-
-// decideColl implements collDecider on the simulated fabric.
-func (t *SimThread) decideColl(kind CollKind, arms int, sized bool, bytes int) collDecision {
-	g := t.g
-	if g.table != nil {
-		return collDecision{algo: g.table(kind, g.size)}
-	}
-	if g.tlog == nil {
-		return collDecision{}
-	}
-	g.tmu.Lock()
-	k := g.tlog.nextKey(kind, t.rank)
-	g.tmu.Unlock()
-	for {
-		g.tmu.Lock()
-		if d, ok := g.tlog.dec[k]; ok {
-			g.tlog.read(k, g.size)
-			g.tmu.Unlock()
-			return collDecision{algo: d.algo, witness: d.witness}
-		}
-		if sized {
-			cd := g.tlog.pick(k, kind, g.size, arms, bytes)
-			g.tlog.read(k, g.size)
-			g.tmu.Unlock()
-			return cd
-		}
-		g.tmu.Unlock()
-		// Wait on the virtual clock: yields to earlier-scheduled procs, so
-		// the sized rank runs and publishes; deterministic by the vtime
-		// scheduler's total order.
-		t.p.Advance(decideQuantum)
-	}
-}
-
-// observeColl implements collDecider.
-func (t *SimThread) observeColl(key tune.Key, algo int, seconds float64) {
-	if l := t.g.tlog; l != nil {
-		l.sel.Observe(key, algo, seconds)
-	}
-}
 
 // SimThread implements Thread on virtual time.
 type SimThread struct {

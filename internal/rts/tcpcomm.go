@@ -9,7 +9,6 @@ import (
 
 	"pardis/internal/cdr"
 	"pardis/internal/nexus"
-	"pardis/internal/tune"
 )
 
 // TCPThread is the distributed RTS backend: the computing threads of one
@@ -35,33 +34,9 @@ type TCPThread struct {
 
 	mu      sync.Mutex
 	pending []Message // received but not yet matched
-
-	// collTable is the fixed collective-algorithm decision table. Ranks of
-	// a TCP program live in different processes, so only the deterministic
-	// mode is offered: every process must install the same pure function.
-	collTable func(CollKind, int) int
 }
 
 var _ Thread = (*TCPThread)(nil)
-
-// SetCollTable pins collective algorithms to a fixed decision table (see
-// SimGroup.SetCollTable). Every rank's process must install an identical
-// table, or collective schedules will mismatch. Nil restores defaults.
-func (t *TCPThread) SetCollTable(table func(kind CollKind, p int) int) {
-	t.collTable = table
-}
-
-// decideColl implements collDecider: fixed-table answers only, never
-// tracked (there is no cross-process tuner to observe into).
-func (t *TCPThread) decideColl(kind CollKind, arms int, sized bool, bytes int) collDecision {
-	if t.collTable != nil {
-		return collDecision{algo: t.collTable(kind, t.size)}
-	}
-	return collDecision{}
-}
-
-// observeColl implements collDecider; fixed tables learn nothing.
-func (t *TCPThread) observeColl(key tune.Key, algo int, seconds float64) {}
 
 const (
 	tcpMsgJoin  byte = 1

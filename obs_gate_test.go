@@ -271,9 +271,6 @@ func TestMetricNameHygiene(t *testing.T) {
 		"rts_gather_payload_bytes",
 		"rts_allgather_payload_bytes",
 		"rts_reduce_payload_bytes",
-		"tune_decisions_total",
-		"tune_probes_total",
-		"tune_switches_total",
 		"poa_dispatch_pool_workers",
 		"poa_dispatch_pool_resizes_total",
 		"stream_chunks_total",
