@@ -8,9 +8,12 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go test ./...
 go test -race ./...
-# The three packages that hold no process-global selector any more, in random
+# The packages that hold no process-global selector any more, in random
 # order, three times: an order-dependent test there has nothing to hide behind.
-go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench
+go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench ./internal/dseq
+# The one rts mailbox, over the in-process and the TCP fabric, and the one
+# wake-up a POA computing thread parks on for both of its endpoints.
+go test -race -count=5 -run 'Mailbox|SiblingWakes' ./internal/rts ./internal/poa
 
 # The repo benchmark is a module of its own, so nothing above builds it.
 # This lane is what notices a runtime change that breaks its build or its
@@ -62,6 +65,9 @@ go test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/pgiop
 # and every send goes through.
 go test -run NONE -fuzz FuzzFrameStream -fuzztime 10s ./internal/nexus
 go test -run NONE -fuzz FuzzSplitTCPAddr -fuzztime 10s ./internal/nexus
+# The rts data frame a peer sends a computing thread: no panic, nothing sized
+# by its length prefix, and an accepted frame is exactly what Send writes.
+go test -run NONE -fuzz FuzzRTSFrame -fuzztime 10s ./internal/rts
 # And for what decodes the values inside them: typecode.Unmarshal in its two
 # modes (borrow from a frame the GC owns, copy out of a pooled one) must agree
 # on arbitrary bytes, and a copied value must owe nothing to its input.

@@ -237,16 +237,6 @@ var exchangeChunkBytes = 256 << 10
 // payload's alignment padding when sizing chunk encoders.
 const chunkHdrBytes = 16
 
-// sendCopies reports whether comm's Send serializes data before returning
-// (the rts.SendCopier capability). When it does, a pooled encoder buffer
-// may be reused immediately after Send; when it does not (the chan and sim
-// backends deliver the caller's slice to the receiver by reference), every
-// chunk needs a buffer whose ownership transfers with the message.
-func sendCopies(c rts.Comm) bool {
-	sc, ok := c.(rts.SendCopier)
-	return ok && sc.SendCopies()
-}
-
 // exchMove tracks the streaming progress of one move of an exchange: done
 // counts elements already sent (outgoing moves) or decoded (incoming).
 type exchMove struct {
@@ -302,7 +292,6 @@ func exchange[T any](comm rts.Comm, codec Codec[T], src, dst dist.Layout, in []T
 		elemSize = 8
 	}
 	chunkElems := dist.ChunkElems(exchangeChunkBytes, elemSize)
-	copies := sendCopies(comm)
 	var scratch []dist.Run
 	for {
 		pending := false
@@ -317,17 +306,9 @@ func exchange[T any](comm rts.Comm, codec Codec[T], src, dst dist.Layout, in []T
 				n = chunkElems
 			}
 			scratch = dist.SplitRuns(s.m.Runs, s.done, n, scratch[:0])
-			var e *cdr.Encoder
-			if copies {
-				// The backend serializes before Send returns, so a pooled
-				// encoder is reusable the moment the call completes.
-				e = cdr.GetEncoder(chunkHdrBytes + n*elemSize)
-			} else {
-				// By-reference delivery: the receiver will alias this exact
-				// buffer, so it is allocated per chunk and ownership travels
-				// with the message.
-				e = cdr.NewEncoder(chunkHdrBytes + n*elemSize)
-			}
+			// Send copies, so the pooled encoder is reusable the moment the
+			// call completes.
+			e := cdr.GetEncoder(chunkHdrBytes + n*elemSize)
 			e.PutULong(uint32(s.done))
 			e.PutULong(uint32(n))
 			e.PutBool(s.done+n < s.elems)
@@ -335,9 +316,7 @@ func exchange[T any](comm rts.Comm, codec Codec[T], src, dst dist.Layout, in []T
 				codec.Encode(e, in[r.SrcOff:r.SrcOff+r.Len])
 			}
 			comm.Send(s.m.To, rts.TagDSeq, e.Bytes())
-			if copies {
-				e.Release()
-			}
+			e.Release()
 			s.done += n
 		}
 		for i := range recvs {

@@ -74,9 +74,10 @@ func (p *POA) collectivePhase() int {
 			e.PutOctets(shutdownDecision)
 		}
 		// The frame is built in a pooled encoder but broadcast as a copy:
-		// the chan backend hands buffers to receivers by reference, and the
-		// decoded requests on every thread alias the frame for a whole
-		// dispatch, so a pooled buffer could be recycled under a reader.
+		// Send copies for the siblings, but thread 0 decodes its own frame,
+		// and its decoded requests — and any values a servant keeps — alias
+		// it past this phase, so a pooled buffer could be recycled under
+		// them.
 		frame = append([]byte(nil), e.Bytes()...)
 		e.Release()
 	}

@@ -246,14 +246,21 @@ func New(th rts.Thread, r *core.Router, table *core.LocalTable) *POA {
 	// full per-interval scan to notice one busy endpoint. Fabrics without
 	// the capability (notably Sim, whose virtual clock only advances
 	// through Thread.Sleep) keep the plain polling sleep.
+	//
+	// The computing thread's rts endpoint feeds the same wake-up, so a
+	// sibling parked here is woken by thread 0's agreement frame too.
 	wake := make(chan struct{}, 1)
-	if r != nil && r.SetRecvNotify(func() {
+	notify := func() {
 		select {
 		case wake <- struct{}{}:
 		default:
 		}
-	}) {
+	}
+	if r != nil && r.SetRecvNotify(notify) {
 		p.wake = wake
+		if n, ok := th.(nexus.RecvNotifier); ok {
+			n.SetRecvNotify(notify)
+		}
 	}
 	return p
 }

@@ -6,11 +6,13 @@
 // basic message passing primitives" plus a way to distinguish PARDIS
 // messages from application traffic (reserved tags), so that MPI, Tulip and
 // POOMA's communication layer can all implement it. This package provides
-// the same contract with two substrates:
+// the same contract two ways:
 //
-//   - chancomm.go — goroutine "computing threads" exchanging real messages
-//     through in-process mailboxes (the MPI-on-shared-memory analog); used
-//     by the runnable examples.
+//   - endpoint.go — the real-time computing thread: one nexus.Endpoint, a
+//     rank table and one mailbox matched by (source, tag). ChanGroup
+//     (chancomm.go) runs a program's threads as goroutines over a private
+//     in-process fabric; JoinTCP (tcpcomm.go) runs them as separate
+//     processes over TCP.
 //   - simcomm.go — the same semantics on the vtime virtual clock with
 //     simnet-modeled transfer costs; used by the experiment harness.
 package rts
@@ -31,16 +33,10 @@ const ReservedBase Tag = 0xF000_0000
 
 // Reserved internal tags.
 const (
-	TagBarrier Tag = ReservedBase + iota // legacy flat-barrier tag (unused by the tree collectives)
-	TagBcast
-	TagGather
-	TagRequest  // ORB request headers delivered into the server's domain
-	TagArgument // distributed-argument segments
-	TagReply
-	TagDSeq  // distributed-sequence internal traffic (redistribution, At)
-	TagAbort // deadline-aware collectives: rank-attributed abort notice
-	TagPing  // deadline-aware collectives: liveness probe to a silent peer
-	TagPong  // deadline-aware collectives: liveness probe answer
+	TagDSeq  Tag = ReservedBase + iota // distributed-sequence internal traffic (redistribution, At)
+	TagAbort                           // deadline-aware collectives: rank-attributed abort notice
+	TagPing                            // deadline-aware collectives: liveness probe to a silent peer
+	TagPong                            // deadline-aware collectives: liveness probe answer
 )
 
 // Per-round collective tags. Every tree collective derives one tag per
@@ -89,29 +85,21 @@ type Comm interface {
 	Rank() int
 	// Size is the number of computing threads in the program.
 	Size() int
-	// Send delivers data to thread dst with the given tag. It may block
-	// for the duration of the wire occupancy (single-threaded transport,
-	// as in NexusLite) but not for the receiver.
+	// Send delivers a copy of data to thread dst with the given tag, so the
+	// caller may reuse data as soon as Send returns. It may block for the
+	// duration of the wire occupancy (single-threaded transport, as in
+	// NexusLite) but not for the receiver.
 	Send(dst int, tag Tag, data []byte)
 	// Recv blocks until a message with the given tag from src (or from
 	// anyone if src == AnySource) is available and returns it. Messages
-	// with equal (src, tag) are delivered in send order.
+	// with equal (src, tag) are delivered in send order. The returned Data
+	// is the receiver's: no other thread holds it, and it stays stable
+	// indefinitely.
 	Recv(src int, tag Tag) Message
 	// Probe reports whether Recv(src, tag) would return without blocking.
 	Probe(src int, tag Tag) bool
 	// Barrier blocks until all threads of the program have entered it.
 	Barrier()
-}
-
-// SendCopier is an optional Comm capability: a backend whose Send
-// serializes (copies) data onto the wire before returning implements it
-// with true, telling senders that a pooled buffer may be reused the moment
-// Send completes. Backends that deliver the caller's slice to the receiver
-// by reference (chan, sim — see the buffer-ownership rules below) leave it
-// unimplemented, and senders must hand buffer ownership over with the
-// message.
-type SendCopier interface {
-	SendCopies() bool
 }
 
 // Thread is the execution context handed to SPMD application code: the
@@ -144,14 +132,11 @@ func CheckRank(c Comm, dst int) {
 // Buffer ownership of collective results (the collective extension of the
 // DESIGN.md §7 frame-ownership rules):
 //
-//   - A buffer passed into a collective is frozen at the call: on borrow-mode
-//     backends (chan, sim) it is delivered to peers by reference, so the
-//     caller must not mutate it afterward — copy first if the storage will
-//     be reused.
+//   - Send copies, so a buffer passed into a collective is the caller's
+//     again once the collective returns.
 //   - The root of Bcast gets its own slice back (identity-preserved); every
-//     other thread gets a frame-aliased slice on borrow-mode backends, or a
-//     receiver-owned frame slice on TCP. Either way the bytes are stable
-//     indefinitely and read-only.
+//     other thread gets a slice of a frame it received, which is its own:
+//     the bytes are stable indefinitely and read-only.
 //   - Gather/AllGather/Reduce results follow the same rule: a thread's own
 //     contribution comes back as the very slice it passed (nil included);
 //     peer blocks alias received frames. Empty and nil blocks are
@@ -179,11 +164,6 @@ func bcastD(c Comm, d *dctx, root int, data []byte) ([]byte, error) {
 	if size == 1 {
 		return data, nil
 	}
-	return bcastBinomial(c, d, root, data)
-}
-
-func bcastBinomial(c Comm, d *dctx, root int, data []byte) ([]byte, error) {
-	size := c.Size()
 	rtsRounds.Add(treeRounds(size))
 	rel := (c.Rank() - root + size) % size
 	// Receive from the parent — the node whose relative rank clears my
@@ -231,11 +211,6 @@ func gatherD(c Comm, d *dctx, root int, data []byte) ([][]byte, error) {
 	if size == 1 {
 		return [][]byte{data}, nil
 	}
-	return gatherBinomial(c, d, root, data)
-}
-
-func gatherBinomial(c Comm, d *dctx, root int, data []byte) ([][]byte, error) {
-	size := c.Size()
 	rtsRounds.Add(treeRounds(size))
 	rel := (c.Rank() - root + size) % size
 	// acc[i] is the block of relative rank rel+i: a binomial subtree covers
@@ -300,11 +275,7 @@ func allGatherD(c Comm, d *dctx, data []byte) ([][]byte, error) {
 	if size == 1 {
 		return [][]byte{data}, nil
 	}
-	return allGatherBruck(c, d, data)
-}
-
-func allGatherBruck(c Comm, d *dctx, data []byte) ([][]byte, error) {
-	size, rank := c.Size(), c.Rank()
+	rank := c.Rank()
 	rtsRounds.Add(treeRounds(size))
 	out := make([][]byte, size)
 	out[rank] = data
@@ -408,11 +379,6 @@ func reduceD(c Comm, d *dctx, root int, data []byte, op ReduceOp) ([]byte, error
 	if size == 1 {
 		return data, nil
 	}
-	return reduceBinomial(c, d, root, data, op)
-}
-
-func reduceBinomial(c Comm, d *dctx, root int, data []byte, op ReduceOp) ([]byte, error) {
-	size := c.Size()
 	rtsRounds.Add(treeRounds(size))
 	rel := (c.Rank() - root + size) % size
 	acc := data
@@ -455,7 +421,7 @@ func allReduceD(c Comm, d *dctx, data []byte, op ReduceOp) ([]byte, error) {
 // The algorithm is dissemination: in round k each rank signals the
 // peer 2^k ahead and waits for the peer 2^k behind, so after ⌈log₂P⌉
 // rounds every rank has transitively heard from every other. Layering it
-// on Send/Recv keeps the three Comm backends' semantics identical and
+// on Send/Recv keeps the real-time and simulated semantics identical and
 // gives the simulated fabric log-depth modeled latency for free.
 func runBarrier(c Comm) {
 	_ = barrierD(c, nil)
@@ -463,14 +429,10 @@ func runBarrier(c Comm) {
 
 func barrierD(c Comm, d *dctx) error {
 	rtsBarriers.Inc()
-	if c.Size() == 1 {
+	size, rank := c.Size(), c.Rank()
+	if size == 1 {
 		return nil
 	}
-	return barrierDissemination(c, d)
-}
-
-func barrierDissemination(c Comm, d *dctx) error {
-	size, rank := c.Size(), c.Rank()
 	rtsRounds.Add(treeRounds(size))
 	round := 0
 	for dist := 1; dist < size; dist <<= 1 {

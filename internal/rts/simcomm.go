@@ -22,7 +22,7 @@ type SimGroup struct {
 // computing threads on host. Thread clocks are measured from epoch (the
 // virtual time at which the program starts).
 func NewSimGroup(sim *vtime.Sim, host *simnet.Host, n int) *SimGroup {
-	g := &SimGroup{sim: sim, host: host, size: n}
+	g := &SimGroup{sim: sim, host: host, size: n, wins: newWinStore()}
 	for i := 0; i < n; i++ {
 		g.boxes = append(g.boxes, vtime.NewChan(sim, "rts-box"))
 	}
@@ -76,10 +76,12 @@ func (t *SimThread) Elapsed() float64 { return (t.p.Now() - t.g.epoch).Seconds()
 
 func (t *SimThread) Sleep(seconds float64) { t.p.Advance(vtime.Seconds(seconds)) }
 
+// Send implements Comm. The payload is copied, as every backend's is; the
+// modeled cost depends only on its length.
 func (t *SimThread) Send(dst int, tag Tag, data []byte) {
 	CheckRank(t, dst)
 	arrival := t.g.host.InternalSend(t.p, t.rank, len(data)+32) // 32 B header
-	t.p.SendAt(t.g.boxes[dst], Message{Src: t.rank, Tag: tag, Data: data}, arrival)
+	t.p.SendAt(t.g.boxes[dst], Message{Src: t.rank, Tag: tag, Data: append([]byte(nil), data...)}, arrival)
 }
 
 func simMatch(src int, tag Tag) func(any) bool {
@@ -99,7 +101,7 @@ func (t *SimThread) Probe(src int, tag Tag) bool {
 }
 
 // Barrier implements Comm (dissemination over Send/Recv, shared with the
-// chan and TCP backends): ⌈log₂P⌉ rounds of modeled messages, so barrier
+// endpoint thread): ⌈log₂P⌉ rounds of modeled messages, so barrier
 // latency on the virtual clock scales logarithmically with thread count.
 func (t *SimThread) Barrier() { runBarrier(t) }
 
@@ -107,18 +109,11 @@ func (t *SimThread) Barrier() { runBarrier(t) }
 // reach, but each access charges the host's internal-interconnect cost, so
 // location-transparent element access shows up in modeled time.
 
-func (g *SimGroup) winStore() *winStore {
-	if g.wins == nil {
-		g.wins = newWinStore()
-	}
-	return g.wins
-}
-
 // WinAlloc collectively allocates a window id.
-func (t *SimThread) WinAlloc() uint64 { return t.g.winStore().allocID(t) }
+func (t *SimThread) WinAlloc() uint64 { return t.g.wins.allocID(t) }
 
 // WinPut publishes this thread's storage for a window.
-func (t *SimThread) WinPut(id uint64, rank int, data any) { t.g.winStore().put(id, rank, data) }
+func (t *SimThread) WinPut(id uint64, rank int, data any) { t.g.wins.put(id, rank, data) }
 
 // WinGet reads another thread's published storage, charging a round-trip on
 // the host interconnect when the data is remote.
@@ -127,5 +122,5 @@ func (t *SimThread) WinGet(id uint64, rank int, bytes int) any {
 		cost := 2*t.g.host.InternalLatency + vtime.Time(bytes)*t.g.host.InternalByteTime
 		t.p.Advance(cost)
 	}
-	return t.g.winStore().get(id, rank)
+	return t.g.wins.get(id, rank)
 }

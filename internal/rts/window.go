@@ -4,7 +4,7 @@ import "sync"
 
 // Window is an optional RTS capability: a one-sided shared store the
 // distributed-sequence runtime uses for location-transparent element access
-// (the paper's operator[]). Both of our backends run the computing threads
+// (the paper's operator[]). ChanGroup and SimGroup run the computing threads
 // of one parallel program inside a single OS process, so a shared store is
 // the natural analog of the one-sided run-time systems the paper names as
 // future work; the simulated backend charges a modeled remote-access cost.
@@ -29,7 +29,7 @@ type winKey struct {
 	rank int
 }
 
-// winStore is the shared map behind both backends' Window implementations.
+// winStore is the shared map behind both groups' Window implementations.
 type winStore struct {
 	mu     sync.Mutex
 	nextID uint64
