@@ -10,10 +10,14 @@ go test ./...
 go test -race ./...
 # The packages that hold no process-global selector any more, in random
 # order, three times: an order-dependent test there has nothing to hide behind.
-go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench ./internal/dseq
+go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench ./internal/dseq ./internal/future ./internal/dist
 # The one rts mailbox, over the in-process and the TCP fabric, and the one
 # wake-up a POA computing thread parks on for both of its endpoints.
 go test -race -count=5 -run 'Mailbox|SiblingWakes' ./internal/rts ./internal/poa
+# The client's call records, recycled by the owning thread with the poison on
+# (DESIGN.md §7): cancels from other goroutines racing replies and expiries,
+# cells that park without a pump, and the dispatch pool's accounting.
+go test -race -count=5 -run 'Record|Pending|Cancel|Cell|PoolGrows' ./internal/core ./internal/future ./internal/poa
 
 # The repo benchmark is a module of its own, so nothing above builds it.
 # This lane is what notices a runtime change that breaks its build or its
@@ -59,6 +63,9 @@ go test -race -run Fault -count=1 ./internal/nexus ./internal/rts ./internal/poa
 # Every pgiop decoder a peer can reach, on arbitrary bytes: no panic, no
 # allocation sized by an unchecked length field.
 go test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/pgiop
+# The distribution layouts inside them: an accepted layout locates every index
+# and re-encodes to the bytes it came from.
+go test -run NONE -fuzz FuzzDecodeLayout -fuzztime 10s ./internal/dist
 # The same for what sits under them: the TCP reader on an accepted, still
 # anonymous connection (no panic, no stranded reader, nothing allocated for a
 # first frame longer than a hello may be) and the address parser every hello

@@ -59,7 +59,7 @@ type localObject struct {
 
 // call performs the direct invocation, producing an already-resolved cell
 // so callers are oblivious to the shortcut.
-func (l *localObject) call(op *Operation, args []any) (*future.Cell, error) {
+func (l *localObject) call(op *Operation, args []any) *future.Cell {
 	// Only in/inout values reach the handler, mirroring the wire path.
 	in := make([]any, len(args))
 	for i := range args {
@@ -71,8 +71,8 @@ func (l *localObject) call(op *Operation, args []any) (*future.Cell, error) {
 	vals, err := l.handler(op, in)
 	if err != nil {
 		cell.Resolve(nil, fmt.Errorf("core: server exception: %s", err))
-		return cell, nil
+		return cell
 	}
 	cell.Resolve(vals, nil)
-	return cell, nil
+	return cell
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -58,6 +59,9 @@ type ORB struct {
 	// runScratch is reused across segment validations (one per incoming
 	// out-argument segment); same owning-thread discipline as sendIov.
 	runScratch []dist.Run
+	// free holds finished call records for reuse (record/recycle), at most
+	// maxFreeRecords of them; same owning-thread discipline.
+	free []*pendingReq
 
 	// TransferPolicy configures how distributed in-arguments are shipped
 	// (sendSegments).
@@ -101,14 +105,18 @@ func (o *ORB) size() int {
 	return o.comm.Size()
 }
 
-// pendingReq is the client side's one record per invocation: the tracking
-// state, the future cell handed to the caller and the result slots the cell
-// resolves to share a single allocation. The caller's *future.Cell points
-// into it, so the record lives exactly as long as the application keeps the
-// cell (or its results) — it is never recycled. It holds what every call
-// uses; what only some calls need hangs off outs and timed.
+// pendingReq is the client side's tracking record of one invocation. It is
+// the ORB's: the owning thread takes it from a bounded free list at issue and
+// hands it back once it has won the claim on the call and resolved it
+// (record/recycle), so a steady stream of calls allocates none. What the
+// caller may keep — the cell and the result values it resolves to — lives in
+// a callCell the record only points at. It holds what every call uses; what
+// only some calls need hangs off outs and timed.
 type pendingReq struct {
-	cell future.Cell
+	// call is where the invocation resolves: the caller's callCell for
+	// InvokeNB, own for a blocking Invoke (which copies the results out before
+	// it recycles the record).
+	call *callCell
 	op   *Operation
 	// b is the binding the call was issued on: its id and sequence number
 	// name the call in a CancelRequest, its server's thread-0 address keys the
@@ -118,6 +126,7 @@ type pendingReq struct {
 	// decoded header). It is the ORB's to recycle: maybeComplete releases it
 	// after winning the claim, at which point nothing else can reach it.
 	reply *Msg
+	id    uint32 // the current attempt's request ID, its key in pending
 	seqNo uint32
 	opIdx uint32 // op's index in b's operation table, for its orb_slo entry
 
@@ -133,9 +142,61 @@ type pendingReq struct {
 	span     uint64
 	issuedNS int64
 
-	// results is the inline storage for the invocation's result values;
-	// operations yielding more fall back to a fresh slice.
+	own callCell
+}
+
+// callCell is the caller's part of an invocation: the cell its futures point
+// at and inline storage for the result values the cell resolves to (one
+// allocation; operations yielding more fall back to a fresh slice). A
+// non-blocking caller owns it outright — it is garbage collected with the
+// last reference the application drops, never recycled.
+type callCell struct {
+	cell    future.Cell
 	results [resultSlots]any
+}
+
+// maxFreeRecords bounds an ORB's free list, so a deep burst of calls does not
+// keep its high-water mark of records for the rest of the process.
+const maxFreeRecords = 64
+
+// record returns a zeroed call record. Owning thread only.
+func (o *ORB) record() *pendingReq {
+	n := len(o.free)
+	if n == 0 {
+		return new(pendingReq)
+	}
+	p := o.free[n-1]
+	o.free[n-1] = nil
+	o.free = o.free[:n-1]
+	*p = pendingReq{}
+	return p
+}
+
+// recycle takes back the record of a finished call. Only the owning thread
+// calls it, after winning the claim on the call and resolving it — so no
+// pending entry, backoff slot, late reply or segment reaches p any more —
+// and only when the caller holds nothing inside p: a blocking Invoke after
+// copying its results out, or a non-blocking call's resolver (its cell is
+// the caller's own). A record a Cancel claimed is left to the GC: Cancel may
+// run on any goroutine. Under the race detector the record is poisoned, so a
+// use after recycling reads poison instead of a stranger's call.
+func (o *ORB) recycle(p *pendingReq) {
+	*p = pendingReq{}
+	poisonRecord(p)
+	if len(o.free) < maxFreeRecords {
+		o.free = append(o.free, p)
+	}
+}
+
+// finish resolves a call the owning thread has claimed and, for a
+// non-blocking one, recycles its record — every owning-thread resolution
+// path ends here. A blocking Invoke recycles its own record once it has
+// copied the results out.
+func (o *ORB) finish(p *pendingReq, vals []any, err error) {
+	o.resolve(p, vals, err)
+	if p.handedOut() {
+		o.recycle(p)
+	}
 }
 
 // distOuts is an invocation's distributed out-argument bookkeeping, keyed by
@@ -163,8 +224,12 @@ type timedState struct {
 	req        *pgiop.Request // retained for re-encoding resends (nil unless retryable)
 }
 
-// resultSlots is the number of result values a pendingReq holds inline.
+// resultSlots is the number of result values a callCell holds inline.
 const resultSlots = 3
+
+// handedOut reports whether the call resolves a cell its caller holds
+// (InvokeNB) rather than the record's own (a blocking Invoke).
+func (p *pendingReq) handedOut() bool { return p.call != &p.own }
 
 // server0 is the thread-0 address of the call's server.
 func (p *pendingReq) server0() string { return p.b.ior.Addrs[0] }
@@ -203,24 +268,24 @@ func (o *ORB) resolve(p *pendingReq, vals []any, err error) {
 			Start: p.issuedNS, End: end,
 		})
 	}
-	p.cell.Resolve(vals, err)
+	p.call.cell.Resolve(vals, err)
 }
 
-// claim atomically removes the pending entry for id, returning it — or nil
-// when another path (cancel, timeout sweep, transport failure) already
-// claimed it. Every resolution path claims before resolving, so a cell is
-// resolved exactly once even when a late reply races a timeout or cancel;
-// and because request IDs are never reused, a reply to a superseded attempt
-// finds nothing to claim and is discarded here.
-func (o *ORB) claim(id uint32) *pendingReq {
+// claim atomically removes p's pending entry, reporting false when another
+// path (cancel, timeout sweep, transport failure) already claimed it. Every
+// resolution path claims before resolving, so a cell is resolved exactly
+// once even when a late reply races a timeout or cancel; and because request
+// IDs are never reused, a reply to a superseded attempt finds nothing to
+// claim and is discarded.
+func (o *ORB) claim(p *pendingReq) bool {
 	o.mu.Lock()
-	p := o.pending[id]
-	if p != nil {
-		delete(o.pending, id)
+	won := o.pending[p.id] == p
+	if won {
+		delete(o.pending, p.id)
 		o.untrackLocked(p)
 	}
 	o.mu.Unlock()
-	return p
+	return won
 }
 
 // trackLocked and untrackLocked maintain the per-connection in-flight
@@ -282,13 +347,33 @@ func (o *ORB) idle(seconds float64) {
 // Invoke performs a blocking invocation on a binding: it returns when the
 // request has been fully processed by the server. Results are ordered
 // [return value (if non-void), out/inout parameters in declaration order];
-// distributed out values are the holders passed in args.
+// distributed out values are the holders passed in args. The result slice
+// is the caller's to keep.
 func (b *Binding) Invoke(op string, args []any) ([]any, error) {
-	cell, err := b.InvokeNB(op, args)
+	opIdx, opDef, err := b.operation(op, args)
 	if err != nil {
 		return nil, err
 	}
-	return CellResults(cell)
+	if b.localObj != nil && !opDef.HasDistributed() {
+		return b.localObj.call(opDef, args).Values()
+	}
+	// The cell and result slots are the record's own: nobody but this call
+	// can reach them, so they go back with it once the results are copied.
+	o := b.orb
+	p := o.record()
+	p.call = &p.own
+	if err := b.issue(p, opIdx, opDef, args); err != nil {
+		return nil, err
+	}
+	vals, err := p.own.cell.Values()
+	if cap(vals) > 0 && cap(vals) <= resultSlots {
+		// The values sit in the record's inline slots: copy them out. A
+		// larger result set was decoded into a fresh slice that is already
+		// the caller's.
+		vals = append(make([]any, 0, len(vals)), vals...)
+	}
+	o.recycle(p)
+	return vals, err
 }
 
 // CellResults waits for a cell and returns its result values.
@@ -310,30 +395,53 @@ func CellResults(cell *future.Cell) ([]any, error) { return cell.Values() }
 // For an SPMD binding the call is collective: every client thread must
 // invoke with its own portion of each distributed argument.
 func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
-	o := b.orb
+	opIdx, opDef, err := b.operation(op, args)
+	if err != nil {
+		return nil, err
+	}
+	// Co-located direct call: bypass transport and marshaling entirely.
+	if b.localObj != nil && !opDef.HasDistributed() {
+		return b.localObj.call(opDef, args), nil
+	}
+	// The caller's part is all this call allocates; the record is the ORB's.
+	cc := new(callCell)
+	p := b.orb.record()
+	p.call = cc
+	if err := b.issue(p, opIdx, opDef, args); err != nil {
+		return nil, err
+	}
+	return &cc.cell, nil
+}
+
+// operation looks up and checks an invocation of op with args.
+func (b *Binding) operation(op string, args []any) (int, *Operation, error) {
 	opIdx := b.iface.OpIndex(op)
 	if opIdx < 0 {
-		return nil, fmt.Errorf("core: interface %s has no operation %s", b.iface.Name, op)
+		return 0, nil, fmt.Errorf("core: interface %s has no operation %s", b.iface.Name, op)
 	}
 	opDef := &b.iface.Ops[opIdx]
 	if len(args) != len(opDef.Params) {
-		return nil, fmt.Errorf("core: %s.%s takes %d arguments, got %d", b.iface.Name, op, len(opDef.Params), len(args))
+		return 0, nil, fmt.Errorf("core: %s.%s takes %d arguments, got %d", b.iface.Name, op, len(opDef.Params), len(args))
 	}
 	if opDef.HasDistributed() && !b.ior.SPMD {
-		return nil, fmt.Errorf("core: %s.%s uses distributed arguments on a non-SPMD object", b.iface.Name, op)
+		return 0, nil, fmt.Errorf("core: %s.%s uses distributed arguments on a non-SPMD object", b.iface.Name, op)
 	}
+	return opIdx, opDef, nil
+}
 
-	// Co-located direct call: bypass transport and marshaling entirely.
-	if b.localObj != nil && !opDef.HasDistributed() {
-		return b.localObj.call(opDef, args)
-	}
-
+// issue sends one invocation tracked by the fresh record p, whose call is
+// already set. On success the call is registered (two-way) or resolved
+// (oneway) and p belongs to the resolution machinery; on error the call was
+// never handed out and p is left to the GC.
+func (b *Binding) issue(p *pendingReq, opIdx int, opDef *Operation, args []any) error {
+	o := b.orb
+	op := opDef.Name
 	b.opSLO(opIdx) // resolve reads the entry through p.b
-	p := &pendingReq{op: opDef, b: b, seqNo: b.seq, opIdx: uint32(opIdx)}
+	p.op, p.b, p.seqNo, p.opIdx = opDef, b, b.seq, uint32(opIdx)
 	if b.deadline > 0 && !opDef.Oneway {
 		p.timed = &timedState{deadline: b.deadline, attempt: 1, policy: b.retry}
 	}
-	cell := &p.cell
+	cell := &p.call.cell
 	cell.Init()
 
 	req := &pgiop.Request{
@@ -368,7 +476,7 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 
 	// Marshal inline (non-distributed) in/inout arguments into a pooled
 	// encoder: req.Body aliases its buffer, which stays valid through the
-	// vectored send below and is recycled when InvokeNB returns.
+	// vectored send below and is recycled when issue returns.
 	enc := cdr.GetEncoder(256)
 	defer enc.Release()
 	type distIn struct {
@@ -383,11 +491,11 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 		case prm.Distributed() && prm.Mode == In:
 			holder, ok := args[i].(dseq.Distributed)
 			if !ok {
-				return nil, fmt.Errorf("core: %s argument %d must be a distributed sequence, got %T", op, i, args[i])
+				return fmt.Errorf("core: %s argument %d must be a distributed sequence, got %T", op, i, args[i])
 			}
 			n := holder.GlobalLen()
 			if bound := prm.Type.Bound; bound > 0 && n > bound {
-				return nil, fmt.Errorf("core: %s argument %d length %d exceeds bound %d", op, i, n, bound)
+				return fmt.Errorf("core: %s argument %d length %d exceeds bound %d", op, i, n, bound)
 			}
 			sl := prm.ServerDist.Layout(n, b.ior.ServerSize)
 			req.DistIns = append(req.DistIns, pgiop.DistInSpec{
@@ -397,7 +505,7 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 		case prm.Distributed() && prm.Mode == Out:
 			holder, ok := args[i].(dseq.Distributed)
 			if !ok {
-				return nil, fmt.Errorf("core: %s out argument %d must be a distributed holder, got %T", op, i, args[i])
+				return fmt.Errorf("core: %s out argument %d must be a distributed holder, got %T", op, i, args[i])
 			}
 			tmpl := b.outDist(op, i, prm)
 			req.DistOuts = append(req.DistOuts, pgiop.DistOutSpec{Param: int32(i), Tmpl: tmpl})
@@ -413,7 +521,7 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 			p.outs.tmpls[i] = tmpl
 		case prm.Mode == In || prm.Mode == InOut:
 			if err := typecode.Marshal(enc, prm.Type, args[i]); err != nil {
-				return nil, fmt.Errorf("core: %s argument %d (%s): %w", op, i, prm.Name, err)
+				return fmt.Errorf("core: %s argument %d (%s): %w", op, i, prm.Name, err)
 			}
 		}
 	}
@@ -421,7 +529,7 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 
 	// Retry eligibility (see RetryPolicy): when armed, the request is
 	// retained for re-encoding — with the Body copied out of the pooled
-	// encoder, which is recycled when InvokeNB returns.
+	// encoder, which is recycled when issue returns.
 	if t := p.timed; t != nil {
 		if b.retry.attempts() > 1 && opDef.Idempotent && len(req.DistIns) == 0 && !b.spmd {
 			kept := *req
@@ -434,6 +542,7 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 	o.mu.Lock()
 	o.nextReq++
 	req.ReqID = o.nextReq
+	p.id = req.ReqID
 	depth := 0
 	if !opDef.Oneway {
 		o.pending[req.ReqID] = p
@@ -449,17 +558,14 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 	// is never copied into a framing buffer.
 	err := o.sendRequest(nexus.Addr(b.ior.Addrs[0]), req, p, false)
 	if err != nil {
-		if p.retryable() {
+		if o.claim(p) && p.retryable() {
 			// A failed send is the easiest loss to retry: park the request
 			// for backoff instead of failing the invocation.
-			if q := o.claim(req.ReqID); q != nil {
-				o.park(q)
-				cell.SetPump(o.pumpFn)
-				return cell, nil
-			}
+			o.park(p)
+			cell.SetPump(o.pumpFn)
+			return nil
 		}
-		o.dropPending(req.ReqID)
-		return nil, fmt.Errorf("core: %s: %w", op, err)
+		return fmt.Errorf("core: %s: %w", op, err)
 	}
 
 	// Distributed in arguments: ship this thread's segments directly to
@@ -467,17 +573,22 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 	// threads, the ORB optimization of [KG97].
 	for _, di := range distIns {
 		if err := o.sendSegments(b, req, di.param, di.holder, di.server); err != nil {
-			o.dropPending(req.ReqID)
-			return nil, err
+			o.claim(p)
+			return err
 		}
 	}
 
 	if opDef.Oneway {
+		// Never registered, so already finished: nothing but the caller
+		// can reach p.
 		cell.Resolve(nil, nil)
-		return cell, nil
+		if p.handedOut() {
+			o.recycle(p)
+		}
+		return nil
 	}
 	cell.SetPump(o.pumpFn)
-	return cell, nil
+	return nil
 }
 
 // sendRequest encodes and ships one request attempt as a vectored frame.
@@ -560,26 +671,27 @@ var ErrCancelled = errors.New("core: request cancelled")
 // sent to the server (which drops the request if it has not been
 // dispatched yet) and the invocation's futures resolve with ErrCancelled.
 // It reports whether the cell belonged to a pending invocation of this ORB.
+// It may be called from any goroutine, so the record it claims is left to the
+// GC, never recycled. Reading pr.call under o.mu is safe: a record's call is
+// only written while the record is in neither pending nor backoff.
 func (o *ORB) Cancel(cell *future.Cell) bool {
 	o.mu.Lock()
-	var id uint32
 	var p *pendingReq
-	for reqID, pr := range o.pending {
-		if &pr.cell == cell {
-			id, p = reqID, pr
+	for id, pr := range o.pending {
+		if &pr.call.cell == cell {
+			p = pr
+			delete(o.pending, id)
+			o.untrackLocked(p)
 			break
 		}
 	}
-	if p != nil {
-		delete(o.pending, id)
-		o.untrackLocked(p)
-	} else {
+	if p == nil {
 		// The invocation may be parked awaiting a retry rather than in
 		// flight; withdrawing it then is purely local.
 		for i, pr := range o.backoff {
-			if &pr.cell == cell {
+			if &pr.call.cell == cell {
 				p = pr
-				o.backoff = append(o.backoff[:i], o.backoff[i+1:]...)
+				o.backoff = slices.Delete(o.backoff, i, i+1)
 				break
 			}
 		}
@@ -593,15 +705,6 @@ func (o *ORB) Cancel(cell *future.Cell) bool {
 	orbCancels.Inc()
 	o.resolve(p, nil, ErrCancelled)
 	return true
-}
-
-func (o *ORB) dropPending(id uint32) {
-	o.mu.Lock()
-	if p, ok := o.pending[id]; ok {
-		delete(o.pending, id)
-		o.untrackLocked(p)
-	}
-	o.mu.Unlock()
 }
 
 // sendSegments ships one distributed in-argument's local elements to the
@@ -685,6 +788,7 @@ func (o *ORB) sweep() bool {
 				kept = append(kept, p)
 			}
 		}
+		clear(o.backoff[len(kept):]) // no stale pointer to a record that may be recycled
 		o.backoff = kept
 	}
 	o.mu.Unlock()
@@ -694,7 +798,7 @@ func (o *ORB) sweep() bool {
 		if p.canRetry() {
 			o.park(p)
 		} else {
-			o.resolve(p, nil, o.deadlineError(p))
+			o.finish(p, nil, o.deadlineError(p))
 		}
 	}
 	for _, p := range due {
@@ -724,7 +828,8 @@ func (o *ORB) resend(p *pendingReq) {
 	o.mu.Lock()
 	o.nextReq++
 	t.req.ReqID = o.nextReq
-	o.pending[t.req.ReqID] = p
+	p.id = t.req.ReqID
+	o.pending[p.id] = p
 	depth := o.trackLocked(p)
 	o.mu.Unlock()
 	orbPipelineDepth.Observe(float64(depth))
@@ -737,16 +842,14 @@ func (o *ORB) resend(p *pendingReq) {
 	}
 
 	err := o.sendRequest(nexus.Addr(p.server0()), t.req, p, true)
-	if err != nil {
-		if q := o.claim(t.req.ReqID); q != nil {
-			if p.canRetry() {
-				o.park(q)
-			} else {
-				o.resolve(q, nil, &InvokeError{
-					Op: p.op.Name, Attempts: t.attempt, Stage: "reply",
-					MissingRanks: []int{0}, Err: err,
-				})
-			}
+	if err != nil && o.claim(p) {
+		if p.canRetry() {
+			o.park(p)
+		} else {
+			o.finish(p, nil, &InvokeError{
+				Op: p.op.Name, Attempts: t.attempt, Stage: "reply",
+				MissingRanks: []int{0}, Err: err,
+			})
 		}
 	}
 }
@@ -824,11 +927,11 @@ func (o *ORB) failAll(err error) {
 	o.mu.Unlock()
 	for _, p := range ps {
 		orbTransportFails.Inc()
-		o.resolve(p, nil, fmt.Errorf("core: transport failed: %w", err))
+		o.finish(p, nil, fmt.Errorf("core: transport failed: %w", err))
 	}
 	for _, p := range parked {
 		orbTransportFails.Inc()
-		o.resolve(p, nil, fmt.Errorf("core: transport failed: %w", err))
+		o.finish(p, nil, fmt.Errorf("core: transport failed: %w", err))
 	}
 }
 
@@ -856,7 +959,7 @@ func (o *ORB) handleReply(m *Msg) {
 		// otherwise the shed surfaces as a ShedError for the caller — a
 		// group binding fails it over to another member.
 		orbSheds.Inc()
-		if o.claim(r.ReqID) == nil {
+		if !o.claim(p) {
 			return // timed out or cancelled first
 		}
 		if p.trace != 0 {
@@ -871,14 +974,11 @@ func (o *ORB) handleReply(m *Msg) {
 			}
 			return
 		}
-		o.resolve(p, nil, &ShedError{Op: p.op.Name, RetryAfter: hint})
+		o.finish(p, nil, &ShedError{Op: p.op.Name, RetryAfter: hint})
 		return
 	}
 	if r.Status != pgiop.StatusOK {
-		if o.claim(r.ReqID) == nil {
-			return // timed out or cancelled first
-		}
-		o.resolve(p, nil, fmt.Errorf("core: server exception: %s", r.Error))
+		o.fail(p, fmt.Errorf("core: server exception: %s", r.Error))
 		return
 	}
 	p.reply = m
@@ -891,10 +991,11 @@ func (o *ORB) handleReply(m *Msg) {
 			holder = p.outs.holders[param]
 		}
 		if holder == nil {
-			if o.claim(r.ReqID) == nil {
-				return
-			}
-			o.resolve(p, nil, fmt.Errorf("core: reply announces unknown out parameter %d", param))
+			o.fail(p, fmt.Errorf("core: reply announces unknown out parameter %d", param))
+			return
+		}
+		if ol.Layout.P != p.b.ior.ServerSize {
+			o.fail(p, fmt.Errorf("core: reply lays out parameter %d over %d server threads, not %d", param, ol.Layout.P, p.b.ior.ServerSize))
 			return
 		}
 		layout := p.outs.tmpls[param].Layout(int(ol.N), o.size())
@@ -906,10 +1007,13 @@ func (o *ORB) handleReply(m *Msg) {
 		buf := d.buf
 		d.buf = nil
 		for _, a := range buf {
-			o.applySegment(p, a)
+			if err := o.applySegment(p, a); err != nil {
+				o.fail(p, err)
+				return
+			}
 		}
 	}
-	o.maybeComplete(r.ReqID, p)
+	o.maybeComplete(p)
 }
 
 func (o *ORB) handleSegment(a *pgiop.ArgStream) {
@@ -926,41 +1030,44 @@ func (o *ORB) handleSegment(a *pgiop.ArgStream) {
 		p.outs.buf = append(p.outs.buf, a)
 		return
 	}
-	o.applySegment(p, a)
-	o.maybeComplete(a.ReqID, p)
+	if err := o.applySegment(p, a); err != nil {
+		o.fail(p, err)
+		return
+	}
+	o.maybeComplete(p)
 }
 
-func (o *ORB) applySegment(p *pendingReq, a *pgiop.ArgStream) {
+// applySegment decodes one out-argument segment into its holder, or reports
+// why the segment does not fit.
+func (o *ORB) applySegment(p *pendingReq, a *pgiop.ArgStream) error {
 	param := int(a.Param)
 	d := p.outs
 	holder := d.holders[param]
 	if holder == nil {
-		return
+		return nil
 	}
 	runs, n, err := checkRuns(a.Runs, holder, o.runScratch[:0])
 	if err != nil {
-		p.fail(o, a.ReqID, err)
-		return
+		return err
 	}
 	// Validate the run total against the remaining need before decoding,
 	// so an oversized segment never writes past-share elements.
 	if d.got[param]+n > d.need[param] {
-		p.fail(o, a.ReqID, fmt.Errorf("core: parameter %d received %d of %d elements", param, d.got[param]+n, d.need[param]))
-		return
+		return fmt.Errorf("core: parameter %d received %d of %d elements", param, d.got[param]+n, d.need[param])
 	}
 	dec := cdr.GetDecoder(a.Payload)
 	err = holder.DecodeRuns(dec, runs)
 	dec.Release()
 	o.runScratch = runs[:0]
 	if err != nil {
-		p.fail(o, a.ReqID, fmt.Errorf("core: corrupt out segment for parameter %d: %w", param, err))
-		return
+		return fmt.Errorf("core: corrupt out segment for parameter %d: %w", param, err)
 	}
 	d.got[param] += n
 	if d.gotBy == nil {
 		d.gotBy = map[int]int{}
 	}
 	d.gotBy[int(a.Sender)] += n
+	return nil
 }
 
 // checkRuns validates wire runs against the holder's local storage size,
@@ -978,16 +1085,16 @@ func checkRuns(wr []pgiop.Run, holder dseq.Distributed, runs []dist.Run) ([]dist
 	return runs, n, nil
 }
 
-func (p *pendingReq) fail(o *ORB, reqID uint32, err error) {
-	if o.claim(reqID) == nil {
-		return // already claimed by cancel, timeout, or a racing resolver
+// fail resolves the call with err, unless another path claimed it first.
+func (o *ORB) fail(p *pendingReq, err error) {
+	if o.claim(p) {
+		o.finish(p, nil, err)
 	}
-	o.resolve(p, nil, err)
 }
 
 // maybeComplete resolves the invocation once the reply and all expected
 // out-argument elements have arrived.
-func (o *ORB) maybeComplete(reqID uint32, p *pendingReq) {
+func (o *ORB) maybeComplete(p *pendingReq) {
 	if p.reply == nil {
 		return
 	}
@@ -998,21 +1105,21 @@ func (o *ORB) maybeComplete(reqID uint32, p *pendingReq) {
 			}
 		}
 	}
-	// Decode the inline results: return value then non-distributed
-	// out/inout parameters, in declaration order. Values may alias a reply
-	// frame the GC owns (zero-copy, the bulk case); they are copied out of a
-	// pooled one, which goes back to the transport below.
+	// Decode the inline results into the call's result slots: return value then
+	// non-distributed out/inout parameters, in declaration order. Values may
+	// alias a reply frame the GC owns (zero-copy, the bulk case); they are
+	// copied out of a pooled one, which goes back to the transport below.
 	dec := cdr.GetDecoder(p.reply.Reply.Body)
 	dec.SetBorrow(!p.reply.FramePooled())
 	defer dec.Release()
-	vals := p.results[:0]
-	if n := resultCount(p.op); n > len(p.results) {
+	vals := p.call.results[:0]
+	if n := resultCount(p.op); n > len(p.call.results) {
 		vals = make([]any, 0, n)
 	}
 	if p.op.Result != nil {
 		v, err := typecode.Unmarshal(dec, p.op.Result)
 		if err != nil {
-			p.fail(o, reqID, fmt.Errorf("core: corrupt return value: %w", err))
+			o.fail(p, fmt.Errorf("core: corrupt return value: %w", err))
 			return
 		}
 		vals = append(vals, v)
@@ -1028,20 +1135,20 @@ func (o *ORB) maybeComplete(reqID uint32, p *pendingReq) {
 		}
 		v, err := typecode.Unmarshal(dec, prm.Type)
 		if err != nil {
-			p.fail(o, reqID, fmt.Errorf("core: corrupt out value %s: %w", prm.Name, err))
+			o.fail(p, fmt.Errorf("core: corrupt out value %s: %w", prm.Name, err))
 			return
 		}
 		vals = append(vals, v)
 	}
-	if o.claim(reqID) == nil {
+	if !o.claim(p) {
 		return // a racing cancel or timeout won; discard the late result
 	}
 	// The claim is won, so no sweep, cancel or resend will look at p.reply
 	// again, and the decoded values alias neither the record nor a frame it
-	// gives back: detach the record and hand it back.
+	// gives back: detach the reply and hand it back after the record.
 	m := p.reply
 	p.reply = nil
-	o.resolve(p, vals, nil)
+	o.finish(p, vals, nil)
 	m.Release()
 }
 

@@ -235,7 +235,7 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 // lifetime rules through every way an invocation can end — completed,
 // completed with a duplicate reply behind it, expired with the reply
 // arriving late, cancelled while replies stream in: a record goes back to
-// the pool at most once, and never while its pendingReq still points at it.
+// the pool at most once, and never while its call record still points at it.
 func TestReplyRecordReleasedOncePerCompletion(t *testing.T) {
 	const n = 96
 	orb, b, srv := echoOrb(t)
@@ -395,7 +395,7 @@ func TestLostClaimKeepsReplyRecord(t *testing.T) {
 	if !orb.Cancel(cell) {
 		t.Fatal("Cancel did not find the pending invocation")
 	}
-	orb.maybeComplete(reqs[0].reqID, p)
+	orb.maybeComplete(p)
 	if p.reply != m || m.Reply == nil || m.Reply.ReqID != reqs[0].reqID {
 		t.Fatal("completion released a reply record its invocation still holds")
 	}
@@ -516,15 +516,16 @@ func TestTimedLedgerTracksDeadlines(t *testing.T) {
 	}
 }
 
-// TestPendingReqStaysSmall guards the size of the client's per-call record:
-// every invocation allocates one, so state only some calls need — distributed
-// out bookkeeping, deadline and retry state — belongs behind outs and timed,
-// which a plain call leaves nil.
+// TestPendingReqStaysSmall guards what a non-blocking call allocates: the
+// caller's part only — its cell and three result slots — in the allocator's
+// 128 B size class. The tracking record is the ORB's and recycled, and state
+// only some calls need — distributed out bookkeeping, deadline and retry
+// state — hangs behind outs and timed, which a plain call leaves nil.
 func TestPendingReqStaysSmall(t *testing.T) {
-	// 240 is the allocator's size class; it was 416 with the cold state
-	// inline.
-	if size := unsafe.Sizeof(pendingReq{}); size > 240 {
-		t.Errorf("pendingReq is %d bytes, want <= 240", size)
+	// 240 B when the record, the cell (with its condition variable) and the
+	// result slots were one allocation.
+	if size := unsafe.Sizeof(callCell{}); size > 128 {
+		t.Errorf("callCell is %d bytes, want <= 128", size)
 	}
 	orb, b, srv := echoOrb(t)
 	go func() {
@@ -544,7 +545,7 @@ func TestPendingReqStaysSmall(t *testing.T) {
 	}
 	orb.mu.Lock()
 	for _, p := range orb.pending {
-		if p.outs != nil || (p.timed != nil) != (&p.cell == timed) {
+		if p.outs != nil || (p.timed != nil) != (&p.call.cell == timed) {
 			t.Errorf("call %d: outs = %v, timed = %v", p.seqNo, p.outs, p.timed)
 		}
 	}
@@ -557,5 +558,186 @@ func TestPendingReqStaysSmall(t *testing.T) {
 		if err := c.Wait(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBlockingCallRecyclesRecord: a steady stream of blocking calls
+// allocates no call record — every call takes the one its predecessor gave
+// back — and the slice each returns is its own, whether its values were
+// copied out of the record's inline slots (one result) or decoded into a
+// slice of their own (four results, more than the slots hold).
+func TestBlockingCallRecyclesRecord(t *testing.T) {
+	const calls, quads = 200, 20
+	orb, b, srv := echoOrb(t)
+	go func() {
+		for i := 0; ; i++ {
+			reqs, err := srv.collect(1)
+			if err != nil {
+				return
+			}
+			r := reqs[0]
+			frame, err := replyFrame(r)
+			if i >= calls {
+				frame, err = quadReplyFrame(r)
+			}
+			if err != nil || srv.ep.Send(r.to, frame) != nil {
+				return
+			}
+		}
+	}()
+	kept := make([][]any, calls)
+	var rec *pendingReq
+	for i := range kept {
+		vals, err := b.Invoke("echo", []any{int32(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept[i] = vals
+		if len(orb.free) != 1 {
+			t.Fatalf("call %d: %d records on the free list, want 1", i, len(orb.free))
+		}
+		if i == 0 {
+			rec = orb.free[0]
+		} else if orb.free[0] != rec {
+			t.Fatalf("call %d used a fresh record", i)
+		}
+	}
+
+	quad := &InterfaceDef{Name: "quad", Ops: []Operation{{
+		Name: "quad",
+		Params: []Param{NewParam("x", In, typecode.TCLong),
+			NewParam("a", Out, typecode.TCLong), NewParam("b", Out, typecode.TCLong), NewParam("c", Out, typecode.TCLong)},
+		Result: typecode.TCLong,
+	}}}
+	qb, err := orb.Bind(b.IOR(), quad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept4 := make([][]any, quads)
+	for i := range kept4 {
+		vals, err := qb.Invoke("quad", []any{int32(i), nil, nil, nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept4[i] = vals
+		if len(orb.free) != 1 || orb.free[0] != rec {
+			t.Fatalf("quad call %d did not reuse the record", i)
+		}
+	}
+
+	for i, vals := range kept {
+		if len(vals) != 1 || cap(vals) != 1 || vals[0] != int32(i) {
+			t.Fatalf("call %d returned %v (cap %d), want its own [%d]", i, vals, cap(vals), i)
+		}
+	}
+	for i, vals := range kept4 {
+		want := []any{int32(i), int32(i + 1), int32(i + 2), int32(i + 3)}
+		if len(vals) != 4 || cap(vals) != 4 || fmt.Sprint(vals) != fmt.Sprint(want) {
+			t.Fatalf("quad call %d returned %v (cap %d), want its own %v", i, vals, cap(vals), want)
+		}
+	}
+}
+
+// quadReplyFrame encodes the successful reply to a quad call: the return
+// value r.val and out values r.val+1 … r.val+3.
+func quadReplyFrame(r echoReq) ([]byte, error) {
+	enc := cdr.NewEncoder(16)
+	defer enc.Release()
+	for k := int32(0); k < 4; k++ {
+		if err := typecode.Marshal(enc, typecode.TCLong, r.val+k); err != nil {
+			return nil, err
+		}
+	}
+	return pgiop.EncodeReply(&pgiop.Reply{ReqID: r.reqID, Status: pgiop.StatusOK, Body: enc.Bytes()}), nil
+}
+
+// TestCancelRaceKeepsCellsOwnValues races Cancel from another goroutine with
+// replies and expiries on 96 non-blocking calls, then runs enough further
+// calls to recycle every record those calls used: no cell may resolve to, or
+// later read, a value that is not its own, and no call stays pending.
+func TestCancelRaceKeepsCellsOwnValues(t *testing.T) {
+	const n = 96
+	orb, b, srv := echoOrb(t)
+	collected := make(chan []echoReq, 1)
+	go func() {
+		reqs, _ := srv.collect(n)
+		collected <- reqs
+	}()
+	b.SetDeadline(0.1)
+	cells := make([]*future.Cell, n)
+	for i := range cells {
+		c, err := b.InvokeNB("echo", []any{int32(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[i] = c
+	}
+	reqs := <-collected
+	// Replies for most calls stream in shuffled; every fourth call gets none
+	// and expires; a goroutine cancels every call in a seeded order while
+	// the replies and the expiries land.
+	rng := rand.New(rand.NewSource(96))
+	rng.Shuffle(n, func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+	order := rng.Perm(n)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for _, r := range reqs {
+			if r.val%4 != 3 {
+				srv.reply(r)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, i := range order {
+			orb.Cancel(cells[i])
+		}
+	}()
+	check := func(stage string) {
+		t.Helper()
+		for i, c := range cells {
+			// Poll rather than pump blocking: a call the other goroutine
+			// cancels leaves no frame behind to end a blocking receive the
+			// owner entered just before. (An answered call may still expire
+			// on a loaded machine: a timing outcome, not a wrong value.)
+			if !c.WaitTimeout(10) {
+				t.Fatalf("%s: cell %d never resolved", stage, i)
+			}
+			vals, err := c.Values()
+			switch {
+			case err == nil && (len(vals) != 1 || vals[0] != int32(i)):
+				t.Fatalf("%s: cell %d reads %v, want its own value", stage, i, vals)
+			case err != nil && !errors.Is(err, ErrCancelled) && !errors.Is(err, ErrDeadline):
+				t.Fatalf("%s: cell %d: %v", stage, i, err)
+			}
+		}
+	}
+	check("resolved")
+	wg.Wait()
+	b.SetDeadline(5)
+	go func() {
+		for {
+			reqs, err := srv.collect(1)
+			if err != nil || srv.reply(reqs[0]) != nil {
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2*maxFreeRecords; i++ {
+		c, err := b.InvokeNB("echo", []any{int32(1000 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vals, err := c.Values(); err != nil || vals[0] != int32(1000+i) {
+			t.Fatalf("fresh call %d: (%v, %v)", i, vals, err)
+		}
+	}
+	check("after their records were reused")
+	orb.mu.Lock()
+	defer orb.mu.Unlock()
+	if len(orb.pending) != 0 || len(orb.backoff) != 0 {
+		t.Fatalf("%d calls pending and %d parked after every call resolved", len(orb.pending), len(orb.backoff))
 	}
 }

@@ -6,6 +6,11 @@
 // one invocation resolve together when the server's reply arrives (paper
 // §3.3). Reading an unresolved future blocks; Resolved polls. The design
 // follows the ABC++ abstraction the paper credits.
+//
+// A cell holds no condition variable. A waiter on a cell with a pump (every
+// cell the ORB mints for a remote call) drives the pump itself and never
+// parks on the cell; a waiter on a cell without one (a co-located call, a
+// NewCell) parks on a channel the first such waiter makes and Resolve closes.
 package future
 
 import (
@@ -19,18 +24,20 @@ import (
 // at the same instant.
 type Cell struct {
 	mu       sync.Mutex
-	cond     sync.Cond
 	resolved bool
 	err      error
 	vals     []any
 
 	// pump, when set, is called (unlocked) to drive the underlying
 	// request machinery until progress occurs. Blocking waiters loop on
-	// it; pollers call it once with block=false. The simulated transport
-	// uses it so a waiting client thread executes the ORB's reply
-	// processing on its own virtual clock; the real-time transport
-	// resolves cells from its demultiplexer and leaves pump nil.
+	// it; pollers call it once with block=false. The ORB sets it on every
+	// cell of a remote call, so the waiting thread runs the ORB's reply
+	// processing itself — on its own virtual clock under the simulated
+	// transport.
 	pump func(block bool)
+	// wake is closed by Resolve. It is made by the first waiter that has no
+	// pump to drive and must park, so a cell nobody parks on never has one.
+	wake chan struct{}
 }
 
 // NewCell returns an unresolved cell.
@@ -42,12 +49,9 @@ func NewCell() *Cell {
 
 // Init readies a zero Cell in place, for a cell embedded in a larger
 // per-invocation record (the ORB's) so the two share one allocation. The
-// cell must not be copied or re-initialized afterwards: futures hold its
-// address.
-func (c *Cell) Init() {
-	futCells.Inc()
-	c.cond.L = &c.mu
-}
+// cell must not be copied or re-initialized while anyone may still read it:
+// futures hold its address.
+func (c *Cell) Init() { futCells.Inc() }
 
 // SetPump installs the progress function (see Cell.pump). Must be called
 // before any future of this cell is read.
@@ -69,7 +73,9 @@ func (c *Cell) Resolve(vals []any, err error) {
 	if err != nil {
 		futErrors.Inc()
 	}
-	c.cond.Broadcast()
+	if c.wake != nil {
+		close(c.wake)
+	}
 }
 
 // Resolved reports whether results are available, giving the underlying
@@ -90,22 +96,30 @@ func (c *Cell) Resolved() bool {
 	return done
 }
 
+// parked returns the channel Resolve closes, or nil when the cell is
+// already resolved. Pump-less waiters only.
+func (c *Cell) parked() chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.resolved {
+		return nil
+	}
+	if c.wake == nil {
+		c.wake = make(chan struct{})
+	}
+	return c.wake
+}
+
 // Wait blocks until the cell resolves and returns its error.
 func (c *Cell) Wait() error {
 	if c.pump != nil {
 		for !c.Resolved() {
 			c.pump(true)
 		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.err
+	} else if wake := c.parked(); wake != nil {
+		<-wake
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for !c.resolved {
-		c.cond.Wait()
-	}
-	return c.err
+	return c.Err()
 }
 
 // WaitTimeout blocks until the cell resolves or seconds elapse, reporting
@@ -113,7 +127,8 @@ func (c *Cell) Wait() error {
 // cell may still resolve later (use the ORB's cancellation to claim it).
 // On a pump-driven cell the wait polls non-blocking pump rounds so the
 // waiting thread keeps driving request progress without committing to a
-// blocking pump that could overshoot the deadline.
+// blocking pump that could overshoot the deadline; a pump-less waiter parks
+// on the cell's wake channel and a timer.
 func (c *Cell) WaitTimeout(seconds float64) bool {
 	if c.Resolved() {
 		return true
@@ -135,30 +150,19 @@ func (c *Cell) WaitTimeout(seconds float64) bool {
 			}
 		}
 	}
-	// Condition-variable path: a helper wakes waiters at the deadline so the
-	// wait itself needs no polling.
-	done := make(chan struct{})
-	go func() {
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-			c.mu.Lock()
-			c.cond.Broadcast()
-			c.mu.Unlock()
-		case <-done:
-		}
-	}()
-	defer close(done)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for !c.resolved && time.Now().Before(deadline) {
-		c.cond.Wait()
+	wake := c.parked()
+	if wake == nil {
+		return true
 	}
-	if !c.resolved {
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case <-wake:
+		return true
+	case <-timer.C:
 		futWaitTimeouts.Inc()
+		return false
 	}
-	return c.resolved
 }
 
 // Err returns the resolution error; call after Wait or Resolved.

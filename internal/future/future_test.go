@@ -2,6 +2,7 @@ package future
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -140,5 +141,48 @@ func TestManyWaiters(t *testing.T) {
 		if r != 9 {
 			t.Fatalf("waiter %d got %d", i, r)
 		}
+	}
+}
+
+// TestPumplessWaitParksOnChannel: a waiter with no pump to drive parks on the
+// channel Resolve closes — WaitTimeout starts no helper goroutine, and an
+// expired wait leaves the cell usable.
+func TestPumplessWaitParksOnChannel(t *testing.T) {
+	c := NewCell()
+	if c.WaitTimeout(0.002) {
+		t.Fatal("unresolved cell reported resolved")
+	}
+	base := runtime.NumGoroutine()
+	done := make(chan bool)
+	go func() { done <- c.WaitTimeout(10) }()
+	for parked := false; !parked; {
+		time.Sleep(time.Millisecond)
+		c.mu.Lock()
+		parked = c.wake != nil
+		c.mu.Unlock()
+	}
+	time.Sleep(time.Millisecond) // the waiter is past parked() and into its select
+	if n := runtime.NumGoroutine(); n > base+1 {
+		t.Errorf("%d goroutines while one waiter parks, want at most %d", n, base+1)
+	}
+	c.Resolve([]any{5}, nil)
+	if !<-done {
+		t.Fatal("WaitTimeout missed the resolution")
+	}
+	if err := c.Wait(); err != nil || !c.WaitTimeout(0) {
+		t.Fatal("a resolved cell still waits")
+	}
+}
+
+// TestUnwaitedCellMakesNoChannel: resolving a cell nobody parked on, and
+// reading it afterwards, never makes the wake channel.
+func TestUnwaitedCellMakesNoChannel(t *testing.T) {
+	c := NewCell()
+	c.Resolve([]any{1}, nil)
+	if v, err := Of[int](c, 0).Get(); err != nil || v != 1 || !c.WaitTimeout(1) {
+		t.Fatalf("got %v, %v", v, err)
+	}
+	if c.wake != nil {
+		t.Fatal("a cell that never parked a waiter made a wake channel")
 	}
 }

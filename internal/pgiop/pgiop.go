@@ -334,6 +334,12 @@ func DecodeRequestInto(r *Request, frame []byte) error {
 		if err != nil {
 			return fmt.Errorf("%w: dist-in %d: %v", ErrBadMessage, i, err)
 		}
+		// One index range on both sides of the transfer schedule. Whether the
+		// layout spans the client's threads is the adapter's check, against
+		// the ClientSize it gathers by.
+		if l.N != int(s.N) {
+			return fmt.Errorf("%w: dist-in %d: layout of %d elements announced as %d", ErrBadMessage, i, l.N, s.N)
+		}
 		s.Layout = l
 		r.DistIns = append(r.DistIns, s)
 	}
@@ -410,6 +416,9 @@ func DecodeReplyInto(r *Reply, frame []byte) error {
 		l, err := dist.DecodeLayout(d)
 		if err != nil {
 			return fmt.Errorf("%w: out-len %d: %v", ErrBadMessage, i, err)
+		}
+		if l.N != int(o.N) {
+			return fmt.Errorf("%w: out-len %d: layout of %d elements announced as %d", ErrBadMessage, i, l.N, o.N)
 		}
 		o.Layout = l
 		r.OutLens = append(r.OutLens, o)

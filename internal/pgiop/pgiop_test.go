@@ -2,8 +2,10 @@ package pgiop
 
 import (
 	"errors"
+	"math"
 	"testing"
 
+	"pardis/internal/cdr"
 	"pardis/internal/dist"
 )
 
@@ -245,5 +247,144 @@ func TestHostileLayoutRejected(t *testing.T) {
 	fr[len(fr)-1] ^= 0x01
 	if _, err := DecodeRequest(fr); err == nil {
 		t.Fatal("corrupted layout accepted")
+	}
+}
+
+// craftRequest is a request frame whose distribution specs are written raw by
+// specs: everything AppendRequest writes for a spec-less request up to its
+// last three fields — the dist-in, dist-out and body counts — which specs
+// writes instead.
+func craftRequest(clientSize int32, specs func(e *cdr.Encoder)) []byte {
+	hdr := cdr.NewEncoder(128)
+	AppendRequest(hdr, &Request{BindingID: "b", ClientSize: clientSize, Operation: "op"})
+	e := cdr.NewEncoder(256)
+	e.PutRaw(hdr.Bytes()[:hdr.Len()-12])
+	specs(e)
+	return e.Bytes()
+}
+
+// craftReply is craftRequest for a reply: outLens writes the out-length and
+// body counts and what lies between.
+func craftReply(outLens func(e *cdr.Encoder)) []byte {
+	hdr := cdr.NewEncoder(64)
+	AppendReply(hdr, &Reply{ReqID: 1})
+	e := cdr.NewEncoder(128)
+	e.PutRaw(hdr.Bytes()[:hdr.Len()-8])
+	outLens(e)
+	return e.Bytes()
+}
+
+// rawLayout writes a layout field by field; ranges are (start, count) pairs,
+// written as a sequence unless the kind is CYCLIC.
+func rawLayout(e *cdr.Encoder, kind dist.Kind, n, p, root int32, ranges ...int32) {
+	e.PutOctet(byte(kind))
+	e.PutLong(n)
+	e.PutLong(p)
+	e.PutLong(root)
+	if kind == dist.Cyclic {
+		return
+	}
+	e.PutSeqLen(len(ranges) / 2)
+	for _, v := range ranges {
+		e.PutLong(v)
+	}
+}
+
+func rawTemplate(e *cdr.Encoder, kind dist.Kind, root int32, weights ...float64) {
+	e.PutOctet(byte(kind))
+	e.PutLong(root)
+	e.PutDoubles(weights)
+}
+
+// oneDistIn and oneDistOut write a request's spec lists holding one spec.
+func oneDistIn(n int32, layout func(e *cdr.Encoder)) func(e *cdr.Encoder) {
+	return func(e *cdr.Encoder) {
+		e.PutSeqLen(1)
+		e.PutLong(0) // param
+		e.PutLong(n)
+		layout(e)
+		e.PutSeqLen(0) // dist-outs
+		e.PutSeqLen(0) // body
+	}
+}
+
+func oneDistOut(tmpl func(e *cdr.Encoder)) func(e *cdr.Encoder) {
+	return func(e *cdr.Encoder) {
+		e.PutSeqLen(0) // dist-ins
+		e.PutSeqLen(1)
+		e.PutLong(0) // param
+		tmpl(e)
+		e.PutSeqLen(0) // body
+	}
+}
+
+func oneOutLen(n int32, layout func(e *cdr.Encoder)) func(e *cdr.Encoder) {
+	return func(e *cdr.Encoder) {
+		e.PutSeqLen(1)
+		e.PutLong(0) // param
+		e.PutLong(n)
+		layout(e)
+		e.PutSeqLen(0) // body
+	}
+}
+
+// TestCraftedDistributionsRejected: a distribution no receiver could
+// instantiate — a layout Locate would run off, a template Layout would panic
+// on for any thread count, a layout of another length than its spec or
+// out-length announces — is a bad message at decode, before the POA or the
+// ORB ever sees it. (Whether a spec fits the client's thread count is the
+// adapter's check, TestMisfitDistributionRejected in internal/poa.)
+func TestCraftedDistributionsRejected(t *testing.T) {
+	block := func(n, p int32, ranges ...int32) func(e *cdr.Encoder) {
+		return func(e *cdr.Encoder) { rawLayout(e, dist.Block, n, p, 0, ranges...) }
+	}
+	tmpl := func(kind dist.Kind, root int32, weights ...float64) func(e *cdr.Encoder) {
+		return func(e *cdr.Encoder) { rawTemplate(e, kind, root, weights...) }
+	}
+	req := func(b []byte) error { _, err := DecodeRequest(b); return err }
+	rep := func(b []byte) error { _, err := DecodeReply(b); return err }
+	cases := []struct {
+		name   string
+		frame  []byte
+		decode func([]byte) error
+	}{
+		{"dist-in ranges off the start", craftRequest(2, oneDistIn(4, block(4, 2, 3, 2, 9, 2))), req},
+		{"dist-in ranges overlap", craftRequest(2, oneDistIn(4, block(4, 2, 0, 2, 1, 2))), req},
+		{"dist-in ranges leave a gap", craftRequest(2, oneDistIn(4, block(4, 2, 0, 1, 2, 3))), req},
+		{"dist-in unknown kind", craftRequest(2, oneDistIn(4, func(e *cdr.Encoder) { rawLayout(e, 9, 4, 2, 0, 0, 2, 2, 2) })), req},
+		{"dist-in collapsed off its root", craftRequest(2, oneDistIn(4, func(e *cdr.Encoder) { rawLayout(e, dist.Collapsed, 4, 2, 1, 0, 4, 4, 0) })), req},
+		{"dist-in collapsed root out of range", craftRequest(2, oneDistIn(4, func(e *cdr.Encoder) { rawLayout(e, dist.Collapsed, 4, 2, 5, 0, 4, 4, 0) })), req},
+		{"dist-in layout of other length", craftRequest(2, oneDistIn(8, block(4, 2, 0, 2, 2, 2))), req},
+		{"dist-in negative length", craftRequest(2, oneDistIn(-4, func(e *cdr.Encoder) { rawLayout(e, dist.Cyclic, -4, 2, 0) })), req},
+		{"dist-out negative weight", craftRequest(2, oneDistOut(tmpl(dist.Weighted, 0, 1, -1))), req},
+		{"dist-out NaN weight", craftRequest(2, oneDistOut(tmpl(dist.Weighted, 0, 1, math.NaN()))), req},
+		{"dist-out infinite weight", craftRequest(2, oneDistOut(tmpl(dist.Weighted, 0, 1, math.Inf(1)))), req},
+		{"dist-out weights sum past float", craftRequest(2, oneDistOut(tmpl(dist.Weighted, 0, math.MaxFloat64, math.MaxFloat64))), req},
+		{"dist-out collapsed negative root", craftRequest(2, oneDistOut(tmpl(dist.Collapsed, -1))), req},
+		{"dist-out weighted without weights", craftRequest(2, oneDistOut(tmpl(dist.Weighted, 0))), req},
+		{"dist-out unknown kind", craftRequest(2, oneDistOut(tmpl(7, 0))), req},
+		{"out-len ranges off the start", craftReply(oneOutLen(4, block(4, 2, 3, 2, 9, 2))), rep},
+		{"out-len negative length", craftReply(oneOutLen(-1, block(4, 2, 0, 2, 2, 2))), rep},
+		{"out-len layout of other length", craftReply(oneOutLen(6, block(4, 2, 0, 2, 2, 2))), rep},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.decode(c.frame); !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("decode = %v, want ErrBadMessage", err)
+			}
+		})
+	}
+	// The same frames, well formed, decode: the rows above fail on their
+	// one bad field, not on the crafting.
+	for i, err := range []error{
+		req(craftRequest(2, oneDistIn(4, block(4, 2, 0, 2, 2, 2)))),
+		req(craftRequest(2, oneDistIn(4, func(e *cdr.Encoder) { rawLayout(e, dist.Collapsed, 4, 2, 1, 0, 0, 0, 4) }))),
+		req(craftRequest(2, oneDistOut(tmpl(dist.Weighted, 0, 1, 0)))),
+		req(craftRequest(2, oneDistOut(tmpl(dist.Collapsed, 1)))),
+		rep(craftReply(oneOutLen(4, block(4, 2, 0, 2, 2, 2)))),
+	} {
+		if err != nil {
+			t.Errorf("well-formed frame %d rejected: %v", i, err)
+		}
 	}
 }

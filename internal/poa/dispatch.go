@@ -428,6 +428,10 @@ func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan 
 		return
 	}
 	op := &e.iface.Ops[opIdx]
+	if err := fitClients(req); err != nil {
+		fail(err.Error())
+		return
+	}
 	inVals := make([]any, len(op.Params))
 	if err := decodeInline(op, req.Body, inVals, true); err != nil {
 		fail(err.Error())
@@ -525,6 +529,29 @@ func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan 
 		}
 		hdr.Release()
 	}
+}
+
+// fitClients holds a collective request's distribution specs to the client
+// they describe — the ClientSize it was gathered by — before any layout is
+// built from them: a dist-in layout spans the client's threads, and a
+// dist-out template has one weight per client thread and its root among
+// them. Every server thread checks the same request, so all reach the same
+// verdict.
+func fitClients(req *pgiop.Request) error {
+	n := int(req.ClientSize)
+	for _, s := range req.DistIns {
+		if s.Layout.P != n {
+			return fmt.Errorf("distributed argument %d is laid out over %d threads, not the client's %d", s.Param, s.Layout.P, n)
+		}
+	}
+	for _, s := range req.DistOuts {
+		t := s.Tmpl
+		if (t.Kind == dist.Weighted && len(t.Weights) != n) || (t.Kind == dist.Collapsed && t.Root >= n) {
+			return fmt.Errorf("out argument %d's %v distribution (root %d, %d weights) does not fit the client's %d threads",
+				s.Param, t.Kind, t.Root, len(t.Weights), n)
+		}
+	}
+	return nil
 }
 
 // collectSegments consumes the in-direction segments of one distributed

@@ -281,3 +281,83 @@ func TestRequestForUnknownObjectAndOperation(t *testing.T) {
 	b3.Shutdown("done")
 	wait()
 }
+
+// TestMisfitDistributionRejected: a collective request whose distribution
+// specs do not fit the client it names — a dist-in layout over another
+// thread count, a dist-out template with a weight per some other number of
+// threads or a root beyond them — is answered with an exception by every
+// server thread's one verdict, before any layout is built from it; the
+// adapter keeps serving.
+func TestMisfitDistributionRejected(t *testing.T) {
+	const S = 2
+	fab := nexus.NewInproc()
+	iorCh := make(chan core.IOR, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rts.NewChanGroup("misfit-host", S).Run(func(th rts.Thread) {
+			p := poa.New(th, core.NewRouter(fab.NewEndpoint(fmt.Sprintf("misfit%d", th.Rank()))), nil)
+			p.PollInterval = 20e-6
+			ior, err := p.RegisterSPMD("scaler-1", scaleIface(), scaleServant{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if th.Rank() == 0 {
+				iorCh <- ior
+			}
+			p.ImplIsReady()
+		})
+	}()
+	ior := <-iorCh
+	ep := fab.NewEndpoint("evil")
+	in := pgiop.DistInSpec{Param: 1, N: 8, Layout: dist.BlockTemplate().Layout(8, 1)}
+	for i, c := range []struct {
+		in  pgiop.DistInSpec
+		out dist.Template
+	}{
+		{pgiop.DistInSpec{Param: 1, N: 8, Layout: dist.BlockTemplate().Layout(8, 2)}, dist.BlockTemplate()},
+		{in, dist.Proportions(1, 2)},
+		{in, dist.CollapsedOn(1)},
+	} {
+		req := &pgiop.Request{
+			BindingID: "misfit", SeqNo: uint32(i), ReqID: uint32(100 + i), ClientSize: 1,
+			ReplyAddr: string(ep.Addr()), ObjectKey: "scaler-1", Operation: "scale",
+			DistIns:  []pgiop.DistInSpec{c.in},
+			DistOuts: []pgiop.DistOutSpec{{Param: 2, Tmpl: c.out}},
+		}
+		if err := ep.Send(nexus.Addr(ior.Addrs[0]), pgiop.EncodeRequest(req)); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := ep.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := pgiop.DecodeReply(fr.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.ReqID != req.ReqID || reply.Status != pgiop.StatusException || !strings.Contains(reply.Error, "the client's 1") {
+			t.Fatalf("misfit %d: reply = %+v", i, reply)
+		}
+	}
+	// A client that fits is served.
+	rts.NewChanGroup("misfit-client", 1).Run(func(th rts.Thread) {
+		b, err := core.NewORB(core.NewRouter(fab.NewEndpoint("misfit-client")), th, nil).SPMDBind(ior, scaleIface())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		x := dseq.New[float64](th, 8, dist.BlockTemplate(), dseq.Float64Codec{})
+		for i := range x.Local() {
+			x.Local()[i] = 1
+		}
+		y := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
+		if vals, err := b.Invoke("scale", []any{2.0, x, y}); err != nil || vals[0] != 8.0 {
+			t.Errorf("fitting call after the misfits: %v, %v", vals, err)
+		}
+		b.Shutdown("done")
+	})
+	wg.Wait()
+}

@@ -57,8 +57,8 @@ func newDispatchPool(p *POA, min, max int) *dispatchPool {
 		reqs:    make(chan localReq, 4*max),
 		workers: min, min: min, max: max,
 	}
-	pl.spawn(p, min)
 	poaPoolWorkers.Set(int64(min))
+	pl.spawn(p, min)
 	return pl
 }
 
@@ -114,11 +114,14 @@ func (pl *dispatchPool) grow(p *POA) bool {
 	if pl.workers+n > pl.max {
 		n = pl.max - pl.workers
 	}
-	pl.spawn(p, n)
+	// Publish the accounting before the workers exist: a new worker can take
+	// a request — and whoever watches the gauge can see it served — before
+	// this goroutine runs again.
 	pl.workers += n
 	pl.idleFor = 0
 	poaPoolWorkers.Set(int64(pl.workers))
 	poaPoolResizes.Inc()
+	pl.spawn(p, n)
 	return true
 }
 

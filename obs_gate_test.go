@@ -6,6 +6,7 @@ package pardis_test
 
 import (
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -105,19 +106,43 @@ func TestTracingOverheadGate(t *testing.T) {
 
 // roundTripAllocBudget is the 64 B echo's whole-process allocation ceiling
 // on the hand-written orbPair servant: argument boxing and result slice in
-// the test's own code (2), the client's per-call record, and the argument and
+// the test's own code (2), the caller's result slice, and the argument and
 // result values, copied out of their pooled frames and boxed (4) — DESIGN.md
 // §7 has the table. One above that sum so a size-class or pool-refill wobble
-// is not a failure.
-const roundTripAllocBudget = 8
+// is not a failure. The byte ceiling is the same sum with no call record in
+// it (232 B measured; the record alone was 240).
+const (
+	roundTripAllocBudget = 8
+	roundTripByteBudget  = 272
+)
 
 // pipelinedWorkAllocBudget is the same ceiling for the shape of the repo
 // benchmark's serve_pipelined_tcp — Worker.work (a long in, a double out),
-// 32 calls in flight on a pooled server: the record, the boxed result, the
-// boxed argument, and the servant's result slice and boxed result (5; the
+// 32 calls in flight on a pooled server: the caller's cell, the boxed result,
+// the boxed argument, and the servant's result slice and boxed result (5; the
 // benchmark's generated stub adds its argument slice, which escapes there).
-// No frame and no per-request context; one to spare, as above.
-const pipelinedWorkAllocBudget = 6
+// No frame, no call record and no per-request context; one to spare, as
+// above. The caller's cell is 128 of the bytes.
+const (
+	pipelinedWorkAllocBudget = 6
+	pipelinedWorkByteBudget  = 192
+)
+
+// allocsPerRun is testing.AllocsPerRun reporting the bytes beside the count:
+// the whole process's heap allocations per call of f, and their size, each
+// truncated to an integer, after one warm-up call.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs)),
+		float64((after.TotalAlloc - before.TotalAlloc) / uint64(runs))
+}
 
 // TestRoundTripAllocBudget holds the small-message allocation budget on
 // both fabrics, and holds observability to adding nothing to it: the span
@@ -147,25 +172,28 @@ func TestRoundTripAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			measure := func() float64 {
+			measure := func() (allocs, bytes float64) {
 				for i := 0; i < 500; i++ { // fill pools, the span ring, lazy dials
 					echo()
 				}
-				return testing.AllocsPerRun(2000, echo)
+				return allocsPerRun(2000, echo)
 			}
 			defer obs.DefaultTracer.Reset()
 			obs.DefaultTracer.Reset()
-			off := measure()
+			off, offBytes := measure()
 			obs.DefaultTracer.SetEnabled(true)
-			ring := measure()
+			ring, _ := measure()
 			obs.DefaultTracer.SetEnabled(false)
 			obs.DefaultTracer.EnableRecorder(obs.RecorderConfig{})
-			rec := measure()
+			rec, _ := measure()
 			obs.DefaultTracer.DisableRecorder()
 			obs.DefaultTracer.SetEnabled(false)
-			t.Logf("allocs/op: tracing off %.0f, ring %.0f, recorder %.0f", off, ring, rec)
+			t.Logf("allocs/op: tracing off %.0f (%.0f B), ring %.0f, recorder %.0f", off, offBytes, ring, rec)
 			if off > roundTripAllocBudget {
 				t.Errorf("64 B round trip costs %.0f allocs/op, budget %d", off, roundTripAllocBudget)
+			}
+			if offBytes > roundTripByteBudget {
+				t.Errorf("64 B round trip costs %.0f B/op, budget %d", offBytes, roundTripByteBudget)
 			}
 			if ring > off {
 				t.Errorf("span ring adds allocations: %.0f -> %.0f allocs/op", off, ring)
@@ -178,7 +206,8 @@ func TestRoundTripAllocBudget(t *testing.T) {
 }
 
 // TestPipelinedWorkAllocBudget holds the pipelined scalar call to its budget:
-// what it allocates is the record and boxed values, not frames or contexts.
+// what it allocates is the caller's cell and boxed values, not frames, call
+// records or contexts.
 func TestPipelinedWorkAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -219,10 +248,13 @@ func TestPipelinedWorkAllocBudget(t *testing.T) {
 	for i := 0; i < 2000; i++ { // fill the ring, the pools, the worker pool
 		work()
 	}
-	if got := testing.AllocsPerRun(5000, work); got > pipelinedWorkAllocBudget {
-		t.Errorf("pipelined Worker.work costs %.1f allocs/op, budget %d", got, pipelinedWorkAllocBudget)
-	} else {
-		t.Logf("pipelined Worker.work: %.1f allocs/op", got)
+	allocs, bytes := allocsPerRun(5000, work)
+	t.Logf("pipelined Worker.work: %.0f allocs/op, %.0f B/op", allocs, bytes)
+	if allocs > pipelinedWorkAllocBudget {
+		t.Errorf("pipelined Worker.work costs %.0f allocs/op, budget %d", allocs, pipelinedWorkAllocBudget)
+	}
+	if bytes > pipelinedWorkByteBudget {
+		t.Errorf("pipelined Worker.work costs %.0f B/op, budget %d", bytes, pipelinedWorkByteBudget)
 	}
 }
 
