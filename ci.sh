@@ -18,6 +18,11 @@ go test -race -count=5 -run 'Mailbox|SiblingWakes' ./internal/rts ./internal/poa
 # (DESIGN.md §7): cancels from other goroutines racing replies and expiries,
 # cells that park without a pump, and the dispatch pool's accounting.
 go test -race -count=5 -run 'Record|Pending|Cancel|Cell|PoolGrows' ./internal/core ./internal/future ./internal/poa
+# The lock-free cell (one atomic state word, a wake channel its first parked
+# waiter installs): readers racing its resolution, a cancel waking an owner
+# parked in a blocking receive, and the sleep-poll waits that stop at their
+# deadline.
+go test -race -count=20 -run 'Cell|Future|Cancel|WaitTimeout|RecvTimeout' ./internal/future ./internal/core ./internal/nexus
 
 # The repo benchmark is a module of its own, so nothing above builds it.
 # This lane is what notices a runtime change that breaks its build or its

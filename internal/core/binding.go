@@ -147,8 +147,7 @@ func (b *Binding) SetRetryPolicy(rp RetryPolicy) { b.retry = rp }
 func (b *Binding) Locate() (bool, error) {
 	o := b.orb
 	o.mu.Lock()
-	o.nextReq++
-	id := o.nextReq
+	id := o.newReqIDLocked()
 	o.mu.Unlock()
 	msg := pgiop.EncodeLocateRequest(&pgiop.LocateRequest{ReqID: id, ObjectKey: b.ior.Key})
 	if err := o.r.Send(nexus.Addr(b.ior.Addrs[0]), msg); err != nil {

@@ -109,14 +109,14 @@ func (o *ORB) size() int {
 // the ORB's: the owning thread takes it from a bounded free list at issue and
 // hands it back once it has won the claim on the call and resolved it
 // (record/recycle), so a steady stream of calls allocates none. What the
-// caller may keep — the cell and the result values it resolves to — lives in
-// a callCell the record only points at. It holds what every call uses; what
-// only some calls need hangs off outs and timed.
+// caller may keep — the cell, which holds the result values it resolves to —
+// the record only points at. It holds what every call uses; what only some
+// calls need hangs off outs and timed.
 type pendingReq struct {
-	// call is where the invocation resolves: the caller's callCell for
-	// InvokeNB, own for a blocking Invoke (which copies the results out before
-	// it recycles the record).
-	call *callCell
+	// call is where the invocation resolves: the caller's cell for InvokeNB,
+	// own for a blocking Invoke (which copies the results out before it
+	// recycles the record).
+	call *future.Cell
 	op   *Operation
 	// b is the binding the call was issued on: its id and sequence number
 	// name the call in a CancelRequest, its server's thread-0 address keys the
@@ -142,17 +142,7 @@ type pendingReq struct {
 	span     uint64
 	issuedNS int64
 
-	own callCell
-}
-
-// callCell is the caller's part of an invocation: the cell its futures point
-// at and inline storage for the result values the cell resolves to (one
-// allocation; operations yielding more fall back to a fresh slice). A
-// non-blocking caller owns it outright — it is garbage collected with the
-// last reference the application drops, never recycled.
-type callCell struct {
-	cell    future.Cell
-	results [resultSlots]any
+	own future.Cell
 }
 
 // maxFreeRecords bounds an ORB's free list, so a deep burst of calls does not
@@ -224,9 +214,6 @@ type timedState struct {
 	req        *pgiop.Request // retained for re-encoding resends (nil unless retryable)
 }
 
-// resultSlots is the number of result values a callCell holds inline.
-const resultSlots = 3
-
 // handedOut reports whether the call resolves a cell its caller holds
 // (InvokeNB) rather than the record's own (a blocking Invoke).
 func (p *pendingReq) handedOut() bool { return p.call != &p.own }
@@ -268,7 +255,7 @@ func (o *ORB) resolve(p *pendingReq, vals []any, err error) {
 			Start: p.issuedNS, End: end,
 		})
 	}
-	p.call.cell.Resolve(vals, err)
+	p.call.Resolve(vals, err)
 }
 
 // claim atomically removes p's pending entry, reporting false when another
@@ -357,20 +344,19 @@ func (b *Binding) Invoke(op string, args []any) ([]any, error) {
 	if b.localObj != nil && !opDef.HasDistributed() {
 		return b.localObj.call(opDef, args).Values()
 	}
-	// The cell and result slots are the record's own: nobody but this call
-	// can reach them, so they go back with it once the results are copied.
+	// The cell is the record's own: nobody but this call can reach it, so it
+	// goes back with the record once the results are copied.
 	o := b.orb
 	p := o.record()
 	p.call = &p.own
 	if err := b.issue(p, opIdx, opDef, args); err != nil {
 		return nil, err
 	}
-	vals, err := p.own.cell.Values()
-	if cap(vals) > 0 && cap(vals) <= resultSlots {
-		// The values sit in the record's inline slots: copy them out. A
-		// larger result set was decoded into a fresh slice that is already
-		// the caller's.
-		vals = append(make([]any, 0, len(vals)), vals...)
+	vals, err := p.own.Values()
+	if n := len(vals); n > 0 && n <= future.InlineSlots {
+		// The values sit in the record's cell: copy them out. A larger result
+		// set was decoded into a fresh slice that is already the caller's.
+		vals = append(make([]any, 0, n), vals...)
 	}
 	o.recycle(p)
 	return vals, err
@@ -403,14 +389,14 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 	if b.localObj != nil && !opDef.HasDistributed() {
 		return b.localObj.call(opDef, args), nil
 	}
-	// The caller's part is all this call allocates; the record is the ORB's.
-	cc := new(callCell)
+	// The caller's cell is all this call allocates; the record is the ORB's.
+	cell := new(future.Cell)
 	p := b.orb.record()
-	p.call = cc
+	p.call = cell
 	if err := b.issue(p, opIdx, opDef, args); err != nil {
 		return nil, err
 	}
-	return &cc.cell, nil
+	return cell, nil
 }
 
 // operation looks up and checks an invocation of op with args.
@@ -441,7 +427,7 @@ func (b *Binding) issue(p *pendingReq, opIdx int, opDef *Operation, args []any) 
 	if b.deadline > 0 && !opDef.Oneway {
 		p.timed = &timedState{deadline: b.deadline, attempt: 1, policy: b.retry}
 	}
-	cell := &p.call.cell
+	cell := p.call
 	cell.Init()
 
 	req := &pgiop.Request{
@@ -540,8 +526,7 @@ func (b *Binding) issue(p *pendingReq, opIdx int, opDef *Operation, args []any) 
 		t.deadlineAt = o.now() + t.deadline
 	}
 	o.mu.Lock()
-	o.nextReq++
-	req.ReqID = o.nextReq
+	req.ReqID = o.newReqIDLocked()
 	p.id = req.ReqID
 	depth := 0
 	if !opDef.Oneway {
@@ -589,6 +574,16 @@ func (b *Binding) issue(p *pendingReq, opIdx int, opDef *Operation, args []any) 
 	}
 	cell.SetPump(o.pumpFn)
 	return nil
+}
+
+// newReqIDLocked returns the next request ID; callers hold o.mu. ID 0 is
+// skipped when the counter wraps, so no call ever answers to it: it is what
+// Cancel's wake-up frame replies to.
+func (o *ORB) newReqIDLocked() uint32 {
+	if o.nextReq++; o.nextReq == 0 {
+		o.nextReq++
+	}
+	return o.nextReq
 }
 
 // sendRequest encodes and ships one request attempt as a vectored frame.
@@ -678,7 +673,7 @@ func (o *ORB) Cancel(cell *future.Cell) bool {
 	o.mu.Lock()
 	var p *pendingReq
 	for id, pr := range o.pending {
-		if &pr.call.cell == cell {
+		if pr.call == cell {
 			p = pr
 			delete(o.pending, id)
 			o.untrackLocked(p)
@@ -689,7 +684,7 @@ func (o *ORB) Cancel(cell *future.Cell) bool {
 		// The invocation may be parked awaiting a retry rather than in
 		// flight; withdrawing it then is purely local.
 		for i, pr := range o.backoff {
-			if &pr.call.cell == cell {
+			if pr.call == cell {
 				p = pr
 				o.backoff = slices.Delete(o.backoff, i, i+1)
 				break
@@ -704,8 +699,16 @@ func (o *ORB) Cancel(cell *future.Cell) bool {
 	_ = o.r.Send(nexus.Addr(p.server0()), msg) // best effort
 	orbCancels.Inc()
 	o.resolve(p, nil, ErrCancelled)
+	// The owning thread may be parked in a blocking receive on this cell's
+	// behalf, and no frame may ever come for it: post one it discards, so
+	// its pump returns and its wait sees the cell resolved.
+	_ = o.r.Send(o.r.Addr(), wakeFrame) // best effort, like the notice above
 	return true
 }
+
+// wakeFrame is a reply to request ID 0, which is never issued, so the client
+// path drops it on arrival.
+var wakeFrame = pgiop.EncodeReply(&pgiop.Reply{})
 
 // sendSegments ships one distributed in-argument's local elements to the
 // owning server threads.
@@ -826,8 +829,7 @@ func (o *ORB) resend(p *pendingReq) {
 	t.attempt++
 	t.deadlineAt = o.now() + t.deadline
 	o.mu.Lock()
-	o.nextReq++
-	t.req.ReqID = o.nextReq
+	t.req.ReqID = o.newReqIDLocked()
 	p.id = t.req.ReqID
 	o.pending[p.id] = p
 	depth := o.trackLocked(p)
@@ -1105,22 +1107,36 @@ func (o *ORB) maybeComplete(p *pendingReq) {
 			}
 		}
 	}
-	// Decode the inline results into the call's result slots: return value then
-	// non-distributed out/inout parameters, in declaration order. Values may
-	// alias a reply frame the GC owns (zero-copy, the bulk case); they are
-	// copied out of a pooled one, which goes back to the transport below.
-	dec := cdr.GetDecoder(p.reply.Reply.Body)
-	dec.SetBorrow(!p.reply.FramePooled())
-	defer dec.Release()
-	vals := p.call.results[:0]
-	if n := resultCount(p.op); n > len(p.call.results) {
-		vals = make([]any, 0, n)
+	if !o.claim(p) {
+		return // a racing cancel or timeout won; discard the late result
 	}
+	// The claim is won, so no sweep, cancel or resend will look at p.reply
+	// again, and nothing but this thread writes the call's cell until it
+	// resolves. Detach the reply and hand it back after the record: the
+	// values decoded from it alias neither. A reply that does not decode is
+	// left to the GC.
+	m := p.reply
+	p.reply = nil
+	vals, err := o.results(p, m)
+	o.finish(p, vals, err)
+	if err == nil {
+		m.Release()
+	}
+}
+
+// results decodes a reply's inline results straight into the slots of the
+// call's cell: return value then non-distributed out/inout parameters, in
+// declaration order. Values may alias a reply frame the GC owns (zero-copy,
+// the bulk case); they are copied out of a pooled one.
+func (o *ORB) results(p *pendingReq, m *Msg) ([]any, error) {
+	dec := cdr.GetDecoder(m.Reply.Body)
+	dec.SetBorrow(!m.FramePooled())
+	defer dec.Release()
+	vals := p.call.Slots(resultCount(p.op))[:0]
 	if p.op.Result != nil {
 		v, err := typecode.Unmarshal(dec, p.op.Result)
 		if err != nil {
-			o.fail(p, fmt.Errorf("core: corrupt return value: %w", err))
-			return
+			return nil, fmt.Errorf("core: corrupt return value: %w", err)
 		}
 		vals = append(vals, v)
 	}
@@ -1135,21 +1151,11 @@ func (o *ORB) maybeComplete(p *pendingReq) {
 		}
 		v, err := typecode.Unmarshal(dec, prm.Type)
 		if err != nil {
-			o.fail(p, fmt.Errorf("core: corrupt out value %s: %w", prm.Name, err))
-			return
+			return nil, fmt.Errorf("core: corrupt out value %s: %w", prm.Name, err)
 		}
 		vals = append(vals, v)
 	}
-	if !o.claim(p) {
-		return // a racing cancel or timeout won; discard the late result
-	}
-	// The claim is won, so no sweep, cancel or resend will look at p.reply
-	// again, and the decoded values alias neither the record nor a frame it
-	// gives back: detach the reply and hand it back after the record.
-	m := p.reply
-	p.reply = nil
-	o.finish(p, vals, nil)
-	m.Release()
+	return vals, nil
 }
 
 // Comm exposes the ORB's run-time-system communicator (nil for single

@@ -80,6 +80,14 @@ type connCounter interface{ Transport() *nexus.TCPTransport }
 
 func echoOrb(t *testing.T) (*ORB, *Binding, *echoServer) {
 	t.Helper()
+	cliEP, srvEP := tcpEndpoints(t)
+	return echoOrbOn(t, cliEP, srvEP)
+}
+
+// tcpEndpoints returns a client and a server endpoint of two TCP transports,
+// closed when the test ends.
+func tcpEndpoints(t *testing.T) (cli, srv nexus.Endpoint) {
+	t.Helper()
 	srvEP, err := nexus.NewTCPEndpoint("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +98,12 @@ func echoOrb(t *testing.T) (*ORB, *Binding, *echoServer) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cliEP.Close() })
+	return cliEP, srvEP
+}
 
+// echoOrbOn binds a client ORB on cliEP to the raw echo server on srvEP.
+func echoOrbOn(t *testing.T, cliEP, srvEP nexus.Endpoint) (*ORB, *Binding, *echoServer) {
+	t.Helper()
 	orb := NewORB(NewRouter(cliEP), nil, nil)
 	iface := &InterfaceDef{Name: "echo", Ops: []Operation{{
 		Name:       "echo",
@@ -407,6 +420,66 @@ func TestLostClaimKeepsReplyRecord(t *testing.T) {
 	}
 }
 
+// recvSignal is an endpoint that reports each blocking receive its owner
+// enters.
+type recvSignal struct {
+	nexus.Endpoint
+	entered chan struct{}
+}
+
+func (e *recvSignal) Recv() (nexus.Frame, error) {
+	select {
+	case e.entered <- struct{}{}:
+	default:
+	}
+	return e.Endpoint.Recv()
+}
+
+// TestCancelWakesParkedOwner: the owning thread blocks in Values on a call
+// nobody answers — no deadline is armed, so its pump parks in the transport's
+// blocking receive — and another goroutine cancels the call once the owner
+// has entered that receive. Values must return ErrCancelled promptly, not
+// whenever some unrelated frame next arrives.
+func TestCancelWakesParkedOwner(t *testing.T) {
+	for _, fab := range []struct {
+		name string
+		pair func(t *testing.T) (cli, srv nexus.Endpoint)
+	}{
+		{"inproc", func(*testing.T) (nexus.Endpoint, nexus.Endpoint) {
+			f := nexus.NewInproc()
+			return f.NewEndpoint("client"), f.NewEndpoint("server")
+		}},
+		{"tcp", tcpEndpoints},
+	} {
+		t.Run(fab.name, func(t *testing.T) {
+			cli, srv := fab.pair(t)
+			owner := &recvSignal{Endpoint: cli, entered: make(chan struct{}, 1)}
+			orb, b, _ := echoOrbOn(t, owner, srv)
+			cell, err := b.InvokeNB("echo", []any{int32(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := cell.Values()
+				done <- err
+			}()
+			<-owner.entered
+			if !orb.Cancel(cell) {
+				t.Fatal("Cancel did not find the pending call")
+			}
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrCancelled) {
+					t.Fatalf("Values = %v, want ErrCancelled", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("the owner was still parked 1 s after Cancel")
+			}
+		})
+	}
+}
+
 // TestTimedLedgerTracksDeadlines walks the count behind hasTimed through
 // every transition of a deadlined request — issue, completion, cancel,
 // expiry into backoff, resend, transport failure — checking it against a
@@ -517,15 +590,17 @@ func TestTimedLedgerTracksDeadlines(t *testing.T) {
 }
 
 // TestPendingReqStaysSmall guards what a non-blocking call allocates: the
-// caller's part only — its cell and three result slots — in the allocator's
-// 128 B size class. The tracking record is the ORB's and recycled, and state
-// only some calls need — distributed out bookkeeping, deadline and retry
-// state — hangs behind outs and timed, which a plain call leaves nil.
+// caller's cell only — its state word, pump, wake pointer and three result
+// slots — in the allocator's 80 B size class. The tracking record is the
+// ORB's and recycled, and state only some calls need — distributed out
+// bookkeeping, deadline and retry state — hangs behind outs and timed, which
+// a plain call leaves nil.
 func TestPendingReqStaysSmall(t *testing.T) {
 	// 240 B when the record, the cell (with its condition variable) and the
-	// result slots were one allocation.
-	if size := unsafe.Sizeof(callCell{}); size > 128 {
-		t.Errorf("callCell is %d bytes, want <= 128", size)
+	// result slots were one allocation; 120 B when the cell held a mutex and
+	// sat beside the slots.
+	if size := unsafe.Sizeof(future.Cell{}); size > 80 {
+		t.Errorf("future.Cell is %d bytes, want <= 80", size)
 	}
 	orb, b, srv := echoOrb(t)
 	go func() {
@@ -545,7 +620,7 @@ func TestPendingReqStaysSmall(t *testing.T) {
 	}
 	orb.mu.Lock()
 	for _, p := range orb.pending {
-		if p.outs != nil || (p.timed != nil) != (&p.call.cell == timed) {
+		if p.outs != nil || (p.timed != nil) != (p.call == timed) {
 			t.Errorf("call %d: outs = %v, timed = %v", p.seqNo, p.outs, p.timed)
 		}
 	}
@@ -698,13 +773,9 @@ func TestCancelRaceKeepsCellsOwnValues(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		for i, c := range cells {
-			// Poll rather than pump blocking: a call the other goroutine
-			// cancels leaves no frame behind to end a blocking receive the
-			// owner entered just before. (An answered call may still expire
+			// A blocking wait: a cancel from the other goroutine wakes an
+			// owner parked in the receive. (An answered call may still expire
 			// on a loaded machine: a timing outcome, not a wrong value.)
-			if !c.WaitTimeout(10) {
-				t.Fatalf("%s: cell %d never resolved", stage, i)
-			}
 			vals, err := c.Values()
 			switch {
 			case err == nil && (len(vals) != 1 || vals[0] != int32(i)):

@@ -2,6 +2,8 @@
 
 package core
 
+import "pardis/internal/future"
+
 // poisonValue fills the result slots of a recycled record.
 const poisonValue = "core: read from a recycled call record"
 
@@ -12,7 +14,8 @@ const poisonValue = "core: read from a recycled call record"
 // the zero record or the next call's state.
 func poisonRecord(p *pendingReq) {
 	p.id, p.seqNo, p.opIdx = 0xDBDBDBDB, 0xDBDBDBDB, 0xDBDBDBDB
-	for i := range p.own.results {
-		p.own.results[i] = poisonValue
+	slots := p.own.Slots(future.InlineSlots)
+	for i := range slots {
+		slots[i] = poisonValue
 	}
 }

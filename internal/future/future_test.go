@@ -2,10 +2,13 @@ package future
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"pardis/internal/obs/leaktest"
 )
 
 func TestResolveDeliversToAllFutures(t *testing.T) {
@@ -157,9 +160,7 @@ func TestPumplessWaitParksOnChannel(t *testing.T) {
 	go func() { done <- c.WaitTimeout(10) }()
 	for parked := false; !parked; {
 		time.Sleep(time.Millisecond)
-		c.mu.Lock()
-		parked = c.wake != nil
-		c.mu.Unlock()
+		parked = c.wake.Load() != nil
 	}
 	time.Sleep(time.Millisecond) // the waiter is past parked() and into its select
 	if n := runtime.NumGoroutine(); n > base+1 {
@@ -182,7 +183,126 @@ func TestUnwaitedCellMakesNoChannel(t *testing.T) {
 	if v, err := Of[int](c, 0).Get(); err != nil || v != 1 || !c.WaitTimeout(1) {
 		t.Fatalf("got %v, %v", v, err)
 	}
-	if c.wake != nil {
+	if c.wake.Load() != nil {
 		t.Fatal("a cell that never parked a waiter made a wake channel")
+	}
+}
+
+// TestCellReadersSeeOneResolution: 64 goroutines read one cell — the
+// poll, the error, the values, a typed future and a timed wait — while it is
+// resolved, with values and then with an error; half of them start reading
+// before the resolution and may park. Every reader sees exactly what Resolve
+// delivered, and no reader is left behind.
+func TestCellReadersSeeOneResolution(t *testing.T) {
+	boom := errors.New("server exploded")
+	for _, tc := range []struct {
+		name string
+		vals []any
+		err  error
+	}{
+		{"values", []any{int32(7), "seven", 7.5}, nil},
+		{"error", nil, boom},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := leaktest.Baseline()
+			c := NewCell()
+			const readers = 64
+			var wg sync.WaitGroup
+			early := make(chan struct{})
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					if r%2 == 0 {
+						<-early // poll until resolved, checking Err on the way
+						for !c.Resolved() {
+							if err := c.Err(); err != nil && err != tc.err {
+								t.Errorf("reader %d: unresolved cell reports %v", r, err)
+								return
+							}
+							runtime.Gosched()
+						}
+					}
+					if !c.WaitTimeout(10) {
+						t.Errorf("reader %d: WaitTimeout missed the resolution", r)
+						return
+					}
+					vals, err := c.Values()
+					x, xerr := Of[int32](c, 0).Get()
+					switch {
+					case err != tc.err || xerr != tc.err || c.Err() != tc.err:
+						t.Errorf("reader %d: errors %v, %v, %v, want %v", r, err, xerr, c.Err(), tc.err)
+					case tc.err == nil && (fmt.Sprint(vals) != fmt.Sprint(tc.vals) || x != tc.vals[0]):
+						t.Errorf("reader %d: values %v and %v, want %v", r, vals, x, tc.vals)
+					case tc.err != nil && vals != nil:
+						t.Errorf("reader %d: a failed cell reads values %v", r, vals)
+					}
+				}(r)
+			}
+			close(early)
+			c.Resolve(tc.vals, tc.err)
+			wg.Wait()
+			leaktest.Check(t, baseline)
+		})
+	}
+}
+
+// TestCellKeepsOverflowSlice: a cell resolved with more values than it holds
+// inline keeps the resolver's own slice and serves every future from it.
+func TestCellKeepsOverflowSlice(t *testing.T) {
+	c := NewCell()
+	in := []any{1, 2, 3, 4}
+	c.Resolve(in, nil)
+	vals, err := c.Values()
+	if err != nil || len(vals) != 4 || &vals[0] != &in[0] {
+		t.Fatalf("Values = %v, %v; want the resolver's slice", vals, err)
+	}
+	if v, err := Of[int](c, 3).Get(); err != nil || v != 4 {
+		t.Fatalf("fourth future = %v, %v", v, err)
+	}
+	if _, err := Of[int](c, 4).Get(); err == nil {
+		t.Fatal("want missing-index error past the fourth result")
+	}
+}
+
+// TestFailedCellDropsDecodedSlots: a resolver that decoded into the cell's
+// slots and then failed leaves only the error behind.
+func TestFailedCellDropsDecodedSlots(t *testing.T) {
+	c := NewCell()
+	s := c.Slots(2)
+	s[0], s[1] = "half", "decoded"
+	boom := errors.New("corrupt out value")
+	c.Resolve(nil, boom)
+	if vals, err := c.Values(); vals != nil || err != boom || c.Err() != boom {
+		t.Fatalf("Values = %v, %v; Err = %v", vals, err, c.Err())
+	}
+	if c.slots[1] != nil {
+		t.Fatalf("a failed cell still holds %v", c.slots[1])
+	}
+}
+
+// TestWaitTimeoutNapsEndAtDeadline walks the pump-driven WaitTimeout's backoff for a
+// range of deadlines without a clock: its naps add up to the deadline exactly
+// (the doubling step alone overshot by up to 1.6 ms), and no step exceeds
+// 1 ms.
+func TestWaitTimeoutNapsEndAtDeadline(t *testing.T) {
+	const ceiling = time.Millisecond
+	for _, deadline := range []time.Duration{
+		time.Microsecond, 50 * time.Microsecond, 120 * time.Microsecond,
+		time.Millisecond, 1700 * time.Microsecond, 30 * time.Millisecond, time.Second,
+	} {
+		var slept time.Duration
+		step := 50 * time.Microsecond
+		for slept < deadline {
+			var nap time.Duration
+			nap, step = napFor(step, ceiling, deadline-slept)
+			if nap <= 0 || step > ceiling {
+				t.Fatalf("deadline %v: nap %v, next step %v", deadline, nap, step)
+			}
+			slept += nap
+		}
+		if slept != deadline {
+			t.Errorf("deadline %v: naps add up to %v", deadline, slept)
+		}
 	}
 }

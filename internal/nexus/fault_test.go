@@ -210,3 +210,28 @@ func TestFaultRecvTimeout(t *testing.T) {
 	// A timed-out receive must not strand a watcher goroutine.
 	leaktest.Check(t, baseline)
 }
+
+// TestRecvTimeoutNapsEndAtDeadline walks RecvTimeout's backoff for a range of
+// deadlines without a clock: its naps add up to the deadline exactly (the
+// doubling step alone overshot by up to 6.4 ms), and no step exceeds 5 ms.
+func TestRecvTimeoutNapsEndAtDeadline(t *testing.T) {
+	const ceiling = 5 * time.Millisecond
+	for _, deadline := range []time.Duration{
+		time.Microsecond, 50 * time.Microsecond, 120 * time.Microsecond,
+		3 * time.Millisecond, 6 * time.Millisecond, 30 * time.Millisecond, time.Second,
+	} {
+		var slept time.Duration
+		step := 50 * time.Microsecond
+		for slept < deadline {
+			var nap time.Duration
+			nap, step = napFor(step, ceiling, deadline-slept)
+			if nap <= 0 || step > ceiling {
+				t.Fatalf("deadline %v: nap %v, next step %v", deadline, nap, step)
+			}
+			slept += nap
+		}
+		if slept != deadline {
+			t.Errorf("deadline %v: naps add up to %v", deadline, slept)
+		}
+	}
+}

@@ -92,7 +92,7 @@ var ErrRecvTimeout = errors.New("nexus: receive deadline exceeded")
 // parked in Recv past the deadline — the historical source of leaked
 // receivers on abandoned endpoints. Owner-thread-only, like Recv itself.
 func RecvTimeout(ep Endpoint, deadline time.Time) (Frame, error) {
-	sleep := 50 * time.Microsecond
+	step := 50 * time.Microsecond
 	for {
 		fr, ok, err := ep.Poll()
 		if err != nil {
@@ -101,15 +101,23 @@ func RecvTimeout(ep Endpoint, deadline time.Time) (Frame, error) {
 		if ok {
 			return fr, nil
 		}
-		if !time.Now().Before(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			return Frame{}, ErrRecvTimeout
 		}
-		time.Sleep(sleep)
 		// Back off geometrically to 5ms so a long deadline does not spin.
-		if sleep < 5*time.Millisecond {
-			sleep *= 2
-		}
+		var nap time.Duration
+		nap, step = napFor(step, 5*time.Millisecond, left)
+		time.Sleep(nap)
 	}
+}
+
+// napFor returns how long a sleep-poll wait naps after polling in vain, and
+// its next backoff step: the step doubles up to ceiling, and the nap is cut
+// to left, the time to the deadline, so the wait does not return a whole
+// step late.
+func napFor(step, ceiling, left time.Duration) (nap, next time.Duration) {
+	return min(step, left), min(2*step, ceiling)
 }
 
 // ConcurrentSender is an optional Endpoint capability: fabrics whose Send

@@ -247,7 +247,12 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 				t.mu.Unlock()
 				return
 			}
-			if _, exists := t.conns[hp]; !exists {
+			// A hello naming this transport is its own dial looping back
+			// (a channel sending to itself or a sibling): the dialer
+			// registers its end. Finding this end registered first, the
+			// dialer would close its own and send into the socket it had
+			// just closed, losing the frames.
+			if _, exists := t.conns[hp]; !exists && hp != t.hostport {
 				t.conns[hp] = tc
 				tcpConnsLive.Add(1)
 			}

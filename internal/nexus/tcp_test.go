@@ -122,6 +122,30 @@ func TestTCPChannelMultiplexing(t *testing.T) {
 	}
 }
 
+// TestTCPSendToOwnTransport: the first frame a channel sends to its own
+// transport — to itself, as the ORB's cancel wake-up does, or to a sibling —
+// travels over a connection the transport dials to itself, and must arrive
+// whichever end of that connection's hello is read first. Fresh transports
+// each time, since only a first send dials.
+func TestTCPSendToOwnTransport(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		tr, err := NewTCPTransport("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := tr.NewChannel(), tr.NewChannel()
+		for _, to := range []Endpoint{a, b} {
+			if err := a.Send(to.Addr(), []byte("own")); err != nil {
+				t.Fatal(err)
+			}
+			if fr, err := RecvTimeout(to, time.Now().Add(time.Second)); err != nil || string(fr.Data) != "own" {
+				t.Fatalf("transport %d: frame to %s: %q, %v", i, to.Addr(), fr.Data, err)
+			}
+		}
+		tr.Close()
+	}
+}
+
 // TestTCPChannelCloseKeepsSiblings checks that closing one channel neither
 // tears the shared connection nor disturbs sibling channels, and that
 // frames to the closed id are dropped rather than misdelivered.

@@ -122,10 +122,10 @@ const (
 // the boxed argument, and the servant's result slice and boxed result (5; the
 // benchmark's generated stub adds its argument slice, which escapes there).
 // No frame, no call record and no per-request context; one to spare, as
-// above. The caller's cell is 128 of the bytes.
+// above. The caller's cell is 80 of the bytes.
 const (
 	pipelinedWorkAllocBudget = 6
-	pipelinedWorkByteBudget  = 192
+	pipelinedWorkByteBudget  = 144
 )
 
 // allocsPerRun is testing.AllocsPerRun reporting the bytes beside the count:
