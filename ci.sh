@@ -18,11 +18,12 @@ go test -race -count=5 -run 'Mailbox|SiblingWakes' ./internal/rts ./internal/poa
 # (DESIGN.md §7): cancels from other goroutines racing replies and expiries,
 # cells that park without a pump, and the dispatch pool's accounting.
 go test -race -count=5 -run 'Record|Pending|Cancel|Cell|PoolGrows' ./internal/core ./internal/future ./internal/poa
-# The lock-free cell (one atomic state word, a wake channel its first parked
-# waiter installs): readers racing its resolution, a cancel waking an owner
-# parked in a blocking receive, and the sleep-poll waits that stop at their
-# deadline.
-go test -race -count=20 -run 'Cell|Future|Cancel|WaitTimeout|RecvTimeout' ./internal/future ./internal/core ./internal/nexus
+# The lock-free cell (one atomic state word, a driver its first parked
+# waiter installs when it has no pump, a scalar first result kept unboxed in
+# its word): readers racing its resolution, the word read against what the
+# boxed path decodes, a cancel waking an owner parked in a blocking receive,
+# and the sleep-poll waits that stop at their deadline.
+go test -race -count=20 -run 'Cell|Future|Cancel|WaitTimeout|RecvTimeout|Scalar|Word' ./internal/future ./internal/core ./internal/nexus
 
 # The repo benchmark is a module of its own, so nothing above builds it.
 # This lane is what notices a runtime change that breaks its build or its
@@ -88,6 +89,14 @@ go test -run NONE -fuzz FuzzUnmarshalBorrowEqualsCopy -fuzztime 10s ./internal/t
 # at least one server thread and no more threads than addresses, so the
 # tables and schedules a client sizes by it can be built.
 go test -run NONE -fuzz FuzzParseIOR -fuzztime 10s ./internal/core
+# A non-blocking call's scalar first result, decoded into its cell's word:
+# on arbitrary reply bodies it fails exactly when the boxed decode fails, and
+# otherwise reads the same value bit for bit.
+go test -run NONE -fuzz FuzzWordDecode -fuzztime 10s ./internal/core
+# The metrics digest a replica's heartbeat carries to the repository: no
+# panic, no negative depth or quantile, and an accepted digest encodes back
+# to itself.
+go test -run NONE -fuzz FuzzParseDigest -fuzztime 10s ./internal/registry
 # Frame and record lifetime (DESIGN.md §7) under the race detector, where a
 # recycled frame is overwritten with 0xDB first: kept values survive thousands
 # of recycled frames, every released frame goes back to the pool exactly once

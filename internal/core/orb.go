@@ -50,9 +50,9 @@ type ORB struct {
 	nextReq  uint32
 	nextBind int
 
-	// pumpFn is the one pump closure shared by every cell this ORB mints
-	// (a per-invocation closure would allocate).
-	pumpFn func(block bool)
+	// driver is the one Pump every cell this ORB mints points at (a
+	// per-invocation closure would allocate).
+	driver *future.Pump
 	// sendIov is the scratch buffer list for two-buffer vectored sends.
 	// Safe as a field because ORB methods run on the owning thread only.
 	sendIov [2][]byte
@@ -75,7 +75,7 @@ type ORB struct {
 // direct-call shortcut (may be nil).
 func NewORB(r *Router, comm rts.Comm, table *LocalTable) *ORB {
 	o := &ORB{r: r, comm: comm, local: table, pending: map[uint32]*pendingReq{}, inflight: map[string]int{}}
-	o.pumpFn = func(block bool) { o.pump(block) }
+	o.driver = future.NewPump(o.pump)
 	return o
 }
 
@@ -547,7 +547,7 @@ func (b *Binding) issue(p *pendingReq, opIdx int, opDef *Operation, args []any) 
 			// A failed send is the easiest loss to retry: park the request
 			// for backoff instead of failing the invocation.
 			o.park(p)
-			cell.SetPump(o.pumpFn)
+			cell.SetPump(o.driver)
 			return nil
 		}
 		return fmt.Errorf("core: %s: %w", op, err)
@@ -572,7 +572,7 @@ func (b *Binding) issue(p *pendingReq, opIdx int, opDef *Operation, args []any) 
 		}
 		return nil
 	}
-	cell.SetPump(o.pumpFn)
+	cell.SetPump(o.driver)
 	return nil
 }
 
@@ -1124,21 +1124,26 @@ func (o *ORB) maybeComplete(p *pendingReq) {
 	}
 }
 
-// results decodes a reply's inline results straight into the slots of the
-// call's cell: return value then non-distributed out/inout parameters, in
-// declaration order. Values may alias a reply frame the GC owns (zero-copy,
-// the bulk case); they are copied out of a pooled one.
+// results decodes a reply's inline results straight into the call's cell:
+// return value then non-distributed out/inout parameters, in declaration
+// order. A non-blocking call whose first result is a scalar keeps it
+// unboxed, in the cell's word, for the caller's typed future to read; a
+// blocking call hands out a []any anyway, so its cell takes every result
+// boxed. Values may alias a reply frame the GC owns (zero-copy, the bulk
+// case); they are copied out of a pooled one.
 func (o *ORB) results(p *pendingReq, m *Msg) ([]any, error) {
 	dec := cdr.GetDecoder(m.Reply.Body)
 	dec.SetBorrow(!m.FramePooled())
 	defer dec.Release()
 	vals := p.call.Slots(resultCount(p.op))[:0]
-	if p.op.Result != nil {
-		v, err := typecode.Unmarshal(dec, p.op.Result)
+	word := p.handedOut()
+	if r := p.op.Result; r != nil {
+		v, err := decodeResult(p.call, dec, r, word)
 		if err != nil {
 			return nil, fmt.Errorf("core: corrupt return value: %w", err)
 		}
 		vals = append(vals, v)
+		word = false
 	}
 	for i := range p.op.Params {
 		prm := &p.op.Params[i]
@@ -1147,15 +1152,29 @@ func (o *ORB) results(p *pendingReq, m *Msg) ([]any, error) {
 		}
 		if prm.Distributed() {
 			vals = append(vals, p.outs.holders[i])
-			continue
+		} else {
+			v, err := decodeResult(p.call, dec, prm.Type, word)
+			if err != nil {
+				return nil, fmt.Errorf("core: corrupt out value %s: %w", prm.Name, err)
+			}
+			vals = append(vals, v)
 		}
-		v, err := typecode.Unmarshal(dec, prm.Type)
-		if err != nil {
-			return nil, fmt.Errorf("core: corrupt out value %s: %w", prm.Name, err)
-		}
-		vals = append(vals, v)
+		word = false
 	}
 	return vals, nil
+}
+
+// decodeResult decodes one result of type tc: into c's word when word is
+// set and tc is a scalar, leaving the result's slot empty, boxed otherwise.
+func decodeResult(c *future.Cell, d *cdr.Decoder, tc *typecode.TypeCode, word bool) (any, error) {
+	if !word || !tc.Kind.Scalar() {
+		return typecode.Unmarshal(d, tc)
+	}
+	w, err := typecode.UnmarshalWord(d, tc)
+	if err == nil {
+		c.SetWord(tc.Kind, w)
+	}
+	return nil, err
 }
 
 // Comm exposes the ORB's run-time-system communicator (nil for single

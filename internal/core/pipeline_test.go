@@ -218,24 +218,26 @@ func TestLateReplyAfterTimeout(t *testing.T) {
 		t.Fatalf("Inflight = %d after deadline expiry, want 0", got)
 	}
 
-	// Now deliver the stale reply, then run a fresh invocation. The stale
-	// ReqID no longer matches any pending entry, so it must be dropped and
-	// the new request must resolve to its own value.
+	// Now run a fresh invocation, and deliver the stale reply ahead of its
+	// answer: one connection keeps the order, so the stale reply lands
+	// first. Its ReqID no longer matches any pending entry, so it must be
+	// dropped and the new request must resolve to its own value.
 	stale := <-held
-	if err := srv.reply(stale); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // let the stale reply land first
-
+	replied := make(chan error, 1)
 	go func() {
 		reqs, err := srv.collect(1)
-		if err != nil {
-			return
+		if err == nil {
+			if err = srv.reply(stale); err == nil {
+				err = srv.reply(reqs[0])
+			}
 		}
-		srv.reply(reqs[0])
+		replied <- err
 	}()
 	b.SetDeadline(5)
 	vals, err := b.Invoke("echo", []any{int32(42)})
+	if rerr := <-replied; rerr != nil {
+		t.Fatalf("delivering the stale reply and the fresh one: %v", rerr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,17 +592,17 @@ func TestTimedLedgerTracksDeadlines(t *testing.T) {
 }
 
 // TestPendingReqStaysSmall guards what a non-blocking call allocates: the
-// caller's cell only — its state word, pump, wake pointer and three result
-// slots — in the allocator's 80 B size class. The tracking record is the
+// caller's cell only — its state word, driver pointer, scalar word and two
+// result slots — in the allocator's 64 B size class. The tracking record is the
 // ORB's and recycled, and state only some calls need — distributed out
 // bookkeeping, deadline and retry state — hangs behind outs and timed, which
 // a plain call leaves nil.
 func TestPendingReqStaysSmall(t *testing.T) {
 	// 240 B when the record, the cell (with its condition variable) and the
 	// result slots were one allocation; 120 B when the cell held a mutex and
-	// sat beside the slots.
-	if size := unsafe.Sizeof(future.Cell{}); size > 80 {
-		t.Errorf("future.Cell is %d bytes, want <= 80", size)
+	// sat beside the slots; 72 B with a pump, a wake pointer and three slots.
+	if size := unsafe.Sizeof(future.Cell{}); size > 64 {
+		t.Errorf("future.Cell is %d bytes, want <= 64", size)
 	}
 	orb, b, srv := echoOrb(t)
 	go func() {

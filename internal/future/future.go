@@ -8,29 +8,41 @@
 // follows the ABC++ abstraction the paper credits.
 //
 // A Cell is the caller's whole part of one invocation and takes no lock. One
-// atomic state word says whether it is pending, resolved or failed and how
-// many results it carries; the results themselves sit in three inline slots
-// (a failed call keeps its error in the first, a call with more results its
-// own slice). Resolve claims the word, stores the results, then publishes the
-// word, so a reader that sees the cell resolved sees everything Resolve
-// stored. A waiter on a cell with a pump (every cell the ORB mints for a
-// remote call) drives the pump itself and never parks on the cell; a waiter
-// on a cell without one (a co-located call, a NewCell) parks on a channel the
-// first such waiter installs and Resolve closes.
+// atomic state word says whether it is pending, resolved or failed, how many
+// results it carries and whether the first of them is a scalar kept unboxed.
+// That scalar sits in a raw 8-byte word (typecode.UnmarshalWord), which a
+// Future of the matching Go type reads without an interface; the results
+// sit in two inline slots (a failed call keeps its error in the first, a
+// call with more results its own slice), where the word's slot stays empty
+// until the first Values call boxes the word into it. Resolve claims the
+// state word, stores the results, then publishes the state word, so a
+// reader that sees the cell resolved sees everything Resolve stored.
+//
+// One driver pointer says how a waiter gets there. A cell the ORB mints for
+// a remote call points at the ORB's Pump, and its waiter drives the pump
+// itself and never parks on the cell; on a cell without one (a co-located
+// call, a NewCell) the first waiter that parks installs a Pump carrying the
+// channel Resolve closes.
 package future
 
 import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"pardis/internal/typecode"
 )
 
 // InlineSlots is the number of result values a Cell holds without a slice of
-// their own.
-const InlineSlots = 3
+// their own. A first result kept in the word takes one of them: its slot
+// stays empty until Values boxes the word into it.
+const InlineSlots = 2
 
-// The state word: the low bits say where the cell is, the bits above
-// countShift hold the number of results once it is resolved.
+// The state word: the low bits say where the cell is, the bits from
+// kindShift the typecode.Kind of the scalar its word holds (typecode.Void
+// for none), the boxing bit that a Values call is boxing the word into its
+// slot, and the bits from countShift the number of results once it is
+// resolved.
 const (
 	statePending   = iota // not resolved
 	stateResolving        // a Resolve is storing the results
@@ -38,26 +50,36 @@ const (
 	stateFailed           // the error published in slots[0]
 
 	stateMask  = 3
-	countShift = 2
+	kindShift  = 2
+	kindMask   = 15
+	boxing     = 1 << 6
+	countShift = 7
 )
+
+// Pump drives cells toward resolution. One with a progress function is
+// shared by every cell of an ORB: blocking waiters loop on it, pollers call
+// it once with block=false, so the waiting thread runs the ORB's reply
+// processing itself — on its own virtual clock under the simulated
+// transport. One without is a single pump-less cell's own, installed by its
+// first parked waiter to carry the channel Resolve closes.
+type Pump struct {
+	fn   func(block bool)
+	wake chan struct{}
+}
+
+// NewPump returns a Pump whose waiters call fn to make progress.
+func NewPump(fn func(block bool)) *Pump { return &Pump{fn: fn} }
 
 // Cell is the shared resolution state of one non-blocking invocation: every
 // future minted for that invocation points at the same cell, so they resolve
 // at the same instant. A Cell must not be copied once in use.
 type Cell struct {
 	state atomic.Uint32
-
-	// pump, when set, is called to drive the underlying request machinery
-	// until progress occurs. Blocking waiters loop on it; pollers call it
-	// once with block=false. The ORB sets it on every cell of a remote call,
-	// so the waiting thread runs the ORB's reply processing itself — on its
-	// own virtual clock under the simulated transport.
-	pump func(block bool)
-	// wake is the channel Resolve closes. The first waiter that has no pump
-	// to drive and must park installs it, so a cell nobody parks on never has
-	// one.
-	wake atomic.Pointer[chan struct{}]
-
+	// driver is the ORB's Pump (SetPump), the Pump the first parked waiter
+	// of a pump-less cell installs, or nil while nobody has parked on one.
+	driver atomic.Pointer[Pump]
+	// word holds the first result when the state names its kind.
+	word uint64
 	// slots hold the results (up to InlineSlots of them), the error of a
 	// failed call, or the []any of a call with more results.
 	slots [InlineSlots]any
@@ -76,9 +98,9 @@ func NewCell() *Cell {
 // futures hold its address.
 func (c *Cell) Init() { futCells.Inc() }
 
-// SetPump installs the progress function (see Cell.pump). Must be called
+// SetPump points the cell at the Pump its waiters drive. Must be called
 // before any future of this cell is read.
-func (c *Cell) SetPump(pump func(block bool)) { c.pump = pump }
+func (c *Cell) SetPump(p *Pump) { c.driver.Store(p) }
 
 // Slots returns room for n result values, for whoever will resolve the cell
 // to decode into before passing it to Resolve: the cell's own slots when n is
@@ -92,14 +114,27 @@ func (c *Cell) Slots(n int) []any {
 	return c.slots[:n:n]
 }
 
+// SetWord stores the invocation's first result as the word w of a scalar of
+// kind k (see typecode.UnmarshalWord); the first of the values then passed to
+// Resolve is left empty. Like Slots, it is for the cell's resolver only,
+// before Resolve.
+func (c *Cell) SetWord(k typecode.Kind, w uint64) {
+	if !k.Scalar() {
+		panic(fmt.Sprintf("future: %v is not a scalar", k))
+	}
+	c.word = w
+	c.state.Store(uint32(k) << kindShift) // still pending: readers look at the low bits only
+}
+
 // Resolve delivers the invocation's results (positional out-arguments and
-// return value) or its error, waking all waiters. Resolving twice panics:
-// a reply must arrive exactly once per request.
+// return value) or its error, waking all waiters. Resolving twice panics: a
+// reply must arrive exactly once per request.
 func (c *Cell) Resolve(vals []any, err error) {
-	if !c.state.CompareAndSwap(statePending, stateResolving) {
+	st := c.state.Load()
+	if st&stateMask != statePending || !c.state.CompareAndSwap(st, st|stateResolving) {
 		panic("future: cell resolved twice")
 	}
-	st := uint32(stateResolved) | uint32(len(vals))<<countShift
+	st |= stateResolved | uint32(len(vals))<<countShift
 	switch {
 	case err != nil:
 		c.slots = [InlineSlots]any{err} // drops what a resolver decoded before it failed
@@ -112,16 +147,28 @@ func (c *Cell) Resolve(vals []any, err error) {
 	}
 	c.state.Store(st)
 	futResolved.Inc()
-	// After the store: a waiter installs its channel before it re-checks the
-	// state, so either this load sees the channel or the waiter sees the
-	// cell resolved.
-	if w := c.wake.Load(); w != nil {
-		close(*w)
+	// After the store: a waiter installs its Pump before it re-checks the
+	// state, so either this load sees the Pump or the waiter sees the cell
+	// resolved.
+	if d := c.driver.Load(); d != nil && d.wake != nil {
+		close(d.wake)
 	}
 }
 
+// kindIn returns the kind of scalar the state st says the word holds, or
+// typecode.Void.
+func kindIn(st uint32) typecode.Kind { return typecode.Kind(st >> kindShift & kindMask) }
+
 // done reports whether the results are published.
 func (c *Cell) done() bool { return c.state.Load()&stateMask >= stateResolved }
+
+// pump returns the progress function of the cell's driver, or nil.
+func (c *Cell) pump() func(block bool) {
+	if d := c.driver.Load(); d != nil {
+		return d.fn
+	}
+	return nil
+}
 
 // Resolved reports whether results are available, giving the underlying
 // machinery a chance to make progress first (the paper's poll).
@@ -129,8 +176,8 @@ func (c *Cell) Resolved() bool {
 	if c.done() {
 		return true
 	}
-	if c.pump != nil {
-		c.pump(false)
+	if pump := c.pump(); pump != nil {
+		pump(false)
 		return c.done()
 	}
 	return false
@@ -142,28 +189,28 @@ func (c *Cell) parked() chan struct{} {
 	if c.done() {
 		return nil
 	}
-	w := c.wake.Load()
-	if w == nil {
-		ch := make(chan struct{})
-		if c.wake.CompareAndSwap(nil, &ch) {
-			w = &ch
+	d := c.driver.Load()
+	if d == nil {
+		mine := &Pump{wake: make(chan struct{})}
+		if c.driver.CompareAndSwap(nil, mine) {
+			d = mine
 		} else {
-			w = c.wake.Load()
+			d = c.driver.Load()
 		}
 	}
-	// A Resolve that looked for a channel before this one was installed
+	// A Resolve that looked for a Pump before this one was installed
 	// published the state first: re-check before parking.
 	if c.done() {
 		return nil
 	}
-	return *w
+	return d.wake
 }
 
 // Wait blocks until the cell resolves and returns its error.
 func (c *Cell) Wait() error {
-	if c.pump != nil {
+	if pump := c.pump(); pump != nil {
 		for !c.Resolved() {
-			c.pump(true)
+			pump(true)
 		}
 	} else if wake := c.parked(); wake != nil {
 		<-wake
@@ -183,7 +230,7 @@ func (c *Cell) WaitTimeout(seconds float64) bool {
 		return true
 	}
 	deadline := time.Now().Add(time.Duration(seconds * float64(time.Second)))
-	if c.pump != nil {
+	if c.pump() != nil {
 		step := 50 * time.Microsecond
 		for {
 			if c.Resolved() {
@@ -230,17 +277,33 @@ func (c *Cell) Err() error {
 	return nil
 }
 
-// Values blocks until resolution and returns all result values.
+// Values blocks until resolution and returns all result values: a view of
+// the results the cell holds. The first Values call on a cell that keeps its
+// first result in its word boxes it into its slot, once; a reader racing
+// that call gets a copy rather than wait for it.
 func (c *Cell) Values() ([]any, error) {
 	if err := c.Wait(); err != nil {
 		return nil, err
 	}
-	return c.vals(), nil
+	st := c.state.Load()
+	vals := c.view(st >> countShift)
+	k := kindIn(st)
+	if k == typecode.Void {
+		return vals, nil
+	}
+	v := typecode.WordValue(k, c.word)
+	if st&boxing == 0 && c.state.CompareAndSwap(st, st|boxing) {
+		vals[0] = v
+		// Publish the slot: from here on every reader takes the value there.
+		c.state.Store(st &^ (kindMask << kindShift))
+		return vals, nil
+	}
+	return append([]any{v}, vals[1:]...), nil
 }
 
-// vals returns the values of a cell resolved without error.
-func (c *Cell) vals() []any {
-	n := c.state.Load() >> countShift
+// view returns the n results held in the slots of a cell resolved without
+// error.
+func (c *Cell) view(n uint32) []any {
 	switch {
 	case n == 0:
 		return nil
@@ -250,15 +313,18 @@ func (c *Cell) vals() []any {
 	return c.slots[0].([]any)
 }
 
+// value returns the idx-th result of a cell resolved without error, boxing
+// the word if that is where it is.
 func (c *Cell) value(idx int) (any, error) {
-	if err := c.Wait(); err != nil {
-		return nil, err
+	st := c.state.Load()
+	n := st >> countShift
+	if idx < 0 || idx >= int(n) {
+		return nil, fmt.Errorf("future: no value at position %d (reply carried %d)", idx, n)
 	}
-	vals := c.vals()
-	if idx < 0 || idx >= len(vals) {
-		return nil, fmt.Errorf("future: no value at position %d (reply carried %d)", idx, len(vals))
+	if k := kindIn(st); k != typecode.Void && idx == 0 {
+		return typecode.WordValue(k, c.word), nil
 	}
-	return vals[idx], nil
+	return c.view(n)[idx], nil
 }
 
 // Future is a typed placeholder for one result of a non-blocking
@@ -279,9 +345,20 @@ func (f Future[T]) Resolved() bool { return f.cell.Resolved() }
 
 // Get blocks until the invocation completes and returns the value. An
 // invocation failure or a result of the wrong type is reported as an error.
+// The first result of a cell that keeps it in its word is read from the word
+// when T is its Go type, with no interface in between.
 func (f Future[T]) Get() (T, error) {
 	var zero T
-	v, err := f.cell.value(f.idx)
+	c := f.cell
+	if err := c.Wait(); err != nil {
+		return zero, err
+	}
+	if k := kindIn(c.state.Load()); k != typecode.Void && f.idx == 0 {
+		if t, ok := typecode.WordAs[T](k, c.word); ok {
+			return t, nil
+		}
+	}
+	v, err := c.value(f.idx)
 	if err != nil {
 		return zero, err
 	}

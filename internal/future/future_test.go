@@ -3,12 +3,14 @@ package future
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"pardis/internal/obs/leaktest"
+	"pardis/internal/typecode"
 )
 
 func TestResolveDeliversToAllFutures(t *testing.T) {
@@ -40,7 +42,7 @@ func TestGetBlocksUntilResolved(t *testing.T) {
 		defer wg.Done()
 		got = f.MustGet()
 	}()
-	time.Sleep(5 * time.Millisecond)
+	waitParked(c)
 	c.Resolve([]any{7}, nil)
 	wg.Wait()
 	if got != 7 {
@@ -103,12 +105,12 @@ func TestDoubleResolvePanics(t *testing.T) {
 func TestPumpDrivesResolution(t *testing.T) {
 	c := NewCell()
 	calls := 0
-	c.SetPump(func(block bool) {
+	c.SetPump(NewPump(func(block bool) {
 		calls++
 		if calls >= 3 {
 			c.Resolve([]any{42}, nil)
 		}
-	})
+	}))
 	f := Of[int](c, 0)
 	if f.Resolved() { // one pump call, not resolved yet
 		t.Fatal("resolved too early")
@@ -158,11 +160,10 @@ func TestPumplessWaitParksOnChannel(t *testing.T) {
 	base := runtime.NumGoroutine()
 	done := make(chan bool)
 	go func() { done <- c.WaitTimeout(10) }()
-	for parked := false; !parked; {
-		time.Sleep(time.Millisecond)
-		parked = c.wake.Load() != nil
+	waitParked(c)
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // let the waiter go on from parked() into its select
 	}
-	time.Sleep(time.Millisecond) // the waiter is past parked() and into its select
 	if n := runtime.NumGoroutine(); n > base+1 {
 		t.Errorf("%d goroutines while one waiter parks, want at most %d", n, base+1)
 	}
@@ -176,32 +177,36 @@ func TestPumplessWaitParksOnChannel(t *testing.T) {
 }
 
 // TestUnwaitedCellMakesNoChannel: resolving a cell nobody parked on, and
-// reading it afterwards, never makes the wake channel.
+// reading it afterwards, never installs a Pump with a wake channel.
 func TestUnwaitedCellMakesNoChannel(t *testing.T) {
 	c := NewCell()
 	c.Resolve([]any{1}, nil)
 	if v, err := Of[int](c, 0).Get(); err != nil || v != 1 || !c.WaitTimeout(1) {
 		t.Fatalf("got %v, %v", v, err)
 	}
-	if c.wake.Load() != nil {
-		t.Fatal("a cell that never parked a waiter made a wake channel")
+	if c.driver.Load() != nil {
+		t.Fatal("a cell that never parked a waiter installed a Pump")
 	}
 }
 
 // TestCellReadersSeeOneResolution: 64 goroutines read one cell — the
 // poll, the error, the values, a typed future and a timed wait — while it is
-// resolved, with values and then with an error; half of them start reading
+// resolved: with values, with an error, with a first result kept in the
+// word, and with a word stored and then an error. Half of them start reading
 // before the resolution and may park. Every reader sees exactly what Resolve
 // delivered, and no reader is left behind.
 func TestCellReadersSeeOneResolution(t *testing.T) {
 	boom := errors.New("server exploded")
 	for _, tc := range []struct {
 		name string
+		word bool // the resolver keeps vals[0], an int32, in the word
 		vals []any
 		err  error
 	}{
-		{"values", []any{int32(7), "seven", 7.5}, nil},
-		{"error", nil, boom},
+		{"values", false, []any{int32(7), "seven", 7.5}, nil},
+		{"error", false, nil, boom},
+		{"word", true, []any{int32(7), "seven", 7.5}, nil},
+		{"word then error", true, []any{int32(7)}, boom},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := leaktest.Baseline()
@@ -240,10 +245,98 @@ func TestCellReadersSeeOneResolution(t *testing.T) {
 				}(r)
 			}
 			close(early)
-			c.Resolve(tc.vals, tc.err)
+			vals := tc.vals
+			if tc.word {
+				c.SetWord(typecode.Long, uint64(tc.vals[0].(int32)))
+				vals = append([]any{nil}, tc.vals[1:]...)
+			}
+			if tc.err != nil {
+				vals = nil
+			}
+			c.Resolve(vals, tc.err)
 			wg.Wait()
 			leaktest.Check(t, baseline)
 		})
+	}
+}
+
+// TestWordCellReads: a first result kept in the word reads through the
+// future of its Go type without an allocation, through any other type the
+// boxed way — the value for any, today's error for the wrong type — and
+// through Values as a view whose first slot the first call boxes the word
+// into; the results after it read from the slots, and from the resolver's
+// own slice when there are more than the slots hold.
+func TestWordCellReads(t *testing.T) {
+	c := NewCell()
+	c.SetWord(typecode.Double, math.Float64bits(2.5))
+	c.Resolve([]any{nil, "two"}, nil)
+	f := Of[float64](c, 0)
+	if v, err := f.Get(); err != nil || v != 2.5 {
+		t.Fatalf("Get = %v, %v", v, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.MustGet() }); n != 0 {
+		t.Errorf("Get of a word allocates %v times", n)
+	}
+	if v, err := Of[any](c, 0).Get(); err != nil || v != 2.5 {
+		t.Errorf("Of[any] = %v, %v", v, err)
+	}
+	_, err := Of[float32](c, 0).Get()
+	if want := "future: result 0 is float64, not float32"; err == nil || err.Error() != want {
+		t.Errorf("mismatched type: %v, want %q", err, want)
+	}
+	if v, err := Of[string](c, 1).Get(); err != nil || v != "two" {
+		t.Errorf("second result = %v, %v", v, err)
+	}
+	_, err = Of[int32](c, 2).Get()
+	if want := "future: no value at position 2 (reply carried 2)"; err == nil || err.Error() != want {
+		t.Errorf("missing index: %v, want %q", err, want)
+	}
+	a, _ := c.Values()
+	b, _ := c.Values()
+	if fmt.Sprint(a) != "[2.5 two]" || &a[0] != &b[0] || &a[0] != &c.slots[0] {
+		t.Errorf("Values = %v, want a view of the cell's slots", a)
+	}
+	if v, err := f.Get(); err != nil || v != 2.5 || kindIn(c.state.Load()) != typecode.Void {
+		t.Errorf("Get after Values = %v, %v; the slot, not the word, holds it now", v, err)
+	}
+
+	over := NewCell()
+	over.SetWord(typecode.Bool, 1)
+	over.Resolve([]any{nil, 1, 2, 3}, nil)
+	if v, err := Of[bool](over, 0).Get(); err != nil || !v {
+		t.Errorf("overflow word = %v, %v", v, err)
+	}
+	if vals, err := over.Values(); err != nil || fmt.Sprint(vals) != "[true 1 2 3]" {
+		t.Errorf("overflow Values = %v, %v", vals, err)
+	}
+	if v, err := Of[int](over, 3).Get(); err != nil || v != 3 {
+		t.Errorf("overflow last = %v, %v", v, err)
+	}
+}
+
+// TestCellAllocsByResultCount records what a non-blocking call's cell costs
+// by how many results it carries, its first a double kept in the word: the
+// 64 B cell alone while the results fit its InlineSlots, and past them the
+// resolver's slice and the box of that slice's header in the first slot —
+// so a call with three results pays two allocations (48 B + 24 B) more than
+// one with two. Reading the word back allocates nothing.
+func TestCellAllocsByResultCount(t *testing.T) {
+	for n, want := range map[int]float64{1: 1, 2: 1, 3: 3} {
+		got := testing.AllocsPerRun(100, func() {
+			c := NewCell()
+			vals := c.Slots(n)
+			for i := 1; i < n; i++ {
+				vals[i] = "rest"
+			}
+			c.SetWord(typecode.Double, math.Float64bits(2.5))
+			c.Resolve(vals, nil)
+			if v, err := Of[float64](c, 0).Get(); err != nil || v != 2.5 {
+				t.Fatalf("%d results: Get = %v, %v", n, v, err)
+			}
+		})
+		if got != want {
+			t.Errorf("a cell of %d results costs %v allocations, want %v", n, got, want)
+		}
 	}
 }
 
@@ -304,5 +397,12 @@ func TestWaitTimeoutNapsEndAtDeadline(t *testing.T) {
 		if slept != deadline {
 			t.Errorf("deadline %v: naps add up to %v", deadline, slept)
 		}
+	}
+}
+
+// waitParked returns once a waiter has installed its Pump on the pump-less c.
+func waitParked(c *Cell) {
+	for c.driver.Load() == nil {
+		runtime.Gosched()
 	}
 }

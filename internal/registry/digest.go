@@ -12,6 +12,7 @@ package registry
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,17 +35,23 @@ type Digest struct {
 }
 
 // Encode renders the digest in wire form. Quantiles travel as integer
-// nanoseconds: compact, locale-proof, and lossless at the histogram's own
-// bucket resolution.
+// nanoseconds, rounded to the nearest: compact, locale-proof, and lossless
+// for any quantile ParseDigest produced.
 func (d Digest) Encode() string {
 	return fmt.Sprintf("%d;n=%d;shed=%d;depth=%d;p50ns=%d;p95ns=%d;p99ns=%d",
 		digestVersion, d.Dispatches, d.Sheds, d.Depth,
-		int64(d.P50*1e9), int64(d.P95*1e9), int64(d.P99*1e9))
+		int64(math.Round(d.P50*1e9)), int64(math.Round(d.P95*1e9)), int64(math.Round(d.P99*1e9)))
 }
 
+// maxQuantileNS bounds the quantiles ParseDigest accepts, about 13 days:
+// below it, seconds held in a float64 round back to the same nanosecond.
+const maxQuantileNS = 1 << 50
+
 // ParseDigest decodes a wire digest. Unknown keys are ignored (that is the
-// format's whole forward-compatibility story); a missing or unparseable
-// version yields ok=false and a zero digest.
+// format's whole forward-compatibility story), and so are values that do not
+// parse, a negative depth and a quantile that is negative or above
+// maxQuantileNS; a missing or unparseable version yields ok=false and a zero
+// digest.
 func ParseDigest(s string) (d Digest, ok bool) {
 	fields := strings.Split(s, ";")
 	if len(fields) == 0 {
@@ -65,19 +72,28 @@ func ParseDigest(s string) (d Digest, ok bool) {
 		case "shed":
 			d.Sheds, _ = strconv.ParseUint(val, 10, 64)
 		case "depth":
-			d.Depth, _ = strconv.Atoi(val)
+			if n, err := strconv.Atoi(val); err == nil && n >= 0 {
+				d.Depth = n
+			}
 		case "p50ns":
-			ns, _ := strconv.ParseInt(val, 10, 64)
-			d.P50 = float64(ns) / 1e9
+			d.P50 = parseQuantile(val, d.P50)
 		case "p95ns":
-			ns, _ := strconv.ParseInt(val, 10, 64)
-			d.P95 = float64(ns) / 1e9
+			d.P95 = parseQuantile(val, d.P95)
 		case "p99ns":
-			ns, _ := strconv.ParseInt(val, 10, 64)
-			d.P99 = float64(ns) / 1e9
+			d.P99 = parseQuantile(val, d.P99)
 		}
 	}
 	return d, true
+}
+
+// parseQuantile returns the quantile, in seconds, of a wire value in
+// nanoseconds, or old when the value is not one ParseDigest accepts.
+func parseQuantile(val string, old float64) float64 {
+	ns, err := strconv.ParseInt(val, 10, 64)
+	if err != nil || ns < 0 || ns > maxQuantileNS {
+		return old
+	}
+	return float64(ns) / 1e9
 }
 
 // AdapterDigest builds a digest source over a POA — the snapshot function
@@ -188,13 +204,13 @@ func (r *Repository) WriteFederation(w io.Writer) error {
 	p("# TYPE pardis_group_p99_worst_seconds gauge\n")
 	for _, g := range snap {
 		l := promLabel(g.Name)
-		p("pardis_group_members{group=%q} %d\n", l, g.Rollup.Members)
-		p("pardis_group_members_stale{group=%q} %d\n", l, g.Rollup.Stale)
-		p("pardis_group_depth{group=%q} %d\n", l, g.Rollup.Depth)
-		p("pardis_group_dispatches_total{group=%q} %d\n", l, g.Rollup.Dispatches)
-		p("pardis_group_sheds_total{group=%q} %d\n", l, g.Rollup.Sheds)
-		p("pardis_group_p95_mean_seconds{group=%q} %g\n", l, g.Rollup.MeanP95)
-		p("pardis_group_p99_worst_seconds{group=%q} %g\n", l, g.Rollup.WorstP99)
+		p("pardis_group_members{group=\"%s\"} %d\n", l, g.Rollup.Members)
+		p("pardis_group_members_stale{group=\"%s\"} %d\n", l, g.Rollup.Stale)
+		p("pardis_group_depth{group=\"%s\"} %d\n", l, g.Rollup.Depth)
+		p("pardis_group_dispatches_total{group=\"%s\"} %d\n", l, g.Rollup.Dispatches)
+		p("pardis_group_sheds_total{group=\"%s\"} %d\n", l, g.Rollup.Sheds)
+		p("pardis_group_p95_mean_seconds{group=\"%s\"} %g\n", l, g.Rollup.MeanP95)
+		p("pardis_group_p99_worst_seconds{group=\"%s\"} %g\n", l, g.Rollup.WorstP99)
 	}
 	p("# TYPE pardis_member_depth gauge\n")
 	p("# TYPE pardis_member_dispatches_total counter\n")
@@ -208,18 +224,18 @@ func (r *Repository) WriteFederation(w io.Writer) error {
 				continue
 			}
 			ml := promLabel(m.ID)
-			p("pardis_member_depth{group=%q,member=%q} %d\n", gl, ml, m.Metrics.Depth)
-			p("pardis_member_dispatches_total{group=%q,member=%q} %d\n", gl, ml, m.Metrics.Dispatches)
-			p("pardis_member_sheds_total{group=%q,member=%q} %d\n", gl, ml, m.Metrics.Sheds)
-			p("pardis_member_p95_seconds{group=%q,member=%q} %g\n", gl, ml, m.Metrics.P95)
-			p("pardis_member_p99_seconds{group=%q,member=%q} %g\n", gl, ml, m.Metrics.P99)
+			p("pardis_member_depth{group=\"%s\",member=\"%s\"} %d\n", gl, ml, m.Metrics.Depth)
+			p("pardis_member_dispatches_total{group=\"%s\",member=\"%s\"} %d\n", gl, ml, m.Metrics.Dispatches)
+			p("pardis_member_sheds_total{group=\"%s\",member=\"%s\"} %d\n", gl, ml, m.Metrics.Sheds)
+			p("pardis_member_p95_seconds{group=\"%s\",member=\"%s\"} %g\n", gl, ml, m.Metrics.P95)
+			p("pardis_member_p99_seconds{group=\"%s\",member=\"%s\"} %g\n", gl, ml, m.Metrics.P99)
 		}
 	}
 	return err
 }
 
-// promLabel escapes a string for use as a Prometheus label value.
-func promLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, `"`, `\"`)
-}
+// promLabel escapes a string for use between the quotes of a Prometheus
+// label value, the way the text format defines: a backslash, a double quote
+// and a newline are escaped, everything else — UTF-8 included — is written
+// as is.
+var promLabel = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace

@@ -2,6 +2,7 @@ package registry_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -47,6 +48,57 @@ func TestDigestForwardCompat(t *testing.T) {
 			t.Errorf("ParseDigest(%q) ok, want rejection", bad)
 		}
 	}
+}
+
+// TestDigestQuantilesRoundTripExactly: a quantile that came off the wire
+// goes back on it as the same nanosecond count — truncating instead of
+// rounding sent 15 ns back as 14 — and values ParseDigest does not accept
+// leave the field as it was.
+func TestDigestQuantilesRoundTripExactly(t *testing.T) {
+	for _, ns := range append(seq(0, 100000), 1e9+15, 1<<40+1, 1<<50) {
+		in := fmt.Sprintf("1;p50ns=%d", ns)
+		d, _ := registry.ParseDigest(in)
+		if got := d.Encode(); !strings.Contains(got, fmt.Sprintf(";p50ns=%d;", ns)) {
+			t.Fatalf("%q encodes back as %q", in, got)
+		}
+	}
+	d, ok := registry.ParseDigest("1;depth=3;p95ns=5;depth=-1;p95ns=-5;p99ns=-1;p50ns=1125899906842625")
+	if want := (registry.Digest{Depth: 3, P95: 5e-9}); !ok || d != want {
+		t.Fatalf("ParseDigest = %+v, %v; want %+v", d, ok, want)
+	}
+}
+
+func seq(lo, hi int64) []int64 {
+	var s []int64
+	for i := lo; i < hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
+// FuzzParseDigest: ParseDigest never panics, accepts no negative depth or
+// quantile, and what it accepts encodes back to itself.
+func FuzzParseDigest(f *testing.F) {
+	f.Add(registry.Digest{Dispatches: 12345, Sheds: 67, Depth: 4, P50: 0.0015, P95: 0.0421, P99: 0.1337}.Encode())
+	f.Add("2;n=7;hotness=9000;p95ns=5000000;future_field=x")
+	f.Add("1;depth=-3;p50ns=-1;p99ns=9223372036854775807;shed=18446744073709551615")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, s string) {
+		d, ok := registry.ParseDigest(s)
+		if !ok {
+			if d != (registry.Digest{}) {
+				t.Fatalf("rejected %q but returned %+v", s, d)
+			}
+			return
+		}
+		if d.Depth < 0 || d.P50 < 0 || d.P95 < 0 || d.P99 < 0 {
+			t.Fatalf("%q parsed to a negative field: %+v", s, d)
+		}
+		again, ok := registry.ParseDigest(d.Encode())
+		if !ok || again != d {
+			t.Fatalf("%q: %+v encodes as %q, which parses to %+v, %v", s, d, d.Encode(), again, ok)
+		}
+	})
 }
 
 // report pushes one digest heartbeat through the servant interface.
@@ -159,6 +211,58 @@ func TestWriteFederation(t *testing.T) {
 			t.Errorf("federation page missing %q:\n%s", want, text)
 		}
 	}
+}
+
+// TestWriteFederationEscapesLabelsOnce: group and member names go on the
+// federation page escaped once, the way the Prometheus text format defines —
+// a backslash, a double quote and a newline escaped, UTF-8 as is — so a
+// scraper unescapes each label back to the name it was registered under.
+func TestWriteFederationEscapesLabelsOnce(t *testing.T) {
+	const group, member = `we"ird\näme`, "line\nbreak"
+	repo := registry.NewRepository()
+	if _, _, err := repo.Invoke(nil, "register_member", []any{group, member, memberIOR("m0", "").String()}); err != nil {
+		t.Fatal(err)
+	}
+	report(t, repo, group, member, registry.Digest{Dispatches: 42, Depth: 2})
+	var buf bytes.Buffer
+	if err := repo.WriteFederation(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, want := range []string{
+		`pardis_group_members{group="we\"ird\\näme"} 1` + "\n",
+		`pardis_member_depth{group="we\"ird\\näme",member="line\nbreak"} 2` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("federation page missing %q:\n%s", want, text)
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if !strings.HasPrefix(line, "pardis_member_depth{") {
+			continue
+		}
+		labels := strings.TrimSuffix(strings.TrimPrefix(line, "pardis_member_depth{"), "} 2")
+		g, m, ok := strings.Cut(labels, `",member="`)
+		if !ok || unescapeLabel(strings.TrimPrefix(g, `group="`)) != group || unescapeLabel(strings.TrimSuffix(m, `"`)) != member {
+			t.Errorf("labels %s do not unescape to %q and %q", labels, group, member)
+		}
+	}
+}
+
+// unescapeLabel undoes the text format's label escaping.
+func unescapeLabel(s string) string {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			i++
+			if s[i] == 'n' {
+				b.WriteByte('\n')
+				continue
+			}
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
 }
 
 // waitFor polls cond for up to two seconds of wall time — heartbeat loops
