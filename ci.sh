@@ -21,9 +21,13 @@ go test -race -count=5 -run 'Record|Pending|Cancel|Cell|PoolGrows' ./internal/co
 # The lock-free cell (one atomic state word, a driver its first parked
 # waiter installs when it has no pump, a scalar first result kept unboxed in
 # its word): readers racing its resolution, the word read against what the
-# boxed path decodes, a cancel waking an owner parked in a blocking receive,
-# and the sleep-poll waits that stop at their deadline.
-go test -race -count=20 -run 'Cell|Future|Cancel|WaitTimeout|RecvTimeout|Scalar|Word' ./internal/future ./internal/core ./internal/nexus
+# boxed path decodes, and a cancel waking an owner parked in a blocking
+# receive.
+go test -race -count=20 -run 'Cell|Future|Cancel|Scalar|Word' ./internal/future ./internal/core ./internal/nexus
+# The one timed wait (DESIGN.md §12): every wall-clock deadline wakes on the
+# frame it waits for and never gives up before its instant, a virtual-clock
+# deadline receive ends on the exact instant, and an endpoint has one waiter.
+go test -race -count=20 -run 'TimedWaits|DeadlineRecvWakes|WaiterWatch|PumpedWaitTimeout|SharedRouterOneRegistration' ./internal/poa ./internal/rts ./internal/nexus ./internal/future
 
 # The repo benchmark is a module of its own, so nothing above builds it.
 # This lane is what notices a runtime change that breaks its build or its
@@ -66,37 +70,16 @@ go test -run NONE -bench 'DispatchAgreement' -benchtime 1x ./internal/poa
 # race detector (their whole point is timing races between sweeps, retries,
 # late replies, and peer death).
 go test -race -run Fault -count=1 ./internal/nexus ./internal/rts ./internal/poa
-# Every pgiop decoder a peer can reach, on arbitrary bytes: no panic, no
-# allocation sized by an unchecked length field.
-go test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/pgiop
-# The distribution layouts inside them: an accepted layout locates every index
-# and re-encodes to the bytes it came from.
-go test -run NONE -fuzz FuzzDecodeLayout -fuzztime 10s ./internal/dist
-# The same for what sits under them: the TCP reader on an accepted, still
-# anonymous connection (no panic, no stranded reader, nothing allocated for a
-# first frame longer than a hello may be) and the address parser every hello
-# and every send goes through.
-go test -run NONE -fuzz FuzzFrameStream -fuzztime 10s ./internal/nexus
-go test -run NONE -fuzz FuzzSplitTCPAddr -fuzztime 10s ./internal/nexus
-# The rts data frame a peer sends a computing thread: no panic, nothing sized
-# by its length prefix, and an accepted frame is exactly what Send writes.
-go test -run NONE -fuzz FuzzRTSFrame -fuzztime 10s ./internal/rts
-# And for what decodes the values inside them: typecode.Unmarshal in its two
-# modes (borrow from a frame the GC owns, copy out of a pooled one) must agree
-# on arbitrary bytes, and a copied value must owe nothing to its input.
-go test -run NONE -fuzz FuzzUnmarshalBorrowEqualsCopy -fuzztime 10s ./internal/typecode
-# And for the reference a client is handed as a string: an accepted IOR names
-# at least one server thread and no more threads than addresses, so the
-# tables and schedules a client sizes by it can be built.
-go test -run NONE -fuzz FuzzParseIOR -fuzztime 10s ./internal/core
-# A non-blocking call's scalar first result, decoded into its cell's word:
-# on arbitrary reply bodies it fails exactly when the boxed decode fails, and
-# otherwise reads the same value bit for bit.
-go test -run NONE -fuzz FuzzWordDecode -fuzztime 10s ./internal/core
-# The metrics digest a replica's heartbeat carries to the repository: no
-# panic, no negative depth or quantile, and an accepted digest encodes back
-# to itself.
-go test -run NONE -fuzz FuzzParseDigest -fuzztime 10s ./internal/registry
+# Every fuzz target in the tree, 10 s each, found by listing them: the
+# decoders a peer can reach (pgiop, dist layouts, the TCP frame stream and
+# address parser, rts frames, typecode borrow = copy, IORs, the cell's word
+# decode, registry digests) on arbitrary bytes — no panic, no allocation sized
+# by an unchecked length field. A target added later runs here unlisted.
+go test -list '^Fuzz' ./... |
+	awk '/^Fuzz/ { f[n++] = $1 } /^ok/ { for (i = 0; i < n; i++) print $2, f[i]; n = 0 }' |
+	while read -r pkg target; do
+		go test -run NONE -fuzz "^$target\$" -fuzztime 10s "$pkg"
+	done
 # Frame and record lifetime (DESIGN.md §7) under the race detector, where a
 # recycled frame is overwritten with 0xDB first: kept values survive thousands
 # of recycled frames, every released frame goes back to the pool exactly once

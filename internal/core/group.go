@@ -180,7 +180,7 @@ func (g *GroupBinding) Invoke(op string, args []any) ([]any, error) {
 			if delay <= 0 {
 				delay = g.retry.backoff(attempt, g.rng)
 			}
-			g.orb.idle(delay)
+			g.orb.pause(delay)
 			g.advance()
 		case errors.Is(err, ErrDeadline) && g.idempotentOp(op):
 			g.advance()

@@ -6,6 +6,7 @@ import (
 
 	"pardis/internal/nexus"
 	"pardis/internal/pgiop"
+	"pardis/internal/rts"
 )
 
 // Msg is one decoded protocol message with its sender.
@@ -198,14 +199,8 @@ func (r *Router) ConcurrentSendSafe() bool {
 	return ok && cs.ConcurrentSendSafe()
 }
 
-// SetRecvNotify forwards nexus.RecvNotifier when the underlying fabric
-// supports it, reporting whether arrival notification is actually in
-// effect — the POA's gate for event-driven idle wakeup instead of
-// sleep-polling.
-func (r *Router) SetRecvNotify(fn func()) bool {
-	rn, ok := r.ep.(nexus.RecvNotifier)
-	return ok && rn.SetRecvNotify(fn)
-}
+// WatchBy adds the router's endpoint to th's timed wait (rts.Thread.Watch).
+func (r *Router) WatchBy(th rts.Thread) bool { return th.Watch(r.ep) }
 
 // RecvClient returns the next client-bound message; with block=false it
 // returns ok=false when none is pending. Server-bound messages encountered

@@ -27,6 +27,7 @@ package future
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -57,18 +58,21 @@ const (
 )
 
 // Pump drives cells toward resolution. One with a progress function is
-// shared by every cell of an ORB: blocking waiters loop on it, pollers call
-// it once with block=false, so the waiting thread runs the ORB's reply
-// processing itself — on its own virtual clock under the simulated
-// transport. One without is a single pump-less cell's own, installed by its
-// first parked waiter to carry the channel Resolve closes.
+// shared by every cell of an ORB, and its waiters run the ORB's reply
+// processing themselves — on their own virtual clock under the simulated
+// transport. fn makes one round of progress, waiting at most until the
+// instant until on the clock now reads: -Inf to poll, +Inf to block, a
+// deadline to wait. One without is a single pump-less cell's own, installed
+// by its first parked waiter to carry the channel Resolve closes.
 type Pump struct {
-	fn   func(block bool)
+	fn   func(until float64)
+	now  func() float64
 	wake chan struct{}
 }
 
-// NewPump returns a Pump whose waiters call fn to make progress.
-func NewPump(fn func(block bool)) *Pump { return &Pump{fn: fn} }
+// NewPump returns a Pump whose waiters call fn to make progress, with
+// deadlines on the clock now reads.
+func NewPump(fn func(until float64), now func() float64) *Pump { return &Pump{fn: fn, now: now} }
 
 // Cell is the shared resolution state of one non-blocking invocation: every
 // future minted for that invocation points at the same cell, so they resolve
@@ -162,10 +166,10 @@ func kindIn(st uint32) typecode.Kind { return typecode.Kind(st >> kindShift & ki
 // done reports whether the results are published.
 func (c *Cell) done() bool { return c.state.Load()&stateMask >= stateResolved }
 
-// pump returns the progress function of the cell's driver, or nil.
-func (c *Cell) pump() func(block bool) {
-	if d := c.driver.Load(); d != nil {
-		return d.fn
+// pump returns the cell's driver when it has a progress function, or nil.
+func (c *Cell) pump() *Pump {
+	if d := c.driver.Load(); d != nil && d.fn != nil {
+		return d
 	}
 	return nil
 }
@@ -176,8 +180,8 @@ func (c *Cell) Resolved() bool {
 	if c.done() {
 		return true
 	}
-	if pump := c.pump(); pump != nil {
-		pump(false)
+	if d := c.pump(); d != nil {
+		d.fn(math.Inf(-1))
 		return c.done()
 	}
 	return false
@@ -208,9 +212,9 @@ func (c *Cell) parked() chan struct{} {
 
 // Wait blocks until the cell resolves and returns its error.
 func (c *Cell) Wait() error {
-	if pump := c.pump(); pump != nil {
+	if d := c.pump(); d != nil {
 		for !c.Resolved() {
-			pump(true)
+			d.fn(math.Inf(1))
 		}
 	} else if wake := c.parked(); wake != nil {
 		<-wake
@@ -221,36 +225,29 @@ func (c *Cell) Wait() error {
 // WaitTimeout blocks until the cell resolves or seconds elapse, reporting
 // whether it resolved. A false return does not cancel the invocation: the
 // cell may still resolve later (use the ORB's cancellation to claim it).
-// On a pump-driven cell the wait polls non-blocking pump rounds so the
-// waiting thread keeps driving request progress without committing to a
-// blocking pump that could overshoot the deadline; a pump-less waiter parks
-// on the cell's wake channel and a timer.
+// A pump-driven cell's waiter drives the pump with its deadline on the
+// pump's clock; a pump-less waiter parks on the cell's wake channel and a
+// timer.
 func (c *Cell) WaitTimeout(seconds float64) bool {
 	if c.Resolved() {
 		return true
 	}
-	deadline := time.Now().Add(time.Duration(seconds * float64(time.Second)))
-	if c.pump() != nil {
-		step := 50 * time.Microsecond
-		for {
-			if c.Resolved() {
+	if d := c.pump(); d != nil {
+		until := d.now() + seconds
+		for d.now() < until {
+			d.fn(until)
+			if c.done() {
 				return true
 			}
-			left := time.Until(deadline)
-			if left <= 0 {
-				futWaitTimeouts.Inc()
-				return false
-			}
-			var nap time.Duration
-			nap, step = napFor(step, time.Millisecond, left)
-			time.Sleep(nap)
 		}
+		futWaitTimeouts.Inc()
+		return false
 	}
 	wake := c.parked()
 	if wake == nil {
 		return true
 	}
-	timer := time.NewTimer(time.Until(deadline))
+	timer := time.NewTimer(time.Duration(seconds * float64(time.Second)))
 	defer timer.Stop()
 	select {
 	case <-wake:
@@ -259,14 +256,6 @@ func (c *Cell) WaitTimeout(seconds float64) bool {
 		futWaitTimeouts.Inc()
 		return false
 	}
-}
-
-// napFor returns how long a sleep-poll wait naps after polling in vain, and
-// its next backoff step: the step doubles up to ceiling, and the nap is cut
-// to left, the time to the deadline, so the wait does not return a whole
-// step late.
-func napFor(step, ceiling, left time.Duration) (nap, next time.Duration) {
-	return min(step, left), min(2*step, ceiling)
 }
 
 // Err returns the resolution error; call after Wait or Resolved.

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"pardis/internal/obs/leaktest"
 	"pardis/internal/typecode"
@@ -102,15 +102,16 @@ func TestDoubleResolvePanics(t *testing.T) {
 	c.Resolve(nil, nil)
 }
 
+// TestPumpDrivesResolution: a poll pumps once without waiting (-Inf), a
+// blocking read pumps with no limit (+Inf) until the cell resolves.
 func TestPumpDrivesResolution(t *testing.T) {
 	c := NewCell()
-	calls := 0
-	c.SetPump(NewPump(func(block bool) {
-		calls++
-		if calls >= 3 {
+	var untils []float64
+	c.SetPump(NewPump(func(until float64) {
+		if untils = append(untils, until); len(untils) >= 3 {
 			c.Resolve([]any{42}, nil)
 		}
-	}))
+	}, func() float64 { return 0 }))
 	f := Of[int](c, 0)
 	if f.Resolved() { // one pump call, not resolved yet
 		t.Fatal("resolved too early")
@@ -118,12 +119,42 @@ func TestPumpDrivesResolution(t *testing.T) {
 	if got := f.MustGet(); got != 42 {
 		t.Fatalf("got %d", got)
 	}
-	if calls != 3 {
-		t.Fatalf("pump called %d times, want 3", calls)
+	if want := []float64{math.Inf(-1), math.Inf(-1), math.Inf(1)}; !slices.Equal(untils, want) {
+		t.Fatalf("pump called with %v, want %v", untils, want)
 	}
 	// Further polls do not pump a resolved cell.
-	if !f.Resolved() || calls != 3 {
+	if !f.Resolved() || len(untils) != 3 {
 		t.Fatal("resolved cell pumped again")
+	}
+}
+
+// TestPumpedWaitTimeoutEndsAtDeadline: a timed wait on a pump-driven cell
+// hands its deadline, on the pump's clock, to every pump round, and gives up
+// exactly when that clock reaches it — here a clock each round moves to the
+// instant it was given, as an ORB round with nothing arriving does.
+func TestPumpedWaitTimeoutEndsAtDeadline(t *testing.T) {
+	c := NewCell()
+	now := 10.0
+	var untils []float64
+	c.SetPump(NewPump(func(until float64) {
+		untils = append(untils, until)
+		now = max(now, until)
+	}, func() float64 { return now }))
+	if c.WaitTimeout(0.5) {
+		t.Fatal("an unresolved cell reported resolved")
+	}
+	if want := []float64{math.Inf(-1), 10.5}; !slices.Equal(untils, want) || now != 10.5 {
+		t.Fatalf("pump called with %v, clock at %v; want %v, 10.5", untils, now, want)
+	}
+	// A round that resolves the cell ends the wait before the deadline.
+	untils = nil
+	c.SetPump(NewPump(func(until float64) {
+		if untils = append(untils, until); until == 11 {
+			c.Resolve(nil, nil)
+		}
+	}, func() float64 { return now }))
+	if !c.WaitTimeout(0.5) || now != 10.5 || len(untils) != 2 {
+		t.Fatalf("resolving round: pump called with %v, clock at %v", untils, now)
 	}
 }
 
@@ -371,32 +402,6 @@ func TestFailedCellDropsDecodedSlots(t *testing.T) {
 	}
 	if c.slots[1] != nil {
 		t.Fatalf("a failed cell still holds %v", c.slots[1])
-	}
-}
-
-// TestWaitTimeoutNapsEndAtDeadline walks the pump-driven WaitTimeout's backoff for a
-// range of deadlines without a clock: its naps add up to the deadline exactly
-// (the doubling step alone overshot by up to 1.6 ms), and no step exceeds
-// 1 ms.
-func TestWaitTimeoutNapsEndAtDeadline(t *testing.T) {
-	const ceiling = time.Millisecond
-	for _, deadline := range []time.Duration{
-		time.Microsecond, 50 * time.Microsecond, 120 * time.Microsecond,
-		time.Millisecond, 1700 * time.Microsecond, 30 * time.Millisecond, time.Second,
-	} {
-		var slept time.Duration
-		step := 50 * time.Microsecond
-		for slept < deadline {
-			var nap time.Duration
-			nap, step = napFor(step, ceiling, deadline-slept)
-			if nap <= 0 || step > ceiling {
-				t.Fatalf("deadline %v: nap %v, next step %v", deadline, nap, step)
-			}
-			slept += nap
-		}
-		if slept != deadline {
-			t.Errorf("deadline %v: naps add up to %v", deadline, slept)
-		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,6 +23,43 @@ import (
 // assumes something has happened by then.
 
 const deferTestBound = 10 * time.Second
+
+// testWaiters keeps the one Waiter of each endpoint a test receives from
+// through recvWithin: an endpoint takes one registration.
+var testWaiters sync.Map
+
+// waiterOf returns ep's test Waiter, made on first use.
+func waiterOf(ep Endpoint) *Waiter {
+	if v, ok := testWaiters.Load(ep); ok {
+		return v.(*Waiter)
+	}
+	w := NewWaiter(time.Now())
+	w.Watch(ep)
+	testWaiters.Store(ep, w)
+	return w
+}
+
+// recvWithin receives one frame from ep, waiting at most d.
+func recvWithin(ep Endpoint, d time.Duration) (Frame, error) {
+	w := waiterOf(ep)
+	return recvBy(w, ep, w.Elapsed()+d.Seconds())
+}
+
+// errRecvTimeout is recvBy's report that its deadline passed.
+var errRecvTimeout = errors.New("receive deadline exceeded")
+
+// recvBy receives one frame from ep, which w watches, parked on w between
+// polls, or fails with errRecvTimeout once w's clock reads at.
+func recvBy(w *Waiter, ep Endpoint, at float64) (Frame, error) {
+	for ; ; w.WaitUntil(at) {
+		if fr, ok, err := ep.Poll(); err != nil || ok {
+			return fr, err
+		}
+		if w.Elapsed() >= at {
+			return Frame{}, errRecvTimeout
+		}
+	}
+}
 
 // deferPair is two transports with one channel each and the connection
 // between them up in both tables, so hello writes and dials are behind any
@@ -48,7 +86,7 @@ func newDeferPair(t *testing.T) *deferPair {
 		if err := hop[0].Send(hop[1].Addr(), []byte("warm")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RecvTimeout(hop[1], time.Now().Add(deferTestBound)); err != nil {
+		if _, err := recvWithin(hop[1], deferTestBound); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,35 +108,30 @@ func (tc *tcpConn) hasFlusher() bool {
 }
 
 // inboxFiller makes a channel's inbox non-empty — observation (a) — by
-// sending it a frame from the peer and waiting for the arrival notification.
+// sending it a frame from the peer and parking on the channel's waiter until
+// the frame is there.
 type inboxFiller struct {
-	src     Endpoint
-	dst     *tcpChan
-	arrived chan struct{}
+	src Endpoint
+	dst *tcpChan
 }
 
 func newInboxFiller(src Endpoint, dst *tcpChan) *inboxFiller {
-	f := &inboxFiller{src: src, dst: dst, arrived: make(chan struct{}, 1)}
-	dst.SetRecvNotify(func() {
-		select {
-		case f.arrived <- struct{}{}:
-		default:
-		}
-	})
-	return f
+	return &inboxFiller{src: src, dst: dst}
 }
 
-// fill returns once a frame sits in dst's inbox, which must be empty when it
-// is called (the notification fires only on the empty -> non-empty edge).
+// fill returns once a frame sits in dst's inbox.
 func (f *inboxFiller) fill() error {
 	if err := f.src.Send(f.dst.Addr(), []byte("fill")); err != nil {
 		return err
 	}
-	select {
-	case <-f.arrived:
-		return nil
-	case <-time.After(deferTestBound):
-		return errors.New("filler frame never arrived")
+	w := waiterOf(f.dst)
+	for at := w.Elapsed() + deferTestBound.Seconds(); ; w.WaitUntil(at) {
+		if _, waiting := f.dst.state(); waiting {
+			return nil
+		}
+		if w.Elapsed() >= at {
+			return errors.New("filler frame never arrived")
+		}
 	}
 }
 
@@ -142,7 +175,7 @@ func seqFrame(i int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(i
 func recvSeq(t *testing.T, ep Endpoint, first, n int) {
 	t.Helper()
 	for i := first; i < first+n; i++ {
-		fr, err := RecvTimeout(ep, time.Now().Add(deferTestBound))
+		fr, err := recvWithin(ep, deferTestBound)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -165,7 +198,7 @@ func TestDeferredFrameNeedsNoSecondCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	// From here on only the flusher can deliver it.
-	fr, err := RecvTimeout(p.b, time.Now().Add(deferTestBound))
+	fr, err := recvWithin(p.b, deferTestBound)
 	if err != nil {
 		t.Fatalf("deferred frame not delivered: %v", err)
 	}
@@ -371,7 +404,7 @@ func deferOrderRun(t *testing.T, seed int64) {
 
 	next := map[Addr]int{}
 	for got := 0; got < 2*n; got++ {
-		fr, err := RecvTimeout(p.b, time.Now().Add(deferTestBound))
+		fr, err := recvWithin(p.b, deferTestBound)
 		if err != nil {
 			t.Fatalf("after %d frames: %v", got, err)
 		}
@@ -681,7 +714,7 @@ func TestFlusherLifecycle(t *testing.T) {
 			t.Fatalf("send after reset did not re-dial (conn %p, failed one %p)", cur, old)
 		}
 		for {
-			fr, err := RecvTimeout(p.b, time.Now().Add(deferTestBound))
+			fr, err := recvWithin(p.b, deferTestBound)
 			if err != nil {
 				t.Fatalf("frame sent after the reset not delivered: %v", err)
 			}

@@ -174,64 +174,87 @@ func TestFaultKillBlackholesBothDirections(t *testing.T) {
 	leaktest.Check(t, baseline)
 }
 
-// TestFaultRecvTimeout pins RecvTimeout's contract: delivers a pending
-// frame immediately, returns ErrRecvTimeout (endpoint still usable) on
-// silence, and never waits much past the deadline.
+// TestFaultRecvTimeout pins a receive parked on a Waiter (recvBy): it
+// delivers a pending frame immediately, and on silence gives up (endpoint
+// still usable) never before the deadline and not much past it.
 func TestFaultRecvTimeout(t *testing.T) {
 	baseline := leaktest.Baseline()
 	fab := NewInproc()
 	a := fab.NewEndpoint("a")
 	b := fab.NewEndpoint("b")
+	w := NewWaiter(time.Now())
+	if !w.Watch(b) {
+		t.Fatal("an inproc endpoint cannot signal arrival")
+	}
 
 	if err := a.Send(b.Addr(), []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := RecvTimeout(b, time.Now().Add(time.Second))
+	fr, err := recvBy(w, b, w.Elapsed()+1)
 	if err != nil || string(fr.Data) != "hi" {
-		t.Fatalf("RecvTimeout with pending frame = %q, %v", fr.Data, err)
+		t.Fatalf("receive with pending frame = %q, %v", fr.Data, err)
 	}
 
 	start := time.Now()
-	_, err = RecvTimeout(b, time.Now().Add(30*time.Millisecond))
-	if !errors.Is(err, ErrRecvTimeout) {
-		t.Fatalf("err = %v, want ErrRecvTimeout", err)
+	at := w.Elapsed() + 0.03
+	_, err = recvBy(w, b, at)
+	if !errors.Is(err, errRecvTimeout) {
+		t.Fatalf("err = %v, want a timeout", err)
+	}
+	if now := w.Elapsed(); now < at {
+		t.Fatalf("receive gave up %.6fs before its deadline", at-now)
 	}
 	if wait := time.Since(start); wait > 500*time.Millisecond {
-		t.Fatalf("RecvTimeout overshot: waited %v for a 30ms deadline", wait)
+		t.Fatalf("receive overshot: waited %v for a 30ms deadline", wait)
 	}
 
 	// The endpoint survives the timeout.
 	if err := a.Send(b.Addr(), []byte("again")); err != nil {
 		t.Fatal(err)
 	}
-	if fr, err := RecvTimeout(b, time.Now().Add(time.Second)); err != nil || string(fr.Data) != "again" {
+	if fr, err := recvBy(w, b, w.Elapsed()+1); err != nil || string(fr.Data) != "again" {
 		t.Fatalf("endpoint unusable after timeout: %q, %v", fr.Data, err)
 	}
 	// A timed-out receive must not strand a watcher goroutine.
 	leaktest.Check(t, baseline)
 }
 
-// TestRecvTimeoutNapsEndAtDeadline walks RecvTimeout's backoff for a range of
-// deadlines without a clock: its naps add up to the deadline exactly (the
-// doubling step alone overshot by up to 6.4 ms), and no step exceeds 5 ms.
-func TestRecvTimeoutNapsEndAtDeadline(t *testing.T) {
-	const ceiling = 5 * time.Millisecond
-	for _, deadline := range []time.Duration{
-		time.Microsecond, 50 * time.Microsecond, 120 * time.Microsecond,
-		3 * time.Millisecond, 6 * time.Millisecond, 30 * time.Millisecond, time.Second,
-	} {
-		var slept time.Duration
-		step := 50 * time.Microsecond
-		for slept < deadline {
-			var nap time.Duration
-			nap, step = napFor(step, ceiling, deadline-slept)
-			if nap <= 0 || step > ceiling {
-				t.Fatalf("deadline %v: nap %v, next step %v", deadline, nap, step)
+// blindEP hides its endpoint's arrival notification, as a wrapper that does
+// not forward RecvNotifier does.
+type blindEP struct{ Endpoint }
+
+// TestWaiterWatch pins the registration rules: a waiter watches an
+// endpoint once however often it is asked, a second waiter on the same
+// endpoint fails loudly, and an endpoint that cannot signal arrival is
+// still received from, within a nap of blindNap.
+func TestWaiterWatch(t *testing.T) {
+	fab := NewInproc()
+	a, b := fab.NewEndpoint("a"), fab.NewEndpoint("b")
+	w := NewWaiter(time.Now())
+	if !w.Watch(b) || !w.Watch(b) {
+		t.Fatal("watching an endpoint twice from one waiter failed")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second waiter watched an endpoint that already has one")
 			}
-			slept += nap
-		}
-		if slept != deadline {
-			t.Errorf("deadline %v: naps add up to %v", deadline, slept)
-		}
+		}()
+		NewWaiter(time.Now()).Watch(b)
+	}()
+
+	c := fab.NewEndpoint("c")
+	blind := blindEP{c}
+	bw := NewWaiter(time.Now())
+	if bw.Watch(blind) {
+		t.Fatal("a wrapper without RecvNotifier reported it signals arrival")
+	}
+	at := bw.Elapsed() + 0.005
+	if _, err := recvBy(bw, blind, at); !errors.Is(err, errRecvTimeout) || bw.Elapsed() < at {
+		t.Fatalf("blind receive from silence: %v, %.6fs before its deadline", err, at-bw.Elapsed())
+	}
+	go func() { _ = a.Send(c.Addr(), []byte("late")) }()
+	if fr, err := recvBy(bw, blind, bw.Elapsed()+10); err != nil || string(fr.Data) != "late" {
+		t.Fatalf("blind receive: %q, %v", fr.Data, err)
 	}
 }

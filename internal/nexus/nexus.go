@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Addr identifies an endpoint. The scheme prefix names the fabric
@@ -81,45 +80,6 @@ type Endpoint interface {
 	Close() error
 }
 
-// ErrRecvTimeout is returned by RecvTimeout when the deadline passes with
-// no frame delivered. It is distinct from transport failure: the endpoint
-// remains usable.
-var ErrRecvTimeout = errors.New("nexus: receive deadline exceeded")
-
-// RecvTimeout blocks for one frame or until the wall-clock deadline,
-// whichever comes first, by polling the endpoint from the calling thread.
-// Unlike pairing Recv with a watchdog goroutine, no goroutine is ever left
-// parked in Recv past the deadline — the historical source of leaked
-// receivers on abandoned endpoints. Owner-thread-only, like Recv itself.
-func RecvTimeout(ep Endpoint, deadline time.Time) (Frame, error) {
-	step := 50 * time.Microsecond
-	for {
-		fr, ok, err := ep.Poll()
-		if err != nil {
-			return Frame{}, err
-		}
-		if ok {
-			return fr, nil
-		}
-		left := time.Until(deadline)
-		if left <= 0 {
-			return Frame{}, ErrRecvTimeout
-		}
-		// Back off geometrically to 5ms so a long deadline does not spin.
-		var nap time.Duration
-		nap, step = napFor(step, 5*time.Millisecond, left)
-		time.Sleep(nap)
-	}
-}
-
-// napFor returns how long a sleep-poll wait naps after polling in vain, and
-// its next backoff step: the step doubles up to ceiling, and the nap is cut
-// to left, the time to the deadline, so the wait does not return a whole
-// step late.
-func napFor(step, ceiling, left time.Duration) (nap, next time.Duration) {
-	return min(step, left), min(2*step, ceiling)
-}
-
 // ConcurrentSender is an optional Endpoint capability: fabrics whose Send
 // and SendV may be called from multiple goroutines concurrently implement it
 // returning true. The Inproc and TCP fabrics qualify (their send paths are
@@ -131,15 +91,13 @@ type ConcurrentSender interface {
 	ConcurrentSendSafe() bool
 }
 
-// RecvNotifier is an optional Endpoint capability: fabrics that can signal
-// frame arrival implement it, letting a receiver block on a wakeup instead
-// of sleep-polling between scans. SetRecvNotify registers fn to be called
-// (from the delivering goroutine — fn must not block) whenever a frame
-// lands in an empty inbox, and reports whether the endpoint actually
-// supports notification; wrappers that cannot tell forward the inner
-// endpoint's answer. The Inproc and TCP fabrics support it; the Sim fabric
-// does not — virtual time must advance through Thread.Sleep, never through
-// a wall-clock wait.
+// RecvNotifier is an optional Endpoint capability, what a Waiter parks on:
+// SetRecvNotify registers fn to be called (from the delivering goroutine —
+// fn must not block) whenever a frame lands in an empty inbox, and reports
+// whether the endpoint supports notification; wrappers forward the inner
+// endpoint's answer. An endpoint takes one registration — a second panics,
+// as two waiters would steal each other's wake-ups. The Inproc and TCP
+// fabrics support it; Sim endpoints end their owner's vtime Await instead.
 type RecvNotifier interface {
 	SetRecvNotify(fn func()) bool
 }
@@ -210,8 +168,11 @@ func (q *inbox) init() { q.cond.L = &q.mu }
 // SetRecvNotify implements RecvNotifier.
 func (q *inbox) SetRecvNotify(fn func()) bool {
 	q.mu.Lock()
+	defer q.mu.Unlock()
+	if fn != nil && q.notify != nil {
+		panic("nexus: endpoint already watched by another waiter")
+	}
 	q.notify = fn
-	q.mu.Unlock()
 	return true
 }
 

@@ -55,7 +55,8 @@ func (f *SimFabric) linkFor(a, b string) (*simnet.Link, error) {
 }
 
 // NewEndpoint creates an endpoint owned by proc p, located on host.
-// All the endpoint's methods must be called from p's goroutine.
+// All the endpoint's methods must be called from p's goroutine; its
+// arrivals end p's Await.
 func (f *SimFabric) NewEndpoint(name string, p *vtime.Proc, host *simnet.Host) Endpoint {
 	f.next++
 	ep := &simEP{
@@ -65,6 +66,7 @@ func (f *SimFabric) NewEndpoint(name string, p *vtime.Proc, host *simnet.Host) E
 		host:   host,
 		inbox:  vtime.NewChan(f.sim, name+"-inbox"),
 	}
+	p.Watch(ep.inbox)
 	f.eps[ep.addr] = ep
 	return ep
 }

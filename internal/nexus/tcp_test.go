@@ -138,7 +138,7 @@ func TestTCPSendToOwnTransport(t *testing.T) {
 			if err := a.Send(to.Addr(), []byte("own")); err != nil {
 				t.Fatal(err)
 			}
-			if fr, err := RecvTimeout(to, time.Now().Add(time.Second)); err != nil || string(fr.Data) != "own" {
+			if fr, err := recvWithin(to, time.Second); err != nil || string(fr.Data) != "own" {
 				t.Fatalf("transport %d: frame to %s: %q, %v", i, to.Addr(), fr.Data, err)
 			}
 		}

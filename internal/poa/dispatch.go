@@ -590,7 +590,7 @@ func (p *POA) collectSegments(req *pgiop.Request, spec pgiop.DistInSpec, holder 
 					delete(p.segs, k)
 					return segTimeout(rank, spec, serverLayout, gotBy, got, need)
 				}
-				p.idleWait()
+				p.th.WaitUntil(until)
 			}
 			continue
 		}

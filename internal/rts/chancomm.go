@@ -31,10 +31,7 @@ func NewChanGroup(host string, n int) *ChanGroup {
 	g := &ChanGroup{threads: make([]chanThread, n), wins: newWinStore()}
 	start := time.Now()
 	for r := range g.threads {
-		g.threads[r] = chanThread{
-			epThread: epThread{host: host, rank: r, size: n, start: start, ep: eps[r], table: table},
-			wins:     g.wins,
-		}
+		g.threads[r] = chanThread{epThread: newEPThread(host, r, n, start, eps[r], table), wins: g.wins}
 	}
 	return g
 }

@@ -17,15 +17,26 @@ type epThread struct {
 	host  string
 	rank  int
 	size  int
-	start time.Time
 	ep    nexus.Endpoint
 	table []nexus.Addr // rank -> endpoint address
 
 	box mailbox // received but not yet matched; owner-only, like Recv
+	// w is the thread's clock and timed wait, watching ep and the routers
+	// of its ORB and POA. stashed counts messages put in box; waited is its
+	// value at the last WaitUntil.
+	w               *nexus.Waiter
+	stashed, waited uint64
 }
 
-// msgData marks an rts data frame; JoinTCP's bootstrap frames use other
-// values on the same endpoint.
+// newEPThread returns the thread of rank over ep, its clock started at start.
+func newEPThread(host string, rank, size int, start time.Time, ep nexus.Endpoint, table []nexus.Addr) epThread {
+	t := epThread{host: host, rank: rank, size: size, ep: ep, table: table, w: nexus.NewWaiter(start)}
+	t.w.Watch(ep)
+	return t
+}
+
+// msgData marks an rts data frame: a frame of any other protocol that
+// reaches the endpoint is dropped.
 const msgData byte = 3
 
 // frameHdr is the size of a data frame's header: the frame type, three zero
@@ -57,6 +68,18 @@ func decodeFrame(frame []byte, size int) (Message, bool) {
 func (t *epThread) stash(frame []byte) {
 	if m, ok := decodeFrame(frame, t.size); ok {
 		t.box.q = append(t.box.q, m)
+		t.stashed++
+	}
+}
+
+// drain moves every frame the endpoint holds into the mailbox.
+func (t *epThread) drain() {
+	for {
+		fr, ok, err := t.ep.Poll()
+		if err != nil || !ok {
+			return
+		}
+		t.stash(fr.Data)
 	}
 }
 
@@ -78,25 +101,47 @@ func (t *epThread) Sleep(seconds float64) {
 }
 
 // Elapsed implements Thread.
-func (t *epThread) Elapsed() float64 { return time.Since(t.start).Seconds() }
+func (t *epThread) Elapsed() float64 { return t.w.Elapsed() }
+
+// WaitUntil implements Thread. The endpoint signals a frame only as it
+// lands in an empty inbox, and a receive can leave frames behind — in the
+// inbox behind the one it took, or in the mailbox, passed over on the way
+// to another — for which no wake-up will come. So a message that reached
+// the mailbox since the previous wait ends this one at once.
+func (t *epThread) WaitUntil(at float64) {
+	t.drain()
+	if t.stashed != t.waited {
+		t.waited = t.stashed
+		return
+	}
+	t.w.WaitUntil(at)
+}
+
+// Watch implements Thread.
+func (t *epThread) Watch(ep nexus.Endpoint) bool { return t.w.Watch(ep) }
 
 // Send implements Comm. A small pooled header and the caller's payload go
 // out as one vectored send, which copies them into the frame before it
 // returns.
 func (t *epThread) Send(dst int, tag Tag, data []byte) {
 	CheckRank(t, dst)
+	if err := t.send(t.table[dst], tag, data); err != nil {
+		// The RTS contract has no error path for sends (matching MPI's
+		// reliable-delivery model); a dead peer is fatal to the program.
+		panic(fmt.Sprintf("rts: send to rank %d: %v", dst, err))
+	}
+}
+
+// send writes one data frame to the endpoint at to.
+func (t *epThread) send(to nexus.Addr, tag Tag, data []byte) error {
 	e := cdr.GetEncoder(frameHdr)
 	e.PutOctet(msgData)
 	e.PutLong(int32(t.rank))
 	e.PutULong(uint32(tag))
 	e.PutSeqLen(len(data)) // header ends with the octet sequence's length prefix
-	err := t.ep.SendV(t.table[dst], e.Bytes(), data)
+	err := t.ep.SendV(to, e.Bytes(), data)
 	e.Release()
-	if err != nil {
-		// The RTS contract has no error path for sends (matching MPI's
-		// reliable-delivery model); a dead peer is fatal to the program.
-		panic(fmt.Sprintf("rts: send to rank %d: %v", dst, err))
-	}
+	return err
 }
 
 // Recv implements Comm.
@@ -115,28 +160,13 @@ func (t *epThread) Recv(src int, tag Tag) Message {
 
 // Probe implements Comm.
 func (t *epThread) Probe(src int, tag Tag) bool {
-	// Drain anything already delivered to the transport.
-	for {
-		fr, ok, err := t.ep.Poll()
-		if err != nil || !ok {
-			break
-		}
-		t.stash(fr.Data)
-	}
+	t.drain()
 	return t.box.has(src, tag)
 }
 
 // Barrier implements Comm (dissemination over Send/Recv, shared with the
 // sim backend).
 func (t *epThread) Barrier() { runBarrier(t) }
-
-// SetRecvNotify implements nexus.RecvNotifier by forwarding to the
-// endpoint: fn runs when a frame reaches this thread, so an idle owner can
-// park on one wake-up for its rts traffic and its ORB traffic alike.
-func (t *epThread) SetRecvNotify(fn func()) bool {
-	n, ok := t.ep.(nexus.RecvNotifier)
-	return ok && n.SetRecvNotify(fn)
-}
 
 func match(m Message, src int, tag Tag) bool {
 	return m.Tag == tag && (src == AnySource || m.Src == src)

@@ -1,6 +1,9 @@
 package rts
 
 import (
+	"math"
+
+	"pardis/internal/nexus"
 	"pardis/internal/simnet"
 	"pardis/internal/vtime"
 )
@@ -45,6 +48,7 @@ func (g *SimGroup) Spawn(name string, body func(t Thread)) []*vtime.Proc {
 // SimThread binds an existing vtime process to rank's communication state;
 // useful when the caller manages process creation itself.
 func (g *SimGroup) SimThread(p *vtime.Proc, rank int) *SimThread {
+	p.Watch(g.boxes[rank])
 	return &SimThread{g: g, p: p, rank: rank}
 }
 
@@ -75,6 +79,17 @@ func (t *SimThread) Compute(refSeconds float64) {
 func (t *SimThread) Elapsed() float64 { return (t.p.Now() - t.g.epoch).Seconds() }
 
 func (t *SimThread) Sleep(seconds float64) { t.p.Advance(vtime.Seconds(seconds)) }
+
+// WaitUntil implements Thread: vtime's Await over the rank's box and every
+// sim endpoint of its process, on the virtual clock. The instant is rounded
+// up, so a wait that runs to it leaves Elapsed at or past it.
+func (t *SimThread) WaitUntil(at float64) {
+	t.p.Await(max(t.g.epoch+vtime.Time(math.Ceil(at*1e9)), t.p.Now()+1))
+}
+
+// Watch implements Thread: a sim endpoint ends its owner's Await from its
+// creation (nexus.SimFabric.NewEndpoint).
+func (t *SimThread) Watch(nexus.Endpoint) bool { return true }
 
 // Send implements Comm. The payload is copied, as every backend's is; the
 // modeled cost depends only on its length.

@@ -101,27 +101,51 @@ func (p *Proc) RecvAny(chans []*Chan, match func(any) bool) (any, int) {
 			return best.val, bestChan
 		}
 		// Block until the candidate (or an earlier future send) is due.
-		p.waitChans = chans
-		p.waitMatch = match
-		p.st = stateBlocked
+		wake := Infinity
 		if bestChan >= 0 {
-			p.wake = best.arrival
-			if p.now > p.wake {
-				p.wake = p.now
-			}
-		} else {
-			p.wake = Infinity
+			wake = best.arrival
 		}
-		for _, c := range chans {
-			c.addWaiter(p)
-		}
-		p.yieldAndWait()
-		for _, c := range chans {
-			c.removeWaiter(p)
-		}
-		p.waitChans, p.waitMatch = nil, nil
+		p.block(chans, match, wake)
 		// Re-scan: the wake we were resumed at is the arrival of some
 		// matching message (or an earlier one that landed meanwhile).
+	}
+}
+
+// block parks p until wake, or until an earlier arrival of a message match
+// accepts (nil = any) on one of chans — a message sent meanwhile lowers the
+// wake time (Send).
+func (p *Proc) block(chans []*Chan, match func(any) bool, wake Time) {
+	p.waitMatch = match
+	p.st = stateBlocked
+	p.wake = max(wake, p.now)
+	for _, c := range chans {
+		c.addWaiter(p)
+	}
+	p.yieldAndWait()
+	for _, c := range chans {
+		c.removeWaiter(p)
+	}
+	p.waitMatch = nil
+}
+
+// Watch adds c to the channels whose arrivals end p's Await.
+func (p *Proc) Watch(c *Chan) { p.watched = append(p.watched, c) }
+
+// Await parks p until the next arrival on a watched channel or until the
+// clock reaches until, whichever is first, and consumes nothing: the timed
+// wait of a process that probes between waits. Only arrivals after now
+// count — what is deliverable already was there for the probe.
+func (p *Proc) Await(until Time) {
+	wake := until
+	for _, c := range p.watched {
+		for _, m := range c.queue {
+			if m.arrival > p.now {
+				wake = min(wake, m.arrival)
+			}
+		}
+	}
+	if wake > p.now {
+		p.block(p.watched, nil, wake)
 	}
 }
 

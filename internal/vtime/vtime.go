@@ -85,8 +85,9 @@ type Proc struct {
 	resume chan struct{}
 
 	// Receive state while blocked.
-	waitChans []*Chan
 	waitMatch func(any) bool
+	// watched are the channels whose arrivals end an Await.
+	watched []*Chan
 
 	daemon bool
 	err    error
