@@ -11,9 +11,12 @@ go test -race ./...
 # The packages that hold no process-global selector any more, in random
 # order, three times: an order-dependent test there has nothing to hide behind.
 go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench ./internal/dseq ./internal/future ./internal/dist
-# The one rts mailbox, over the in-process and the TCP fabric, and the one
-# wake-up a POA computing thread parks on for both of its endpoints.
-go test -race -count=5 -run 'Mailbox|SiblingWakes' ./internal/rts ./internal/poa
+# The one rts mailbox, over the in-process and the TCP fabric, the one
+# wake-up a POA computing thread parks on for both of its endpoints, and the
+# agreement that fills a sibling's mailbox only with announcements: the
+# non-consuming arrival probe, no empty phase in ImplIsReady under a flood of
+# SPMD calls or on a one-thread adapter, and a lockstep ProcessRequests.
+go test -race -count=5 -run 'Mailbox|SiblingWakes|BcastArrived|AgreementFlood|SkipsEmptyPhases|StaysLockstep' ./internal/rts ./internal/poa
 # The client's call records, recycled by the owning thread with the poison on
 # (DESIGN.md §7): cancels from other goroutines racing replies and expiries,
 # cells that park without a pump, and the dispatch pool's accounting.
@@ -72,9 +75,10 @@ go test -run NONE -bench 'DispatchAgreement' -benchtime 1x ./internal/poa
 go test -race -run Fault -count=1 ./internal/nexus ./internal/rts ./internal/poa
 # Every fuzz target in the tree, 10 s each, found by listing them: the
 # decoders a peer can reach (pgiop, dist layouts, the TCP frame stream and
-# address parser, rts frames, typecode borrow = copy, IORs, the cell's word
-# decode, registry digests) on arbitrary bytes — no panic, no allocation sized
-# by an unchecked length field. A target added later runs here unlisted.
+# address parser, rts frames, the POA's agreement frame, typecode borrow =
+# copy, IORs, the cell's word decode, registry digests) on arbitrary bytes —
+# no panic, no allocation sized by an unchecked length field. A target added
+# later runs here unlisted.
 go test -list '^Fuzz' ./... |
 	awk '/^Fuzz/ { f[n++] = $1 } /^ok/ { for (i = 0; i < n; i++) print $2, f[i]; n = 0 }' |
 	while read -r pkg target; do

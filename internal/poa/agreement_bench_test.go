@@ -66,7 +66,7 @@ func benchAgreement(b *testing.B, threads, k int) {
 			if th.Rank() == 0 {
 				seedReady(p, k)
 			}
-			if n := p.collectivePhase(); n != k {
+			if n := p.collectivePhase(true); n != k {
 				panic(fmt.Sprintf("dispatched %d of %d decisions", n, k))
 			}
 		}

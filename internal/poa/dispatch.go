@@ -29,16 +29,32 @@ const (
 // sequential broadcast rounds means agreement latency is one tree depth
 // regardless of how many invocations completed in the phase.
 //
-// A one-thread adapter with nothing to announce skips the phase outright:
-// there is no sibling to agree with, so building, "broadcasting" and
-// decoding an empty frame would be pure overhead on every single-object
-// request. An SPMD request or a shutdown on that same adapter still takes
-// the full path below, so their ordering and spans are those of any P.
-func (p *POA) collectivePhase() int {
-	if p.th.Size() == 1 && len(p.ready) == 0 && !p.pendingShutdown {
+// An empty phase runs only in lockstep, where the siblings block waiting for
+// it, and never on a one-thread adapter. Otherwise thread 0 broadcasts only
+// a frame with something in it, and a sibling joins once rts.BcastArrived
+// says that frame has reached it. With AgreementDeadline set every phase is
+// lockstep: a dead sibling is found only by a liveness barrier that runs
+// after its death, and only threads inside a phase answer its pings.
+func (p *POA) collectivePhase(lockstep bool) int {
+	lockstep = (lockstep || p.AgreementDeadline > 0) && p.th.Size() > 1
+	root := p.th.Rank() == 0
+	n := 0 // decisions the phase announces, counted by thread 0
+	if root {
+		for _, k := range p.ready {
+			if p.gathers[k] != nil {
+				n++
+			}
+		}
+		if p.pendingShutdown {
+			n++
+		}
+		if n == 0 && !lockstep {
+			p.ready = p.ready[:0]
+			return 0
+		}
+	} else if !lockstep && !rts.BcastArrived(p.th, 0) {
 		return 0
 	}
-	poaAgreementPhases.Inc()
 	// The agreement collective runs before its requests are decoded, so a
 	// non-root thread learns which invocations (and TraceIDs) the phase
 	// carried only afterwards. The phase interval is captured up front and
@@ -49,16 +65,8 @@ func (p *POA) collectivePhase() int {
 		phaseStart = obs.NowNS()
 	}
 	var frame []byte
-	if p.th.Rank() == 0 {
-		n := 0
-		for _, k := range p.ready {
-			if p.gathers[k] != nil {
-				n++
-			}
-		}
-		if p.pendingShutdown {
-			n++
-		}
+	if root {
+		poaAgreementPhases.Inc() // once per phase, at its announcer
 		e := cdr.GetEncoder(8 + 160*n)
 		e.PutULong(uint32(n))
 		for _, k := range p.ready {
@@ -106,7 +114,7 @@ func (p *POA) collectivePhase() int {
 	// Decisions alias the frame (GetOctets never copies), which stays alive
 	// as long as any decoded request does — DESIGN.md §7 frame ownership.
 	d := cdr.GetDecoder(frame)
-	n := int(d.GetULong())
+	n = int(d.GetULong())
 	count := 0
 	for i := 0; i < n; i++ {
 		pay := d.GetOctets()

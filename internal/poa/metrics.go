@@ -8,10 +8,9 @@ var (
 	poaDispatches = obs.Default.MustCounter("poa_dispatches_total")
 	poaExceptions = obs.Default.MustCounter("poa_exceptions_total")
 	poaFaults     = obs.Default.MustCounter("poa_faults_total")
-	// poaAgreementPhases counts collective dispatch-agreement rounds. On a
-	// multi-thread server every polling round of every thread runs one, so
-	// it doubles as the adapter's liveness heartbeat; a one-thread adapter
-	// runs one only when it has an SPMD invocation or a shutdown to announce.
+	// poaAgreementPhases counts collective dispatch-agreement rounds, once
+	// each, at thread 0, which announces them (see collectivePhase for when
+	// one runs).
 	poaAgreementPhases = obs.Default.MustCounter("poa_agreement_phases_total")
 	// poaPoolDepth is the number of single-object requests currently queued
 	// to or executing on the opt-in dispatch pool.

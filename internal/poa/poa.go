@@ -8,21 +8,26 @@
 //
 // An SPMD invocation is accepted only when every client thread has issued
 // it. All request headers arrive at server thread 0, which gathers them per
-// (binding, sequence number); once per polling round thread 0 packs every
-// completed set's dispatch decision into a single agreement frame and
+// (binding, sequence number); at the end of a polling round thread 0 packs
+// every completed set's dispatch decision into a single agreement frame and
 // broadcasts it once through the server's run-time system (a log-depth
 // tree), so every computing thread dequeues requests in the identical
 // order — the ordering guarantee of §2.1 at one broadcast of latency per
-// phase regardless of how many invocations completed. Threads then collect their in-argument segments
-// (which client threads sent them directly), run the servant collectively,
-// ship out-argument segments directly to the client threads, and thread 0
-// completes the invocation with per-thread replies.
+// phase regardless of how many invocations completed. Threads then collect
+// their in-argument segments (which client threads sent them directly), run
+// the servant collectively, ship out-argument segments directly to the
+// client threads, and thread 0 completes the invocation with per-thread
+// replies.
+//
+// ImplIsReady runs a phase only to announce something, so no sibling's
+// mailbox fills with empty ones; an explicit ProcessRequests runs one per
+// call on every thread, so a nested SPMD dispatch starts at the same call
+// everywhere.
 //
 // Single objects are dispatched locally by their owning thread with no
-// collective machinery, which is what allows the distributed list-server
-// placement of the paper's Figure 4 to parallelize client queries. On a
-// one-thread server that is literal: a polling round with no SPMD invocation
-// to announce and no shutdown pending runs no agreement phase at all.
+// collective machinery and no agreement phase, which is what allows the
+// distributed list-server placement of the paper's Figure 4 to parallelize
+// client queries.
 package poa
 
 import (
@@ -197,11 +202,12 @@ type POA struct {
 	// AgreementDeadline, when > 0, bounds the per-round collective dispatch
 	// agreement and adds a liveness barrier to it, so the abrupt death of
 	// any sibling computing thread surfaces as a rank-attributed Fault on
-	// every survivor (within about 2× the deadline) instead of a hang. It
-	// must be set well above PollInterval: threads enter the agreement up
-	// to one polling interval apart, and a deadline inside that skew would
-	// fault a healthy server. Collective: every thread must set the same
-	// value. 0 (the default) keeps the unbounded wait.
+	// every survivor (within about 2× the deadline) instead of a hang; every
+	// polling round then runs a phase. It must be set well above
+	// PollInterval: threads enter the agreement up to one polling interval
+	// apart, and a deadline inside that skew would fault a healthy server.
+	// Collective: every thread must set the same value. 0 (the default)
+	// keeps the unbounded wait.
 	AgreementDeadline float64
 
 	// CollectDeadline, when > 0, bounds the wait for distributed
@@ -368,10 +374,13 @@ func (p *POA) Fault() error { return p.fault }
 
 // ImplIsReady passes control to PARDIS: the thread polls for requests until
 // the server is deactivated (by Deactivate or a Shutdown message).
-// Collective with respect to all computing threads of the server.
+// Collective with respect to all computing threads of the server, but
+// announce-only: thread 0 runs an agreement phase only for an SPMD invocation
+// or the shutdown, and a sibling joins it when its frame arrives, parking on
+// its timed wait until then (every poll, with AgreementDeadline set).
 func (p *POA) ImplIsReady() {
 	for {
-		n := p.ProcessRequests()
+		n := p.processRequests(false)
 		if p.shutdown {
 			// Drain pooled dispatches so every accepted request is answered
 			// before control returns to the server program.
@@ -386,9 +395,12 @@ func (p *POA) ImplIsReady() {
 
 // ProcessRequests polls for and dispatches pending requests, then returns,
 // allowing the server to proceed with an interrupted computation.
-// Collective with respect to all computing threads of the server. It
-// returns the number of requests this thread dispatched.
-func (p *POA) ProcessRequests() int {
+// Collective with respect to all computing threads of the server, and
+// lockstep: every call runs one agreement phase, empty or not, on every
+// thread. It returns the number of requests this thread dispatched.
+func (p *POA) ProcessRequests() int { return p.processRequests(true) }
+
+func (p *POA) processRequests(lockstep bool) int {
 	count := 0
 	p.take()
 	// Single-object requests are served by their owning thread alone —
@@ -424,7 +436,7 @@ func (p *POA) ProcessRequests() int {
 	}
 	// Collective phase: thread 0 announces the completed SPMD
 	// invocations (and shutdown) in its arrival order.
-	count += p.collectivePhase()
+	count += p.collectivePhase(lockstep)
 	return count
 }
 

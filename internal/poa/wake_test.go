@@ -66,11 +66,23 @@ func TestSiblingWakesOnAgreementFrame(t *testing.T) {
 				}()
 			}
 			ior := <-iorCh
+			client := newClient(fab, nil)
+			if c.deadline == 0 {
+				// No empty phase reaches the sibling, so it is armed on the
+				// decision of one served SPMD request.
+				spmd, err := client.SPMDBind(ior, scaleIface())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vals, err := spmd.Invoke("size", []any{nil}); err != nil || vals[0] != int32(2) {
+					t.Fatalf("size = %v, %v", vals, err)
+				}
+			}
 			// The sibling's first receive inside ImplIsReady is from the
-			// first, empty agreement phase: thread 0 has run a phase, and
-			// the sibling is on its way into a 5 s idle wait.
+			// first agreement phase: thread 0 has run a phase, and the
+			// sibling is on its way into a 5 s idle wait.
 			<-sibling.got
-			b, err := newClient(fab, nil).Bind(ior, scaleIface())
+			b, err := client.Bind(ior, scaleIface())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -222,3 +222,58 @@ func TestCollectiveRootValidated(t *testing.T) {
 		}()
 	}
 }
+
+// TestBcastArrived: for every size and root, BcastArrived reads false at a
+// non-root thread until its tree parent has sent it root's frame and true
+// from then on, however often it is asked — it never consumes the frame,
+// which the Bcast after it still receives. At the root it reads true. A
+// parent tells its children, with a token sent after its Bcast returns,
+// that their frame is on the way; the tree is worked out here on its own.
+func TestBcastArrived(t *testing.T) {
+	const token Tag = 1
+	for p := 1; p <= 9; p++ {
+		for root := 0; root < p; root++ {
+			t.Run(fmt.Sprintf("P%d/root%d", p, root), func(t *testing.T) {
+				g := NewChanGroup("arrived", p)
+				payload := []byte(fmt.Sprintf("from %d", root))
+				abs := func(rel int) int { return (rel + root) % p }
+				g.Run(func(th Thread) {
+					me := th.Rank()
+					rel := (me - root + p) % p
+					if me == root {
+						if !BcastArrived(th, root) {
+							t.Errorf("rank %d: false at the root", me)
+						}
+					} else if BcastArrived(th, root) {
+						t.Errorf("rank %d: true before anything was sent", me)
+					}
+					th.Barrier() // nothing is sent before every rank has looked
+					var data []byte
+					if me == root {
+						data = payload
+					} else {
+						parent := abs(rel & (rel - 1)) // rel with its lowest set bit cleared
+						th.Recv(parent, token)
+						for range 3 {
+							if !BcastArrived(th, root) {
+								t.Errorf("rank %d: false after its parent %d sent", me, parent)
+							}
+						}
+					}
+					if got := Bcast(th, root, data); !bytes.Equal(got, payload) {
+						t.Errorf("rank %d: Bcast after BcastArrived got %q", me, got)
+					}
+					if me != root && BcastArrived(th, root) {
+						t.Errorf("rank %d: true again after Bcast took the frame", me)
+					}
+					// My children are the relative ranks that clear back to me.
+					for child := rel + 1; child < p; child++ {
+						if child&(child-1) == rel {
+							th.Send(abs(child), token, nil)
+						}
+					}
+				})
+			})
+		}
+	}
+}

@@ -68,29 +68,6 @@ func BcastDeadline(th Thread, root int, data []byte, seconds float64) ([]byte, e
 	return bcastD(th, newDctx(th, "bcast", seconds), root, data)
 }
 
-// GatherDeadline is Gather with bounded receives (see BcastDeadline).
-func GatherDeadline(th Thread, root int, data []byte, seconds float64) ([][]byte, error) {
-	CheckRank(th, root)
-	return gatherD(th, newDctx(th, "gather", seconds), root, data)
-}
-
-// AllGatherDeadline is AllGather with bounded receives (see BcastDeadline).
-func AllGatherDeadline(th Thread, data []byte, seconds float64) ([][]byte, error) {
-	return allGatherD(th, newDctx(th, "allgather", seconds), data)
-}
-
-// AllGatherRingDeadline is AllGatherRing with bounded receives.
-func AllGatherRingDeadline(th Thread, data []byte, seconds float64) ([][]byte, error) {
-	rtsAllGatherRing.Inc()
-	return allGatherRingD(th, newDctx(th, "allgather-ring", seconds), data)
-}
-
-// ReduceDeadline is Reduce with bounded receives (see BcastDeadline).
-func ReduceDeadline(th Thread, root int, data []byte, op ReduceOp, seconds float64) ([]byte, error) {
-	CheckRank(th, root)
-	return reduceD(th, newDctx(th, "reduce", seconds), root, data, op)
-}
-
 // AllReduceDeadline is AllReduce with bounded receives (see BcastDeadline).
 func AllReduceDeadline(th Thread, data []byte, op ReduceOp, seconds float64) ([]byte, error) {
 	return allReduceD(th, newDctx(th, "allreduce", seconds), data, op)

@@ -33,24 +33,6 @@ var deadlineOps = []struct {
 		_, err := BcastDeadline(th, root, data, d)
 		return err
 	}},
-	{"gather", false, func(th Thread, root int, d float64) error {
-		_, err := GatherDeadline(th, root, []byte{byte(th.Rank())}, d)
-		return err
-	}},
-	{"reduce", false, func(th Thread, root int, d float64) error {
-		buf := make([]byte, 8)
-		binary.LittleEndian.PutUint64(buf, uint64(th.Rank()))
-		_, err := ReduceDeadline(th, root, buf, sumOp, d)
-		return err
-	}},
-	{"allgather", true, func(th Thread, root int, d float64) error {
-		_, err := AllGatherDeadline(th, []byte{byte(th.Rank())}, d)
-		return err
-	}},
-	{"allgather-ring", true, func(th Thread, root int, d float64) error {
-		_, err := AllGatherRingDeadline(th, []byte{byte(th.Rank())}, d)
-		return err
-	}},
 	{"allreduce", true, func(th Thread, root int, d float64) error {
 		buf := make([]byte, 8)
 		binary.LittleEndian.PutUint64(buf, uint64(th.Rank()))

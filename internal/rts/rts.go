@@ -19,6 +19,7 @@ package rts
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pardis/internal/cdr"
 	"pardis/internal/nexus"
@@ -155,6 +156,29 @@ func Bcast(c Comm, root int, data []byte) []byte {
 	return out
 }
 
+// BcastArrived reports whether root's next broadcast frame is waiting for
+// c, so that Bcast(c, root, nil) would not block on a receive: a
+// non-consuming Probe of c's parent in the binomial tree, in the round that
+// parent sends in. At the root, which receives nothing, it reports true.
+func BcastArrived(c Comm, root int) bool {
+	CheckRank(c, root)
+	parent, round, ok := bcastParent(c, root)
+	return !ok || c.Probe(parent, bcastTag(round))
+}
+
+// bcastParent names the rank c receives root's broadcast from — the node
+// whose relative rank clears c's lowest set bit — and the round, numbered
+// by that bit, in which it arrives. ok is false at the root.
+func bcastParent(c Comm, root int) (parent, round int, ok bool) {
+	size := c.Size()
+	rel := (c.Rank() - root + size) % size
+	if rel == 0 {
+		return 0, 0, false
+	}
+	round = bits.TrailingZeros(uint(rel))
+	return (rel - 1<<round + root) % size, round, true
+}
+
 // bcastD is the body Bcast and BcastDeadline share; with a nil deadline
 // context every receive is the plain blocking Recv, with one it is the
 // abort-aware recvD.
@@ -168,29 +192,22 @@ func bcastD(c Comm, d *dctx, root int, data []byte) ([]byte, error) {
 		return data, nil
 	}
 	rtsRounds.Add(treeRounds(size))
-	rel := (c.Rank() - root + size) % size
-	// Receive from the parent — the node whose relative rank clears my
-	// lowest set bit — in the round numbered by that bit.
-	mask := 1
-	round := 0
-	for mask < size {
-		if rel&mask != 0 {
-			m, err := recvD(c, d, (rel-mask+root)%size, bcastTag(round))
-			if err != nil {
-				return nil, err
-			}
-			data = m.Data
-			break
+	// A thread forwards in the rounds below the one it received in; the
+	// root in every round.
+	top := int(treeRounds(size))
+	if parent, round, ok := bcastParent(c, root); ok {
+		m, err := recvD(c, d, parent, bcastTag(round))
+		if err != nil {
+			return nil, err
 		}
-		mask <<= 1
-		round++
+		data, top = m.Data, round
 	}
 	// Forward to the children, widest subtree first (the mirror of the
 	// receive schedule, so sender and receiver agree on the round tag).
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		round--
-		if rel+mask < size {
-			c.Send((rel+mask+root)%size, bcastTag(round), data)
+	rel := (c.Rank() - root + size) % size
+	for round := top - 1; round >= 0; round-- {
+		if child := rel + 1<<round; child < size {
+			c.Send((child+root)%size, bcastTag(round), data)
 		}
 	}
 	return data, nil
@@ -203,16 +220,11 @@ func bcastD(c Comm, d *dctx, root int, data []byte) ([]byte, error) {
 // Collective.
 func Gather(c Comm, root int, data []byte) [][]byte {
 	CheckRank(c, root)
-	out, _ := gatherD(c, nil, root, data)
-	return out
-}
-
-func gatherD(c Comm, d *dctx, root int, data []byte) ([][]byte, error) {
 	size := c.Size()
 	rtsGathers.Inc()
 	observeBytes(rtsGatherBytes, len(data))
 	if size == 1 {
-		return [][]byte{data}, nil
+		return [][]byte{data}
 	}
 	rtsRounds.Add(treeRounds(size))
 	rel := (c.Rank() - root + size) % size
@@ -234,15 +246,11 @@ func gatherD(c Comm, d *dctx, root int, data []byte) ([][]byte, error) {
 				e.PutOctets(b)
 			}
 			c.Send((rel-mask+root)%size, gatherTag(round), e.Bytes())
-			return nil, nil
+			return nil
 		}
 		if rel+mask < size {
 			src := (rel + mask + root) % size
-			m, err := recvD(c, d, src, gatherTag(round))
-			if err != nil {
-				return nil, err
-			}
-			dec := cdr.NewDecoder(m.Data)
+			dec := cdr.NewDecoder(c.Recv(src, gatherTag(round)).Data)
 			n := dec.GetSeqLen(1)
 			for i := 0; i < n; i++ {
 				acc = append(acc, dec.GetOctets())
@@ -258,7 +266,7 @@ func gatherD(c Comm, d *dctx, root int, data []byte) ([][]byte, error) {
 	for i, b := range acc {
 		out[(root+i)%size] = b
 	}
-	return out, nil
+	return out
 }
 
 // AllGather gives every thread the slice of all threads' data via the
@@ -267,16 +275,11 @@ func gatherD(c Comm, d *dctx, root int, data []byte) ([][]byte, error) {
 // unequal block sizes and non-power-of-two P need no special casing).
 // Collective.
 func AllGather(c Comm, data []byte) [][]byte {
-	out, _ := allGatherD(c, nil, data)
-	return out
-}
-
-func allGatherD(c Comm, d *dctx, data []byte) ([][]byte, error) {
 	size := c.Size()
 	rtsAllGathers.Inc()
 	observeBytes(rtsAllGatherBytes, len(data))
 	if size == 1 {
-		return [][]byte{data}, nil
+		return [][]byte{data}
 	}
 	rank := c.Rank()
 	rtsRounds.Add(treeRounds(size))
@@ -304,11 +307,7 @@ func allGatherD(c Comm, d *dctx, data []byte) ([][]byte, error) {
 		}
 		c.Send((rank-cnt+size)%size, allGatherTag(round), e.Bytes())
 		src := (rank + cnt) % size
-		msg, err := recvD(c, d, src, allGatherTag(round))
-		if err != nil {
-			return nil, err
-		}
-		dec := cdr.NewDecoder(msg.Data)
+		dec := cdr.NewDecoder(c.Recv(src, allGatherTag(round)).Data)
 		n := dec.GetSeqLen(1)
 		for j := 0; j < n; j++ {
 			r := int(dec.GetLong())
@@ -320,7 +319,7 @@ func allGatherD(c Comm, d *dctx, data []byte) ([][]byte, error) {
 		}
 		cnt += m
 	}
-	return out, nil
+	return out
 }
 
 // AllGatherRing is the bandwidth-optimal all-gather for large payloads:
@@ -330,15 +329,9 @@ func allGatherD(c Comm, d *dctx, data []byte) ([][]byte, error) {
 // Bruck) unless blocks are large. Collective.
 func AllGatherRing(c Comm, data []byte) [][]byte {
 	rtsAllGatherRing.Inc()
-	out, _ := allGatherRingD(c, nil, data)
-	return out
-}
-
-// allGatherRingD is the body AllGatherRing and AllGatherRingDeadline share.
-func allGatherRingD(c Comm, d *dctx, data []byte) ([][]byte, error) {
 	size, rank := c.Size(), c.Rank()
 	if size == 1 {
-		return [][]byte{data}, nil
+		return [][]byte{data}
 	}
 	rtsRounds.Add(uint64(size - 1))
 	out := make([][]byte, size)
@@ -349,13 +342,9 @@ func allGatherRingD(c Comm, d *dctx, data []byte) ([][]byte, error) {
 	// without reordering risk.
 	for k := 0; k < size-1; k++ {
 		c.Send(next, tagRing, out[(rank-k+size)%size])
-		m, err := recvD(c, d, prev, tagRing)
-		if err != nil {
-			return nil, err
-		}
-		out[(rank-k-1+size)%size] = m.Data
+		out[(rank-k-1+size)%size] = c.Recv(prev, tagRing).Data
 	}
-	return out, nil
+	return out
 }
 
 // ReduceOp combines two collective payloads: acc is the local accumulator,
