@@ -17,16 +17,25 @@ go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench ./i
 # non-consuming arrival probe, no empty phase in ImplIsReady under a flood of
 # SPMD calls or on a one-thread adapter, and a lockstep ProcessRequests.
 go test -race -count=5 -run 'Mailbox|SiblingWakes|BcastArrived|AgreementFlood|SkipsEmptyPhases|StaysLockstep' ./internal/rts ./internal/poa
-# The client's call records, recycled by the owning thread with the poison on
-# (DESIGN.md §7): cancels from other goroutines racing replies and expiries,
-# cells that park without a pump, and the dispatch pool's accounting.
-go test -race -count=5 -run 'Record|Pending|Cancel|Cell|PoolGrows' ./internal/core ./internal/future ./internal/poa
-# The lock-free cell (one atomic state word, a driver its first parked
-# waiter installs when it has no pump, a scalar first result kept unboxed in
-# its word): readers racing its resolution, the word read against what the
-# boxed path decodes, and a cancel waking an owner parked in a blocking
-# receive.
-go test -race -count=20 -run 'Cell|Future|Cancel|Scalar|Word' ./internal/future ./internal/core ./internal/nexus
+# Record and frame lifetime (DESIGN.md §7) under the race detector, which
+# poisons recycled call records and overwrites recycled frames with 0xDB:
+# - the client's call records, recycled by the owning thread: cancels from
+#   other goroutines racing replies and expiries, cells that park without a
+#   pump, and the dispatch pool's accounting;
+# - the lock-free cell (one atomic state word, a driver its first parked
+#   waiter installs when it has no pump, a scalar first result kept unboxed
+#   in its word): readers racing its resolution, the word read against what
+#   the boxed path decodes, and a cancel waking an owner parked in a
+#   blocking receive;
+# - frames: kept values survive thousands of recycled frames, every released
+#   frame goes back to the pool exactly once and no other does, large and
+#   unpooled frames are still borrowed;
+# - the one dispatch step: a co-located call ends as the same call over the
+#   wire does, and the segments of SPMD calls that are never collected are
+#   freed once their binding's next call is dispatched.
+# -count=25 because the cell and cancel tests are both record checks (5
+# runs) and cell checks (20).
+go test -race -count=25 -run 'Record|Pending|Cancel|Cell|PoolGrows|Future|Scalar|Word|Recycl|StillBorrows|Colocated|SegmentFlood' ./internal/core ./internal/future ./internal/nexus ./internal/poa
 # The one timed wait (DESIGN.md §12): every wall-clock deadline wakes on the
 # frame it waits for and never gives up before its instant, a virtual-clock
 # deadline receive ends on the exact instant, and an endpoint has one waiter.
@@ -76,7 +85,8 @@ go test -race -run Fault -count=1 ./internal/nexus ./internal/rts ./internal/poa
 # Every fuzz target in the tree, 10 s each, found by listing them: the
 # decoders a peer can reach (pgiop, dist layouts, the TCP frame stream and
 # address parser, rts frames, the POA's agreement frame, typecode borrow =
-# copy, IORs, the cell's word decode, registry digests) on arbitrary bytes —
+# copy, IORs, the cell's word decode, the one segment applier, registry
+# digests) on arbitrary bytes —
 # no panic, no allocation sized by an unchecked length field. A target added
 # later runs here unlisted.
 go test -list '^Fuzz' ./... |
@@ -84,11 +94,6 @@ go test -list '^Fuzz' ./... |
 	while read -r pkg target; do
 		go test -run NONE -fuzz "^$target\$" -fuzztime 10s "$pkg"
 	done
-# Frame and record lifetime (DESIGN.md §7) under the race detector, where a
-# recycled frame is overwritten with 0xDB first: kept values survive thousands
-# of recycled frames, every released frame goes back to the pool exactly once
-# and no other does, large and unpooled frames are still borrowed.
-go test -race -count=5 -run 'Recycl|FrameRecycled|StillBorrows|ReplyRecord' ./internal/nexus ./internal/core ./internal/poa
 # The TCP fabric's deferred flush (DESIGN.md §12): delivery without a second
 # call, order, flush-on-Close, flusher lifecycle — repeated, on one and two
 # processors, because who writes a frame is a scheduling outcome.

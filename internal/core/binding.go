@@ -15,13 +15,13 @@ import (
 // with SPMDBind represent the whole parallel client as one entity, and all
 // operations on them must be invoked collectively.
 type Binding struct {
-	orb      *ORB
-	ior      IOR
-	iface    *InterfaceDef
-	id       string
-	seq      uint32
-	spmd     bool
-	localObj *localObject
+	orb   *ORB
+	ior   IOR
+	iface *InterfaceDef
+	id    string
+	seq   uint32
+	spmd  bool
+	local LocalHandler // the co-located object's direct call, if any
 
 	outDists map[string]map[int]dist.Template
 
@@ -57,7 +57,7 @@ func (o *ORB) Bind(ior IOR, iface *InterfaceDef) (*Binding, error) {
 		slos:     make([]*obs.SLOOp, len(def.Ops)),
 	}
 	if o.local != nil && !ior.SPMD {
-		b.localObj = o.local.lookup(ior.Key)
+		b.local = o.local.lookup(ior.Key)
 	}
 	return b, nil
 }

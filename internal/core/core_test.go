@@ -295,7 +295,7 @@ func TestLocalTable(t *testing.T) {
 	if lo == nil {
 		t.Fatal("lookup failed")
 	}
-	vals, err := lo.call(op, []any{int32(21)}).Values()
+	vals, err := lo(op, []any{int32(21)})
 	if err != nil || vals[0] != int32(42) {
 		t.Fatalf("vals = %v, %v", vals, err)
 	}

@@ -195,10 +195,16 @@ func (i *InterfaceDef) SetServerDist(op string, param int, t dist.Template) erro
 // resultCount reports how many values an invocation of op yields:
 // the return value (if non-void) followed by each out/inout parameter.
 func resultCount(op *Operation) int {
-	n := 0
 	if op.Result != nil {
-		n++
+		return 1 + op.OutCount()
 	}
+	return op.OutCount()
+}
+
+// OutCount reports how many out and inout parameters op has: the out values
+// a servant returns beside its return value.
+func (op *Operation) OutCount() int {
+	n := 0
 	for i := range op.Params {
 		if op.Params[i].Mode != In {
 			n++

@@ -3,13 +3,14 @@ package core
 import (
 	"fmt"
 	"sync"
-
-	"pardis/internal/future"
 )
 
-// LocalHandler executes an operation of a co-located object directly: in
-// arguments arrive as Go values (per the typecode mapping), and the result
-// slice follows the usual [return?, outs...] convention.
+// LocalHandler executes an operation of a co-located object directly, on the
+// caller's goroutine: args has one entry per parameter, in arguments as Go
+// values (per the typecode mapping) and nil in every out slot, and is the
+// handler's to keep; the result slice follows the usual [return?, outs...]
+// convention and is the caller's to keep. The serving adapter hands the call
+// to the same dispatch step as a request off the wire (poa.POA.RegisterSingle).
 type LocalHandler func(op *Operation, args []any) ([]any, error)
 
 // LocalTable is the process-local object directory enabling the paper's
@@ -19,13 +20,13 @@ type LocalHandler func(op *Operation, args []any) ([]any, error)
 // same table binds to them with direct calls instead of marshaled requests.
 type LocalTable struct {
 	mu   sync.Mutex
-	objs map[string]*localObject
+	objs map[string]LocalHandler
 }
 
 // NewLocalTable creates an empty table; share one instance among the ORBs
 // and POAs of a process.
 func NewLocalTable() *LocalTable {
-	return &LocalTable{objs: map[string]*localObject{}}
+	return &LocalTable{objs: map[string]LocalHandler{}}
 }
 
 // Register publishes a co-located object's direct-call handler under its
@@ -34,7 +35,7 @@ func NewLocalTable() *LocalTable {
 func (t *LocalTable) Register(key string, h LocalHandler) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.objs[key] = &localObject{handler: h}
+	t.objs[key] = h
 }
 
 // Unregister removes an object from the table.
@@ -44,7 +45,7 @@ func (t *LocalTable) Unregister(key string) {
 	delete(t.objs, key)
 }
 
-func (t *LocalTable) lookup(key string) *localObject {
+func (t *LocalTable) lookup(key string) LocalHandler {
 	if t == nil {
 		return nil
 	}
@@ -53,26 +54,27 @@ func (t *LocalTable) lookup(key string) *localObject {
 	return t.objs[key]
 }
 
-type localObject struct {
-	handler LocalHandler
-}
-
-// call performs the direct invocation, producing an already-resolved cell
-// so callers are oblivious to the shortcut.
-func (l *localObject) call(op *Operation, args []any) *future.Cell {
-	// Only in/inout values reach the handler, mirroring the wire path.
+// callLocal performs a co-located invocation and gives it the wire's outcome:
+// the servant sees nil in every out slot, a servant's error arrives as the
+// same server exception a reply would carry, and a oneway call, which no
+// reply answers, resolves to nothing.
+//
+// The handler gets the call's one copy of args. A slice handed to a function
+// value escapes, so passing args itself would move every caller's argument
+// slice to the heap — wire calls included, which never need it there.
+func (b *Binding) callLocal(op *Operation, args []any) ([]any, error) {
 	in := make([]any, len(args))
 	for i := range args {
 		if op.Params[i].Mode != Out {
 			in[i] = args[i]
 		}
 	}
-	cell := future.NewCell()
-	vals, err := l.handler(op, in)
-	if err != nil {
-		cell.Resolve(nil, fmt.Errorf("core: server exception: %s", err))
-		return cell
+	vals, err := b.local(op, in)
+	if op.Oneway {
+		return nil, nil
 	}
-	cell.Resolve(vals, nil)
-	return cell
+	if err != nil {
+		return nil, fmt.Errorf("core: server exception: %s", err)
+	}
+	return vals, nil
 }

@@ -58,11 +58,12 @@ type ORB struct {
 	// deadlines are on: its computing thread's, else its own.
 	w       nexus.TimedWait
 	watched bool // the router's endpoint feeds w (waitUntil)
-	// sendIov is the scratch buffer list for two-buffer vectored sends.
-	// Safe as a field because ORB methods run on the owning thread only.
+	// sendIov is the scratch buffer list for two-buffer vectored sends
+	// (Router.SendV2). Safe as a field because ORB methods run on the owning
+	// thread only.
 	sendIov [2][]byte
-	// runScratch is reused across segment validations (one per incoming
-	// out-argument segment); same owning-thread discipline as sendIov.
+	// runScratch is ApplySegment's run buffer, reused across incoming
+	// out-argument segments; same owning-thread discipline as sendIov.
 	runScratch []dist.Run
 	// free holds finished call records for reuse (record/recycle), at most
 	// maxFreeRecords of them; same owning-thread discipline.
@@ -107,15 +108,6 @@ func (o *ORB) pause(delay float64) {
 	for until := o.w.Elapsed() + delay; o.w.Elapsed() < until; {
 		o.waitUntil(until)
 	}
-}
-
-// sendV2 sends hdr+body as one vectored frame through the reusable scratch
-// buffer list, so the variadic argument slice is not allocated per call.
-func (o *ORB) sendV2(to nexus.Addr, hdr, body []byte) error {
-	o.sendIov[0], o.sendIov[1] = hdr, body
-	err := o.r.SendV(to, o.sendIov[:]...)
-	o.sendIov[0], o.sendIov[1] = nil, nil
-	return err
 }
 
 // Router returns the thread's frame router.
@@ -348,8 +340,8 @@ func (b *Binding) Invoke(op string, args []any) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b.localObj != nil && !opDef.HasDistributed() {
-		return b.localObj.call(opDef, args).Values()
+	if b.local != nil && !opDef.HasDistributed() {
+		return b.callLocal(opDef, args)
 	}
 	// The cell is the record's own: nobody but this call can reach it, so it
 	// goes back with the record once the results are copied.
@@ -368,9 +360,6 @@ func (b *Binding) Invoke(op string, args []any) ([]any, error) {
 	o.recycle(p)
 	return vals, err
 }
-
-// CellResults waits for a cell and returns its result values.
-func CellResults(cell *future.Cell) ([]any, error) { return cell.Values() }
 
 // InvokeNB performs a non-blocking invocation: it returns immediately after
 // the request has been sent, with a cell whose futures resolve when the
@@ -393,8 +382,10 @@ func (b *Binding) InvokeNB(op string, args []any) (*future.Cell, error) {
 		return nil, err
 	}
 	// Co-located direct call: bypass transport and marshaling entirely.
-	if b.localObj != nil && !opDef.HasDistributed() {
-		return b.localObj.call(opDef, args), nil
+	if b.local != nil && !opDef.HasDistributed() {
+		cell := future.NewCell()
+		cell.Resolve(b.callLocal(opDef, args))
+		return cell, nil
 	}
 	// The caller's cell is all this call allocates; the record is the ORB's.
 	cell := new(future.Cell)
@@ -611,7 +602,7 @@ func (o *ORB) sendRequest(to nexus.Addr, req *pgiop.Request, p *pendingReq, rese
 	if traced {
 		encEnd = obs.NowNS()
 	}
-	err := o.sendV2(to, hdr.Bytes(), req.Body)
+	err := o.r.SendV2(&o.sendIov, to, hdr.Bytes(), req.Body)
 	hdr.Release()
 	if traced {
 		end := obs.NowNS()
@@ -1030,8 +1021,7 @@ func (o *ORB) handleReply(m *Msg) {
 		buf := d.buf
 		d.buf = nil
 		for _, a := range buf {
-			if err := o.applySegment(p, a); err != nil {
-				o.fail(p, err)
+			if !o.applyOut(p, a) {
 				return
 			}
 		}
@@ -1053,59 +1043,33 @@ func (o *ORB) handleSegment(a *pgiop.ArgStream) {
 		p.outs.buf = append(p.outs.buf, a)
 		return
 	}
-	if err := o.applySegment(p, a); err != nil {
-		o.fail(p, err)
-		return
+	if o.applyOut(p, a) {
+		o.maybeComplete(p)
 	}
-	o.maybeComplete(p)
 }
 
-// applySegment decodes one out-argument segment into its holder, or reports
-// why the segment does not fit.
-func (o *ORB) applySegment(p *pendingReq, a *pgiop.ArgStream) error {
+// applyOut puts one out-argument segment of p's call into its holder through
+// ApplySegment, bounded by the elements the call is still owed, and counts
+// them by sender. A segment that does not fit fails the call; the return
+// reports whether the call is still pending.
+func (o *ORB) applyOut(p *pendingReq, a *pgiop.ArgStream) bool {
 	param := int(a.Param)
 	d := p.outs
 	holder := d.holders[param]
 	if holder == nil {
-		return nil
+		return true
 	}
-	runs, n, err := checkRuns(a.Runs, holder, o.runScratch[:0])
+	n, err := ApplySegment(holder, a, d.need[param]-d.got[param], &o.runScratch)
 	if err != nil {
-		return err
-	}
-	// Validate the run total against the remaining need before decoding,
-	// so an oversized segment never writes past-share elements.
-	if d.got[param]+n > d.need[param] {
-		return fmt.Errorf("core: parameter %d received %d of %d elements", param, d.got[param]+n, d.need[param])
-	}
-	dec := cdr.GetDecoder(a.Payload)
-	err = holder.DecodeRuns(dec, runs)
-	dec.Release()
-	o.runScratch = runs[:0]
-	if err != nil {
-		return fmt.Errorf("core: corrupt out segment for parameter %d: %w", param, err)
+		o.fail(p, fmt.Errorf("core: out parameter %d: %w", param, err))
+		return false
 	}
 	d.got[param] += n
 	if d.gotBy == nil {
 		d.gotBy = map[int]int{}
 	}
 	d.gotBy[int(a.Sender)] += n
-	return nil
-}
-
-// checkRuns validates wire runs against the holder's local storage size,
-// appending the converted runs to the caller's scratch slice.
-func checkRuns(wr []pgiop.Run, holder dseq.Distributed, runs []dist.Run) ([]dist.Run, int, error) {
-	n := 0
-	localLen := holder.LocalLen()
-	for _, r := range wr {
-		if r.Len < 0 || r.DstOff < 0 || int(r.DstOff)+int(r.Len) > localLen {
-			return nil, 0, fmt.Errorf("core: segment run [%d+%d] exceeds local storage %d", r.DstOff, r.Len, localLen)
-		}
-		runs = append(runs, dist.Run{Global: int(r.Global), Len: int(r.Len), DstOff: int(r.DstOff)})
-		n += int(r.Len)
-	}
-	return runs, n, nil
+	return true
 }
 
 // fail resolves the call with err, unless another path claimed it first.

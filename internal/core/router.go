@@ -182,10 +182,17 @@ func (r *Router) Addr() nexus.Addr { return r.ep.Addr() }
 // Send forwards a frame to the underlying endpoint.
 func (r *Router) Send(to nexus.Addr, frame []byte) error { return r.ep.Send(to, frame) }
 
-// SendV forwards a vectored frame to the underlying endpoint. Like
-// nexus.Endpoint.SendV, the transport does not retain bufs after it returns,
-// so pooled header encoders may be released immediately.
-func (r *Router) SendV(to nexus.Addr, bufs ...[]byte) error { return r.ep.SendV(to, bufs...) }
+// SendV2 sends hdr and body as one vectored frame through iov, the caller's
+// scratch buffer list, so no variadic slice is allocated per frame. iov is
+// cleared again before SendV2 returns. Like nexus.Endpoint.SendV, the
+// transport does not retain the buffers after it returns, so pooled
+// encoders behind them may be released immediately.
+func (r *Router) SendV2(iov *[2][]byte, to nexus.Addr, hdr, body []byte) error {
+	iov[0], iov[1] = hdr, body
+	err := r.ep.SendV(to, iov[:]...)
+	iov[0], iov[1] = nil, nil
+	return err
+}
 
 // Close closes the underlying endpoint.
 func (r *Router) Close() error { return r.ep.Close() }

@@ -96,9 +96,7 @@ func streamMove(r *Router, addr nexus.Addr, holder dseq.Distributed, m *dist.Mov
 		}
 		hdr := cdr.GetEncoder(128)
 		pgiop.AppendArgStream(hdr, as)
-		iov[0], iov[1] = hdr.Bytes(), as.Payload
-		err := r.SendV(addr, iov[:]...)
-		iov[0], iov[1] = nil, nil
+		err := r.SendV2(iov, addr, hdr.Bytes(), as.Payload)
 		hdr.Release()
 		enc.Release()
 		return err
@@ -174,17 +172,13 @@ func streamMove(r *Router, addr nexus.Addr, holder dseq.Distributed, m *dist.Mov
 			flightPay, flightHdr = pay, hdr
 			go func(pay, hdr *cdr.Encoder) {
 				siov := iovPool.Get().(*[2][]byte)
-				siov[0], siov[1] = hdr.Bytes(), pay.Bytes()
-				err := r.SendV(addr, siov[:]...)
-				siov[0], siov[1] = nil, nil
+				err := r.SendV2(siov, addr, hdr.Bytes(), pay.Bytes())
 				iovPool.Put(siov)
 				errc <- err
 			}(pay, hdr)
 			continue
 		}
-		iov[0], iov[1] = hdr.Bytes(), pay.Bytes()
-		err := r.SendV(addr, iov[:]...)
-		iov[0], iov[1] = nil, nil
+		err := r.SendV2(iov, addr, hdr.Bytes(), pay.Bytes())
 		resident -= pay.Len()
 		hdr.Release()
 		pay.Release()

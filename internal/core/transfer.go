@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pardis/internal/cdr"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/nexus"
@@ -71,6 +72,36 @@ func SendSegments(tp TransferPolicy, r *Router, req *pgiop.Request, param int, d
 		}
 		return nil
 	})
+}
+
+// ApplySegment is the one segment applier, for out-segments at the client
+// and in-segments at the server. It checks a's runs against holder's local
+// storage and their total against remaining, the elements still owed, and
+// only then decodes the payload: a segment that does not fit writes nothing.
+// It returns the number of elements written. scratch is the caller's run
+// buffer, reused across segments.
+func ApplySegment(holder dseq.Distributed, a *pgiop.ArgStream, remaining int, scratch *[]dist.Run) (int, error) {
+	localLen := holder.LocalLen()
+	runs := (*scratch)[:0]
+	n := 0
+	for _, r := range a.Runs {
+		if r.Len < 0 || r.DstOff < 0 || int(r.DstOff)+int(r.Len) > localLen {
+			return 0, fmt.Errorf("segment run [%d+%d] exceeds local storage %d", r.DstOff, r.Len, localLen)
+		}
+		runs = append(runs, dist.Run{Global: int(r.Global), Len: int(r.Len), DstOff: int(r.DstOff)})
+		n += int(r.Len)
+	}
+	*scratch = runs[:0]
+	if n > remaining {
+		return 0, fmt.Errorf("segment of %d elements exceeds the %d still owed", n, remaining)
+	}
+	d := cdr.GetDecoder(a.Payload)
+	err := holder.DecodeRuns(d, runs)
+	d.Release()
+	if err != nil {
+		return 0, fmt.Errorf("corrupt segment payload: %w", err)
+	}
+	return n, nil
 }
 
 // iovPool recycles the two-buffer scratch lists used for vectored

@@ -232,16 +232,12 @@ func decodeDecision(pay []byte) (*pgiop.Request, []clientInfo, byte, error) {
 // The entry was resolved at routing time; iov is the caller's vectored-send
 // scratch (the POA's own for inline dispatch, worker-private under the
 // dispatch pool). A pool worker also passes wctx, the one context it refills
-// for every request it serves, and its servants get that with POA unset —
-// single objects never touch the adapter's collective or segment state
-// (RegisterSingle rejects distributed arguments), so workers share nothing
-// with the owning thread but the concurrency-safe fabric. Inline dispatch
-// passes nil and uses the adapter's own context.
+// for every request it serves; inline dispatch passes nil and the dispatch
+// step uses the adapter's own context (see dispatch).
 //
-// Instrumentation wraps the body rather than deferring inside it: this is
-// the round-trip hot path, and a capturing defer would cost an allocation
-// per request that the CI overhead gate (≤5% allocs/op with tracing off)
-// does not grant.
+// Nothing here defers or captures: this is the round-trip hot path, and a
+// capturing defer would cost an allocation per request that the CI overhead
+// gate (≤5% allocs/op with tracing off) does not grant.
 //
 // m is the request message, the server side's one record per call: it
 // holds the decoded header (m.Req) and the servant's argument slots, and it
@@ -255,16 +251,25 @@ func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, wctx *Context) 
 	if p.modeled {
 		vstart = p.th.Elapsed()
 	}
-	poaDispatches.Inc()
-	var decodeSpan uint64
+	var decodeSpan, span uint64
 	if req.TraceID != 0 && obs.DefaultTracer.Enabled() {
-		decodeSpan = obs.NewID()
+		decodeSpan, span = obs.NewID(), obs.NewID()
+	}
+	// The one caller is the list of clients, on the stack: dispatch and
+	// answer only read it.
+	var to []clientInfo
+	caller := [1]clientInfo{{ReqID: req.ReqID, Addr: req.ReplyAddr}}
+	if !req.Oneway {
+		to = caller[:]
 	}
 	opIdx := e.iface.OpIndex(req.Operation)
-	failed := p.singleDispatch(e, opIdx, m, iov, wctx, decodeSpan)
-	end := obs.NowNS()
-	sec := float64(end-start) / 1e9
-	poaDispatchLatency.Observe(sec)
+	op, in, err := p.singleArgs(e, opIdx, m, decodeSpan)
+	if err == nil {
+		_, _, err = p.dispatch(e, op, in, wctx, req, nil, to, iov)
+	} else {
+		p.answer(to, nil, nil, err, iov)
+	}
+	sec := p.observe(e, opIdx, req.Operation, req.TraceID, span, decodeSpan, start, err != nil)
 	// The load signal steers the registry's member choice, so on a simulated
 	// thread it must be simulated time; everything else here is wall-clock
 	// observability of this process.
@@ -273,37 +278,25 @@ func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, wctx *Context) 
 	} else {
 		p.loadLat.Observe(sec)
 	}
-	e.slo(opIdx, req.Operation).Observe(end, sec, failed)
-	if decodeSpan != 0 {
-		obs.DefaultTracer.Record(obs.Span{
-			Trace: req.TraceID, ID: obs.NewID(), Parent: decodeSpan,
-			Layer: obs.LayerPOA, Name: "poa.dispatch", Op: req.Operation,
-			Rank: int32(p.th.Rank()), Start: start, End: end,
-		})
-	}
 	m.Release()
 }
 
-// singleDispatch is serveSingle's body; decodeSpan (0 when untraced) is the
-// span ID under which the inline-argument decode records, pre-allocated so
-// the wrapper can parent the dispatch span beneath it. The return reports
-// whether the dispatch failed (exception sent or undeliverable result) —
-// the wrapper's SLO observation.
-func (p *POA) singleDispatch(e *entry, opIdx int, m *core.Msg, iov *[2][]byte, wctx *Context, decodeSpan uint64) bool {
+// singleArgs resolves a single-object request's operation and decodes its
+// inline arguments into the request's own slots. decodeSpan (0 when
+// untraced) is the pgiop.decode span, pre-allocated so the dispatch span can
+// nest beneath it.
+func (p *POA) singleArgs(e *entry, opIdx int, m *core.Msg, decodeSpan uint64) (*core.Operation, []any, error) {
 	req := m.Req
 	if opIdx < 0 {
-		if !req.Oneway {
-			p.sendException(req.ReplyAddr, req.ReqID, fmt.Sprintf("no operation %s on %s", req.Operation, e.iface.Name))
-		}
-		return true
+		return nil, nil, fmt.Errorf("no operation %s on %s", req.Operation, e.iface.Name)
 	}
 	op := &e.iface.Ops[opIdx]
 	var decStart int64
 	if decodeSpan != 0 {
 		decStart = obs.NowNS()
 	}
-	inVals := m.Args(len(op.Params))
-	err := decodeInline(op, req.Body, inVals, !m.FramePooled())
+	in := m.Args(len(op.Params))
+	err := decodeInline(op, req.Body, in, !m.FramePooled())
 	if decodeSpan != 0 {
 		obs.DefaultTracer.Record(obs.Span{
 			Trace: req.TraceID, ID: decodeSpan, Parent: req.SpanID,
@@ -311,56 +304,138 @@ func (p *POA) singleDispatch(e *entry, opIdx int, m *core.Msg, iov *[2][]byte, w
 			Rank: int32(p.th.Rank()), Start: decStart, End: obs.NowNS(),
 		})
 	}
-	if err != nil {
-		if !req.Oneway {
-			p.sendException(req.ReplyAddr, req.ReqID, err.Error())
-		}
-		return true
+	return op, in, err
+}
+
+// dispatch is the one dispatch step every invocation takes — a single
+// object's request, each thread's share of an SPMD call, a co-located call.
+// It calls the servant with in, checks the out count, encodes the results
+// and sends the reply or the exception to the clients in to: a single
+// object's one caller, every client of an SPMD call at its thread 0, nobody
+// at an SPMD sibling, for a oneway call or for a co-located one. clients are
+// where distributed outs ship, from every rank.
+//
+// ctx is chosen by who runs the step. The owning thread passes nil and the
+// servant gets the adapter's context, saved and restored around it so a
+// nested ProcessRequests cannot corrupt the outer invocation's view; a pool
+// worker passes the one context it refills; a co-located call passes one of
+// its own. The last two run off the owning thread, so their context has no
+// POA: ProcessRequests is the owning thread's. Servants must not retain ctx
+// past Invoke.
+//
+// req is nil for a co-located call, which takes the servant's values as they
+// are: no encoding, nobody to answer. The error is the one the clients were
+// sent, or the servant's when nobody was.
+func (p *POA) dispatch(e *entry, op *core.Operation, in []any, ctx *Context, req *pgiop.Request, clients, to []clientInfo, iov *[2][]byte) (ret any, outs []any, err error) {
+	oneway := op.Oneway
+	if req != nil {
+		oneway = req.Oneway
 	}
-	var (
-		ret  any
-		outs []any
-		serr error
-	)
-	if wctx != nil {
-		// Refilled, not rebuilt: a context escapes through the Servant
-		// interface, so one per request would be a heap allocation.
-		*wctx = Context{Thread: p.th, Oneway: req.Oneway}
-		ret, outs, serr = e.servant.Invoke(wctx, op.Name, inVals)
+	var saved Context
+	owner := ctx == nil
+	if owner {
+		saved, ctx = p.ctx, &p.ctx
+		*ctx = Context{Thread: p.th, POA: p, Oneway: oneway}
 	} else {
-		// The reusable context is saved/restored so nested dispatch (a
-		// servant calling ProcessRequests mid-computation) cannot corrupt
-		// the outer invocation's view; servants must not retain ctx past
-		// Invoke.
-		saved := p.ctx
-		p.ctx = Context{Thread: p.th, POA: p, Oneway: req.Oneway}
-		ret, outs, serr = e.servant.Invoke(&p.ctx, op.Name, inVals)
+		*ctx = Context{Thread: p.th, Oneway: oneway}
+	}
+	ret, outs, err = e.servant.Invoke(ctx, op.Name, in)
+	if owner {
 		p.ctx = saved
 	}
-	if req.Oneway {
-		return serr != nil
+	if oneway {
+		return ret, outs, err
 	}
-	if serr != nil {
-		p.sendException(req.ReplyAddr, req.ReqID, serr.Error())
-		return true
+	if want := op.OutCount(); err == nil && len(outs) != want {
+		err = fmt.Errorf("servant returned %d out values for %d out parameters", len(outs), want)
 	}
-	// The reply body lives in a pooled encoder until the vectored send
-	// below returns; the transport does not retain it.
-	benc := cdr.GetEncoder(256)
-	defer benc.Release()
-	body, _, err := p.encodeResults(benc, op, ret, outs, nil, nil, req)
+	if req == nil {
+		return ret, outs, err
+	}
+	// The reply body lives in a pooled encoder until answer's vectored sends
+	// return; the transport does not retain it.
+	enc := cdr.GetEncoder(256)
+	var body []byte
+	var outLens []pgiop.OutLen
+	if err == nil {
+		body, outLens, err = p.encodeResults(enc, op, ret, outs, clients, req)
+	}
+	p.answer(to, body, outLens, err, iov)
+	enc.Release()
+	return ret, outs, err
+}
+
+// answer sends each client in to the reply carrying body and outLens, or the
+// exception err when it is set.
+func (p *POA) answer(to []clientInfo, body []byte, outLens []pgiop.OutLen, err error, iov *[2][]byte) {
+	if len(to) == 0 {
+		return
+	}
 	if err != nil {
-		p.sendException(req.ReplyAddr, req.ReqID, err.Error())
-		return true
+		for _, c := range to {
+			p.sendException(c.Addr, c.ReqID, err.Error())
+		}
+		return
 	}
-	reply := &pgiop.Reply{ReqID: req.ReqID, Status: pgiop.StatusOK, Body: body}
 	hdr := cdr.GetEncoder(128)
-	pgiop.AppendReply(hdr, reply)
-	iov[0], iov[1] = hdr.Bytes(), reply.Body
-	_ = p.r.SendV(nexus.Addr(req.ReplyAddr), iov[:]...)
-	iov[0], iov[1] = nil, nil
+	for _, c := range to {
+		hdr.Reset()
+		pgiop.AppendReply(hdr, &pgiop.Reply{ReqID: c.ReqID, Status: pgiop.StatusOK, Body: body, OutLens: outLens})
+		_ = p.r.SendV2(iov, nexus.Addr(c.Addr), hdr.Bytes(), body)
+	}
 	hdr.Release()
-	return false
+}
+
+// observe records one served invocation: the dispatch counter and latency
+// histogram, the operation's poa_slo row and, when the invocation is traced
+// (span != 0), its poa.dispatch span under parent. It returns the latency in
+// seconds.
+func (p *POA) observe(e *entry, opIdx int, op string, trace, span, parent uint64, start int64, failed bool) float64 {
+	end := obs.NowNS()
+	sec := float64(end-start) / 1e9
+	poaDispatches.Inc()
+	poaDispatchLatency.Observe(sec)
+	e.slo(opIdx, op).Observe(end, sec, failed)
+	if span != 0 {
+		obs.DefaultTracer.Record(obs.Span{
+			Trace: trace, ID: span, Parent: parent,
+			Layer: obs.LayerPOA, Name: "poa.dispatch", Op: op,
+			Rank: int32(p.th.Rank()), Start: start, End: end,
+		})
+	}
+	return sec
+}
+
+// callLocal serves a co-located invocation on the caller's goroutine (see
+// core.LocalTable): the dispatch step with nobody to answer and a private
+// context, observed like any other dispatch. It touches nothing the owning
+// thread owns, so it needs no lock. in is the call's own copy of its
+// arguments, out slots nil. With no reply to carry them, the results are the
+// servant's values, the out slice itself when the operation returns void.
+func (p *POA) callLocal(e *entry, name string, in []any) ([]any, error) {
+	start := obs.NowNS()
+	opIdx := e.iface.OpIndex(name)
+	var ret any
+	var outs []any
+	var err error
+	var op *core.Operation
+	switch {
+	case opIdx < 0:
+		err = fmt.Errorf("no operation %s on %s", name, e.iface.Name)
+	case len(in) != len(e.iface.Ops[opIdx].Params):
+		err = fmt.Errorf("operation %s takes %d arguments, got %d", name, len(e.iface.Ops[opIdx].Params), len(in))
+	default:
+		op = &e.iface.Ops[opIdx]
+		ret, outs, err = p.dispatch(e, op, in, &Context{}, nil, nil, nil, nil)
+	}
+	p.observe(e, opIdx, name, 0, 0, 0, start, err != nil)
+	if err != nil {
+		return nil, err
+	}
+	if op.Result == nil {
+		return outs, nil
+	}
+	return append(append(make([]any, 0, 1+len(outs)), ret), outs...), nil
 }
 
 // decodeInline unmarshals the non-distributed in/inout arguments of a
@@ -390,76 +465,67 @@ func decodeInline(op *core.Operation, body []byte, inVals []any, borrow bool) er
 // dispatchSPMD runs one collective invocation on this thread. parentSpan is
 // the invocation's pgiop.decode span on this thread (0 when untraced): the
 // dispatch span nests under it, and the collection/agreement collectives
-// under the dispatch.
+// under the dispatch. Thread 0 answers every client; a sibling answers none.
 func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan uint64) {
 	start := obs.NowNS()
-	poaDispatches.Inc()
-	traced := parentSpan != 0
-	var dispSpan uint64
-	if traced {
-		dispSpan = obs.NewID()
+	var span uint64
+	if parentSpan != 0 {
+		span = obs.NewID()
 	}
-	failed := false
+	var to []clientInfo
+	if p.th.Rank() == 0 && !req.Oneway {
+		to = clients
+	}
 	e := p.objects[req.ObjectKey]
 	opIdx := -1
 	if e != nil {
 		opIdx = e.iface.OpIndex(req.Operation)
 	}
-	defer func() {
-		end := obs.NowNS()
-		sec := float64(end-start) / 1e9
-		poaDispatchLatency.Observe(sec)
-		e.slo(opIdx, req.Operation).Observe(end, sec, failed)
-		if traced {
-			obs.DefaultTracer.Record(obs.Span{
-				Trace: req.TraceID, ID: dispSpan, Parent: parentSpan,
-				Layer: obs.LayerPOA, Name: "poa.dispatch", Op: req.Operation,
-				Rank: int32(p.th.Rank()), Start: start, End: end,
-			})
-		}
-	}()
-	rank, size := p.th.Rank(), p.th.Size()
-	fail := func(msg string) {
-		failed = true
-		if rank == 0 && !req.Oneway {
-			for _, c := range clients {
-				p.sendException(c.Addr, c.ReqID, msg)
-			}
-		}
+	op, in, faulted, err := p.spmdArgs(e, opIdx, req, span)
+	if err != nil {
+		p.answer(to, nil, nil, err, &p.sendIov)
+	} else if !faulted {
+		_, _, err = p.dispatch(e, op, in, nil, req, clients, to, &p.sendIov)
 	}
+	p.observe(e, opIdx, req.Operation, req.TraceID, span, parentSpan, start, faulted || err != nil)
+	p.settle(req.BindingID, req.SeqNo)
+}
+
+// spmdArgs makes the checks every thread of an SPMD dispatch makes alike and
+// collects this thread's distributed in-arguments, returning the operation
+// and the servant's argument slots. faulted reports that the adapter faulted
+// in the collection agreement: the invocation then fails and nobody is
+// answered (faultAbort flushes what is still queued).
+func (p *POA) spmdArgs(e *entry, opIdx int, req *pgiop.Request, span uint64) (op *core.Operation, in []any, faulted bool, err error) {
 	if e == nil {
-		fail(fmt.Sprintf("no object %q", req.ObjectKey))
-		return
+		return nil, nil, false, fmt.Errorf("no object %q", req.ObjectKey)
 	}
 	if opIdx < 0 {
-		fail(fmt.Sprintf("no operation %s on %s", req.Operation, e.iface.Name))
-		return
+		return nil, nil, false, fmt.Errorf("no operation %s on %s", req.Operation, e.iface.Name)
 	}
-	op := &e.iface.Ops[opIdx]
+	op = &e.iface.Ops[opIdx]
 	if err := fitClients(req); err != nil {
-		fail(err.Error())
-		return
+		return nil, nil, false, err
 	}
-	inVals := make([]any, len(op.Params))
-	if err := decodeInline(op, req.Body, inVals, true); err != nil {
-		fail(err.Error())
-		return
+	in = make([]any, len(op.Params))
+	if err := decodeInline(op, req.Body, in, true); err != nil {
+		return nil, nil, false, err
 	}
 	// Receive distributed in arguments: segments were sent directly to
 	// this thread by the client threads owning overlapping elements. With a
 	// deadline in force a failed collection is recorded rather than
 	// returned: the agreement step below must still run so every thread
 	// reaches the same verdict.
+	rank, size := p.th.Rank(), p.th.Size()
 	var collectErr error
 	var collectStart int64
-	if traced && len(req.DistIns) > 0 {
+	if span != 0 && len(req.DistIns) > 0 {
 		collectStart = obs.NowNS()
 	}
 	for _, spec := range req.DistIns {
 		i := int(spec.Param)
 		if i < 0 || i >= len(op.Params) || !op.Params[i].Distributed() {
-			fail(fmt.Sprintf("request names non-distributed parameter %d", i))
-			return
+			return nil, nil, false, fmt.Errorf("request names non-distributed parameter %d", i)
 		}
 		prm := &op.Params[i]
 		serverLayout := prm.ServerDist.Layout(int(spec.N), size)
@@ -468,11 +534,11 @@ func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan 
 			collectErr = err
 			break
 		}
-		inVals[i] = holder
+		in[i] = holder
 	}
-	if traced && len(req.DistIns) > 0 {
+	if span != 0 && len(req.DistIns) > 0 {
 		obs.DefaultTracer.Record(obs.Span{
-			Trace: req.TraceID, ID: obs.NewID(), Parent: dispSpan,
+			Trace: req.TraceID, ID: obs.NewID(), Parent: span,
 			Layer: obs.LayerPOA, Name: "poa.collect", Op: req.Operation,
 			Rank: int32(rank), Start: collectStart, End: obs.NowNS(),
 		})
@@ -482,60 +548,46 @@ func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan 
 		// siblings whose collection succeeded: agree on one verdict before
 		// anyone enters the servant (see ftAgree).
 		var agreeStart int64
-		if traced {
+		if span != 0 {
 			agreeStart = obs.NowNS()
 		}
 		ok, failRank, aerr := p.ftAgree(collectErr == nil, deadline)
-		if traced {
+		if span != 0 {
 			obs.DefaultTracer.Record(obs.Span{
-				Trace: req.TraceID, ID: obs.NewID(), Parent: dispSpan,
+				Trace: req.TraceID, ID: obs.NewID(), Parent: span,
 				Layer: obs.LayerRTS, Name: "rts.allreduce", Op: "collect-agree",
 				Rank: int32(rank), Start: agreeStart, End: obs.NowNS(),
 			})
 		}
 		if aerr != nil {
-			failed = true
 			p.faultAbort("collect-agree", aerr)
-			return
+			return nil, nil, true, nil
 		}
-		if !ok {
-			if collectErr == nil {
-				collectErr = fmt.Errorf("collective aborted: server thread %d failed its argument collection", failRank)
-			}
-			fail(collectErr.Error())
-			return
+		if !ok && collectErr == nil {
+			collectErr = fmt.Errorf("collective aborted: server thread %d failed its argument collection", failRank)
 		}
-	} else if collectErr != nil {
-		fail(collectErr.Error())
-		return
 	}
-	saved := p.ctx
-	p.ctx = Context{Thread: p.th, POA: p, Oneway: req.Oneway}
-	ret, outs, serr := e.servant.Invoke(&p.ctx, op.Name, inVals)
-	p.ctx = saved
-	if req.Oneway {
-		return
-	}
-	if serr != nil {
-		fail(serr.Error())
-		return
-	}
-	benc := cdr.GetEncoder(256)
-	defer benc.Release()
-	body, outLens, err := p.encodeResults(benc, op, ret, outs, clients, req.DistOuts, req)
-	if err != nil {
-		fail(err.Error())
-		return
-	}
-	if rank == 0 {
-		hdr := cdr.GetEncoder(128)
-		for _, c := range clients {
-			reply := &pgiop.Reply{ReqID: c.ReqID, Status: pgiop.StatusOK, Body: body, OutLens: outLens}
-			hdr.Reset()
-			pgiop.AppendReply(hdr, reply)
-			_ = p.sendV2(nexus.Addr(c.Addr), hdr.Bytes(), reply.Body)
+	return op, in, false, collectErr
+}
+
+// settle drops what this thread still holds of binding's calls at or below
+// seq, once seq has been dispatched: segments of calls cancelled, refused or
+// timed out before they were collected, and on thread 0 part-gathered
+// headers. A binding's calls complete their gathers in sequence order and a
+// call with distributed arguments is never retried, so none of them can be
+// dispatched any more (DESIGN.md §9). A complete gather — a retried call of a
+// one-thread binding, waiting for its phase — is kept. Sequence numbers
+// compare modulo 2^32.
+func (p *POA) settle(binding string, seq uint32) {
+	for k := range p.segs {
+		if k.binding == binding && int32(k.seq-seq) <= 0 {
+			delete(p.segs, k)
 		}
-		hdr.Release()
+	}
+	for k, g := range p.gathers {
+		if k.binding == binding && int32(k.seq-seq) <= 0 && len(g.reqs) < g.size {
+			delete(p.gathers, k)
+		}
 	}
 }
 
@@ -563,10 +615,11 @@ func fitClients(req *pgiop.Request) error {
 }
 
 // collectSegments consumes the in-direction segments of one distributed
-// argument until this thread's share is complete. When the request (or the
-// adapter) carries a deadline, the wait is bounded: expiry cleans up the
-// key and reports which client ranks still owed elements, and the adapter
-// stays dispatchable.
+// argument, through core.ApplySegment, until this thread's share is
+// complete. When the request (or the adapter) carries a deadline, the wait is
+// bounded: expiry cleans up the key and reports which client ranks still owed
+// elements, and the adapter stays dispatchable. Segments that arrive for the
+// key later go when the binding's next call settles (settle).
 func (p *POA) collectSegments(req *pgiop.Request, spec pgiop.DistInSpec, holder dseq.Distributed, serverLayout dist.Layout) error {
 	param := spec.Param
 	rank := p.th.Rank()
@@ -604,7 +657,7 @@ func (p *POA) collectSegments(req *pgiop.Request, spec pgiop.DistInSpec, holder 
 		}
 		a := p.segs[k][0]
 		p.segs[k] = p.segs[k][1:]
-		n, err := p.applySegment(holder, a, need-got)
+		n, err := core.ApplySegment(holder, a, need-got, &p.runScratch)
 		if err != nil {
 			return fmt.Errorf("argument %d: %v", param, err)
 		}
@@ -613,55 +666,16 @@ func (p *POA) collectSegments(req *pgiop.Request, spec pgiop.DistInSpec, holder 
 			gotBy[int(a.Sender)] += n
 		}
 	}
-	delete(p.segs, k)
+	delete(p.segs, k) // the consumed segments go now, not after the servant
 	return nil
 }
 
-// applySegment validates one incoming segment and decodes it into the
-// holder. The run list is summed and bounds-checked — including against the
-// number of elements still owed, so an overflowing stream is rejected
-// *before* any of its payload is written — and decoded runs reuse the POA's
-// scratch slice across segments.
-func (p *POA) applySegment(holder dseq.Distributed, a *pgiop.ArgStream, remaining int) (int, error) {
-	localLen := holder.LocalLen()
-	runs := p.runScratch[:0]
-	n := 0
-	for _, r := range a.Runs {
-		if r.Len < 0 || r.DstOff < 0 || int(r.DstOff)+int(r.Len) > localLen {
-			return 0, fmt.Errorf("segment run [%d+%d] exceeds local storage %d", r.DstOff, r.Len, localLen)
-		}
-		runs = append(runs, dist.Run{Global: int(r.Global), Len: int(r.Len), DstOff: int(r.DstOff)})
-		n += int(r.Len)
-	}
-	p.runScratch = runs[:0]
-	if n > remaining {
-		return 0, fmt.Errorf("segment of %d elements exceeds the %d still expected", n, remaining)
-	}
-	d := cdr.GetDecoder(a.Payload)
-	err := holder.DecodeRuns(d, runs)
-	d.Release()
-	if err != nil {
-		return 0, fmt.Errorf("corrupt segment payload: %v", err)
-	}
-	return n, nil
-}
-
 // encodeResults marshals the inline reply body (return value + non-
-// distributed outs) into enc — owned by the caller, which must keep it
-// alive until the reply has been sent — and, for SPMD dispatch, ships
-// distributed out segments directly to the client threads.
+// distributed outs, one per out parameter) into enc — owned by the caller,
+// which must keep it alive until the reply has been sent — and, for SPMD
+// dispatch, ships distributed out segments directly to the client threads.
 func (p *POA) encodeResults(enc *cdr.Encoder, op *core.Operation, ret any, outs []any,
-	clients []clientInfo, distOuts []pgiop.DistOutSpec, req *pgiop.Request) ([]byte, []pgiop.OutLen, error) {
-
-	want := 0
-	for i := range op.Params {
-		if op.Params[i].Mode != core.In {
-			want++
-		}
-	}
-	if len(outs) != want {
-		return nil, nil, fmt.Errorf("servant returned %d out values for %d out parameters", len(outs), want)
-	}
+	clients []clientInfo, req *pgiop.Request) ([]byte, []pgiop.OutLen, error) {
 	if op.Result != nil {
 		if err := typecode.Marshal(enc, op.Result, ret); err != nil {
 			return nil, nil, fmt.Errorf("return value: %v", err)
@@ -687,7 +701,7 @@ func (p *POA) encodeResults(enc *cdr.Encoder, op *core.Operation, ret any, outs 
 			return nil, nil, fmt.Errorf("servant returned %T for distributed out %s", val, prm.Name)
 		}
 		tmpl := prm.ClientDist
-		for _, s := range distOuts {
+		for _, s := range req.DistOuts {
 			if int(s.Param) == i {
 				tmpl = s.Tmpl
 			}

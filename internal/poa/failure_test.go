@@ -167,7 +167,7 @@ func TestPerBindingOrderingGuarantee(t *testing.T) {
 		cells = append(cells, c)
 	}
 	for i, c := range cells {
-		vals, err := core.CellResults(c)
+		vals, err := c.Values()
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}

@@ -203,7 +203,7 @@ func TestSingleObjectNonBlockingAndOrdering(t *testing.T) {
 	}
 	// Futures of all ten requests resolve, in order, with the right values.
 	for i, c := range cells {
-		vals, err := core.CellResults(c)
+		vals, err := c.Values()
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}

@@ -47,7 +47,10 @@ import (
 // of them; distributed in-arguments arrive as dseq.Distributed values
 // already holding the thread's local portion, and distributed out values
 // must be returned as dseq.Distributed with their server-side layout.
-// outs has one entry per out/inout parameter, in declaration order.
+// outs has one entry per out/inout parameter, in declaration order. A
+// co-located caller (core.LocalTable) gets the values themselves, not
+// copies — for a void operation the outs slice itself — so a servant
+// returns a fresh outs slice per call.
 //
 // The in slice, like ctx, belongs to the adapter and is valid only during
 // Invoke: its slots are recycled with the request's record once the reply
@@ -126,8 +129,11 @@ type clientInfo struct {
 	Addr  string
 }
 
+// gather collects an SPMD call's headers, one per client thread, at thread 0;
+// the call is ready once all size of them have arrived.
 type gather struct {
 	reqs map[int32]*pgiop.Request
+	size int
 }
 
 // POA is one computing thread's server-side adapter. An SPMD server
@@ -182,13 +188,14 @@ type POA struct {
 	loadLat obs.Histogram
 	modeled bool
 
-	// ctx is the reusable invocation context handed to servants: it is
-	// valid only for the duration of one Invoke call (saved and restored
-	// around nested dispatch from ProcessRequests), so servants must not
-	// retain it. sendIov is the scratch buffer list for two-buffer
-	// vectored sends; runScratch is the decoded-run scratch reused across
-	// incoming segments. All are safe as fields because they are touched
-	// only from the owning thread (pool workers carry private scratch).
+	// ctx is the reusable invocation context the owning thread hands to
+	// servants: it is valid only for the duration of one Invoke call (saved
+	// and restored around nested dispatch from ProcessRequests), so servants
+	// must not retain it. sendIov is the scratch buffer list for two-buffer
+	// vectored sends (Router.SendV2); runScratch is core.ApplySegment's run
+	// buffer, reused across incoming segments. All are safe as fields because
+	// they are touched only from the owning thread (pool workers and
+	// co-located callers carry their own).
 	ctx        Context
 	sendIov    [2][]byte
 	runScratch []dist.Run
@@ -324,7 +331,7 @@ func (p *POA) RegisterSingle(key string, iface *core.InterfaceDef, s Servant) (c
 	p.objects[key] = e
 	if p.local != nil {
 		p.local.Register(key, func(op *core.Operation, args []any) ([]any, error) {
-			return p.directCall(e, op, args)
+			return p.callLocal(e, op.Name, args)
 		})
 	}
 	return core.IOR{
@@ -335,29 +342,6 @@ func (p *POA) RegisterSingle(key string, iface *core.InterfaceDef, s Servant) (c
 		Addrs:      []string{string(p.r.Addr())},
 		Host:       p.th.HostName(),
 	}, nil
-}
-
-// directCall services a co-located invocation without marshaling.
-func (p *POA) directCall(e *entry, op *core.Operation, args []any) ([]any, error) {
-	ctx := &Context{Thread: p.th, POA: p, Oneway: op.Oneway}
-	in := make([]any, 0, len(args))
-	for i := range op.Params {
-		if op.Params[i].Mode != core.Out {
-			in = append(in, args[i])
-		} else {
-			in = append(in, nil)
-		}
-	}
-	ret, outs, err := e.servant.Invoke(ctx, op.Name, in)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]any, 0, 1+len(outs))
-	if op.Result != nil {
-		vals = append(vals, ret)
-	}
-	vals = append(vals, outs...)
-	return vals, nil
 }
 
 // Deactivate marks the server for shutdown; ImplIsReady returns after the
@@ -531,22 +515,13 @@ func (p *POA) routeRequest(m *core.Msg) {
 	k := invKey{req.BindingID, req.SeqNo}
 	g := p.gathers[k]
 	if g == nil {
-		g = &gather{reqs: map[int32]*pgiop.Request{}}
+		g = &gather{reqs: map[int32]*pgiop.Request{}, size: int(req.ClientSize)}
 		p.gathers[k] = g
 	}
 	g.reqs[req.ClientRank] = req
-	if len(g.reqs) == int(req.ClientSize) {
+	if len(g.reqs) == g.size {
 		p.ready = append(p.ready, k)
 	}
-}
-
-// sendV2 sends hdr+body as one vectored frame through the reusable scratch
-// buffer list, so the variadic argument slice is not allocated per reply.
-func (p *POA) sendV2(to nexus.Addr, hdr, body []byte) error {
-	p.sendIov[0], p.sendIov[1] = hdr, body
-	err := p.r.SendV(to, p.sendIov[:]...)
-	p.sendIov[0], p.sendIov[1] = nil, nil
-	return err
 }
 
 func (p *POA) sendException(addr string, reqID uint32, msg string) {
