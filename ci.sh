@@ -94,10 +94,12 @@ go test -list '^Fuzz' ./... |
 	while read -r pkg target; do
 		go test -run NONE -fuzz "^$target\$" -fuzztime 10s "$pkg"
 	done
-# The TCP fabric's deferred flush (DESIGN.md §12): delivery without a second
-# call, order, flush-on-Close, flusher lifecycle — repeated, on one and two
-# processors, because who writes a frame is a scheduling outcome.
-go test -race -count=10 -cpu 1,2 -run 'Defer|Flusher|CloseFlush' ./internal/nexus
+# The TCP fabric's deferred flush and read role (DESIGN.md §12): delivery
+# without a second call, order, flush-on-Close, flusher lifecycle; reading
+# in place, its hand-over to a reader goroutine, wake-ups and the flood of
+# two in-place endpoints — repeated, on one and two processors, because who
+# writes and who reads a frame are scheduling outcomes.
+go test -race -count=10 -cpu 1,2 -run 'Defer|Flusher|CloseFlush|InPlace|FromCache|BeyondDuration' ./internal/nexus ./internal/rts ./internal/core
 # And the policy end to end, where the adapter's take loop is what keeps the
 # server's backlog in the inbox the policy looks at: at least 8 frames per
 # write(2) for a depth-32 caller, pooled server and serial, on one processor

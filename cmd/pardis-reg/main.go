@@ -36,6 +36,7 @@ import (
 	"pardis/internal/poa"
 	"pardis/internal/registry"
 	"pardis/internal/rts"
+	"pardis/internal/vtime"
 )
 
 func main() {
@@ -82,7 +83,7 @@ func main() {
 	sweepStop := make(chan struct{})
 	defer close(sweepStop)
 	go func() {
-		tick := time.NewTicker(time.Duration(period * float64(time.Second)))
+		tick := time.NewTicker(vtime.Wall(period))
 		defer tick.Stop()
 		for {
 			select {

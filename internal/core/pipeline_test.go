@@ -13,6 +13,7 @@ import (
 	"pardis/internal/cdr"
 	"pardis/internal/future"
 	"pardis/internal/nexus"
+	"pardis/internal/obs"
 	"pardis/internal/pgiop"
 	"pardis/internal/typecode"
 )
@@ -812,5 +813,67 @@ func TestCancelRaceKeepsCellsOwnValues(t *testing.T) {
 	defer orb.mu.Unlock()
 	if len(orb.pending) != 0 || len(orb.backoff) != 0 {
 		t.Fatalf("%d calls pending and %d parked after every call resolved", len(orb.pending), len(orb.backoff))
+	}
+}
+
+// counterValue reads a counter of the default registry by name.
+func counterValue(name string) uint64 {
+	var v uint64
+	obs.Default.Each(func(n string, m any) {
+		if c, ok := m.(*obs.Counter); ok && n == name {
+			v = c.Load()
+		}
+	})
+	return v
+}
+
+// TestInPlaceDeadlinedCalls: a client ORB on a standalone TCP endpoint, one
+// server, reads its replies in place, also when a deadline is armed and its
+// pump parks in the ORB's timed wait — which is then a read of the
+// connection with the deadline as the read's. A reply ends that wait, and a
+// call nobody answers fails at its deadline, not before.
+func TestInPlaceDeadlinedCalls(t *testing.T) {
+	orb, b, srv := echoOrb(t)
+	b.SetDeadline(5)
+	const n = 20
+	read0, hand0 := counterValue("nexus_tcp_frames_read_in_place_total"), counterValue("nexus_tcp_read_handoffs_total")
+	served := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			reqs, err := srv.collect(1)
+			if err == nil {
+				err = srv.reply(reqs[0])
+			}
+			if err != nil {
+				served <- err
+				return
+			}
+		}
+		served <- nil
+	}()
+	for i := int32(0); i < n; i++ {
+		vals, err := b.Invoke("echo", []any{i})
+		if err != nil || vals[0].(int32) != i {
+			t.Fatalf("call %d: %v, %v", i, vals, err)
+		}
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	// Both ends read in place: every request and every reply.
+	if got := counterValue("nexus_tcp_frames_read_in_place_total") - read0; got < 2*n {
+		t.Errorf("%d frames read in place, want all %d", got, 2*n)
+	}
+	if got := counterValue("nexus_tcp_read_handoffs_total") - hand0; got != 0 {
+		t.Errorf("%d connections handed to a reader goroutine, want 0", got)
+	}
+
+	b.SetDeadline(0.05)
+	start := orb.w.Elapsed()
+	if _, err := b.Invoke("echo", []any{int32(-1)}); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("unanswered call: %v, want ErrDeadline", err)
+	}
+	if waited := orb.w.Elapsed() - start; waited < 0.05 {
+		t.Fatalf("unanswered call failed after %.6fs, before its 0.05s deadline", waited)
 	}
 }

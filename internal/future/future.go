@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"pardis/internal/typecode"
+	"pardis/internal/vtime"
 )
 
 // InlineSlots is the number of result values a Cell holds without a slice of
@@ -247,7 +248,12 @@ func (c *Cell) WaitTimeout(seconds float64) bool {
 	if wake == nil {
 		return true
 	}
-	timer := time.NewTimer(time.Duration(seconds * float64(time.Second)))
+	d := vtime.Wall(seconds)
+	if d == vtime.Forever {
+		<-wake
+		return true
+	}
+	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case <-wake:

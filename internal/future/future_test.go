@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"pardis/internal/obs/leaktest"
 	"pardis/internal/typecode"
@@ -204,6 +205,22 @@ func TestPumplessWaitParksOnChannel(t *testing.T) {
 	}
 	if err := c.Wait(); err != nil || !c.WaitTimeout(0) {
 		t.Fatal("a resolved cell still waits")
+	}
+}
+
+// TestPumplessWaitTimeoutBeyondDurationRange: a wait of 1e10 s is longer
+// than a time.Duration holds. Converted naively it turns negative and the
+// wait reports a timeout at once; it must wait for the resolution instead.
+func TestPumplessWaitTimeoutBeyondDurationRange(t *testing.T) {
+	for _, seconds := range []float64{1e10, math.Inf(1)} {
+		c := NewCell()
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			c.Resolve([]any{5}, nil)
+		}()
+		if !c.WaitTimeout(seconds) {
+			t.Errorf("WaitTimeout(%g) reported a timeout; the cell resolves 20 ms later", seconds)
+		}
 	}
 }
 

@@ -240,9 +240,9 @@ func TestDeferCountersPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var hdr [4]byte
+	rd := newFrameReader(c2)
 	for i := 0; i <= 3; i++ {
-		data, _, err := readFrame(c2, &hdr, maxFrame)
+		data, _, err := rd.next(maxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,9 +480,9 @@ func TestDeferBoundedByPendCap(t *testing.T) {
 	payload := make([]byte, 4000) // ~33 frames to the cap: three take-overs
 	read := make(chan error, 1)
 	go func() {
-		var hdr [4]byte
+		rd := newFrameReader(c2)
 		for i := 0; i < n; i++ {
-			data, _, err := readFrame(c2, &hdr, maxFrame)
+			data, _, err := rd.next(maxFrame)
 			if err == nil && int(binary.BigEndian.Uint32(data[muxHdrLen:])) != i {
 				err = fmt.Errorf("frame %d arrived where %d was expected", binary.BigEndian.Uint32(data[muxHdrLen:]), i)
 			}
@@ -607,9 +607,9 @@ func TestCloseFlushWaitsForBlockedWriter(t *testing.T) {
 		defer pp.tr.mu.Unlock()
 		return pp.tr.closed
 	})
-	var hdr [4]byte
+	rd := newFrameReader(pp.peer)
 	for i := 0; i < n; i++ {
-		data, _, err := readFrame(pp.peer, &hdr, maxFrame)
+		data, _, err := rd.next(maxFrame)
 		if err != nil {
 			t.Fatalf("frame %d of %d accepted before Close: %v", i, n, err)
 		}

@@ -146,6 +146,16 @@ func (e *faultEP) SetRecvNotify(fn func()) bool {
 	return ok && rn.SetRecvNotify(fn)
 }
 
+// watchRead forwards the hook a Waiter reads a TCP channel in place
+// through: receives pass straight through, so the waiter may read the
+// wrapped channel's connection as it would the channel's.
+func (e *faultEP) watchRead(fn func()) (*tcpChan, bool) {
+	if h, ok := e.inner.(readWatcher); ok {
+		return h.watchRead(fn)
+	}
+	return nil, e.SetRecvNotify(fn)
+}
+
 func (e *faultEP) Close() error {
 	// Held frames die with the endpoint: an endpoint that closes before
 	// its delayed traffic flushed has effectively dropped it.

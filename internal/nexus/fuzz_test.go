@@ -39,7 +39,9 @@ func wireBytes(tb testing.TB, send func(tc *tcpConn)) []byte {
 
 // FuzzFrameStream feeds arbitrary bytes to the accepted side of a transport
 // that has one channel, as a dialer that writes them and closes would. The
-// reader must survive them: no panic, it ends when the stream does (it is
+// connection is no socket, so it is never read in place and its reader
+// goroutine reads it to the end — through frameReader, the one frame reader
+// a read in place uses too. The reader must survive them: no panic, it ends when the stream does (it is
 // run here, not spawned, so a reader that outlived its connection would hang
 // the target), it leaves no connection registered, and it allocates nothing
 // for a first frame longer than a hello may be — an anonymous peer does not

@@ -20,4 +20,9 @@ var (
 	// Frames their sender left in the pending batch for a later flush
 	// (SendV returned before they reached the socket).
 	tcpDeferredFrames = obs.Default.MustCounter("nexus_tcp_deferred_frames_total")
+	// Frames their channel's owner read off the connection itself, and
+	// connections whose reading went from the owner to a reader goroutine
+	// (DESIGN.md §12, "Who reads a frame").
+	tcpReadInPlace  = obs.Default.MustCounter("nexus_tcp_frames_read_in_place_total")
+	tcpReadHandoffs = obs.Default.MustCounter("nexus_tcp_read_handoffs_total")
 )

@@ -57,7 +57,8 @@ type Endpoint interface {
 	// Addr is this endpoint's reachable address.
 	Addr() Addr
 	// Send delivers a frame to the endpoint at to. It may block for the
-	// frame's wire occupancy but never waits for the receiver.
+	// frame's wire occupancy but does not wait for the receiver — with the
+	// one exception SendV states.
 	Send(to Addr, data []byte) error
 	// SendV delivers the concatenation of bufs as one frame — the vectored
 	// (zero-copy) path for header+payload framing. The fabric does not
@@ -70,6 +71,13 @@ type Endpoint interface {
 	// without any further call by the sender and before Close returns; if
 	// the connection fails first it is lost with it, as bytes already in
 	// the kernel's send buffer would be, and later sends re-dial.
+	//
+	// The one case where a send waits for its receiver: a TCP receiver that
+	// reads its connection itself (DESIGN.md §12, "Who reads a frame") and
+	// is computing, not receiving, while both socket buffers between the
+	// two are full. The sender then waits until the receiver reads — the
+	// kernel's backpressure, where a reader goroutine would have queued
+	// without bound.
 	SendV(to Addr, bufs ...[]byte) error
 	// Recv blocks until a frame arrives.
 	Recv() (Frame, error)
@@ -193,6 +201,27 @@ func (q *inbox) push(fr Frame) bool {
 		notify()
 	}
 	return true
+}
+
+// put queues a frame its owner read itself, so nobody is to be told.
+func (q *inbox) put(fr Frame) {
+	q.mu.Lock()
+	if !q.closed {
+		q.queue = append(q.queue, fr)
+	}
+	q.mu.Unlock()
+}
+
+// wake rouses the owner parked on the queue — in Recv, or in the wait of a
+// Waiter watching it — to look again: a frame may now be its to read.
+func (q *inbox) wake() {
+	q.mu.Lock()
+	q.cond.Broadcast()
+	notify := q.notify
+	q.mu.Unlock()
+	if notify != nil {
+		notify()
+	}
 }
 
 // pop removes the frame at qhead; caller must hold q.mu and have checked

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"pardis/internal/simnet"
 	"pardis/internal/vtime"
@@ -244,5 +246,41 @@ func TestSimFabricNoRouteBetweenUnconnectedHosts(t *testing.T) {
 	}
 	if !errors.Is(sendErr, ErrNoRoute) {
 		t.Fatalf("err = %v, want ErrNoRoute", sendErr)
+	}
+}
+
+// TestWaiterParksBeyondDurationRange: an instant further off than a
+// time.Duration holds — +Inf included — parks until a frame arrives. A
+// naive conversion overflows to a negative wait that returns at once, and a
+// thread's deadline receive with such a timeout spins.
+func TestWaiterParksBeyondDurationRange(t *testing.T) {
+	fab := NewInproc()
+	a, b := fab.NewEndpoint("a"), fab.NewEndpoint("b")
+	defer a.Close()
+	defer b.Close()
+	w := NewWaiter(time.Now())
+	w.Watch(b)
+	for _, span := range []float64{1e10, math.Inf(1)} {
+		woke := make(chan struct{})
+		go func() {
+			w.WaitUntil(w.Elapsed() + span)
+			close(woke)
+		}()
+		select {
+		case <-woke:
+			t.Fatalf("WaitUntil(now + %g s) returned with nothing arrived", span)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if err := a.Send(b.Addr(), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-woke:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("WaitUntil(now + %g s) missed the arrival", span)
+		}
+		if _, ok, _ := b.Poll(); !ok {
+			t.Fatal("the frame is gone")
+		}
 	}
 }

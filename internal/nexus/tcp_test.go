@@ -240,9 +240,9 @@ func TestWriteCombinerCoalesces(t *testing.T) {
 
 	// Only now unblock the pipe: the first frame drains alone, then the
 	// followers must arrive as one multi-frame batch.
-	var hdr [4]byte
+	rd := newFrameReader(c2)
 	for i := 0; i < 1+followers; i++ {
-		data, _, err := readFrame(c2, &hdr, maxFrame)
+		data, _, err := rd.next(maxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,10 +451,9 @@ func TestReadFrameSplitAtEveryOffset(t *testing.T) {
 	}
 	for cut := 0; cut <= len(stream); cut++ {
 		br := newFrameReader(&splitConn{stream: append([]byte(nil), stream...), cut: cut})
-		var hdr [4]byte
 		var got [][]byte
 		for range want {
-			f, _, err := readFrame(br, &hdr, maxFrame)
+			f, _, err := br.next(maxFrame)
 			if err != nil {
 				t.Fatalf("cut %d: frame %d: %v", cut, len(got), err)
 			}
@@ -467,7 +466,7 @@ func TestReadFrameSplitAtEveryOffset(t *testing.T) {
 				t.Fatalf("cut %d: frame %d differs (%d bytes, want %d)", cut, i, len(got[i]), len(want[i]))
 			}
 		}
-		if _, _, err := readFrame(br, &hdr, maxFrame); err != io.EOF {
+		if _, _, err := br.next(maxFrame); err != io.EOF {
 			t.Fatalf("cut %d: read past the stream: err = %v, want io.EOF", cut, err)
 		}
 	}

@@ -1,6 +1,11 @@
 package nexus
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+
+	"pardis/internal/vtime"
+)
 
 // TimedWait is the one timed wait of a thread: every deadline of the runtime
 // is a loop that probes for what it wants and parks here between probes.
@@ -9,7 +14,8 @@ type TimedWait interface {
 	// Elapsed reads the clock the wait's instants are on, in seconds.
 	Elapsed() float64
 	// WaitUntil parks until a frame reaches the thread or until Elapsed
-	// reads at (finite), whichever is first. It consumes nothing and may
+	// reads at, whichever is first; an instant too far off for a timer
+	// (+Inf included) waits for a frame alone. It consumes nothing and may
 	// return early, so a caller probes again before it waits again.
 	WaitUntil(at float64)
 	// Watch makes a frame arriving at ep, an endpoint the thread owns, end
@@ -21,12 +27,20 @@ type TimedWait interface {
 // Waiter is TimedWait on the wall clock. Arrivals signal a one-slot channel
 // from the delivering goroutine, so a frame that lands between a probe and
 // the wait still ends the wait. Only its owning thread may use it.
+//
+// While the first TCP channel it watches is read in place (DESIGN.md §12,
+// "Who reads a frame") a wait parks in a read of that channel's connection
+// instead, with the wait's instant as the read's deadline, and an arrival
+// elsewhere ends the read by moving the deadline into the past.
 type Waiter struct {
 	start   time.Time
 	wake    chan struct{}
 	timer   *time.Timer
 	watched map[Endpoint]bool // whether each watched endpoint signals arrival
 	blind   bool              // one does not: every wait lasts at most blindNap
+
+	rd     *tcpChan                // the channel a wait may read in place
+	parked atomic.Pointer[tcpConn] // the connection a wait is reading now
 }
 
 // blindNap bounds one wait of a Waiter watching an endpoint that cannot
@@ -44,12 +58,19 @@ func NewWaiter(start time.Time) *Waiter {
 // Elapsed implements TimedWait: seconds since the waiter's start.
 func (w *Waiter) Elapsed() float64 { return time.Since(w.start).Seconds() }
 
-// Watch implements TimedWait.
+// Watch implements TimedWait. The first endpoint that offers the
+// package's read hook is watched through it; any later one, like every
+// other endpoint, through RecvNotifier, so its connection gets a reader
+// goroutine — a wait parks in one read at most.
 func (w *Waiter) Watch(ep Endpoint) bool {
 	signals, ok := w.watched[ep]
 	if !ok {
-		rn, can := ep.(RecvNotifier)
-		signals = can && rn.SetRecvNotify(w.signal)
+		if h, can := ep.(readWatcher); can && w.rd == nil {
+			w.rd, signals = h.watchRead(w.signal)
+		} else {
+			rn, can := ep.(RecvNotifier)
+			signals = can && rn.SetRecvNotify(w.signal)
+		}
 		w.watched[ep] = signals
 		w.blind = w.blind || !signals
 	}
@@ -62,16 +83,26 @@ func (w *Waiter) signal() {
 	case w.wake <- struct{}{}:
 	default:
 	}
+	if tc := w.parked.Load(); tc != nil {
+		tc.interrupt()
+	}
 }
 
 // WaitUntil implements TimedWait.
 func (w *Waiter) WaitUntil(at float64) {
-	d := time.Duration((at - w.Elapsed()) * float64(time.Second))
+	d := vtime.Wall(at - w.Elapsed())
 	if d <= 0 {
 		return
 	}
 	if w.blind {
 		d = min(d, blindNap)
+	}
+	if w.rd != nil && w.rd.waitRead(w, d) {
+		return
+	}
+	if d == vtime.Forever {
+		<-w.wake
+		return
 	}
 	w.timer.Reset(d)
 	select {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"pardis/internal/core"
+	"pardis/internal/vtime"
 )
 
 // Heartbeat is a background reporter pushing one replica's load snapshots
@@ -33,7 +34,7 @@ func StartHeartbeat(c *Client, name, memberID string, ior core.IOR, period float
 		if err := c.RegisterMember(name, memberID, ior); err == nil {
 			registered = true
 		}
-		tick := time.NewTicker(time.Duration(period * float64(time.Second)))
+		tick := time.NewTicker(vtime.Wall(period))
 		defer tick.Stop()
 		for {
 			select {

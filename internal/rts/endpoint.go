@@ -7,6 +7,7 @@ import (
 
 	"pardis/internal/cdr"
 	"pardis/internal/nexus"
+	"pardis/internal/vtime"
 )
 
 // epThread is the real-time Thread: one computing thread of a parallel
@@ -97,7 +98,7 @@ func (t *epThread) Compute(float64) {}
 
 // Sleep implements Thread.
 func (t *epThread) Sleep(seconds float64) {
-	time.Sleep(time.Duration(seconds * float64(time.Second)))
+	time.Sleep(vtime.Wall(seconds))
 }
 
 // Elapsed implements Thread.
@@ -107,7 +108,10 @@ func (t *epThread) Elapsed() float64 { return t.w.Elapsed() }
 // lands in an empty inbox, and a receive can leave frames behind — in the
 // inbox behind the one it took, or in the mailbox, passed over on the way
 // to another — for which no wake-up will come. So a message that reached
-// the mailbox since the previous wait ends this one at once.
+// the mailbox since the previous wait ends this one at once. On a TCP
+// endpoint that reads its connection in place (a 2-rank JoinTCP program)
+// drain and the wait are reads of that connection: no goroutine hands the
+// frames over.
 func (t *epThread) WaitUntil(at float64) {
 	t.drain()
 	if t.stashed != t.waited {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pardis/internal/nexus"
+	"pardis/internal/obs"
 )
 
 func TestTCPGroupBasics(t *testing.T) {
@@ -164,4 +165,66 @@ func TestJoinTCPRank0Timeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline not enforced on blocking receive: took %v", elapsed)
 	}
+}
+
+// TestInPlaceTCPGroup: the ranks of a 2-rank TCP program share one
+// connection and each reads it in place — point-to-point frames, a deadline
+// receive of 1e10 s that parks in the read until its message comes, and a
+// barrier — with no connection handed to a reader goroutine.
+func TestInPlaceTCPGroup(t *testing.T) {
+	coord := "127.0.0.1:29761"
+	const rounds = 50
+	read0, hand0 := counterValue("nexus_tcp_frames_read_in_place_total"), counterValue("nexus_tcp_read_handoffs_total")
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			th, err := JoinTCP("h", rank, 2, coord, 10*time.Second)
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			defer th.Close()
+			peer := 1 - rank
+			for i := 0; i < rounds; i++ {
+				if rank == 0 {
+					th.Send(peer, 7, []byte{byte(i)})
+				}
+				m, ok := RecvTimeout(th, peer, 7, 1e10)
+				if !ok || m.Data[0] != byte(i) {
+					errs[rank] = fmt.Errorf("round %d: %v, %v", i, m.Data, ok)
+					return
+				}
+				if rank == 1 {
+					th.Send(peer, 7, m.Data)
+				}
+			}
+			th.Barrier()
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if got := counterValue("nexus_tcp_frames_read_in_place_total") - read0; got < 2*rounds {
+		t.Errorf("%d frames read in place, want at least the %d of the ping-pong", got, 2*rounds)
+	}
+	if got := counterValue("nexus_tcp_read_handoffs_total") - hand0; got != 0 {
+		t.Errorf("%d connections handed to a reader goroutine, want 0", got)
+	}
+}
+
+// counterValue reads a counter of the default registry by name.
+func counterValue(name string) uint64 {
+	var v uint64
+	obs.Default.Each(func(n string, m any) {
+		if c, ok := m.(*obs.Counter); ok && n == name {
+			v = c.Load()
+		}
+	})
+	return v
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 )
 
 // Time is a virtual time stamp or duration in nanoseconds.
@@ -35,6 +36,24 @@ func Seconds(s float64) Time {
 		return Infinity
 	}
 	return Time(s * 1e9)
+}
+
+// Forever is what Wall returns for a span no time.Duration can hold.
+const Forever = time.Duration(math.MaxInt64)
+
+// Wall converts a span in seconds to a time.Duration for the wall clock,
+// saturating where a plain conversion would overflow and turn negative:
+// a span beyond Duration's range, +Inf included, is Forever, and a wait that
+// long parks with no timer. A span that is not positive (NaN included) is 0.
+func Wall(seconds float64) time.Duration {
+	ns := seconds * float64(time.Second)
+	switch {
+	case !(ns > 0):
+		return 0
+	case ns >= float64(Forever): // 2⁶³; every float64 below it fits
+		return Forever
+	}
+	return time.Duration(ns)
 }
 
 // Microseconds converts a duration in microseconds to a virtual Time.

@@ -336,6 +336,8 @@ func TestMetricNameHygiene(t *testing.T) {
 		"nexus_tcp_coalesced_frames_total",
 		"nexus_tcp_flushes_total",
 		"nexus_tcp_deferred_frames_total",
+		"nexus_tcp_frames_read_in_place_total",
+		"nexus_tcp_read_handoffs_total",
 		"orb_pipeline_depth",
 		"rts_bcast_payload_bytes",
 		"rts_gather_payload_bytes",
