@@ -16,7 +16,7 @@ go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench ./i
 # agreement that fills a sibling's mailbox only with announcements: the
 # non-consuming arrival probe, no empty phase in ImplIsReady under a flood of
 # SPMD calls or on a one-thread adapter, and a lockstep ProcessRequests.
-go test -race -count=5 -run 'Mailbox|SiblingWakes|BcastArrived|AgreementFlood|SkipsEmptyPhases|StaysLockstep' ./internal/rts ./internal/poa
+go test -race -count=5 -timeout 300s -run 'Mailbox|SiblingWakes|BcastArrived|AgreementFlood|SkipsEmptyPhases|StaysLockstep' ./internal/rts ./internal/poa
 # Record and frame lifetime (DESIGN.md §7) under the race detector, which
 # poisons recycled call records and overwrites recycled frames with 0xDB:
 # - the client's call records, recycled by the owning thread: cancels from
@@ -39,7 +39,7 @@ go test -race -count=25 -run 'Record|Pending|Cancel|Cell|PoolGrows|Future|Scalar
 # The one timed wait (DESIGN.md §12): every wall-clock deadline wakes on the
 # frame it waits for and never gives up before its instant, a virtual-clock
 # deadline receive ends on the exact instant, and an endpoint has one waiter.
-go test -race -count=20 -run 'TimedWaits|DeadlineRecvWakes|WaiterWatch|PumpedWaitTimeout|SharedRouterOneRegistration' ./internal/poa ./internal/rts ./internal/nexus ./internal/future
+go test -race -count=20 -timeout 300s -run 'TimedWaits|DeadlineRecvWakes|WaiterWatch|PumpedWaitTimeout|SharedRouterOneRegistration' ./internal/poa ./internal/rts ./internal/nexus ./internal/future
 
 # The repo benchmark is a module of its own, so nothing above builds it.
 # This lane is what notices a runtime change that breaks its build or its
@@ -99,7 +99,7 @@ go test -list '^Fuzz' ./... |
 # in place, its hand-over to a reader goroutine, wake-ups and the flood of
 # two in-place endpoints — repeated, on one and two processors, because who
 # writes and who reads a frame are scheduling outcomes.
-go test -race -count=10 -cpu 1,2 -run 'Defer|Flusher|CloseFlush|InPlace|FromCache|BeyondDuration' ./internal/nexus ./internal/rts ./internal/core
+go test -race -count=10 -cpu 1,2 -timeout 300s -run 'Defer|Flusher|CloseFlush|InPlace|FromCache|BeyondDuration' ./internal/nexus ./internal/rts ./internal/core
 # And the policy end to end, where the adapter's take loop is what keeps the
 # server's backlog in the inbox the policy looks at: at least 8 frames per
 # write(2) for a depth-32 caller, pooled server and serial, on one processor

@@ -469,18 +469,60 @@ func TestInPlaceWakes(t *testing.T) {
 		}
 
 		// No frame anywhere: the wait lasts until its instant, parked in
-		// the read. (At GOMAXPROCS 1 a wait its deadline ends hands the
-		// connection over; it is the last one here.)
+		// the read, and the connection stays with the owner, on one
+		// processor as on two.
 		at := w.Elapsed() + 0.05
 		w.WaitUntil(at)
 		if now := w.Elapsed(); now < at {
 			t.Fatalf("a wait with nothing arriving ended %.6fs before its instant", at-now)
+		}
+		if b.t.solo.Load() == nil || tcpReadHandoffs.Load() != hand0 {
+			t.Fatal("a wait its deadline ended handed the connection over")
 		}
 		b.Close()
 		x.Close()
 		y.Close()
 		leaktest.Check(t, baseline)
 	})
+}
+
+// TestInPlaceWaitOutlastsPeek: a timed wait that finds the read role taken
+// by the flusher's peek waits for the role, not for its instant — the
+// connection has no other reader, so a frame reaching it while the wait
+// parked elsewhere would signal nobody.
+func TestInPlaceWaitOutlastsPeek(t *testing.T) {
+	baseline := leaktest.Baseline()
+	a, b := inPlacePair(t)
+	tc := b.t.solo.Load()
+	w := waiterOf(b)
+	if !tc.rstate.CompareAndSwap(rdIdle, rdBusy) { // as peek takes it
+		t.Fatal("the read role is not free")
+	}
+	woke := make(chan time.Duration, 1)
+	go func() {
+		start := time.Now()
+		w.WaitUntil(w.Elapsed() + 5)
+		woke <- time.Since(start)
+	}()
+	time.Sleep(20 * time.Millisecond) // let the wait find the role taken
+	tc.release()
+	if err := a.Send(b.Addr(), []byte("after the peek")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case took := <-woke:
+		if took > time.Second {
+			t.Fatalf("the wait ended %v after it began, not on the frame", took)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a wait that found the role taken was still parked 1 s after a frame reached its connection")
+	}
+	if fr, ok, err := b.Poll(); err != nil || !ok || string(fr.Data) != "after the peek" {
+		t.Fatalf("Poll after the wait: %q, %v, %v", fr.Data, ok, err)
+	}
+	a.Close()
+	b.Close()
+	leaktest.Check(t, baseline)
 }
 
 // rawPeer dials ep's transport as a peer that announces addr and writes its

@@ -727,7 +727,9 @@ func (e *tcpChan) watchRead(fn func()) (*tcpChan, bool) {
 // in a read of the transport's connection, reporting false — nothing
 // waited — when the transport does not read in place. A frame read for this
 // channel goes to its inbox, for the owner's next Poll; a frame at another
-// endpoint w watches ends the read through w.parked.
+// endpoint w watches ends the read through w.parked. While the flusher's
+// peek holds the read role the wait retries, as Recv does: the connection
+// has no other reader, so a frame reaching it would signal nobody.
 func (e *tcpChan) waitRead(w *Waiter, d time.Duration) bool {
 	tc := e.t.solo.Load()
 	if tc == nil {
@@ -737,20 +739,20 @@ func (e *tcpChan) waitRead(w *Waiter, d time.Duration) bool {
 	if d != vtime.Forever {
 		at = time.Now().Add(d)
 	}
-	fr, res := tc.readInPlace(e, false, at, w)
-	switch {
-	case res == readMine:
-		e.put(fr)
-	case res == readNothing && !at.IsZero() && runtime.GOMAXPROCS(0) == 1 && !time.Now().Before(at):
-		// With one processor reading in place saves nothing — the wake-up
-		// it avoids is a second processor's — and a read its deadline ends
-		// costs an error value where a timer costs none; runnable goroutines
-		// also starve the scheduler's network poll, not its timers, so such
-		// waits end late and often. The connection goes to a goroutine
-		// (EXPERIMENTS.md, "Read where you wait": one processor).
-		e.t.share()
+	for {
+		fr, res := tc.readInPlace(e, false, at, w)
+		switch res {
+		case readMine:
+			e.put(fr)
+		case readNone:
+			runtime.Gosched()
+			if tc = e.t.solo.Load(); tc != nil {
+				continue
+			}
+			return false
+		}
+		return true
 	}
-	return res != readNone
 }
 
 // readResult is what one read in place came to.

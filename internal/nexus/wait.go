@@ -1,6 +1,7 @@
 package nexus
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -88,11 +89,13 @@ func (w *Waiter) signal() {
 	}
 }
 
-// WaitUntil implements TimedWait.
+// WaitUntil implements TimedWait. An untimed wait (+Inf) reads no clock.
 func (w *Waiter) WaitUntil(at float64) {
-	d := vtime.Wall(at - w.Elapsed())
-	if d <= 0 {
-		return
+	d := vtime.Forever
+	if !math.IsInf(at, 1) {
+		if d = vtime.Wall(at - w.Elapsed()); d <= 0 {
+			return
+		}
 	}
 	if w.blind {
 		d = min(d, blindNap)
