@@ -86,7 +86,7 @@ go test -race -run Fault -count=1 ./internal/nexus ./internal/rts ./internal/poa
 # decoders a peer can reach (pgiop, dist layouts, the TCP frame stream and
 # address parser, rts frames, the POA's agreement frame, typecode borrow =
 # copy, IORs, the cell's word decode, the one segment applier, registry
-# digests) on arbitrary bytes —
+# digests) on arbitrary bytes, and the IDL front end on arbitrary source —
 # no panic, no allocation sized by an unchecked length field. A target added
 # later runs here unlisted.
 go test -list '^Fuzz' ./... |

@@ -33,8 +33,8 @@ import (
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
+	"pardis/internal/registry/regidl"
 	"pardis/internal/rts"
-	"pardis/internal/typecode"
 )
 
 const (
@@ -44,34 +44,15 @@ const (
 	vectorLen     = 10_000
 )
 
-func scalerIface() *core.InterfaceDef {
-	dv := typecode.DSequenceOf(typecode.TCDouble, 0, "BLOCK", "BLOCK")
-	return &core.InterfaceDef{
-		Name: "scaler",
-		Ops: []core.Operation{{
-			Name: "scale",
-			Params: []core.Param{
-				core.NewParam("k", core.In, typecode.TCDouble),
-				core.NewParam("x", core.In, dv),
-				core.NewParam("y", core.Out, dv),
-			},
-		}},
-	}
-}
-
+// scalerImpl serves scaler.idl's interface (zz_generated.go).
 type scalerImpl struct{}
 
-func (scalerImpl) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
-	if op != "scale" {
-		return nil, nil, fmt.Errorf("no operation %s", op)
-	}
-	k := in[0].(float64)
-	x := dseq.AsFloat64(in[1].(dseq.Distributed))
+func (scalerImpl) Scale(ctx *poa.Context, k float64, x *dseq.DSeq[float64]) (*dseq.DSeq[float64], error) {
 	y := dseq.NewFromLayout[float64](ctx.Thread, x.DLayout(), dseq.Float64Codec{})
 	for i, v := range x.Local() {
 		y.Local()[i] = k * v
 	}
-	return nil, []any{y}, nil
+	return y, nil
 }
 
 func main() {
@@ -94,11 +75,7 @@ func main() {
 		runClient(*regAddr)
 	case "all":
 		// Single-process smoke test: private registry on a random port.
-		ep, err := nexus.NewTCPEndpoint("")
-		if err != nil {
-			log.Fatal(err)
-		}
-		addr := serveRegistryOn(ep)
+		addr := serveRegistryOn(listenTCP(""))
 		go runServer(addr)
 		time.Sleep(300 * time.Millisecond) // let the server register
 		runClient(addr)
@@ -112,7 +89,7 @@ func serveRegistryOn(ep nexus.Endpoint) string {
 	go func() {
 		th := rts.NewChanGroup("registry-host", 1).Thread(0)
 		adapter := poa.New(th, router, nil)
-		if _, err := adapter.RegisterSingle(registry.RepositoryKey, registry.Iface(), registry.NewRepository()); err != nil {
+		if _, err := regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, registry.NewRepository()); err != nil {
 			log.Fatal(err)
 		}
 		adapter.ImplIsReady()
@@ -121,40 +98,20 @@ func serveRegistryOn(ep nexus.Endpoint) string {
 }
 
 func runRegistry(listen string) {
-	ep, err := nexus.NewTCPEndpoint(listen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	addr := serveRegistryOn(ep)
+	addr := serveRegistryOn(listenTCP(listen))
 	fmt.Println("registry serving at", addr)
 	select {}
 }
 
 func runServer(regAddr string) {
 	rts.NewChanGroup("server-host", serverThreads).Run(func(th rts.Thread) {
-		ep, err := nexus.NewTCPEndpoint("")
-		if err != nil {
-			log.Fatal(err)
-		}
-		router := core.NewRouter(ep)
-		adapter := poa.New(th, router, nil)
-		ior, err := adapter.RegisterSPMD("scaler-tcp-1", scalerIface(), scalerImpl{})
+		adapter := poa.New(th, core.NewRouter(listenTCP("")), nil)
+		ior, err := RegisterScalerSPMD(adapter, "scaler-tcp-1", scalerImpl{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		if th.Rank() == 0 {
-			cep, err := nexus.NewTCPEndpoint("")
-			if err != nil {
-				log.Fatal(err)
-			}
-			orb := core.NewORB(core.NewRouter(cep), nil, nil)
-			repo, err := registry.Open(orb, regAddr)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := repo.Register(serverName, ior); err != nil {
-				log.Fatal(err)
-			}
+			publish(regAddr, ior)
 			fmt.Printf("server: %d threads on TCP, registered as %q\n", th.Size(), serverName)
 		}
 		th.Barrier()
@@ -173,28 +130,13 @@ func runServerRank(regAddr string, rank, size int, coord string) {
 	}
 	defer th.Close()
 	fmt.Printf("rank %d/%d joined the parallel program\n", rank, size)
-	ep, err := nexus.NewTCPEndpoint("")
-	if err != nil {
-		log.Fatal(err)
-	}
-	adapter := poa.New(th, core.NewRouter(ep), nil)
-	ior, err := adapter.RegisterSPMD("scaler-tcp-1", scalerIface(), scalerImpl{})
+	adapter := poa.New(th, core.NewRouter(listenTCP("")), nil)
+	ior, err := RegisterScalerSPMD(adapter, "scaler-tcp-1", scalerImpl{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	if rank == 0 {
-		cep, err := nexus.NewTCPEndpoint("")
-		if err != nil {
-			log.Fatal(err)
-		}
-		orb := core.NewORB(core.NewRouter(cep), nil, nil)
-		repo, err := registry.Open(orb, regAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := repo.Register(serverName, ior); err != nil {
-			log.Fatal(err)
-		}
+		publish(regAddr, ior)
 		fmt.Printf("rank 0 registered %q with the repository\n", serverName)
 	}
 	th.Barrier()
@@ -202,14 +144,31 @@ func runServerRank(regAddr string, rank, size int, coord string) {
 	fmt.Printf("rank %d deactivated\n", rank)
 }
 
+// listenTCP opens a TCP endpoint on addr ("" picks a free port), or exits.
+func listenTCP(addr string) nexus.Endpoint {
+	ep, err := nexus.NewTCPEndpoint(addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return ep
+}
+
+// publish registers the server under serverName, through a client ORB and
+// TCP endpoint of its own.
+func publish(regAddr string, ior core.IOR) {
+	repo, err := registry.Open(core.NewORB(core.NewRouter(listenTCP("")), nil, nil), regAddr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := repo.Register(serverName, ior); err != nil {
+		log.Fatal(err)
+	}
+}
+
 func runClient(regAddr string) {
 	start := time.Now()
 	rts.NewChanGroup("client-host", clientThreads).Run(func(th rts.Thread) {
-		ep, err := nexus.NewTCPEndpoint("")
-		if err != nil {
-			log.Fatal(err)
-		}
-		orb := core.NewORB(core.NewRouter(ep), th, nil)
+		orb := core.NewORB(core.NewRouter(listenTCP("")), th, nil)
 		repo, err := registry.Open(orb, regAddr)
 		if err != nil {
 			log.Fatal(err)
@@ -225,7 +184,7 @@ func runClient(regAddr string) {
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
-		b, err := orb.SPMDBind(ior, scalerIface())
+		s, err := SPMDBindScaler(orb, ior)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -233,14 +192,12 @@ func runClient(regAddr string) {
 		for i := range x.Local() {
 			x.Local()[i] = float64(x.DLayout().GlobalIndex(th.Rank(), i))
 		}
-		y := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
-		vals, err := b.Invoke("scale", []any{2.0, x, y})
+		y, err := s.Scale(2.0, x)
 		if err != nil {
 			log.Fatal(err)
 		}
-		yd := dseq.AsFloat64(vals[0].(dseq.Distributed))
-		for i, v := range yd.Local() {
-			g := yd.DLayout().GlobalIndex(th.Rank(), i)
+		for i, v := range y.Local() {
+			g := y.DLayout().GlobalIndex(th.Rank(), i)
 			if v != 2*float64(g) {
 				log.Fatalf("y[%d] = %v", g, v)
 			}
@@ -249,7 +206,7 @@ func runClient(regAddr string) {
 		if th.Rank() == 0 {
 			fmt.Printf("client: scaled %d doubles over TCP in %v — all values verified\n",
 				vectorLen, time.Since(start).Round(time.Millisecond))
-			b.Shutdown("demo done")
+			s.Binding().Shutdown("demo done")
 		}
 	})
 }

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"time"
 
 	"pardis/internal/core"
@@ -35,6 +36,7 @@ import (
 	"pardis/internal/obs"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
+	"pardis/internal/registry/regidl"
 	"pardis/internal/rts"
 	"pardis/internal/vtime"
 )
@@ -43,7 +45,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:7934", "TCP listen address")
 	debugAddr := flag.String("debug", "", "serve /metrics, /debug/vars, /debug/trace and /debug/groups on this address")
 	memberTTL := flag.Float64("member-ttl", registry.DefaultMemberTTL, "group member expiry horizon, seconds (2x the replica heartbeat period)")
-	sweep := flag.Float64("sweep", 0, "expired-member sweep period, seconds (0 = member-ttl/2)")
+	sweep := flag.Float64("sweep", 0, "expired-member sweep period, seconds (0 = half the member TTL in use)")
 	flag.Parse()
 
 	repo := registry.NewRepository()
@@ -76,14 +78,16 @@ func main() {
 
 	// Background sweep: dead members must disappear on schedule, not only
 	// when the next resolve happens to age the group.
-	period := *sweep
-	if period <= 0 {
-		period = *memberTTL / 2
+	period, err := sweepPeriod(*sweep, repo.MemberTTL())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pardis-reg:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	sweepStop := make(chan struct{})
 	defer close(sweepStop)
 	go func() {
-		tick := time.NewTicker(vtime.Wall(period))
+		tick := time.NewTicker(period)
 		defer tick.Stop()
 		for {
 			select {
@@ -102,10 +106,24 @@ func main() {
 	th := rts.NewChanGroup("registry-host", 1).Thread(0)
 	router := core.NewRouter(ep)
 	adapter := poa.New(th, router, nil)
-	if _, err := adapter.RegisterSingle(registry.RepositoryKey, registry.Iface(), repo); err != nil {
+	if _, err := regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, repo); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("pardis-reg: repository serving at %s\n", router.Addr())
 	adapter.ImplIsReady()
 	fmt.Println("pardis-reg: deactivated")
+}
+
+// sweepPeriod is the expired-member sweep's period: sweep seconds, or half
+// the member TTL the repository uses when sweep is not positive. A period
+// that rounds to under 1 ns is an error (a ticker cannot run at it).
+func sweepPeriod(sweep, ttl float64) (time.Duration, error) {
+	if sweep <= 0 {
+		sweep = ttl / 2
+	}
+	d := vtime.Wall(sweep)
+	if d <= 0 {
+		return 0, fmt.Errorf("sweep period %gs is under 1ns", sweep)
+	}
+	return d, nil
 }

@@ -23,6 +23,7 @@ import (
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
+	"pardis/internal/registry/regidl"
 	"pardis/internal/rts"
 )
 
@@ -221,7 +222,7 @@ func startRepository(fab *nexus.Inproc) string {
 		th := rts.NewChanGroup("repo-host", 1).Thread(0)
 		router := core.NewRouter(fab.NewEndpoint("repository"))
 		adapter := poa.New(th, router, nil)
-		if _, err := adapter.RegisterSingle(registry.RepositoryKey, registry.Iface(), registry.NewRepository()); err != nil {
+		if _, err := regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, registry.NewRepository()); err != nil {
 			log.Fatal(err)
 		}
 		addrCh <- string(router.Addr())

@@ -22,6 +22,7 @@ import (
 	"pardis/internal/obs/leaktest"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
+	"pardis/internal/registry/regidl"
 	"pardis/internal/rts"
 	"pardis/internal/typecode"
 )
@@ -94,7 +95,7 @@ func startGroupRepo(t *testing.T, fab *nexus.Inproc, ttl float64) (string, func(
 		r := core.NewRouter(fab.NewEndpoint("gr-repo"))
 		p := poa.New(th, r, nil)
 		p.PollInterval = 20e-6
-		if _, err := p.RegisterSingle(registry.RepositoryKey, registry.Iface(), repo); err != nil {
+		if _, err := regidl.RegisterRepositorySingle(p, registry.RepositoryKey, repo); err != nil {
 			t.Error(err)
 			return
 		}
@@ -353,8 +354,8 @@ func TestGroupChaosFailoverSoak(t *testing.T) {
 	for _, wait := range waits {
 		wait()
 	}
-	if b, err := shutOrb.Bind(registry.BootstrapIOR(repoAddr), registry.Iface()); err == nil {
-		b.Shutdown("chaos done")
+	if p, err := regidl.BindRepository(shutOrb, registry.BootstrapIOR(repoAddr)); err == nil {
+		p.Binding().Shutdown("chaos done")
 	}
 	repoWait()
 	leaktest.Check(t, baseline)

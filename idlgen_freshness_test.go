@@ -2,8 +2,10 @@ package pardis_test
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pardis/internal/idl"
@@ -12,7 +14,10 @@ import (
 
 // TestGeneratedCodeUpToDate regenerates every committed zz_generated.go
 // from its IDL source and fails if the compiler's output has drifted —
-// the committed stubs must always be exactly what pardis-idl produces.
+// the committed stubs must always be exactly what pardis-idl produces. A
+// zz_generated.go of this module that the table does not list fails too,
+// so no generated file goes unchecked. (benchmark/ is a module of its own,
+// with its own freshness test.)
 func TestGeneratedCodeUpToDate(t *testing.T) {
 	cases := []struct {
 		idlPath string
@@ -27,6 +32,17 @@ func TestGeneratedCodeUpToDate(t *testing.T) {
 		{"examples/pipeline/pipeline.idl", "examples/pipeline/pstlgen/zz_generated.go", "pstlgen", "HPC++"},
 		{"examples/pipeline/pipeline.idl", "examples/pipeline/vizgen/zz_generated.go", "vizgen", ""},
 		{"internal/idlgen/sample/sample.idl", "internal/idlgen/sample/zz_generated.go", "sample", ""},
+		{"internal/registry/registry.idl", "internal/registry/regidl/zz_generated.go", "regidl", ""},
+		{"cmd/pardis-demo/scaler.idl", "cmd/pardis-demo/zz_generated.go", "main", ""},
+	}
+	listed := map[string]bool{}
+	for _, c := range cases {
+		listed[c.genPath] = true
+	}
+	for _, path := range moduleGeneratedFiles(t) {
+		if !listed[path] {
+			t.Errorf("%s has no case in TestGeneratedCodeUpToDate; add its IDL source to the table", path)
+		}
 	}
 	for _, c := range cases {
 		c := c
@@ -61,6 +77,40 @@ func TestGeneratedCodeUpToDate(t *testing.T) {
 			}
 		})
 	}
+}
+
+// moduleGeneratedFiles lists every zz_generated.go of the root module, as
+// slash-separated paths relative to its root. It skips what the go tool
+// skips (directories named testdata or starting with "." or "_") and
+// nested modules.
+func moduleGeneratedFiles(t *testing.T) []string {
+	var paths []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if d.Name() == "zz_generated.go" {
+			paths = append(paths, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
 }
 
 func mappingFlag(m string) string {

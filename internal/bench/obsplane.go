@@ -193,15 +193,14 @@ func runObsScrape(groups, members, iters int) ObsPoint {
 			id := fmt.Sprintf("m%d", m)
 			ior := core.IOR{Interface: "svc", Key: id, ServerSize: 1,
 				Addrs: []string{fmt.Sprintf("inproc://%s-%s/1", name, id)}}
-			if _, _, err := repo.Invoke(nil, "register_member", []any{name, id, ior.String()}); err != nil {
+			if err := repo.RegisterMember(nil, name, id, ior.String()); err != nil {
 				panic(err)
 			}
 			d := registry.Digest{
 				Dispatches: uint64(1000*g + m), Sheds: uint64(m), Depth: m,
 				P50: 0.001, P95: 0.002 * float64(m+1), P99: 0.005 * float64(m+1),
 			}
-			if _, _, err := repo.Invoke(nil, "report_load",
-				[]any{name, id, d.P95, int32(d.Depth), d.Encode()}); err != nil {
+			if _, err := repo.ReportLoad(nil, name, id, d.P95, int32(d.Depth), d.Encode()); err != nil {
 				panic(err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
+	"pardis/internal/registry/regidl"
 	"pardis/internal/rts"
 	"pardis/internal/typecode"
 	"pardis/internal/vtime"
@@ -187,7 +188,7 @@ func runServe(cfg serveConfig) ServePoint {
 			repo.SetClock(st.Elapsed)
 			repo.SetMemberTTL(2 * cfg.hbPeriod)
 			repo.SetPickerSeed(cfg.seed)
-			if _, err := adapter.RegisterSingle(registry.RepositoryKey, registry.Iface(), repo); err != nil {
+			if _, err := regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, repo); err != nil {
 				panic(err)
 			}
 			st.Proc().Send(regAddrCh, string(router.Addr()), 0)
@@ -367,8 +368,8 @@ func runServe(cfg serveConfig) ServePoint {
 					_ = b.Shutdown("serve done")
 				}
 			}
-			if b, err := orb.Bind(registry.BootstrapIOR(regAddr), registry.Iface()); err == nil {
-				_ = b.Shutdown("serve done")
+			if p, err := regidl.BindRepository(orb, registry.BootstrapIOR(regAddr)); err == nil {
+				_ = p.Binding().Shutdown("serve done")
 			}
 		})
 	}

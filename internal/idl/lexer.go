@@ -280,6 +280,9 @@ func (l *Lexer) lexChar() (Token, error) {
 	}
 	c := l.advance()
 	if c == '\\' {
+		if l.pos >= len(l.src) {
+			return Token{}, errAt(line, col, "unterminated character literal")
+		}
 		e := l.advance()
 		switch e {
 		case 'n':

@@ -8,7 +8,7 @@ import (
 
 // smallFrame is the largest frame the receive side reads (TCP) or copies
 // (Inproc) into a pooled buffer — the size below which the send side copies
-// into the write combiner too (TCPCoalesceLimit's default). Larger frames
+// into the write combiner too (TCPCoalesceLimit). Larger frames
 // get a buffer of their own that is handed over for good, so bulk data is
 // never copied to make a buffer reusable.
 const smallFrame = 4 << 10

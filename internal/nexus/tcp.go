@@ -52,20 +52,19 @@ const muxHdrLen = 8
 // TCPDialTimeout bounds connection establishment to a peer. Without it a
 // dial to a partitioned host blocks the sending thread for the kernel's
 // SYN-retry budget (minutes), far past any invocation deadline.
-var TCPDialTimeout = 10 * time.Second
+const TCPDialTimeout = 10 * time.Second
 
 // TCPHelloTimeout bounds the wait for the identifying hello frame on an
 // accepted connection. A dialer that connects and then goes silent would
 // otherwise pin a reader goroutine (and its connection) forever — accepted
 // connections are anonymous until the hello names them, so nothing else
 // could ever clean them up.
-var TCPHelloTimeout = 10 * time.Second
+const TCPHelloTimeout = 10 * time.Second
 
 // TCPCoalesceLimit is the largest wire size (header + payload) that takes
 // the copying small-frame path through the connection's write combiner;
-// larger frames go straight to a vectored write without a copy. A var, not
-// a const, so tests can pin either path.
-var TCPCoalesceLimit = 4 << 10
+// larger frames go straight to a vectored write without a copy.
+const TCPCoalesceLimit = 4 << 10
 
 // tcpPendCap bounds a connection's pending batch, deferred frames included:
 // a sender finding this many bytes already pending waits for the active
@@ -1288,7 +1287,7 @@ func (tc *tcpConn) flushAndFail(cause error) {
 }
 
 // tcpReadBuf is the per-connection read buffer: the size of the largest
-// frame the peer's write combiner coalesces (TCPCoalesceLimit's default), so
+// frame the peer's write combiner coalesces (TCPCoalesceLimit), so
 // a batch of small frames arrives in one read instead of two per frame.
 // Kept that small on purpose — it is resident per connection.
 const tcpReadBuf = 4 << 10

@@ -104,8 +104,8 @@ func FuzzParseDigest(f *testing.F) {
 // report pushes one digest heartbeat through the servant interface.
 func report(t *testing.T, repo *registry.Repository, name, id string, d registry.Digest) {
 	t.Helper()
-	res, _, err := repo.Invoke(nil, "report_load", []any{name, id, d.P95, int32(d.Depth), d.Encode()})
-	if err != nil || res.(int32) != 1 {
+	res, err := repo.ReportLoad(nil, name, id, d.P95, int32(d.Depth), d.Encode())
+	if err != nil || res != 1 {
 		t.Fatalf("report_load %s/%s: res=%v err=%v", name, id, res, err)
 	}
 }
@@ -122,7 +122,7 @@ func TestClusterAggregationAcrossJoinAndExpiry(t *testing.T) {
 	repo.SetMemberTTL(2)
 
 	reg := func(id string) {
-		if _, _, err := repo.Invoke(nil, "register_member", []any{"svc", id, memberIOR(id, "").String()}); err != nil {
+		if err := repo.RegisterMember(nil, "svc", id, memberIOR(id, "").String()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestClusterAggregationAcrossJoinAndExpiry(t *testing.T) {
 	if got := repo.ClusterSnapshot()[0].Rollup.Reporting; got != 2 {
 		t.Fatalf("reporting = %d after two digest reports, want 2", got)
 	}
-	if _, _, err := repo.Invoke(nil, "report_load", []any{"svc", "m2", 0.03, int32(3), ""}); err != nil {
+	if _, err := repo.ReportLoad(nil, "svc", "m2", 0.03, 3, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,7 +188,7 @@ func TestClusterAggregationAcrossJoinAndExpiry(t *testing.T) {
 
 func TestWriteFederation(t *testing.T) {
 	repo := registry.NewRepository()
-	if _, _, err := repo.Invoke(nil, "register_member", []any{"svc", "m0", memberIOR("m0", "").String()}); err != nil {
+	if err := repo.RegisterMember(nil, "svc", "m0", memberIOR("m0", "").String()); err != nil {
 		t.Fatal(err)
 	}
 	report(t, repo, "svc", "m0", registry.Digest{Dispatches: 42, Sheds: 1, Depth: 2, P95: 0.010, P99: 0.030})
@@ -220,7 +220,7 @@ func TestWriteFederation(t *testing.T) {
 func TestWriteFederationEscapesLabelsOnce(t *testing.T) {
 	const group, member = `we"ird\näme`, "line\nbreak"
 	repo := registry.NewRepository()
-	if _, _, err := repo.Invoke(nil, "register_member", []any{group, member, memberIOR("m0", "").String()}); err != nil {
+	if err := repo.RegisterMember(nil, group, member, memberIOR("m0", "").String()); err != nil {
 		t.Fatal(err)
 	}
 	report(t, repo, group, member, registry.Digest{Dispatches: 42, Depth: 2})

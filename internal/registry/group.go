@@ -1,9 +1,12 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
+
+	"pardis/internal/poa"
 )
 
 // Group membership and load reports: a registered group name resolves to N
@@ -61,6 +64,14 @@ func (r *Repository) SetPickerSeed(seed int64) {
 	r.mu.Unlock()
 }
 
+// MemberTTL returns the member expiry horizon in use, seconds: the one
+// SetMemberTTL set, or DefaultMemberTTL when that was not positive.
+func (r *Repository) MemberTTL() float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ttlLocked()
+}
+
 func (r *Repository) nowLocked() float64 {
 	if r.clock != nil {
 		return r.clock()
@@ -75,8 +86,14 @@ func (r *Repository) ttlLocked() float64 {
 	return DefaultMemberTTL
 }
 
-// registerMemberLocked upserts one member registration.
-func (r *Repository) registerMemberLocked(name, id, ior string) {
+// RegisterMember implements repository::register_member: it upserts one
+// member registration.
+func (r *Repository) RegisterMember(_ *poa.Context, name, id, ior string) error {
+	if name == "" {
+		return errors.New("empty name")
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	g := r.groups[name]
 	if g == nil {
 		g = &group{}
@@ -87,19 +104,22 @@ func (r *Repository) registerMemberLocked(name, id, ior string) {
 		if m.id == id {
 			m.ior = ior
 			m.at = now
-			return
+			return nil
 		}
 	}
 	g.members = append(g.members, &member{id: id, ior: ior, at: now})
 	groupMembers.Add(1)
+	return nil
 }
 
-// unregisterMemberLocked removes one member; the group vanishes with its
-// last member.
-func (r *Repository) unregisterMemberLocked(name, id string) {
+// UnregisterMember implements repository::unregister_member: it removes
+// one member; the group vanishes with its last member.
+func (r *Repository) UnregisterMember(_ *poa.Context, name, id string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	g := r.groups[name]
 	if g == nil {
-		return
+		return nil
 	}
 	for i, m := range g.members {
 		if m.id == id {
@@ -111,38 +131,34 @@ func (r *Repository) unregisterMemberLocked(name, id string) {
 	if len(g.members) == 0 {
 		delete(r.groups, name)
 	}
+	return nil
 }
 
-// dropGroupLocked removes a whole group (Unregister of the name).
-func (r *Repository) dropGroupLocked(name string) {
-	if g := r.groups[name]; g != nil {
-		groupMembers.Add(-int64(len(g.members)))
-		delete(r.groups, name)
-	}
-}
-
-// reportLoadLocked records one heartbeat. It returns false when the member
-// is unknown — expired or never registered — telling the replica to
-// re-register rather than report into the void.
-func (r *Repository) reportLoadLocked(name, id string, p95 float64, depth int, digest string) bool {
+// ReportLoad implements repository::report_load: it records one
+// heartbeat. It returns 0 when the member is unknown — expired or never
+// registered — telling the replica to re-register rather than report into
+// the void.
+func (r *Repository) ReportLoad(_ *poa.Context, name, id string, p95 float64, depth int32, digest string) (int32, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.expireLocked(name)
 	g := r.groups[name]
 	if g == nil {
-		return false
+		return 0, nil
 	}
 	for _, m := range g.members {
 		if m.id == id {
 			m.p95 = p95
-			m.depth = depth
+			m.depth = int(depth)
 			m.at = r.nowLocked()
 			if digest != "" {
 				m.digest = digest
 			}
 			groupLoadReports.Inc()
-			return true
+			return 1, nil
 		}
 	}
-	return false
+	return 0, nil
 }
 
 // expireLocked drops members of one group whose last report is older than
@@ -186,16 +202,18 @@ func (r *Repository) SweepExpired() int {
 	return dropped
 }
 
-// resolveGroupLocked returns the group's member IORs, best first: the pick
-// policy chooses the head (power-of-two-choices over fresh loads, or
-// round-robin when every report is stale); the remainder is ordered fresh
-// before stale, then ascending load, then id — the client's failover
-// sequence.
-func (r *Repository) resolveGroupLocked(name string) []string {
+// ResolveGroup implements repository::resolve_group: the group's size and
+// its member IORs, best first. The pick policy chooses the head
+// (power-of-two-choices over fresh loads, or round-robin when every report
+// is stale); the remainder is ordered fresh before stale, then ascending
+// load, then id — the client's failover sequence.
+func (r *Repository) ResolveGroup(_ *poa.Context, name string) (int32, []string, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.expireLocked(name)
 	g := r.groups[name]
 	if g == nil || len(g.members) == 0 {
-		return nil
+		return 0, nil, nil
 	}
 	groupResolves.Inc()
 	staleAt := r.nowLocked() - r.ttlLocked()/2
@@ -227,7 +245,7 @@ func (r *Repository) resolveGroupLocked(name string) []string {
 	for _, i := range rest {
 		out = append(out, g.members[i].ior)
 	}
-	return out
+	return int32(len(out)), out, nil
 }
 
 // MemberInfo is one member's state in a GroupsSnapshot.

@@ -11,6 +11,7 @@ import (
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
+	"pardis/internal/registry/regidl"
 	"pardis/internal/rts"
 )
 
@@ -28,7 +29,7 @@ func startRepoWith(t *testing.T, fab *nexus.Inproc, repo *registry.Repository) (
 		r := core.NewRouter(fab.NewEndpoint("repo"))
 		p := poa.New(th, r, nil)
 		p.PollInterval = 20e-6
-		if _, err := p.RegisterSingle(registry.RepositoryKey, registry.Iface(), repo); err != nil {
+		if _, err := regidl.RegisterRepositorySingle(p, registry.RepositoryKey, repo); err != nil {
 			t.Error(err)
 			return
 		}
@@ -38,8 +39,8 @@ func startRepoWith(t *testing.T, fab *nexus.Inproc, repo *registry.Repository) (
 	addr := <-addrCh
 	stop := func() {
 		orb := core.NewORB(core.NewRouter(fab.NewEndpoint("stopper")), nil, nil)
-		b, _ := orb.Bind(registry.BootstrapIOR(addr), registry.Iface())
-		b.Shutdown("test done")
+		p, _ := regidl.BindRepository(orb, registry.BootstrapIOR(addr))
+		p.Binding().Shutdown("test done")
 		wg.Wait()
 	}
 	return addr, stop
@@ -272,15 +273,15 @@ func TestConcurrentRegisterLookup(t *testing.T) {
 				var err error
 				switch rng.Intn(6) {
 				case 0:
-					_, _, err = repo.Invoke(nil, "register", []any{name, ior})
+					err = repo.Register(nil, name, ior)
 				case 1:
-					_, _, err = repo.Invoke(nil, "lookup", []any{name})
+					_, _, err = repo.Lookup(nil, name)
 				case 2:
-					_, _, err = repo.Invoke(nil, "register_member", []any{name, id, ior})
+					err = repo.RegisterMember(nil, name, id, ior)
 				case 3:
-					_, _, err = repo.Invoke(nil, "report_load", []any{name, id, rng.Float64(), int32(rng.Intn(8)), ""})
+					_, err = repo.ReportLoad(nil, name, id, rng.Float64(), int32(rng.Intn(8)), "")
 				case 4:
-					_, _, err = repo.Invoke(nil, "resolve_group", []any{name, nil})
+					_, _, err = repo.ResolveGroup(nil, name)
 				case 5:
 					repo.SweepExpired()
 				}

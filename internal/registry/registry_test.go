@@ -9,6 +9,7 @@ import (
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
+	"pardis/internal/registry/regidl"
 	"pardis/internal/rts"
 	"pardis/internal/typecode"
 )
@@ -27,7 +28,7 @@ func startRepo(t *testing.T, fab *nexus.Inproc) (string, func()) {
 		r := core.NewRouter(fab.NewEndpoint("repo"))
 		p := poa.New(th, r, nil)
 		p.PollInterval = 20e-6
-		if _, err := p.RegisterSingle(registry.RepositoryKey, registry.Iface(), registry.NewRepository()); err != nil {
+		if _, err := regidl.RegisterRepositorySingle(p, registry.RepositoryKey, registry.NewRepository()); err != nil {
 			t.Error(err)
 			return
 		}
@@ -37,8 +38,8 @@ func startRepo(t *testing.T, fab *nexus.Inproc) (string, func()) {
 	addr := <-addrCh
 	stop := func() {
 		orb := core.NewORB(core.NewRouter(fab.NewEndpoint("stopper")), nil, nil)
-		b, _ := orb.Bind(registry.BootstrapIOR(addr), registry.Iface())
-		b.Shutdown("test done")
+		p, _ := regidl.BindRepository(orb, registry.BootstrapIOR(addr))
+		p.Binding().Shutdown("test done")
 		wg.Wait()
 	}
 	return addr, stop
@@ -58,7 +59,7 @@ func startAgent(t *testing.T, fab *nexus.Inproc, agent *registry.Agent) (core.IO
 		r := core.NewRouter(fab.NewEndpoint("agent"))
 		p := poa.New(th, r, nil)
 		p.PollInterval = 20e-6
-		ior, err := p.RegisterSingle(registry.AgentKeyPrefix+"apphost", registry.AgentIface(), agent)
+		ior, err := regidl.RegisterActivatorSingle(p, registry.AgentKeyPrefix+"apphost", agent)
 		if err != nil {
 			t.Error(err)
 			return
@@ -69,8 +70,8 @@ func startAgent(t *testing.T, fab *nexus.Inproc, agent *registry.Agent) (core.IO
 	ior := <-iorCh
 	stop := func() {
 		orb := core.NewORB(core.NewRouter(fab.NewEndpoint("agent-stopper")), nil, nil)
-		b, _ := orb.Bind(ior, registry.AgentIface())
-		b.Shutdown("test done")
+		a, _ := regidl.BindActivator(orb, ior)
+		a.Binding().Shutdown("test done")
 		wg.Wait()
 	}
 	return ior, stop
@@ -239,5 +240,27 @@ func TestNonActivatingAgentRefuses(t *testing.T) {
 	c.RegisterImpl("s", agentIOR)
 	if _, err := c.Resolve(orb, "s", ""); err == nil {
 		t.Fatal("non-activating agent should make Resolve fail")
+	}
+}
+
+// TestRepositoryIdempotentOps: exactly the group operations are declared
+// idempotent in registry.idl. Only those are eligible for the retries
+// Client.SetRetryPolicy arms, so a dropped qualifier would turn the group
+// heartbeat's retries off without another test noticing.
+func TestRepositoryIdempotentOps(t *testing.T) {
+	want := map[string]bool{"register_member": true, "unregister_member": true, "report_load": true, "resolve_group": true}
+	var got []string
+	for _, op := range regidl.RepositoryIDL().Ops {
+		if op.Idempotent {
+			got = append(got, op.Name)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("idempotent repository operations %v, want %d: register_member, unregister_member, report_load, resolve_group", got, len(want))
+	}
+	for _, name := range got {
+		if !want[name] {
+			t.Fatalf("idempotent repository operations %v: %s should not be", got, name)
+		}
 	}
 }
