@@ -323,10 +323,18 @@ func (d *Decoder) fail(what string) {
 	}
 }
 
-func (d *Decoder) align(n int) {
-	for d.pos%n != 0 {
-		d.pos++
+// align skips the padding before a value of alignment n, what; padding
+// that runs past the end fails the decoder where the padding begins.
+func (d *Decoder) align(n int, what string) {
+	p := d.pos
+	if r := p % n; r != 0 {
+		p += n - r
 	}
+	if p > len(d.buf) {
+		d.fail(what)
+		return
+	}
+	d.pos = p
 }
 
 func (d *Decoder) take(n int, what string) []byte {
@@ -362,7 +370,7 @@ func (d *Decoder) GetShort() int16 { return int16(d.GetUShort()) }
 
 // GetUShort decodes a 16-bit unsigned integer.
 func (d *Decoder) GetUShort() uint16 {
-	d.align(2)
+	d.align(2, "ushort")
 	b := d.take(2, "ushort")
 	if b == nil {
 		return 0
@@ -375,7 +383,7 @@ func (d *Decoder) GetLong() int32 { return int32(d.GetULong()) }
 
 // GetULong decodes a 32-bit unsigned integer.
 func (d *Decoder) GetULong() uint32 {
-	d.align(4)
+	d.align(4, "ulong")
 	b := d.take(4, "ulong")
 	if b == nil {
 		return 0
@@ -388,7 +396,7 @@ func (d *Decoder) GetLongLong() int64 { return int64(d.GetULongLong()) }
 
 // GetULongLong decodes a 64-bit unsigned integer.
 func (d *Decoder) GetULongLong() uint64 {
-	d.align(8)
+	d.align(8, "ulonglong")
 	b := d.take(8, "ulonglong")
 	if b == nil {
 		return 0
@@ -447,7 +455,7 @@ func (d *Decoder) GetRaw(n int) []byte { return d.take(n, "raw") }
 // AlignedView aligns the stream to align and returns the next n raw bytes
 // without copying. The result aliases the wire buffer.
 func (d *Decoder) AlignedView(align, n int) []byte {
-	d.align(align)
+	d.align(align, "aligned view")
 	return d.take(n, "aligned view")
 }
 

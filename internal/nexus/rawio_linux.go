@@ -21,10 +21,18 @@ func rawConnOf(c net.Conn) syscall.RawConn {
 	return rc
 }
 
-// readFD is rawReader's read callback: one read of what has arrived.
+// readFD is rawReader's callback: one read of what has arrived, or with
+// peek a look at it, which reports io.EOF only when the peer has closed and
+// nothing is left to read.
 func (r *rawReader) readFD(fd uintptr) {
 	for {
-		n, err := syscall.Read(int(fd), r.p)
+		var n int
+		var err error
+		if r.peek {
+			n, _, err = syscall.Recvfrom(int(fd), r.p, syscall.MSG_PEEK)
+		} else {
+			n, err = syscall.Read(int(fd), r.p)
+		}
 		switch {
 		case err == syscall.EINTR:
 			continue
@@ -36,24 +44,6 @@ func (r *rawReader) readFD(fd uintptr) {
 			r.err = io.EOF
 		default:
 			r.n = n
-		}
-		return
-	}
-}
-
-// peekFD is rawReader's look at the read side: a peek of one byte, which
-// reports io.EOF only when the peer has closed and nothing is left to read.
-func (r *rawReader) peekFD(fd uintptr) {
-	for {
-		n, _, err := syscall.Recvfrom(int(fd), r.one[:], syscall.MSG_PEEK)
-		switch {
-		case err == syscall.EINTR:
-			continue
-		case err == syscall.EAGAIN:
-		case err != nil:
-			r.err = err
-		case n == 0:
-			r.err = io.EOF
 		}
 		return
 	}

@@ -12,5 +12,4 @@ import (
 func rawConnOf(net.Conn) syscall.RawConn { return nil }
 
 func (r *rawReader) readFD(uintptr)        {}
-func (r *rawReader) peekFD(uintptr)        {}
 func (w *rawWriter) writevFD(uintptr) bool { return true }

@@ -13,19 +13,15 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"pardis/internal/vtime"
 )
 
 // The TCP fabric multiplexes logical endpoints ("channels") over shared
 // physical connections: a TCPTransport owns one listener and at most one
-// socket per peer transport, and every channel created from it — client
-// bindings, server threads, helper endpoints — rides those sockets. This is
-// what lets a PARDIS server face 10⁵ concurrent client channels with a
-// handful of file descriptors and reader goroutines instead of one of each
-// per client (DESIGN.md §12). A transport with one channel and one
-// connection has no reader goroutine at all: the channel's owner reads the
-// connection itself (tcpConn, "Who reads a frame").
+// socket per peer transport, which every channel created from it rides, so
+// a server faces 10⁵ client channels with a handful of descriptors and
+// reader goroutines (DESIGN.md §12). A transport with one channel and one
+// connection has no reader goroutine: the channel's owner reads the
+// connection itself (readrole.go).
 //
 // Wire format, per frame:
 //
@@ -40,25 +36,19 @@ import (
 // allocating unbounded memory.
 const maxFrame = 1 << 28 // 256 MiB
 
-// maxHello bounds the first frame of an accepted connection, which is still
-// anonymous: whoever connected may announce any length, and the frame is
-// allocated before a byte of it arrives. A hello carries a transport address
-// (under 300 bytes); a named connection's frames are bounded by maxFrame.
+// maxHello bounds the first frame of an accepted, still anonymous
+// connection: a hello carries a transport address, under 300 bytes.
 const maxHello = 1 << 10
 
 // muxHdrLen is the per-frame channel-addressing overhead (dst + src words).
 const muxHdrLen = 8
 
-// TCPDialTimeout bounds connection establishment to a peer. Without it a
-// dial to a partitioned host blocks the sending thread for the kernel's
-// SYN-retry budget (minutes), far past any invocation deadline.
+// TCPDialTimeout bounds connection establishment to a peer, which the
+// kernel's SYN retries would stretch to minutes.
 const TCPDialTimeout = 10 * time.Second
 
-// TCPHelloTimeout bounds the wait for the identifying hello frame on an
-// accepted connection. A dialer that connects and then goes silent would
-// otherwise pin a reader goroutine (and its connection) forever — accepted
-// connections are anonymous until the hello names them, so nothing else
-// could ever clean them up.
+// TCPHelloTimeout bounds the wait for the hello that names an accepted
+// connection, so a silent dialer cannot pin its reader goroutine forever.
 const TCPHelloTimeout = 10 * time.Second
 
 // TCPCoalesceLimit is the largest wire size (header + payload) that takes
@@ -67,10 +57,8 @@ const TCPHelloTimeout = 10 * time.Second
 const TCPCoalesceLimit = 4 << 10
 
 // tcpPendCap bounds a connection's pending batch, deferred frames included:
-// a sender finding this many bytes already pending waits for the active
-// writer to drain before appending, or — no writer being active — appends
-// and writes the batch itself (the "buffer-full" flush trigger of DESIGN.md
-// §12).
+// a sender finding it full waits for the active writer, or with none active
+// writes the batch itself (the "buffer-full" trigger of DESIGN.md §12).
 const tcpPendCap = 128 << 10
 
 // tcpCloseFlushTimeout bounds the write of still-pending frames in
@@ -138,13 +126,11 @@ type TCPTransport struct {
 	chans  map[uint32]*tcpChan
 	nextID uint32
 	closed bool
-	// shared is set, for good, once the transport has had a second
-	// connection or channel, or its connection had to be handed over; from
-	// then on every connection has a reader goroutine.
+	// The read role's transport half (readrole.go): whether the transport
+	// reads in place never again, and the connection it reads in place, if
+	// any, stored under mu and roleMu, loaded anywhere.
 	shared bool
-	// solo is the connection the owner of the transport's one channel reads
-	// in place, if any; stored under mu, loaded anywhere.
-	solo atomic.Pointer[tcpConn]
+	solo   atomic.Pointer[tcpConn]
 }
 
 type tcpDial struct {
@@ -171,7 +157,7 @@ func (t *TCPTransport) newChan(def bool) *tcpChan {
 		id = t.nextID
 	}
 	if len(t.chans) > 0 {
-		t.shareLocked()
+		t.changeLocked(nil, evChannel)
 	}
 	ch := &tcpChan{t: t, id: id, addr: tcpChanAddr(t.hostport, id), isDefault: def}
 	ch.inbox.init()
@@ -204,19 +190,17 @@ func (t *TCPTransport) acceptLoop() {
 		}
 		t.anon[c] = true
 		if len(t.conns)+len(t.anon) > 1 {
-			t.shareLocked()
+			t.changeLocked(nil, evConn)
 		}
 		t.mu.Unlock()
 		go t.readLoop(c, nil)
 	}
 }
 
-// readLoop is a connection's reader goroutine: it reads frames and routes
-// them to channels by destination id. tc is nil for an accepted connection
-// until its hello names the peer; if the connection is then to be read in
-// place, the goroutine leaves it to the channel's owner and ends. A
-// connection handed over later (tc non-nil) is read on from the owner's
-// frame reader, with whatever that has buffered.
+// readLoop is a connection's reader goroutine: it routes frames to
+// channels by destination id. tc is nil for an accepted connection until its
+// hello names it, and the goroutine ends if the owner is to read it in
+// place; one handed over (actSpawn) reads on with the owner's frame reader.
 func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 	if tc == nil {
 		var placed bool
@@ -228,9 +212,7 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 	c.SetReadDeadline(time.Time{})
 	for {
 		data, buf, err := tc.rd.next(maxFrame)
-		if isTimeout(err) {
-			// A wake-up meant for the owner's read in place, landing after
-			// the hand-over: the goroutine reads without a deadline.
+		if isTimeout(err) { // an interrupt meant for the owner's read
 			c.SetReadDeadline(time.Time{})
 			continue
 		}
@@ -239,10 +221,7 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 		if err == nil {
 			ch, fr, err = t.route(tc, data, buf)
 		}
-		if err != nil {
-			// The deferred c.Close takes the write side down with the read
-			// side, so the connection is failed as a whole: senders re-dial,
-			// the flusher exits.
+		if err != nil { // senders re-dial, the flusher exits
 			t.dropConn(tc.peer, tc, err)
 			return
 		}
@@ -257,8 +236,6 @@ func (t *TCPTransport) readLoop(c net.Conn, tc *tcpConn) {
 // carries. It returns nil, having closed c, when the hello is missing or
 // malformed; placed reports that the connection is to be read in place.
 func (t *TCPTransport) hello(c net.Conn) (tc *tcpConn, placed bool) {
-	// The deadline is cleared once the connection has a name and normal
-	// traffic may idle indefinitely.
 	c.SetReadDeadline(time.Now().Add(TCPHelloTimeout))
 	rd := newFrameReader(c)
 	data, _, err := rd.next(maxHello)
@@ -316,91 +293,16 @@ func (t *TCPTransport) route(tc *tcpConn, data []byte, buf *frameBuf) (*tcpChan,
 }
 
 // placeLocked decides who reads tc, just entered in the table: the owner of
-// the transport's one channel, while tc is the only connection and the
-// transport has never been shared, or else a reader goroutine. It reports
-// true for the owner, whom it wakes if parked on the channel's queue, so
-// that it comes to read. Caller holds t.mu.
+// the transport's one channel (evPlace), reported true, or else a reader
+// goroutine. Caller holds t.mu.
 func (t *TCPTransport) placeLocked(tc *tcpConn) bool {
 	if len(t.conns)+len(t.anon) > 1 {
-		t.shareLocked()
+		t.changeLocked(nil, evConn)
 	}
-	if t.shared || len(t.chans) != 1 || tc.rd.src.raw.rc == nil {
+	if len(t.chans) != 1 || tc.rd.src.raw.rc == nil {
 		return false
 	}
-	if !setSolo(t, true) {
-		// A write is waiting for room somewhere in the process, and its
-		// thread may be the one that would read tc.
-		t.shared = true
-		return false
-	}
-	tc.rstate.Store(rdIdle)
-	t.solo.Store(tc)
-	for _, ch := range t.chans {
-		ch.wake()
-	}
-	return true
-}
-
-// shareLocked ends reading in place on the transport, for good: the
-// connection read in place, if any, is handed to a reader goroutine. Caller
-// holds t.mu.
-func (t *TCPTransport) shareLocked() {
-	t.shared = true
-	if tc := t.solo.Swap(nil); tc != nil {
-		setSolo(t, false)
-		tc.handOff()
-	}
-}
-
-// share is shareLocked for a caller that does not hold t.mu.
-func (t *TCPTransport) share() {
-	t.mu.Lock()
-	t.shareLocked()
-	t.mu.Unlock()
-}
-
-// soloTransports holds the process's transports that read a connection in
-// place; blockedWrites counts the writes of the process that wait, or are
-// about to, for room in a socket's send buffer. A write that would wait
-// first ends reading in place on every transport (shareAll), and no
-// connection is read in place while one waits: the thread blocked may own
-// any of them, and a connection only its blocked owner would read could
-// hold up the very write it waits in. Both are checked under soloMu, so a
-// transport either is entered before a write's shareAll looks, or sees the
-// write counted.
-var (
-	soloMu         sync.Mutex
-	soloTransports = map[*TCPTransport]bool{}
-	blockedWrites  atomic.Int32
-)
-
-// setSolo enters t in soloTransports, or takes it out. It enters nothing,
-// and reports false, while a write waits.
-func setSolo(t *TCPTransport, in bool) bool {
-	soloMu.Lock()
-	defer soloMu.Unlock()
-	if !in {
-		delete(soloTransports, t)
-		return true
-	}
-	if blockedWrites.Load() > 0 {
-		return false
-	}
-	soloTransports[t] = true
-	return true
-}
-
-// shareAll ends reading in place on every transport of the process.
-func shareAll() {
-	soloMu.Lock()
-	ts := make([]*TCPTransport, 0, len(soloTransports))
-	for t := range soloTransports {
-		ts = append(ts, t)
-	}
-	soloMu.Unlock()
-	for _, t := range ts {
-		t.share()
-	}
+	return t.changeLocked(tc, evPlace)&actSolo != 0
 }
 
 // connTo returns the shared connection to the peer transport at hostport,
@@ -419,7 +321,7 @@ func (t *TCPTransport) connTo(hostport string) (*tcpConn, error) {
 	if hostport == t.hostport {
 		// A dial to itself (the ORB's cancel wake-up, a sibling channel):
 		// frames will arrive on the accepted end, which a goroutine reads.
-		t.shareLocked()
+		t.changeLocked(nil, evConn)
 	}
 	if d, ok := t.dialing[hostport]; ok {
 		t.mu.Unlock()
@@ -481,10 +383,7 @@ func (t *TCPTransport) dropConn(hostport string, tc *tcpConn, cause error) {
 		delete(t.conns, hostport)
 		tcpConnsLive.Add(-1)
 	}
-	if t.solo.CompareAndSwap(tc, nil) {
-		setSolo(t, false)
-	}
-	tc.rstate.CompareAndSwap(rdIdle, rdOff) // nobody is to read it now
+	t.changeLocked(tc, evFail)
 	t.mu.Unlock()
 	tc.fail(cause)
 }
@@ -514,8 +413,7 @@ func (t *TCPTransport) Close() error {
 	t.anon = map[net.Conn]bool{}
 	chans := t.chans
 	t.chans = map[uint32]*tcpChan{}
-	t.solo.Store(nil)
-	setSolo(t, false)
+	t.changeLocked(nil, evFail)
 	tcpConnsLive.Add(-int64(len(conns)))
 	t.mu.Unlock()
 	t.ln.Close()
@@ -578,9 +476,8 @@ func splitTCPAddr(to Addr) (hostport string, id uint32, err error) {
 // --- Logical channel ---------------------------------------------------------
 
 // tcpChan is one logical endpoint: an inbox (filled by the connections'
-// reader goroutines) plus a channel id. All sends go through the owning
-// transport's shared connections. While the transport reads in place its
-// owner's Recv, Poll and timed wait read the connection themselves.
+// readers) plus a channel id; its sends go through the transport's shared
+// connections.
 type tcpChan struct {
 	inbox
 	t         *TCPTransport
@@ -632,16 +529,15 @@ func (e *tcpChan) SendV(to Addr, bufs ...[]byte) error {
 
 // Close releases the channel. Closing the default channel (a standalone
 // NewTCPEndpoint) closes the whole transport; closing a NewChannel endpoint
-// releases only its id — the shared connections stay up for its siblings,
-// and a reader goroutine takes over a connection read in place, which ends
-// an owner's read parked in it and drops what still comes for the channel.
+// releases only its id, and the connections stay up for its siblings
+// (evClose: a reader goroutine drops what still comes for it).
 func (e *tcpChan) Close() error {
 	e.shut()
 	e.t.dropChan(e.id, e)
 	if e.isDefault {
 		return e.t.Close()
 	}
-	e.t.share()
+	e.t.change(evClose)
 	return nil
 }
 
@@ -659,19 +555,15 @@ func (e *tcpChan) Recv() (Frame, error) {
 			e.mu.Unlock()
 			return Frame{}, ErrClosed
 		}
-		tc := e.t.solo.Load()
-		if tc == nil {
-			// placeLocked stores solo before it wakes this wait.
+		if e.t.solo.Load() == nil {
+			// actSolo stores solo before it wakes this wait.
 			e.cond.Wait()
 			e.mu.Unlock()
 			continue
 		}
 		e.mu.Unlock()
-		switch fr, res := tc.readInPlace(e, false, time.Time{}, nil); res {
-		case readMine:
+		if fr, res := e.readOwn(false, time.Time{}, nil); res == readMine {
 			return fr, nil
-		case readNone: // the flusher's peek holds the role for a moment
-			runtime.Gosched()
 		}
 	}
 }
@@ -680,31 +572,19 @@ func (e *tcpChan) Recv() (Frame, error) {
 // transport reads in place, a whole frame that has reached its connection.
 // It never waits for one.
 func (e *tcpChan) Poll() (Frame, bool, error) {
-	for {
-		if fr, ok, err := e.inbox.Poll(); ok || err != nil {
-			return fr, ok, err
-		}
-		tc := e.t.solo.Load()
-		if tc == nil {
-			return Frame{}, false, nil
-		}
-		fr, res := tc.readInPlace(e, true, time.Time{}, nil)
-		if res == readMine {
-			return fr, true, nil
-		}
-		if res != readOther {
-			return Frame{}, false, nil
-		}
+	if fr, ok, err := e.inbox.Poll(); ok || err != nil {
+		return fr, ok, err
 	}
+	fr, res := e.readOwn(true, time.Time{}, nil)
+	return fr, res == readMine, nil
 }
 
-// SetRecvNotify implements RecvNotifier. A watcher registered this way waits
-// for the signal and never reads, so the transport stops reading in place
-// for good and its connection gets a reader goroutine. A Waiter watches
-// through watchRead instead.
+// SetRecvNotify implements RecvNotifier. A watcher registered this way never
+// reads, so the transport stops reading in place (evNotify); a Waiter
+// watches through watchRead instead.
 func (e *tcpChan) SetRecvNotify(fn func()) bool {
 	if fn != nil {
-		e.t.share()
+		e.t.change(evNotify)
 	}
 	return e.inbox.SetRecvNotify(fn)
 }
@@ -722,111 +602,72 @@ func (e *tcpChan) watchRead(fn func()) (*tcpChan, bool) {
 	return e, e.inbox.SetRecvNotify(fn)
 }
 
-// waitRead is a Waiter's wait of at most d (vtime.Forever: no bound) parked
-// in a read of the transport's connection, reporting false — nothing
-// waited — when the transport does not read in place. A frame read for this
-// channel goes to its inbox, for the owner's next Poll; a frame at another
-// endpoint w watches ends the read through w.parked. While the flusher's
-// peek holds the read role the wait retries, as Recv does: the connection
-// has no other reader, so a frame reaching it would signal nobody.
-func (e *tcpChan) waitRead(w *Waiter, d time.Duration) bool {
-	tc := e.t.solo.Load()
-	if tc == nil {
-		return false
-	}
-	var at time.Time
-	if d != vtime.Forever {
-		at = time.Now().Add(d)
-	}
-	for {
-		fr, res := tc.readInPlace(e, false, at, w)
-		switch res {
-		case readMine:
-			e.put(fr)
-		case readNone:
-			runtime.Gosched()
-			if tc = e.t.solo.Load(); tc != nil {
-				continue
-			}
-			return false
-		}
-		return true
-	}
-}
-
 // readResult is what one read in place came to.
 type readResult uint8
 
 const (
-	readNone    readResult = iota // the read role was not to be had
-	readNothing                   // no frame: none had come, the wait ended, or the connection failed
-	readOther                     // a frame for another channel, delivered to it
+	readNone    readResult = iota // the transport does not read in place
+	readNothing                   // none for this channel: none came, the wait ended, the connection failed
 	readMine                      // a frame for this channel, returned
 )
 
-// readInPlace is one read of tc, a connection read in place, by the owner of
-// its transport's channel mine: with nowait it returns at once when no whole
-// frame has arrived; otherwise it waits for one, until at unless at is zero,
-// or — given the Waiter w — until a frame reaches another endpoint w
-// watches. A read that fails fails the connection.
-func (tc *tcpConn) readInPlace(mine *tcpChan, nowait bool, at time.Time, w *Waiter) (Frame, readResult) {
-	if !tc.rstate.CompareAndSwap(rdIdle, rdBusy) {
-		return Frame{}, readNone
+// readOwn is the one read in place, by the owner of e, of the connection
+// its transport reads in place: Recv's, Poll's (nowait: returns at once when
+// no whole frame has arrived) and a Waiter's (ends at at unless at is zero,
+// or when a frame reaches another endpoint w watches). While the flusher's
+// peek holds the role it yields and retries (actRetry). A read that fails
+// fails the connection.
+func (e *tcpChan) readOwn(nowait bool, at time.Time, w *Waiter) (Frame, readResult) {
+	ev := evBegin
+	if w != nil {
+		ev = evWait
+	}
+	var tc *tcpConn
+	for {
+		if tc = e.t.solo.Load(); tc == nil {
+			return Frame{}, readNone
+		}
+		act := tc.role(ev, w)
+		if act&actOwn != 0 {
+			break
+		}
+		if act&actRetry == 0 {
+			return Frame{}, readNone
+		}
+		runtime.Gosched()
 	}
 	if !nowait { // a poll reads past the deadline (rawReader)
-		tc.readDeadline(at)
+		tc.c.SetReadDeadline(at)
 	}
-	// Both checks come after the deadline is set: whoever hands the role
-	// over or signals w moves the deadline into the past after it has set
-	// what is checked here, so a read that starts regardless ends at once.
-	cut := false
-	if w != nil {
-		w.parked.Store(tc)
-		select {
-		case <-w.wake:
-			cut = true
-		default:
-		}
-	}
+	// Both checks come after the deadline is set (interrupt).
 	var data []byte
 	var buf *frameBuf
 	err := errWouldBlock
-	if !cut && tc.rstate.Load() == rdBusy {
+	if !w.woken() && tc.rstate.Load() == rdBusy {
 		tc.rd.src.nowait = nowait
 		data, buf, err = tc.rd.next(maxFrame)
 		tc.rd.src.nowait = false
 	}
-	if w != nil {
-		w.parked.Store(nil)
-		select { // a signal that came during the read: its caller probes anyway
-		case <-w.wake:
-		default:
-		}
-	}
+	w.woken() // a signal that came during the read: its caller probes anyway
 	var ch *tcpChan
 	var fr Frame
 	if err == nil {
 		ch, fr, err = tc.t.route(tc, data, buf)
 	}
 	if err != nil && err != errWouldBlock && !isTimeout(err) {
-		tc.rstate.Store(rdOff) // the read side is over: nobody reads it again
-		tc.t.dropConn(tc.peer, tc, err)
-		return Frame{}, readNothing
+		tc.t.dropConn(tc.peer, tc, err) // evFail: nobody reads it again
 	}
 	tc.more.Store(tc.rd.pending())
-	tc.release()
-	switch {
-	case err != nil:
+	tc.role(evEnd, w)
+	if err != nil || ch == nil { // no frame, or one for a closed channel
 		return Frame{}, readNothing
-	case ch == nil: // dropped
-	case ch == mine:
-		tcpReadInPlace.Inc()
-		return fr, readMine
-	default:
-		tcpReadInPlace.Inc()
-		ch.push(fr)
 	}
-	return Frame{}, readOther
+	tcpReadInPlace.Inc()
+	if ch == e {
+		return fr, readMine
+	}
+	ch.push(fr)
+	return Frame{}, readNothing
 }
 
 // --- Shared connection and its write combiner --------------------------------
@@ -837,22 +678,13 @@ func (tc *tcpConn) readInPlace(mine *tcpChan, nowait bool, at time.Time, w *Wait
 // vectored write. Exactly one goroutine at a time holds the writer role
 // (writing == true) and it alone touches the socket's write side.
 //
-// Who writes a small frame (DESIGN.md §12):
-//
-//   - its sender, before sendFrame returns, when the writer role is free
-//     and nothing says more frames are on their way — the lone-frame path,
-//     which never waits for a timer or for another goroutine;
-//   - the active writer, when there is one: it drains pend until it is
-//     empty before it gives the role up;
-//   - whoever flushes next, when the frame is deferred: the sender leaves
-//     it in pend and returns. Two observations defer a frame — (a) the
-//     sending channel's inbox is non-empty, so its owner will send again
-//     before it can block; (b) the previous flush carried more than one
-//     frame, so senders are already outrunning one write per frame. Either
-//     may be wrong; that costs one goroutine hand-off, never delivery:
-//     every deferral with the role free wakes the connection's flusher
-//     goroutine, so no deferred frame depends on anyone calling the
-//     transport again.
+// Who writes a small frame (DESIGN.md §12): its sender, when the writer
+// role is free and nothing says more frames are coming (the lone frame
+// never waits); else the active writer, which drains pend before it lets
+// go; else, for a deferred frame, whoever flushes next — and every deferral
+// with the role free wakes the connection's flusher goroutine. A frame is
+// deferred on observation (a), the sending channel's inbox is non-empty, or
+// (b), the previous flush carried more than one frame.
 type tcpConn struct {
 	t    *TCPTransport // owner, for the flusher's dropConn; nil on a bare test connection
 	c    net.Conn
@@ -890,30 +722,18 @@ type tcpConn struct {
 	// would wait before it waits (writeIov).
 	wraw rawWriter
 
-	// The read role. rd and fromCache belong to whoever holds it: a reader
-	// goroutine, or the owner of the transport's one channel while rstate
-	// says the connection is read in place. fromCache interns From addresses
-	// per source channel, at most fromCacheMax of them.
+	// The read role (readrole.go). rd and fromCache belong to whoever
+	// holds it: a reader goroutine, or — while rstate says the connection
+	// is read in place — the owner of the transport's one channel or the
+	// flusher's peek. fromCache interns From addresses per source channel,
+	// at most fromCacheMax of them.
 	rd        *frameReader
 	fromCache map[uint32]Addr
 	rstate    atomic.Int32
-	// rdl is the read deadline the owner last set (owner only); stale says
-	// someone else has moved it since — to the past, to end a read.
-	rdl   time.Time
-	stale atomic.Bool
 	// more says the owner's last read in place left bytes buffered:
 	// observation (a) of the flush policy, read by any sender.
 	more atomic.Bool
 }
-
-// Read-role states. A connection is read in place from placeLocked until it
-// is handed to a reader goroutine or fails, which it never comes back from.
-const (
-	rdOff     int32 = iota // a reader goroutine reads, or nobody: the read side is over
-	rdIdle                 // read in place; the owner is not reading now
-	rdBusy                 // read in place; the owner is reading
-	rdHandoff              // the owner is reading, and hands over when it stops
-)
 
 // fromCacheMax bounds a connection's From intern table: a peer may send
 // from any number of source ids, and beyond this many (well above the
@@ -943,70 +763,12 @@ func (tc *tcpConn) fromAddr(src uint32) Addr {
 	return a
 }
 
-// --- Who reads a frame ---------------------------------------------------------
-//
-// A connection read in place has no reader goroutine: the owner of its
-// transport's one channel reads it in Recv, Poll and a Waiter's wait, and
-// routes what it reads (DESIGN.md §12, "Who reads a frame"). Whoever ends
-// that — a second connection or channel, a watcher that will not read, a
-// write that would block — calls handOff, and the connection gets a reader
-// goroutine for good, which reads on with the owner's frame reader.
-
-// handOff gives the read role to a new reader goroutine: now, when the owner
-// is not reading, or else as the owner's read, cut short, ends (release).
-func (tc *tcpConn) handOff() {
-	for {
-		switch tc.rstate.Load() {
-		case rdIdle:
-			if tc.rstate.CompareAndSwap(rdIdle, rdOff) {
-				tcpReadHandoffs.Inc()
-				go tc.t.readLoop(tc.c, tc)
-				return
-			}
-		case rdBusy:
-			if tc.rstate.CompareAndSwap(rdBusy, rdHandoff) {
-				tc.interrupt()
-				return
-			}
-		default:
-			return
-		}
-	}
-}
-
-// release ends the owner's read in place, handing the connection over if
-// that was asked for meanwhile.
-func (tc *tcpConn) release() {
-	if tc.rstate.CompareAndSwap(rdBusy, rdIdle) {
-		return
-	}
-	tc.rstate.Store(rdOff)
-	tcpReadHandoffs.Inc()
-	go tc.t.readLoop(tc.c, tc)
-}
-
-// interrupt ends the owner's read in place, or its next one, at once.
-func (tc *tcpConn) interrupt() {
-	tc.stale.Store(true)
-	tc.c.SetReadDeadline(time.Unix(1, 0))
-}
-
-// readDeadline sets the deadline of the owner's reads in place (zero: none),
-// touching the socket only when it changes.
-func (tc *tcpConn) readDeadline(at time.Time) {
-	if tc.stale.Swap(false) || !at.Equal(tc.rdl) {
-		tc.c.SetReadDeadline(at)
-		tc.rdl = at
-	}
-}
-
 // writeIov writes the buffers in tc.iov, consuming them, in vectored
-// writes. A write that finds the send buffer full counts itself in
-// blockedWrites and hands every connection of the process read in place to
-// a reader goroutine (shareAll) before it waits: a thread blocked in a write
-// then never owns the only reader of a connection, so two endpoints flooding
-// each other cannot deadlock. A connection without descriptor access (a
-// test double) is written as a plain net.Conn.
+// writes. A write that finds the send buffer full is counted while it waits
+// (evWriteWait), which first shares every transport read in place: a thread
+// blocked in a write then never owns the only reader of a connection, so two
+// endpoints flooding each other cannot deadlock. A connection without
+// descriptor access (a test double) is written as a plain net.Conn.
 func (tc *tcpConn) writeIov() error {
 	if tc.wraw.rc == nil {
 		_, err := tc.iov.WriteTo(tc.c)
@@ -1015,10 +777,9 @@ func (tc *tcpConn) writeIov() error {
 	if err := tc.wraw.writev(&tc.iov, false); err != errWouldBlock {
 		return err
 	}
-	blockedWrites.Add(1)
-	shareAll()
+	writeWaits(evWriteWait)
 	err := tc.wraw.writev(&tc.iov, true)
-	blockedWrites.Add(-1)
+	writeWaits(evWriteDone)
 	return err
 }
 
@@ -1241,12 +1002,16 @@ func (tc *tcpConn) flushLoop() {
 // while its owner is not reading — as a reader goroutine would notice at
 // once — looking without waiting and consuming nothing. The flusher peeks
 // after each flush: its frames were left by an owner that was busy, and a
-// send may be all that follows.
+// send may be all that follows. Bytes the owner's reader has buffered are
+// left to the owner, whose next read delivers them before it meets the end.
 func (tc *tcpConn) peek() {
-	if !tc.rstate.CompareAndSwap(rdIdle, rdBusy) {
+	if tc.role(evBegin, nil)&actOwn == 0 {
 		return
 	}
-	err := tc.rd.src.raw.peerGone()
+	var err error
+	if !tc.rd.pending() {
+		err = tc.rd.src.raw.peerGone()
+	}
 	tc.release()
 	if err != nil {
 		tc.t.dropConn(tc.peer, tc, err)
@@ -1286,16 +1051,14 @@ func (tc *tcpConn) flushAndFail(cause error) {
 	tc.fail(cause)
 }
 
-// tcpReadBuf is the per-connection read buffer: the size of the largest
-// frame the peer's write combiner coalesces (TCPCoalesceLimit), so
-// a batch of small frames arrives in one read instead of two per frame.
-// Kept that small on purpose — it is resident per connection.
+// tcpReadBuf is the per-connection read buffer, resident per connection:
+// the largest frame the peer's write combiner coalesces (TCPCoalesceLimit),
+// so a batch of small frames arrives in one read.
 const tcpReadBuf = 4 << 10
 
-// frameReader is a connection's one frame reader, shared by its reader
-// goroutine and its owner's reads in place. A read may stop part way through
-// a frame — at a deadline, or with nothing more arrived for a poll — and the
-// next read resumes it, so frames survive every wait that ends early.
+// frameReader is a connection's one frame reader, which its reader
+// goroutine inherits from the owner's reads in place. A read may stop part
+// way through a frame and the next read resumes it.
 type frameReader struct {
 	src connReader
 	br  *bufio.Reader
@@ -1319,12 +1082,11 @@ func newFrameReader(c net.Conn) *frameReader {
 	return r
 }
 
-// next reads the rest of the frame in progress, of at most limit bytes,
-// into a buffer of its own, never one that aliases the read buffer: a
-// pooled buffer (returned as buf, for the Frame to carry) when the frame is
-// small, a freshly allocated one the receiver keeps for good otherwise
-// (DESIGN.md §7). A longer frame is rejected before anything is allocated
-// for it. On any other error the frame stays in progress.
+// next reads the rest of the frame in progress, of at most limit bytes
+// (checked before anything is allocated), into a buffer that never aliases
+// the read buffer: pooled (returned as buf) when the frame is small, the
+// receiver's for good otherwise (DESIGN.md §7). On any other error the
+// frame stays in progress.
 func (r *frameReader) next(limit uint32) (data []byte, buf *frameBuf, err error) {
 	for r.hdrN < len(r.hdr) {
 		n, err := r.br.Read(r.hdr[r.hdrN:])
@@ -1372,25 +1134,20 @@ func (r *connReader) Read(p []byte) (int, error) {
 }
 
 // rawReader and rawWriter use a connection's descriptor without waiting
-// (rawio_linux.go): a read that finds nothing arrived, or a write that finds
-// the send buffer full and is not to wait, returns errWouldBlock instead of
-// parking. Their callbacks are method values made once, so a call allocates
-// nothing. rc is nil where the descriptor is out of reach — a pipe, a test
-// double, a platform other than Linux — and such a connection is never read
-// in place.
-//
-// The reader goes through RawConn.Control, which holds the descriptor open
-// but ignores the read deadline: only the holder of the read role reads, so
-// the descriptor's read lock has nothing to order, and a poll after a timed
-// wait need not clear the wait's deadline first — a read its deadline ends
-// costs an error value, one that never waits on it costs nothing.
+// (rawio_linux.go), returning errWouldBlock where the socket would park
+// them; their callbacks are method values made once, so a call allocates
+// nothing. rc is nil where the descriptor is out of reach (a test double,
+// a platform other than Linux): such a connection is never read in place.
+// The reader goes through RawConn.Control, which ignores the read deadline,
+// so a poll after a timed wait need not clear the wait's deadline.
 type rawReader struct {
-	rc             syscall.RawConn
-	readFn, peekFn func(fd uintptr)
-	p              []byte
-	n              int
-	err            error
-	one            [1]byte
+	rc   syscall.RawConn
+	fn   func(fd uintptr)
+	p    []byte
+	n    int
+	peek bool // look without consuming
+	err  error
+	one  [1]byte
 }
 
 type rawWriter struct {
@@ -1405,9 +1162,7 @@ type rawWriter struct {
 // wait.
 var errWouldBlock = errors.New("nexus: would block")
 
-func (r *rawReader) init(rc syscall.RawConn) {
-	r.rc, r.readFn, r.peekFn = rc, r.readFD, r.peekFD
-}
+func (r *rawReader) init(rc syscall.RawConn) { r.rc, r.fn = rc, r.readFD }
 
 func (w *rawWriter) init(rc syscall.RawConn) { w.rc, w.fn = rc, w.writevFD }
 
@@ -1416,8 +1171,8 @@ func (r *rawReader) read(p []byte) (int, error) {
 	if r.rc == nil {
 		return 0, errWouldBlock
 	}
-	r.p, r.n, r.err = p, 0, nil
-	err := r.rc.Control(r.readFn)
+	r.p, r.n, r.peek, r.err = p, 0, false, nil
+	err := r.rc.Control(r.fn)
 	r.p = nil
 	if err != nil {
 		return 0, err
@@ -1429,12 +1184,9 @@ func (r *rawReader) read(p []byte) (int, error) {
 // peer that closed — or nil while it is open, or when that cannot be told
 // without consuming what has arrived.
 func (r *rawReader) peerGone() error {
-	if r.rc == nil {
-		return nil
-	}
-	r.err = nil
-	if err := r.rc.Control(r.peekFn); err != nil {
-		return nil // closed: the owner sees it
+	r.p, r.peek, r.err = r.one[:], true, nil
+	if r.rc == nil || r.rc.Control(r.fn) != nil || r.err == errWouldBlock {
+		return nil // open, or closed here: the owner sees it
 	}
 	return r.err
 }

@@ -84,8 +84,23 @@ func (w *Waiter) signal() {
 	case w.wake <- struct{}{}:
 	default:
 	}
-	if tc := w.parked.Load(); tc != nil {
-		tc.interrupt()
+	if tc := w.parked.Load(); tc != nil { // evSignal: cut the read short
+		_, act := step(roleState{parked: true}, evSignal)
+		tc.act(act)
+	}
+}
+
+// woken consumes a signal, reporting whether there was one (none for a nil
+// Waiter).
+func (w *Waiter) woken() bool {
+	if w == nil {
+		return false
+	}
+	select {
+	case <-w.wake:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -100,8 +115,18 @@ func (w *Waiter) WaitUntil(at float64) {
 	if w.blind {
 		d = min(d, blindNap)
 	}
-	if w.rd != nil && w.rd.waitRead(w, d) {
-		return
+	if w.rd != nil {
+		var deadline time.Time
+		if d != vtime.Forever {
+			deadline = time.Now().Add(d)
+		}
+		// A frame for the channel goes to its inbox, for the next Poll.
+		if fr, res := w.rd.readOwn(false, deadline, w); res != readNone {
+			if res == readMine {
+				w.rd.put(fr)
+			}
+			return
+		}
 	}
 	if d == vtime.Forever {
 		<-w.wake
