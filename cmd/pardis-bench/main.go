@@ -168,9 +168,9 @@ func figure4(quick, silent bool) []bench.Fig4Point {
 }
 
 func figure5(quick, silent bool) []bench.Fig5Point {
-	procs := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	procs := bench.Fig5Procs
 	if quick {
-		procs = bench.Fig5Procs
+		procs = []int{1, 2, 4, 8}
 	}
 	pts := bench.Figure5(procs)
 	if silent {

@@ -41,44 +41,60 @@ func (w *world) connect(hostA, hostB, link string) {
 	w.fab.Connect(hostA, hostB, w.tb.Link(link))
 }
 
-// spmdServer launches an SPMD server program of p threads on host; setup
-// runs on every thread after POA creation and returns the servant
-// registrations it performed. Thread 0's setup result IOR is delivered on
-// the returned channel once all threads are polling.
-type serverSetup func(th rts.Thread, adapter *poa.POA) (core.IOR, error)
+// endpoint is what each thread of a simulated program talks through.
+type endpoint struct {
+	async bool                 // a communication-thread endpoint (the paper's §6 proposal)
+	fault *nexus.FaultInjector // wraps the endpoint when set
+	bare  bool                 // one thread, its endpoint named name rather than name-0
+}
 
-func (w *world) spmdServer(name, host string, p int, setup serverSetup) *vtime.Chan {
-	iorCh := vtime.NewChan(w.sim, name+"-ior")
+// spawn launches a simulated program of p threads on host. Each thread gets
+// its own endpoint, named name-rank, with an ORB and a POA (polling every
+// 2 ms) on its one router: a thread calls through the ORB, and serves when
+// body hands the POA its thread with ImplIsReady. Names are part of the
+// model: addresses travel in IORs and requests, so renaming an endpoint
+// moves the figures.
+func (w *world) spawn(name, host string, p int, e endpoint, body func(th *rts.SimThread, adapter *poa.POA, orb *core.ORB)) {
 	h := w.tb.Host(host)
-	g := rts.NewSimGroup(w.sim, h, p)
-	g.Spawn(name, func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("%s-%d", name, th.Rank()), st.Proc(), h))
+	rts.NewSimGroup(w.sim, h, p).Spawn(name, func(t rts.Thread) {
+		th := t.(*rts.SimThread)
+		epName := fmt.Sprintf("%s-%d", name, th.Rank())
+		if e.bare {
+			epName = name
+		}
+		var ep nexus.Endpoint
+		if e.async {
+			ep = nexus.NewAsyncSimEndpoint(w.fab, epName, th.Proc(), h)
+		} else {
+			ep = w.fab.NewEndpoint(epName, th.Proc(), h)
+		}
+		if e.fault != nil {
+			ep = e.fault.Wrap(ep)
+		}
+		router := core.NewRouter(ep)
+		orb := core.NewORB(router, th, nil)
 		adapter := poa.New(th, router, nil)
 		adapter.PollInterval = 2e-3
-		ior, err := setup(th, adapter)
+		body(th, adapter, orb)
+	})
+}
+
+// spmdServer launches an SPMD server program of p threads on host; setup
+// registers the servant on every thread's adapter. Thread 0's IOR is
+// delivered on the returned channel before the threads start polling.
+func (w *world) spmdServer(name, host string, p int, setup func(adapter *poa.POA) (core.IOR, error)) *vtime.Chan {
+	iorCh := vtime.NewChan(w.sim, name+"-ior")
+	w.spawn(name, host, p, endpoint{}, func(th *rts.SimThread, adapter *poa.POA, _ *core.ORB) {
+		ior, err := setup(adapter)
 		if err != nil {
 			panic(fmt.Sprintf("%s: %v", name, err))
 		}
 		if th.Rank() == 0 {
-			st.Proc().Send(iorCh, ior, 0)
+			th.Proc().Send(iorCh, ior, 0)
 		}
 		adapter.ImplIsReady()
 	})
 	return iorCh
-}
-
-// spmdClient launches a parallel client program; body runs on each thread
-// with its ORB.
-func (w *world) spmdClient(name, host string, p int, body func(th rts.Thread, orb *core.ORB)) {
-	h := w.tb.Host(host)
-	g := rts.NewSimGroup(w.sim, h, p)
-	g.Spawn(name, func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("%s-%d", name, th.Rank()), st.Proc(), h))
-		orb := core.NewORB(router, th, nil)
-		body(th, orb)
-	})
 }
 
 // run executes the simulation, returning the final virtual time.
@@ -90,18 +106,20 @@ func (w *world) run() vtime.Time {
 	return final
 }
 
-// recvIOR receives an IOR published by spmdServer from a client thread,
-// putting it back for sibling threads (the channel acts as a bulletin
-// board).
-func recvIOR(th rts.Thread, ch *vtime.Chan) core.IOR {
-	st := th.(*rts.SimThread)
-	v := st.Proc().Recv(ch)
-	st.Proc().Send(ch, v, 0)
-	return v.(core.IOR)
+// peek receives a value published on ch and puts it back, so any number of
+// threads can read it (the channel acts as a bulletin board).
+func peek[T any](th rts.Thread, ch *vtime.Chan) T {
+	p := th.(*rts.SimThread).Proc()
+	v := p.Recv(ch)
+	p.Send(ch, v, 0)
+	return v.(T)
 }
 
-// newAsyncEP builds a communication-thread-backed endpoint for a simulated
-// computing thread (the §6 future-work transport).
-func newAsyncEP(w *world, name string, st *rts.SimThread, host string) nexus.Endpoint {
-	return nexus.NewAsyncSimEndpoint(w.fab, name, st.Proc(), w.tb.Host(host))
+// mustBind binds ior collectively over the calling threads.
+func mustBind(orb *core.ORB, ior core.IOR, iface *core.InterfaceDef) *core.Binding {
+	b, err := orb.SPMDBind(ior, iface)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }

@@ -8,6 +8,7 @@ import "testing"
 // linearly (Bcast) or worse (AllGather), putting P64/P8 near 9x and 70x.
 func TestCollectiveLogDepthScaling(t *testing.T) {
 	pts := Collectives([]int{8, 64}, 4096, 10)
+	checkGolden(t, "Collectives([8 64], 4096, 10)", pts)
 	get := func(op string, p int) float64 {
 		for _, pt := range pts {
 			if pt.Op == op && pt.P == p {

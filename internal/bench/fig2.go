@@ -85,14 +85,13 @@ func (s solverServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any
 	return nil, []any{x}, nil
 }
 
-// fig2Config places the two solver servers.
+// fig2Config selects one Figure 2 run. The client is two threads on HOST 1
+// (onyx); the direct server has HOST 1's four nodes and the iterative
+// server HOST 2's (powerchallenge) ten, unless they share HOST 1.
 type fig2Config struct {
-	directHost, iterHost     string
-	directProcs, iterProcs   int
-	clientHost               string
-	clientProcs              int
-	skipDirect, skipIterComp bool // run only one component (component curves)
-	mode                     string
+	sameServer                bool // both servers on HOST 1, two nodes each
+	skipDirect, skipIterative bool // run only one component (component curves)
+	blocking                  bool // solve iteratively, then directly: no overlap
 }
 
 // runFig2 runs one Figure 2 configuration for problem size n and returns
@@ -100,30 +99,27 @@ type fig2Config struct {
 func runFig2(n int, cfg fig2Config) float64 {
 	w := newWorld()
 	w.connect("onyx", "powerchallenge", "atm")
+	directProcs, iterHost, iterProcs := 4, "powerchallenge", 10
+	if cfg.sameServer {
+		directProcs, iterHost, iterProcs = 2, "onyx", 2
+	}
 
 	directIface, iterIface := solverIfaces()
-	dIOR := w.spmdServer("direct", cfg.directHost, cfg.directProcs, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
+	dIOR := w.spmdServer("direct", "onyx", directProcs, func(adapter *poa.POA) (core.IOR, error) {
 		return adapter.RegisterSPMD("direct-1", directIface, solverServant{work: apps.DirectSolveWork})
 	})
-	iIOR := w.spmdServer("iterative", cfg.iterHost, cfg.iterProcs, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
+	iIOR := w.spmdServer("iterative", iterHost, iterProcs, func(adapter *poa.POA) (core.IOR, error) {
 		return adapter.RegisterSPMD("itrt-1", iterIface, solverServant{work: func(n int) float64 {
 			return apps.JacobiWork(n, apps.DefaultJacobiIters(n))
 		}})
 	})
 
 	var elapsed vtime.Time
-	w.spmdClient("client", cfg.clientHost, cfg.clientProcs, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		dRef := recvIOR(th, dIOR)
-		iRef := recvIOR(th, iIOR)
-		dBind, err := orb.SPMDBind(dRef, directIface)
-		if err != nil {
-			panic(err)
-		}
-		iBind, err := orb.SPMDBind(iRef, iterIface)
-		if err != nil {
-			panic(err)
-		}
+	w.spawn("client", "onyx", 2, endpoint{}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
+		dRef := peek[core.IOR](th, dIOR)
+		iRef := peek[core.IOR](th, iIOR)
+		dBind := mustBind(orb, dRef, directIface)
+		iBind := mustBind(orb, iRef, iterIface)
 
 		// Build the system: a dsequence of dynamically-sized rows plus
 		// the right-hand side, block-distributed over the client threads.
@@ -137,13 +133,20 @@ func runFig2(n int, cfg fig2Config) float64 {
 		x2 := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
 
 		th.Barrier()
-		start := st.Proc().Now()
+		start := th.Proc().Now()
 
 		// The paper's listing: non-blocking solve on the iterative
 		// server overlapped with a blocking solve on the direct server,
-		// then the future is read.
+		// then the future is read. The blocking variant waits out each
+		// solve in turn.
 		var cell interface{ Wait() error }
-		if !cfg.skipIterComp {
+		switch {
+		case cfg.skipIterative:
+		case cfg.blocking:
+			if _, err := iBind.Invoke("solve", []any{1e-6, a, b, x1}); err != nil {
+				panic(err)
+			}
+		default:
 			c, err := iBind.InvokeNB("solve", []any{1e-6, a, b, x1})
 			if err != nil {
 				panic(err)
@@ -164,7 +167,7 @@ func runFig2(n int, cfg fig2Config) float64 {
 		th.Compute(apps.PerThread(float64(n)*1e-6, th.Size()))
 		th.Barrier()
 		if th.Rank() == 0 {
-			elapsed = st.Proc().Now() - start
+			elapsed = th.Proc().Now() - start
 			if err := dBind.Shutdown("done"); err != nil {
 				panic(err)
 			}
@@ -187,34 +190,13 @@ func runFig2(n int, cfg fig2Config) float64 {
 func Figure2(sizes []int) []Fig2Point {
 	var out []Fig2Point
 	for _, n := range sizes {
-		p := Fig2Point{N: n}
-		p.Direct = runFig2(n, fig2Config{
-			mode:       "direct-only",
-			directHost: "onyx", directProcs: 4,
-			iterHost: "powerchallenge", iterProcs: 10,
-			clientHost: "onyx", clientProcs: 2,
-			skipIterComp: true,
+		out = append(out, Fig2Point{
+			N:           n,
+			Direct:      runFig2(n, fig2Config{skipIterative: true}),
+			Iterative:   runFig2(n, fig2Config{skipDirect: true}),
+			Distributed: runFig2(n, fig2Config{}),
+			SameServer:  runFig2(n, fig2Config{sameServer: true}),
 		})
-		p.Iterative = runFig2(n, fig2Config{
-			mode:       "iterative-only",
-			directHost: "onyx", directProcs: 4,
-			iterHost: "powerchallenge", iterProcs: 10,
-			clientHost: "onyx", clientProcs: 2,
-			skipDirect: true,
-		})
-		p.Distributed = runFig2(n, fig2Config{
-			mode:       "distributed",
-			directHost: "onyx", directProcs: 4,
-			iterHost: "powerchallenge", iterProcs: 10,
-			clientHost: "onyx", clientProcs: 2,
-		})
-		p.SameServer = runFig2(n, fig2Config{
-			mode:       "same-server",
-			directHost: "onyx", directProcs: 2,
-			iterHost: "onyx", iterProcs: 2,
-			clientHost: "onyx", clientProcs: 2,
-		})
-		out = append(out, p)
 	}
 	return out
 }

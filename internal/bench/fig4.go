@@ -95,13 +95,7 @@ func runFig4(p int, owner func(k apps.DerivativeKind) int) float64 {
 	iorCh := vtime.NewChan(w.sim, "fig4-iors")
 	const tagIOR = rts.Tag(0x4000)
 
-	host := w.tb.Host("powerchallenge")
-	g := rts.NewSimGroup(w.sim, host, p)
-	g.Spawn("dna-server", func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("dna-%d", th.Rank()), st.Proc(), host))
-		adapter := poa.New(th, router, nil)
-		adapter.PollInterval = 2e-3
+	w.spawn("dna", "powerchallenge", p, endpoint{}, func(th *rts.SimThread, adapter *poa.POA, _ *core.ORB) {
 		dbIOR, err := adapter.RegisterSPMD("dna-db", dbIface, dnaSearchServant{rounds: 10})
 		if err != nil {
 			panic(err)
@@ -128,28 +122,25 @@ func runFig4(p int, owner func(k apps.DerivativeKind) int) float64 {
 				}
 				out.lists[k] = ior
 			}
-			st.Proc().Send(iorCh, out, 0)
+			th.Proc().Send(iorCh, out, 0)
 		}
 		adapter.ImplIsReady()
 	})
 
 	var elapsed vtime.Time
-	w.spmdClient("client", "onyx", 1, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		r := st.Proc().Recv(iorCh).(refs)
-		dbBind, err := orb.SPMDBind(r.db, dbIface)
-		if err != nil {
-			panic(err)
-		}
+	w.spawn("client", "onyx", 1, endpoint{}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
+		r := th.Proc().Recv(iorCh).(refs)
+		dbBind := mustBind(orb, r.db, dbIface)
 		var lists [apps.NumDerivatives]*core.Binding
 		for k := apps.Exact; k < apps.NumDerivatives; k++ {
+			var err error
 			lists[k], err = orb.Bind(r.lists[k], listIface)
 			if err != nil {
 				panic(err)
 			}
 		}
 
-		start := st.Proc().Now()
+		start := th.Proc().Now()
 		// stat = dna_database->search_nb(...)
 		stat, err := dbBind.InvokeNB("search", []any{"ACGT"})
 		if err != nil {
@@ -175,7 +166,7 @@ func runFig4(p int, owner func(k apps.DerivativeKind) int) float64 {
 		if err := stat.Wait(); err != nil {
 			panic(err)
 		}
-		elapsed = st.Proc().Now() - start
+		elapsed = th.Proc().Now() - start
 		if err := dbBind.Shutdown("done"); err != nil {
 			panic(err)
 		}

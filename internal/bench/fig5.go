@@ -23,9 +23,9 @@ type Fig5Point struct {
 	Gradient  float64 // gradient component alone (compute + its viz sends)
 }
 
-// Fig5Procs is the paper's sweep (diffusion and gradient processor counts
-// move together).
-var Fig5Procs = []int{1, 2, 4, 8}
+// Fig5Procs is the paper's sweep, P = 1..8 SP/2 nodes (diffusion and
+// gradient processor counts move together).
+var Fig5Procs = []int{1, 2, 3, 4, 5, 6, 7, 8}
 
 // Fig5 parameters: the paper's 128x128 grid, 100 time-steps, gradient
 // requested every 5th step.
@@ -35,12 +35,13 @@ const (
 	fig5Every = 5
 )
 
-func pipelineIfaces() (viz, gradOps *core.InterfaceDef) {
+func pipelineIfaces(oneway bool) (viz, gradOps *core.InterfaceDef) {
 	field := typecode.DSequenceOf(typecode.TCDouble, fig5Grid*fig5Grid, "BLOCK", "BLOCK")
 	viz = &core.InterfaceDef{
 		Name: "visualizer",
 		Ops: []core.Operation{{
 			Name:   "show",
+			Oneway: oneway,
 			Params: []core.Param{core.NewParam("myfield", core.In, field)},
 		}},
 	}
@@ -48,6 +49,7 @@ func pipelineIfaces() (viz, gradOps *core.InterfaceDef) {
 		Name: "field_operations",
 		Ops: []core.Operation{{
 			Name:   "gradient",
+			Oneway: oneway,
 			Params: []core.Param{core.NewParam("myfield", core.In, field)},
 		}},
 	}
@@ -72,7 +74,15 @@ type gradServant struct {
 	vizIface *core.InterfaceDef
 	orb      *core.ORB
 	viz      *core.Binding
-	lastShow *future.Cell
+}
+
+// visualizer binds the gradient's visualizer on first use; every thread
+// of the server calls it together.
+func (g *gradServant) visualizer(th rts.Thread) *core.Binding {
+	if g.viz == nil {
+		g.viz = mustBind(g.orb, peek[core.IOR](th, g.vizIORCh), g.vizIface)
+	}
+	return g.viz
 }
 
 func (g *gradServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
@@ -80,31 +90,29 @@ func (g *gradServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any,
 		return nil, nil, fmt.Errorf("no operation %s", op)
 	}
 	th := ctx.Thread
-	if g.viz == nil {
-		ior := recvIOR(th, g.vizIORCh)
-		b, err := g.orb.SPMDBind(ior, g.vizIface)
-		if err != nil {
-			return nil, nil, err
-		}
-		g.viz = b
-	}
+	viz := g.visualizer(th)
 	in0 := in[0].(dseq.Distributed)
 	th.Compute(apps.PerThread(apps.GradientWork(fig5Grid*fig5Grid), th.Size()))
 	out := dseq.NewFromLayout[float64](th, in0.DLayout(), dseq.Float64Codec{})
-	cell, err := g.viz.InvokeNB("show", []any{out})
-	if err != nil {
+	if _, err := viz.InvokeNB("show", []any{out}); err != nil {
 		return nil, nil, err
 	}
-	g.lastShow = cell
 	return nil, nil, nil
 }
 
-// fig5Config selects which parts of the metaapplication run.
+// fig5Config selects which parts of the metaapplication run, and how.
 type fig5Config struct {
 	sendToGradient bool // pipeline every 5th step to the gradient server
-	sendToViz      bool // pipeline every step to the diffusion visualizer
+	sendToViz      bool // pipeline every step to the diffusion visualizer, which runs only then
 	chargeCompute  bool // charge the diffusion stencil cost
+	oneway         bool // show and gradient are declared oneway: nobody waits for a reply
+	commThreads    bool // the diffusion client and the gradient server send through communication threads
+	driver         bool // a one-thread driver blocks on each call in place of the diffusion client
 }
+
+// pipeline is the whole metaapplication: Figure 5's overall curve, and the
+// baseline of the pipeline ablations.
+var pipeline = fig5Config{sendToGradient: true, sendToViz: true, chargeCompute: true}
 
 // runFig5 runs the pipeline with p diffusion threads and p gradient
 // threads and returns the diffusion client's elapsed time in seconds.
@@ -113,92 +121,93 @@ func runFig5(p int, cfg fig5Config) float64 {
 	w.connect("powerchallenge", "sp2", "ethernet")
 	w.connect("sp2", "indy", "ethernet")
 
-	vizIface, gradIface := pipelineIfaces()
+	vizIface, gradIface := pipelineIfaces(cfg.oneway)
 
 	// Visualizer for the diffusion unit: a sequential process on the same
 	// SGI PC (loopback); for the gradient: on the SGI Indy over Ethernet.
-	vizDiffIOR := w.spmdServer("viz-diff", "powerchallenge", 1, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("viz-diff", vizIface, vizServant{})
-	})
-	vizGradIOR := w.spmdServer("viz-grad", "indy", 1, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
+	var vizDiffIOR *vtime.Chan
+	if cfg.sendToViz {
+		vizDiffIOR = w.spmdServer("viz-diff", "powerchallenge", 1, func(adapter *poa.POA) (core.IOR, error) {
+			return adapter.RegisterSPMD("viz-diff", vizIface, vizServant{})
+		})
+	}
+	vizGradIOR := w.spmdServer("viz-grad", "indy", 1, func(adapter *poa.POA) (core.IOR, error) {
 		return adapter.RegisterSPMD("viz-grad", vizIface, vizServant{})
 	})
 
 	// The gradient server: SPMD on the SP/2, also a client of its
 	// visualizer (same endpoint, shared through the router).
 	gradIOR := vtime.NewChan(w.sim, "grad-ior")
-	sp2 := w.tb.Host("sp2")
-	gg := rts.NewSimGroup(w.sim, sp2, p)
-	gg.Spawn("gradient", func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("grad-%d", th.Rank()), st.Proc(), sp2))
-		orb := core.NewORB(router, th, nil)
-		adapter := poa.New(th, router, nil)
-		adapter.PollInterval = 2e-3
+	w.spawn("grad", "sp2", p, endpoint{async: cfg.commThreads}, func(th *rts.SimThread, adapter *poa.POA, orb *core.ORB) {
 		impl := &gradServant{vizIORCh: vizGradIOR, vizIface: vizIface, orb: orb}
 		ior, err := adapter.RegisterSPMD("gradient-1", gradIface, impl)
 		if err != nil {
 			panic(err)
 		}
 		if th.Rank() == 0 {
-			st.Proc().Send(gradIOR, ior, 0)
+			th.Proc().Send(gradIOR, ior, 0)
 		}
 		adapter.ImplIsReady()
 		// Deactivation is collective, so every thread leaves together;
 		// the gradient component then retires its own visualizer.
-		if impl.viz == nil {
-			ref := recvIOR(th, vizGradIOR)
-			b, err := orb.SPMDBind(ref, vizIface)
-			if err != nil {
-				panic(err)
-			}
-			impl.viz = b
-		}
+		viz := impl.visualizer(th)
 		if th.Rank() == 0 {
-			if err := impl.viz.Shutdown("done"); err != nil {
+			if err := viz.Shutdown("done"); err != nil {
 				panic(err)
 			}
 		}
 	})
 
-	// The diffusion unit: a POOMA-style parallel client on the SGI PC.
+	// The diffusion unit: a POOMA-style parallel client on the SGI PC, or
+	// in its place the gradient component's driver.
+	name, procs := "diffusion", p
+	if cfg.driver {
+		name, procs = "driver", 1
+	}
 	var elapsed vtime.Time
-	w.spmdClient("diffusion", "powerchallenge", p, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		vizRef := recvIOR(th, vizDiffIOR)
-		gradRef := recvIOR(th, gradIOR)
-		viz, err := orb.SPMDBind(vizRef, vizIface)
-		if err != nil {
-			panic(err)
+	w.spawn(name, "powerchallenge", procs, endpoint{async: cfg.commThreads}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
+		// Both references before either bind: a bind is collective over
+		// the client's threads, so when it starts moves the figures.
+		var viz *core.Binding
+		var vizRef core.IOR
+		if cfg.sendToViz {
+			vizRef = peek[core.IOR](th, vizDiffIOR)
 		}
-		grad, err := orb.SPMDBind(gradRef, gradIface)
-		if err != nil {
-			panic(err)
+		gradRef := peek[core.IOR](th, gradIOR)
+		if cfg.sendToViz {
+			viz = mustBind(orb, vizRef, vizIface)
 		}
+		grad := mustBind(orb, gradRef, gradIface)
 		field := dseq.New[float64](th, fig5Grid*fig5Grid, dist.BlockTemplate(), dseq.Float64Codec{})
 
 		th.Barrier()
-		start := st.Proc().Now()
+		start := th.Proc().Now()
 		var pending []*future.Cell
+		send := func(b *core.Binding, op string) {
+			if cfg.driver {
+				if _, err := b.Invoke(op, []any{field}); err != nil {
+					panic(err)
+				}
+				return
+			}
+			c, err := b.InvokeNB(op, []any{field})
+			if err != nil {
+				panic(err)
+			}
+			pending = append(pending, c)
+		}
 		for step := 1; step <= fig5Steps; step++ {
 			if cfg.chargeCompute {
 				th.Compute(apps.PerThread(apps.DiffusionStepWork(fig5Grid*fig5Grid), th.Size()))
 			}
 			if cfg.sendToViz {
-				c, err := viz.InvokeNB("show", []any{field})
-				if err != nil {
-					panic(err)
-				}
-				pending = append(pending, c)
+				send(viz, "show")
 			}
 			if cfg.sendToGradient && step%fig5Every == 0 {
-				c, err := grad.InvokeNB("gradient", []any{field})
-				if err != nil {
-					panic(err)
-				}
-				pending = append(pending, c)
+				send(grad, "gradient")
 			}
 		}
+		// A oneway call's cell is resolved when it is sent.
 		for _, c := range pending {
 			if err := c.Wait(); err != nil {
 				panic(err)
@@ -206,87 +215,15 @@ func runFig5(p int, cfg fig5Config) float64 {
 		}
 		th.Barrier()
 		if th.Rank() == 0 {
-			elapsed = st.Proc().Now() - start
+			elapsed = th.Proc().Now() - start
 			if err := grad.Shutdown("done"); err != nil {
 				panic(err)
 			}
-			if err := viz.Shutdown("done"); err != nil {
-				panic(err)
+			if viz != nil {
+				if err := viz.Shutdown("done"); err != nil {
+					panic(err)
+				}
 			}
-		}
-	})
-	w.run()
-	return elapsed.Seconds()
-}
-
-// gradientComponentTime models the gradient component on its own: its
-// compute plus its visualizer traffic, without the diffusion driver.
-func gradientComponentTime(p int) float64 {
-	requests := fig5Steps / fig5Every
-	w := w5StandaloneGradient(p, requests)
-	return w
-}
-
-// w5StandaloneGradient measures the gradient server handling `requests`
-// back-to-back invocations from a minimal driver that doesn't compute.
-func w5StandaloneGradient(p, requests int) float64 {
-	w := newWorld()
-	w.connect("powerchallenge", "sp2", "ethernet")
-	w.connect("sp2", "indy", "ethernet")
-	vizIface, gradIface := pipelineIfaces()
-	vizGradIOR := w.spmdServer("viz-grad", "indy", 1, func(th rts.Thread, adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("viz-grad", vizIface, vizServant{})
-	})
-	gradIOR := vtime.NewChan(w.sim, "grad-ior")
-	sp2 := w.tb.Host("sp2")
-	gg := rts.NewSimGroup(w.sim, sp2, p)
-	gg.Spawn("gradient", func(th rts.Thread) {
-		st := th.(*rts.SimThread)
-		router := core.NewRouter(w.fab.NewEndpoint(fmt.Sprintf("grad-%d", th.Rank()), st.Proc(), sp2))
-		orb := core.NewORB(router, th, nil)
-		adapter := poa.New(th, router, nil)
-		adapter.PollInterval = 2e-3
-		impl := &gradServant{vizIORCh: vizGradIOR, vizIface: vizIface, orb: orb}
-		ior, err := adapter.RegisterSPMD("gradient-1", gradIface, impl)
-		if err != nil {
-			panic(err)
-		}
-		if th.Rank() == 0 {
-			st.Proc().Send(gradIOR, ior, 0)
-		}
-		adapter.ImplIsReady()
-		if impl.viz == nil {
-			ref := recvIOR(th, vizGradIOR)
-			b, err := orb.SPMDBind(ref, vizIface)
-			if err != nil {
-				panic(err)
-			}
-			impl.viz = b
-		}
-		if th.Rank() == 0 {
-			if err := impl.viz.Shutdown("done"); err != nil {
-				panic(err)
-			}
-		}
-	})
-	var elapsed vtime.Time
-	w.spmdClient("driver", "powerchallenge", 1, func(th rts.Thread, orb *core.ORB) {
-		st := th.(*rts.SimThread)
-		ref := recvIOR(th, gradIOR)
-		grad, err := orb.SPMDBind(ref, gradIface)
-		if err != nil {
-			panic(err)
-		}
-		field := dseq.New[float64](th, fig5Grid*fig5Grid, dist.BlockTemplate(), dseq.Float64Codec{})
-		start := st.Proc().Now()
-		for r := 0; r < requests; r++ {
-			if _, err := grad.Invoke("gradient", []any{field}); err != nil {
-				panic(err)
-			}
-		}
-		elapsed = st.Proc().Now() - start
-		if err := grad.Shutdown("done"); err != nil {
-			panic(err)
 		}
 	})
 	w.run()
@@ -299,12 +236,15 @@ func w5StandaloneGradient(p, requests int) float64 {
 func Figure5(procs []int) []Fig5Point {
 	var out []Fig5Point
 	for _, p := range procs {
-		pt := Fig5Point{Procs: p}
-		pt.Overall = runFig5(p, fig5Config{sendToGradient: true, sendToViz: true, chargeCompute: true})
-		// Diffusion component alone: compute + its local visualizer.
-		pt.Diffusion = runFig5(p, fig5Config{sendToViz: true, chargeCompute: true})
-		pt.Gradient = gradientComponentTime(p)
-		out = append(out, pt)
+		out = append(out, Fig5Point{
+			Procs:   p,
+			Overall: runFig5(p, pipeline),
+			// Diffusion component alone: compute + its local visualizer.
+			Diffusion: runFig5(p, fig5Config{sendToViz: true, chargeCompute: true}),
+			// Gradient component alone: its compute and its visualizer
+			// traffic, called back to back by a driver that computes nothing.
+			Gradient: runFig5(p, fig5Config{sendToGradient: true, driver: true}),
+		})
 	}
 	return out
 }

@@ -142,14 +142,6 @@ type replicaInfo struct {
 	adapter *poa.POA
 }
 
-// bulletin reads a value from a vtime channel and puts it back, so any
-// number of procs can read the same published value.
-func bulletin(st *rts.SimThread, ch *vtime.Chan) any {
-	v := st.Proc().Recv(ch)
-	st.Proc().Send(ch, v, 0)
-	return v
-}
-
 func runServe(cfg serveConfig) ServePoint {
 	const nReplicas = 4
 	replicaHosts := [nReplicas]string{"onyx", "onyx", "sp2", "sp2"}
@@ -176,25 +168,17 @@ func runServe(cfg serveConfig) ServePoint {
 
 	// Registry on indy, aging members on the virtual clock.
 	regAddrCh := vtime.NewChan(w.sim, "serve-reg-addr")
-	{
-		h := w.tb.Host("indy")
-		g := rts.NewSimGroup(w.sim, h, 1)
-		g.Spawn("serve-registry", func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			router := core.NewRouter(w.fab.NewEndpoint("serve-registry", st.Proc(), h))
-			adapter := poa.New(th, router, nil)
-			adapter.PollInterval = 2e-3
-			repo := registry.NewRepository()
-			repo.SetClock(st.Elapsed)
-			repo.SetMemberTTL(2 * cfg.hbPeriod)
-			repo.SetPickerSeed(cfg.seed)
-			if _, err := regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, repo); err != nil {
-				panic(err)
-			}
-			st.Proc().Send(regAddrCh, string(router.Addr()), 0)
-			adapter.ImplIsReady()
-		})
-	}
+	w.spawn("serve-registry", "indy", 1, endpoint{bare: true}, func(th *rts.SimThread, adapter *poa.POA, _ *core.ORB) {
+		repo := registry.NewRepository()
+		repo.SetClock(th.Elapsed)
+		repo.SetMemberTTL(2 * cfg.hbPeriod)
+		repo.SetPickerSeed(cfg.seed)
+		if _, err := regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, repo); err != nil {
+			panic(err)
+		}
+		th.Proc().Send(regAddrCh, string(adapter.Router().Addr()), 0)
+		adapter.ImplIsReady()
+	})
 
 	// Replicas and their heartbeat reporters. Only the replica serving
 	// endpoints are fault-wrapped: a kill silences the replica as its
@@ -204,16 +188,8 @@ func runServe(cfg serveConfig) ServePoint {
 	for i := 0; i < nReplicas; i++ {
 		i := i
 		name := fmt.Sprintf("serve-replica-%d", i)
-		h := w.tb.Host(replicaHosts[i])
 		infoChs[i] = vtime.NewChan(w.sim, name+"-info")
-
-		g := rts.NewSimGroup(w.sim, h, 1)
-		g.Spawn(name, func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			ep := fi.Wrap(w.fab.NewEndpoint(name, st.Proc(), h))
-			router := core.NewRouter(ep)
-			adapter := poa.New(th, router, nil)
-			adapter.PollInterval = 2e-3
+		w.spawn(name, replicaHosts[i], 1, endpoint{fault: fi, bare: true}, func(th *rts.SimThread, adapter *poa.POA, _ *core.ORB) {
 			if cfg.admitLimit > 0 {
 				adapter.SetAdmission(cfg.admitLimit, cfg.hintSec)
 			}
@@ -221,17 +197,13 @@ func runServe(cfg serveConfig) ServePoint {
 			if err != nil {
 				panic(err)
 			}
-			st.Proc().Send(infoChs[i], replicaInfo{ior: ior, adapter: adapter}, 0)
+			th.Proc().Send(infoChs[i], replicaInfo{ior: ior, adapter: adapter}, 0)
 			adapter.ImplIsReady()
 		})
 
-		hb := rts.NewSimGroup(w.sim, h, 1)
-		hb.Spawn(name+"-hb", func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			router := core.NewRouter(w.fab.NewEndpoint(name+"-hb", st.Proc(), h))
-			orb := core.NewORB(router, th, nil)
-			info := bulletin(st, infoChs[i]).(replicaInfo)
-			regAddr := bulletin(st, regAddrCh).(string)
+		w.spawn(name+"-hb", replicaHosts[i], 1, endpoint{bare: true}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
+			info := peek[replicaInfo](th, infoChs[i])
+			regAddr := peek[string](th, regAddrCh)
 			regc, err := registry.Open(orb, regAddr)
 			if err != nil {
 				panic(err)
@@ -239,7 +211,7 @@ func runServe(cfg serveConfig) ServePoint {
 			regc.SetDeadline(cfg.hbPeriod)
 			registered := regc.RegisterMember(serveGroupName, name, info.ior) == nil
 			for {
-				st.Sleep(cfg.hbPeriod)
+				th.Sleep(cfg.hbPeriod)
 				if hbStop[i].Load() {
 					return
 				}
@@ -261,14 +233,9 @@ func runServe(cfg serveConfig) ServePoint {
 	// resolved through the registry.
 	for ci := 0; ci < cfg.clients; ci++ {
 		ci := ci
-		h := w.tb.Host("powerchallenge")
-		g := rts.NewSimGroup(w.sim, h, 1)
 		name := fmt.Sprintf("serve-client-%d", ci)
-		g.Spawn(name, func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			router := core.NewRouter(w.fab.NewEndpoint(name, st.Proc(), h))
-			orb := core.NewORB(router, th, nil)
-			regAddr := bulletin(st, regAddrCh).(string)
+		w.spawn(name, "powerchallenge", 1, endpoint{bare: true}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
+			regAddr := peek[string](th, regAddrCh)
 			regc, err := registry.Open(orb, regAddr)
 			if err != nil {
 				panic(err)
@@ -284,18 +251,18 @@ func runServe(cfg serveConfig) ServePoint {
 			rng := rand.New(rand.NewSource(cfg.seed + int64(ci)*7919))
 
 			// Let the first heartbeats register the group before resolving.
-			st.Sleep(50e-3)
+			th.Sleep(50e-3)
 			var lat []float64
 			ok, bad := 0, 0
 			for n := 0; n < cfg.perClient; n++ {
-				st.Sleep(cfg.thinkSec * (0.5 + rng.Float64()))
-				t0 := st.Proc().Now()
+				th.Sleep(cfg.thinkSec * (0.5 + rng.Float64()))
+				t0 := th.Proc().Now()
 				if _, err := gb.Invoke("work", []any{int32(n)}); err != nil {
 					bad++
 					continue
 				}
 				ok++
-				lat = append(lat, (st.Proc().Now() - t0).Seconds())
+				lat = append(lat, (th.Proc().Now() - t0).Seconds())
 			}
 			mu.Lock()
 			allLat = append(allLat, lat...)
@@ -310,69 +277,62 @@ func runServe(cfg serveConfig) ServePoint {
 	// Controller: chaos (kill one replica mid-run and time the registry
 	// dropping it), then orderly teardown once every client is done.
 	var infos [nReplicas]replicaInfo
-	{
-		h := w.tb.Host("powerchallenge")
-		g := rts.NewSimGroup(w.sim, h, 1)
-		g.Spawn("serve-controller", func(th rts.Thread) {
-			st := th.(*rts.SimThread)
-			router := core.NewRouter(w.fab.NewEndpoint("serve-controller", st.Proc(), h))
-			orb := core.NewORB(router, th, nil)
-			regAddr := bulletin(st, regAddrCh).(string)
-			for i := 0; i < nReplicas; i++ {
-				infos[i] = bulletin(st, infoChs[i]).(replicaInfo)
-			}
-			regc, err := registry.Open(orb, regAddr)
-			if err != nil {
-				panic(err)
-			}
-			regc.SetDeadline(cfg.deadline)
+	w.spawn("serve-controller", "powerchallenge", 1, endpoint{bare: true}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
+		regAddr := peek[string](th, regAddrCh)
+		for i := 0; i < nReplicas; i++ {
+			infos[i] = peek[replicaInfo](th, infoChs[i])
+		}
+		regc, err := registry.Open(orb, regAddr)
+		if err != nil {
+			panic(err)
+		}
+		regc.SetDeadline(cfg.deadline)
 
-			if cfg.killT > 0 {
-				const victim = 0
-				for st.Elapsed() < cfg.killT {
-					st.Sleep(5e-3)
+		if cfg.killT > 0 {
+			const victim = 0
+			for th.Elapsed() < cfg.killT {
+				th.Sleep(5e-3)
+			}
+			hbStop[victim].Store(true)
+			fi.Kill(nexus.Addr(infos[victim].ior.Addrs[0]))
+			killAt := th.Elapsed()
+			for {
+				th.Sleep(cfg.hbPeriod / 5)
+				iors, err := regc.ResolveGroup(serveGroupName)
+				if err != nil {
+					continue
 				}
-				hbStop[victim].Store(true)
-				fi.Kill(nexus.Addr(infos[victim].ior.Addrs[0]))
-				killAt := st.Elapsed()
-				for {
-					st.Sleep(cfg.hbPeriod / 5)
-					iors, err := regc.ResolveGroup(serveGroupName)
-					if err != nil {
-						continue
+				present := false
+				for _, m := range iors {
+					if m.Addrs[0] == infos[victim].ior.Addrs[0] {
+						present = true
 					}
-					present := false
-					for _, m := range iors {
-						if m.Addrs[0] == infos[victim].ior.Addrs[0] {
-							present = true
-						}
-					}
-					if !present {
-						dropSeconds = st.Elapsed() - killAt
-						break
-					}
+				}
+				if !present {
+					dropSeconds = th.Elapsed() - killAt
+					break
 				}
 			}
+		}
 
-			for doneClients.Load() < int32(cfg.clients) {
-				st.Sleep(10e-3)
+		for doneClients.Load() < int32(cfg.clients) {
+			th.Sleep(10e-3)
+		}
+		for i := range hbStop {
+			hbStop[i].Store(true)
+		}
+		// Let the heartbeat loops wake, observe the flag and exit before
+		// their repository goes away.
+		th.Sleep(2 * cfg.hbPeriod)
+		for i := 0; i < nReplicas; i++ {
+			if b, err := orb.Bind(infos[i].ior, iface); err == nil {
+				_ = b.Shutdown("serve done")
 			}
-			for i := range hbStop {
-				hbStop[i].Store(true)
-			}
-			// Let the heartbeat loops wake, observe the flag and exit before
-			// their repository goes away.
-			st.Sleep(2 * cfg.hbPeriod)
-			for i := 0; i < nReplicas; i++ {
-				if b, err := orb.Bind(infos[i].ior, iface); err == nil {
-					_ = b.Shutdown("serve done")
-				}
-			}
-			if p, err := regidl.BindRepository(orb, registry.BootstrapIOR(regAddr)); err == nil {
-				_ = p.Binding().Shutdown("serve done")
-			}
-		})
-	}
+		}
+		if p, err := regidl.BindRepository(orb, registry.BootstrapIOR(regAddr)); err == nil {
+			_ = p.Binding().Shutdown("serve done")
+		}
+	})
 
 	final := w.run()
 
@@ -402,8 +362,8 @@ func runServe(cfg serveConfig) ServePoint {
 	return pt
 }
 
-// percentile reads quantile q from sorted samples (nearest-rank on the
-// sorted slice; 0 when empty).
+// percentile reads quantile q from sorted samples: the element at index
+// ⌊q·(n−1)⌋, no interpolation; 0 when empty.
 func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // These tests assert the *shape* claims of the paper's figures — who wins,
 // by roughly what factor, where the anomalies sit — on the simulated
@@ -8,6 +11,7 @@ import "testing"
 
 func TestFigure2Shapes(t *testing.T) {
 	pts := Figure2([]int{200, 600, 1200})
+	checkGolden(t, "Figure2([200 600 1200])", pts)
 	for _, p := range pts {
 		t.Logf("n=%4d direct=%.2f iterative=%.2f distributed=%.2f same=%.2f",
 			p.N, p.Direct, p.Iterative, p.Distributed, p.SameServer)
@@ -48,6 +52,7 @@ func TestFigure2Shapes(t *testing.T) {
 
 func TestFigure4Shapes(t *testing.T) {
 	pts := Figure4([]int{1, 2, 3, 4, 5, 6, 7, 8})
+	checkGolden(t, "Figure4([1 2 3 4 5 6 7 8])", pts)
 	for _, p := range pts {
 		t.Logf("P=%d centralized=%.1f distributed=%.1f diff=%.1f",
 			p.Procs, p.Centralized, p.Distributed, p.Difference)
@@ -82,6 +87,7 @@ func TestFigure4Shapes(t *testing.T) {
 
 func TestFigure5Shapes(t *testing.T) {
 	pts := Figure5([]int{1, 2, 4, 8})
+	checkGolden(t, "Figure5([1 2 4 8])", pts)
 	for _, p := range pts {
 		t.Logf("P=%d overall=%.2f diffusion=%.2f gradient=%.2f",
 			p.Procs, p.Overall, p.Diffusion, p.Gradient)
@@ -115,26 +121,31 @@ func TestFigure5Shapes(t *testing.T) {
 
 func TestAblationShapes(t *testing.T) {
 	tr := AblationParallelTransfer(300_000)
+	checkGolden(t, "AblationParallelTransfer(300000)", tr)
 	t.Logf("transfer: %+v", tr)
 	if tr[0].Seconds >= tr[1].Seconds {
 		t.Error("direct parallel transfer not faster than funneled")
 	}
 	loc := AblationLocalShortcut(100_000)
+	checkGolden(t, "AblationLocalShortcut(100000)", loc)
 	t.Logf("locality: %+v", loc)
 	if loc[0].Seconds*2 >= loc[1].Seconds {
 		t.Error("co-located invocation not far cheaper than remote")
 	}
 	nb := AblationNonBlocking(400)
+	checkGolden(t, "AblationNonBlocking(400)", nb)
 	t.Logf("blocking: %+v", nb)
 	if nb[0].Seconds >= nb[1].Seconds {
 		t.Error("non-blocking overlap not faster than blocking sequence")
 	}
 	ow := AblationOneway(4)
+	checkGolden(t, "AblationOneway(4)", ow)
 	t.Logf("oneway: %+v", ow)
 	if ow[1].Seconds > ow[0].Seconds {
 		t.Error("oneway pipeline slower than two-way")
 	}
 	rd := AblationRedistribution(500_000)
+	checkGolden(t, "AblationRedistribution(500000)", rd)
 	t.Logf("redistribution: %+v", rd)
 	if rd[0].Seconds > rd[1].Seconds/10 {
 		t.Error("no-op redistribution not near-free")
@@ -157,12 +168,25 @@ func TestDeterminism(t *testing.T) {
 	// members by it. That signal has to be virtual time too (poa's loadLat),
 	// or the overload cells follow the host.
 	s1, s2 := FigureServe(true), FigureServe(true)
+	checkGolden(t, "FigureServe(true)", s1)
 	if len(s1) != len(s2) {
 		t.Fatalf("serve figure: %d points, then %d", len(s1), len(s2))
 	}
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Errorf("serve figure not deterministic:\n%+v\n%+v", s1[i], s2[i])
+		}
+	}
+}
+
+func TestCommThreadsAblation(t *testing.T) {
+	for _, p := range []int{4, 8} {
+		pts := AblationCommThreads(p)
+		checkGolden(t, fmt.Sprintf("AblationCommThreads(%d)", p), pts)
+		t.Logf("%+v", pts)
+		if pts[1].Seconds >= pts[0].Seconds {
+			t.Errorf("p=%d: communication threads did not help (%.2f vs %.2f)",
+				p, pts[1].Seconds, pts[0].Seconds)
 		}
 	}
 }
