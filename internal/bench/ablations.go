@@ -158,11 +158,9 @@ func AblationNonBlocking(n int) []AblationPoint {
 // two-way) show/gradient traffic against a protocol-level oneway variant —
 // the paper's §4.3 observation that its invocations "were not oneway".
 func AblationOneway(p int) []AblationPoint {
-	oneway := pipeline
-	oneway.oneway = true
 	return []AblationPoint{
-		{fmt.Sprintf("non-blocking-p%d", p), runFig5(p, pipeline)},
-		{fmt.Sprintf("oneway-p%d", p), runFig5(p, oneway)},
+		{fmt.Sprintf("non-blocking-p%d", p), runFig5(p, fig5Config{})},
+		{fmt.Sprintf("oneway-p%d", p), runFig5(p, fig5Config{oneway: true})},
 	}
 }
 
@@ -174,11 +172,9 @@ func AblationOneway(p int) []AblationPoint {
 // dedicated communication processes, so a non-blocking invocation no longer
 // occupies the sender for the frame's wire time.
 func AblationCommThreads(p int) []AblationPoint {
-	multi := pipeline
-	multi.commThreads = true
 	return []AblationPoint{
-		{fmt.Sprintf("single-threaded-p%d", p), runFig5(p, pipeline)},
-		{fmt.Sprintf("comm-threads-p%d", p), runFig5(p, multi)},
+		{fmt.Sprintf("single-threaded-p%d", p), runFig5(p, fig5Config{})},
+		{fmt.Sprintf("comm-threads-p%d", p), runFig5(p, fig5Config{commThreads: true})},
 	}
 }
 

@@ -28,9 +28,10 @@ type CollectivePoint struct {
 // for log-depth scaling compares P=8 against P=64.
 var CollectiveProcs = []int{4, 8, 16, 32, 64}
 
-// Collectives measures Barrier, Bcast and AllGather modeled latency at each thread count, payload bytes per thread, averaging iters
-// back-to-back operations (which also exercises the non-interleaving
-// guarantee under the virtual clock).
+// Collectives measures Barrier, Bcast and AllGather modeled latency at each
+// thread count, payload bytes per thread, averaging iters back-to-back
+// operations (which also exercises the non-interleaving guarantee under the
+// virtual clock).
 func Collectives(ps []int, payload, iters int) []CollectivePoint {
 	var pts []CollectivePoint
 	for _, p := range ps {

@@ -100,19 +100,17 @@ func (g *gradServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any,
 	return nil, nil, nil
 }
 
-// fig5Config selects which parts of the metaapplication run, and how.
+// fig5Config selects which parts of the metaapplication run, and how; its
+// zero value is the whole pipeline, Figure 5's overall curve.
 type fig5Config struct {
-	sendToGradient bool // pipeline every 5th step to the gradient server
-	sendToViz      bool // pipeline every step to the diffusion visualizer, which runs only then
-	chargeCompute  bool // charge the diffusion stencil cost
-	oneway         bool // show and gradient are declared oneway: nobody waits for a reply
-	commThreads    bool // the diffusion client and the gradient server send through communication threads
-	driver         bool // a one-thread driver blocks on each call in place of the diffusion client
+	skipGradient bool // no gradient requests: the diffusion component alone
+	oneway       bool // show and gradient are declared oneway: nobody waits for a reply
+	commThreads  bool // the diffusion client and the gradient server send through communication threads
+	// driver is the gradient component alone: in place of the diffusion
+	// client, a one-thread driver that neither computes nor shows blocks
+	// on each gradient request.
+	driver bool
 }
-
-// pipeline is the whole metaapplication: Figure 5's overall curve, and the
-// baseline of the pipeline ablations.
-var pipeline = fig5Config{sendToGradient: true, sendToViz: true, chargeCompute: true}
 
 // runFig5 runs the pipeline with p diffusion threads and p gradient
 // threads and returns the diffusion client's elapsed time in seconds.
@@ -125,12 +123,9 @@ func runFig5(p int, cfg fig5Config) float64 {
 
 	// Visualizer for the diffusion unit: a sequential process on the same
 	// SGI PC (loopback); for the gradient: on the SGI Indy over Ethernet.
-	var vizDiffIOR *vtime.Chan
-	if cfg.sendToViz {
-		vizDiffIOR = w.spmdServer("viz-diff", "powerchallenge", 1, func(adapter *poa.POA) (core.IOR, error) {
-			return adapter.RegisterSPMD("viz-diff", vizIface, vizServant{})
-		})
-	}
+	vizDiffIOR := w.spmdServer("viz-diff", "powerchallenge", 1, func(adapter *poa.POA) (core.IOR, error) {
+		return adapter.RegisterSPMD("viz-diff", vizIface, vizServant{})
+	})
 	vizGradIOR := w.spmdServer("viz-grad", "indy", 1, func(adapter *poa.POA) (core.IOR, error) {
 		return adapter.RegisterSPMD("viz-grad", vizIface, vizServant{})
 	})
@@ -168,16 +163,8 @@ func runFig5(p int, cfg fig5Config) float64 {
 	w.spawn(name, "powerchallenge", procs, endpoint{async: cfg.commThreads}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
 		// Both references before either bind: a bind is collective over
 		// the client's threads, so when it starts moves the figures.
-		var viz *core.Binding
-		var vizRef core.IOR
-		if cfg.sendToViz {
-			vizRef = peek[core.IOR](th, vizDiffIOR)
-		}
-		gradRef := peek[core.IOR](th, gradIOR)
-		if cfg.sendToViz {
-			viz = mustBind(orb, vizRef, vizIface)
-		}
-		grad := mustBind(orb, gradRef, gradIface)
+		vizRef, gradRef := peek[core.IOR](th, vizDiffIOR), peek[core.IOR](th, gradIOR)
+		viz, grad := mustBind(orb, vizRef, vizIface), mustBind(orb, gradRef, gradIface)
 		field := dseq.New[float64](th, fig5Grid*fig5Grid, dist.BlockTemplate(), dseq.Float64Codec{})
 
 		th.Barrier()
@@ -197,13 +184,11 @@ func runFig5(p int, cfg fig5Config) float64 {
 			pending = append(pending, c)
 		}
 		for step := 1; step <= fig5Steps; step++ {
-			if cfg.chargeCompute {
+			if !cfg.driver {
 				th.Compute(apps.PerThread(apps.DiffusionStepWork(fig5Grid*fig5Grid), th.Size()))
-			}
-			if cfg.sendToViz {
 				send(viz, "show")
 			}
-			if cfg.sendToGradient && step%fig5Every == 0 {
+			if !cfg.skipGradient && step%fig5Every == 0 {
 				send(grad, "gradient")
 			}
 		}
@@ -216,11 +201,8 @@ func runFig5(p int, cfg fig5Config) float64 {
 		th.Barrier()
 		if th.Rank() == 0 {
 			elapsed = th.Proc().Now() - start
-			if err := grad.Shutdown("done"); err != nil {
-				panic(err)
-			}
-			if viz != nil {
-				if err := viz.Shutdown("done"); err != nil {
+			for _, b := range []*core.Binding{grad, viz} {
+				if err := b.Shutdown("done"); err != nil {
 					panic(err)
 				}
 			}
@@ -238,12 +220,12 @@ func Figure5(procs []int) []Fig5Point {
 	for _, p := range procs {
 		out = append(out, Fig5Point{
 			Procs:   p,
-			Overall: runFig5(p, pipeline),
+			Overall: runFig5(p, fig5Config{}),
 			// Diffusion component alone: compute + its local visualizer.
-			Diffusion: runFig5(p, fig5Config{sendToViz: true, chargeCompute: true}),
+			Diffusion: runFig5(p, fig5Config{skipGradient: true}),
 			// Gradient component alone: its compute and its visualizer
 			// traffic, called back to back by a driver that computes nothing.
-			Gradient: runFig5(p, fig5Config{sendToGradient: true, driver: true}),
+			Gradient: runFig5(p, fig5Config{driver: true}),
 		})
 	}
 	return out

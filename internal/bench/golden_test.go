@@ -16,19 +16,28 @@ import (
 //
 //	go test ./internal/bench -update
 //
-// and read the diff before committing it.
+// and read the diff before committing it. The file is rebuilt from that run
+// alone, so an entry no test computes any more drops out; -update therefore
+// refuses a run that -run or -skip narrows.
 
 var update = flag.Bool("update", false, "rewrite "+goldenPath+" from the values this run computes")
 
 const goldenPath = "testdata/figures.golden.json"
 
 // golden is the file's entries, by the call that computed each; under
-// -update, this run's values replace them and TestMain writes the file.
+// -update, it holds this run's values, which TestMain writes to the file.
 var golden = map[string]json.RawMessage{}
 
 func TestMain(m *testing.M) {
 	flag.Parse()
-	if b, err := os.ReadFile(goldenPath); err == nil {
+	if *update {
+		for _, name := range []string{"test.run", "test.skip"} {
+			if f := flag.Lookup(name); f != nil && f.Value.String() != "" {
+				fmt.Fprintf(os.Stderr, "-update rewrites %s from every test's values; drop -%s\n", goldenPath, name[len("test."):])
+				os.Exit(2)
+			}
+		}
+	} else if b, err := os.ReadFile(goldenPath); err == nil {
 		if err := json.Unmarshal(b, &golden); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", goldenPath, err)
 			os.Exit(1)
