@@ -18,6 +18,12 @@ for ceiling in internal/nexus:2644 internal/bench:1926; do
 	echo "$pkg: $lines non-test lines"
 	test "$lines" -le "${ceiling#*:}"
 done
+# The runtime links no HTTP server, TLS stack or profiler: of the repo's
+# packages only the debug endpoint's (internal/obs/obshttp) and the two
+# commands that start it may have net/http among their dependencies.
+http_linkers="$(go list -f '{{.ImportPath}}{{range .Deps}}{{if eq . "net/http"}} net/http{{end}}{{end}}' ./... | awk 'NF > 1 { print $1 }')"
+echo "packages linking net/http: $(echo "$http_linkers" | grep -c .)"
+test -z "$(echo "$http_linkers" | grep -Fvx -e pardis/internal/obs/obshttp -e pardis/cmd/pardis-reg -e pardis/cmd/pardis-bench)"
 go test ./...
 go test -race ./...
 # The packages that hold no process-global selector any more, in random

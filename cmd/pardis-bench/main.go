@@ -28,6 +28,7 @@ import (
 
 	"pardis/internal/bench"
 	"pardis/internal/obs"
+	"pardis/internal/obs/obshttp"
 )
 
 // summary is the -json document: one optional section per experiment.
@@ -56,7 +57,7 @@ func main() {
 	flag.Parse()
 
 	if *debugAddr != "" {
-		bound, stop, err := obs.Serve(*debugAddr, obs.Default, obs.DefaultTracer)
+		bound, stop, err := obshttp.Serve(*debugAddr, obs.Default, obs.DefaultTracer, nil, nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pardis-bench: %v\n", err)
 			os.Exit(1)

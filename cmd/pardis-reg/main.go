@@ -34,6 +34,7 @@ import (
 	"pardis/internal/core"
 	"pardis/internal/nexus"
 	"pardis/internal/obs"
+	"pardis/internal/obs/obshttp"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
 	"pardis/internal/registry/regidl"
@@ -52,23 +53,7 @@ func main() {
 	repo.SetMemberTTL(*memberTTL)
 
 	if *debugAddr != "" {
-		obs.RegisterDebugPage("/debug/groups", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			for _, g := range repo.GroupsSnapshot() {
-				fmt.Fprintln(w, g)
-			}
-		})
-		obs.RegisterDebugPage("/debug/cluster", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(repo.ClusterSnapshot())
-		})
-		obs.RegisterDebugPage("/debug/federate", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			repo.WriteFederation(w)
-		})
-		bound, stop, err := obs.Serve(*debugAddr, obs.Default, obs.DefaultTracer)
+		bound, stop, err := obshttp.Serve(*debugAddr, obs.Default, obs.DefaultTracer, nil, debugPages(repo))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -112,6 +97,31 @@ func main() {
 	fmt.Printf("pardis-reg: repository serving at %s\n", router.Addr())
 	adapter.ImplIsReady()
 	fmt.Println("pardis-reg: deactivated")
+}
+
+// debugPages are the repository's own pages on the -debug endpoint: group
+// membership and load reports, the per-group rollups of the heartbeat
+// metrics digests as JSON, and the same rollups as a Prometheus federation
+// page.
+func debugPages(repo *registry.Repository) map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"/debug/groups": func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			for _, g := range repo.GroupsSnapshot() {
+				fmt.Fprintln(w, g)
+			}
+		},
+		"/debug/cluster": func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			enc.Encode(repo.ClusterSnapshot())
+		},
+		"/debug/federate": func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+			repo.WriteFederation(w)
+		},
+	}
 }
 
 // sweepPeriod is the expired-member sweep's period: sweep seconds, or half

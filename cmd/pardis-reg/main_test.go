@@ -1,9 +1,12 @@
 package main
 
 import (
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"pardis/internal/obs/obshttp"
 	"pardis/internal/registry"
 )
 
@@ -37,6 +40,27 @@ func TestSweepPeriod(t *testing.T) {
 	for _, c := range []struct{ sweep, ttl float64 }{{1e-12, 4}, {0, 1e-12}} {
 		if got, err := sweepPeriod(c.sweep, ttlOf(c.ttl)); err == nil {
 			t.Errorf("sweep %g, member-ttl %g: period %v, want an error", c.sweep, c.ttl, got)
+		}
+	}
+}
+
+// TestDebugPages: the -debug endpoint serves the repository's three pages,
+// each reading the live repository.
+func TestDebugPages(t *testing.T) {
+	repo := registry.NewRepository()
+	if err := repo.RegisterMember(nil, "svc", "m0", "ior-m0"); err != nil {
+		t.Fatal(err)
+	}
+	h := obshttp.Handler(nil, nil, nil, debugPages(repo))
+	for path, want := range map[string]string{
+		"/debug/groups":   "svc:\n  m0 ",
+		"/debug/cluster":  `"svc"`,
+		"/debug/federate": `pardis_group_members{group="svc"} 1`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("%s: status %d, body missing %q:\n%s", path, rec.Code, want, rec.Body)
 		}
 	}
 }

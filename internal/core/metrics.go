@@ -34,11 +34,3 @@ var (
 	// (99.9% within 100ms over 60s).
 	orbSLO = obs.Default.MustSLOSet("orb_slo", obs.SLOConfig{})
 )
-
-// ServeDebug starts the opt-in introspection endpoint (Prometheus text at
-// /metrics, expvar-style JSON at /debug/vars, Chrome trace JSON at
-// /debug/trace) for the process this ORB lives in, returning the bound
-// address and a closer. addr may be ":0" for an ephemeral port.
-func (o *ORB) ServeDebug(addr string) (string, func() error, error) {
-	return obs.Serve(addr, obs.Default, obs.DefaultTracer)
-}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -290,80 +288,5 @@ func TestChromeTraceExport(t *testing.T) {
 		if f.ID != 3 {
 			t.Errorf("flow event bound to id %d, want child span 3", f.ID)
 		}
-	}
-}
-
-func TestDebugEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.MustCounter("endpoint_test_total").Add(3)
-	tr := obs.NewTracer(16)
-	tr.SetEnabled(true)
-	tr.Record(obs.Span{Trace: 1, ID: 2, Layer: obs.LayerPOA, Name: "poa.dispatch", Start: 0, End: 10})
-
-	addr, closeFn, err := obs.Serve("127.0.0.1:0", reg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeFn()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
-	if body := get("/metrics"); !strings.Contains(body, "endpoint_test_total 3") {
-		t.Fatalf("/metrics missing counter:\n%s", body)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, `"endpoint_test_total": 3`) {
-		t.Fatalf("/debug/vars missing counter:\n%s", body)
-	}
-	if body := get("/debug/trace"); !strings.Contains(body, "poa.dispatch") {
-		t.Fatalf("/debug/trace missing span:\n%s", body)
-	}
-	if body := get("/healthz"); !strings.Contains(body, "ok") {
-		t.Fatalf("/healthz = %q, want ok", body)
-	}
-	// The pprof index must be mounted (profiling endpoints ride along on
-	// every debug listener).
-	if body := get("/debug/pprof/cmdline"); body == "" {
-		t.Fatal("/debug/pprof/cmdline empty")
-	}
-}
-
-func TestHealthzProbe(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := obs.NewTracer(16)
-	addr, closeFn, err := obs.Serve("127.0.0.1:0", reg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeFn()
-
-	obs.RegisterHealth(func() error { return fmt.Errorf("load shed watermark stuck") })
-	defer obs.RegisterHealth(nil)
-
-	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("failing probe → status %d, want 503", resp.StatusCode)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(b), "watermark") {
-		t.Fatalf("healthz body %q missing probe error", b)
 	}
 }

@@ -33,11 +33,3 @@ var (
 	// so they show up in the client-side orb_slo instead).
 	poaSLO = obs.Default.MustSLOSet("poa_slo", obs.SLOConfig{})
 )
-
-// ServeDebug starts the opt-in introspection endpoint (Prometheus text at
-// /metrics, expvar-style JSON at /debug/vars, Chrome trace JSON at
-// /debug/trace) for the process this POA lives in, returning the bound
-// address and a closer. addr may be ":0" for an ephemeral port.
-func (p *POA) ServeDebug(addr string) (string, func() error, error) {
-	return obs.Serve(addr, obs.Default, obs.DefaultTracer)
-}
