@@ -12,7 +12,7 @@ GOOS=windows go vet ./...
 test -z "$(gofmt -l .)"
 # Size ceilings: a package's non-test Go lines, counted as ROADMAP counts
 # them. A change that needs more lines there raises the ceiling and says why.
-for ceiling in internal/nexus:2644 internal/bench:1926; do
+for ceiling in internal/nexus:2670 internal/bench:1926; do
 	pkg="${ceiling%:*}"
 	lines="$(cat $(ls "$pkg"/*.go | grep -v '_test\.go$') | wc -l)"
 	echo "$pkg: $lines non-test lines"
@@ -123,8 +123,10 @@ go test -race -count=10 -cpu 1,2 -timeout 300s -run 'Defer|Flusher|CloseFlush|In
 # And the policy end to end, where the adapter's take loop is what keeps the
 # server's backlog in the inbox the policy looks at: at least 8 frames per
 # write(2) for a depth-32 caller, pooled server and serial, on one processor
-# and on two; and a reply deferred for a sibling never waits for it.
-go test -count=1 -cpu 1,2 -run TestPipelinedCallsShareWrites .
+# and on two; a blocking call and the idle adapter serving it park in
+# their read of the connection without polling it first; and a reply
+# deferred for a sibling never waits for it.
+go test -count=1 -cpu 1,2 -run 'TestPipelinedCallsShareWrites|TestBlockingCallWaitsInOneRead' .
 go test -race -count=5 -run TestDeferredReplyDoesNotWaitForSibling ./internal/poa
 
 # Seeded chaos soak: the dead-rank and lossy-network scenarios repeated

@@ -720,8 +720,12 @@ func (o *ORB) sendSegments(b *Binding, req *pgiop.Request, param int, holder dse
 // until the instant until. With no deadline armed and no limit it is the
 // transport's blocking receive; otherwise it alternates non-blocking
 // receives with the timeout sweep, parked on o.w until a frame arrives or
-// until the earlier of until and the sweep's next due instant.
+// until the earlier of until and the sweep's next due instant. A poll
+// (-Inf) reads the transport; a wait takes only what has been delivered,
+// because the wait's own read is the probe (DESIGN.md §12), unless it is
+// due at once.
 func (o *ORB) pump(until float64) {
+	poll := math.IsInf(until, -1)
 	for {
 		timed := o.hasTimed()
 		if !timed && math.IsInf(until, 1) {
@@ -736,7 +740,11 @@ func (o *ORB) pump(until float64) {
 			}
 			return
 		}
-		m, ok, err := o.r.RecvClient(false)
+		// A round that waits takes only what has been delivered, as its
+		// wait's read probes the socket. A poll, and a round whose wait would
+		// end at once, read the socket first: a reply already there is taken
+		// before its deadline expires or its resend goes out.
+		m, ok, err := o.r.PollClient(!poll && !o.dueNow(until, timed))
 		if err != nil {
 			o.failAll(err)
 			return
@@ -768,6 +776,31 @@ func (o *ORB) hasTimed() bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.timed > 0 || len(o.backoff) > 0
+}
+
+// dueNow reports whether a wait until the instant until would end at once:
+// until has passed or, with timed, a deadline or a resend is due.
+func (o *ORB) dueNow(until float64, timed bool) bool {
+	now := o.w.Elapsed()
+	if until <= now {
+		return true
+	}
+	if !timed {
+		return false
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, p := range o.pending {
+		if p.armed() && now >= p.timed.deadlineAt {
+			return true
+		}
+	}
+	for _, p := range o.backoff {
+		if now >= p.timed.resendAt {
+			return true
+		}
+	}
+	return false
 }
 
 // sweep fires expired deadlines and due resends, reporting whether it made

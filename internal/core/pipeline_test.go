@@ -827,6 +827,31 @@ func counterValue(name string) uint64 {
 	return v
 }
 
+// TestLateWaitTakesReplyBeforeDeadline: a reply that reached the client's
+// socket before the call's deadline resolves the call, even when its caller
+// first waits after the deadline has passed. The pump's timed wait takes
+// only what has been delivered when it is about to park, but a round whose
+// wait would end at once reads the socket before the sweep expires anything.
+func TestLateWaitTakesReplyBeforeDeadline(t *testing.T) {
+	_, b, srv := echoOrb(t)
+	b.SetDeadline(0.05)
+	c, err := b.InvokeNB("echo", []any{int32(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := srv.collect(1)
+	if err == nil {
+		err = srv.reply(reqs[0])
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // the caller computes past its deadline
+	if vals, err := c.Values(); err != nil || vals[0] != int32(7) {
+		t.Fatalf("late wait on an answered call: (%v, %v), want 7", vals, err)
+	}
+}
+
 // TestInPlaceDeadlinedCalls: a client ORB on a standalone TCP endpoint, one
 // server, reads its replies in place, also when a deadline is armed and its
 // pump parks in the ORB's timed wait — which is then a read of the

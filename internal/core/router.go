@@ -213,16 +213,31 @@ func (r *Router) WatchBy(th rts.Thread) bool { return th.Watch(r.ep) }
 // returns ok=false when none is pending. Server-bound messages encountered
 // while waiting are queued for RecvServer.
 func (r *Router) RecvClient(block bool) (*Msg, bool, error) {
-	return r.recv(block, true)
+	return r.recv(block, false, true)
 }
 
 // RecvServer returns the next server-bound message, queueing client-bound
 // ones encountered while waiting.
 func (r *Router) RecvServer(block bool) (*Msg, bool, error) {
-	return r.recv(block, false)
+	return r.recv(block, false, false)
 }
 
-func (r *Router) recv(block, wantClient bool) (*Msg, bool, error) {
+// PollClient and PollServer are RecvClient(false) and RecvServer(false),
+// except that with queued they take only what has been delivered
+// (nexus.PollQueued): for an owner that parks on its timed wait when it
+// finds nothing, whose own read then probes the endpoint's connection.
+func (r *Router) PollClient(queued bool) (*Msg, bool, error) {
+	return r.recv(false, queued, true)
+}
+
+// PollServer is PollClient for server-bound messages.
+func (r *Router) PollServer(queued bool) (*Msg, bool, error) {
+	return r.recv(false, queued, false)
+}
+
+// recv returns the next message for the role, from its queue, else from the
+// endpoint: by Recv with block, by Poll without, by PollQueued with queued.
+func (r *Router) recv(block, queued, wantClient bool) (*Msg, bool, error) {
 	for {
 		q := &r.serverQ
 		if wantClient {
@@ -241,7 +256,11 @@ func (r *Router) recv(block, wantClient bool) (*Msg, bool, error) {
 		} else {
 			var ok bool
 			var err error
-			fr, ok, err = r.ep.Poll()
+			if queued {
+				fr, ok, err = nexus.PollQueued(r.ep)
+			} else {
+				fr, ok, err = r.ep.Poll()
+			}
 			if err != nil {
 				return nil, false, err
 			}

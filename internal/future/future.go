@@ -211,10 +211,12 @@ func (c *Cell) parked() chan struct{} {
 	return d.wake
 }
 
-// Wait blocks until the cell resolves and returns its error.
+// Wait blocks until the cell resolves and returns its error. A pump-driven
+// waiter pumps with no limit from the start: the pump's wait is its probe,
+// so no poll goes before it (Resolved is the poll).
 func (c *Cell) Wait() error {
 	if d := c.pump(); d != nil {
-		for !c.Resolved() {
+		for !c.done() {
 			d.fn(math.Inf(1))
 		}
 	} else if wake := c.parked(); wake != nil {

@@ -104,7 +104,9 @@ func TestDoubleResolvePanics(t *testing.T) {
 }
 
 // TestPumpDrivesResolution: a poll pumps once without waiting (-Inf), a
-// blocking read pumps with no limit (+Inf) until the cell resolves.
+// blocking read pumps with no limit (+Inf) from its first round until the
+// cell resolves — no poll of its own goes before the wait, whose read is
+// the probe. Here: the test's Resolved, then two blocking rounds.
 func TestPumpDrivesResolution(t *testing.T) {
 	c := NewCell()
 	var untils []float64
@@ -120,7 +122,7 @@ func TestPumpDrivesResolution(t *testing.T) {
 	if got := f.MustGet(); got != 42 {
 		t.Fatalf("got %d", got)
 	}
-	if want := []float64{math.Inf(-1), math.Inf(-1), math.Inf(1)}; !slices.Equal(untils, want) {
+	if want := []float64{math.Inf(-1), math.Inf(1), math.Inf(1)}; !slices.Equal(untils, want) {
 		t.Fatalf("pump called with %v, want %v", untils, want)
 	}
 	// Further polls do not pump a resolved cell.

@@ -25,4 +25,7 @@ var (
 	// (DESIGN.md §12, "Who reads a frame").
 	tcpReadInPlace  = obs.Default.MustCounter("nexus_tcp_frames_read_in_place_total")
 	tcpReadHandoffs = obs.Default.MustCounter("nexus_tcp_read_handoffs_total")
+	// Polls that read a connection in place and found no whole frame: the
+	// read(2)s a wait that follows would have made anyway (PollQueued).
+	tcpPollsEmpty = obs.Default.MustCounter("nexus_tcp_polls_empty_total")
 )

@@ -110,6 +110,17 @@ type RecvNotifier interface {
 	SetRecvNotify(fn func()) bool
 }
 
+// PollQueued is Poll for an owner about to park on the Waiter that watches
+// ep, whose read is then the probe of ep's connection (DESIGN.md §12): it
+// takes the inbox's frames, and those the owner's last read in place left
+// buffered, and reads nothing else. Other endpoints are polled.
+func PollQueued(ep Endpoint) (Frame, bool, error) {
+	if q, ok := ep.(interface{ pollQueued() (Frame, bool, error) }); ok {
+		return q.pollQueued()
+	}
+	return ep.Poll()
+}
+
 // --- In-process fabric -------------------------------------------------------
 
 // Inproc is an in-process fabric: a namespace of endpoints connected by

@@ -579,6 +579,15 @@ func (e *tcpChan) Poll() (Frame, bool, error) {
 	return fr, res == readMine, nil
 }
 
+// pollQueued is PollQueued's Poll: it reads the connection only for bytes
+// the owner's last read in place left buffered.
+func (e *tcpChan) pollQueued() (Frame, bool, error) {
+	if tc := e.t.solo.Load(); tc != nil && tc.more.Load() {
+		return e.Poll()
+	}
+	return e.inbox.Poll()
+}
+
 // SetRecvNotify implements RecvNotifier. A watcher registered this way never
 // reads, so the transport stops reading in place (evNotify); a Waiter
 // watches through watchRead instead.
@@ -647,6 +656,9 @@ func (e *tcpChan) readOwn(nowait bool, at time.Time, w *Waiter) (Frame, readResu
 		tc.rd.src.nowait = nowait
 		data, buf, err = tc.rd.next(maxFrame)
 		tc.rd.src.nowait = false
+		if nowait && err == errWouldBlock {
+			tcpPollsEmpty.Inc()
+		}
 	}
 	w.woken() // a signal that came during the read: its caller probes anyway
 	var ch *tcpChan

@@ -371,12 +371,14 @@ func (p *POA) Deactivate() { p.pendingShutdown = true }
 // returns unexpectedly.
 func (p *POA) Fault() error { return p.fault }
 
-// ImplIsReady passes control to PARDIS: the thread polls for requests until
-// the server is deactivated (by Deactivate or a Shutdown message).
-// Collective with respect to all computing threads of the server, but
-// announce-only: thread 0 runs an agreement phase only for an SPMD invocation
-// or the shutdown, and a sibling joins it when its frame arrives, parking on
-// its timed wait until then (every poll, with AgreementDeadline set).
+// ImplIsReady passes control to PARDIS: the thread serves requests until
+// the server is deactivated (by Deactivate or a Shutdown message), serving
+// what has arrived and parking on its timed wait, whose read looks for more,
+// when nothing has. Collective with respect to all computing threads of the
+// server, but announce-only: thread 0 runs an agreement phase only for an
+// SPMD invocation or the shutdown, and a sibling joins it when its frame
+// arrives, parking on its timed wait until then (every round, with
+// AgreementDeadline set).
 func (p *POA) ImplIsReady() {
 	for {
 		n := p.processRequests(false)
@@ -399,9 +401,15 @@ func (p *POA) ImplIsReady() {
 // thread. It returns the number of requests this thread dispatched.
 func (p *POA) ProcessRequests() int { return p.processRequests(true) }
 
+// processRequests runs one dispatch round: ProcessRequests' (lockstep), or
+// ImplIsReady's, which parks in the idle wait when it serves nothing. The
+// wait's read is then the probe of the connection, so an ImplIsReady round
+// that waits on arrivals takes only what has been delivered (DESIGN.md §12)
+// — unless admission control is armed, whose take drains the transport.
 func (p *POA) processRequests(lockstep bool) int {
+	queued := !lockstep && p.evented && p.admitLimit == 0
 	count := 0
-	p.take()
+	p.take(queued)
 	// Single-object requests are served by their owning thread alone —
 	// inline, or handed to the dispatch pool so independent requests
 	// pipeline while this thread keeps polling the transport.
@@ -421,11 +429,11 @@ func (p *POA) processRequests(lockstep bool) int {
 			p.admitted.Add(-1)
 		}
 		count++
-		p.take()
+		p.take(queued)
 	}
 	// take came back with nothing to serve, so the inbox is empty: every
-	// frame that had arrived — a Shutdown behind a burst included — has been
-	// routed before the collective phase looks at pendingShutdown.
+	// frame that had been delivered — a Shutdown behind a burst included —
+	// has been routed before the collective phase looks at pendingShutdown.
 	//
 	// The dispatch pool's shrink arm is steered here, the owning-thread safe
 	// point every dispatch round passes through, so resizing never races the
@@ -449,9 +457,15 @@ func (p *POA) processRequests(lockstep bool) int {
 // With admission control armed take is drain: a shed must look at every
 // arrival when it arrives (SetAdmission: "refused immediately"), and a
 // serial adapter's admitted count only ever exceeds 1 because arrivals were
-// taken while one was being served.
-func (p *POA) take() {
-	for (p.admitLimit > 0 || len(p.localQ) == 0) && p.pull(false) {
+// taken while one was being served. With queued it takes only frames
+// already delivered (core.Router.PollServer).
+func (p *POA) take(queued bool) {
+	for p.admitLimit > 0 || len(p.localQ) == 0 {
+		m, ok, err := p.r.PollServer(queued)
+		if err != nil || !ok {
+			return
+		}
+		p.route(m)
 	}
 }
 

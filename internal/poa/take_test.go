@@ -21,9 +21,12 @@ import (
 // The dispatch loop takes a request from the transport when it can dispatch
 // it (POA.take), so the backlog waits in the endpoint's inbox. These tests
 // pin what the eager drain used to give implicitly and the lazy take has to
-// give explicitly. None of them sleeps: requests are known to be in the
-// server's inbox because an in-process Send is a synchronous push, or — over
-// TCP — because a later frame of the same connection has been received.
+// give explicitly. None of them sleeps but one: requests are known to be in
+// the server's inbox because an in-process Send is a synchronous push, or —
+// over TCP — because a later frame of the same connection has been received.
+// TestAdmissionSeesEveryArrivalInPlace needs a server that reads its
+// connection in place, which a probe channel beside it would stop, so it
+// gives loopback a moment to deliver what its caller has written.
 
 // gatedServant parks call x (its argument) until gates[x] is closed; calls
 // without a gate return at once. entered gets each invocation's argument as
@@ -270,6 +273,66 @@ func TestAdmissionSeesEveryArrival(t *testing.T) {
 	}
 	if ok != 3 || shed != 2 || p.ShedCount() != 2 || srv.served.Load() != 3 {
 		t.Fatalf("%d served (%d by the servant), %d shed, ShedCount %d; want 3, 3, 2, 2",
+			ok, srv.served.Load(), shed, p.ShedCount())
+	}
+	b.Shutdown("done")
+	wait()
+}
+
+// TestAdmissionSeesEveryArrivalInPlace: the same watermark on a server that
+// reads its TCP connection in place, for arrivals that reach the socket
+// while a backlog of two admitted calls is being served. When call 1 ends,
+// take reads the socket at once and judges the arrivals against the one
+// admitted call left: 3 is admitted, 4 and 5 are shed in transport time. A
+// take that looked only at frames already delivered would leave them in
+// the socket until the adapter went idle, judge them against an empty
+// backlog and shed only one.
+func TestAdmissionSeesEveryArrivalInPlace(t *testing.T) {
+	sep, err := nexus.NewTCPEndpoint("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sep.Close()
+	cep, err := nexus.NewTCPEndpoint("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cep.Close()
+	// The caller's lone frames are written by InvokeNB itself; the pause
+	// lets loopback put them in the server's socket.
+	const settle = 20 * time.Millisecond
+	srv := newGatedServant(0, 1)
+	ior, p, wait := serveGated(t, sep, srv, func(p *poa.POA) { p.SetAdmission(2, 0.01) })
+	b, err := core.NewORB(core.NewRouter(cep), nil, nil).Bind(ior, admissionIface())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := pipeline(t, b, 0)
+	srv.waitEntered(t)
+	cells = append(cells, pipeline(t, b, 1, 2)...)
+	time.Sleep(settle)
+	close(srv.gates[0])
+	if x := srv.waitEntered(t); x != 1 || p.ShedCount() != 0 {
+		t.Fatalf("call %d served second with %d shed, want call 1 and none", x, p.ShedCount())
+	}
+	cells = append(cells, pipeline(t, b, 3, 4, 5)...)
+	time.Sleep(settle)
+	close(srv.gates[1])
+	ok, shed := 0, 0
+	for i, c := range cells {
+		_, err := c.Values()
+		var se *core.ShedError
+		switch {
+		case err == nil:
+			ok++
+		case errors.As(err, &se):
+			shed++
+		default:
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	if ok != 4 || shed != 2 || p.ShedCount() != 2 || srv.served.Load() != 4 {
+		t.Fatalf("%d served (%d by the servant), %d shed, ShedCount %d; want 4, 4, 2, 2",
 			ok, srv.served.Load(), shed, p.ShedCount())
 	}
 	b.Shutdown("done")

@@ -338,6 +338,7 @@ func TestMetricNameHygiene(t *testing.T) {
 		"nexus_tcp_deferred_frames_total",
 		"nexus_tcp_frames_read_in_place_total",
 		"nexus_tcp_read_handoffs_total",
+		"nexus_tcp_polls_empty_total",
 		"orb_pipeline_depth",
 		"rts_bcast_payload_bytes",
 		"rts_gather_payload_bytes",
