@@ -12,7 +12,7 @@ GOOS=windows go vet ./...
 test -z "$(gofmt -l .)"
 # Size ceilings: a package's non-test Go lines, counted as ROADMAP counts
 # them. A change that needs more lines there raises the ceiling and says why.
-for ceiling in internal/nexus:2670 internal/bench:1926; do
+for ceiling in internal/nexus:2676 internal/bench:1926; do
 	pkg="${ceiling%:*}"
 	lines="$(cat $(ls "$pkg"/*.go | grep -v '_test\.go$') | wc -l)"
 	echo "$pkg: $lines non-test lines"
@@ -53,7 +53,7 @@ go test -race -count=5 -timeout 300s -run 'Mailbox|SiblingWakes|BcastArrived|Agr
 #   freed once their binding's next call is dispatched.
 # -count=25 because the cell and cancel tests are both record checks (5
 # runs) and cell checks (20).
-go test -race -count=25 -run 'Record|Pending|Cancel|Cell|PoolGrows|Future|Scalar|Word|Recycl|StillBorrows|Colocated|SegmentFlood' ./internal/core ./internal/future ./internal/nexus ./internal/poa
+go test -race -count=25 -timeout 300s -run 'Record|Pending|Cancel|Cell|PoolGrows|Future|Scalar|Word|Recycl|StillBorrows|Colocated|SegmentFlood' ./internal/core ./internal/future ./internal/nexus ./internal/poa
 # The one timed wait (DESIGN.md §12): every wall-clock deadline wakes on the
 # frame it waits for and never gives up before its instant, a virtual-clock
 # deadline receive ends on the exact instant, and an endpoint has one waiter.
@@ -87,10 +87,11 @@ rm -rf "$ledger"
 # its JSON summary as a CI artifact.
 go run ./cmd/pardis-bench -quick -json > bench-summary.json
 
-# One-shot pass over the schedule-cache micro-benchmark and the pipelined
-# TCP round trip (every echo verified, through the deferred-flush path) so a
-# broken concurrent path fails CI even when the unit tests are green.
-go test -run NONE -bench 'ScheduleCache|ORBPipelinedTCP' -benchtime 1x .
+# One-shot pass over the schedule-cache micro-benchmark, the pipelined TCP
+# round trip (every echo verified, through the deferred-flush path) and the
+# request and reply header codecs, so a broken concurrent path or codec fails
+# CI even when the unit tests are green.
+go test -run NONE -bench 'ScheduleCache|ORBPipelinedTCP|RequestCodec|ReplyCodec' -benchtime 1x . ./internal/pgiop
 
 # Same for the tree collectives and the single-frame dispatch agreement.
 go test -run NONE -bench 'Bcast|AllGather|Barrier' -benchtime 1x ./internal/rts

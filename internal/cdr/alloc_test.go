@@ -2,6 +2,7 @@ package cdr
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -127,4 +128,46 @@ func TestInternTableRecoversFromFlood(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { decode(hot) }); allocs != 0 {
 		t.Fatalf("a name in steady use decodes at %v allocs/run after a flood, want 0", allocs)
 	}
+}
+
+// TestInternConcurrent: goroutines decode hot names, and one-off names
+// enough to restart the table several times, at once. Every decode returns
+// its own name: the lock-free front never hands out another, or a torn one.
+func TestInternConcurrent(t *testing.T) {
+	encode := func(s string) []byte {
+		e := NewEncoder(len(s) + 8)
+		e.PutString(s)
+		return e.Bytes()
+	}
+	hot := make([]string, 64)
+	wires := make([][]byte, len(hot))
+	for i := range hot {
+		hot[i] = fmt.Sprintf("inproc://client/%d#%d", i%8, i)
+		wires[i] = encode(hot[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var d Decoder
+			for i := 0; i < 3*maxInternedStrings; i++ {
+				k := (i*7 + g) % len(hot)
+				d.Reset(wires[k])
+				if got := d.GetStringInterned(); got != hot[k] {
+					t.Errorf("decoded %q, want %q", got, hot[k])
+					return
+				}
+				if g == 0 {
+					name := fmt.Sprintf("one-off#%d", i)
+					d.Reset(encode(name))
+					if got := d.GetStringInterned(); got != name {
+						t.Errorf("decoded %q, want %q", got, name)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

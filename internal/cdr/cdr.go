@@ -15,8 +15,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrTruncated is reported when a decoder runs out of bytes.
@@ -259,10 +261,37 @@ const (
 	maxInternedStrings = 4096
 )
 
+// The intern table: interned maps each string to where the table keeps it,
+// an element of a block of internBlock strings. internFree is what is left
+// of the current block. An element is written once, before anyone can see
+// it, so a pointer to it stays a valid string for as long as anyone holds
+// it. All three are internMu's.
 var (
-	internMu sync.RWMutex
-	interned = map[string]string{}
+	internMu   sync.RWMutex
+	interned   = map[string]*string{}
+	internFree []string
 )
+
+const internBlock = 64
+
+// internFront is the table's lock-free front: a cache of pointers to the
+// table's elements in sets of two, picked by a hash of the bytes. A hit is
+// an atomic load and a comparison or two; a miss takes the table's lock and
+// puts the table's own element first in its set, the first moving second,
+// so neither allocates. Two ways keep a pair of hot names that share a set
+// from evicting each other on every message.
+var (
+	internFront [512]internSet
+	internSeed  = maphash.MakeSeed()
+)
+
+type internSet [2]atomic.Pointer[string]
+
+// fill puts p first in the set; the set's first element moves second.
+func (set *internSet) fill(p *string) {
+	set[1].Store(set[0].Load())
+	set[0].Store(p)
+}
 
 // GetStringInterned decodes a CDR string through a process-wide intern
 // table. Protocol fields that repeat on every message — operation names,
@@ -281,25 +310,54 @@ func (d *Decoder) GetStringInterned() string {
 	if len(b) > maxInternedLen {
 		return string(b)
 	}
+	set := &internFront[maphash.Bytes(internSeed, b)%uint64(len(internFront))]
+	for i := range set {
+		if p := set[i].Load(); p != nil && *p == string(b) { // compared in place: no conversion alloc
+			return *p
+		}
+	}
+	return intern(b, set)
+}
+
+// intern finds or adds b in the table and fills set with it. The set is
+// filled under the lock, so a restart, which empties the front, cannot be
+// overtaken by a refill with an element of the table it replaced.
+func intern(b []byte, set *internSet) string {
 	internMu.RLock()
-	s, ok := interned[string(b)] // map lookup by []byte key: no conversion alloc
+	p, ok := interned[string(b)] // map lookup by []byte key: no conversion alloc
+	if ok {
+		set.fill(p)
+	}
 	internMu.RUnlock()
 	if ok {
-		return s
+		return *p
 	}
-	s = string(b)
 	internMu.Lock()
-	if len(interned) >= maxInternedStrings {
-		// Full: start over rather than stop interning. A flood of one-off
-		// names (ten thousand short-lived client bindings) would otherwise
-		// leave every later binding's identity fields uninterned — four
-		// allocations per request — for the life of the process; after a
-		// restart the names still in use re-enter at one allocation each.
-		interned = map[string]string{}
+	defer internMu.Unlock()
+	if p, ok = interned[string(b)]; !ok {
+		if len(interned) >= maxInternedStrings {
+			// Full: start over rather than stop interning. A flood of
+			// one-off names (ten thousand short-lived client bindings)
+			// would otherwise leave every later binding's identity fields
+			// uninterned — four allocations per request — for the life of
+			// the process; after a restart the names still in use re-enter
+			// at one allocation each, and one block per internBlock of them.
+			interned = map[string]*string{}
+			for i := range internFront {
+				internFront[i][0].Store(nil)
+				internFront[i][1].Store(nil)
+			}
+		}
+		if len(internFree) == 0 {
+			internFree = make([]string, internBlock)
+		}
+		p = &internFree[0]
+		internFree = internFree[1:]
+		*p = string(b)
+		interned[*p] = p
 	}
-	interned[s] = s
-	internMu.Unlock()
-	return s
+	set.fill(p)
+	return *p
 }
 
 // SetBorrow declares that decoded aggregates may alias the wire buffer
@@ -317,9 +375,25 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining reports how many bytes are left.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 
+// truncated is the decoder's sticky error: what was being read, and where.
+// Its text is built when it is read, so recording a failure is two stores —
+// cheap enough for every fixed-size read to carry its own failure path and
+// still inline.
+type truncated struct {
+	what string
+	at   int
+}
+
+func (e *truncated) Error() string {
+	return fmt.Sprintf("%v: reading %s at offset %d", ErrTruncated, e.what, e.at)
+}
+
+func (e *truncated) Unwrap() error { return ErrTruncated }
+
+// fail records the first error: reading what at the current offset.
 func (d *Decoder) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: reading %s at offset %d", ErrTruncated, what, d.pos)
+		d.err = &truncated{what, d.pos}
 	}
 }
 
@@ -347,19 +421,33 @@ func (d *Decoder) take(n int, what string) []byte {
 	return b
 }
 
-// GetBool decodes a boolean.
-func (d *Decoder) GetBool() bool {
-	b := d.take(1, "bool")
-	return b != nil && b[0] != 0
+// The fixed-size reads below inline into their callers: a value of size n
+// is aligned to n, so its offset p is a mask of the position, and one
+// comparison admits the read. What it turns away — a decoder that has
+// failed, a value or its padding past the end — ends in miss.
+
+// miss ends a fixed-size read, of what at the aligned offset p, that does
+// not fit. It leaves the decoder as the aligned read it stands for, align
+// then take, would: the padding is skipped if it fits, and a healthy decoder
+// fails where the value (or, past the end, its padding) begins.
+func (d *Decoder) miss(p int, what string) {
+	if p <= len(d.buf) {
+		d.pos = p
+	}
+	d.fail(what)
 }
+
+// GetBool decodes a boolean.
+func (d *Decoder) GetBool() bool { return d.GetOctet() != 0 }
 
 // GetOctet decodes one byte.
 func (d *Decoder) GetOctet() byte {
-	b := d.take(1, "octet")
-	if b == nil {
-		return 0
+	if p := d.pos; d.err == nil && p < len(d.buf) {
+		d.pos = p + 1
+		return d.buf[p]
 	}
-	return b[0]
+	d.miss(d.pos, "octet")
+	return 0
 }
 
 // GetChar decodes an IDL char.
@@ -370,12 +458,13 @@ func (d *Decoder) GetShort() int16 { return int16(d.GetUShort()) }
 
 // GetUShort decodes a 16-bit unsigned integer.
 func (d *Decoder) GetUShort() uint16 {
-	d.align(2, "ushort")
-	b := d.take(2, "ushort")
-	if b == nil {
-		return 0
+	p := (d.pos + 1) &^ 1
+	if d.err == nil && p+2 <= len(d.buf) {
+		d.pos = p + 2
+		return binary.BigEndian.Uint16(d.buf[p:])
 	}
-	return binary.BigEndian.Uint16(b)
+	d.miss(p, "ushort")
+	return 0
 }
 
 // GetLong decodes a 32-bit signed integer.
@@ -383,12 +472,13 @@ func (d *Decoder) GetLong() int32 { return int32(d.GetULong()) }
 
 // GetULong decodes a 32-bit unsigned integer.
 func (d *Decoder) GetULong() uint32 {
-	d.align(4, "ulong")
-	b := d.take(4, "ulong")
-	if b == nil {
-		return 0
+	p := (d.pos + 3) &^ 3
+	if d.err == nil && p+4 <= len(d.buf) {
+		d.pos = p + 4
+		return binary.BigEndian.Uint32(d.buf[p:])
 	}
-	return binary.BigEndian.Uint32(b)
+	d.miss(p, "ulong")
+	return 0
 }
 
 // GetLongLong decodes a 64-bit signed integer.
@@ -396,12 +486,13 @@ func (d *Decoder) GetLongLong() int64 { return int64(d.GetULongLong()) }
 
 // GetULongLong decodes a 64-bit unsigned integer.
 func (d *Decoder) GetULongLong() uint64 {
-	d.align(8, "ulonglong")
-	b := d.take(8, "ulonglong")
-	if b == nil {
-		return 0
+	p := (d.pos + 7) &^ 7
+	if d.err == nil && p+8 <= len(d.buf) {
+		d.pos = p + 8
+		return binary.BigEndian.Uint64(d.buf[p:])
 	}
-	return binary.BigEndian.Uint64(b)
+	d.miss(p, "ulonglong")
+	return 0
 }
 
 // GetFloat decodes a 32-bit float.
@@ -429,13 +520,14 @@ func (d *Decoder) GetString() string {
 // exceed the remaining stream (corrupt or adversarial input).
 func (d *Decoder) GetSeqLen(elemMinSize int) int {
 	n := int(d.GetULong())
-	if d.err != nil {
-		return 0
+	// At most one element per elemMinSize bytes left, and one more: n must
+	// not exceed rem/elemMinSize + 1. Counts of 0 and 1 always pass, so the
+	// common empty sequence divides nothing.
+	rem := len(d.buf) - d.pos
+	if elemMinSize > 1 && n > 1 {
+		rem /= elemMinSize
 	}
-	if elemMinSize < 1 {
-		elemMinSize = 1
-	}
-	if n < 0 || n > d.Remaining()/elemMinSize+1 {
+	if d.err != nil || n < 0 || n > rem+1 {
 		d.fail("sequence length")
 		return 0
 	}
@@ -445,7 +537,12 @@ func (d *Decoder) GetSeqLen(elemMinSize int) int {
 // GetOctets decodes a length-prefixed octet sequence. The result aliases
 // the input buffer.
 func (d *Decoder) GetOctets() []byte {
-	n := d.GetSeqLen(1)
+	// GetSeqLen(1), whose bound needs no division, read in place.
+	n := int(d.GetULong())
+	if d.err != nil || n < 0 || n > len(d.buf)-d.pos+1 {
+		d.fail("sequence length")
+		return nil
+	}
 	return d.take(n, "octets")
 }
 

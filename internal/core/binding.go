@@ -22,6 +22,7 @@ type Binding struct {
 	seq   uint32
 	spmd  bool
 	local LocalHandler // the co-located object's direct call, if any
+	depth *int         // the ORB's in-flight counter of the server (ORB.inflight)
 
 	outDists map[string]map[int]dist.Template
 
@@ -55,6 +56,7 @@ func (o *ORB) Bind(ior IOR, iface *InterfaceDef) (*Binding, error) {
 		id:       fmt.Sprintf("%s#%d", o.r.Addr(), o.nextBind),
 		outDists: map[string]map[int]dist.Template{},
 		slos:     make([]*obs.SLOOp, len(def.Ops)),
+		depth:    o.depth(ior),
 	}
 	if o.local != nil && !ior.SPMD {
 		b.local = o.local.lookup(ior.Key)

@@ -40,10 +40,12 @@ type ORB struct {
 	// (keyed by the server's thread-0 address, the peer all requests of a
 	// binding are issued to). It is the pipelining ledger: with the
 	// multiplexed transport many requests ride one connection back to
-	// back, and this table — owned by o.mu alongside pending itself — is
-	// what deadline sweeps, cancels and transport failures decrement so
-	// depth never drifts from reality.
-	inflight map[string]int
+	// back, and these counters — owned by o.mu alongside pending itself —
+	// are what deadline sweeps, cancels and transport failures decrement so
+	// depth never drifts from reality. A binding resolves its server's
+	// counter once, at Bind (Binding.depth), so issuing and claiming a call
+	// count without a lookup.
+	inflight map[string]*int
 	// timed counts pending requests with a deadline armed (deadlineAt > 0),
 	// kept by the same track/untrack calls as inflight so the pump's "is
 	// anything timed?" check is O(1) however deep the pipeline.
@@ -80,7 +82,7 @@ type ORB struct {
 // table is the process-local object table enabling the co-located
 // direct-call shortcut (may be nil).
 func NewORB(r *Router, comm rts.Comm, table *LocalTable) *ORB {
-	o := &ORB{r: r, comm: comm, local: table, pending: map[uint32]*pendingReq{}, inflight: map[string]int{}}
+	o := &ORB{r: r, comm: comm, local: table, pending: map[uint32]*pendingReq{}, inflight: map[string]*int{}}
 	if th, ok := comm.(rts.Thread); ok {
 		o.w = th
 	} else {
@@ -304,21 +306,33 @@ func (o *ORB) trackLocked(p *pendingReq) int {
 	if p.armed() {
 		o.timed++
 	}
-	s0 := p.server0()
-	o.inflight[s0]++
-	return o.inflight[s0]
+	*p.b.depth++
+	return *p.b.depth
 }
 
 func (o *ORB) untrackLocked(p *pendingReq) {
 	if p.armed() {
 		o.timed--
 	}
-	s0 := p.server0()
-	if n := o.inflight[s0]; n > 1 {
-		o.inflight[s0] = n - 1
-	} else {
-		delete(o.inflight, s0)
+	*p.b.depth--
+}
+
+// depth returns the in-flight counter of ior's server, keyed by its thread-0
+// address, creating it on first use. A counter lives as long as the ORB:
+// bindings hold it.
+func (o *ORB) depth(ior IOR) *int {
+	var server0 string
+	if len(ior.Addrs) > 0 {
+		server0 = ior.Addrs[0]
 	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n := o.inflight[server0]
+	if n == nil {
+		n = new(int)
+		o.inflight[server0] = n
+	}
+	return n
 }
 
 // Inflight reports the number of pending two-way requests currently issued
@@ -327,7 +341,10 @@ func (o *ORB) untrackLocked(p *pendingReq) {
 func (o *ORB) Inflight(server0 string) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.inflight[server0]
+	if n := o.inflight[server0]; n != nil {
+		return *n
+	}
+	return 0
 }
 
 // Invoke performs a blocking invocation on a binding: it returns when the
@@ -967,7 +984,9 @@ func (o *ORB) failAll(err error) {
 	o.mu.Lock()
 	ps := o.pending
 	o.pending = map[uint32]*pendingReq{}
-	o.inflight = map[string]int{}
+	for _, n := range o.inflight {
+		*n = 0
+	}
 	o.timed = 0
 	parked := o.backoff
 	o.backoff = nil
@@ -1150,13 +1169,13 @@ func (o *ORB) maybeComplete(p *pendingReq) {
 // boxed. Values may alias a reply frame the GC owns (zero-copy, the bulk
 // case); they are copied out of a pooled one.
 func (o *ORB) results(p *pendingReq, m *Msg) ([]any, error) {
-	dec := cdr.GetDecoder(m.Reply.Body)
-	dec.SetBorrow(!m.FramePooled())
-	defer dec.Release()
+	var d cdr.Decoder
+	d.Reset(m.Reply.Body)
+	d.SetBorrow(!m.FramePooled())
 	vals := p.call.Slots(resultCount(p.op))[:0]
 	word := p.handedOut()
 	if r := p.op.Result; r != nil {
-		v, err := decodeResult(p.call, dec, r, word)
+		v, err := decodeResult(p.call, &d, r, word)
 		if err != nil {
 			return nil, fmt.Errorf("core: corrupt return value: %w", err)
 		}
@@ -1171,7 +1190,7 @@ func (o *ORB) results(p *pendingReq, m *Msg) ([]any, error) {
 		if prm.Distributed() {
 			vals = append(vals, p.outs.holders[i])
 		} else {
-			v, err := decodeResult(p.call, dec, prm.Type, word)
+			v, err := decodeResult(p.call, &d, prm.Type, word)
 			if err != nil {
 				return nil, fmt.Errorf("core: corrupt out value %s: %w", prm.Name, err)
 			}

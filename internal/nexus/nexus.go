@@ -21,7 +21,9 @@ package nexus
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 )
 
 // Addr identifies an endpoint. The scheme prefix names the fabric
@@ -124,16 +126,19 @@ func PollQueued(ep Endpoint) (Frame, bool, error) {
 // --- In-process fabric -------------------------------------------------------
 
 // Inproc is an in-process fabric: a namespace of endpoints connected by
-// queues. Safe for concurrent use by many goroutines.
+// queues. Safe for concurrent use by many goroutines; a send finds its
+// destination in a copy-on-write table, without a lock.
 type Inproc struct {
-	mu   sync.Mutex
+	mu   sync.Mutex // serializes the table's writers
 	next int
-	eps  map[Addr]*inprocEP
+	eps  atomic.Pointer[map[Addr]*inprocEP]
 }
 
 // NewInproc creates an empty in-process fabric.
 func NewInproc() *Inproc {
-	return &Inproc{eps: map[Addr]*inprocEP{}}
+	f := new(Inproc)
+	f.eps.Store(&map[Addr]*inprocEP{})
+	return f
 }
 
 // NewEndpoint creates an endpoint. The name is advisory; the returned
@@ -147,24 +152,25 @@ func (f *Inproc) NewEndpoint(name string) Endpoint {
 		addr:   Addr(fmt.Sprintf("inproc://%s/%d", name, f.next)),
 	}
 	ep.inbox.init()
-	f.eps[ep.addr] = ep
+	eps := maps.Clone(*f.eps.Load())
+	eps[ep.addr] = ep
+	f.eps.Store(&eps)
 	return ep
 }
 
 func (f *Inproc) lookup(a Addr) (*inprocEP, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ep, ok := f.eps[a]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoRoute, a)
+	if ep := (*f.eps.Load())[a]; ep != nil {
+		return ep, nil
 	}
-	return ep, nil
+	return nil, fmt.Errorf("%w: %s", ErrNoRoute, a)
 }
 
 func (f *Inproc) drop(a Addr) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.eps, a)
+	eps := maps.Clone(*f.eps.Load())
+	delete(eps, a)
+	f.eps.Store(&eps)
 }
 
 // inbox is an endpoint's receive queue, the part the Inproc and TCP fabrics

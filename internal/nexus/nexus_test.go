@@ -68,6 +68,45 @@ func TestInprocNoRoute(t *testing.T) {
 	}
 }
 
+// TestInprocTableUnderChurn: sends look their destination up without a lock
+// while other goroutines add and close endpoints. Every frame to the stable
+// endpoint arrives, a send to a closed one finds no route or a closed inbox,
+// and a closed endpoint's address stops resolving.
+func TestInprocTableUnderChurn(t *testing.T) {
+	f := NewInproc()
+	dst := f.NewEndpoint("dst")
+	const senders, sends = 4, 500
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src := f.NewEndpoint("src")
+			for i := 0; i < sends; i++ {
+				if err := src.Send(dst.Addr(), []byte{byte(i)}); err != nil {
+					t.Errorf("send %d: %v", i, err)
+					return
+				}
+				gone := f.NewEndpoint("gone")
+				gone.Close()
+				if err := src.Send(gone.Addr(), nil); !errors.Is(err, ErrNoRoute) {
+					t.Errorf("send to a closed endpoint: %v, want ErrNoRoute", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < senders*sends; i++ {
+		if _, ok, err := dst.Poll(); !ok || err != nil {
+			t.Fatalf("frame %d of %d: ok %v, err %v", i, senders*sends, ok, err)
+		}
+	}
+	if n := len(*f.eps.Load()); n != 1+senders {
+		t.Fatalf("table holds %d endpoints, want %d", n, 1+senders)
+	}
+}
+
 func TestInprocCloseUnblocksRecv(t *testing.T) {
 	f := NewInproc()
 	a := f.NewEndpoint("a")

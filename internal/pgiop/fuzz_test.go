@@ -1,6 +1,7 @@
 package pgiop
 
 import (
+	"reflect"
 	"testing"
 
 	"pardis/internal/dist"
@@ -10,7 +11,9 @@ import (
 // PeekType, then the Decode* that matches the classified type. The property
 // is that hostile input yields an error or a value — never a panic, and
 // never an allocation sized by a length field the frame cannot back (the
-// fuzzer's memory limit is what notices the latter).
+// fuzzer's memory limit is what notices the latter). A request, reply or
+// segment header it accepts must also survive a round trip: encoding the
+// decoded message and decoding that gives the same message.
 func FuzzDecode(f *testing.F) {
 	f.Add(EncodeRequest(&Request{
 		BindingID: "b-7", SeqNo: 3, ReqID: 9, ClientRank: 1, ClientSize: 2,
@@ -36,11 +39,20 @@ func FuzzDecode(f *testing.F) {
 		}
 		switch typ {
 		case MsgRequest:
-			DecodeRequest(frame)
+			if r, err := DecodeRequest(frame); err == nil {
+				again, err := DecodeRequest(EncodeRequest(r))
+				sameAgain(t, r, again, err)
+			}
 		case MsgReply:
-			DecodeReply(frame)
+			if r, err := DecodeReply(frame); err == nil {
+				again, err := DecodeReply(EncodeReply(r))
+				sameAgain(t, r, again, err)
+			}
 		case MsgArgStream:
-			DecodeArgStream(frame)
+			if a, err := DecodeArgStream(frame); err == nil {
+				again, err := DecodeArgStream(EncodeArgStream(a))
+				sameAgain(t, a, again, err)
+			}
 		case MsgLocateRequest:
 			DecodeLocateRequest(frame)
 		case MsgLocateReply:
@@ -53,4 +65,16 @@ func FuzzDecode(f *testing.F) {
 			DecodeFaultNotice(frame)
 		}
 	})
+}
+
+// sameAgain fails the fuzz case unless decoding the re-encoded message
+// succeeded and gave what the first decode did.
+func sameAgain(t *testing.T, first, again any, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("re-encoded %+v does not decode: %v", first, err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("round trip changed the message:\n first %+v\n again %+v", first, again)
+	}
 }

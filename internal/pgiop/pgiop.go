@@ -223,27 +223,22 @@ func PeekType(frame []byte) (MsgType, error) {
 	return t, nil
 }
 
-// body returns a pooled decoder positioned after the 4-byte header. It
-// decodes over the whole frame so alignment phase matches the encoder's.
-// Each Decode* function releases it before returning; decoded values alias
-// the frame, never the decoder, so the release is always safe.
-func body(frame []byte) *cdr.Decoder {
-	d := cdr.GetDecoder(frame)
-	for i := 0; i < 4; i++ {
-		d.GetOctet()
+// expect checks that frame is a message of type want and points d, the
+// caller's decoder — on its stack, so a decode borrows nothing — at the
+// body after the 4-byte header. d decodes over the whole frame so the
+// alignment phase matches the encoder's; decoded values alias the frame,
+// never the decoder.
+func expect(d *cdr.Decoder, frame []byte, want MsgType) error {
+	if len(frame) < 4 || frame[0] != magic[0] || frame[1] != magic[1] || frame[2] != Version || MsgType(frame[3]) != want {
+		t, err := PeekType(frame)
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("%w: type %d, want %d", ErrBadMessage, t, want)
 	}
-	return d
-}
-
-func expect(frame []byte, want MsgType) (*cdr.Decoder, error) {
-	t, err := PeekType(frame)
-	if err != nil {
-		return nil, err
-	}
-	if t != want {
-		return nil, fmt.Errorf("%w: type %d, want %d", ErrBadMessage, t, want)
-	}
-	return body(frame), nil
+	d.Reset(frame)
+	d.GetRaw(4)
+	return nil
 }
 
 // AppendRequest encodes everything of a Request except the Body bytes into
@@ -305,32 +300,32 @@ func DecodeRequest(frame []byte) (*Request, error) {
 // lets a caller that already owns Request storage (e.g. embedded in a
 // larger message struct) decode without a separate allocation.
 func DecodeRequestInto(r *Request, frame []byte) error {
-	d, err := expect(frame, MsgRequest)
-	if err != nil {
+	var d cdr.Decoder
+	if err := expect(&d, frame, MsgRequest); err != nil {
 		return err
 	}
-	defer d.Release()
 	// The identifying fields repeat on every message of a binding's
 	// lifetime; interning collapses them to one allocation per distinct
-	// value instead of four per request.
-	*r = Request{
-		BindingID:  d.GetStringInterned(),
-		SeqNo:      d.GetULong(),
-		ReqID:      d.GetULong(),
-		ClientRank: d.GetLong(),
-		ClientSize: d.GetLong(),
-		ReplyAddr:  d.GetStringInterned(),
-		ObjectKey:  d.GetStringInterned(),
-		Operation:  d.GetStringInterned(),
-		Oneway:     d.GetBool(),
-		DeadlineMS: d.GetULong(),
-		TraceID:    d.GetULongLong(),
-		SpanID:     d.GetULongLong(),
-	}
+	// value instead of four per request. The fields are stored one by one
+	// into the zeroed r, in wire order, rather than built as a literal and
+	// copied in.
+	*r = Request{}
+	r.BindingID = d.GetStringInterned()
+	r.SeqNo = d.GetULong()
+	r.ReqID = d.GetULong()
+	r.ClientRank = d.GetLong()
+	r.ClientSize = d.GetLong()
+	r.ReplyAddr = d.GetStringInterned()
+	r.ObjectKey = d.GetStringInterned()
+	r.Operation = d.GetStringInterned()
+	r.Oneway = d.GetBool()
+	r.DeadlineMS = d.GetULong()
+	r.TraceID = d.GetULongLong()
+	r.SpanID = d.GetULongLong()
 	nIn := d.GetSeqLen(4)
 	for i := 0; i < nIn; i++ {
 		s := DistInSpec{Param: d.GetLong(), N: d.GetLong()}
-		l, err := dist.DecodeLayout(d)
+		l, err := dist.DecodeLayout(&d)
 		if err != nil {
 			return fmt.Errorf("%w: dist-in %d: %v", ErrBadMessage, i, err)
 		}
@@ -346,7 +341,7 @@ func DecodeRequestInto(r *Request, frame []byte) error {
 	nOut := d.GetSeqLen(4)
 	for i := 0; i < nOut; i++ {
 		s := DistOutSpec{Param: d.GetLong()}
-		t, err := dist.DecodeTemplate(d)
+		t, err := dist.DecodeTemplate(&d)
 		if err != nil {
 			return fmt.Errorf("%w: dist-out %d: %v", ErrBadMessage, i, err)
 		}
@@ -399,21 +394,19 @@ func DecodeReply(frame []byte) (*Reply, error) {
 // DecodeReplyInto parses a Reply message into r, overwriting it (the
 // allocation-free counterpart of DecodeReply). Body aliases the frame.
 func DecodeReplyInto(r *Reply, frame []byte) error {
-	d, err := expect(frame, MsgReply)
-	if err != nil {
+	var d cdr.Decoder
+	if err := expect(&d, frame, MsgReply); err != nil {
 		return err
 	}
-	defer d.Release()
-	*r = Reply{
-		ReqID:        d.GetULong(),
-		Status:       d.GetOctet(),
-		Error:        d.GetString(),
-		RetryAfterMS: d.GetULong(),
-	}
+	*r = Reply{}
+	r.ReqID = d.GetULong()
+	r.Status = d.GetOctet()
+	r.Error = d.GetString()
+	r.RetryAfterMS = d.GetULong()
 	n := d.GetSeqLen(4)
 	for i := 0; i < n; i++ {
 		o := OutLen{Param: d.GetLong(), N: d.GetLong()}
-		l, err := dist.DecodeLayout(d)
+		l, err := dist.DecodeLayout(&d)
 		if err != nil {
 			return fmt.Errorf("%w: out-len %d: %v", ErrBadMessage, i, err)
 		}
@@ -466,11 +459,10 @@ func EncodeArgStream(a *ArgStream) []byte {
 // DecodeArgStream parses an ArgStream message. Payload aliases the frame;
 // the frame is owned by the decoded message from here on.
 func DecodeArgStream(frame []byte) (*ArgStream, error) {
-	d, err := expect(frame, MsgArgStream)
-	if err != nil {
+	var d cdr.Decoder
+	if err := expect(&d, frame, MsgArgStream); err != nil {
 		return nil, err
 	}
-	defer d.Release()
 	a := &ArgStream{
 		BindingID: d.GetStringInterned(),
 		SeqNo:     d.GetULong(),
@@ -506,11 +498,10 @@ func EncodeLocateRequest(l *LocateRequest) []byte {
 
 // DecodeLocateRequest parses a LocateRequest.
 func DecodeLocateRequest(frame []byte) (*LocateRequest, error) {
-	d, err := expect(frame, MsgLocateRequest)
-	if err != nil {
+	var d cdr.Decoder
+	if err := expect(&d, frame, MsgLocateRequest); err != nil {
 		return nil, err
 	}
-	defer d.Release()
 	l := &LocateRequest{ReqID: d.GetULong(), ObjectKey: d.GetStringInterned()}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
@@ -529,11 +520,10 @@ func EncodeLocateReply(l *LocateReply) []byte {
 
 // DecodeLocateReply parses a LocateReply.
 func DecodeLocateReply(frame []byte) (*LocateReply, error) {
-	d, err := expect(frame, MsgLocateReply)
-	if err != nil {
+	var d cdr.Decoder
+	if err := expect(&d, frame, MsgLocateReply); err != nil {
 		return nil, err
 	}
-	defer d.Release()
 	l := &LocateReply{ReqID: d.GetULong(), Found: d.GetBool()}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
@@ -552,11 +542,10 @@ func EncodeCancelRequest(c *CancelRequest) []byte {
 
 // DecodeCancelRequest parses a CancelRequest.
 func DecodeCancelRequest(frame []byte) (*CancelRequest, error) {
-	d, err := expect(frame, MsgCancelRequest)
-	if err != nil {
+	var d cdr.Decoder
+	if err := expect(&d, frame, MsgCancelRequest); err != nil {
 		return nil, err
 	}
-	defer d.Release()
 	c := &CancelRequest{BindingID: d.GetStringInterned(), SeqNo: d.GetULong()}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
@@ -576,11 +565,10 @@ func EncodeFaultNotice(f *FaultNotice) []byte {
 
 // DecodeFaultNotice parses a FaultNotice message.
 func DecodeFaultNotice(frame []byte) (*FaultNotice, error) {
-	d, err := expect(frame, MsgFault)
-	if err != nil {
+	var d cdr.Decoder
+	if err := expect(&d, frame, MsgFault); err != nil {
 		return nil, err
 	}
-	defer d.Release()
 	f := &FaultNotice{Rank: d.GetLong(), Phase: d.GetString(), Reason: d.GetString()}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
@@ -598,11 +586,10 @@ func EncodeShutdown(s *Shutdown) []byte {
 
 // DecodeShutdown parses a Shutdown message.
 func DecodeShutdown(frame []byte) (*Shutdown, error) {
-	d, err := expect(frame, MsgShutdown)
-	if err != nil {
+	var d cdr.Decoder
+	if err := expect(&d, frame, MsgShutdown); err != nil {
 		return nil, err
 	}
-	defer d.Release()
 	s := &Shutdown{Reason: d.GetString()}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package pgiop
+
+const raceEnabled = false

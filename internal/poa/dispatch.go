@@ -113,7 +113,8 @@ func (p *POA) collectivePhase(lockstep bool) int {
 	}
 	// Decisions alias the frame (GetOctets never copies), which stays alive
 	// as long as any decoded request does — DESIGN.md §7 frame ownership.
-	d := cdr.GetDecoder(frame)
+	var d cdr.Decoder
+	d.Reset(frame)
 	n = int(d.GetULong())
 	count := 0
 	for i := 0; i < n; i++ {
@@ -164,7 +165,6 @@ func (p *POA) collectivePhase(lockstep bool) int {
 		p.dispatchSPMD(req, clients, decodeSpan)
 		count++
 	}
-	d.Release()
 	return count
 }
 
@@ -208,10 +208,9 @@ func appendDecision(e *cdr.Encoder, g *gather) {
 }
 
 func decodeDecision(pay []byte) (*pgiop.Request, []clientInfo, byte, error) {
-	// Pooled decoder: decoded values alias pay, never the decoder, so
-	// releasing it is safe while the request is still in flight.
-	d := cdr.GetDecoder(pay)
-	defer d.Release()
+	// Decoded values alias pay, never the decoder, which lives on the stack.
+	var d cdr.Decoder
+	d.Reset(pay)
 	kind := d.GetOctet()
 	if kind == decShutdown {
 		return nil, nil, kind, d.Err()
@@ -445,15 +444,15 @@ func (p *POA) callLocal(e *entry, name string, in []any) ([]any, error) {
 // agreement frame of an SPMD dispatch — so decoded arguments may alias it
 // (zero-copy) and stay valid for as long as the servant keeps them.
 func decodeInline(op *core.Operation, body []byte, inVals []any, borrow bool) error {
-	dec := cdr.GetDecoder(body)
+	var dec cdr.Decoder
+	dec.Reset(body)
 	dec.SetBorrow(borrow)
-	defer dec.Release()
 	for i := range op.Params {
 		prm := &op.Params[i]
 		if prm.Distributed() || prm.Mode == core.Out {
 			continue
 		}
-		v, err := typecode.Unmarshal(dec, prm.Type)
+		v, err := typecode.Unmarshal(&dec, prm.Type)
 		if err != nil {
 			return fmt.Errorf("argument %s: %v", prm.Name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pardis/internal/cdr"
 	"pardis/internal/core"
@@ -37,10 +38,13 @@ func TestSegmentFloodOfUncollectedCallsIsFreed(t *testing.T) {
 	fab := nexus.NewInproc()
 	iorCh := make(chan core.IOR, 1)
 	var held [threads]struct{ segs, gathers int }
+	var faults [threads]error
+	served := make(chan struct{}) // closed once every thread has left ImplIsReady
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(served)
 		rts.NewChanGroup("flood-host", threads).Run(func(th rts.Thread) {
 			p := New(th, core.NewRouter(fab.NewEndpoint(fmt.Sprintf("flood%d", th.Rank()))), nil)
 			p.PollInterval = 20e-6
@@ -57,6 +61,7 @@ func TestSegmentFloodOfUncollectedCallsIsFreed(t *testing.T) {
 			}
 			p.ImplIsReady()
 			held[th.Rank()].segs, held[th.Rank()].gathers = len(p.segs), len(p.gathers)
+			faults[th.Rank()] = p.Fault()
 		})
 	}()
 	ior := <-iorCh
@@ -85,11 +90,30 @@ func TestSegmentFloodOfUncollectedCallsIsFreed(t *testing.T) {
 			Payload: pay.Bytes(),
 		})
 	}
+	// reply reads the answer to call seq. The read is bounded: an adapter
+	// that faults — its deadline-bounded collect agreement can blame a
+	// sibling that is merely slow — answers no more calls, and the test then
+	// fails with the adapter's fault instead of waiting for ever.
 	reply := func(seq uint32) *pgiop.Reply {
 		t.Helper()
-		fr, err := ep.Recv()
-		if err != nil {
-			t.Fatal(err)
+		var fr nexus.Frame
+		for give := time.Now().Add(time.Minute); ; time.Sleep(50 * time.Microsecond) {
+			f, ok, err := ep.Poll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				fr = f
+				break
+			}
+			select {
+			case <-served:
+				t.Fatalf("call %d: no reply; the adapter stopped with faults %v", seq, faults)
+			default:
+			}
+			if time.Now().After(give) {
+				t.Fatalf("call %d: no reply in a minute", seq)
+			}
 		}
 		r, err := pgiop.DecodeReply(fr.Data)
 		if err != nil || r.ReqID != seq+1 {

@@ -84,13 +84,24 @@ func BarrierDeadline(th Thread, seconds float64) error {
 // abort protocol.
 func RecvTimeout(th Thread, src int, tag Tag, seconds float64) (Message, bool) {
 	until := th.Elapsed() + seconds
-	for !th.Probe(src, tag) {
+	for !probeQueued(th, src, tag) {
 		if th.Elapsed() >= until {
 			return Message{}, false
 		}
 		th.WaitUntil(until)
 	}
 	return th.Recv(src, tag), true
+}
+
+// probeQueued is c's Probe for a receive that parks on its thread's wait
+// when it finds nothing: a thread over a nexus endpoint looks only at what
+// has been delivered, so the wait's read of an in-place TCP connection is
+// the receive's only look at the socket. Other Comms probe.
+func probeQueued(c Comm, src int, tag Tag) bool {
+	if q, ok := c.(interface{ probeQueued(int, Tag) bool }); ok {
+		return q.probeQueued(src, tag)
+	}
+	return c.Probe(src, tag)
 }
 
 // dctx is the deadline state threaded through one collective call.
@@ -132,16 +143,16 @@ func recvD(c Comm, d *dctx, src int, tag Tag) (Message, error) {
 	var pinged, confirmed bool
 	at := d.until
 	for {
-		if c.Probe(src, tag) {
+		if probeQueued(c, src, tag) {
 			return c.Recv(src, tag), nil
 		}
 		// Answer pings so a rank stuck here is not mistaken for dead by
 		// the peers waiting on *it*.
-		for c.Probe(AnySource, TagPing) {
+		for probeQueued(c, AnySource, TagPing) {
 			m := c.Recv(AnySource, TagPing)
 			trySend(c, m.Src, TagPong, nil)
 		}
-		if c.Probe(AnySource, TagAbort) {
+		if probeQueued(c, AnySource, TagAbort) {
 			return Message{}, d.adoptAbort(c)
 		}
 		now := d.th.Elapsed()
@@ -155,7 +166,7 @@ func recvD(c Comm, d *dctx, src int, tag Tag) (Message, error) {
 			pinged = true
 			at = now + max(d.budget/4, minPongGrace)
 			trySend(c, src, TagPing, nil)
-		case pinged && !confirmed && c.Probe(src, TagPong):
+		case pinged && !confirmed && probeQueued(c, src, TagPong):
 			c.Recv(src, TagPong)
 			// Alive but stuck: its own deadline fires within this hard-
 			// bounded extension, and its abort names the true victim.

@@ -73,15 +73,25 @@ func (t *epThread) stash(frame []byte) {
 	}
 }
 
-// drain moves every frame the endpoint holds into the mailbox.
-func (t *epThread) drain() {
+// drain moves every frame the endpoint holds into the mailbox. With queued
+// it takes only what has been delivered (nexus.PollQueued): the owner is
+// about to park on its wait, whose read of an in-place connection is then
+// the one look at the socket (DESIGN.md §12).
+func (t *epThread) drain(queued bool) {
 	for {
-		fr, ok, err := t.ep.Poll()
+		fr, ok, err := t.poll(queued)
 		if err != nil || !ok {
 			return
 		}
 		t.stash(fr.Data)
 	}
+}
+
+func (t *epThread) poll(queued bool) (nexus.Frame, bool, error) {
+	if queued {
+		return nexus.PollQueued(t.ep)
+	}
+	return t.ep.Poll()
 }
 
 // Rank implements Comm.
@@ -110,10 +120,10 @@ func (t *epThread) Elapsed() float64 { return t.w.Elapsed() }
 // to another — for which no wake-up will come. So a message that reached
 // the mailbox since the previous wait ends this one at once. On a TCP
 // endpoint that reads its connection in place (a 2-rank JoinTCP program)
-// drain and the wait are reads of that connection: no goroutine hands the
-// frames over.
+// the wait is the read of that connection, so the drain before it takes
+// only what has been delivered; no goroutine hands the frames over.
 func (t *epThread) WaitUntil(at float64) {
-	t.drain()
+	t.drain(true)
 	if t.stashed != t.waited {
 		t.waited = t.stashed
 		return
@@ -162,9 +172,17 @@ func (t *epThread) Recv(src int, tag Tag) Message {
 	}
 }
 
-// Probe implements Comm.
+// Probe implements Comm. It reads the connection: a caller that probes
+// and never waits relies on that.
 func (t *epThread) Probe(src int, tag Tag) bool {
-	t.drain()
+	t.drain(false)
+	return t.box.has(src, tag)
+}
+
+// probeQueued is Probe for a caller about to park on the thread's wait
+// (probeQueued in deadline.go).
+func (t *epThread) probeQueued(src int, tag Tag) bool {
+	t.drain(true)
 	return t.box.has(src, tag)
 }
 

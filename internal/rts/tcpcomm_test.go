@@ -228,3 +228,55 @@ func counterValue(name string) uint64 {
 	})
 	return v
 }
+
+// TestDeadlineRecvWaitsInOneRead: a deadline receive over a connection read
+// in place parks in its wait's read without polling the socket first — the
+// probes before the wait look only at what has been delivered. A 2-rank
+// RecvTimeout ping-pong then finds the socket empty on almost no poll; a
+// probe that reads the connection again shows up as several empty polls per
+// round.
+func TestDeadlineRecvWaitsInOneRead(t *testing.T) {
+	coord := "127.0.0.1:29781"
+	const rounds = 2000
+	empty0 := counterValue("nexus_tcp_polls_empty_total")
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			th, err := JoinTCP("h", rank, 2, coord, 10*time.Second)
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			defer th.Close()
+			peer := 1 - rank
+			for i := 0; i < rounds; i++ {
+				if rank == 0 {
+					th.Send(peer, 7, []byte{byte(i)})
+				}
+				m, ok := RecvTimeout(th, peer, 7, 30)
+				if !ok || m.Data[0] != byte(i) {
+					errs[rank] = fmt.Errorf("round %d: %v, %v", i, m.Data, ok)
+					return
+				}
+				if rank == 1 {
+					th.Send(peer, 7, m.Data)
+				}
+			}
+			th.Barrier()
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	empty := counterValue("nexus_tcp_polls_empty_total") - empty0
+	t.Logf("%d empty socket polls in %d rounds", empty, rounds)
+	if empty > rounds/100 {
+		t.Errorf("%d empty socket polls in %d rounds, want at most %d: a deadline receive polls the connection it is about to read", empty, rounds, rounds/100)
+	}
+}
