@@ -12,12 +12,19 @@ GOOS=windows go vet ./...
 test -z "$(gofmt -l .)"
 # Size ceilings: a package's non-test Go lines, counted as ROADMAP counts
 # them. A change that needs more lines there raises the ceiling and says why.
-for ceiling in internal/nexus:2676 internal/bench:1926; do
+for ceiling in internal/nexus:2676 internal/bench:1730; do
 	pkg="${ceiling%:*}"
 	lines="$(cat $(ls "$pkg"/*.go | grep -v '_test\.go$') | wc -l)"
 	echo "$pkg: $lines non-test lines"
 	test "$lines" -le "${ceiling#*:}"
 done
+# The figure harness is written against what pardis-idl generates: its
+# tables come from IDL and its servants implement the generated typed
+# interfaces. No hand-built operation table or servant that dispatches on
+# the operation's name may come back into its own files (its generated
+# subpackage, benchidl, is not among them).
+bench_hand_built="$(grep -nE 'core\.InterfaceDef\{|poa\.ServantFunc|op string, in \[\]any' $(ls internal/bench/*.go | grep -v '_test\.go$') || true)"
+test -z "$bench_hand_built"
 # The runtime links no HTTP server, TLS stack or profiler: of the repo's
 # packages only the debug endpoint's (internal/obs/obshttp) and the two
 # commands that start it may have net/http among their dependencies.

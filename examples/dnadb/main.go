@@ -8,6 +8,10 @@
 // issuing non-blocking match queries — the paper's listing, futures,
 // resolved() poll and all.
 //
+// The stubs, skeletons and servant interfaces are package
+// internal/apps/dnadbidl, which the PARDIS IDL compiler generates from
+// dnadb.idl; the Figure 4 harness (internal/bench) uses the same package.
+//
 // Run with:
 //
 //	go run ./examples/dnadb
@@ -19,6 +23,7 @@ import (
 	"sync"
 
 	"pardis/internal/apps"
+	"pardis/internal/apps/dnadbidl"
 	"pardis/internal/core"
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
@@ -56,7 +61,8 @@ func (ls *listState) get(kind apps.DerivativeKind) []string {
 // count — the paper's distributed placement.
 func owner(kind apps.DerivativeKind) int { return int(kind) % serverThreads }
 
-// dbImpl implements the generated DnaDbServant interface on each thread.
+// dbImpl implements the generated dnadbidl.DnaDbServant interface on each
+// thread.
 type dbImpl struct {
 	shard []string // this thread's portion of the database
 	state *listState
@@ -98,13 +104,13 @@ func (d *dbImpl) Search(ctx *poa.Context, s string) (uint32, error) {
 	// The reply is assembled by thread 0, which owns the Exact list, so
 	// its notion of "found" is the authoritative one.
 	if found {
-		return StatusFOUND, nil
+		return dnadbidl.StatusFOUND, nil
 	}
-	return StatusNOTFOUND, nil
+	return dnadbidl.StatusNOTFOUND, nil
 }
 
-// listImpl implements the generated ListServerServant interface for one
-// category's single object.
+// listImpl implements the generated dnadbidl.ListServerServant interface
+// for one category's single object.
 type listImpl struct {
 	kind  apps.DerivativeKind
 	state *listState
@@ -158,7 +164,7 @@ func startServer(fab *nexus.Inproc, db []string) (serverIORs, *sync.WaitGroup) {
 			lo, hi := th.Rank()*per, min((th.Rank()+1)*per, len(db))
 			impl := &dbImpl{shard: db[lo:hi], state: state}
 
-			dbIOR, err := RegisterDnaDbSPMD(adapter, "dna-db-1", impl)
+			dbIOR, err := dnadbidl.RegisterDnaDbSPMD(adapter, "dna-db-1", impl)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -169,7 +175,7 @@ func startServer(fab *nexus.Inproc, db []string) (serverIORs, *sync.WaitGroup) {
 				if owner(k) != th.Rank() {
 					continue
 				}
-				ior, err := RegisterListServerSingle(adapter, "list-"+k.Name(), &listImpl{kind: k, state: state})
+				ior, err := dnadbidl.RegisterListServerSingle(adapter, "list-"+k.Name(), &listImpl{kind: k, state: state})
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -201,13 +207,13 @@ func main() {
 
 	// --- Client: the paper's §4.2 listing. ------------------------------
 	orb := core.NewORB(core.NewRouter(fab.NewEndpoint("client")), nil, nil)
-	dnaDatabase, err := SPMDBindDnaDb(orb, refs.db)
+	dnaDatabase, err := dnadbidl.SPMDBindDnaDb(orb, refs.db)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var lists [apps.NumDerivatives]*ListServer
+	var lists [apps.NumDerivatives]*dnadbidl.ListServer
 	for k := apps.Exact; k < apps.NumDerivatives; k++ {
-		lists[k], err = BindListServer(orb, refs.lists[k])
+		lists[k], err = dnadbidl.BindListServer(orb, refs.lists[k])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -240,7 +246,7 @@ func main() {
 		}
 	}
 	status := stat.MustGet()
-	if status == StatusFOUND {
+	if status == dnadbidl.StatusFOUND {
 		fmt.Printf("search resolved after %d polls: FOUND\n", polls)
 	} else {
 		fmt.Printf("search resolved after %d polls: NOT_FOUND\n", polls)

@@ -5,8 +5,10 @@
 // non-blocking invocation on the iterative solver overlaps with a blocking
 // invocation on the direct solver, and the future X1 is read afterwards.
 //
-// Stubs in zz_generated.go come from linsolve.idl via the PARDIS IDL
-// compiler. Run with:
+// The stubs, skeletons and servant interfaces are package
+// internal/apps/linsolveidl, which the PARDIS IDL compiler generates from
+// linsolve.idl; the Figure 2 harness (internal/bench) uses the same
+// package. Run with:
 //
 //	go run ./examples/linsolve
 package main
@@ -17,6 +19,7 @@ import (
 	"sync"
 
 	"pardis/internal/apps"
+	"pardis/internal/apps/linsolveidl"
 	"pardis/internal/core"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
@@ -33,8 +36,8 @@ const (
 	n     = 64       // problem size (kept small: this example computes for real)
 )
 
-// directImpl implements the generated DirectServant interface: Gaussian
-// elimination on gathered data, solution scattered back blockwise.
+// directImpl implements the generated linsolveidl.DirectServant interface:
+// Gaussian elimination on gathered data, solution scattered back blockwise.
 type directImpl struct{}
 
 func (directImpl) Solve(ctx *poa.Context, A *dseq.DSeq[any], B *dseq.DSeq[float64]) (*dseq.DSeq[float64], error) {
@@ -62,9 +65,9 @@ func (directImpl) Solve(ctx *poa.Context, A *dseq.DSeq[any], B *dseq.DSeq[float6
 	return dseq.Scatter(th, 0, full, A.GlobalLen(), dist.BlockTemplate(), dseq.Float64Codec{}), nil
 }
 
-// iterativeImpl implements the generated IterativeServant interface with
-// the parallel Jacobi sweep; the result reuses the thread's local slice
-// through the distributed sequence's no-ownership constructor.
+// iterativeImpl implements the generated linsolveidl.IterativeServant
+// interface with the parallel Jacobi sweep; the result reuses the thread's
+// local slice through the distributed sequence's no-ownership constructor.
 type iterativeImpl struct{}
 
 func (iterativeImpl) Solve(ctx *poa.Context, tol float64, A *dseq.DSeq[any], B *dseq.DSeq[float64]) (*dseq.DSeq[float64], error) {
@@ -133,9 +136,13 @@ func main() {
 
 	// Two parallel servers on their respective hosts.
 	wgD := startSolverServer(fab, repoAddr, "direct_solver", host1, 2,
-		func(a *poa.POA) (core.IOR, error) { return RegisterDirectSPMD(a, "direct-1", directImpl{}) })
+		func(a *poa.POA) (core.IOR, error) {
+			return linsolveidl.RegisterDirectSPMD(a, "direct-1", directImpl{})
+		})
 	wgI := startSolverServer(fab, repoAddr, "itrt_solver", host2, 2,
-		func(a *poa.POA) (core.IOR, error) { return RegisterIterativeSPMD(a, "itrt-1", iterativeImpl{}) })
+		func(a *poa.POA) (core.IOR, error) {
+			return linsolveidl.RegisterIterativeSPMD(a, "itrt-1", iterativeImpl{})
+		})
 
 	// The known system (and its exact solution, for checking).
 	a, b, exact := apps.GenerateSystem(n, 2026)
@@ -155,7 +162,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dSolver, err := SPMDBindDirect(orb, dIOR)
+		dSolver, err := linsolveidl.SPMDBindDirect(orb, dIOR)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -164,13 +171,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		iSolver, err := SPMDBindIterative(orb, iIOR)
+		iSolver, err := linsolveidl.SPMDBindIterative(orb, iIOR)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		// 02-04: matrix A(N); vector B(N); initialize_system(A, B);
-		A := dseq.New[any](th, n, dist.BlockTemplate(), dseq.AnyCodec{TC: RowTC()})
+		A := dseq.New[any](th, n, dist.BlockTemplate(), dseq.AnyCodec{TC: linsolveidl.RowTC()})
 		B := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
 		for loc := range A.Local() {
 			g := A.DLayout().GlobalIndex(th.Rank(), loc)

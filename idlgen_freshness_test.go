@@ -26,11 +26,12 @@ func TestGeneratedCodeUpToDate(t *testing.T) {
 		mapping string
 	}{
 		{"examples/quickstart/quickstart.idl", "examples/quickstart/zz_generated.go", "main", ""},
-		{"examples/linsolve/linsolve.idl", "examples/linsolve/zz_generated.go", "main", ""},
-		{"examples/dnadb/dnadb.idl", "examples/dnadb/zz_generated.go", "main", ""},
+		{"examples/linsolve/linsolve.idl", "internal/apps/linsolveidl/zz_generated.go", "linsolveidl", ""},
+		{"examples/dnadb/dnadb.idl", "internal/apps/dnadbidl/zz_generated.go", "dnadbidl", ""},
 		{"examples/pipeline/pipeline.idl", "examples/pipeline/poomagen/zz_generated.go", "poomagen", "POOMA"},
 		{"examples/pipeline/pipeline.idl", "examples/pipeline/pstlgen/zz_generated.go", "pstlgen", "HPC++"},
 		{"examples/pipeline/pipeline.idl", "examples/pipeline/vizgen/zz_generated.go", "vizgen", ""},
+		{"internal/bench/benchidl/bench.idl", "internal/bench/benchidl/zz_generated.go", "benchidl", ""},
 		{"internal/idlgen/sample/sample.idl", "internal/idlgen/sample/zz_generated.go", "sample", ""},
 		{"internal/registry/registry.idl", "internal/registry/regidl/zz_generated.go", "regidl", ""},
 		{"cmd/pardis-demo/scaler.idl", "cmd/pardis-demo/zz_generated.go", "main", ""},

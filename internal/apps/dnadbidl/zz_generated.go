@@ -1,6 +1,6 @@
 // Code generated by pardis-idl. DO NOT EDIT.
 
-package main
+package dnadbidl
 
 import (
 	"fmt"

@@ -3,12 +3,12 @@ package bench
 import (
 	"fmt"
 
+	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
-	"pardis/internal/typecode"
 	"pardis/internal/vtime"
 )
 
@@ -18,38 +18,21 @@ type AblationPoint struct {
 	Seconds float64
 }
 
-// scalerWorld builds the S-thread scale server + C-thread client world used
-// by several ablations and returns the client's invocation time for n
-// doubles each way.
+// scalerTransferTime builds a server of serverProcs threads holding an SPMD
+// mover and a client of clientProcs threads, and returns the client's
+// invocation time for n doubles each way.
 func scalerTransferTime(n, clientProcs, serverProcs int, funnel bool) float64 {
 	w := newWorld()
 	w.connect("onyx", "powerchallenge", "atm")
 
-	dv := typecode.DSequenceOf(typecode.TCDouble, 0, "BLOCK", "BLOCK")
-	iface := &core.InterfaceDef{
-		Name: "mover",
-		Ops: []core.Operation{{
-			Name: "move",
-			Params: []core.Param{
-				core.NewParam("x", core.In, dv),
-				core.NewParam("y", core.Out, dv),
-			},
-		}},
-	}
-	servant := poa.ServantFunc(func(ctx *poa.Context, op string, in []any) (any, []any, error) {
-		x := in[0].(dseq.Distributed)
-		y := dseq.NewByTC(ctx.Thread, x.DLayout(), typecode.TCDouble)
-		return nil, []any{y}, nil
-	})
 	iorCh := w.spmdServer("mover", "powerchallenge", serverProcs, func(adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("mover-1", iface, servant)
+		return benchidl.RegisterMoverSPMD(adapter, "mover-1", moverServant{})
 	})
 
 	var elapsed vtime.Time
 	w.spawn("client", "onyx", clientProcs, endpoint{}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
-		b := mustBind(orb, peek[core.IOR](th, iorCh), iface)
+		mover := must(benchidl.SPMDBindMover(orb, peek[core.IOR](th, iorCh)))
 		x := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
-		y := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
 		th.Barrier()
 		start := th.Proc().Now()
 		if funnel {
@@ -58,31 +41,33 @@ func scalerTransferTime(n, clientProcs, serverProcs int, funnel bool) float64 {
 			// direct schedule avoids.
 			full := x.GatherTo(0)
 			fx := dseq.Scatter(th, 0, full, n, dist.CollapsedOn(0), dseq.Float64Codec{})
-			if err := b.SetOutDist("move", 1, dist.CollapsedOn(0)); err != nil {
-				panic(err)
-			}
-			vals, err := b.Invoke("move", []any{fx, y})
-			if err != nil {
-				panic(err)
-			}
-			got := vals[0].(dseq.Distributed).(*dseq.DSeq[float64])
-			got.RedistributeTo(dist.BlockTemplate().Layout(n, th.Size()))
+			check(mover.Binding().SetOutDist("move", 1, dist.CollapsedOn(0)))
+			must(mover.Move(fx)).RedistributeTo(dist.BlockTemplate().Layout(n, th.Size()))
 		} else {
-			if _, err := b.Invoke("move", []any{x, y}); err != nil {
-				panic(err)
-			}
+			must(mover.Move(x))
 		}
 		th.Barrier()
 		if th.Rank() == 0 {
 			elapsed = th.Proc().Now() - start
-			if err := b.Shutdown("done"); err != nil {
-				panic(err)
-			}
+			check(mover.Binding().Shutdown("done"))
 		}
 	})
 	w.run()
 	return elapsed.Seconds()
 }
+
+// moverServant implements bench.idl's mover: y is a fresh sequence laid
+// out as x.
+type moverServant struct{}
+
+func (moverServant) Move(ctx *poa.Context, x *dseq.DSeq[float64]) (*dseq.DSeq[float64], error) {
+	return dseq.NewFromLayout[float64](ctx.Thread, x.DLayout(), dseq.Float64Codec{}), nil
+}
+
+// sinkServant implements bench.idl's sink: it drops what it is sent.
+type sinkServant struct{}
+
+func (sinkServant) Put(*poa.Context, *dseq.DSeq[float64]) error { return nil }
 
 // AblationParallelTransfer compares the ORB's direct thread-to-thread
 // argument transfer against the funneled baseline (gather to client thread
@@ -105,35 +90,20 @@ func AblationLocalShortcut(n int) []AblationPoint {
 		if colocated {
 			clientHost = "powerchallenge"
 		}
-		dv := typecode.DSequenceOf(typecode.TCDouble, 0, "BLOCK", "BLOCK")
-		iface := &core.InterfaceDef{
-			Name: "sink",
-			Ops: []core.Operation{{
-				Name:   "put",
-				Params: []core.Param{core.NewParam("x", core.In, dv)},
-			}},
-		}
-		servant := poa.ServantFunc(func(*poa.Context, string, []any) (any, []any, error) {
-			return nil, nil, nil
-		})
 		iorCh := w.spmdServer("sink", "powerchallenge", 2, func(adapter *poa.POA) (core.IOR, error) {
-			return adapter.RegisterSPMD("sink-1", iface, servant)
+			return benchidl.RegisterSinkSPMD(adapter, "sink-1", sinkServant{})
 		})
 		var elapsed vtime.Time
 		w.spawn("client", clientHost, 2, endpoint{}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
-			b := mustBind(orb, peek[core.IOR](th, iorCh), iface)
+			sink := must(benchidl.SPMDBindSink(orb, peek[core.IOR](th, iorCh)))
 			x := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
 			th.Barrier()
 			start := th.Proc().Now()
-			if _, err := b.Invoke("put", []any{x}); err != nil {
-				panic(err)
-			}
+			check(sink.Put(x))
 			th.Barrier()
 			if th.Rank() == 0 {
 				elapsed = th.Proc().Now() - start
-				if err := b.Shutdown("done"); err != nil {
-					panic(err)
-				}
+				check(sink.Binding().Shutdown("done"))
 			}
 		})
 		w.run()

@@ -4,10 +4,17 @@
 // parallel server) and Figure 5 (the POOMA/PSTL pipeline), plus ablation
 // experiments for the design choices DESIGN.md calls out.
 //
-// Every experiment runs the full PARDIS stack — IDL-defined operation
-// tables, the ORB's request protocol, distributed argument segments, POA
-// dispatch — on the vtime virtual clock over the simnet machine models, so
-// results are deterministic functions of the model. Absolute numbers are
+// Every experiment that invokes objects is a PARDIS program: its
+// interfaces are declared in IDL, and it registers, binds and calls
+// through what pardis-idl generates for them. Figure 2 uses
+// examples/linsolve/linsolve.idl (package internal/apps/linsolveidl),
+// Figure 4 examples/dnadb/dnadb.idl (internal/apps/dnadbidl), Figure 5
+// examples/pipeline/pipeline.idl (examples/pipeline/vizgen); the
+// interfaces only the harness uses are in benchidl/bench.idl (package
+// benchidl). The paper figures run the full stack — the ORB's request
+// protocol, distributed argument segments, POA dispatch — on the vtime
+// virtual clock over the simnet machine models, so results are
+// deterministic functions of the model. Absolute numbers are
 // therefore comparable in *shape* (who wins, by what factor, where curves
 // cross), not in microseconds, with the 1997 testbed.
 package bench
@@ -115,11 +122,16 @@ func peek[T any](th rts.Thread, ch *vtime.Chan) T {
 	return v.(T)
 }
 
-// mustBind binds ior collectively over the calling threads.
-func mustBind(orb *core.ORB, ior core.IOR, iface *core.InterfaceDef) *core.Binding {
-	b, err := orb.SPMDBind(ior, iface)
+// must returns v, or panics with err: a simulated program has nobody to
+// hand an error to.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+// check panics with err, if there is one.
+func check(err error) {
 	if err != nil {
 		panic(err)
 	}
-	return b
 }

@@ -5,12 +5,12 @@ import (
 	"sync"
 	"time"
 
+	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
 	"pardis/internal/future"
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
-	"pardis/internal/typecode"
 )
 
 // FaninPoint is one row of the connection-scale fan-in figure: many
@@ -56,22 +56,10 @@ func Fanin(levels []int, baseline int) []FaninPoint {
 	return pts
 }
 
-func faninIface() *core.InterfaceDef {
-	return &core.InterfaceDef{
-		Name: "fanin",
-		Ops: []core.Operation{{
-			Name:   "ping",
-			Params: []core.Param{core.NewParam("x", core.In, typecode.TCLong)},
-			Result: typecode.TCLong,
-		}},
-	}
-}
-
+// faninServant implements bench.idl's fanin.
 type faninServant struct{}
 
-func (faninServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
-	return in[0].(int32) + 1, nil, nil
-}
+func (faninServant) Ping(_ *poa.Context, x int32) (int32, error) { return x + 1, nil }
 
 // faninServer starts the 4-rank SPMD server. All four ranks' ORB endpoints
 // are channels of one shared TCP transport — the server side of the fan-in
@@ -90,10 +78,7 @@ func faninServer() (core.IOR, *nexus.TCPTransport, func()) {
 		rts.NewChanGroup("fanin-srv", ranks).Run(func(th rts.Thread) {
 			p := poa.New(th, core.NewRouter(srvT.NewChannel()), nil)
 			p.PollInterval = 50e-6
-			ior, err := p.RegisterSPMD("fanin-1", faninIface(), faninServant{})
-			if err != nil {
-				panic(err)
-			}
+			ior := must(benchidl.RegisterFaninSPMD(p, "fanin-1", faninServant{}))
 			if th.Rank() == 0 {
 				iorCh <- ior
 			}
@@ -141,7 +126,7 @@ func faninRun(mode string, n int) FaninPoint {
 			trans[w] = t
 		}
 	}
-	bindings := make([]*core.Binding, n)
+	clients := make([]*benchidl.Fanin, n)
 	eps := make([]nexus.Endpoint, n)
 	eachWorker(func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -155,11 +140,8 @@ func faninRun(mode string, n int) FaninPoint {
 					panic(err)
 				}
 			}
-			b, err := core.NewORB(core.NewRouter(ep), nil, nil).SPMDBind(ior, faninIface())
-			if err != nil {
-				panic(err)
-			}
-			bindings[i], eps[i] = b, ep
+			clients[i] = must(benchidl.SPMDBindFanin(core.NewORB(core.NewRouter(ep), nil, nil), ior))
+			eps[i] = ep
 		}
 	})
 
@@ -206,9 +188,7 @@ func faninRun(mode string, n int) FaninPoint {
 	// timed phase measures the sustained rate, not first-use setup.
 	eachWorker(func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if _, err := bindings[i].Invoke("ping", []any{int32(i)}); err != nil {
-				panic(err)
-			}
+			must(clients[i].Ping(int32(i)))
 		}
 	})
 
@@ -216,27 +196,19 @@ func faninRun(mode string, n int) FaninPoint {
 	// its channel; replies interleave freely on the shared sockets.
 	start := time.Now()
 	eachWorker(func(w, lo, hi int) {
-		cells := make([]*future.Cell, 0, (hi-lo)*faninPipeline)
+		replies := make([]future.Future[int32], 0, (hi-lo)*faninPipeline)
 		for i := lo; i < hi; i++ {
 			for k := 0; k < faninPipeline; k++ {
-				c, err := bindings[i].InvokeNB("ping", []any{int32(k)})
-				if err != nil {
-					panic(err)
-				}
-				cells = append(cells, c)
+				replies = append(replies, must(clients[i].PingNB(int32(k))))
 			}
 		}
-		for _, c := range cells {
-			if _, err := c.Values(); err != nil {
-				panic(err)
-			}
+		for _, r := range replies {
+			r.MustGet()
 		}
 	})
 	elapsed := time.Since(start).Seconds()
 
-	if err := bindings[0].Shutdown("fanin done"); err != nil {
-		panic(err)
-	}
+	check(clients[0].Binding().Shutdown("fanin done"))
 	stop()
 	eachWorker(func(w, lo, hi int) {
 		if mode == "mux" {
@@ -244,7 +216,7 @@ func faninRun(mode string, n int) FaninPoint {
 			return
 		}
 		for i := lo; i < hi; i++ {
-			bindings[i].ORB().Router().Close()
+			clients[i].Binding().ORB().Router().Close()
 		}
 	})
 	srvT.Close()

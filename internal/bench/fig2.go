@@ -1,15 +1,14 @@
 package bench
 
 import (
-	"fmt"
-
 	"pardis/internal/apps"
+	"pardis/internal/apps/linsolveidl"
 	"pardis/internal/core"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
+	"pardis/internal/future"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
-	"pardis/internal/typecode"
 	"pardis/internal/vtime"
 )
 
@@ -27,62 +26,31 @@ type Fig2Point struct {
 // Fig2Sizes are the paper's problem sizes (200..1200).
 var Fig2Sizes = []int{200, 300, 400, 500, 600, 700, 800, 900, 1000, 1100, 1200}
 
-// solver typecodes: matrix is a dsequence of dynamically-sized rows, the
-// vectors are dsequences of double (paper §4.1 IDL).
-func solverIfaces() (direct, iterative *core.InterfaceDef) {
-	row := typecode.SequenceOf(typecode.TCDouble, 0)
-	matrix := typecode.DSequenceOf(row, 0, "BLOCK", "BLOCK")
-	vector := typecode.DSequenceOf(typecode.TCDouble, 0, "BLOCK", "BLOCK")
-	direct = &core.InterfaceDef{
-		Name: "direct",
-		Ops: []core.Operation{{
-			Name: "solve",
-			Params: []core.Param{
-				core.NewParam("A", core.In, matrix),
-				core.NewParam("B", core.In, vector),
-				core.NewParam("X", core.Out, vector),
-			},
-		}},
-	}
-	iterative = &core.InterfaceDef{
-		Name: "iterative",
-		Ops: []core.Operation{{
-			Name: "solve",
-			Params: []core.Param{
-				core.NewParam("tol", core.In, typecode.TCDouble),
-				core.NewParam("A", core.In, matrix),
-				core.NewParam("B", core.In, vector),
-				core.NewParam("X", core.Out, vector),
-			},
-		}},
-	}
-	return direct, iterative
+// directServant and iterativeServant implement linsolve.idl's two solvers
+// by their cost models: each charges its solve and hands back the result's
+// holder. The real numerics live in internal/apps and run in
+// examples/linsolve — here the simulated clock is the measurement.
+type (
+	directServant    struct{}
+	iterativeServant struct{}
+)
+
+func (directServant) Solve(ctx *poa.Context, A *dseq.DSeq[any], _ *dseq.DSeq[float64]) (*dseq.DSeq[float64], error) {
+	n := A.GlobalLen()
+	return solveCost(ctx, n, apps.DirectSolveWork(n)), nil
 }
 
-// solverServant charges the cost model and produces the result holder; the
-// real numerics live in internal/apps and are exercised by the runnable
-// example — here the simulated clock is the measurement.
-type solverServant struct {
-	work func(n int) float64 // total reference-seconds for size n
+func (iterativeServant) Solve(ctx *poa.Context, _ float64, A *dseq.DSeq[any], _ *dseq.DSeq[float64]) (*dseq.DSeq[float64], error) {
+	n := A.GlobalLen()
+	return solveCost(ctx, n, apps.JacobiWork(n, apps.DefaultJacobiIters(n))), nil
 }
 
-func (s solverServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
-	if op != "solve" {
-		return nil, nil, fmt.Errorf("no operation %s", op)
-	}
-	// A is the first dsequence argument (index differs between ifaces).
-	var a dseq.Distributed
-	for _, v := range in {
-		if d, ok := v.(dseq.Distributed); ok {
-			a = d
-			break
-		}
-	}
-	n := a.GlobalLen()
+// solveCost charges the calling thread its share of work reference seconds
+// and returns a block-distributed solution of length n.
+func solveCost(ctx *poa.Context, n int, work float64) *dseq.DSeq[float64] {
 	th := ctx.Thread
-	th.Compute(apps.PerThread(s.work(n), th.Size()))
-	x := dseq.NewFromLayout[float64](th, dist.BlockTemplate().Layout(n, th.Size()), dseq.Float64Codec{})
-	return nil, []any{x}, nil
+	th.Compute(apps.PerThread(work, th.Size()))
+	return dseq.NewFromLayout[float64](th, dist.BlockTemplate().Layout(n, th.Size()), dseq.Float64Codec{})
 }
 
 // fig2Config selects one Figure 2 run. The client is two threads on HOST 1
@@ -104,33 +72,27 @@ func runFig2(n int, cfg fig2Config) float64 {
 		directProcs, iterHost, iterProcs = 2, "onyx", 2
 	}
 
-	directIface, iterIface := solverIfaces()
 	dIOR := w.spmdServer("direct", "onyx", directProcs, func(adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("direct-1", directIface, solverServant{work: apps.DirectSolveWork})
+		return linsolveidl.RegisterDirectSPMD(adapter, "direct-1", directServant{})
 	})
 	iIOR := w.spmdServer("iterative", iterHost, iterProcs, func(adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("itrt-1", iterIface, solverServant{work: func(n int) float64 {
-			return apps.JacobiWork(n, apps.DefaultJacobiIters(n))
-		}})
+		return linsolveidl.RegisterIterativeSPMD(adapter, "itrt-1", iterativeServant{})
 	})
 
 	var elapsed vtime.Time
 	w.spawn("client", "onyx", 2, endpoint{}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
 		dRef := peek[core.IOR](th, dIOR)
 		iRef := peek[core.IOR](th, iIOR)
-		dBind := mustBind(orb, dRef, directIface)
-		iBind := mustBind(orb, iRef, iterIface)
+		dSolver := must(linsolveidl.SPMDBindDirect(orb, dRef))
+		iSolver := must(linsolveidl.SPMDBindIterative(orb, iRef))
 
 		// Build the system: a dsequence of dynamically-sized rows plus
 		// the right-hand side, block-distributed over the client threads.
-		rowTC := typecode.SequenceOf(typecode.TCDouble, 0)
-		a := dseq.New[any](th, n, dist.BlockTemplate(), dseq.AnyCodec{TC: rowTC})
+		a := dseq.New[any](th, n, dist.BlockTemplate(), dseq.AnyCodec{TC: linsolveidl.RowTC()})
 		for i := range a.Local() {
 			a.Local()[i] = make([]float64, n)
 		}
 		b := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
-		x1 := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
-		x2 := dseq.New[float64](th, 0, dist.BlockTemplate(), dseq.Float64Codec{})
 
 		th.Barrier()
 		start := th.Proc().Now()
@@ -139,41 +101,27 @@ func runFig2(n int, cfg fig2Config) float64 {
 		// server overlapped with a blocking solve on the direct server,
 		// then the future is read. The blocking variant waits out each
 		// solve in turn.
-		var cell interface{ Wait() error }
+		overlap := !cfg.skipIterative && !cfg.blocking
+		var x1 future.Future[*dseq.DSeq[float64]]
 		switch {
-		case cfg.skipIterative:
-		case cfg.blocking:
-			if _, err := iBind.Invoke("solve", []any{1e-6, a, b, x1}); err != nil {
-				panic(err)
-			}
-		default:
-			c, err := iBind.InvokeNB("solve", []any{1e-6, a, b, x1})
-			if err != nil {
-				panic(err)
-			}
-			cell = c
+		case overlap:
+			x1 = must(iSolver.SolveNB(1e-6, a, b))
+		case !cfg.skipIterative:
+			must(iSolver.Solve(1e-6, a, b))
 		}
 		if !cfg.skipDirect {
-			if _, err := dBind.Invoke("solve", []any{a, b, x2}); err != nil {
-				panic(err)
-			}
+			must(dSolver.Solve(a, b))
 		}
-		if cell != nil {
-			if err := cell.Wait(); err != nil {
-				panic(err)
-			}
+		if overlap {
+			x1.MustGet()
 		}
 		// compute_difference over the local portions.
 		th.Compute(apps.PerThread(float64(n)*1e-6, th.Size()))
 		th.Barrier()
 		if th.Rank() == 0 {
 			elapsed = th.Proc().Now() - start
-			if err := dBind.Shutdown("done"); err != nil {
-				panic(err)
-			}
-			if err := iBind.Shutdown("done"); err != nil {
-				panic(err)
-			}
+			check(dSolver.Binding().Shutdown("done"))
+			check(iSolver.Binding().Shutdown("done"))
 		}
 	})
 	w.run()

@@ -1,14 +1,12 @@
 package bench
 
 import (
-	"fmt"
-
 	"pardis/internal/apps"
+	"pardis/internal/apps/dnadbidl"
 	"pardis/internal/core"
 	"pardis/internal/future"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
-	"pardis/internal/typecode"
 	"pardis/internal/vtime"
 )
 
@@ -25,59 +23,33 @@ type Fig4Point struct {
 // Fig4Procs is the paper's processor sweep.
 var Fig4Procs = []int{1, 2, 3, 4, 5, 6, 7, 8}
 
-func dnaIfaces() (db, list *core.InterfaceDef) {
-	db = &core.InterfaceDef{
-		Name: "dna_db",
-		Ops: []core.Operation{{
-			Name:   "search",
-			Params: []core.Param{core.NewParam("s", core.In, typecode.TCString)},
-			Result: typecode.EnumOf("status", "FOUND", "NOT_FOUND"),
-		}},
-	}
-	list = &core.InterfaceDef{
-		Name: "list_server",
-		Ops: []core.Operation{{
-			Name: "match",
-			Params: []core.Param{
-				core.NewParam("s", core.In, typecode.TCString),
-				core.NewParam("l", core.Out, typecode.SequenceOf(typecode.TCString, 0)),
-			},
-		}},
-	}
-	return db, list
-}
-
-// dnaSearchServant charges the search cost in rounds, calling
-// ProcessRequests between rounds so the co-resident list servers can serve
-// queries mid-search — the paper's §4.2 server.
+// dnaSearchServant implements dnadb.idl's dna_db by its cost model: it
+// charges the search in rounds, calling ProcessRequests between rounds so
+// the co-resident list servers can serve queries mid-search — the paper's
+// §4.2 server.
 type dnaSearchServant struct {
 	rounds int
 }
 
-func (s dnaSearchServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
-	if op != "search" {
-		return nil, nil, fmt.Errorf("no operation %s", op)
-	}
+func (s dnaSearchServant) Search(ctx *poa.Context, _ string) (uint32, error) {
 	th := ctx.Thread
 	share := apps.PerThread(apps.DNASearchWork, th.Size())
 	for r := 0; r < s.rounds; r++ {
 		th.Compute(share / float64(s.rounds))
 		ctx.POA.ProcessRequests()
 	}
-	return uint32(0), nil, nil
+	return dnadbidl.StatusFOUND, nil
 }
 
-// listServant charges its category's per-query cost and returns a list.
+// listServant implements dnadb.idl's list_server: it charges its
+// category's per-query cost and returns a list.
 type listServant struct {
 	kind apps.DerivativeKind
 }
 
-func (l listServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
-	if op != "match" {
-		return nil, nil, fmt.Errorf("no operation %s", op)
-	}
+func (l listServant) Match(ctx *poa.Context, _ string) ([]string, error) {
 	ctx.Thread.Compute(apps.ListServerWeights[l.kind] / apps.ListQueriesPerServer)
-	return nil, []any{[]string{"seq"}}, nil
+	return []string{"seq"}, nil
 }
 
 // runFig4 runs the Figure 4 scenario on p server threads with the given
@@ -87,7 +59,6 @@ func runFig4(p int, owner func(k apps.DerivativeKind) int) float64 {
 	w := newWorld()
 	w.connect("onyx", "powerchallenge", "atm")
 
-	dbIface, listIface := dnaIfaces()
 	type refs struct {
 		db    core.IOR
 		lists [apps.NumDerivatives]core.IOR
@@ -96,31 +67,21 @@ func runFig4(p int, owner func(k apps.DerivativeKind) int) float64 {
 	const tagIOR = rts.Tag(0x4000)
 
 	w.spawn("dna", "powerchallenge", p, endpoint{}, func(th *rts.SimThread, adapter *poa.POA, _ *core.ORB) {
-		dbIOR, err := adapter.RegisterSPMD("dna-db", dbIface, dnaSearchServant{rounds: 10})
-		if err != nil {
-			panic(err)
-		}
+		dbIOR := must(dnadbidl.RegisterDnaDbSPMD(adapter, "dna-db", dnaSearchServant{rounds: 10}))
 		// Instantiate the single list objects this thread owns and ship
 		// their IORs to thread 0.
 		for k := apps.Exact; k < apps.NumDerivatives; k++ {
 			if owner(k) != th.Rank() {
 				continue
 			}
-			ior, err := adapter.RegisterSingle("list-"+k.Name(), listIface, listServant{kind: k})
-			if err != nil {
-				panic(err)
-			}
+			ior := must(dnadbidl.RegisterListServerSingle(adapter, "list-"+k.Name(), listServant{kind: k}))
 			th.Send(0, tagIOR+rts.Tag(k), []byte(ior.String()))
 		}
 		if th.Rank() == 0 {
 			out := refs{db: dbIOR}
 			for k := apps.Exact; k < apps.NumDerivatives; k++ {
 				m := th.Recv(rts.AnySource, tagIOR+rts.Tag(k))
-				ior, err := core.ParseIOR(string(m.Data))
-				if err != nil {
-					panic(err)
-				}
-				out.lists[k] = ior
+				out.lists[k] = must(core.ParseIOR(string(m.Data)))
 			}
 			th.Proc().Send(iorCh, out, 0)
 		}
@@ -130,46 +91,29 @@ func runFig4(p int, owner func(k apps.DerivativeKind) int) float64 {
 	var elapsed vtime.Time
 	w.spawn("client", "onyx", 1, endpoint{}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
 		r := th.Proc().Recv(iorCh).(refs)
-		dbBind := mustBind(orb, r.db, dbIface)
-		var lists [apps.NumDerivatives]*core.Binding
+		db := must(dnadbidl.SPMDBindDnaDb(orb, r.db))
+		var lists [apps.NumDerivatives]*dnadbidl.ListServer
 		for k := apps.Exact; k < apps.NumDerivatives; k++ {
-			var err error
-			lists[k], err = orb.Bind(r.lists[k], listIface)
-			if err != nil {
-				panic(err)
-			}
+			lists[k] = must(dnadbidl.BindListServer(orb, r.lists[k]))
 		}
 
 		start := th.Proc().Now()
 		// stat = dna_database->search_nb(...)
-		stat, err := dbBind.InvokeNB("search", []any{"ACGT"})
-		if err != nil {
-			panic(err)
-		}
+		stat := must(db.SearchNB("ACGT"))
 		// Issue the full query volume non-blocking while the search runs.
-		var pending []*future.Cell
+		var pending []future.Future[[]string]
 		for q := 0; q < apps.ListQueriesPerServer; q++ {
 			for k := apps.Exact; k < apps.NumDerivatives; k++ {
-				c, err := lists[k].InvokeNB("match", []any{"DDD", nil})
-				if err != nil {
-					panic(err)
-				}
-				pending = append(pending, c)
+				pending = append(pending, must(lists[k].MatchNB("DDD")))
 			}
 		}
 		// Wait for everything: all query replies and the search status.
-		for _, c := range pending {
-			if err := c.Wait(); err != nil {
-				panic(err)
-			}
+		for _, f := range pending {
+			f.MustGet()
 		}
-		if err := stat.Wait(); err != nil {
-			panic(err)
-		}
+		stat.MustGet()
 		elapsed = th.Proc().Now() - start
-		if err := dbBind.Shutdown("done"); err != nil {
-			panic(err)
-		}
+		check(db.Binding().Shutdown("done"))
 	})
 	w.run()
 	return elapsed.Seconds()

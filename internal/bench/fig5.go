@@ -1,16 +1,15 @@
 package bench
 
 import (
-	"fmt"
-
+	"pardis/examples/pipeline/vizgen"
 	"pardis/internal/apps"
+	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/future"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
-	"pardis/internal/typecode"
 	"pardis/internal/vtime"
 )
 
@@ -35,44 +34,23 @@ const (
 	fig5Every = 5
 )
 
-func pipelineIfaces(oneway bool) (viz, gradOps *core.InterfaceDef) {
-	field := typecode.DSequenceOf(typecode.TCDouble, fig5Grid*fig5Grid, "BLOCK", "BLOCK")
-	viz = &core.InterfaceDef{
-		Name: "visualizer",
-		Ops: []core.Operation{{
-			Name:   "show",
-			Oneway: oneway,
-			Params: []core.Param{core.NewParam("myfield", core.In, field)},
-		}},
-	}
-	gradOps = &core.InterfaceDef{
-		Name: "field_operations",
-		Ops: []core.Operation{{
-			Name:   "gradient",
-			Oneway: oneway,
-			Params: []core.Param{core.NewParam("myfield", core.In, field)},
-		}},
-	}
-	return viz, gradOps
-}
-
-// vizServant consumes frames at a fixed per-frame cost.
+// vizServant implements pipeline.idl's visualizer: it consumes frames at
+// a fixed per-frame cost.
 type vizServant struct{}
 
-func (vizServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
-	if op != "show" {
-		return nil, nil, fmt.Errorf("no operation %s", op)
-	}
+func (vizServant) Show(ctx *poa.Context, _ *dseq.DSeq[float64]) error {
 	ctx.Thread.Compute(apps.VizWork)
-	return nil, nil, nil
+	return nil
 }
 
-// gradServant charges the gradient cost and pipelines the result to its
-// own visualizer — the server-as-client role of §4.3.
+// gradServant implements pipeline.idl's field_operations: it charges the
+// gradient cost and pipelines the result to its own visualizer — the
+// server-as-client role of §4.3.
 type gradServant struct {
 	vizIORCh *vtime.Chan
-	vizIface *core.InterfaceDef
 	orb      *core.ORB
+	oneway   bool
+	show     nbStub
 	viz      *core.Binding
 }
 
@@ -80,24 +58,57 @@ type gradServant struct {
 // of the server calls it together.
 func (g *gradServant) visualizer(th rts.Thread) *core.Binding {
 	if g.viz == nil {
-		g.viz = mustBind(g.orb, peek[core.IOR](th, g.vizIORCh), g.vizIface)
+		g.show, g.viz = bindVisualizer(g.orb, peek[core.IOR](th, g.vizIORCh), g.oneway)
 	}
 	return g.viz
 }
 
-func (g *gradServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
-	if op != "gradient" {
-		return nil, nil, fmt.Errorf("no operation %s", op)
-	}
+func (g *gradServant) Gradient(ctx *poa.Context, myfield *dseq.DSeq[float64]) error {
 	th := ctx.Thread
-	viz := g.visualizer(th)
-	in0 := in[0].(dseq.Distributed)
+	g.visualizer(th)
 	th.Compute(apps.PerThread(apps.GradientWork(fig5Grid*fig5Grid), th.Size()))
-	out := dseq.NewFromLayout[float64](th, in0.DLayout(), dseq.Float64Codec{})
-	if _, err := viz.InvokeNB("show", []any{out}); err != nil {
-		return nil, nil, err
+	_, err := g.show(dseq.NewFromLayout[float64](th, myfield.DLayout(), dseq.Float64Codec{}))
+	return err
+}
+
+// An nbStub issues one pipeline call through its generated non-blocking
+// stub and returns what to wait on. The stubs are pipeline.idl's two-way
+// ones (package vizgen) or, for the oneway ablation, those of benchidl's
+// copies declared oneway, which send no reply: their wait returns at once.
+type nbStub func(myfield *dseq.DSeq[float64]) (wait func() error, err error)
+
+// bindVisualizer collectively binds the visualizer at ref.
+func bindVisualizer(orb *core.ORB, ref core.IOR, oneway bool) (nbStub, *core.Binding) {
+	if oneway {
+		v := must(benchidl.SPMDBindVisualizer(orb, ref))
+		return onewayStub(v.ShowNB), v.Binding()
 	}
-	return nil, nil, nil
+	v := must(vizgen.SPMDBindVisualizer(orb, ref))
+	return twoWayStub(v.ShowNB), v.Binding()
+}
+
+// bindGradient collectively binds the gradient server at ref; blocking is
+// its blocking stub.
+func bindGradient(orb *core.ORB, ref core.IOR, oneway bool) (nb nbStub, blocking func(*dseq.DSeq[float64]) error, b *core.Binding) {
+	if oneway {
+		g := must(benchidl.SPMDBindFieldOperations(orb, ref))
+		return onewayStub(g.GradientNB), g.Gradient, g.Binding()
+	}
+	g := must(vizgen.SPMDBindFieldOperations(orb, ref))
+	return twoWayStub(g.GradientNB), g.Gradient, g.Binding()
+}
+
+func twoWayStub(stub func(*dseq.DSeq[float64]) (future.Done, error)) nbStub {
+	return func(f *dseq.DSeq[float64]) (func() error, error) {
+		done, err := stub(f)
+		return done.Wait, err
+	}
+}
+
+func onewayStub(stub func(*dseq.DSeq[float64]) error) nbStub {
+	return func(f *dseq.DSeq[float64]) (func() error, error) {
+		return func() error { return nil }, stub(f)
+	}
 }
 
 // fig5Config selects which parts of the metaapplication run, and how; its
@@ -119,26 +130,28 @@ func runFig5(p int, cfg fig5Config) float64 {
 	w.connect("powerchallenge", "sp2", "ethernet")
 	w.connect("sp2", "indy", "ethernet")
 
-	vizIface, gradIface := pipelineIfaces(cfg.oneway)
+	// The oneway ablation serves benchidl's tables through vizgen's
+	// skeletons: the servant interfaces of the two copies are the same.
+	vizIDL, gradIDL := vizgen.VisualizerIDL, vizgen.FieldOperationsIDL
+	if cfg.oneway {
+		vizIDL, gradIDL = benchidl.VisualizerIDL, benchidl.FieldOperationsIDL
+	}
 
 	// Visualizer for the diffusion unit: a sequential process on the same
 	// SGI PC (loopback); for the gradient: on the SGI Indy over Ethernet.
 	vizDiffIOR := w.spmdServer("viz-diff", "powerchallenge", 1, func(adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("viz-diff", vizIface, vizServant{})
+		return adapter.RegisterSPMD("viz-diff", vizIDL(), vizgen.NewVisualizerSkeleton(vizServant{}))
 	})
 	vizGradIOR := w.spmdServer("viz-grad", "indy", 1, func(adapter *poa.POA) (core.IOR, error) {
-		return adapter.RegisterSPMD("viz-grad", vizIface, vizServant{})
+		return adapter.RegisterSPMD("viz-grad", vizIDL(), vizgen.NewVisualizerSkeleton(vizServant{}))
 	})
 
 	// The gradient server: SPMD on the SP/2, also a client of its
 	// visualizer (same endpoint, shared through the router).
 	gradIOR := vtime.NewChan(w.sim, "grad-ior")
 	w.spawn("grad", "sp2", p, endpoint{async: cfg.commThreads}, func(th *rts.SimThread, adapter *poa.POA, orb *core.ORB) {
-		impl := &gradServant{vizIORCh: vizGradIOR, vizIface: vizIface, orb: orb}
-		ior, err := adapter.RegisterSPMD("gradient-1", gradIface, impl)
-		if err != nil {
-			panic(err)
-		}
+		impl := &gradServant{vizIORCh: vizGradIOR, orb: orb, oneway: cfg.oneway}
+		ior := must(adapter.RegisterSPMD("gradient-1", gradIDL(), vizgen.NewFieldOperationsSkeleton(impl)))
 		if th.Rank() == 0 {
 			th.Proc().Send(gradIOR, ior, 0)
 		}
@@ -147,9 +160,7 @@ func runFig5(p int, cfg fig5Config) float64 {
 		// the gradient component then retires its own visualizer.
 		viz := impl.visualizer(th)
 		if th.Rank() == 0 {
-			if err := viz.Shutdown("done"); err != nil {
-				panic(err)
-			}
+			check(viz.Shutdown("done"))
 		}
 	})
 
@@ -164,48 +175,34 @@ func runFig5(p int, cfg fig5Config) float64 {
 		// Both references before either bind: a bind is collective over
 		// the client's threads, so when it starts moves the figures.
 		vizRef, gradRef := peek[core.IOR](th, vizDiffIOR), peek[core.IOR](th, gradIOR)
-		viz, grad := mustBind(orb, vizRef, vizIface), mustBind(orb, gradRef, gradIface)
+		show, viz := bindVisualizer(orb, vizRef, cfg.oneway)
+		gradientNB, gradient, grad := bindGradient(orb, gradRef, cfg.oneway)
 		field := dseq.New[float64](th, fig5Grid*fig5Grid, dist.BlockTemplate(), dseq.Float64Codec{})
 
 		th.Barrier()
 		start := th.Proc().Now()
-		var pending []*future.Cell
-		send := func(b *core.Binding, op string) {
-			if cfg.driver {
-				if _, err := b.Invoke(op, []any{field}); err != nil {
-					panic(err)
-				}
-				return
-			}
-			c, err := b.InvokeNB(op, []any{field})
-			if err != nil {
-				panic(err)
-			}
-			pending = append(pending, c)
-		}
+		var pending []func() error
 		for step := 1; step <= fig5Steps; step++ {
 			if !cfg.driver {
 				th.Compute(apps.PerThread(apps.DiffusionStepWork(fig5Grid*fig5Grid), th.Size()))
-				send(viz, "show")
+				pending = append(pending, must(show(field)))
 			}
-			if !cfg.skipGradient && step%fig5Every == 0 {
-				send(grad, "gradient")
+			switch {
+			case cfg.skipGradient || step%fig5Every != 0:
+			case cfg.driver:
+				check(gradient(field))
+			default:
+				pending = append(pending, must(gradientNB(field)))
 			}
 		}
-		// A oneway call's cell is resolved when it is sent.
-		for _, c := range pending {
-			if err := c.Wait(); err != nil {
-				panic(err)
-			}
+		for _, wait := range pending {
+			check(wait())
 		}
 		th.Barrier()
 		if th.Rank() == 0 {
 			elapsed = th.Proc().Now() - start
-			for _, b := range []*core.Binding{grad, viz} {
-				if err := b.Shutdown("done"); err != nil {
-					panic(err)
-				}
-			}
+			check(grad.Shutdown("done"))
+			check(viz.Shutdown("done"))
 		}
 	})
 	w.run()

@@ -8,13 +8,13 @@ import (
 	"sync"
 	"time"
 
+	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
 	"pardis/internal/nexus"
 	"pardis/internal/obs"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
 	"pardis/internal/rts"
-	"pardis/internal/typecode"
 )
 
 // The obs experiment checks the observability plane itself. Two cells (what
@@ -60,35 +60,20 @@ const (
 	obsWorkError = int32(2)
 )
 
-func obsIface() *core.InterfaceDef {
-	return &core.InterfaceDef{
-		Name: "obs_svc",
-		Ops: []core.Operation{{
-			Name:       "work",
-			Params:     []core.Param{core.NewParam("kind", core.In, typecode.TCLong)},
-			Result:     typecode.TCLong,
-			Idempotent: true,
-		}},
-	}
-}
-
 var errObsDesignated = errors.New("designated interesting failure")
 
-// obsServant answers fast, slow (a real wall-clock stall) or with an error,
-// as the invocation asks.
+// obsServant implements bench.idl's obs_svc: it answers fast, slow (a real
+// wall-clock stall) or with an error, as the invocation asks.
 type obsServant struct{ slow time.Duration }
 
-func (s obsServant) Invoke(_ *poa.Context, op string, in []any) (any, []any, error) {
-	if op != "work" {
-		return nil, nil, fmt.Errorf("no operation %s", op)
-	}
-	switch in[0].(int32) {
+func (s obsServant) Work(_ *poa.Context, kind int32) (int32, error) {
+	switch kind {
 	case obsWorkSlow:
 		time.Sleep(s.slow)
 	case obsWorkError:
-		return nil, nil, errObsDesignated
+		return 0, errObsDesignated
 	}
-	return int32(0), nil, nil
+	return 0, nil
 }
 
 // startObsServer runs the one-replica server of the obs cells on a
@@ -103,18 +88,15 @@ func startObsServer(fab *nexus.Inproc, slow time.Duration) (core.IOR, func()) {
 		th := g.Thread(0)
 		p := poa.New(th, core.NewRouter(fab.NewEndpoint("obs-server")), nil)
 		p.PollInterval = 20e-6
-		ior, err := p.RegisterSingle("obs-server", obsIface(), obsServant{slow: slow})
-		if err != nil {
-			panic(err)
-		}
+		ior := must(benchidl.RegisterObsSvcSingle(p, "obs-server", obsServant{slow: slow}))
 		iorCh <- ior
 		p.ImplIsReady()
 	}()
 	ior := <-iorCh
 	stop := func() {
 		orb := core.NewORB(core.NewRouter(fab.NewEndpoint("obs-stopper")), nil, nil)
-		if b, err := orb.Bind(ior, obsIface()); err == nil {
-			b.Shutdown("obs done")
+		if svc, err := benchidl.BindObsSvc(orb, ior); err == nil {
+			svc.Binding().Shutdown("obs done")
 		}
 		wg.Wait()
 	}
@@ -130,7 +112,7 @@ func obsTracerOff() {
 
 // runObsRetention drives the mixed load with a seeded ≤5% interesting subset
 // through the recorder and scores the retention decision.
-func runObsRetention(b *core.Binding, invocations int, slowThreshold time.Duration) ObsPoint {
+func runObsRetention(svc *benchidl.ObsSvc, invocations int, slowThreshold time.Duration) ObsPoint {
 	cfg := obs.RecorderConfig{FixedSlowNS: slowThreshold.Nanoseconds()}
 	obs.DefaultTracer.Reset()
 	obs.DefaultTracer.EnableRecorder(cfg)
@@ -146,7 +128,7 @@ func runObsRetention(b *core.Binding, invocations int, slowThreshold time.Durati
 		case r < 0.04:
 			kind, nSlow = obsWorkSlow, nSlow+1
 		}
-		b.Invoke("work", []any{kind})
+		_, _ = svc.Work(kind) // a designated error is one of the traces to retain
 	}
 	obs.DefaultTracer.Flush()
 
@@ -237,13 +219,10 @@ func FigureObs(quick bool) []ObsPoint {
 	ior, stop := startObsServer(fab, slowSleep)
 	defer stop()
 	orb := core.NewORB(core.NewRouter(fab.NewEndpoint("obs-client")), nil, nil)
-	b, err := orb.Bind(ior, obsIface())
-	if err != nil {
-		panic(err)
-	}
+	svc := must(benchidl.BindObsSvc(orb, ior))
 
 	return []ObsPoint{
-		runObsRetention(b, retentionN, slowThreshold),
+		runObsRetention(svc, retentionN, slowThreshold),
 		runObsScrape(scrapeG, scrapeM, scrapeIters),
 	}
 }

@@ -1,0 +1,38 @@
+package bench
+
+import (
+	"reflect"
+	"testing"
+
+	"pardis/examples/pipeline/vizgen"
+	"pardis/internal/bench/benchidl"
+	"pardis/internal/core"
+)
+
+// TestOnewayVariantChangesOneThing holds AblationOneway to what it claims to
+// measure: benchidl's visualizer and field_operations are pipeline.idl's,
+// with every operation declared oneway and nothing else changed — names,
+// parameters, their typecodes and distributions, results, idempotency.
+func TestOnewayVariantChangesOneThing(t *testing.T) {
+	for _, c := range []struct{ twoWay, oneway *core.InterfaceDef }{
+		{vizgen.VisualizerIDL(), benchidl.VisualizerIDL()},
+		{vizgen.FieldOperationsIDL(), benchidl.FieldOperationsIDL()},
+	} {
+		for _, op := range c.twoWay.Ops {
+			if op.Oneway {
+				t.Errorf("vizgen %s.%s is oneway; the figure's pipeline is two-way", c.twoWay.Name, op.Name)
+			}
+		}
+		for i := range c.oneway.Ops {
+			op := &c.oneway.Ops[i]
+			if !op.Oneway {
+				t.Errorf("benchidl %s.%s is not oneway", c.oneway.Name, op.Name)
+			}
+			op.Oneway = false
+		}
+		if !reflect.DeepEqual(c.twoWay, c.oneway) {
+			t.Errorf("benchidl's %s differs from vizgen's in more than oneway:\n vizgen   %+v\n benchidl %+v",
+				c.twoWay.Name, *c.twoWay, *c.oneway)
+		}
+	}
+}

@@ -7,13 +7,13 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
 	"pardis/internal/registry/regidl"
 	"pardis/internal/rts"
-	"pardis/internal/typecode"
 	"pardis/internal/vtime"
 )
 
@@ -111,27 +111,13 @@ func FigureServe(quick bool) []ServePoint {
 
 const serveGroupName = "serve-group"
 
-func serveIface() *core.InterfaceDef {
-	return &core.InterfaceDef{
-		Name: "serve_replica",
-		Ops: []core.Operation{{
-			Name:       "work",
-			Params:     []core.Param{core.NewParam("x", core.In, typecode.TCLong)},
-			Result:     typecode.TCLong,
-			Idempotent: true,
-		}},
-	}
-}
-
-// serveServant charges a fixed compute cost per invocation.
+// serveServant implements bench.idl's serve_replica: it charges a fixed
+// compute cost per invocation.
 type serveServant struct{ work float64 }
 
-func (s serveServant) Invoke(ctx *poa.Context, op string, in []any) (any, []any, error) {
-	if op != "work" {
-		return nil, nil, fmt.Errorf("no operation %s", op)
-	}
+func (s serveServant) Work(ctx *poa.Context, _ int32) (int32, error) {
 	ctx.Thread.Compute(s.work)
-	return int32(1), nil, nil
+	return 1, nil
 }
 
 // replicaInfo is one replica's bulletin-board entry: its IOR for binding
@@ -154,7 +140,6 @@ func runServe(cfg serveConfig) ServePoint {
 	w.connect("sp2", "indy", "ethernet")
 
 	fi := nexus.NewFaultInjector(uint64(cfg.seed), nexus.FaultPlan{})
-	iface := serveIface()
 
 	// Shared run state. The vtime scheduler runs procs cooperatively, but
 	// atomics and the mutex keep the harness clean under -race; everything
@@ -193,10 +178,7 @@ func runServe(cfg serveConfig) ServePoint {
 			if cfg.admitLimit > 0 {
 				adapter.SetAdmission(cfg.admitLimit, cfg.hintSec)
 			}
-			ior, err := adapter.RegisterSingle(name, iface, serveServant{work: cfg.workSec})
-			if err != nil {
-				panic(err)
-			}
+			ior := must(benchidl.RegisterServeReplicaSingle(adapter, name, serveServant{work: cfg.workSec}))
 			th.Proc().Send(infoChs[i], replicaInfo{ior: ior, adapter: adapter}, 0)
 			adapter.ImplIsReady()
 		})
@@ -241,7 +223,7 @@ func runServe(cfg serveConfig) ServePoint {
 				panic(err)
 			}
 			regc.SetDeadline(cfg.deadline)
-			gb := orb.BindGroup(regc.GroupResolver(serveGroupName), iface)
+			gb := orb.BindGroup(regc.GroupResolver(serveGroupName), benchidl.ServeReplicaIDL())
 			gb.SetDeadline(cfg.deadline)
 			gb.SetRetryPolicy(core.RetryPolicy{
 				MaxAttempts: cfg.attempts,
@@ -325,8 +307,8 @@ func runServe(cfg serveConfig) ServePoint {
 		// their repository goes away.
 		th.Sleep(2 * cfg.hbPeriod)
 		for i := 0; i < nReplicas; i++ {
-			if b, err := orb.Bind(infos[i].ior, iface); err == nil {
-				_ = b.Shutdown("serve done")
+			if r, err := benchidl.BindServeReplica(orb, infos[i].ior); err == nil {
+				_ = r.Binding().Shutdown("serve done")
 			}
 		}
 		if p, err := regidl.BindRepository(orb, registry.BootstrapIOR(regAddr)); err == nil {

@@ -1,8 +1,9 @@
 package poa
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pardis/internal/cdr"
 	"pardis/internal/core"
@@ -192,7 +193,7 @@ func appendDecision(e *cdr.Encoder, g *gather) {
 	for rank, r := range g.reqs {
 		clients = append(clients, clientInfo{Rank: rank, ReqID: r.ReqID, Addr: r.ReplyAddr})
 	}
-	sort.Slice(clients, func(a, b int) bool { return clients[a].Rank < clients[b].Rank })
+	slices.SortFunc(clients, func(a, b clientInfo) int { return cmp.Compare(a.Rank, b.Rank) })
 	req := g.reqs[0]
 	inner := cdr.GetEncoder(256)
 	inner.PutOctet(decDispatch)
