@@ -272,10 +272,3 @@ func main() {
 	dnaDatabase.Binding().Shutdown("done")
 	wg.Wait()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

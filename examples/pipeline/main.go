@@ -1,14 +1,8 @@
-// Pipeline reproduces the paper's §4.3 metaapplication: a POOMA diffusion
-// simulation pipelines its field every n-th time-step to an HPC++ PSTL
-// gradient server, and both components ship every completed step to
-// visualizer servers — all through non-blocking invocations.
-//
-// The three generated packages mirror the paper's three IDL compiler
-// invocations over the same pipeline.idl:
-//
-//	pardis-idl -pooma  -> poomagen  (diffusion client: fields)
-//	pardis-idl -hpcxx  -> pstlgen   (gradient server: distributed vectors)
-//	pardis-idl         -> vizgen    (visualizer servers: plain sequences)
+// Pipeline deploys the paper's §4.3 metaapplication (internal/apps/pipeline,
+// the components pardis-bench -fig 5 runs on virtual time) on the wall clock
+// at the paper's sizes: a POOMA diffusion client steps a 128x128 grid 100
+// times and sends every 5th field to a PSTL gradient server, and both feed a
+// visualizer. The last frames must equal a one-thread run's, bit for bit.
 //
 // Run with:
 //
@@ -20,220 +14,67 @@ import (
 	"log"
 	"sync"
 
-	"pardis/examples/pipeline/poomagen"
-	"pardis/examples/pipeline/pstlgen"
-	"pardis/examples/pipeline/vizgen"
-
+	"pardis/internal/apps/pipeline"
 	"pardis/internal/core"
-	"pardis/internal/dseq"
-	"pardis/internal/future"
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
-	"pardis/internal/pooma"
-	"pardis/internal/pstl"
 	"pardis/internal/rts"
 )
 
-const (
-	gridN         = 64 // grid edge (the paper used 128; kept smaller here)
-	steps         = 50 // diffusion time-steps (the paper used 100)
-	gradientEvery = 5  // pipeline the field to the gradient every n-th step
-	alpha         = 0.01
-	procs         = 2 // threads of the diffusion client and gradient server
-)
-
-// vizImpl implements the generated vizgen.VisualizerServant: it renders by
-// counting frames and remembering the last field's mean.
-type vizImpl struct {
-	name     string
-	mu       sync.Mutex
-	frames   int
-	lastMean float64
-}
-
-func (v *vizImpl) Show(_ *poa.Context, myfield *dseq.DSeq[float64]) error {
-	sum := 0.0
-	for _, x := range myfield.Local() {
-		sum += x
-	}
-	v.mu.Lock()
-	v.frames++
-	v.lastMean = sum / float64(myfield.GlobalLen())
-	v.mu.Unlock()
-	return nil
-}
-
-func (v *vizImpl) report() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	fmt.Printf("  [%s] %d frames, last mean %.6f\n", v.name, v.frames, v.lastMean)
-}
-
-// startVisualizer launches a one-thread visualizer server (a "sequential
-// process" in the paper's words; PARDIS-wise a one-thread SPMD object,
-// since its show() takes a distributed argument).
-func startVisualizer(fab *nexus.Inproc, name string) (core.IOR, *vizImpl, *sync.WaitGroup) {
-	impl := &vizImpl{name: name}
-	iorCh := make(chan core.IOR, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := rts.NewChanGroup(name+"-host", 1).Thread(0)
-		router := core.NewRouter(fab.NewEndpoint(name))
-		adapter := poa.New(th, router, nil)
-		ior, err := vizgen.RegisterVisualizerSPMD(adapter, name, impl)
-		if err != nil {
-			log.Fatal(err)
-		}
-		iorCh <- ior
-		adapter.ImplIsReady()
-	}()
-	return <-iorCh, impl, &wg
-}
-
-// gradientImpl implements the generated pstlgen.FieldOperationsServant: it
-// computes the magnitude gradient of the incoming field and pipelines the
-// result to its own visualizer — a server acting as a client.
-type gradientImpl struct {
-	vizIOR   core.IOR
-	viz      *pstlgen.Visualizer
-	orb      *core.ORB
-	requests int
-	lastShow future.Done
-	haveShow bool
-}
-
-func (g *gradientImpl) Gradient(ctx *poa.Context, myfield *pstl.DistVector) error {
-	th := ctx.Thread
-	if g.viz == nil {
-		// Collective lazy bind: all threads reach here together.
-		v, err := pstlgen.SPMDBindVisualizer(g.orb, g.vizIOR)
-		if err != nil {
-			return err
-		}
-		g.viz = v
-	}
-	out := pstl.VectorFromDSeq(dseq.NewFromLayout[float64](th, myfield.AsDSeq().DLayout(), dseq.Float64Codec{}))
-	pstl.Gradient2D(myfield, out, gridN, gridN)
-	done, err := g.viz.ShowNB(out)
-	if err != nil {
-		return err
-	}
-	g.lastShow, g.haveShow = done, true
-	g.requests++
-	return nil
-}
-
-// startGradientServer launches the HPC++ PSTL gradient component.
-func startGradientServer(fab *nexus.Inproc, vizIOR core.IOR) (core.IOR, *sync.WaitGroup) {
-	iorCh := make(chan core.IOR, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rts.NewChanGroup("sp2", procs).Run(func(th rts.Thread) {
-			router := core.NewRouter(fab.NewEndpoint(fmt.Sprintf("gradient-%d", th.Rank())))
-			orb := core.NewORB(router, th, nil) // client role toward the visualizer
-			adapter := poa.New(th, router, nil) // server role for the diffusion unit
-			impl := &gradientImpl{vizIOR: vizIOR, orb: orb}
-			ior, err := pstlgen.RegisterFieldOperationsSPMD(adapter, "gradient-1", impl)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if th.Rank() == 0 {
-				iorCh <- ior
-			}
-			adapter.ImplIsReady()
-			// Drain the last pipelined show before exiting.
-			if impl.haveShow {
-				if err := impl.lastShow.Wait(); err != nil {
-					log.Printf("gradient viz flush: %v", err)
-				}
-			}
-		})
-	}()
-	return <-iorCh, &wg
-}
-
 func main() {
+	const procs = 2 // threads of the diffusion client and of the gradient server
+	p := pipeline.Paper
 	fab := nexus.NewInproc()
-
-	// Two visualizers: one beside the diffusion unit, one for the
-	// gradient component (the paper's SGI Indy).
-	vizDiffIOR, vizDiff, wgV1 := startVisualizer(fab, "viz-diffusion")
-	vizGradIOR, vizGrad, wgV2 := startVisualizer(fab, "viz-gradient")
-	gradIOR, wgG := startGradientServer(fab, vizGradIOR)
-
-	// --- Diffusion unit: a POOMA application acting as parallel client. --
-	rts.NewChanGroup("sgi-pc", procs).Run(func(th rts.Thread) {
-		router := core.NewRouter(fab.NewEndpoint(fmt.Sprintf("diffusion-%d", th.Rank())))
-		orb := core.NewORB(router, th, nil)
-		viz, err := poomagen.SPMDBindVisualizer(orb, vizDiffIOR)
-		if err != nil {
-			log.Fatal(err)
-		}
-		grad, err := poomagen.SPMDBindFieldOperations(orb, gradIOR)
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		// The POOMA simulation: 9-point stencil diffusion.
-		f := pooma.NewField(th, gridN, gridN)
-		tmp := pooma.NewField(th, gridN, gridN)
-		f.Fill(func(x, y int) float64 {
-			if x == gridN/2 && y == gridN/2 {
-				return 1000
-			}
-			return 0
-		})
-
-		var pending []future.Done
-		for step := 1; step <= steps; step++ {
-			f.Step(tmp, alpha)
-			f, tmp = tmp, f
-			// Pipeline every completed step to the visualizer...
-			d, err := viz.ShowNB(f)
-			if err != nil {
-				log.Fatal(err)
-			}
-			pending = append(pending, d)
-			// ...and every n-th step to the gradient component.
-			if step%gradientEvery == 0 {
-				d, err := grad.GradientNB(f)
-				if err != nil {
-					log.Fatal(err)
+	var programs sync.WaitGroup
+	// start runs a program of n threads in the background, each with its
+	// own in-process endpoint and an ORB and a POA on its router. Its rank
+	// 0 may publish one reference, on the returned channel.
+	start := func(name string, n int, body func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error) <-chan core.IOR {
+		ref := make(chan core.IOR, 1)
+		programs.Add(1)
+		go func() {
+			defer programs.Done()
+			rts.NewChanGroup(name, n).Run(func(th rts.Thread) {
+				router := core.NewRouter(fab.NewEndpoint(fmt.Sprintf("%s-%d", name, th.Rank())))
+				publish := func(ior core.IOR) { ref <- ior }
+				if err := body(th, poa.New(th, router, nil), core.NewORB(router, th, nil), publish); err != nil {
+					log.Fatalf("%s: %v", name, err)
 				}
-				pending = append(pending, d)
+			})
+		}()
+		return ref
+	}
+	visualizer := func(name string, v *pipeline.Visualizer) core.IOR {
+		return <-start(name, 1, func(_ rts.Thread, adapter *poa.POA, _ *core.ORB, publish func(core.IOR)) error {
+			ior, err := pipeline.RegisterVisualizer(adapter, name, p, v)
+			if err == nil {
+				publish(ior)
+				adapter.ImplIsReady()
 			}
-		}
-		// Resolve the pipeline tail.
-		for _, d := range pending {
-			if err := d.Wait(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		th.Barrier()
-		if th.Rank() == 0 {
-			fmt.Printf("diffusion finished %d steps (%d gradient requests)\n", steps, steps/gradientEvery)
-			grad.Binding().Shutdown("done")
-			viz.Binding().Shutdown("done")
-		}
-	})
+			return err
+		})
+	}
 
-	wgG.Wait()
-	// The gradient server's visualizer is shut down after the gradient
-	// server has flushed its pipeline.
-	stopViz := core.NewORB(core.NewRouter(fab.NewEndpoint("stopper")), nil, nil)
-	if b, err := stopViz.Bind(vizGradIOR, vizgen.VisualizerIDL()); err == nil {
-		b.Shutdown("done")
+	// A visualizer beside the diffusion client, and one for the gradient server.
+	var vizDiff, vizGrad pipeline.Visualizer
+	vizDiffRef, vizGradRef := visualizer("viz-diffusion", &vizDiff), visualizer("viz-gradient", &vizGrad)
+	gradRef := <-start("gradient", procs, func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error {
+		return pipeline.ServeGradient(th, adapter, orb, p, "gradient-1", func() core.IOR { return vizGradRef }, publish)
+	})
+	start("diffusion", procs, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
+		return pipeline.Diffuse(th, orb, p, vizDiffRef, gradRef, func() {}, func() {})
+	})
+	programs.Wait()
+	fmt.Printf("diffusion finished %d steps of a %dx%d grid (%d gradient requests)\n", p.Steps, p.Grid, p.Grid, p.Steps/p.Every)
+
+	diffMean, gradMean := pipeline.Serial(p)
+	check := func(name string, v *pipeline.Visualizer, frames int, serialMean float64) {
+		fmt.Printf("  [%s] %d frames, last mean %v\n", name, v.Frames, v.LastMean)
+		if v.Frames != frames || v.LastMean != serialMean {
+			log.Fatalf("%s: want %d frames and the serial run's last mean %v", name, frames, serialMean)
+		}
 	}
-	wgV1.Wait()
-	wgV2.Wait()
-	vizDiff.report()
-	vizGrad.report()
-	if vizDiff.frames != steps || vizGrad.frames != steps/gradientEvery {
-		log.Fatalf("frame counts wrong: %d/%d", vizDiff.frames, vizGrad.frames)
-	}
-	fmt.Println("pipeline example completed")
+	check("viz-diffusion", &vizDiff, p.Steps, diffMean)
+	check("viz-gradient", &vizGrad, p.Steps/p.Every, gradMean)
+	fmt.Println("pipeline example completed: every last frame equals the serial run's")
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"pardis/internal/apps/pipeline"
 	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
 	"pardis/internal/dist"
@@ -128,9 +129,11 @@ func AblationNonBlocking(n int) []AblationPoint {
 // two-way) show/gradient traffic against a protocol-level oneway variant —
 // the paper's §4.3 observation that its invocations "were not oneway".
 func AblationOneway(p int) []AblationPoint {
+	oneway := pipeline.Paper
+	oneway.Oneway = true
 	return []AblationPoint{
-		{fmt.Sprintf("non-blocking-p%d", p), runFig5(p, fig5Config{})},
-		{fmt.Sprintf("oneway-p%d", p), runFig5(p, fig5Config{oneway: true})},
+		{fmt.Sprintf("non-blocking-p%d", p), runFig5(p, pipeline.Paper, false)},
+		{fmt.Sprintf("oneway-p%d", p), runFig5(p, oneway, false)},
 	}
 }
 
@@ -143,8 +146,8 @@ func AblationOneway(p int) []AblationPoint {
 // occupies the sender for the frame's wire time.
 func AblationCommThreads(p int) []AblationPoint {
 	return []AblationPoint{
-		{fmt.Sprintf("single-threaded-p%d", p), runFig5(p, fig5Config{})},
-		{fmt.Sprintf("comm-threads-p%d", p), runFig5(p, fig5Config{commThreads: true})},
+		{fmt.Sprintf("single-threaded-p%d", p), runFig5(p, pipeline.Paper, false)},
+		{fmt.Sprintf("comm-threads-p%d", p), runFig5(p, pipeline.Paper, true)},
 	}
 }
 

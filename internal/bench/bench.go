@@ -4,19 +4,16 @@
 // parallel server) and Figure 5 (the POOMA/PSTL pipeline), plus ablation
 // experiments for the design choices DESIGN.md calls out.
 //
-// Every experiment that invokes objects is a PARDIS program: its
-// interfaces are declared in IDL, and it registers, binds and calls
-// through what pardis-idl generates for them. Figure 2 uses
-// examples/linsolve/linsolve.idl (package internal/apps/linsolveidl),
-// Figure 4 examples/dnadb/dnadb.idl (internal/apps/dnadbidl), Figure 5
-// examples/pipeline/pipeline.idl (examples/pipeline/vizgen); the
-// interfaces only the harness uses are in benchidl/bench.idl (package
-// benchidl). The paper figures run the full stack — the ORB's request
-// protocol, distributed argument segments, POA dispatch — on the vtime
-// virtual clock over the simnet machine models, so results are
-// deterministic functions of the model. Absolute numbers are
-// therefore comparable in *shape* (who wins, by what factor, where curves
-// cross), not in microseconds, with the 1997 testbed.
+// Every experiment that invokes objects is a PARDIS program, written
+// against what pardis-idl generates: Figure 2 against linsolve.idl
+// (internal/apps/linsolveidl), Figure 4 dnadb.idl (internal/apps/dnadbidl),
+// and the harness's own interfaces benchidl/bench.idl. Figure 5 deploys
+// the metaapplication of internal/apps/pipeline, the components that
+// examples/pipeline runs on the wall clock. Everything runs the full stack
+// on the vtime virtual clock over the simnet machine models, so results
+// are deterministic functions of the model, comparable with the 1997
+// testbed in *shape* (who wins, by what factor, where curves cross), not
+// in microseconds.
 package bench
 
 import (

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"pardis/examples/pipeline/poomagen"
+	"pardis/examples/pipeline/pstlgen"
 	"pardis/examples/pipeline/vizgen"
 	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
@@ -33,6 +35,27 @@ func TestOnewayVariantChangesOneThing(t *testing.T) {
 		if !reflect.DeepEqual(c.twoWay, c.oneway) {
 			t.Errorf("benchidl's %s differs from vizgen's in more than oneway:\n vizgen   %+v\n benchidl %+v",
 				c.twoWay.Name, *c.twoWay, *c.oneway)
+		}
+	}
+}
+
+// TestMappingsShareOneTable holds the pipeline to the three mappings of
+// pipeline.idl agreeing on the wire: internal/apps/pipeline serves a
+// pstlgen skeleton to clients that bind through vizgen, and poomagen is the
+// same interfaces mapped to fields. The tables may differ in nothing.
+func TestMappingsShareOneTable(t *testing.T) {
+	for _, c := range []struct {
+		name               string
+		plain, pstl, pooma *core.InterfaceDef
+	}{
+		{"visualizer", vizgen.VisualizerIDL(), pstlgen.VisualizerIDL(), poomagen.VisualizerIDL()},
+		{"field_operations", vizgen.FieldOperationsIDL(), pstlgen.FieldOperationsIDL(), poomagen.FieldOperationsIDL()},
+	} {
+		if !reflect.DeepEqual(c.plain, c.pstl) {
+			t.Errorf("%s: pstlgen's table differs from vizgen's:\n vizgen  %+v\n pstlgen %+v", c.name, *c.plain, *c.pstl)
+		}
+		if !reflect.DeepEqual(c.plain, c.pooma) {
+			t.Errorf("%s: poomagen's table differs from vizgen's:\n vizgen   %+v\n poomagen %+v", c.name, *c.plain, *c.pooma)
 		}
 	}
 }
