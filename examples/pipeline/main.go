@@ -1,8 +1,9 @@
-// Pipeline deploys the paper's §4.3 metaapplication (internal/apps/pipeline,
+// Pipeline runs the paper's §4.3 metaapplication (internal/apps/pipeline,
 // the components pardis-bench -fig 5 runs on virtual time) on the wall clock
-// at the paper's sizes: a POOMA diffusion client steps a 128x128 grid 100
-// times and sends every 5th field to a PSTL gradient server, and both feed a
-// visualizer. The last frames must equal a one-thread run's, bit for bit.
+// at the paper's sizes, over the in-process fabric: a 2-thread POOMA
+// diffusion client steps a 128x128 grid 100 times and sends every 5th field
+// to a 2-thread PSTL gradient server, and both feed a visualizer. What the
+// visualizers are shown must equal a one-thread run's, bit for bit.
 //
 // Run with:
 //
@@ -12,69 +13,16 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	"pardis/internal/apps/pipeline"
-	"pardis/internal/core"
-	"pardis/internal/nexus"
-	"pardis/internal/poa"
-	"pardis/internal/rts"
 )
 
 func main() {
-	const procs = 2 // threads of the diffusion client and of the gradient server
-	p := pipeline.Paper
-	fab := nexus.NewInproc()
-	var programs sync.WaitGroup
-	// start runs a program of n threads in the background, each with its
-	// own in-process endpoint and an ORB and a POA on its router. Its rank
-	// 0 may publish one reference, on the returned channel.
-	start := func(name string, n int, body func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error) <-chan core.IOR {
-		ref := make(chan core.IOR, 1)
-		programs.Add(1)
-		go func() {
-			defer programs.Done()
-			rts.NewChanGroup(name, n).Run(func(th rts.Thread) {
-				router := core.NewRouter(fab.NewEndpoint(fmt.Sprintf("%s-%d", name, th.Rank())))
-				publish := func(ior core.IOR) { ref <- ior }
-				if err := body(th, poa.New(th, router, nil), core.NewORB(router, th, nil), publish); err != nil {
-					log.Fatalf("%s: %v", name, err)
-				}
-			})
-		}()
-		return ref
+	vizDiff, vizGrad, err := pipeline.Run(pipeline.Params{}, 2, 2)
+	serialDiff, serialGrad := pipeline.Serial()
+	fmt.Printf("  [viz-diffusion] %+v\n  [viz-gradient] %+v\n", *vizDiff, *vizGrad)
+	if err != nil || *vizDiff != serialDiff || *vizGrad != serialGrad {
+		log.Fatalf("%v; want the serial run's %+v and %+v", err, serialDiff, serialGrad)
 	}
-	visualizer := func(name string, v *pipeline.Visualizer) core.IOR {
-		return <-start(name, 1, func(_ rts.Thread, adapter *poa.POA, _ *core.ORB, publish func(core.IOR)) error {
-			ior, err := pipeline.RegisterVisualizer(adapter, name, p, v)
-			if err == nil {
-				publish(ior)
-				adapter.ImplIsReady()
-			}
-			return err
-		})
-	}
-
-	// A visualizer beside the diffusion client, and one for the gradient server.
-	var vizDiff, vizGrad pipeline.Visualizer
-	vizDiffRef, vizGradRef := visualizer("viz-diffusion", &vizDiff), visualizer("viz-gradient", &vizGrad)
-	gradRef := <-start("gradient", procs, func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error {
-		return pipeline.ServeGradient(th, adapter, orb, p, "gradient-1", func() core.IOR { return vizGradRef }, publish)
-	})
-	start("diffusion", procs, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
-		return pipeline.Diffuse(th, orb, p, vizDiffRef, gradRef, func() {}, func() {})
-	})
-	programs.Wait()
-	fmt.Printf("diffusion finished %d steps of a %dx%d grid (%d gradient requests)\n", p.Steps, p.Grid, p.Grid, p.Steps/p.Every)
-
-	diffMean, gradMean := pipeline.Serial(p)
-	check := func(name string, v *pipeline.Visualizer, frames int, serialMean float64) {
-		fmt.Printf("  [%s] %d frames, last mean %v\n", name, v.Frames, v.LastMean)
-		if v.Frames != frames || v.LastMean != serialMean {
-			log.Fatalf("%s: want %d frames and the serial run's last mean %v", name, frames, serialMean)
-		}
-	}
-	check("viz-diffusion", &vizDiff, p.Steps, diffMean)
-	check("viz-gradient", &vizGrad, p.Steps/p.Every, gradMean)
 	fmt.Println("pipeline example completed: every last frame equals the serial run's")
 }

@@ -6,12 +6,14 @@
 //
 // Each component charges its cost model through Thread.Compute, a no-op on
 // the wall clock, and runs its kernels unless its thread is an
-// *rts.SimThread. Figure 5 (internal/bench) and examples/pipeline supply
-// the deployment: hosts, endpoints, and how references travel.
+// *rts.SimThread. Figure 5 (internal/bench) deploys them on virtual time;
+// Run, which examples/pipeline calls, on the wall clock in one process.
 package pipeline
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 
 	"pardis/examples/pipeline/pstlgen"
 	"pardis/examples/pipeline/vizgen"
@@ -21,35 +23,33 @@ import (
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/future"
+	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/pooma"
 	"pardis/internal/pstl"
 	"pardis/internal/rts"
 )
 
-// Params selects the size of a run and which parts of the metaapplication
-// run, and how; with no variant set it is the whole pipeline, Figure 5's
-// overall curve.
-type Params struct {
-	Grid  int // edge of the square field, Grid x Grid cells
-	Steps int // diffusion time-steps
-	Every int // the field goes to the gradient server every Every-th step
+// The paper's run: a grid x grid field stepped steps times by a 9-point
+// stencil (coefficient alpha), its gradient requested every every-th step.
+const (
+	grid  = 128
+	steps = 100
+	every = 5
+	alpha = 0.01
+)
 
+// Params selects which parts of the metaapplication run, and how; the zero
+// value is the whole pipeline, Figure 5's overall curve.
+type Params struct {
 	SkipGradient bool // no gradient requests: the diffusion component alone
 	Oneway       bool // show and gradient are declared oneway: nobody waits for a reply
 	Driver       bool // the gradient component alone: the client only blocks on each gradient request
 }
 
-// Paper is the paper's run: a 128x128 grid, 100 time-steps, the gradient
-// requested every 5th step.
-var Paper = Params{Grid: 128, Steps: 100, Every: 5}
-
-// alpha is the diffusion coefficient of the 9-point stencil.
-const alpha = 0.01
-
 // initial is the field before the first step: one hot cell in the middle.
-func (p Params) initial(x, y int) float64 {
-	if x == p.Grid/2 && y == p.Grid/2 {
+func initial(x, y int) float64 {
+	if x == grid/2 && y == grid/2 {
 		return 1000
 	}
 	return 0
@@ -61,12 +61,20 @@ func wallClock(th rts.Thread) bool {
 	return !sim
 }
 
-func mean(xs []float64, n int) float64 {
+// wholeRows refuses, on the wall clock, a thread group that cannot hold whole rows.
+func wholeRows(th rts.Thread) error {
+	if !wallClock(th) || grid%th.Size() == 0 {
+		return nil
+	}
+	return fmt.Errorf("pipeline: %d threads cannot each hold whole rows of the %dx%d grid", th.Size(), grid, grid)
+}
+
+func mean(xs []float64) float64 {
 	sum := 0.0
 	for _, x := range xs {
 		sum += x
 	}
-	return sum / float64(n)
+	return sum / (grid * grid)
 }
 
 // tables returns the operation tables the components register: for the
@@ -79,8 +87,8 @@ func (p Params) tables() (viz, grad func() *core.InterfaceDef) {
 }
 
 // Visualizer is a one-thread visualizer's servant: it charges a fixed cost
-// per frame and keeps the frame count and, on the wall clock, the last
-// frame's mean. Read them once its thread has returned.
+// per frame and keeps the frame count and the last frame's mean. Read them
+// once its thread has returned.
 type Visualizer struct {
 	Frames   int
 	LastMean float64
@@ -90,9 +98,7 @@ type Visualizer struct {
 func (v *Visualizer) Show(ctx *poa.Context, myfield *dseq.DSeq[float64]) error {
 	ctx.Thread.Compute(apps.VizWork)
 	v.Frames++
-	if wallClock(ctx.Thread) {
-		v.LastMean = mean(myfield.Local(), myfield.GlobalLen())
-	}
+	v.LastMean = mean(myfield.Local())
 	return nil
 }
 
@@ -128,13 +134,13 @@ func (g *gradient) visualizer() error {
 // Gradient implements pstlgen.FieldOperationsServant.
 func (g *gradient) Gradient(ctx *poa.Context, myfield *pstl.DistVector) error {
 	th := ctx.Thread
-	if err := g.visualizer(); err != nil {
+	if err := errors.Join(wholeRows(th), g.visualizer()); err != nil {
 		return err
 	}
-	th.Compute(apps.PerThread(apps.GradientWork(g.p.Grid*g.p.Grid), th.Size()))
+	th.Compute(apps.PerThread(apps.GradientWork(grid*grid), th.Size()))
 	out := pstl.VectorFromDSeq(dseq.NewFromLayout[float64](th, myfield.AsDSeq().DLayout(), dseq.Float64Codec{}))
 	if wallClock(th) {
-		pstl.Gradient2D(myfield, out, g.p.Grid, g.p.Grid)
+		pstl.Gradient2D(myfield, out, grid, grid)
 	}
 	wait, err := g.viz.nb(out.AsDSeq())
 	if err == nil {
@@ -158,10 +164,7 @@ func ServeGradient(th rts.Thread, adapter *poa.POA, orb *core.ORB, p Params, key
 		publish(ior)
 	}
 	adapter.ImplIsReady()
-	if err := g.visualizer(); err != nil {
-		return err
-	}
-	if err := g.last(); err != nil || th.Rank() != 0 {
+	if err := errors.Join(g.visualizer(), g.last()); err != nil || th.Rank() != 0 {
 		return err
 	}
 	return g.viz.binding().Shutdown("done")
@@ -169,9 +172,11 @@ func ServeGradient(th rts.Thread, adapter *poa.POA, orb *core.ORB, p Params, key
 
 // Diffuse runs one thread of the diffusion client of the visualizer at
 // vizRef and the gradient server at gradRef, and rank 0 shuts both down at
-// the end. start and stop, each called after a barrier, bracket the steps
-// and every reply to them: the caller's clock measures what is between.
-func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, start, stop func()) error {
+// the end, also after an error. start and stop, each called after a barrier,
+// bracket the steps and every reply to them: the caller's clock measures
+// what is between. On the wall clock the client's and the server's thread
+// counts must divide the grid's rows (wholeRows); others get an error.
+func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, start, stop func()) (err error) {
 	viz, err := bindVisualizer(orb, vizRef, p.Oneway)
 	if err != nil {
 		return err
@@ -180,14 +185,19 @@ func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, s
 	if err != nil {
 		return err
 	}
-	cells := p.Grid * p.Grid
-	field := dseq.New[float64](th, cells, dist.BlockTemplate(), dseq.Float64Codec{})
-	diffuse := func() {}
+	if th.Rank() == 0 {
+		defer func() { err = errors.Join(err, grad.binding().Shutdown("done"), viz.binding().Shutdown("done")) }()
+	}
+	if err := wholeRows(th); err != nil {
+		return err
+	}
+	field := dseq.New[float64](th, grid*grid, dist.BlockTemplate(), dseq.Float64Codec{})
+	step := func() {}
 	if wallClock(th) {
 		f := pooma.FieldFromDSeq(field)
 		next := pooma.FieldFromDSeq(dseq.NewFromLayout[float64](th, field.DLayout(), dseq.Float64Codec{}))
-		f.Fill(p.initial)
-		diffuse = func() {
+		f.Fill(initial)
+		step = func() {
 			f.Step(next, alpha)
 			copy(f.Local(), next.Local())
 		}
@@ -201,16 +211,17 @@ func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, s
 		pending = append(pending, wait)
 		return err
 	}
-	for step := 1; step <= p.Steps; step++ {
+	for i := 1; i <= steps; i++ {
 		if !p.Driver {
-			th.Compute(apps.PerThread(apps.DiffusionStepWork(cells), th.Size()))
-			diffuse()
+			th.Compute(apps.PerThread(apps.DiffusionStepWork(grid*grid), th.Size()))
+			step()
 			if err := issue(viz); err != nil {
 				return err
 			}
 		}
+		var err error
 		switch {
-		case p.SkipGradient || step%p.Every != 0:
+		case p.SkipGradient || i%every != 0:
 		case p.Driver:
 			err = grad.blocking(field)
 		default:
@@ -227,70 +238,121 @@ func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, s
 	}
 	th.Barrier()
 	stop()
-	if th.Rank() == 0 {
-		return errors.Join(grad.binding().Shutdown("done"), viz.binding().Shutdown("done"))
-	}
 	return nil
 }
 
 // Serial runs the kernels on one thread, the reference a run is checked
-// against, and returns the mean of the last frame each visualizer is shown.
-func Serial(p Params) (diffusion, gradient float64) {
+// against, and returns what the whole pipeline shows each visualizer.
+func Serial() (vizDiff, vizGrad Visualizer) {
 	th := rts.NewChanGroup("serial", 1).Thread(0)
-	f, next := pooma.NewField(th, p.Grid, p.Grid), pooma.NewField(th, p.Grid, p.Grid)
-	grad := pstl.NewDistVector(th, p.Grid*p.Grid)
-	f.Fill(p.initial)
-	for step := 1; step <= p.Steps; step++ {
+	f, next := pooma.NewField(th, grid, grid), pooma.NewField(th, grid, grid)
+	grad := pstl.NewDistVector(th, grid*grid)
+	f.Fill(initial)
+	for i := 1; i <= steps; i++ {
 		f.Step(next, alpha)
 		f, next = next, f
-		if step%p.Every == 0 {
-			pstl.Gradient2D(pstl.VectorFromDSeq(f.AsDSeq()), grad, p.Grid, p.Grid)
+		if i%every == 0 {
+			pstl.Gradient2D(pstl.VectorFromDSeq(f.AsDSeq()), grad, grid, grid)
 		}
 	}
-	return mean(f.Local(), p.Grid*p.Grid), mean(grad.Local(), p.Grid*p.Grid)
+	return Visualizer{steps, mean(f.Local())}, Visualizer{steps / every, mean(grad.Local())}
+}
+
+// inproc runs programs on the wall clock, each thread with its own
+// endpoint on one in-process fabric, and joins their errors.
+type inproc struct {
+	fab      *nexus.Inproc
+	programs sync.WaitGroup
+	mu       sync.Mutex
+	err      error
+}
+
+// start runs a program of n threads in the background, each with an
+// adapter and an ORB on its router. Its rank 0 may publish one reference,
+// on the returned channel.
+func (d *inproc) start(name string, n int, body func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error) <-chan core.IOR {
+	ref := make(chan core.IOR, 1)
+	d.programs.Add(1)
+	go func() {
+		defer d.programs.Done()
+		rts.NewChanGroup(name, n).Run(func(th rts.Thread) {
+			router := core.NewRouter(d.fab.NewEndpoint(fmt.Sprintf("%s-%d", name, th.Rank())))
+			if err := body(th, poa.New(th, router, nil), core.NewORB(router, th, nil), func(ior core.IOR) { ref <- ior }); err != nil {
+				d.mu.Lock()
+				d.err = errors.Join(d.err, fmt.Errorf("%s-%d: %w", name, th.Rank(), err))
+				d.mu.Unlock()
+			}
+		})
+	}()
+	return ref
+}
+
+// visualizer runs a one-thread visualizer and returns its servant and reference.
+func (d *inproc) visualizer(name string, p Params) (*Visualizer, core.IOR) {
+	v := &Visualizer{}
+	return v, <-d.start(name, 1, func(_ rts.Thread, adapter *poa.POA, _ *core.ORB, publish func(core.IOR)) error {
+		ior, err := RegisterVisualizer(adapter, name, p, v)
+		if err == nil {
+			publish(ior)
+			adapter.ImplIsReady()
+		}
+		return err
+	})
+}
+
+// Run deploys the metaapplication on the wall clock over the in-process
+// fabric: one-thread visualizers, a gradient server of procs threads and a
+// diffusion client of clientProcs. It returns the two visualizers once
+// every program has returned.
+func Run(p Params, procs, clientProcs int) (vizDiff, vizGrad *Visualizer, err error) {
+	d := &inproc{fab: nexus.NewInproc()}
+	vizDiff, vizDiffRef := d.visualizer("viz-diffusion", p)
+	vizGrad, vizGradRef := d.visualizer("viz-gradient", p)
+	gradRef := <-d.start("gradient", procs, func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error {
+		return ServeGradient(th, adapter, orb, p, "gradient-1", func() core.IOR { return vizGradRef }, publish)
+	})
+	d.start("diffusion", clientProcs, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
+		return Diffuse(th, orb, p, vizDiffRef, gradRef, func() {}, func() {})
+	})
+	d.programs.Wait()
+	return vizDiff, vizGrad, d.err
 }
 
 // A proxy is one bound object, called through its generated stubs: those
 // of vizgen, or for the oneway ablation benchidl's.
 type proxy struct {
 	binding  func() *core.Binding
-	nb       nbStub
+	twoWay   func(myfield *dseq.DSeq[float64]) (future.Done, error)
+	oneway   func(myfield *dseq.DSeq[float64]) error
 	blocking func(myfield *dseq.DSeq[float64]) error
 }
 
-// An nbStub issues one non-blocking call and returns what to wait on; a
-// oneway call sends no reply, so its wait returns at once.
-type nbStub func(myfield *dseq.DSeq[float64]) (wait func() error, err error)
+// nb issues one non-blocking call and returns what to wait on; a oneway
+// call sends no reply, so its wait returns at once.
+func (x proxy) nb(myfield *dseq.DSeq[float64]) (wait func() error, err error) {
+	if x.oneway != nil {
+		return func() error { return nil }, x.oneway(myfield)
+	}
+	done, err := x.twoWay(myfield)
+	return done.Wait, err
+}
 
 // bindVisualizer collectively binds the visualizer at ref.
 func bindVisualizer(orb *core.ORB, ref core.IOR, oneway bool) (proxy, error) {
 	if oneway {
 		v, err := benchidl.SPMDBindVisualizer(orb, ref)
-		return proxy{v.Binding, onewayStub(v.ShowNB), v.Show}, err
+		return proxy{v.Binding, nil, v.ShowNB, v.Show}, err
 	}
 	v, err := vizgen.SPMDBindVisualizer(orb, ref)
-	return proxy{v.Binding, twoWayStub(v.ShowNB), v.Show}, err
+	return proxy{v.Binding, v.ShowNB, nil, v.Show}, err
 }
 
 // bindGradient collectively binds the gradient server at ref.
 func bindGradient(orb *core.ORB, ref core.IOR, oneway bool) (proxy, error) {
 	if oneway {
 		g, err := benchidl.SPMDBindFieldOperations(orb, ref)
-		return proxy{g.Binding, onewayStub(g.GradientNB), g.Gradient}, err
+		return proxy{g.Binding, nil, g.GradientNB, g.Gradient}, err
 	}
 	g, err := vizgen.SPMDBindFieldOperations(orb, ref)
-	return proxy{g.Binding, twoWayStub(g.GradientNB), g.Gradient}, err
-}
-
-func twoWayStub(stub func(*dseq.DSeq[float64]) (future.Done, error)) nbStub {
-	return func(f *dseq.DSeq[float64]) (func() error, error) {
-		done, err := stub(f)
-		return done.Wait, err
-	}
-}
-
-func onewayStub(stub func(*dseq.DSeq[float64]) error) nbStub {
-	return func(f *dseq.DSeq[float64]) (func() error, error) {
-		return func() error { return nil }, stub(f)
-	}
+	return proxy{g.Binding, g.GradientNB, nil, g.Gradient}, err
 }

@@ -1,99 +1,112 @@
 package pipeline
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
+	"errors"
+	"strings"
 	"testing"
 
+	"pardis/examples/pipeline/poomagen"
+	"pardis/examples/pipeline/pstlgen"
 	"pardis/internal/core"
+	"pardis/internal/future"
 	"pardis/internal/nexus"
 	"pardis/internal/poa"
+	"pardis/internal/pooma"
+	"pardis/internal/pstl"
 	"pardis/internal/rts"
 )
 
-// deploy runs the metaapplication on the wall clock over the in-process
-// fabric: one-thread visualizers, a gradient server of procs threads and a
-// client of clientProcs. It returns the two visualizers once every program
-// has returned.
-func deploy(t *testing.T, p Params, procs, clientProcs int) (vizDiff, vizGrad *Visualizer) {
-	t.Helper()
-	fab := nexus.NewInproc()
-	var programs sync.WaitGroup
-	start := func(name string, n int, body func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error) <-chan core.IOR {
-		ref := make(chan core.IOR, 1)
-		programs.Add(1)
-		go func() {
-			defer programs.Done()
-			rts.NewChanGroup(name, n).Run(func(th rts.Thread) {
-				router := core.NewRouter(fab.NewEndpoint(fmt.Sprintf("%s-%d", name, th.Rank())))
-				if err := body(th, poa.New(th, router, nil), core.NewORB(router, th, nil), func(ior core.IOR) { ref <- ior }); err != nil {
-					t.Errorf("%s: %v", name, err)
-				}
-			})
-		}()
-		return ref
-	}
-	visualizer := func(name string, v *Visualizer) core.IOR {
-		return <-start(name, 1, func(_ rts.Thread, adapter *poa.POA, _ *core.ORB, publish func(core.IOR)) error {
-			ior, err := RegisterVisualizer(adapter, name, p, v)
-			if err == nil {
-				publish(ior)
-				adapter.ImplIsReady()
-			}
-			return err
-		})
-	}
-	vizDiff, vizGrad = &Visualizer{}, &Visualizer{}
-	vizDiffRef, vizGradRef := visualizer("viz-diff", vizDiff), visualizer("viz-grad", vizGrad)
-	gradRef := <-start("grad", procs, func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error {
-		return ServeGradient(th, adapter, orb, p, "gradient-1", func() core.IOR { return vizGradRef }, publish)
-	})
-	var starts, stops atomic.Int32
-	start("diffusion", clientProcs, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
-		return Diffuse(th, orb, p, vizDiffRef, gradRef, func() { starts.Add(1) }, func() { stops.Add(1) })
-	})
-	programs.Wait()
-	if int(starts.Load()) != clientProcs || int(stops.Load()) != clientProcs {
-		t.Errorf("start ran %d times and stop %d; want each once per client thread, %d", starts.Load(), stops.Load(), clientProcs)
-	}
-	return vizDiff, vizGrad
-}
-
 // TestWallClockMatchesSerial runs every client variant Figure 5 measures on
-// the wall clock and checks what each visualizer was shown: the frame
-// counts, and last frames equal, bit for bit, to the one-thread run of the
-// same kernels. Row-block fields need the thread counts to divide the grid.
+// the wall clock, at the paper's sizes, and checks what each visualizer was
+// shown: the frame counts, and last frames equal, bit for bit, to the
+// one-thread run of the same kernels. Thread counts that do not divide the
+// grid's rows are refused with an error, by the client before its first
+// step and by the gradient server on each request.
 func TestWallClockMatchesSerial(t *testing.T) {
-	small := Params{Grid: 16, Steps: 12, Every: 3}
-	diffMean, gradMean := Serial(small)
-	if diffMean == 0 || gradMean == 0 {
-		t.Fatalf("serial run computed nothing: means %v, %v", diffMean, gradMean)
+	serialDiff, serialGrad := Serial()
+	if serialDiff.LastMean == 0 || serialGrad.LastMean == 0 {
+		t.Fatalf("serial run computed nothing: %+v, %+v", serialDiff, serialGrad)
 	}
-	skip, driver := small, small
-	skip.SkipGradient, driver.Driver = true, true
 	for _, c := range []struct {
-		name                   string
-		p                      Params
-		procs, clientProcs     int
-		diffFrames, gradFrames int
-		diffMean, gradMean     float64
+		name               string
+		p                  Params
+		procs, clientProcs int
+		vizDiff, vizGrad   Visualizer
+		err                bool
 	}{
-		{"whole", small, 2, 2, 12, 4, diffMean, gradMean},
-		{"whole-4-threads", small, 4, 4, 12, 4, diffMean, gradMean},
-		{"skip-gradient", skip, 2, 2, 12, 0, diffMean, 0},
+		{"whole", Params{}, 2, 2, serialDiff, serialGrad, false},
+		{"whole-4-threads", Params{}, 4, 4, serialDiff, serialGrad, false},
+		{"skip-gradient", Params{SkipGradient: true}, 2, 2, serialDiff, Visualizer{}, false},
 		// The driver sends the initial field, unstepped: its gradient is
 		// 1000/2 at the four neighbours of the hot cell.
-		{"driver", driver, 2, 1, 0, 4, 0, 4 * 500.0 / (16 * 16)},
+		{"driver", Params{Driver: true}, 2, 1, Visualizer{}, Visualizer{steps / every, 4 * 500.0 / (grid * grid)}, false},
+		{"client-splits-rows", Params{}, 2, 3, Visualizer{}, Visualizer{}, true},
+		{"server-splits-rows", Params{}, 3, 2, serialDiff, Visualizer{}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			vizDiff, vizGrad := deploy(t, c.p, c.procs, c.clientProcs)
-			if vizDiff.Frames != c.diffFrames || vizDiff.LastMean != c.diffMean {
-				t.Errorf("diffusion visualizer: %d frames, last mean %v; want %d, %v", vizDiff.Frames, vizDiff.LastMean, c.diffFrames, c.diffMean)
+			vizDiff, vizGrad, err := Run(c.p, c.procs, c.clientProcs)
+			if c.err != (err != nil) || err != nil && !strings.Contains(err.Error(), "whole rows") {
+				t.Errorf("Run: %v; want an error %v, about whole rows", err, c.err)
 			}
-			if vizGrad.Frames != c.gradFrames || vizGrad.LastMean != c.gradMean {
-				t.Errorf("gradient visualizer: %d frames, last mean %v; want %d, %v", vizGrad.Frames, vizGrad.LastMean, c.gradFrames, c.gradMean)
+			if *vizDiff != c.vizDiff || *vizGrad != c.vizGrad {
+				t.Errorf("visualizers shown %+v and %+v; want %+v and %+v", *vizDiff, *vizGrad, c.vizDiff, c.vizGrad)
 			}
 		})
+	}
+}
+
+// TestMappedClientsMatchSerial runs the serial kernels in a 2-thread client
+// bound through pipeline.idl's other two mappings: it shows each stepped
+// POOMA field through poomagen's stubs and every 5th step's PSTL gradient
+// through pstlgen's. The Visualizer servant, registered with vizgen's
+// table, must be shown what the serial run computes.
+func TestMappedClientsMatchSerial(t *testing.T) {
+	d := &inproc{fab: nexus.NewInproc()}
+	vizDiff, vizDiffRef := d.visualizer("viz-diffusion", Params{})
+	vizGrad, vizGradRef := d.visualizer("viz-gradient", Params{})
+	d.start("client", 2, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
+		showField, err := poomagen.SPMDBindVisualizer(orb, vizDiffRef)
+		if err != nil {
+			return err
+		}
+		showGrad, err := pstlgen.SPMDBindVisualizer(orb, vizGradRef)
+		if err != nil {
+			return err
+		}
+		f, next := pooma.NewField(th, grid, grid), pooma.NewField(th, grid, grid)
+		grad := pstl.NewDistVector(th, grid*grid)
+		f.Fill(initial)
+		var pending []future.Done
+		for i := 1; i <= steps; i++ {
+			f.Step(next, alpha)
+			f, next = next, f
+			done, err := showField.ShowNB(f)
+			if err != nil {
+				return err
+			}
+			pending = append(pending, done)
+			if i%every == 0 {
+				pstl.Gradient2D(pstl.VectorFromDSeq(f.AsDSeq()), grad, grid, grid)
+				if done, err = showGrad.ShowNB(grad); err != nil {
+					return err
+				}
+				pending = append(pending, done)
+			}
+		}
+		for _, done := range pending {
+			if err := done.Wait(); err != nil {
+				return err
+			}
+		}
+		if th.Rank() != 0 {
+			return nil
+		}
+		return errors.Join(showField.Binding().Shutdown("done"), showGrad.Binding().Shutdown("done"))
+	})
+	if d.programs.Wait(); d.err != nil {
+		t.Fatal(d.err)
+	}
+	if wantDiff, wantGrad := Serial(); *vizDiff != wantDiff || *vizGrad != wantGrad {
+		t.Errorf("visualizers shown %+v and %+v; want %+v and %+v", *vizDiff, *vizGrad, wantDiff, wantGrad)
 	}
 }

@@ -129,11 +129,9 @@ func AblationNonBlocking(n int) []AblationPoint {
 // two-way) show/gradient traffic against a protocol-level oneway variant —
 // the paper's §4.3 observation that its invocations "were not oneway".
 func AblationOneway(p int) []AblationPoint {
-	oneway := pipeline.Paper
-	oneway.Oneway = true
 	return []AblationPoint{
-		{fmt.Sprintf("non-blocking-p%d", p), runFig5(p, pipeline.Paper, false)},
-		{fmt.Sprintf("oneway-p%d", p), runFig5(p, oneway, false)},
+		{fmt.Sprintf("non-blocking-p%d", p), runFig5(p, pipeline.Params{}, false)},
+		{fmt.Sprintf("oneway-p%d", p), runFig5(p, pipeline.Params{Oneway: true}, false)},
 	}
 }
 
@@ -146,8 +144,8 @@ func AblationOneway(p int) []AblationPoint {
 // occupies the sender for the frame's wire time.
 func AblationCommThreads(p int) []AblationPoint {
 	return []AblationPoint{
-		{fmt.Sprintf("single-threaded-p%d", p), runFig5(p, pipeline.Paper, false)},
-		{fmt.Sprintf("comm-threads-p%d", p), runFig5(p, pipeline.Paper, true)},
+		{fmt.Sprintf("single-threaded-p%d", p), runFig5(p, pipeline.Params{}, false)},
+		{fmt.Sprintf("comm-threads-p%d", p), runFig5(p, pipeline.Params{}, true)},
 	}
 }
 

@@ -36,8 +36,7 @@ type world struct {
 
 func newWorld() *world {
 	sim := vtime.NewSim()
-	w := &world{sim: sim, fab: nexus.NewSimFabric(sim), tb: simnet.PaperTestbed()}
-	return w
+	return &world{sim: sim, fab: nexus.NewSimFabric(sim), tb: simnet.PaperTestbed()}
 }
 
 // connect routes two hosts over a named testbed link.
@@ -89,10 +88,7 @@ func (w *world) spawn(name, host string, p int, e endpoint, body func(th *rts.Si
 func (w *world) spmdServer(name, host string, p int, setup func(adapter *poa.POA) (core.IOR, error)) *vtime.Chan {
 	iorCh := vtime.NewChan(w.sim, name+"-ior")
 	w.spawn(name, host, p, endpoint{}, func(th *rts.SimThread, adapter *poa.POA, _ *core.ORB) {
-		ior, err := setup(adapter)
-		if err != nil {
-			panic(fmt.Sprintf("%s: %v", name, err))
-		}
+		ior := must(setup(adapter))
 		if th.Rank() == 0 {
 			th.Proc().Send(iorCh, ior, 0)
 		}

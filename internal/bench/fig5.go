@@ -80,13 +80,12 @@ func Figure5(procs []int) []Fig5Point {
 	// The diffusion component alone: compute + its local visualizer. The
 	// gradient component alone: its compute and its visualizer traffic,
 	// called back to back by a driver that computes nothing.
-	diffusion, gradient := pipeline.Paper, pipeline.Paper
-	diffusion.SkipGradient, gradient.Driver = true, true
+	diffusion, gradient := pipeline.Params{SkipGradient: true}, pipeline.Params{Driver: true}
 	var out []Fig5Point
 	for _, p := range procs {
 		out = append(out, Fig5Point{
 			Procs:     p,
-			Overall:   runFig5(p, pipeline.Paper, false),
+			Overall:   runFig5(p, pipeline.Params{}, false),
 			Diffusion: runFig5(p, diffusion, false),
 			Gradient:  runFig5(p, gradient, false),
 		})
