@@ -12,24 +12,26 @@ GOOS=windows go vet ./...
 test -z "$(gofmt -l .)"
 # Size ceilings: a package's non-test Go lines, counted as ROADMAP counts
 # them. A change that needs more lines there raises the ceiling and says why.
-for ceiling in internal/nexus:2676 internal/bench:1589 internal/apps/pipeline:358; do
+for ceiling in internal/nexus:2676 internal/bench:1446 internal/apps/pipeline:322 internal/apps/linsolve:251 internal/apps/dnadb:228; do
 	pkg="${ceiling%:*}"
 	lines="$(cat $(ls "$pkg"/*.go | grep -v '_test\.go$') | wc -l)"
 	echo "$pkg: $lines non-test lines"
 	test "$lines" -le "${ceiling#*:}"
 done
-# The figure harness and the metaapplication it shares with
-# examples/pipeline are written against what pardis-idl generates: their
-# tables come from IDL and their servants implement the generated typed
-# interfaces. No hand-built operation table or servant that dispatches on
-# the operation's name may come back into their own files (the generated
-# subpackage benchidl is not among them).
-bench_hand_built="$(grep -nE 'core\.InterfaceDef\{|poa\.ServantFunc|op string, in \[\]any' $(ls internal/bench/*.go internal/apps/pipeline/*.go | grep -v '_test\.go$') || true)"
+# The figure harness and the applications it shares with the examples are
+# written against what pardis-idl generates: their tables come from IDL and
+# their servants implement the generated typed interfaces. No hand-built
+# operation table or servant that dispatches on the operation's name may
+# come back into their own files (the generated subpackages benchidl,
+# linsolveidl and dnadbidl are not among them).
+bench_hand_built="$(grep -nE 'core\.InterfaceDef\{|poa\.ServantFunc|op string, in \[\]any' $(ls internal/bench/*.go internal/apps/pipeline/*.go internal/apps/linsolve/*.go internal/apps/dnadb/*.go | grep -v '_test\.go$') || true)"
 test -z "$bench_hand_built"
-# The metaapplication exists once: its visualizer and gradient servants are
-# in internal/apps/pipeline, which Figure 5 and examples/pipeline deploy.
-# No second copy of either may appear beside the generated stubs.
-servant_copies="$(grep -rnE 'func \([^)]*\) (Show|Gradient)\([^)]*\*poa\.Context' --include='*.go' . | grep -v 'zz_generated\.go:' | grep -v '^\./internal/apps/pipeline/' || true)"
+# Each of the paper's applications exists once: its servants are in
+# internal/apps/pipeline, internal/apps/linsolve or internal/apps/dnadb,
+# which Figures 5, 2 and 4 and the examples deploy. No second copy of the
+# visualizer, gradient, solver, database or list servant may appear beside
+# the generated stubs.
+servant_copies="$(grep -rnE 'func \([^)]*\) (Show|Gradient|Solve|Search|Match)\([^)]*\*poa\.Context' --include='*.go' . | grep -v 'zz_generated\.go:' | grep -vE '^\./internal/apps/(pipeline|linsolve|dnadb)/' || true)"
 test -z "$servant_copies"
 # The runtime links no HTTP server, TLS stack or profiler: of the repo's
 # packages only the debug endpoint's (internal/obs/obshttp) and the two
@@ -41,7 +43,7 @@ go test ./...
 go test -race ./...
 # The packages that hold no process-global selector any more, in random
 # order, three times: an order-dependent test there has nothing to hide behind.
-go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench ./internal/dseq ./internal/future ./internal/dist
+go test -shuffle=on -count=3 ./internal/core ./internal/rts ./internal/bench ./internal/apps/... ./internal/dseq ./internal/future ./internal/dist
 # The one rts mailbox, over the in-process and the TCP fabric, the one
 # wake-up a POA computing thread parks on for both of its endpoints, and the
 # agreement that fills a sibling's mailbox only with announcements: the

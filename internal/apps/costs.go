@@ -54,16 +54,6 @@ const DNASearchWork = 200.0
 // the paper remarks on at 2 -> 3 processors.
 var ListServerWeights = [NumDerivatives]float64{25, 5, 7.5, 30, 7.5}
 
-// TotalListWork sums the list-server weights: 75 reference-seconds, i.e.
-// the paper's 30 wall-seconds on the Power Challenge.
-func TotalListWork() float64 {
-	t := 0.0
-	for _, w := range ListServerWeights {
-		t += w
-	}
-	return t
-}
-
 // ListQueriesPerServer is how many queries the Figure 4 client issues to
 // each list server over the run; each query to server k costs
 // ListServerWeights[k]/ListQueriesPerServer seconds.

@@ -1,11 +1,12 @@
-// Package apps implements the application components of the paper's
-// evaluation: the direct and iterative linear solvers of §4.1, the DNA
-// database and list servers of §4.2, and the diffusion/gradient pipeline
-// kernels of §4.3, together with the compute-cost models the simulated
-// experiment harness charges for them.
+// Package apps holds the kernels of the paper's evaluation applications:
+// the direct and iterative linear solvers of §4.1 and the DNA search of
+// §4.2; the compute-cost models virtual time charges for them and for
+// §4.3; and Inproc, the wall-clock deployment the applications themselves,
+// subpackages linsolve, dnadb and pipeline, share.
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -177,10 +178,7 @@ func maxF64Op(acc, in []byte) []byte {
 func f64bytes(v []float64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, x := range v {
-		u := math.Float64bits(x)
-		for k := 0; k < 8; k++ {
-			b[8*i+k] = byte(u >> (8 * k))
-		}
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 	return b
 }
@@ -188,11 +186,7 @@ func f64bytes(v []float64) []byte {
 func bytesF64(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
 	for i := range out {
-		var u uint64
-		for k := 0; k < 8; k++ {
-			u |= uint64(b[8*i+k]) << (8 * k)
-		}
-		out[i] = math.Float64frombits(u)
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }

@@ -13,7 +13,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"pardis/examples/pipeline/pstlgen"
 	"pardis/examples/pipeline/vizgen"
@@ -23,7 +22,6 @@ import (
 	"pardis/internal/dist"
 	"pardis/internal/dseq"
 	"pardis/internal/future"
-	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/pooma"
 	"pardis/internal/pstl"
@@ -55,15 +53,9 @@ func initial(x, y int) float64 {
 	return 0
 }
 
-// wallClock reports whether th runs the kernels: all but a simulated one do.
-func wallClock(th rts.Thread) bool {
-	_, sim := th.(*rts.SimThread)
-	return !sim
-}
-
 // wholeRows refuses, on the wall clock, a thread group that cannot hold whole rows.
 func wholeRows(th rts.Thread) error {
-	if !wallClock(th) || grid%th.Size() == 0 {
+	if !apps.WallClock(th) || grid%th.Size() == 0 {
 		return nil
 	}
 	return fmt.Errorf("pipeline: %d threads cannot each hold whole rows of the %dx%d grid", th.Size(), grid, grid)
@@ -139,7 +131,7 @@ func (g *gradient) Gradient(ctx *poa.Context, myfield *pstl.DistVector) error {
 	}
 	th.Compute(apps.PerThread(apps.GradientWork(grid*grid), th.Size()))
 	out := pstl.VectorFromDSeq(dseq.NewFromLayout[float64](th, myfield.AsDSeq().DLayout(), dseq.Float64Codec{}))
-	if wallClock(th) {
+	if apps.WallClock(th) {
 		pstl.Gradient2D(myfield, out, grid, grid)
 	}
 	wait, err := g.viz.nb(out.AsDSeq())
@@ -177,12 +169,9 @@ func ServeGradient(th rts.Thread, adapter *poa.POA, orb *core.ORB, p Params, key
 // what is between. On the wall clock the client's and the server's thread
 // counts must divide the grid's rows (wholeRows); others get an error.
 func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, start, stop func()) (err error) {
-	viz, err := bindVisualizer(orb, vizRef, p.Oneway)
-	if err != nil {
-		return err
-	}
+	viz, verr := bindVisualizer(orb, vizRef, p.Oneway)
 	grad, err := bindGradient(orb, gradRef, p.Oneway)
-	if err != nil {
+	if err = errors.Join(verr, err); err != nil {
 		return err
 	}
 	if th.Rank() == 0 {
@@ -193,7 +182,7 @@ func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, s
 	}
 	field := dseq.New[float64](th, grid*grid, dist.BlockTemplate(), dseq.Float64Codec{})
 	step := func() {}
-	if wallClock(th) {
+	if apps.WallClock(th) {
 		f := pooma.FieldFromDSeq(field)
 		next := pooma.FieldFromDSeq(dseq.NewFromLayout[float64](th, field.DLayout(), dseq.Float64Codec{}))
 		f.Fill(initial)
@@ -231,10 +220,15 @@ func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, s
 			return err
 		}
 	}
+	// Every reply, also after a failed one: rank 0 shuts the visualizer
+	// down only once its last show is served, sibling threads' parts too.
 	for _, wait := range pending {
-		if err := wait(); err != nil {
-			return err
+		if werr := wait(); err == nil {
+			err = werr
 		}
+	}
+	if err != nil {
+		return err
 	}
 	th.Barrier()
 	stop()
@@ -258,39 +252,10 @@ func Serial() (vizDiff, vizGrad Visualizer) {
 	return Visualizer{steps, mean(f.Local())}, Visualizer{steps / every, mean(grad.Local())}
 }
 
-// inproc runs programs on the wall clock, each thread with its own
-// endpoint on one in-process fabric, and joins their errors.
-type inproc struct {
-	fab      *nexus.Inproc
-	programs sync.WaitGroup
-	mu       sync.Mutex
-	err      error
-}
-
-// start runs a program of n threads in the background, each with an
-// adapter and an ORB on its router. Its rank 0 may publish one reference,
-// on the returned channel.
-func (d *inproc) start(name string, n int, body func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error) <-chan core.IOR {
-	ref := make(chan core.IOR, 1)
-	d.programs.Add(1)
-	go func() {
-		defer d.programs.Done()
-		rts.NewChanGroup(name, n).Run(func(th rts.Thread) {
-			router := core.NewRouter(d.fab.NewEndpoint(fmt.Sprintf("%s-%d", name, th.Rank())))
-			if err := body(th, poa.New(th, router, nil), core.NewORB(router, th, nil), func(ior core.IOR) { ref <- ior }); err != nil {
-				d.mu.Lock()
-				d.err = errors.Join(d.err, fmt.Errorf("%s-%d: %w", name, th.Rank(), err))
-				d.mu.Unlock()
-			}
-		})
-	}()
-	return ref
-}
-
 // visualizer runs a one-thread visualizer and returns its servant and reference.
-func (d *inproc) visualizer(name string, p Params) (*Visualizer, core.IOR) {
+func visualizer(d *apps.Inproc, name string, p Params) (*Visualizer, core.IOR) {
 	v := &Visualizer{}
-	return v, <-d.start(name, 1, func(_ rts.Thread, adapter *poa.POA, _ *core.ORB, publish func(core.IOR)) error {
+	return v, <-d.Start(name, 1, func(_ rts.Thread, adapter *poa.POA, _ *core.ORB, publish func(core.IOR)) error {
 		ior, err := RegisterVisualizer(adapter, name, p, v)
 		if err == nil {
 			publish(ior)
@@ -305,17 +270,16 @@ func (d *inproc) visualizer(name string, p Params) (*Visualizer, core.IOR) {
 // diffusion client of clientProcs. It returns the two visualizers once
 // every program has returned.
 func Run(p Params, procs, clientProcs int) (vizDiff, vizGrad *Visualizer, err error) {
-	d := &inproc{fab: nexus.NewInproc()}
-	vizDiff, vizDiffRef := d.visualizer("viz-diffusion", p)
-	vizGrad, vizGradRef := d.visualizer("viz-gradient", p)
-	gradRef := <-d.start("gradient", procs, func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error {
+	d := apps.NewInproc()
+	vizDiff, vizDiffRef := visualizer(d, "viz-diffusion", p)
+	vizGrad, vizGradRef := visualizer(d, "viz-gradient", p)
+	gradRef := <-d.Start("gradient", procs, func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error {
 		return ServeGradient(th, adapter, orb, p, "gradient-1", func() core.IOR { return vizGradRef }, publish)
 	})
-	d.start("diffusion", clientProcs, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
+	d.Start("diffusion", clientProcs, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
 		return Diffuse(th, orb, p, vizDiffRef, gradRef, func() {}, func() {})
 	})
-	d.programs.Wait()
-	return vizDiff, vizGrad, d.err
+	return vizDiff, vizGrad, d.Wait()
 }
 
 // A proxy is one bound object, called through its generated stubs: those

@@ -7,9 +7,9 @@ import (
 
 	"pardis/examples/pipeline/poomagen"
 	"pardis/examples/pipeline/pstlgen"
+	"pardis/internal/apps"
 	"pardis/internal/core"
 	"pardis/internal/future"
-	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/pooma"
 	"pardis/internal/pstl"
@@ -61,10 +61,10 @@ func TestWallClockMatchesSerial(t *testing.T) {
 // through pstlgen's. The Visualizer servant, registered with vizgen's
 // table, must be shown what the serial run computes.
 func TestMappedClientsMatchSerial(t *testing.T) {
-	d := &inproc{fab: nexus.NewInproc()}
-	vizDiff, vizDiffRef := d.visualizer("viz-diffusion", Params{})
-	vizGrad, vizGradRef := d.visualizer("viz-gradient", Params{})
-	d.start("client", 2, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
+	d := apps.NewInproc()
+	vizDiff, vizDiffRef := visualizer(d, "viz-diffusion", Params{})
+	vizGrad, vizGradRef := visualizer(d, "viz-gradient", Params{})
+	d.Start("client", 2, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
 		showField, err := poomagen.SPMDBindVisualizer(orb, vizDiffRef)
 		if err != nil {
 			return err
@@ -103,8 +103,8 @@ func TestMappedClientsMatchSerial(t *testing.T) {
 		}
 		return errors.Join(showField.Binding().Shutdown("done"), showGrad.Binding().Shutdown("done"))
 	})
-	if d.programs.Wait(); d.err != nil {
-		t.Fatal(d.err)
+	if err := d.Wait(); err != nil {
+		t.Fatal(err)
 	}
 	if wantDiff, wantGrad := Serial(); *vizDiff != wantDiff || *vizGrad != wantGrad {
 		t.Errorf("visualizers shown %+v and %+v; want %+v and %+v", *vizDiff, *vizGrad, wantDiff, wantGrad)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"pardis/internal/apps/linsolve"
 	"pardis/internal/apps/pipeline"
 	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
@@ -120,8 +121,8 @@ func AblationLocalShortcut(n int) []AblationPoint {
 // overlap against fully blocking sequential invocations.
 func AblationNonBlocking(n int) []AblationPoint {
 	return []AblationPoint{
-		{"non-blocking-overlap", runFig2(n, fig2Config{})},
-		{"blocking-sequential", runFig2(n, fig2Config{blocking: true})},
+		{"non-blocking-overlap", runFig2(n, linsolve.Params{}, false)},
+		{"blocking-sequential", runFig2(n, linsolve.Params{Blocking: true}, false)},
 	}
 }
 

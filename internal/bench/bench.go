@@ -5,15 +5,15 @@
 // experiments for the design choices DESIGN.md calls out.
 //
 // Every experiment that invokes objects is a PARDIS program, written
-// against what pardis-idl generates: Figure 2 against linsolve.idl
-// (internal/apps/linsolveidl), Figure 4 dnadb.idl (internal/apps/dnadbidl),
-// and the harness's own interfaces benchidl/bench.idl. Figure 5 deploys
-// the metaapplication of internal/apps/pipeline, the components that
-// examples/pipeline runs on the wall clock. Everything runs the full stack
-// on the vtime virtual clock over the simnet machine models, so results
-// are deterministic functions of the model, comparable with the 1997
-// testbed in *shape* (who wins, by what factor, where curves cross), not
-// in microseconds.
+// against what pardis-idl generates. Figures 2, 4 and 5 deploy the paper's
+// applications, internal/apps/linsolve, dnadb and pipeline, which the
+// examples run on the wall clock; a figure's file holds only hosts, links,
+// endpoints and the clock read around the run. The rest use the harness's
+// own interfaces, benchidl/bench.idl. Everything runs the full stack on the
+// vtime virtual clock over the simnet machine models, so results are
+// deterministic functions of the model, comparable with the 1997 testbed
+// in *shape* (who wins, by what factor, where curves cross), not in
+// microseconds.
 package bench
 
 import (
