@@ -12,7 +12,7 @@ GOOS=windows go vet ./...
 test -z "$(gofmt -l .)"
 # Size ceilings: a package's non-test Go lines, counted as ROADMAP counts
 # them. A change that needs more lines there raises the ceiling and says why.
-for ceiling in internal/nexus:2676 internal/bench:1446 internal/apps/pipeline:322 internal/apps/linsolve:251 internal/apps/dnadb:228; do
+for ceiling in internal/nexus:2676 internal/bench:1252 internal/apps:636 internal/apps/pipeline:333 internal/apps/linsolve:248 internal/apps/dnadb:229; do
 	pkg="${ceiling%:*}"
 	lines="$(cat $(ls "$pkg"/*.go | grep -v '_test\.go$') | wc -l)"
 	echo "$pkg: $lines non-test lines"
@@ -22,9 +22,10 @@ done
 # written against what pardis-idl generates: their tables come from IDL and
 # their servants implement the generated typed interfaces. No hand-built
 # operation table or servant that dispatches on the operation's name may
-# come back into their own files (the generated subpackages benchidl,
-# linsolveidl and dnadbidl are not among them).
-bench_hand_built="$(grep -nE 'core\.InterfaceDef\{|poa\.ServantFunc|op string, in \[\]any' $(ls internal/bench/*.go internal/apps/pipeline/*.go internal/apps/linsolve/*.go internal/apps/dnadb/*.go | grep -v '_test\.go$') || true)"
+# come back into their own files, nor into the launchers that deploy them
+# (the generated subpackages benchidl, linsolveidl and dnadbidl are not
+# among them).
+bench_hand_built="$(grep -nE 'core\.InterfaceDef\{|poa\.ServantFunc|op string, in \[\]any' $(ls internal/bench/*.go internal/apps/*.go internal/apps/pipeline/*.go internal/apps/linsolve/*.go internal/apps/dnadb/*.go | grep -v '_test\.go$') || true)"
 test -z "$bench_hand_built"
 # Each of the paper's applications exists once: its servants are in
 # internal/apps/pipeline, internal/apps/linsolve or internal/apps/dnadb,

@@ -1,8 +1,8 @@
-// Dnadb runs the paper's §4.2 scenario on the wall clock
-// (internal/apps/dnadb, the components pardis-bench -fig 4 runs on virtual
-// time): a 4-thread SPMD database is searched while the client queries five
-// single list objects that its threads fill between search rounds. Each
-// list must end up holding what a sequential search finds, in its order.
+// Dnadb runs the paper's §4.2 scenario: dnadb.Deploy, which pardis-bench
+// -fig 4 runs on virtual time, on the wall clock on the in-process
+// launcher. A 4-thread SPMD database is searched while the client queries
+// five single list objects that its threads fill between search rounds.
+// Each list must end up holding what a sequential search finds, in order.
 //
 // Run with:
 //
@@ -21,7 +21,8 @@ import (
 
 func main() {
 	db := apps.GenerateDNA(2000, 60, 1997)
-	status, lists, err := dnadb.Run(dnadb.Params{}, 4, db)
+	topology := dnadb.Topology{Server: apps.Program{Host: "HOST_2", Threads: 4}, Client: "HOST_1"}
+	status, lists, err := dnadb.Deploy(apps.NewInproc(), topology, dnadb.Params{}, db, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,9 @@
-// Linsolve runs the paper's §4.1 listing on the wall clock at its largest
-// size, n = 1200 (internal/apps/linsolve, the components pardis-bench
-// -fig 2 runs on virtual time): a non-blocking solve on an iterative SPMD
-// solver overlaps a blocking one on a direct solver, and both solutions must
-// match each other and the system's known one.
+// Linsolve runs the paper's §4.1 listing at its largest size, n = 1200:
+// linsolve.Deploy, which pardis-bench -fig 2 runs on virtual time, on the
+// wall clock on the in-process launcher. The client resolves the solvers
+// through an object repository, as the listing binds them; a non-blocking
+// solve on an iterative SPMD solver overlaps a blocking one on a direct
+// solver, and both solutions must match each other and the known one.
 //
 // Run with:
 //
@@ -13,11 +14,17 @@ import (
 	"fmt"
 	"log"
 
+	"pardis/internal/apps"
 	"pardis/internal/apps/linsolve"
 )
 
 func main() {
-	r, err := linsolve.Run(linsolve.Params{}, 1200)
+	// HOST_1 and HOST_2 stand for the paper's SGI Onyx and Power Challenge.
+	r, err := linsolve.Deploy(apps.NewInproc(), linsolve.Topology{
+		Direct:    apps.Program{Host: "HOST_1", Threads: 2},
+		Iterative: apps.Program{Host: "HOST_2", Threads: 2},
+		Client:    apps.Program{Host: "HOST_1", Threads: 2},
+	}, linsolve.Params{}, 1200, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

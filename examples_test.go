@@ -1,7 +1,9 @@
 package pardis_test
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +32,7 @@ func TestExamplesRun(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
+			openSources(t, c.args[1])
 			done := make(chan struct{})
 			cmd := exec.Command("go", c.args...)
 			var out []byte
@@ -54,5 +57,33 @@ func TestExamplesRun(t *testing.T) {
 				t.Fatalf("output lacks %q:\n%s", c.want, out)
 			}
 		})
+	}
+}
+
+// openSources opens every directory and Go source file of the module's
+// packages that pkg depends on. The go run subprocess reads them where the
+// test cache cannot see; opened here, they key the cached result, so an
+// edit to an example or to what it runs makes the next go test rerun it.
+func openSources(t *testing.T, pkg string) {
+	out, err := exec.Command("go", "list", "-deps", "-f", "{{if not .Standard}}{{.Dir}} {{.GoFiles}}{{end}}", pkg).Output()
+	if err != nil {
+		t.Fatalf("go list -deps %s: %v", pkg, err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		dir, files, ok := strings.Cut(line, " ")
+		if !ok {
+			continue
+		}
+		paths := []string{dir}
+		for _, name := range strings.Fields(strings.Trim(files, "[]")) {
+			paths = append(paths, filepath.Join(dir, name))
+		}
+		for _, path := range paths {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
 	}
 }

@@ -9,8 +9,9 @@
 //
 // Each component charges its cost model through Thread.Compute, a no-op on
 // the wall clock, and runs its search and its rts traffic unless its thread
-// is an *rts.SimThread. Figure 4 (internal/bench) deploys them on virtual
-// time; Run, which examples/dnadb calls, on the wall clock in one process.
+// is an *rts.SimThread. Deploy starts the server and the client through a
+// launcher: Figure 4 (internal/bench) on virtual time, examples/dnadb on
+// the wall clock in one process.
 package dnadb
 
 import (
@@ -48,12 +49,6 @@ func (p Params) owner(k apps.DerivativeKind, size int) int {
 		return 0
 	}
 	return int(k) % size
-}
-
-// Refs are the database's reference and one per list category.
-type Refs struct {
-	DB    core.IOR
-	Lists [apps.NumDerivatives]core.IOR
 }
 
 // list is one category's single object; only its owning thread touches it.
@@ -113,63 +108,72 @@ func (d *database) collect(th rts.Thread, k apps.DerivativeKind, mine []string) 
 	}
 }
 
-// Serve runs one thread of the database server on its shard of the
-// database (none on virtual time): it registers the SPMD database and the
-// lists p places on this thread, and ships the lists' references to rank 0
-// over rts, which hands them all to publish. Then it serves until the
-// client shuts the server down.
-func Serve(th rts.Thread, adapter *poa.POA, p Params, shard []string, publish func(Refs)) error {
-	d := &database{p: p, shard: shard}
-	db, err := dnadbidl.RegisterDnaDbSPMD(adapter, "dna-db", d)
-	if err != nil {
-		return err
-	}
-	// SPMD and single objects share one parallel server (§3.1).
-	for k := apps.Exact; k < apps.NumDerivatives; k++ {
-		if p.owner(k, th.Size()) == th.Rank() {
-			d.lists[k] = &list{kind: k}
-			ior, err := dnadbidl.RegisterListServerSingle(adapter, "list-"+k.Name(), d.lists[k])
-			if err != nil {
-				return err
-			}
-			th.Send(0, tagIOR+rts.Tag(k), []byte(ior.String()))
+// server is the body of the database server. Each thread holds a
+// contiguous shard of db (none on virtual time), registers the SPMD
+// database and the lists p places on it, and ships the lists' references
+// to rank 0 over rts, which publishes the database's and then the lists',
+// in category order. Then all serve until the client shuts the server
+// down.
+func server(p Params, db []string) apps.Body {
+	return func(th rts.Thread, adapter *poa.POA, _ *core.ORB, publish func(...core.IOR)) error {
+		per := (len(db) + th.Size() - 1) / th.Size()
+		d := &database{p: p, shard: db[min(th.Rank()*per, len(db)):min((th.Rank()+1)*per, len(db))]}
+		ref, err := dnadbidl.RegisterDnaDbSPMD(adapter, "dna-db", d)
+		if err != nil {
+			return err
 		}
-	}
-	if th.Rank() == 0 {
-		refs := Refs{DB: db}
-		for k := range refs.Lists {
-			m := th.Recv(rts.AnySource, tagIOR+rts.Tag(k))
-			if refs.Lists[k], err = core.ParseIOR(string(m.Data)); err != nil {
-				return err
+		// SPMD and single objects share one parallel server (§3.1).
+		for k := apps.Exact; k < apps.NumDerivatives; k++ {
+			if p.owner(k, th.Size()) == th.Rank() {
+				d.lists[k] = &list{kind: k}
+				ior, err := dnadbidl.RegisterListServerSingle(adapter, "list-"+k.Name(), d.lists[k])
+				if err != nil {
+					return err
+				}
+				th.Send(0, tagIOR+rts.Tag(k), []byte(ior.String()))
 			}
 		}
-		publish(refs)
+		if th.Rank() == 0 {
+			refs := []core.IOR{ref}
+			for k := apps.Exact; k < apps.NumDerivatives; k++ {
+				ior, err := core.ParseIOR(string(th.Recv(rts.AnySource, tagIOR+rts.Tag(k)).Data))
+				if err != nil {
+					return err
+				}
+				refs = append(refs, ior)
+			}
+			publish(refs...)
+		}
+		adapter.ImplIsReady()
+		return nil
 	}
-	adapter.ImplIsReady()
-	return nil
 }
 
-// Client runs the one-thread client of the server at refs, Figure 4's: it
-// starts the search non-blocking, issues the fixed query volume
+// client runs the one-thread client of the server behind ref, Figure
+// 4's: it starts the search non-blocking, issues the fixed query volume
 // (ListQueriesPerServer to each list) non-blocking while the search runs,
 // then reads every reply. It shuts the server down at the end, also after
-// an error. start and stop bracket the search and the queries. On the wall
-// clock it then asks each list once more and returns the search's status
-// and what the lists hold.
-func Client(th rts.Thread, orb *core.ORB, refs Refs, start, stop func()) (status uint32, final [apps.NumDerivatives][]string, err error) {
-	db, err := dnadbidl.SPMDBindDnaDb(orb, refs.DB)
+// an error. span measures the search and the queries. On the wall clock it
+// then asks each list once more and returns the search's status and what
+// the lists hold.
+func client(th rts.Thread, orb *core.ORB, ref apps.Ref, span *apps.Span) (status uint32, final [apps.NumDerivatives][]string, err error) {
+	refs, err := ref(th)
+	if err != nil {
+		return status, final, err
+	}
+	db, err := dnadbidl.SPMDBindDnaDb(orb, refs[0])
 	if err != nil {
 		return status, final, err
 	}
 	defer func() { err = errors.Join(err, db.Binding().Shutdown("done")) }()
 	var lists [apps.NumDerivatives]*dnadbidl.ListServer
 	for k := range lists {
-		if lists[k], err = dnadbidl.BindListServer(orb, refs.Lists[k]); err != nil {
+		if lists[k], err = dnadbidl.BindListServer(orb, refs[1+k]); err != nil {
 			return status, final, err
 		}
 	}
 
-	start()
+	span.Start(th)
 	// stat = dna_database->search_nb(...)
 	stat, err := db.SearchNB(Query)
 	if err != nil {
@@ -193,7 +197,7 @@ func Client(th rts.Thread, orb *core.ORB, refs Refs, start, stop func()) (status
 	if status, err = stat.Get(); err != nil {
 		return status, final, err
 	}
-	stop()
+	span.Stop(th)
 	if apps.WallClock(th) {
 		for k, l := range lists {
 			if final[k], err = l.Match(listQuery); err != nil {
@@ -204,25 +208,22 @@ func Client(th rts.Thread, orb *core.ORB, refs Refs, start, stop func()) (status
 	return status, final, nil
 }
 
-// Run deploys the application on the wall clock over the in-process
-// fabric: a database server of procs threads, each holding a contiguous
-// shard of db, with the lists p places, and a one-thread client. It returns
-// the search's status and the lists' final contents once every program has
-// returned.
-func Run(p Params, procs int, db []string) (status uint32, lists [apps.NumDerivatives][]string, err error) {
-	d := apps.NewInproc()
-	published := make(chan Refs, 1)
-	d.Start("dna", procs, func(th rts.Thread, adapter *poa.POA, _ *core.ORB, _ func(core.IOR)) error {
-		per := (len(db) + procs - 1) / procs
-		shard := db[min(th.Rank()*per, len(db)):min((th.Rank()+1)*per, len(db))]
-		return Serve(th, adapter, p, shard, func(refs Refs) { published <- refs })
-	})
-	refs := <-published
-	d.Start("client", 1, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
-		var err error
-		status, lists, err = Client(th, orb, refs, func() {}, func() {})
+// Topology places the database server and its one-thread client.
+type Topology struct {
+	Server apps.Program
+	Client string
+}
+
+// Deploy runs the application through l on the database db (nil on
+// virtual time): the server, with the lists p places, and its client. It
+// returns the search's status and the lists' final contents once every
+// program has returned.
+func Deploy(l apps.Launcher, t Topology, p Params, db []string, span *apps.Span) (status uint32, lists [apps.NumDerivatives][]string, err error) {
+	dna := l.Start("dna", t.Server, server(p, db))
+	l.Start("client", apps.Program{Host: t.Client, Threads: 1}, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) (err error) {
+		status, lists, err = client(th, orb, dna, span)
 		return err
 	})
-	err = d.Wait()
+	err = l.Wait()
 	return status, lists, err
 }

@@ -24,7 +24,8 @@ func TestRunMatchesSequentialSearch(t *testing.T) {
 	for _, procs := range []int{1, 3, 4, 8} {
 		for _, p := range []Params{{}, {Centralized: true}} {
 			t.Run(fmt.Sprintf("procs=%d/centralized=%v", procs, p.Centralized), func(t *testing.T) {
-				status, lists, err := Run(p, procs, db)
+				topology := Topology{Server: apps.Program{Host: "HOST_2", Threads: procs}, Client: "HOST_1"}
+				status, lists, err := Deploy(apps.NewInproc(), topology, p, db, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,8 +1,9 @@
 // Package apps holds the kernels of the paper's evaluation applications:
 // the direct and iterative linear solvers of §4.1 and the DNA search of
 // §4.2; the compute-cost models virtual time charges for them and for
-// §4.3; and Inproc, the wall-clock deployment the applications themselves,
-// subpackages linsolve, dnadb and pipeline, share.
+// §4.3; and the launchers through which each application's Deploy
+// (subpackages linsolve, dnadb and pipeline) starts its programs: Sim on
+// virtual time for the figures, Inproc on the wall clock for the examples.
 package apps
 
 import (

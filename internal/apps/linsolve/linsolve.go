@@ -7,8 +7,9 @@
 //
 // Each component charges its cost model through Thread.Compute, a no-op on
 // the wall clock, and runs its numerics unless its thread is an
-// *rts.SimThread. Figure 2 (internal/bench) deploys them on virtual time;
-// Run, which examples/linsolve calls, on the wall clock in one process.
+// *rts.SimThread. Deploy starts the listing's programs through a launcher:
+// Figure 2 (internal/bench) on virtual time, examples/linsolve on the wall
+// clock in one process.
 package linsolve
 
 import (
@@ -105,13 +106,35 @@ type Result struct {
 	Difference, DirectError, IterativeError float64
 }
 
-// Client runs one thread of the paper's listing on an n x n system against
-// the direct solver at direct and the iterative solver at iterative, and
-// rank 0 shuts both down at the end, also after an error. start and stop,
-// each called after a barrier, bracket the solves and compute_difference:
-// the caller's clock measures what is between. On the wall clock the
-// system has a known solution, and rank 0 returns the Result.
-func Client(th rts.Thread, orb *core.ORB, p Params, n int, direct, iterative core.IOR, start, stop func()) (r Result, err error) {
+// client runs one thread of the paper's listing on an n x n system: it
+// resolves the solvers t places through the repository behind repo, and
+// rank 0 shuts the solvers and the repository down at the end, also after
+// an error. span, marked after a barrier at each end, measures the solves
+// and compute_difference. On the wall clock the system has a known
+// solution, and rank 0 returns the Result.
+func client(th rts.Thread, orb *core.ORB, p Params, n int, t Topology, repo apps.Ref, span *apps.Span) (r Result, err error) {
+	repoRef, err := repo(th)
+	if err != nil {
+		return r, err
+	}
+	repository, err := regidl.BindRepository(orb, repoRef[0])
+	if err != nil {
+		return r, err
+	}
+	if th.Rank() == 0 {
+		defer func() { err = errors.Join(err, repository.Binding().Shutdown("done")) }()
+	}
+	names, err := registry.Open(orb, repoRef[0].Addrs[0])
+	if err != nil {
+		return r, err
+	}
+	// 00: direct_var d_solver = direct::_spmd_bind("direct_solver", HOST_1);
+	direct, derr := names.Resolve(orb, "direct_solver", t.Direct.Host)
+	// 01: iterative_var i_solver = iterative::_spmd_bind("itrt_solver", HOST_2);
+	iterative, err := names.Resolve(orb, "itrt_solver", t.Iterative.Host)
+	if err = errors.Join(derr, err); err != nil {
+		return r, err
+	}
 	dSolver, derr := linsolveidl.SPMDBindDirect(orb, direct)
 	iSolver, err := linsolveidl.SPMDBindIterative(orb, iterative)
 	if err = errors.Join(derr, err); err != nil {
@@ -140,7 +163,7 @@ func Client(th rts.Thread, orb *core.ORB, p Params, n int, direct, iterative cor
 	}
 
 	th.Barrier()
-	start()
+	span.Start(th)
 	// 07-10: a non-blocking solve on the iterative solver overlapped with a
 	// blocking one on the direct solver, then the future X1 is read. The
 	// blocking variant waits out each solve in turn.
@@ -178,74 +201,48 @@ func Client(th rts.Thread, orb *core.ORB, p Params, n int, direct, iterative cor
 		}
 	}
 	th.Barrier()
-	stop()
+	span.Stop(th)
 	return r, nil
 }
 
-// Run deploys the listing on the wall clock over the in-process fabric: an
-// object repository, the direct solver on HOST_1 and the iterative solver
-// on HOST_2 (the paper's 4-node SGI Onyx and 10-node SGI Power Challenge;
-// two threads each here), which register with it, and a two-thread client
-// that resolves them by name and host, as the listing binds them. It
-// returns rank 0's Result once every program has returned.
-func Run(p Params, n int) (Result, error) {
-	d := apps.NewInproc()
-	repoRef := <-d.Start("repository", 1, func(_ rts.Thread, adapter *poa.POA, _ *core.ORB, publish func(core.IOR)) error {
-		ior, err := regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, registry.NewRepository())
-		if err == nil {
-			publish(ior)
-			adapter.ImplIsReady()
+// Topology places the listing's programs; the one-thread object repository
+// runs beside the client.
+type Topology struct {
+	Direct, Iterative, Client apps.Program
+}
+
+// Deploy runs the listing on an n x n system through l: the two solvers,
+// an object repository that names them once they are up, and the client,
+// whose solves span measures. It returns the client's Result once every
+// program has returned.
+func Deploy(l apps.Launcher, t Topology, p Params, n int, span *apps.Span) (Result, error) {
+	direct := l.Start("direct", t.Direct, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
+		return linsolveidl.RegisterDirectSPMD(adapter, "direct-1", Direct{})
+	}))
+	iterative := l.Start("iterative", t.Iterative, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
+		return linsolveidl.RegisterIterativeSPMD(adapter, "itrt-1", Iterative{})
+	}))
+	repo := l.Start("repository", apps.Program{Host: t.Client.Host, Threads: 1}, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
+		names := registry.NewRepository()
+		d, derr := direct(adapter.Thread())
+		i, err := iterative(adapter.Thread())
+		if err = errors.Join(derr, err); err == nil {
+			err = errors.Join(names.Register(nil, "direct_solver", d[0].String()), names.Register(nil, "itrt_solver", i[0].String()))
+		}
+		if err != nil {
+			return core.IOR{}, err
+		}
+		return regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, names)
+	}))
+
+	var result Result
+	l.Start("client", t.Client, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) error {
+		r, err := client(th, orb, p, n, t, repo, span)
+		if th.Rank() == 0 {
+			result = r
 		}
 		return err
 	})
-	solver := func(name, host string, register func(*poa.POA) (core.IOR, error)) {
-		// Rank 0 publishes once the name is registered, for clients to resolve.
-		<-d.Start(host, 2, func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error {
-			ior, err := register(adapter)
-			if err == nil && th.Rank() == 0 {
-				var repo *registry.Client
-				if repo, err = registry.Open(orb, repoRef.Addrs[0]); err == nil {
-					err = repo.Register(name, ior)
-				}
-				publish(ior)
-			}
-			if err == nil {
-				adapter.ImplIsReady()
-			}
-			return err
-		})
-	}
-	solver("direct_solver", "HOST_1", func(a *poa.POA) (core.IOR, error) {
-		return linsolveidl.RegisterDirectSPMD(a, "direct-1", Direct{})
-	})
-	solver("itrt_solver", "HOST_2", func(a *poa.POA) (core.IOR, error) {
-		return linsolveidl.RegisterIterativeSPMD(a, "itrt-1", Iterative{})
-	})
-
-	var result Result
-	d.Start("client", 2, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
-		repo, err := registry.Open(orb, repoRef.Addrs[0])
-		if err != nil {
-			return err
-		}
-		// 00: direct_var d_solver = direct::_spmd_bind("direct_solver", HOST_1);
-		dRef, derr := repo.Resolve(orb, "direct_solver", "HOST_1")
-		// 01: iterative_var i_solver = iterative::_spmd_bind("itrt_solver", HOST_2);
-		iRef, err := repo.Resolve(orb, "itrt_solver", "HOST_2")
-		if err = errors.Join(derr, err); err != nil {
-			return err
-		}
-		r, err := Client(th, orb, p, n, dRef, iRef, func() {}, func() {})
-		if th.Rank() != 0 {
-			return err
-		}
-		result = r
-		stub, serr := regidl.BindRepository(orb, repoRef)
-		if serr == nil {
-			serr = stub.Binding().Shutdown("done")
-		}
-		return errors.Join(err, serr)
-	})
-	err := d.Wait()
+	err := l.Wait()
 	return result, err
 }

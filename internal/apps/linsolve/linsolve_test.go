@@ -1,6 +1,10 @@
 package linsolve
 
-import "testing"
+import (
+	"testing"
+
+	"pardis/internal/apps"
+)
 
 // TestRunSolvesKnownSystem runs each client variant Figure 2 measures on
 // the wall clock and checks the solutions against the system's known one:
@@ -8,6 +12,11 @@ import "testing"
 // 1e-4 of each other. n = 200 keeps the run short under the race detector.
 func TestRunSolvesKnownSystem(t *testing.T) {
 	const n = 200
+	topology := Topology{
+		Direct:    apps.Program{Host: "HOST_1", Threads: 2},
+		Iterative: apps.Program{Host: "HOST_2", Threads: 2},
+		Client:    apps.Program{Host: "HOST_1", Threads: 2},
+	}
 	for _, c := range []struct {
 		name string
 		p    Params
@@ -18,7 +27,7 @@ func TestRunSolvesKnownSystem(t *testing.T) {
 		{"iterative-only", Params{SkipDirect: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			r, err := Run(c.p, n)
+			r, err := Deploy(apps.NewInproc(), topology, c.p, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,9 @@
 //
 // Each component charges its cost model through Thread.Compute, a no-op on
 // the wall clock, and runs its kernels unless its thread is an
-// *rts.SimThread. Figure 5 (internal/bench) deploys them on virtual time;
-// Run, which examples/pipeline calls, on the wall clock in one process.
+// *rts.SimThread. Deploy starts the metaapplication's programs through a
+// launcher: Figure 5 (internal/bench) on virtual time, examples/pipeline on
+// the wall clock in one process.
 package pipeline
 
 import (
@@ -94,10 +95,12 @@ func (v *Visualizer) Show(ctx *poa.Context, myfield *dseq.DSeq[float64]) error {
 	return nil
 }
 
-// RegisterVisualizer collectively registers v under key.
-func RegisterVisualizer(adapter *poa.POA, key string, p Params, v *Visualizer) (core.IOR, error) {
-	vizIDL, _ := p.tables()
-	return adapter.RegisterSPMD(key, vizIDL(), vizgen.NewVisualizerSkeleton(v))
+// visualizer is the body of a one-thread visualizer program serving v.
+func visualizer(key string, p Params, v *Visualizer) apps.Body {
+	return apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
+		vizIDL, _ := p.tables()
+		return adapter.RegisterSPMD(key, vizIDL(), vizgen.NewVisualizerSkeleton(v))
+	})
 }
 
 // gradient is one thread's gradient servant: it pipelines the field's
@@ -105,18 +108,22 @@ func RegisterVisualizer(adapter *poa.POA, key string, p Params, v *Visualizer) (
 type gradient struct {
 	p      Params
 	orb    *core.ORB
-	vizRef func() core.IOR
+	vizRef apps.Ref
 	viz    proxy
 	last   func() error // waits for the last frame shown
 }
 
 // visualizer binds the gradient's visualizer on first use; every thread
 // of the server calls it together.
-func (g *gradient) visualizer() error {
+func (g *gradient) visualizer(th rts.Thread) error {
 	if g.viz.binding != nil {
 		return nil
 	}
-	viz, err := bindVisualizer(g.orb, g.vizRef(), g.p.Oneway)
+	ref, err := g.vizRef(th)
+	if err != nil {
+		return err
+	}
+	viz, err := bindVisualizer(g.orb, ref[0], g.p.Oneway)
 	if err == nil {
 		g.viz = viz
 	}
@@ -126,7 +133,7 @@ func (g *gradient) visualizer() error {
 // Gradient implements pstlgen.FieldOperationsServant.
 func (g *gradient) Gradient(ctx *poa.Context, myfield *pstl.DistVector) error {
 	th := ctx.Thread
-	if err := errors.Join(wholeRows(th), g.visualizer()); err != nil {
+	if err := errors.Join(wholeRows(th), g.visualizer(th)); err != nil {
 		return err
 	}
 	th.Compute(apps.PerThread(apps.GradientWork(grid*grid), th.Size()))
@@ -141,36 +148,42 @@ func (g *gradient) Gradient(ctx *poa.Context, myfield *pstl.DistVector) error {
 	return err
 }
 
-// ServeGradient runs one thread of the gradient server: it registers under
-// key, hands rank 0's reference to publish and serves until the client
-// shuts it down. Then it waits for its last frame, and rank 0 retires the
-// server's visualizer, whose reference vizRef returns.
-func ServeGradient(th rts.Thread, adapter *poa.POA, orb *core.ORB, p Params, key string, vizRef func() core.IOR, publish func(core.IOR)) error {
-	g := &gradient{p: p, orb: orb, vizRef: vizRef, last: func() error { return nil }}
-	_, gradIDL := p.tables()
-	ior, err := adapter.RegisterSPMD(key, gradIDL(), pstlgen.NewFieldOperationsSkeleton(g))
-	if err != nil {
-		return err
-	}
-	if th.Rank() == 0 {
+// gradientServer is the body of the gradient server. It serves until the
+// client shuts it down; then each thread waits for its last frame, and
+// rank 0 retires the server's visualizer, the program behind vizRef.
+func gradientServer(p Params, vizRef apps.Ref) apps.Body {
+	return func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(...core.IOR)) error {
+		g := &gradient{p: p, orb: orb, vizRef: vizRef, last: func() error { return nil }}
+		_, gradIDL := p.tables()
+		ior, err := adapter.RegisterSPMD("gradient-1", gradIDL(), pstlgen.NewFieldOperationsSkeleton(g))
+		if err != nil {
+			return err
+		}
 		publish(ior)
+		adapter.ImplIsReady()
+		if err := errors.Join(g.visualizer(th), g.last()); err != nil || th.Rank() != 0 {
+			return err
+		}
+		return g.viz.binding().Shutdown("done")
 	}
-	adapter.ImplIsReady()
-	if err := errors.Join(g.visualizer(), g.last()); err != nil || th.Rank() != 0 {
-		return err
-	}
-	return g.viz.binding().Shutdown("done")
 }
 
-// Diffuse runs one thread of the diffusion client of the visualizer at
-// vizRef and the gradient server at gradRef, and rank 0 shuts both down at
-// the end, also after an error. start and stop, each called after a barrier,
-// bracket the steps and every reply to them: the caller's clock measures
-// what is between. On the wall clock the client's and the server's thread
-// counts must divide the grid's rows (wholeRows); others get an error.
-func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, start, stop func()) (err error) {
-	viz, verr := bindVisualizer(orb, vizRef, p.Oneway)
-	grad, err := bindGradient(orb, gradRef, p.Oneway)
+// diffuse runs one thread of the diffusion client of the visualizer and
+// the gradient server behind vizRef and gradRef, and rank 0 shuts both down
+// at the end, also after an error. span, marked after a barrier at each
+// end, measures the steps and every reply to them. On the wall clock the
+// client's and the server's thread counts must divide the grid's rows
+// (wholeRows); others get an error.
+func diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef apps.Ref, span *apps.Span) (err error) {
+	// Both references before either bind: a bind is collective over the
+	// client's threads, so when it starts moves the figures.
+	vizIOR, verr := vizRef(th)
+	gradIOR, err := gradRef(th)
+	if err = errors.Join(verr, err); err != nil {
+		return err
+	}
+	viz, verr := bindVisualizer(orb, vizIOR[0], p.Oneway)
+	grad, err := bindGradient(orb, gradIOR[0], p.Oneway)
 	if err = errors.Join(verr, err); err != nil {
 		return err
 	}
@@ -193,7 +206,7 @@ func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, s
 	}
 
 	th.Barrier()
-	start()
+	span.Start(th)
 	var pending []func() error
 	issue := func(stub proxy) error {
 		wait, err := stub.nb(field)
@@ -231,7 +244,7 @@ func Diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef core.IOR, s
 		return err
 	}
 	th.Barrier()
-	stop()
+	span.Stop(th)
 	return nil
 }
 
@@ -252,34 +265,32 @@ func Serial() (vizDiff, vizGrad Visualizer) {
 	return Visualizer{steps, mean(f.Local())}, Visualizer{steps / every, mean(grad.Local())}
 }
 
-// visualizer runs a one-thread visualizer and returns its servant and reference.
-func visualizer(d *apps.Inproc, name string, p Params) (*Visualizer, core.IOR) {
-	v := &Visualizer{}
-	return v, <-d.Start(name, 1, func(_ rts.Thread, adapter *poa.POA, _ *core.ORB, publish func(core.IOR)) error {
-		ior, err := RegisterVisualizer(adapter, name, p, v)
-		if err == nil {
-			publish(ior)
-			adapter.ImplIsReady()
-		}
-		return err
-	})
+// Topology places the parallel components and the gradient's one-thread
+// visualizer; the diffusion's runs beside its client.
+type Topology struct {
+	Gradient, Diffusion apps.Program
+	VizGrad             string
 }
 
-// Run deploys the metaapplication on the wall clock over the in-process
-// fabric: one-thread visualizers, a gradient server of procs threads and a
-// diffusion client of clientProcs. It returns the two visualizers once
-// every program has returned.
-func Run(p Params, procs, clientProcs int) (vizDiff, vizGrad *Visualizer, err error) {
-	d := apps.NewInproc()
-	vizDiff, vizDiffRef := visualizer(d, "viz-diffusion", p)
-	vizGrad, vizGradRef := visualizer(d, "viz-gradient", p)
-	gradRef := <-d.Start("gradient", procs, func(th rts.Thread, adapter *poa.POA, orb *core.ORB, publish func(core.IOR)) error {
-		return ServeGradient(th, adapter, orb, p, "gradient-1", func() core.IOR { return vizGradRef }, publish)
+// The visualizers' program names, which are also their object keys.
+const VizDiffProgram, VizGradProgram = "viz-diff", "viz-grad"
+
+// Deploy runs the metaapplication through l: both visualizers, the
+// gradient server and the client p selects, whose steps span measures. It
+// returns the visualizers once every program has returned.
+func Deploy(l apps.Launcher, t Topology, p Params, span *apps.Span) (vizDiff, vizGrad *Visualizer, err error) {
+	vizDiff, vizGrad = &Visualizer{}, &Visualizer{}
+	diffView := l.Start(VizDiffProgram, apps.Program{Host: t.Diffusion.Host, Threads: 1}, visualizer(VizDiffProgram, p, vizDiff))
+	gradView := l.Start(VizGradProgram, apps.Program{Host: t.VizGrad, Threads: 1}, visualizer(VizGradProgram, p, vizGrad))
+	grad := l.Start("grad", t.Gradient, gradientServer(p, gradView))
+	name, at := "diffusion", t.Diffusion
+	if p.Driver { // one thread
+		name, at = "driver", apps.Program{Host: at.Host, Threads: 1}
+	}
+	l.Start(name, at, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) error {
+		return diffuse(th, orb, p, diffView, grad, span)
 	})
-	d.Start("diffusion", clientProcs, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
-		return Diffuse(th, orb, p, vizDiffRef, gradRef, func() {}, func() {})
-	})
-	return vizDiff, vizGrad, d.Wait()
+	return vizDiff, vizGrad, l.Wait()
 }
 
 // A proxy is one bound object, called through its generated stubs: those

@@ -44,7 +44,11 @@ func TestWallClockMatchesSerial(t *testing.T) {
 		{"server-splits-rows", Params{}, 3, 2, serialDiff, Visualizer{}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			vizDiff, vizGrad, err := Run(c.p, c.procs, c.clientProcs)
+			vizDiff, vizGrad, err := Deploy(apps.NewInproc(), Topology{
+				Gradient:  apps.Program{Host: "HOST_2", Threads: c.procs},
+				Diffusion: apps.Program{Host: "HOST_1", Threads: c.clientProcs},
+				VizGrad:   "HOST_2",
+			}, c.p, nil)
 			if c.err != (err != nil) || err != nil && !strings.Contains(err.Error(), "whole rows") {
 				t.Errorf("Run: %v; want an error %v, about whole rows", err, c.err)
 			}
@@ -62,14 +66,23 @@ func TestWallClockMatchesSerial(t *testing.T) {
 // table, must be shown what the serial run computes.
 func TestMappedClientsMatchSerial(t *testing.T) {
 	d := apps.NewInproc()
-	vizDiff, vizDiffRef := visualizer(d, "viz-diffusion", Params{})
-	vizGrad, vizGradRef := visualizer(d, "viz-gradient", Params{})
-	d.Start("client", 2, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(core.IOR)) error {
-		showField, err := poomagen.SPMDBindVisualizer(orb, vizDiffRef)
+	vizDiff, vizGrad := &Visualizer{}, &Visualizer{}
+	diffView := d.Start(VizDiffProgram, apps.Program{Host: "HOST", Threads: 1}, visualizer(VizDiffProgram, Params{}, vizDiff))
+	gradView := d.Start(VizGradProgram, apps.Program{Host: "HOST", Threads: 1}, visualizer(VizGradProgram, Params{}, vizGrad))
+	d.Start("client", apps.Program{Host: "HOST", Threads: 2}, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) error {
+		vizDiffRef, err := diffView(th)
 		if err != nil {
 			return err
 		}
-		showGrad, err := pstlgen.SPMDBindVisualizer(orb, vizGradRef)
+		vizGradRef, err := gradView(th)
+		if err != nil {
+			return err
+		}
+		showField, err := poomagen.SPMDBindVisualizer(orb, vizDiffRef[0])
+		if err != nil {
+			return err
+		}
+		showGrad, err := pstlgen.SPMDBindVisualizer(orb, vizGradRef[0])
 		if err != nil {
 			return err
 		}

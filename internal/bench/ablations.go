@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"pardis/internal/apps"
 	"pardis/internal/apps/linsolve"
 	"pardis/internal/apps/pipeline"
 	"pardis/internal/bench/benchidl"
@@ -11,6 +12,7 @@ import (
 	"pardis/internal/dseq"
 	"pardis/internal/poa"
 	"pardis/internal/rts"
+	"pardis/internal/simnet"
 	"pardis/internal/vtime"
 )
 
@@ -24,19 +26,18 @@ type AblationPoint struct {
 // mover and a client of clientProcs threads, and returns the client's
 // invocation time for n doubles each way.
 func scalerTransferTime(n, clientProcs, serverProcs int, funnel bool) float64 {
-	w := newWorld()
-	w.connect("onyx", "powerchallenge", "atm")
-
-	iorCh := w.spmdServer("mover", "powerchallenge", serverProcs, func(adapter *poa.POA) (core.IOR, error) {
+	sim := apps.NewSim()
+	sim.Connect("onyx", "powerchallenge", "atm")
+	server := sim.Start("mover", apps.Program{Host: "powerchallenge", Threads: serverProcs}, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
 		return benchidl.RegisterMoverSPMD(adapter, "mover-1", moverServant{})
-	})
+	}))
 
-	var elapsed vtime.Time
-	w.spawn("client", "onyx", clientProcs, endpoint{}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
-		mover := must(benchidl.SPMDBindMover(orb, peek[core.IOR](th, iorCh)))
+	var span apps.Span
+	sim.Start("client", apps.Program{Host: "onyx", Threads: clientProcs}, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) error {
+		mover := must(benchidl.SPMDBindMover(orb, must(server(th))[0]))
 		x := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
 		th.Barrier()
-		start := th.Proc().Now()
+		span.Start(th)
 		if funnel {
 			// Funnel: gather on client thread 0, ship as one stream,
 			// receive concentrated, scatter back — the extra hops the
@@ -49,13 +50,14 @@ func scalerTransferTime(n, clientProcs, serverProcs int, funnel bool) float64 {
 			must(mover.Move(x))
 		}
 		th.Barrier()
+		span.Stop(th)
 		if th.Rank() == 0 {
-			elapsed = th.Proc().Now() - start
-			check(mover.Binding().Shutdown("done"))
+			return mover.Binding().Shutdown("done")
 		}
+		return nil
 	})
-	w.run()
-	return elapsed.Seconds()
+	check(sim.Wait())
+	return span.Seconds()
 }
 
 // moverServant implements bench.idl's mover: y is a fresh sequence laid
@@ -86,30 +88,31 @@ func AblationParallelTransfer(n int) []AblationPoint {
 // object becomes a direct call" effect, in modeled time.
 func AblationLocalShortcut(n int) []AblationPoint {
 	run := func(colocated bool) float64 {
-		w := newWorld()
-		w.connect("onyx", "powerchallenge", "atm")
+		sim := apps.NewSim()
+		sim.Connect("onyx", "powerchallenge", "atm")
 		clientHost := "onyx"
 		if colocated {
 			clientHost = "powerchallenge"
 		}
-		iorCh := w.spmdServer("sink", "powerchallenge", 2, func(adapter *poa.POA) (core.IOR, error) {
+		server := sim.Start("sink", apps.Program{Host: "powerchallenge", Threads: 2}, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
 			return benchidl.RegisterSinkSPMD(adapter, "sink-1", sinkServant{})
-		})
-		var elapsed vtime.Time
-		w.spawn("client", clientHost, 2, endpoint{}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
-			sink := must(benchidl.SPMDBindSink(orb, peek[core.IOR](th, iorCh)))
+		}))
+		var span apps.Span
+		sim.Start("client", apps.Program{Host: clientHost, Threads: 2}, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) error {
+			sink := must(benchidl.SPMDBindSink(orb, must(server(th))[0]))
 			x := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
 			th.Barrier()
-			start := th.Proc().Now()
+			span.Start(th)
 			check(sink.Put(x))
 			th.Barrier()
+			span.Stop(th)
 			if th.Rank() == 0 {
-				elapsed = th.Proc().Now() - start
-				check(sink.Binding().Shutdown("done"))
+				return sink.Binding().Shutdown("done")
 			}
+			return nil
 		})
-		w.run()
-		return elapsed.Seconds()
+		check(sim.Wait())
+		return span.Seconds()
 	}
 	return []AblationPoint{
 		{"co-located", run(true)},
@@ -121,8 +124,8 @@ func AblationLocalShortcut(n int) []AblationPoint {
 // overlap against fully blocking sequential invocations.
 func AblationNonBlocking(n int) []AblationPoint {
 	return []AblationPoint{
-		{"non-blocking-overlap", runFig2(n, linsolve.Params{}, false)},
-		{"blocking-sequential", runFig2(n, linsolve.Params{Blocking: true}, false)},
+		{"non-blocking-overlap", runFig2(n, linsolve.Params{}, fig2Distributed)},
+		{"blocking-sequential", runFig2(n, linsolve.Params{Blocking: true}, fig2Distributed)},
 	}
 }
 
@@ -154,23 +157,18 @@ func AblationCommThreads(p int) []AblationPoint {
 // an 8-thread host, per element count.
 func AblationRedistribution(n int) []AblationPoint {
 	run := func(from, to dist.Template, label string) AblationPoint {
-		w := newWorld()
-		host := w.tb.Host("powerchallenge")
-		g := rts.NewSimGroup(w.sim, host, 8)
-		var elapsed vtime.Time
-		g.Spawn("redist", func(th rts.Thread) {
-			st := th.(*rts.SimThread)
+		sim := vtime.NewSim()
+		var span apps.Span
+		rts.NewSimGroup(sim, simnet.PaperTestbed().Host("powerchallenge"), 8).Spawn("redist", func(th rts.Thread) {
 			s := dseq.New[float64](th, n, from, dseq.Float64Codec{})
 			th.Barrier()
-			start := st.Proc().Now()
+			span.Start(th)
 			s.Redistribute(to)
 			th.Barrier()
-			if th.Rank() == 0 {
-				elapsed = st.Proc().Now() - start
-			}
+			span.Stop(th)
 		})
-		w.run()
-		return AblationPoint{label, elapsed.Seconds()}
+		must(sim.Run())
+		return AblationPoint{label, span.Seconds()}
 	}
 	return []AblationPoint{
 		run(dist.BlockTemplate(), dist.BlockTemplate(), "block->block (no-op)"),

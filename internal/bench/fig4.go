@@ -1,11 +1,8 @@
 package bench
 
 import (
+	"pardis/internal/apps"
 	"pardis/internal/apps/dnadb"
-	"pardis/internal/core"
-	"pardis/internal/poa"
-	"pardis/internal/rts"
-	"pardis/internal/vtime"
 )
 
 // Fig4Point is one server size of Figure 4: client-perceived execution
@@ -21,27 +18,17 @@ type Fig4Point struct {
 // Fig4Procs is the paper's processor sweep.
 var Fig4Procs = []int{1, 2, 3, 4, 5, 6, 7, 8}
 
-// runFig4 runs the §4.2 application of internal/apps/dnadb on p server
-// threads with the list placement app and returns the client's execution
-// time in seconds.
+// runFig4 runs the §4.2 application of internal/apps/dnadb with the list
+// placement app: the database server on p threads of HOST 2
+// (powerchallenge), its one-thread client on HOST 1 (onyx). It returns the
+// client's execution time in seconds.
 func runFig4(p int, app dnadb.Params) float64 {
-	w := newWorld()
-	w.connect("onyx", "powerchallenge", "atm")
-	refs := vtime.NewChan(w.sim, "fig4-iors")
-	w.spawn("dna", "powerchallenge", p, endpoint{}, func(th *rts.SimThread, adapter *poa.POA, _ *core.ORB) {
-		check(dnadb.Serve(th, adapter, app, nil, func(r dnadb.Refs) { th.Proc().Send(refs, r, 0) }))
-	})
-
-	var elapsed vtime.Time
-	w.spawn("client", "onyx", 1, endpoint{}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
-		var start vtime.Time
-		_, _, err := dnadb.Client(th, orb, th.Proc().Recv(refs).(dnadb.Refs),
-			func() { start = th.Proc().Now() },
-			func() { elapsed = th.Proc().Now() - start })
-		check(err)
-	})
-	w.run()
-	return elapsed.Seconds()
+	sim := apps.NewSim()
+	sim.Connect("onyx", "powerchallenge", "atm")
+	var span apps.Span
+	_, _, err := dnadb.Deploy(sim, dnadb.Topology{Server: apps.Program{Host: "powerchallenge", Threads: p}, Client: "onyx"}, app, nil, &span)
+	check(err)
+	return span.Seconds()
 }
 
 // Figure4 regenerates the paper's Figure 4: the same run under the

@@ -1,11 +1,8 @@
 package bench
 
 import (
+	"pardis/internal/apps"
 	"pardis/internal/apps/pipeline"
-	"pardis/internal/core"
-	"pardis/internal/poa"
-	"pardis/internal/rts"
-	"pardis/internal/vtime"
 )
 
 // Fig5Point is one processor count of Figure 5: the metaapplication's
@@ -21,56 +18,42 @@ type Fig5Point struct {
 // gradient processor counts move together).
 var Fig5Procs = []int{1, 2, 3, 4, 5, 6, 7, 8}
 
-// runFig5 runs the metaapplication of internal/apps/pipeline that app
-// selects with p diffusion threads and p gradient threads (one for the
-// driver) and returns the diffusion client's elapsed time in seconds. With
-// commThreads the client and the gradient server send through
-// communication threads.
-func runFig5(p int, app pipeline.Params, commThreads bool) float64 {
-	w := newWorld()
-	w.connect("powerchallenge", "sp2", "ethernet")
-	w.connect("sp2", "indy", "ethernet")
-
-	// Visualizer for the diffusion unit: a sequential process on the same
-	// SGI PC (loopback); for the gradient: on the SGI Indy over Ethernet.
-	vizDiffIOR := w.spmdServer("viz-diff", "powerchallenge", 1, func(adapter *poa.POA) (core.IOR, error) {
-		return pipeline.RegisterVisualizer(adapter, "viz-diff", app, &pipeline.Visualizer{})
-	})
-	vizGradIOR := w.spmdServer("viz-grad", "indy", 1, func(adapter *poa.POA) (core.IOR, error) {
-		return pipeline.RegisterVisualizer(adapter, "viz-grad", app, &pipeline.Visualizer{})
-	})
-
-	// The gradient server: SPMD on the SP/2, also a client of its
-	// visualizer (same endpoint, shared through the router).
-	gradIOR := vtime.NewChan(w.sim, "grad-ior")
-	w.spawn("grad", "sp2", p, endpoint{async: commThreads}, func(th *rts.SimThread, adapter *poa.POA, orb *core.ORB) {
-		vizRef := func() core.IOR { return peek[core.IOR](th, vizGradIOR) }
-		publish := func(ior core.IOR) { th.Proc().Send(gradIOR, ior, 0) }
-		check(pipeline.ServeGradient(th, adapter, orb, app, "gradient-1", vizRef, publish))
-	})
-
-	// The diffusion unit: a POOMA-style parallel client on the SGI PC, or
-	// in its place the gradient component's driver.
-	name, procs := "diffusion", p
-	if app.Driver {
-		name, procs = "driver", 1
+// fig5Topology is Figure 5's deployment at p threads per parallel
+// component: the POOMA diffusion client on the SGI Power Challenge beside
+// its visualizer, a sequential process (loopback); the PSTL gradient server
+// on the SP/2, and its visualizer on the SGI Indy over Ethernet.
+func fig5Topology(p int) pipeline.Topology {
+	return pipeline.Topology{
+		Gradient:  apps.Program{Host: "sp2", Threads: p},
+		Diffusion: apps.Program{Host: "powerchallenge", Threads: p},
+		VizGrad:   "indy",
 	}
-	var elapsed vtime.Time
-	w.spawn(name, "powerchallenge", procs, endpoint{async: commThreads}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
-		// Both references before either bind: a bind is collective over
-		// the client's threads, so when it starts moves the figures.
-		vizRef, gradRef := peek[core.IOR](th, vizDiffIOR), peek[core.IOR](th, gradIOR)
-		var start vtime.Time
-		check(pipeline.Diffuse(th, orb, app, vizRef, gradRef,
-			func() { start = th.Proc().Now() },
-			func() {
-				if th.Rank() == 0 {
-					elapsed = th.Proc().Now() - start
-				}
-			}))
-	})
-	w.run()
-	return elapsed.Seconds()
+}
+
+// runFig5 runs the metaapplication of internal/apps/pipeline that app
+// selects on fig5Topology(p) and returns the diffusion client's elapsed
+// time in seconds. With commThreads the client and the gradient server
+// send through communication threads.
+func runFig5(p int, app pipeline.Params, commThreads bool) float64 {
+	sim := apps.NewSim()
+	sim.Connect("powerchallenge", "sp2", "ethernet")
+	sim.Connect("sp2", "indy", "ethernet")
+	var l apps.Launcher = sim
+	if commThreads {
+		l = withCommThreads{sim}
+	}
+	var span apps.Span
+	_, _, err := pipeline.Deploy(l, fig5Topology(p), app, &span)
+	check(err)
+	return span.Seconds()
+}
+
+// withCommThreads starts every program but the visualizers on
+// communication-thread endpoints.
+type withCommThreads struct{ *apps.Sim }
+
+func (w withCommThreads) Start(name string, at apps.Program, body apps.Body) apps.Ref {
+	return w.Spawn(name, at, apps.Endpoint{Async: name != pipeline.VizDiffProgram && name != pipeline.VizGradProgram}, body)
 }
 
 // Figure5 regenerates the paper's Figure 5: the pipelined metaapplication's

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
+	"pardis/internal/apps"
 	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
-	"pardis/internal/nexus"
 	"pardis/internal/obs"
 	"pardis/internal/poa"
 	"pardis/internal/registry"
@@ -74,33 +73,6 @@ func (s obsServant) Work(_ *poa.Context, kind int32) (int32, error) {
 		return 0, errObsDesignated
 	}
 	return 0, nil
-}
-
-// startObsServer runs the one-replica server of the obs cells on a
-// wall-clock in-process fabric.
-func startObsServer(fab *nexus.Inproc, slow time.Duration) (core.IOR, func()) {
-	g := rts.NewChanGroup("obs-server", 1)
-	iorCh := make(chan core.IOR, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := g.Thread(0)
-		p := poa.New(th, core.NewRouter(fab.NewEndpoint("obs-server")), nil)
-		p.PollInterval = 20e-6
-		ior := must(benchidl.RegisterObsSvcSingle(p, "obs-server", obsServant{slow: slow}))
-		iorCh <- ior
-		p.ImplIsReady()
-	}()
-	ior := <-iorCh
-	stop := func() {
-		orb := core.NewORB(core.NewRouter(fab.NewEndpoint("obs-stopper")), nil, nil)
-		if svc, err := benchidl.BindObsSvc(orb, ior); err == nil {
-			svc.Binding().Shutdown("obs done")
-		}
-		wg.Wait()
-	}
-	return ior, stop
 }
 
 // obsTracerOff restores the default tracer to its disabled ring state.
@@ -215,14 +187,19 @@ func FigureObs(quick bool) []ObsPoint {
 	const slowSleep = 12 * time.Millisecond
 	const slowThreshold = 4 * time.Millisecond
 
-	fab := nexus.NewInproc()
-	ior, stop := startObsServer(fab, slowSleep)
-	defer stop()
-	orb := core.NewORB(core.NewRouter(fab.NewEndpoint("obs-client")), nil, nil)
-	svc := must(benchidl.BindObsSvc(orb, ior))
-
-	return []ObsPoint{
-		runObsRetention(svc, retentionN, slowThreshold),
-		runObsScrape(scrapeG, scrapeM, scrapeIters),
-	}
+	l := apps.NewInproc()
+	server := l.Start("obs-server", apps.Program{Host: "obs", Threads: 1}, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
+		return benchidl.RegisterObsSvcSingle(adapter, "obs-server", obsServant{slow: slowSleep})
+	}))
+	var pts []ObsPoint
+	l.Start("obs-client", apps.Program{Host: "obs", Threads: 1}, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) error {
+		svc := must(benchidl.BindObsSvc(orb, must(server(th))[0]))
+		pts = []ObsPoint{
+			runObsRetention(svc, retentionN, slowThreshold),
+			runObsScrape(scrapeG, scrapeM, scrapeIters),
+		}
+		return svc.Binding().Shutdown("obs done")
+	})
+	check(l.Wait())
+	return pts
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pardis/internal/apps"
 	"pardis/internal/bench/benchidl"
 	"pardis/internal/core"
 	"pardis/internal/nexus"
@@ -14,7 +15,6 @@ import (
 	"pardis/internal/registry"
 	"pardis/internal/registry/regidl"
 	"pardis/internal/rts"
-	"pardis/internal/vtime"
 )
 
 // The serve experiment measures the replicated-group serving path end to
@@ -120,30 +120,22 @@ func (s serveServant) Work(ctx *poa.Context, _ int32) (int32, error) {
 	return 1, nil
 }
 
-// replicaInfo is one replica's bulletin-board entry: its IOR for binding
-// and its adapter for cross-proc load reads (heartbeats) and post-run shed
-// tallies.
-type replicaInfo struct {
-	ior     core.IOR
-	adapter *poa.POA
-}
-
 func runServe(cfg serveConfig) ServePoint {
 	const nReplicas = 4
 	replicaHosts := [nReplicas]string{"onyx", "onyx", "sp2", "sp2"}
 
-	w := newWorld()
-	w.connect("powerchallenge", "onyx", "atm")
-	w.connect("powerchallenge", "sp2", "atm")
-	w.connect("powerchallenge", "indy", "ethernet")
-	w.connect("onyx", "indy", "ethernet")
-	w.connect("sp2", "indy", "ethernet")
+	sim := apps.NewSim()
+	sim.Connect("powerchallenge", "onyx", "atm")
+	sim.Connect("powerchallenge", "sp2", "atm")
+	sim.Connect("powerchallenge", "indy", "ethernet")
+	sim.Connect("onyx", "indy", "ethernet")
+	sim.Connect("sp2", "indy", "ethernet")
 
 	fi := nexus.NewFaultInjector(uint64(cfg.seed), nexus.FaultPlan{})
 
 	// Shared run state. The vtime scheduler runs procs cooperatively, but
 	// atomics and the mutex keep the harness clean under -race; everything
-	// read after w.run() is ordered by the simulation's shutdown.
+	// read after sim.Wait() is ordered by the simulation's shutdown.
 	var hbStop [nReplicas]atomic.Bool
 	var doneClients atomic.Int32
 	var mu sync.Mutex
@@ -152,58 +144,48 @@ func runServe(cfg serveConfig) ServePoint {
 	var dropSeconds float64
 
 	// Registry on indy, aging members on the virtual clock.
-	regAddrCh := vtime.NewChan(w.sim, "serve-reg-addr")
-	w.spawn("serve-registry", "indy", 1, endpoint{bare: true}, func(th *rts.SimThread, adapter *poa.POA, _ *core.ORB) {
+	reg := sim.Spawn("serve-registry", apps.Program{Host: "indy", Threads: 1}, apps.Endpoint{Bare: true}, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
 		repo := registry.NewRepository()
-		repo.SetClock(th.Elapsed)
+		repo.SetClock(adapter.Thread().Elapsed)
 		repo.SetMemberTTL(2 * cfg.hbPeriod)
 		repo.SetPickerSeed(cfg.seed)
-		if _, err := regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, repo); err != nil {
-			panic(err)
-		}
-		th.Proc().Send(regAddrCh, string(adapter.Router().Addr()), 0)
-		adapter.ImplIsReady()
-	})
+		return regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, repo)
+	}))
 
 	// Replicas and their heartbeat reporters. Only the replica serving
 	// endpoints are fault-wrapped: a kill silences the replica as its
 	// clients experience it, while the harness's own teardown frames still
-	// reach the victim.
-	infoChs := make([]*vtime.Chan, nReplicas)
+	// reach the victim. A replica's adapter serves its reporter's load
+	// reads and the post-run shed tallies.
+	var replicas [nReplicas]apps.Ref
+	var adapters [nReplicas]*poa.POA
 	for i := 0; i < nReplicas; i++ {
-		i := i
 		name := fmt.Sprintf("serve-replica-%d", i)
-		infoChs[i] = vtime.NewChan(w.sim, name+"-info")
-		w.spawn(name, replicaHosts[i], 1, endpoint{fault: fi, bare: true}, func(th *rts.SimThread, adapter *poa.POA, _ *core.ORB) {
+		replicas[i] = sim.Spawn(name, apps.Program{Host: replicaHosts[i], Threads: 1}, apps.Endpoint{Fault: fi, Bare: true}, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
 			if cfg.admitLimit > 0 {
 				adapter.SetAdmission(cfg.admitLimit, cfg.hintSec)
 			}
-			ior := must(benchidl.RegisterServeReplicaSingle(adapter, name, serveServant{work: cfg.workSec}))
-			th.Proc().Send(infoChs[i], replicaInfo{ior: ior, adapter: adapter}, 0)
-			adapter.ImplIsReady()
-		})
+			adapters[i] = adapter
+			return benchidl.RegisterServeReplicaSingle(adapter, name, serveServant{work: cfg.workSec})
+		}))
 
-		w.spawn(name+"-hb", replicaHosts[i], 1, endpoint{bare: true}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
-			info := peek[replicaInfo](th, infoChs[i])
-			regAddr := peek[string](th, regAddrCh)
-			regc, err := registry.Open(orb, regAddr)
-			if err != nil {
-				panic(err)
-			}
+		sim.Spawn(name+"-hb", apps.Program{Host: replicaHosts[i], Threads: 1}, apps.Endpoint{Bare: true}, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) error {
+			ior := must(replicas[i](th))[0]
+			regc := must(registry.Open(orb, must(reg(th))[0].Addrs[0]))
 			regc.SetDeadline(cfg.hbPeriod)
-			registered := regc.RegisterMember(serveGroupName, name, info.ior) == nil
+			registered := regc.RegisterMember(serveGroupName, name, ior) == nil
 			for {
 				th.Sleep(cfg.hbPeriod)
 				if hbStop[i].Load() {
-					return
+					return nil
 				}
 				if !registered {
-					if regc.RegisterMember(serveGroupName, name, info.ior) != nil {
+					if regc.RegisterMember(serveGroupName, name, ior) != nil {
 						continue
 					}
 					registered = true
 				}
-				p95, depth := info.adapter.LoadReport()
+				p95, depth := adapters[i].LoadReport()
 				if known, err := regc.ReportLoad(serveGroupName, name, p95, depth, ""); err == nil && !known {
 					registered = false
 				}
@@ -214,14 +196,9 @@ func runServe(cfg serveConfig) ServePoint {
 	// Closed-loop clients on powerchallenge, each with its own group binding
 	// resolved through the registry.
 	for ci := 0; ci < cfg.clients; ci++ {
-		ci := ci
 		name := fmt.Sprintf("serve-client-%d", ci)
-		w.spawn(name, "powerchallenge", 1, endpoint{bare: true}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
-			regAddr := peek[string](th, regAddrCh)
-			regc, err := registry.Open(orb, regAddr)
-			if err != nil {
-				panic(err)
-			}
+		sim.Spawn(name, apps.Program{Host: "powerchallenge", Threads: 1}, apps.Endpoint{Bare: true}, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) error {
+			regc := must(registry.Open(orb, must(reg(th))[0].Addrs[0]))
 			regc.SetDeadline(cfg.deadline)
 			gb := orb.BindGroup(regc.GroupResolver(serveGroupName), benchidl.ServeReplicaIDL())
 			gb.SetDeadline(cfg.deadline)
@@ -231,6 +208,7 @@ func runServe(cfg serveConfig) ServePoint {
 				JitterSeed:  uint64(cfg.seed) + uint64(ci),
 			})
 			rng := rand.New(rand.NewSource(cfg.seed + int64(ci)*7919))
+			proc := th.(*rts.SimThread).Proc()
 
 			// Let the first heartbeats register the group before resolving.
 			th.Sleep(50e-3)
@@ -238,13 +216,13 @@ func runServe(cfg serveConfig) ServePoint {
 			ok, bad := 0, 0
 			for n := 0; n < cfg.perClient; n++ {
 				th.Sleep(cfg.thinkSec * (0.5 + rng.Float64()))
-				t0 := th.Proc().Now()
+				t0 := proc.Now()
 				if _, err := gb.Invoke("work", []any{int32(n)}); err != nil {
 					bad++
 					continue
 				}
 				ok++
-				lat = append(lat, (th.Proc().Now() - t0).Seconds())
+				lat = append(lat, (proc.Now() - t0).Seconds())
 			}
 			mu.Lock()
 			allLat = append(allLat, lat...)
@@ -253,21 +231,19 @@ func runServe(cfg serveConfig) ServePoint {
 			failovers += gb.Failovers()
 			mu.Unlock()
 			doneClients.Add(1)
+			return nil
 		})
 	}
 
 	// Controller: chaos (kill one replica mid-run and time the registry
 	// dropping it), then orderly teardown once every client is done.
-	var infos [nReplicas]replicaInfo
-	w.spawn("serve-controller", "powerchallenge", 1, endpoint{bare: true}, func(th *rts.SimThread, _ *poa.POA, orb *core.ORB) {
-		regAddr := peek[string](th, regAddrCh)
-		for i := 0; i < nReplicas; i++ {
-			infos[i] = peek[replicaInfo](th, infoChs[i])
+	sim.Spawn("serve-controller", apps.Program{Host: "powerchallenge", Threads: 1}, apps.Endpoint{Bare: true}, func(th rts.Thread, _ *poa.POA, orb *core.ORB, _ func(...core.IOR)) error {
+		regRef := must(reg(th))[0]
+		var replicaIORs [nReplicas]core.IOR
+		for i := range replicaIORs {
+			replicaIORs[i] = must(replicas[i](th))[0]
 		}
-		regc, err := registry.Open(orb, regAddr)
-		if err != nil {
-			panic(err)
-		}
+		regc := must(registry.Open(orb, regRef.Addrs[0]))
 		regc.SetDeadline(cfg.deadline)
 
 		if cfg.killT > 0 {
@@ -276,7 +252,7 @@ func runServe(cfg serveConfig) ServePoint {
 				th.Sleep(5e-3)
 			}
 			hbStop[victim].Store(true)
-			fi.Kill(nexus.Addr(infos[victim].ior.Addrs[0]))
+			fi.Kill(nexus.Addr(replicaIORs[victim].Addrs[0]))
 			killAt := th.Elapsed()
 			for {
 				th.Sleep(cfg.hbPeriod / 5)
@@ -286,7 +262,7 @@ func runServe(cfg serveConfig) ServePoint {
 				}
 				present := false
 				for _, m := range iors {
-					if m.Addrs[0] == infos[victim].ior.Addrs[0] {
+					if m.Addrs[0] == replicaIORs[victim].Addrs[0] {
 						present = true
 					}
 				}
@@ -307,16 +283,18 @@ func runServe(cfg serveConfig) ServePoint {
 		// their repository goes away.
 		th.Sleep(2 * cfg.hbPeriod)
 		for i := 0; i < nReplicas; i++ {
-			if r, err := benchidl.BindServeReplica(orb, infos[i].ior); err == nil {
+			if r, err := benchidl.BindServeReplica(orb, replicaIORs[i]); err == nil {
 				_ = r.Binding().Shutdown("serve done")
 			}
 		}
-		if p, err := regidl.BindRepository(orb, registry.BootstrapIOR(regAddr)); err == nil {
+		if p, err := regidl.BindRepository(orb, regRef); err == nil {
 			_ = p.Binding().Shutdown("serve done")
 		}
+		return nil
 	})
 
-	final := w.run()
+	check(sim.Wait())
+	final := sim.End()
 
 	sort.Float64s(allLat)
 	pt := ServePoint{
@@ -337,8 +315,8 @@ func runServe(cfg serveConfig) ServePoint {
 	pt.P95 = percentile(allLat, 0.95)
 	pt.P99 = percentile(allLat, 0.99)
 	for i := 0; i < nReplicas; i++ {
-		if infos[i].adapter != nil {
-			pt.Sheds += infos[i].adapter.ShedCount()
+		if adapters[i] != nil {
+			pt.Sheds += adapters[i].ShedCount()
 		}
 	}
 	return pt
