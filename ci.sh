@@ -12,7 +12,7 @@ GOOS=windows go vet ./...
 test -z "$(gofmt -l .)"
 # Size ceilings: a package's non-test Go lines, counted as ROADMAP counts
 # them. A change that needs more lines there raises the ceiling and says why.
-for ceiling in internal/nexus:2676 internal/bench:1252 internal/apps:636 internal/apps/pipeline:333 internal/apps/linsolve:248 internal/apps/dnadb:229; do
+for ceiling in internal/nexus:2679 internal/bench:1252 internal/apps:636 internal/apps/pipeline:333 internal/apps/linsolve:248 internal/apps/dnadb:229; do
 	pkg="${ceiling%:*}"
 	lines="$(cat $(ls "$pkg"/*.go | grep -v '_test\.go$') | wc -l)"
 	echo "$pkg: $lines non-test lines"

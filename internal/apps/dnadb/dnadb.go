@@ -84,7 +84,7 @@ func (d *database) Search(ctx *poa.Context, s string) (uint32, error) {
 	var found [apps.NumDerivatives][]string
 	for r := 0; r < rounds; r++ {
 		th.Compute(share / rounds)
-		if apps.WallClock(th) {
+		if !rts.Virtual(th) {
 			res := apps.SearchAll(d.shard[min(r*chunk, len(d.shard)):min((r+1)*chunk, len(d.shard))], s)
 			for k := range res {
 				found[k] = append(found[k], res[k]...)
@@ -198,7 +198,7 @@ func client(th rts.Thread, orb *core.ORB, ref apps.Ref, span *apps.Span) (status
 		return status, final, err
 	}
 	span.Stop(th)
-	if apps.WallClock(th) {
+	if !rts.Virtual(th) {
 		for k, l := range lists {
 			if final[k], err = l.Match(listQuery); err != nil {
 				return status, final, err

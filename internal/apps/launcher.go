@@ -13,13 +13,6 @@ import (
 	"pardis/internal/vtime"
 )
 
-// WallClock reports whether th runs an application's numerics: all but a
-// simulated thread do, which only charges their cost models.
-func WallClock(th rts.Thread) bool {
-	_, sim := th.(*rts.SimThread)
-	return !sim
-}
-
 // A Launcher starts an application's programs on one fabric and waits for
 // them: Inproc on the wall clock, Sim on virtual time. Each application's
 // Deploy writes its topology once, against this interface.
@@ -75,7 +68,8 @@ type published struct {
 
 // run runs body on th, with an ORB and an adapter (polling every poll
 // seconds, if set) on ep, and settles rank 0's Ref through post: with what
-// it publishes first, or else with the error it returns.
+// it publishes first, or else with the error it returns. A rank 0 that
+// fails announces the shutdown to its siblings, which may be serving.
 func (ps *programs) run(name string, th rts.Thread, ep nexus.Endpoint, poll float64, body Body, post func(published)) {
 	router := core.NewRouter(ep)
 	orb := core.NewORB(router, th, nil)
@@ -92,6 +86,10 @@ func (ps *programs) run(name string, th rts.Thread, ep nexus.Endpoint, poll floa
 	})
 	if err != nil {
 		err = fmt.Errorf("%s-%d: %w", name, th.Rank(), err)
+		if th.Rank() == 0 {
+			adapter.Deactivate()
+			adapter.ImplIsReady()
+		}
 		ps.mu.Lock()
 		ps.err = errors.Join(ps.err, err)
 		ps.mu.Unlock()

@@ -129,3 +129,35 @@ func TestRefFailsWhenNothingIsPublished(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedRankZeroRetiresItsProgram starts a 2-thread apps.Serve whose
+// rank 0 fails to register while rank 1 registers and serves, and reads
+// its reference from another program. The read must fail, and Wait must
+// return rank 0's error alone: the serving rank is retired, not left
+// waiting for requests that never come.
+func TestFailedRankZeroRetiresItsProgram(t *testing.T) {
+	errRegister := errors.New("register failed")
+	for _, c := range launchers {
+		t.Run(c.name, func(t *testing.T) {
+			l := c.new()
+			server := l.Start("server", apps.Program{Host: "onyx", Threads: 2}, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
+				if adapter.Thread().Rank() == 0 {
+					return core.IOR{}, errRegister
+				}
+				return core.IOR{}, nil
+			}))
+			var readErr error
+			l.Start("client", apps.Program{Host: "powerchallenge", Threads: 1}, func(th rts.Thread, _ *poa.POA, _ *core.ORB, _ func(...core.IOR)) error {
+				_, readErr = server(th)
+				return nil
+			})
+			err := wait(t, l)
+			if !errors.Is(readErr, errRegister) {
+				t.Errorf("read: %v; want %v", readErr, errRegister)
+			}
+			if want := "server-0: register failed"; err == nil || err.Error() != want {
+				t.Errorf("Wait: %v; want only %q", err, want)
+			}
+		})
+	}
+}

@@ -50,7 +50,7 @@ func (Direct) Solve(ctx *poa.Context, A *dseq.DSeq[any], B *dseq.DSeq[float64]) 
 	th := ctx.Thread
 	n := A.GlobalLen()
 	th.Compute(apps.PerThread(apps.DirectSolveWork(n), th.Size()))
-	if !apps.WallClock(th) {
+	if rts.Virtual(th) {
 		return dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{}), nil
 	}
 	var x []float64
@@ -77,7 +77,7 @@ func (Iterative) Solve(ctx *poa.Context, tol float64, A *dseq.DSeq[any], B *dseq
 	th := ctx.Thread
 	n := A.GlobalLen()
 	th.Compute(apps.PerThread(apps.JacobiWork(n, apps.DefaultJacobiIters(n)), th.Size()))
-	if !apps.WallClock(th) {
+	if rts.Virtual(th) {
 		return dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{}), nil
 	}
 	first := 0
@@ -150,7 +150,7 @@ func client(th rts.Thread, orb *core.ORB, p Params, n int, t Topology, repo apps
 	B := dseq.New[float64](th, n, dist.BlockTemplate(), dseq.Float64Codec{})
 	var a [][]float64
 	var b, exact []float64
-	if apps.WallClock(th) {
+	if !rts.Virtual(th) {
 		a, b, exact = apps.GenerateSystem(n, seed)
 	}
 	for loc := range A.Local() {
@@ -187,7 +187,7 @@ func client(th rts.Thread, orb *core.ORB, p Params, n int, t Topology, repo apps
 	}
 	// 11: double difference = compute_difference(X1_real, X2_real);
 	th.Compute(apps.PerThread(float64(n)*1e-6, th.Size()))
-	if apps.WallClock(th) {
+	if !rts.Virtual(th) {
 		var s1, s2 []float64
 		if x1 != nil {
 			s1 = x1.GatherTo(0)

@@ -56,7 +56,7 @@ func initial(x, y int) float64 {
 
 // wholeRows refuses, on the wall clock, a thread group that cannot hold whole rows.
 func wholeRows(th rts.Thread) error {
-	if !apps.WallClock(th) || grid%th.Size() == 0 {
+	if rts.Virtual(th) || grid%th.Size() == 0 {
 		return nil
 	}
 	return fmt.Errorf("pipeline: %d threads cannot each hold whole rows of the %dx%d grid", th.Size(), grid, grid)
@@ -138,7 +138,7 @@ func (g *gradient) Gradient(ctx *poa.Context, myfield *pstl.DistVector) error {
 	}
 	th.Compute(apps.PerThread(apps.GradientWork(grid*grid), th.Size()))
 	out := pstl.VectorFromDSeq(dseq.NewFromLayout[float64](th, myfield.AsDSeq().DLayout(), dseq.Float64Codec{}))
-	if apps.WallClock(th) {
+	if !rts.Virtual(th) {
 		pstl.Gradient2D(myfield, out, grid, grid)
 	}
 	wait, err := g.viz.nb(out.AsDSeq())
@@ -195,7 +195,7 @@ func diffuse(th rts.Thread, orb *core.ORB, p Params, vizRef, gradRef apps.Ref, s
 	}
 	field := dseq.New[float64](th, grid*grid, dist.BlockTemplate(), dseq.Float64Codec{})
 	step := func() {}
-	if apps.WallClock(th) {
+	if !rts.Virtual(th) {
 		f := pooma.FieldFromDSeq(field)
 		next := pooma.FieldFromDSeq(dseq.NewFromLayout[float64](th, field.DLayout(), dseq.Float64Codec{}))
 		f.Fill(initial)

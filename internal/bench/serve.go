@@ -146,7 +146,7 @@ func runServe(cfg serveConfig) ServePoint {
 	// Registry on indy, aging members on the virtual clock.
 	reg := sim.Spawn("serve-registry", apps.Program{Host: "indy", Threads: 1}, apps.Endpoint{Bare: true}, apps.Serve(func(adapter *poa.POA) (core.IOR, error) {
 		repo := registry.NewRepository()
-		repo.SetClock(adapter.Thread().Elapsed)
+		repo.SetClock(adapter.Thread())
 		repo.SetMemberTTL(2 * cfg.hbPeriod)
 		repo.SetPickerSeed(cfg.seed)
 		return regidl.RegisterRepositorySingle(adapter, registry.RepositoryKey, repo)

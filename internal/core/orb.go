@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"time"
 
 	"pardis/internal/cdr"
 	"pardis/internal/dist"
@@ -57,7 +56,8 @@ type ORB struct {
 	// per-invocation closure would allocate).
 	driver *future.Pump
 	// w is the timed wait the pump parks on and the clock the ORB's
-	// deadlines are on: its computing thread's, else its own.
+	// deadlines, spans, latency histogram and SLO stamps are on: its
+	// computing thread's, else its own on the process's wall clock.
 	w       nexus.TimedWait
 	watched bool // the router's endpoint feeds w (waitUntil)
 	// sendIov is the scratch buffer list for two-buffer vectored sends
@@ -86,7 +86,7 @@ func NewORB(r *Router, comm rts.Comm, table *LocalTable) *ORB {
 	if th, ok := comm.(rts.Thread); ok {
 		o.w = th
 	} else {
-		o.w = nexus.NewWaiter(time.Now())
+		o.w = nexus.NewWaiter()
 	}
 	o.driver = future.NewPump(o.pump, o.w.Elapsed)
 	return o
@@ -160,8 +160,8 @@ type pendingReq struct {
 	// Trace state. trace/span are zero when tracing was off at issue time;
 	// trace is the invocation's TraceID (stable across retries) and span the
 	// stub.invoke root span under which every attempt nests. issuedNS is the
-	// root span's start — always captured, since the latency histogram wants
-	// it whether or not tracing is on.
+	// root span's start, on the ORB's clock — always captured, since the
+	// latency histogram wants it whether or not tracing is on.
 	trace    uint64
 	span     uint64
 	issuedNS int64
@@ -263,7 +263,7 @@ func (p *pendingReq) canRetry() bool {
 // keeps late replies span-silent: by the time a straggler arrives the claim
 // fails, no resolver runs, and nothing records.
 func (o *ORB) resolve(p *pendingReq, vals []any, err error) {
-	end := obs.NowNS()
+	end := o.w.ElapsedNS()
 	sec := float64(end-p.issuedNS) / 1e9
 	orbLatency.Observe(sec)
 	p.b.slos[p.opIdx].Observe(end, sec, err != nil)
@@ -458,7 +458,7 @@ func (b *Binding) issue(p *pendingReq, opIdx int, opDef *Operation, args []any) 
 	}
 	b.seq++
 	orbRequests.Inc()
-	p.issuedNS = obs.NowNS()
+	p.issuedNS = o.w.ElapsedNS()
 	if obs.DefaultTracer.Enabled() {
 		// Root trace context for this invocation: the TraceID every rank and
 		// layer will share, the stub span every attempt nests under, and the
@@ -609,20 +609,20 @@ func (o *ORB) sendRequest(to nexus.Addr, req *pgiop.Request, p *pendingReq, rese
 	traced := p.trace != 0
 	var sendStart, encStart, encEnd int64
 	if traced {
-		sendStart = obs.NowNS()
+		sendStart = o.w.ElapsedNS()
 	}
 	hdr := cdr.GetEncoder(128)
 	if traced {
-		encStart = obs.NowNS()
+		encStart = o.w.ElapsedNS()
 	}
 	pgiop.AppendRequest(hdr, req)
 	if traced {
-		encEnd = obs.NowNS()
+		encEnd = o.w.ElapsedNS()
 	}
 	err := o.r.SendV2(&o.sendIov, to, hdr.Bytes(), req.Body)
 	hdr.Release()
 	if traced {
-		end := obs.NowNS()
+		end := o.w.ElapsedNS()
 		name := "orb.send"
 		if resend {
 			name = "orb.resend"

@@ -33,7 +33,7 @@ func waiterOf(ep Endpoint) *Waiter {
 	if v, ok := testWaiters.Load(ep); ok {
 		return v.(*Waiter)
 	}
-	w := NewWaiter(time.Now())
+	w := NewWaiter()
 	w.Watch(ep)
 	testWaiters.Store(ep, w)
 	return w

@@ -182,7 +182,7 @@ func TestFaultRecvTimeout(t *testing.T) {
 	fab := NewInproc()
 	a := fab.NewEndpoint("a")
 	b := fab.NewEndpoint("b")
-	w := NewWaiter(time.Now())
+	w := NewWaiter()
 	if !w.Watch(b) {
 		t.Fatal("an inproc endpoint cannot signal arrival")
 	}
@@ -230,7 +230,7 @@ type blindEP struct{ Endpoint }
 func TestWaiterWatch(t *testing.T) {
 	fab := NewInproc()
 	a, b := fab.NewEndpoint("a"), fab.NewEndpoint("b")
-	w := NewWaiter(time.Now())
+	w := NewWaiter()
 	if !w.Watch(b) || !w.Watch(b) {
 		t.Fatal("watching an endpoint twice from one waiter failed")
 	}
@@ -240,12 +240,12 @@ func TestWaiterWatch(t *testing.T) {
 				t.Error("a second waiter watched an endpoint that already has one")
 			}
 		}()
-		NewWaiter(time.Now()).Watch(b)
+		NewWaiter().Watch(b)
 	}()
 
 	c := fab.NewEndpoint("c")
 	blind := blindEP{c}
-	bw := NewWaiter(time.Now())
+	bw := NewWaiter()
 	if bw.Watch(blind) {
 		t.Fatal("a wrapper without RecvNotifier reported it signals arrival")
 	}

@@ -150,7 +150,7 @@ func TestInPlaceHandOff(t *testing.T) {
 		}},
 		{"second channel", func(t *testing.T, b *tcpChan) { b.t.NewChannel() }},
 		{"hidden hook", func(t *testing.T, b *tcpChan) {
-			if !NewWaiter(time.Now()).Watch(notifyOnly{b}) {
+			if !NewWaiter().Watch(notifyOnly{b}) {
 				t.Fatal("the wrapper's watch does not signal")
 			}
 		}},
@@ -438,7 +438,7 @@ func TestInPlaceWakes(t *testing.T) {
 		_, b := inPlacePair(t)
 		fab := NewInproc()
 		x, y := fab.NewEndpoint("x"), fab.NewEndpoint("y")
-		w := NewWaiter(time.Now())
+		w := NewWaiter()
 		if !w.Watch(b) || !w.Watch(x) {
 			t.Fatal("a watched endpoint does not signal")
 		}

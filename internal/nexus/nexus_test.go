@@ -297,7 +297,7 @@ func TestWaiterParksBeyondDurationRange(t *testing.T) {
 	a, b := fab.NewEndpoint("a"), fab.NewEndpoint("b")
 	defer a.Close()
 	defer b.Close()
-	w := NewWaiter(time.Now())
+	w := NewWaiter()
 	w.Watch(b)
 	for _, span := range []float64{1e10, math.Inf(1)} {
 		woke := make(chan struct{})

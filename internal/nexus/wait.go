@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pardis/internal/obs"
 	"pardis/internal/vtime"
 )
 
@@ -14,6 +15,8 @@ import (
 type TimedWait interface {
 	// Elapsed reads the clock the wait's instants are on, in seconds.
 	Elapsed() float64
+	// ElapsedNS reads it in nanoseconds, the unit of spans and latencies.
+	ElapsedNS() int64
 	// WaitUntil parks until a frame reaches the thread or until Elapsed
 	// reads at, whichever is first; an instant too far off for a timer
 	// (+Inf included) waits for a frame alone. It consumes nothing and may
@@ -25,16 +28,15 @@ type TimedWait interface {
 	Watch(ep Endpoint) bool
 }
 
-// Waiter is TimedWait on the wall clock. Arrivals signal a one-slot channel
-// from the delivering goroutine, so a frame that lands between a probe and
-// the wait still ends the wait. Only its owning thread may use it.
+// Waiter is TimedWait on the process's one wall clock (obs.NowNS), for its
+// owning thread only. Arrivals signal a one-slot channel from the delivering
+// goroutine, so a frame landing between a probe and the wait still ends it.
 //
 // While the first TCP channel it watches is read in place (DESIGN.md §12,
 // "Who reads a frame") a wait parks in a read of that channel's connection
 // instead, with the wait's instant as the read's deadline, and an arrival
 // elsewhere ends the read by moving the deadline into the past.
 type Waiter struct {
-	start   time.Time
 	wake    chan struct{}
 	timer   *time.Timer
 	watched map[Endpoint]bool // whether each watched endpoint signals arrival
@@ -49,15 +51,16 @@ type Waiter struct {
 // late a frame there is noticed.
 const blindNap = 200 * time.Microsecond
 
-// NewWaiter returns a Waiter whose clock reads 0 at start.
-func NewWaiter(start time.Time) *Waiter {
-	w := &Waiter{start: start, wake: make(chan struct{}, 1), timer: time.NewTimer(time.Hour), watched: map[Endpoint]bool{}}
+// NewWaiter returns a Waiter.
+func NewWaiter() *Waiter {
+	w := &Waiter{wake: make(chan struct{}, 1), timer: time.NewTimer(time.Hour), watched: map[Endpoint]bool{}}
 	w.timer.Stop()
 	return w
 }
 
-// Elapsed implements TimedWait: seconds since the waiter's start.
-func (w *Waiter) Elapsed() float64 { return time.Since(w.start).Seconds() }
+// Elapsed and ElapsedNS implement TimedWait on the process's wall clock.
+func (w *Waiter) Elapsed() float64 { return float64(obs.NowNS()) / 1e9 }
+func (w *Waiter) ElapsedNS() int64 { return obs.NowNS() }
 
 // Watch implements TimedWait. The first endpoint that offers the
 // package's read hook is watched through it; any later one, like every

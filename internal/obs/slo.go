@@ -148,9 +148,10 @@ func (s *SLOSet) Op(op string) *SLOOp {
 	return o
 }
 
-// Observe accounts one invocation that completed at endNS (an obs.NowNS
-// reading the caller already holds): good iff it did not fail and met the
-// operation's latency target.
+// Observe accounts one invocation that completed at endNS, the observing
+// thread's clock reading the caller already holds: good iff it did not fail
+// and met the operation's latency target. Windows age on the set's clock,
+// so a simulated thread's virtual stamp lands in a window that means nothing.
 func (o *SLOOp) Observe(endNS int64, seconds float64, failed bool) {
 	o.mu.Lock()
 	idx := int64(float64(endNS) / 1e9 / o.width)

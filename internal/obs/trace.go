@@ -35,7 +35,7 @@ type Span struct {
 	Name   string // e.g. "stub.invoke", "poa.dispatch"
 	Op     string // operation name, when known (kept separate so Name stays a constant — no per-span concatenation)
 	Rank   int32  // computing-thread rank that recorded the span
-	Start  int64  // wall nanoseconds (NowNS)
+	Start  int64  // nanoseconds on the recording thread's clock (see WriteChromeTrace)
 	End    int64
 }
 
@@ -120,14 +120,13 @@ func NewID() uint64 {
 	return id
 }
 
-// traceEpoch anchors NowNS; spans only ever compare and subtract these, so
-// an arbitrary process-local epoch is fine (and Since is the fast
-// monotonic-clock path).
-var traceEpoch = time.Now()
+// epoch anchors NowNS. Readings are only compared and subtracted, so any
+// process-local instant will do (and Since is the fast monotonic path).
+var epoch = time.Now()
 
-// NowNS is the span timestamp source: wall nanoseconds on the process-local
-// monotonic clock.
-func NowNS() int64 { return int64(time.Since(traceEpoch)) }
+// NowNS is the process's one wall clock, in nanoseconds: every wall-clock
+// thread reads it (nexus.Waiter), so their spans line up.
+func NowNS() int64 { return int64(time.Since(epoch)) }
 
 // Record appends one completed span. In ring mode a full ring drops (and
 // counts) the span — tracing must never block or grow without bound. In
@@ -233,6 +232,7 @@ func layerLane(layer string) string {
 // be filtered to one invocation; and whenever a span's parent was recorded
 // by a different rank, a flow arrow ("s"→"f") stitches the hop, so one
 // failover or SPMD fan-out reads as a single connected timeline.
+// otherData.clock names the clock the timestamps are on.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	spans := t.Spans()
 
@@ -312,7 +312,8 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 				TID: layerTID(sp.Layer),
 			})
 	}
-	doc := map[string]any{"traceEvents": events, "displayTimeUnit": "ms"}
+	clock := map[string]string{"clock": "recording thread's: virtual on a simulated thread, else the process's wall clock"}
+	doc := map[string]any{"traceEvents": events, "displayTimeUnit": "ms", "otherData": clock}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
 }

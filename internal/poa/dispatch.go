@@ -63,7 +63,7 @@ func (p *POA) collectivePhase(lockstep bool) int {
 	var phaseStart int64
 	tracing := obs.DefaultTracer.Enabled()
 	if tracing {
-		phaseStart = obs.NowNS()
+		phaseStart = p.th.ElapsedNS()
 	}
 	var frame []byte
 	if root {
@@ -110,7 +110,7 @@ func (p *POA) collectivePhase(lockstep bool) int {
 	}
 	var phaseEnd int64
 	if tracing {
-		phaseEnd = obs.NowNS()
+		phaseEnd = p.th.ElapsedNS()
 	}
 	// Decisions alias the frame (GetOctets never copies), which stays alive
 	// as long as any decoded request does — DESIGN.md §7 frame ownership.
@@ -126,7 +126,7 @@ func (p *POA) collectivePhase(lockstep bool) int {
 		}
 		var decStart int64
 		if tracing {
-			decStart = obs.NowNS()
+			decStart = p.th.ElapsedNS()
 		}
 		req, clients, kind, err := decodeDecision(pay)
 		if err != nil {
@@ -149,7 +149,7 @@ func (p *POA) collectivePhase(lockstep bool) int {
 			obs.DefaultTracer.Record(obs.Span{
 				Trace: req.TraceID, ID: decodeSpan, Parent: req.SpanID,
 				Layer: obs.LayerPGIOP, Name: "pgiop.decode", Op: req.Operation,
-				Rank: rank, Start: decStart, End: obs.NowNS(),
+				Rank: rank, Start: decStart, End: p.th.ElapsedNS(),
 			})
 			agreeSpan := obs.NewID()
 			obs.DefaultTracer.Record(obs.Span{
@@ -246,11 +246,7 @@ func decodeDecision(pay []byte) (*pgiop.Request, []clientInfo, byte, error) {
 // are the servant's to keep: copies, unless the frame is the GC's.
 func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, wctx *Context) {
 	req := m.Req
-	start := obs.NowNS()
-	var vstart float64
-	if p.modeled {
-		vstart = p.th.Elapsed()
-	}
+	start := p.th.ElapsedNS()
 	var decodeSpan, span uint64
 	if req.TraceID != 0 && obs.DefaultTracer.Enabled() {
 		decodeSpan, span = obs.NewID(), obs.NewID()
@@ -269,15 +265,7 @@ func (p *POA) serveSingle(e *entry, m *core.Msg, iov *[2][]byte, wctx *Context) 
 	} else {
 		p.answer(to, nil, nil, err, iov)
 	}
-	sec := p.observe(e, opIdx, req.Operation, req.TraceID, span, decodeSpan, start, err != nil)
-	// The load signal steers the registry's member choice, so on a simulated
-	// thread it must be simulated time; everything else here is wall-clock
-	// observability of this process.
-	if p.modeled {
-		p.loadLat.Observe(p.th.Elapsed() - vstart)
-	} else {
-		p.loadLat.Observe(sec)
-	}
+	p.loadLat.Observe(p.observe(e, opIdx, req.Operation, req.TraceID, span, decodeSpan, start, err != nil))
 	m.Release()
 }
 
@@ -293,7 +281,7 @@ func (p *POA) singleArgs(e *entry, opIdx int, m *core.Msg, decodeSpan uint64) (*
 	op := &e.iface.Ops[opIdx]
 	var decStart int64
 	if decodeSpan != 0 {
-		decStart = obs.NowNS()
+		decStart = p.th.ElapsedNS()
 	}
 	in := m.Args(len(op.Params))
 	err := decodeInline(op, req.Body, in, !m.FramePooled())
@@ -301,7 +289,7 @@ func (p *POA) singleArgs(e *entry, opIdx int, m *core.Msg, decodeSpan uint64) (*
 		obs.DefaultTracer.Record(obs.Span{
 			Trace: req.TraceID, ID: decodeSpan, Parent: req.SpanID,
 			Layer: obs.LayerPGIOP, Name: "pgiop.decode", Op: req.Operation,
-			Rank: int32(p.th.Rank()), Start: decStart, End: obs.NowNS(),
+			Rank: int32(p.th.Rank()), Start: decStart, End: p.th.ElapsedNS(),
 		})
 	}
 	return op, in, err
@@ -391,7 +379,7 @@ func (p *POA) answer(to []clientInfo, body []byte, outLens []pgiop.OutLen, err e
 // (span != 0), its poa.dispatch span under parent. It returns the latency in
 // seconds.
 func (p *POA) observe(e *entry, opIdx int, op string, trace, span, parent uint64, start int64, failed bool) float64 {
-	end := obs.NowNS()
+	end := p.th.ElapsedNS()
 	sec := float64(end-start) / 1e9
 	poaDispatches.Inc()
 	poaDispatchLatency.Observe(sec)
@@ -413,7 +401,7 @@ func (p *POA) observe(e *entry, opIdx int, op string, trace, span, parent uint64
 // arguments, out slots nil. With no reply to carry them, the results are the
 // servant's values, the out slice itself when the operation returns void.
 func (p *POA) callLocal(e *entry, name string, in []any) ([]any, error) {
-	start := obs.NowNS()
+	start := p.th.ElapsedNS()
 	opIdx := e.iface.OpIndex(name)
 	var ret any
 	var outs []any
@@ -467,7 +455,7 @@ func decodeInline(op *core.Operation, body []byte, inVals []any, borrow bool) er
 // dispatch span nests under it, and the collection/agreement collectives
 // under the dispatch. Thread 0 answers every client; a sibling answers none.
 func (p *POA) dispatchSPMD(req *pgiop.Request, clients []clientInfo, parentSpan uint64) {
-	start := obs.NowNS()
+	start := p.th.ElapsedNS()
 	var span uint64
 	if parentSpan != 0 {
 		span = obs.NewID()
@@ -520,7 +508,7 @@ func (p *POA) spmdArgs(e *entry, opIdx int, req *pgiop.Request, span uint64) (op
 	var collectErr error
 	var collectStart int64
 	if span != 0 && len(req.DistIns) > 0 {
-		collectStart = obs.NowNS()
+		collectStart = p.th.ElapsedNS()
 	}
 	for _, spec := range req.DistIns {
 		i := int(spec.Param)
@@ -540,7 +528,7 @@ func (p *POA) spmdArgs(e *entry, opIdx int, req *pgiop.Request, span uint64) (op
 		obs.DefaultTracer.Record(obs.Span{
 			Trace: req.TraceID, ID: obs.NewID(), Parent: span,
 			Layer: obs.LayerPOA, Name: "poa.collect", Op: req.Operation,
-			Rank: int32(rank), Start: collectStart, End: obs.NowNS(),
+			Rank: int32(rank), Start: collectStart, End: p.th.ElapsedNS(),
 		})
 	}
 	if deadline := p.effDeadline(req); deadline > 0 && size > 1 && len(req.DistIns) > 0 {
@@ -549,14 +537,14 @@ func (p *POA) spmdArgs(e *entry, opIdx int, req *pgiop.Request, span uint64) (op
 		// anyone enters the servant (see ftAgree).
 		var agreeStart int64
 		if span != 0 {
-			agreeStart = obs.NowNS()
+			agreeStart = p.th.ElapsedNS()
 		}
 		ok, failRank, aerr := p.ftAgree(collectErr == nil, deadline)
 		if span != 0 {
 			obs.DefaultTracer.Record(obs.Span{
 				Trace: req.TraceID, ID: obs.NewID(), Parent: span,
 				Layer: obs.LayerRTS, Name: "rts.allreduce", Op: "collect-agree",
-				Rank: int32(rank), Start: agreeStart, End: obs.NowNS(),
+				Rank: int32(rank), Start: agreeStart, End: p.th.ElapsedNS(),
 			})
 		}
 		if aerr != nil {

@@ -180,14 +180,11 @@ type POA struct {
 	// loadLat is the adapter's own single-object dispatch latency histogram
 	// — the per-replica load signal LoadReport exports, kept separate from
 	// the process-wide poa_dispatch_latency_seconds so co-hosted replicas
-	// report their own saturation, not each other's. It is observed on the
-	// owning thread's clock: modeled (decided once in New) says that clock is
-	// virtual, so serveSingle reads th.Elapsed() around the servant — the
-	// clock the ORB's deadlines are on — instead of reusing its wall-clock span
-	// timestamps, and what a simulated replica reports to the registry is a
-	// function of the simulation alone.
+	// report their own saturation, not each other's. Like every observation
+	// of the adapter it is on the owning thread's clock (th.ElapsedNS), so
+	// what a simulated replica reports to the registry is a function of the
+	// simulation alone.
 	loadLat obs.Histogram
-	modeled bool
 
 	// ctx is the reusable invocation context the owning thread hands to
 	// servants: it is valid only for the duration of one Invoke call (saved
@@ -250,13 +247,12 @@ func New(th rts.Thread, r *core.Router, table *core.LocalTable) *POA {
 		segs:         map[segKey][]*pgiop.ArgStream{},
 		PollInterval: 200e-6,
 	}
-	_, p.modeled = th.(*rts.SimThread)
 	// The router's endpoint joins the thread's timed wait, which its rts
 	// endpoint already feeds, so an idle thread wakes on a request or on
-	// thread 0's agreement frame alike. The simulated fabric keeps the
-	// plain polling sleep, the cadence the paper's figures were modelled
-	// with; so does an endpoint that cannot signal.
-	p.evented = r != nil && r.WatchBy(th) && !p.modeled
+	// thread 0's agreement frame alike. A thread on a virtual clock keeps
+	// the plain polling sleep, the cadence the paper's figures were
+	// modelled with; so does an endpoint that cannot signal.
+	p.evented = r != nil && r.WatchBy(th) && !rts.Virtual(th)
 	return p
 }
 

@@ -68,7 +68,7 @@ func timedWaits() []timedWait {
 		{"nexus.Waiter", func(t *testing.T, d float64) (func() bool, func(), func()) {
 			fab := nexus.NewInproc()
 			a, b := fab.NewEndpoint("a"), fab.NewEndpoint("b")
-			w := nexus.NewWaiter(time.Now())
+			w := nexus.NewWaiter()
 			w.Watch(b)
 			return func() bool {
 					for at := w.Elapsed() + d; ; w.WaitUntil(at) {

@@ -340,4 +340,20 @@ func TestTraceSPMDNesting(t *testing.T) {
 			t.Fatalf("%s spans from %d ranks, want %d", name, len(perRank), S)
 		}
 	}
+
+	// Every thread is on the process's one wall clock, so the timeline is
+	// one: a child span starts no earlier than its parent — a server rank's
+	// decode no earlier than the client's send it nests under — and every
+	// span of the trace starts within the stub root (a server span may end
+	// after it: a rank reads its dispatch's end after sending). The one
+	// exception is poa.agreement: the phase that carried the decision
+	// precedes the decode it is recorded under.
+	for _, sp := range byID {
+		if parent, ok := byID[sp.Parent]; ok && sp.Start < parent.Start && sp.Name != "poa.agreement" {
+			t.Errorf("%s (rank %d) starts %d ns before its parent %s (rank %d)", sp.Name, sp.Rank, parent.Start-sp.Start, parent.Name, parent.Rank)
+		}
+		if sp.Start < root.Start || sp.Start > root.End {
+			t.Errorf("%s (rank %d) starts at %d, outside the stub root [%d, %d]", sp.Name, sp.Rank, sp.Start, root.Start, root.End)
+		}
+	}
 }

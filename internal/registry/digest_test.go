@@ -118,7 +118,7 @@ func report(t *testing.T, repo *registry.Repository, name, id string, d registry
 func TestClusterAggregationAcrossJoinAndExpiry(t *testing.T) {
 	now := 0.0
 	repo := registry.NewRepository()
-	repo.SetClock(func() float64 { return now })
+	repo.SetClock(handClock{now: &now})
 	repo.SetMemberTTL(2)
 
 	reg := func(id string) {

@@ -4,8 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
+	"pardis/internal/nexus"
+	"pardis/internal/obs"
 	"pardis/internal/poa"
 )
 
@@ -37,13 +38,11 @@ type group struct {
 	members []*member // registration order
 }
 
-// registryEpoch anchors the default wall clock.
-var registryEpoch = time.Now()
-
-// SetClock replaces the repository's clock (seconds, monotone). The default
-// reads wall time; a simulation passes its virtual clock so member aging
-// follows modeled time. Call before serving.
-func (r *Repository) SetClock(clock func() float64) {
+// SetClock sets the clock members age on: the thread clock of the adapter
+// serving the repository, whose ORB and POA read it too, so on a simulated
+// thread member aging follows modeled time. Unset, it is the process's wall
+// clock. Call before serving.
+func (r *Repository) SetClock(clock nexus.TimedWait) {
 	r.mu.Lock()
 	r.clock = clock
 	r.mu.Unlock()
@@ -74,9 +73,9 @@ func (r *Repository) MemberTTL() float64 {
 
 func (r *Repository) nowLocked() float64 {
 	if r.clock != nil {
-		return r.clock()
+		return r.clock.Elapsed()
 	}
-	return time.Since(registryEpoch).Seconds()
+	return float64(obs.NowNS()) / 1e9
 }
 
 func (r *Repository) ttlLocked() float64 {

@@ -15,6 +15,15 @@ import (
 	"pardis/internal/rts"
 )
 
+// handClock is a repository clock the test moves by hand; the repository
+// reads nothing of it but Elapsed.
+type handClock struct {
+	nexus.TimedWait
+	now *float64
+}
+
+func (c handClock) Elapsed() float64 { return *c.now }
+
 // startRepoWith runs the given repository servant (so tests can inject its
 // clock, TTL and picker seed) and returns its address plus a stop function.
 func startRepoWith(t *testing.T, fab *nexus.Inproc, repo *registry.Repository) (string, func()) {
@@ -59,7 +68,7 @@ func TestGroupExpiryWithinTwoHeartbeats(t *testing.T) {
 	const hb = 1.0
 	now := 0.0
 	repo := registry.NewRepository()
-	repo.SetClock(func() float64 { return now })
+	repo.SetClock(handClock{now: &now})
 	repo.SetMemberTTL(2 * hb)
 
 	fab := nexus.NewInproc()
@@ -216,7 +225,7 @@ func TestResolveGroupHostFilter(t *testing.T) {
 func TestGroupResolveOrderFollowsLoad(t *testing.T) {
 	repo := registry.NewRepository()
 	now := 0.0
-	repo.SetClock(func() float64 { return now })
+	repo.SetClock(handClock{now: &now})
 	repo.SetMemberTTL(10)
 	fab := nexus.NewInproc()
 	addr, stop := startRepoWith(t, fab, repo)

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"pardis/internal/core"
+	"pardis/internal/nexus"
 	"pardis/internal/poa"
 	"pardis/internal/registry/regidl"
 )
@@ -52,7 +53,7 @@ type Repository struct {
 	groups map[string]*group
 	picker *Picker
 	ttl    float64
-	clock  func() float64
+	clock  nexus.TimedWait
 }
 
 // NewRepository creates empty tables.

@@ -2,7 +2,6 @@ package rts
 
 import (
 	"sync"
-	"time"
 
 	"pardis/internal/nexus"
 )
@@ -11,8 +10,7 @@ import (
 // parallel program are goroutines, each with an endpoint on a private
 // nexus.Inproc fabric. It plays the role MPI played in the paper's testbed.
 // Messaging is the endpoint thread JoinTCP uses too; what the shared address
-// space adds is Run, one Elapsed epoch for the whole program, and the
-// Window store.
+// space adds is Run and the Window store.
 type ChanGroup struct {
 	threads []chanThread
 	wins    *winStore
@@ -29,9 +27,8 @@ func NewChanGroup(host string, n int) *ChanGroup {
 		table[r] = eps[r].Addr()
 	}
 	g := &ChanGroup{threads: make([]chanThread, n), wins: newWinStore()}
-	start := time.Now()
 	for r := range g.threads {
-		g.threads[r] = chanThread{epThread: newEPThread(host, r, n, start, eps[r], table), wins: g.wins}
+		g.threads[r] = chanThread{epThread: newEPThread(host, r, n, eps[r], table), wins: g.wins}
 	}
 	return g
 }

@@ -29,9 +29,9 @@ type epThread struct {
 	stashed, waited uint64
 }
 
-// newEPThread returns the thread of rank over ep, its clock started at start.
-func newEPThread(host string, rank, size int, start time.Time, ep nexus.Endpoint, table []nexus.Addr) epThread {
-	t := epThread{host: host, rank: rank, size: size, ep: ep, table: table, w: nexus.NewWaiter(start)}
+// newEPThread returns the thread of rank over ep, on the process's clock.
+func newEPThread(host string, rank, size int, ep nexus.Endpoint, table []nexus.Addr) epThread {
+	t := epThread{host: host, rank: rank, size: size, ep: ep, table: table, w: nexus.NewWaiter()}
 	t.w.Watch(ep)
 	return t
 }
@@ -113,6 +113,7 @@ func (t *epThread) Sleep(seconds float64) {
 
 // Elapsed implements Thread.
 func (t *epThread) Elapsed() float64 { return t.w.Elapsed() }
+func (t *epThread) ElapsedNS() int64 { return t.w.ElapsedNS() }
 
 // WaitUntil implements Thread. The endpoint signals a frame only as it
 // lands in an empty inbox, and a receive can leave frames behind — in the

@@ -112,8 +112,9 @@ type Comm interface {
 type Thread interface {
 	Comm
 	// TimedWait is the thread's one timed wait, woken by its rts endpoint
-	// and the endpoints it watches. Elapsed is seconds since the program
-	// started, real or virtual: the clock every deadline is on.
+	// and the endpoints it watches. Elapsed is virtual on a simulated thread
+	// (Virtual), the process's wall clock elsewhere: the clock of every
+	// deadline, span, latency histogram and SLO stamp of its ORB and POA.
 	nexus.TimedWait
 	// Compute charges refSeconds of reference-machine CPU work.
 	Compute(refSeconds float64)

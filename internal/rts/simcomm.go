@@ -17,13 +17,12 @@ type SimGroup struct {
 	host  *simnet.Host
 	size  int
 	boxes []*vtime.Chan
-	epoch vtime.Time
 	wins  *winStore
 }
 
 // NewSimGroup creates the communication state for a parallel program of n
-// computing threads on host. Thread clocks are measured from epoch (the
-// virtual time at which the program starts).
+// computing threads on host. Thread clocks read the simulation's virtual
+// time, so every simulated thread of it is on one clock.
 func NewSimGroup(sim *vtime.Sim, host *simnet.Host, n int) *SimGroup {
 	g := &SimGroup{sim: sim, host: host, size: n, wins: newWinStore()}
 	for i := 0; i < n; i++ {
@@ -64,6 +63,10 @@ type SimThread struct {
 
 var _ Thread = (*SimThread)(nil)
 
+// Virtual reports whether th's clock is virtual: a simulated thread's, which
+// charges what it runs to a cost model instead of taking the time.
+func Virtual(th Thread) bool { _, sim := th.(*SimThread); return sim }
+
 func (t *SimThread) Rank() int        { return t.rank }
 func (t *SimThread) Size() int        { return t.g.size }
 func (t *SimThread) HostName() string { return t.g.host.Name }
@@ -76,7 +79,8 @@ func (t *SimThread) Compute(refSeconds float64) {
 	t.g.host.Compute(t.p, refSeconds)
 }
 
-func (t *SimThread) Elapsed() float64 { return (t.p.Now() - t.g.epoch).Seconds() }
+func (t *SimThread) Elapsed() float64 { return t.p.Now().Seconds() }
+func (t *SimThread) ElapsedNS() int64 { return int64(t.p.Now()) }
 
 func (t *SimThread) Sleep(seconds float64) { t.p.Advance(vtime.Seconds(seconds)) }
 
@@ -84,7 +88,7 @@ func (t *SimThread) Sleep(seconds float64) { t.p.Advance(vtime.Seconds(seconds))
 // sim endpoint of its process, on the virtual clock. The instant is rounded
 // up, so a wait that runs to it leaves Elapsed at or past it.
 func (t *SimThread) WaitUntil(at float64) {
-	t.p.Await(max(t.g.epoch+vtime.Time(math.Ceil(at*1e9)), t.p.Now()+1))
+	t.p.Await(max(vtime.Time(math.Ceil(at*1e9)), t.p.Now()+1))
 }
 
 // Watch implements Thread: a sim endpoint ends its owner's Await from its

@@ -55,16 +55,17 @@ func JoinTCP(hostName string, rank, size int, coordAddr string, timeout time.Dur
 	if err != nil {
 		return nil, err
 	}
-	t := &TCPThread{newEPThread(hostName, rank, size, time.Now(), ep, make([]nexus.Addr, size))}
+	t := &TCPThread{newEPThread(hostName, rank, size, ep, make([]nexus.Addr, size))}
 	t.table[rank] = ep.Addr()
 	// Bootstrap messages are rts messages received on this goroutine
 	// (RecvTimeout), so a failed bootstrap leaves no receiver behind: it only
-	// releases the endpoint. The time left is on t's clock, started now.
+	// releases the endpoint. The time left is on t's clock, counted from now.
 	fail := func(format string, args ...any) (*TCPThread, error) {
 		ep.Close()
 		return nil, fmt.Errorf("rts: bootstrap: "+format, args...)
 	}
-	left := func() float64 { return timeout.Seconds() - t.Elapsed() }
+	end := t.Elapsed() + timeout.Seconds()
+	left := func() float64 { return end - t.Elapsed() }
 
 	if rank == 0 {
 		for joined := 1; joined < size; {

@@ -141,7 +141,7 @@ func TestJoinTCPValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		forger := newEPThread("h", c.rank, 2, time.Now(), ep, nil)
+		forger := newEPThread("h", c.rank, 2, ep, nil)
 		for forger.send(nexus.Addr("tcp://"+coord), tagJoin, []byte(c.addr)) != nil {
 			forger.WaitUntil(forger.Elapsed() + 0.01) // the coordinator is not listening yet
 		}
@@ -156,14 +156,17 @@ func TestJoinTCPValidation(t *testing.T) {
 func TestJoinTCPRank0Timeout(t *testing.T) {
 	// Rank 0 waits for a rank that never joins: with no traffic at all the
 	// deadline must still fire (a deadline checked only after a successful
-	// receive would hang bootstrap forever).
+	// receive would hang bootstrap forever), and not before the budget has
+	// passed since the join, however long ago the thread's clock started.
+	const budget = 300 * time.Millisecond
+	time.Sleep(time.Duration(2*budget.Nanoseconds() - obs.NowNS()))
 	start := time.Now()
-	_, err := JoinTCP("h", 0, 2, "127.0.0.1:0", 300*time.Millisecond)
+	_, err := JoinTCP("h", 0, 2, "127.0.0.1:0", budget)
 	if err == nil {
 		t.Fatal("bootstrap succeeded with a missing rank")
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline not enforced on blocking receive: took %v", elapsed)
+	if elapsed := time.Since(start); elapsed > 5*time.Second || elapsed < budget {
+		t.Fatalf("bootstrap budget %v not enforced from the join: took %v", budget, elapsed)
 	}
 }
 

@@ -107,12 +107,12 @@ func TestTracingOverheadGate(t *testing.T) {
 // on the hand-written orbPair servant: argument boxing and result slice in
 // the test's own code (2), the caller's result slice, and the argument and
 // result values, copied out of their pooled frames and boxed (4) — DESIGN.md
-// §7 has the table. One above that sum so a size-class or pool-refill wobble
-// is not a failure. The byte ceiling is the same sum with no call record in
-// it (232 B measured; the record alone was 240).
+// §7 has the table. Both ceilings are what the call measures on both fabrics
+// (7 allocations, 232 B), so anything that allocates per call — a clock
+// read included — fails here.
 const (
-	roundTripAllocBudget = 8
-	roundTripByteBudget  = 272
+	roundTripAllocBudget = 7
+	roundTripByteBudget  = 232
 )
 
 // pipelinedWorkAllocBudget is the same ceiling for the shape of the repo
